@@ -53,12 +53,7 @@ type Engine struct {
 // NewEngine creates an engine over the shared plan.
 func NewEngine(plan *Plan) *Engine {
 	c := plan.c
-	maxFanin := 1
-	for i := range c.Nodes {
-		if n := len(c.Nodes[i].Fanin); n > maxFanin {
-			maxFanin = n
-		}
-	}
+	maxFanin := plan.maxFanin
 	return &Engine{
 		plan:    plan,
 		good:    bitsim.New(c),

@@ -7,11 +7,13 @@ import (
 	"protest/internal/circuit"
 	"protest/internal/circuits"
 	"protest/internal/fault"
+	"protest/internal/logic"
 	"protest/internal/pattern"
 )
 
-// engineTestCircuits returns the paper circuits plus a batch of random
-// fanout-heavy circuits the equivalence properties run on.
+// engineTestCircuits returns the paper circuits, a batch of random
+// fanout-heavy circuits and a truth-table circuit: the set the
+// equivalence properties run on.
 func engineTestCircuits() []*circuit.Circuit {
 	cs := []*circuit.Circuit{
 		circuits.C17(),
@@ -30,7 +32,46 @@ func engineTestCircuits() []*circuit.Circuit {
 			Locality: 12,
 		}))
 	}
-	return cs
+	return append(cs, tableCircuit())
+}
+
+// widthTestCircuits adds the ISCAS-style c1355 (n-ary gates, wide
+// fanout) to the engine set for the width tables.
+func widthTestCircuits() []*circuit.Circuit {
+	c1355, _ := circuits.Lookup("c1355")
+	return append(engineTestCircuits(), c1355)
+}
+
+// tableCircuit is a small reconvergent circuit of truth-table cells
+// (majority and multiplexer) mixed with basic gates, so the engines'
+// per-lane table paths are covered.
+func tableCircuit() *circuit.Circuit {
+	maj, _ := logic.TableFromFunc(3, func(in []bool) bool {
+		return in[0] && in[1] || in[1] && in[2] || in[0] && in[2]
+	})
+	mux, _ := logic.TableFromFunc(3, func(in []bool) bool {
+		if in[0] {
+			return in[2]
+		}
+		return in[1]
+	})
+	b := circuit.NewBuilder("tables")
+	x := b.InputBus("x", 8)
+	m0 := b.TableGate("m0", maj, x[0], x[1], x[2])
+	m1 := b.TableGate("m1", maj, x[2], x[3], x[4])
+	s0 := b.TableGate("s0", mux, x[5], m0, m1)
+	a0 := b.And("a0", m0, x[6])
+	s1 := b.TableGate("s1", mux, m1, x[7], a0)
+	b.MarkOutputs(
+		b.Xor("o0", s0, a0),
+		b.TableGate("o1", maj, s0, s1, x[1]),
+		b.Or("o2", m0, s1, x[3]),
+	)
+	c, err := b.Build()
+	if err != nil {
+		panic(err)
+	}
+	return c
 }
 
 // TestEngineBlockIdentity drives the FFR engine and the naive oracle

@@ -3,11 +3,14 @@
 // (section 4, Table 1) and fault-coverage-versus-pattern-count curves
 // with fault dropping (section 6, Table 6):
 //
-//   - the FFR engine (Plan/Engine), the default: the collapsed fault
-//     list is partitioned by fanout-free region, each block runs one
-//     good simulation, one backward critical-path trace per live
-//     region and one dominator-bounded stem propagation per live stem,
-//     collapsing per-fault work to a few word operations;
+//   - the FFR engine (Plan), the default: the collapsed fault list is
+//     partitioned by fanout-free region, each block runs one good
+//     simulation, one backward critical-path trace per live region and
+//     one dominator-bounded stem propagation per live stem, collapsing
+//     per-fault work to a few word operations.  It comes in a narrow
+//     form (Engine, one 64-pattern block per call) and a wide form
+//     (WideEngine, W blocks per call), both run by one driver,
+//     Plan.RunBlocks, on the width schedule of Options.Width;
 //   - the naive engine (Simulator), kept as the independent oracle:
 //     every fault is re-simulated individually inside its output cone.
 //
@@ -72,7 +75,7 @@ func ParseEngine(s string) (EngineKind, error) {
 }
 
 // Options tunes a measurement run.  The zero value selects the FFR
-// engine, serial, narrow (width 1).
+// engines, serial, on the default width schedule.
 type Options struct {
 	// Engine selects the simulation engine.
 	Engine EngineKind
@@ -84,11 +87,14 @@ type Options struct {
 	// identical either way.  Results are identical for every worker
 	// count.
 	Workers int
-	// Width is the simulation width in 64-pattern lanes (1, 4 or 8;
-	// 0 means 1): the FFR engine simulates Width consecutive blocks
-	// per sweep with all propagation words widened to Width lanes.
-	// Results are bit-identical at every width.  The naive oracle
-	// engine has no wide path and ignores Width.
+	// Width is the simulation width in 64-pattern lanes.  0, the
+	// default, lets the driver pick per chunk: the W=8 wide engine
+	// while at least 8 blocks remain and the narrow engine for the
+	// ragged tail of up to 7 blocks (see chunkWidth).  1, 4 or 8 forces
+	// that width for every chunk: 1 is the narrow engine, 4 and 8 the
+	// wide one, padding a short final chunk.  Results are bit-identical
+	// at every width.  The naive oracle engine has no wide path and
+	// ignores Width.
 	Width int
 }
 
@@ -400,7 +406,7 @@ func MeasureDetectionOpt(ctx context.Context, c *circuit.Circuit, faults []fault
 }
 
 // MeasureDetectionCtx measures detection counts with this plan's FFR
-// engine (or the naive oracle when opt.Engine says so).
+// engines (or the naive oracle when opt.Engine says so).
 func (p *Plan) MeasureDetectionCtx(ctx context.Context, gen *pattern.Generator, numPatterns int, opt Options, progress Progress) (*Result, error) {
 	if opt.Engine == EngineNaive {
 		return MeasureDetectionOpt(ctx, p.c, p.faults, gen, numPatterns, opt, progress)
@@ -408,41 +414,25 @@ func (p *Plan) MeasureDetectionCtx(ctx context.Context, gen *pattern.Generator, 
 	if err := widesim.CheckWidth(opt.Width); err != nil {
 		return nil, err
 	}
-	if width := resolveWidth(opt.Width); width > 1 {
-		if parallelWorkers(opt.Workers, len(p.faults)) > 1 {
-			return p.measureDetectionWideParallelCtx(ctx, gen, numPatterns, width, opt.Workers, progress)
-		}
-		return p.measureDetectionWideCtx(ctx, gen, numPatterns, width, progress)
-	}
-	if parallelWorkers(opt.Workers, len(p.faults)) > 1 {
-		return p.measureDetectionFFRParallelCtx(ctx, gen, numPatterns, opt.Workers, progress)
-	}
-	return p.measureDetectionFFRCtx(ctx, gen, numPatterns, progress)
-}
-
-// measureDetectionFFRCtx is the serial FFR measurement loop.
-func (p *Plan) measureDetectionFFRCtx(ctx context.Context, gen *pattern.Generator, numPatterns int, progress Progress) (*Result, error) {
-	e := p.AcquireEngine()
-	defer e.Release()
 	res := &Result{
 		Faults:   p.faults,
 		Detected: make([]int, len(p.faults)),
 	}
-	words := make([]uint64, len(p.c.Inputs))
-	det := make([]uint64, len(p.faults))
-	for applied := 0; applied < numPatterns; applied += 64 {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		gen.NextBlock(words)
-		mask := blockMask(numPatterns - applied)
-		e.SimulateBlock(words, det, nil)
-		for i, d := range det {
-			res.Detected[i] += bits.OnesCount64(d & mask)
-		}
-		if progress != nil {
-			progress(min(applied+64, numPatterns), numPatterns)
-		}
+	applied := 0
+	err := p.RunBlocks(ctx, gen, (numPatterns+63)/64, opt.Width, parallelWorkers(opt.Workers, len(p.faults)), nil,
+		func(_ int, det []uint64, stride, lane int) bool {
+			mask := blockMask(numPatterns - applied)
+			for i := range p.faults {
+				res.Detected[i] += bits.OnesCount64(det[i*stride+lane] & mask)
+			}
+			applied = min(applied+64, numPatterns)
+			if progress != nil {
+				progress(applied, numPatterns)
+			}
+			return true
+		})
+	if err != nil {
+		return nil, err
 	}
 	res.Applied = numPatterns
 	return res, nil
@@ -509,9 +499,15 @@ func CoverageCurveOpt(ctx context.Context, c *circuit.Circuit, faults []fault.Fa
 }
 
 // CoverageCurveCtx computes the coverage curve with this plan's FFR
-// engine (or the naive oracle when opt.Engine says so).  Fault dropping
+// engines (or the naive oracle when opt.Engine says so).  Fault dropping
 // drops whole FFR groups: once every fault of a region is detected the
-// region is never traced again.
+// region is never traced again.  Each segment between checkpoints runs
+// through RunBlocks, whose chunks simulate against the live set of
+// their wave's start while the drops fold block by block, so the curve
+// is identical for every width and worker count.  When dropping
+// exhausts the fault list mid-wave, the generator may end up further
+// advanced than after a one-block-at-a-time run (see RunBlocks); the
+// curve itself is unaffected.
 func (p *Plan) CoverageCurveCtx(ctx context.Context, gen *pattern.Generator, checkpoints []int, opt Options, progress Progress) ([]CoveragePoint, error) {
 	if opt.Engine == EngineNaive {
 		return CoverageCurveOpt(ctx, p.c, p.faults, gen, checkpoints, opt, progress)
@@ -519,16 +515,40 @@ func (p *Plan) CoverageCurveCtx(ctx context.Context, gen *pattern.Generator, che
 	if err := widesim.CheckWidth(opt.Width); err != nil {
 		return nil, err
 	}
-	if width := resolveWidth(opt.Width); width > 1 {
-		if parallelWorkers(opt.Workers, len(p.faults)) > 1 {
-			return p.coverageCurveWideParallelCtx(ctx, gen, checkpoints, width, opt.Workers, progress)
+	cps := append([]int(nil), checkpoints...)
+	sort.Ints(cps)
+	workers := parallelWorkers(opt.Workers, len(p.faults))
+	ds := newDropState(p)
+	total := len(p.faults)
+	lastCp := 0
+	if len(cps) > 0 {
+		lastCp = cps[len(cps)-1]
+	}
+	var out []CoveragePoint
+	applied := 0
+	for _, cp := range cps {
+		if applied < cp && len(ds.aliveIdx) > 0 {
+			err := p.RunBlocks(ctx, gen, (cp-applied+63)/64, opt.Width, workers, ds.liveGroups,
+				func(_ int, det []uint64, stride, lane int) bool {
+					valid := cp - applied
+					mask := blockMask(valid)
+					applied += min(64, valid)
+					if progress != nil {
+						progress(applied, lastCp)
+					}
+					ds.dropLane(det, stride, lane, mask)
+					return len(ds.aliveIdx) > 0
+				})
+			if err != nil {
+				return nil, err
+			}
 		}
-		return p.coverageCurveWideCtx(ctx, gen, checkpoints, width, progress)
+		out = append(out, CoveragePoint{Patterns: cp, Coverage: 100 * float64(ds.dead) / float64(total)})
 	}
-	if parallelWorkers(opt.Workers, len(p.faults)) > 1 {
-		return p.coverageCurveFFRParallelCtx(ctx, gen, checkpoints, opt.Workers, progress)
+	if progress != nil && applied < lastCp {
+		progress(lastCp, lastCp) // every fault dropped early
 	}
-	return p.coverageCurveFFRCtx(ctx, gen, checkpoints, progress)
+	return out, nil
 }
 
 // dropState tracks the live fault set of a coverage run at FFR-group
@@ -558,14 +578,9 @@ func newDropState(p *Plan) *dropState {
 	return d
 }
 
-// drop removes the faults whose masked det word is non-zero, releasing
-// exhausted FFR groups.
-func (d *dropState) drop(det []uint64, mask uint64) {
-	d.dropLane(det, 1, 0, mask)
-}
-
-// dropLane is drop over one lane of a wide detection buffer laid out
-// det[fi*stride+lane] — the narrow drop is the stride-1 special case.
+// dropLane removes the faults whose masked detection word is non-zero,
+// releasing exhausted FFR groups.  det is laid out det[fi*stride+lane]
+// as RunBlocks hands it over.
 func (d *dropState) dropLane(det []uint64, stride, lane int, mask uint64) {
 	w := 0
 	for _, fi := range d.aliveIdx {
@@ -582,45 +597,6 @@ func (d *dropState) dropLane(det []uint64, stride, lane int, mask uint64) {
 		w++
 	}
 	d.aliveIdx = d.aliveIdx[:w]
-}
-
-// coverageCurveFFRCtx is the serial FFR coverage loop.
-func (p *Plan) coverageCurveFFRCtx(ctx context.Context, gen *pattern.Generator, checkpoints []int, progress Progress) ([]CoveragePoint, error) {
-	cps := append([]int(nil), checkpoints...)
-	sort.Ints(cps)
-	e := p.AcquireEngine()
-	defer e.Release()
-	ds := newDropState(p)
-	det := make([]uint64, len(p.faults))
-	words := make([]uint64, len(p.c.Inputs))
-	total := len(p.faults)
-	lastCp := 0
-	if len(cps) > 0 {
-		lastCp = cps[len(cps)-1]
-	}
-	var out []CoveragePoint
-	applied := 0
-	for _, cp := range cps {
-		for applied < cp && len(ds.aliveIdx) > 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			gen.NextBlock(words)
-			valid := cp - applied
-			mask := blockMask(valid)
-			applied += min(64, valid)
-			if progress != nil {
-				progress(applied, lastCp)
-			}
-			e.SimulateBlock(words, det, ds.liveGroups)
-			ds.drop(det, mask)
-		}
-		out = append(out, CoveragePoint{Patterns: cp, Coverage: 100 * float64(ds.dead) / float64(total)})
-	}
-	if progress != nil && applied < lastCp {
-		progress(lastCp, lastCp) // every fault dropped early
-	}
-	return out, nil
 }
 
 // coverageCurveNaiveCtx is the retained oracle implementation.

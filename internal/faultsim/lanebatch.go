@@ -41,7 +41,10 @@ func (p *Plan) NewLaneBatcher(width int, wait time.Duration) (*LaneBatcher, erro
 	if err := widesim.CheckWidth(width); err != nil {
 		return nil, err
 	}
-	lb := &LaneBatcher{plan: p, width: resolveWidth(width)}
+	if width == 0 {
+		width = 1
+	}
+	lb := &LaneBatcher{plan: p, width: width}
 	lb.b = coalesce.NewBatcher(lb.width, wait, lb.flush)
 	return lb, nil
 }
@@ -56,16 +59,16 @@ func (lb *LaneBatcher) flush(_ struct{}, reqs [][]uint64) ([][]uint64, error) {
 	w := lb.width
 	lb.sweeps.Add(1)
 	lb.blocks.Add(int64(len(reqs)))
-	eng := lb.plan.AcquireWideEngine(w)
+	eng := lb.plan.acquireWide(w)
 	defer eng.Release()
 	nf := len(lb.plan.faults)
-	inWords := make([]uint64, len(lb.plan.c.Inputs)*w)
+	inWords, det := eng.buffers()
+	clear(inWords)
 	for l, words := range reqs {
 		for i, v := range words {
 			inWords[i*w+l] = v
 		}
 	}
-	det := make([]uint64, nf*w)
 	eng.SimulateChunk(inWords, det, nil)
 	out := make([][]uint64, len(reqs))
 	for l := range reqs {

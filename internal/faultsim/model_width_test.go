@@ -2,17 +2,19 @@ package faultsim
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"protest/internal/circuit"
+	"protest/internal/circuits"
 	"protest/internal/fault"
 	"protest/internal/pattern"
 )
 
 // This file mirrors wide_test.go and engine_test.go for the non-stuck-at
 // universes: every equivalence the stuck-at properties pin — FFR vs
-// naive detection words, wide vs narrow lanes, serial vs parallel
-// measurements, coverage curves — must hold bit-for-bit for bridging
+// naive detection words, wide vs narrow lanes, every width schedule and
+// worker count, coverage curves — must hold bit-for-bit for bridging
 // and transition faults too, because every engine shares one
 // conditional-activation kernel across kinds.
 
@@ -107,52 +109,36 @@ func TestModelWideChunkIdentity(t *testing.T) {
 }
 
 // TestModelMeasureDetectionIdentity compares whole measurements over
-// the bridging and transition universes: detection counts, per-fault
-// trial counts and PSim must match the narrow serial FFR reference
-// exactly for the naive engine, every width and every worker count.
+// the bridging and transition universes: on every ragged pattern
+// budget, detection counts and per-fault trial counts must match the
+// naive oracle exactly for every width (including the default
+// schedule); parallel runs take the longest budget.
 func TestModelMeasureDetectionIdentity(t *testing.T) {
-	type variant struct {
-		name string
-		opts Options
-	}
-	variants := []variant{
-		{"naive", Options{Engine: EngineNaive}},
-	}
-	for _, w := range wideWidths {
-		for _, workers := range []int{1, 3, -1} {
-			variants = append(variants, variant{
-				name: "ffr",
-				opts: Options{Width: w, Workers: workers},
-			})
-		}
-	}
-	for _, c := range engineTestCircuits() {
+	for _, c := range widthTestCircuits() {
 		for model, faults := range modelCases(c) {
 			plan := NewPlan(c, faults)
-			const n = 1000 // not a multiple of 64, nor of 64*width
-			ref, err := plan.MeasureDetectionCtx(context.Background(),
-				pattern.NewUniform(len(c.Inputs), 3), n, Options{}, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, v := range variants {
-				got, err := plan.MeasureDetectionCtx(context.Background(),
-					pattern.NewUniform(len(c.Inputs), 3), n, v.opts, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got.Applied != ref.Applied {
-					t.Fatalf("%s %s %s%+v: applied %d != %d",
-						c.Name, model, v.name, v.opts, got.Applied, ref.Applied)
-				}
-				for i := range faults {
-					if got.Detected[i] != ref.Detected[i] {
-						t.Fatalf("%s %s %s%+v fault %v: detected %d != %d",
-							c.Name, model, v.name, v.opts, faults[i], got.Detected[i], ref.Detected[i])
-					}
-					if got.Trials(i) != ref.Trials(i) || got.PSim(i) != ref.PSim(i) {
-						t.Fatalf("%s %s %s%+v fault %v: trials/PSim mismatch",
-							c.Name, model, v.name, v.opts, faults[i])
+			want := naiveCounts(c, faults, 3, raggedCounts)
+			for _, n := range raggedCounts {
+				for _, w := range widthCases {
+					for _, workers := range []int{1, 3, -1} {
+						if workers != 1 && n != slices.Max(raggedCounts) {
+							continue
+						}
+						opts := Options{Width: w, Workers: workers}
+						got, err := plan.MeasureDetectionCtx(context.Background(),
+							pattern.NewUniform(len(c.Inputs), 3), n, opts, nil)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got.Applied != n {
+							t.Fatalf("%s %s n=%d %+v: applied %d", c.Name, model, n, opts, got.Applied)
+						}
+						for i := range faults {
+							if got.Detected[i] != want[n][i] {
+								t.Fatalf("%s %s n=%d %+v fault %v: detected %d != %d",
+									c.Name, model, n, opts, faults[i], got.Detected[i], want[n][i])
+							}
+						}
 					}
 				}
 			}
@@ -161,39 +147,33 @@ func TestModelMeasureDetectionIdentity(t *testing.T) {
 }
 
 // TestModelCoverageCurveIdentity compares fault-dropping coverage
-// curves over the bridging and transition universes across widths,
-// worker counts and both engines, on checkpoints that are deliberately
-// not multiples of 64 (nor 64*W).
+// curves over the bridging and transition universes across widths
+// (including the default schedule) and worker counts against the naive
+// oracle, on the ragged checkpoints.
 func TestModelCoverageCurveIdentity(t *testing.T) {
-	cps := []int{10, 100, 500, 777, 1500}
-	for _, c := range engineTestCircuits()[:6] {
+	cps := raggedCounts
+	c1355, _ := circuits.Lookup("c1355")
+	cs := append(engineTestCircuits()[:6], tableCircuit(), c1355)
+	for _, c := range cs {
 		for model, faults := range modelCases(c) {
 			plan := NewPlan(c, faults)
-			ref, err := plan.CoverageCurveCtx(context.Background(),
-				pattern.NewUniform(len(c.Inputs), 11), cps, Options{}, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			check := func(label string, opts Options) {
-				got, err := plan.CoverageCurveCtx(context.Background(),
-					pattern.NewUniform(len(c.Inputs), 11), cps, opts, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(got) != len(ref) {
-					t.Fatalf("%s %s %s: %d points != %d", c.Name, model, label, len(got), len(ref))
-				}
-				for i := range ref {
-					if got[i] != ref[i] {
-						t.Fatalf("%s %s %s: point %d %+v != %+v",
-							c.Name, model, label, i, got[i], ref[i])
-					}
-				}
-			}
-			check("naive", Options{Engine: EngineNaive})
-			for _, w := range wideWidths {
+			ref := naiveCurve(t, plan, 11, cps)
+			for _, w := range widthCases {
 				for _, workers := range []int{1, 3} {
-					check("ffr", Options{Width: w, Workers: workers})
+					got, err := plan.CoverageCurveCtx(context.Background(),
+						pattern.NewUniform(len(c.Inputs), 11), cps, Options{Width: w, Workers: workers}, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(got) != len(ref) {
+						t.Fatalf("%s %s width %d: %d points != %d", c.Name, model, w, len(got), len(ref))
+					}
+					for i := range ref {
+						if got[i] != ref[i] {
+							t.Fatalf("%s %s width %d workers %d: point %d %+v != %+v",
+								c.Name, model, w, workers, i, got[i], ref[i])
+						}
+					}
 				}
 			}
 		}

@@ -48,69 +48,6 @@ func MeasureDetectionParallelCtx(ctx context.Context, c *circuit.Circuit, faults
 	return MeasureDetectionOpt(ctx, c, faults, gen, numPatterns, Options{Workers: workers}, progress)
 }
 
-// measureDetectionFFRParallelCtx distributes whole 64-pattern blocks
-// over workers: each worker owns an Engine over the shared plan, input
-// words are drawn from the generator serially (same stream as the
-// serial path), and the per-block detection counts are folded in block
-// order.  Counts are sums of per-block popcounts, so the result is
-// identical for any worker count.
-func (p *Plan) measureDetectionFFRParallelCtx(ctx context.Context, gen *pattern.Generator, numPatterns, workers int, progress Progress) (*Result, error) {
-	workers = parallelWorkers(workers, len(p.faults))
-	if nBlocks := (numPatterns + 63) / 64; workers > nBlocks {
-		workers = nBlocks
-	}
-	if workers <= 1 {
-		return p.measureDetectionFFRCtx(ctx, gen, numPatterns, progress)
-	}
-	engines := make([]*Engine, workers)
-	blockWords := make([][]uint64, workers)
-	blockDet := make([][]uint64, workers)
-	for i := range engines {
-		engines[i] = p.AcquireEngine()
-		blockWords[i] = make([]uint64, len(p.c.Inputs))
-		blockDet[i] = make([]uint64, len(p.faults))
-	}
-	defer func() {
-		for _, e := range engines {
-			e.Release()
-		}
-	}()
-	res := &Result{
-		Faults:   p.faults,
-		Detected: make([]int, len(p.faults)),
-	}
-	var wg sync.WaitGroup
-	for applied := 0; applied < numPatterns; {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		k := 0
-		for ; k < workers && applied+k*64 < numPatterns; k++ {
-			gen.NextBlock(blockWords[k])
-		}
-		for j := 0; j < k; j++ {
-			wg.Add(1)
-			go func(j int) {
-				defer wg.Done()
-				engines[j].SimulateBlock(blockWords[j], blockDet[j], nil)
-			}(j)
-		}
-		wg.Wait()
-		for j := 0; j < k; j++ {
-			mask := blockMask(numPatterns - applied)
-			for i, d := range blockDet[j] {
-				res.Detected[i] += bits.OnesCount64(d & mask)
-			}
-			applied = min(applied+64, numPatterns)
-			if progress != nil {
-				progress(applied, numPatterns)
-			}
-		}
-	}
-	res.Applied = numPatterns
-	return res, nil
-}
-
 // measureDetectionNaiveParallelCtx is the retained oracle parallel
 // path: the good-circuit values of each block are computed once and
 // shared read-only; every worker re-simulates the cones of a disjoint
@@ -187,84 +124,6 @@ func CoverageCurveParallelCtx(ctx context.Context, c *circuit.Circuit, faults []
 		workers = -1
 	}
 	return CoverageCurveOpt(ctx, c, faults, gen, checkpoints, Options{Workers: workers}, progress)
-}
-
-// coverageCurveFFRParallelCtx processes the blocks between checkpoints
-// in chunks of up to `workers` blocks: every worker simulates one block
-// against the live set snapshotted at chunk start, then the drops are
-// folded serially in block order.  A fault dropped mid-chunk is simply
-// ignored in the later blocks' words, so the curve is identical to the
-// serial one.  One divergence from the serial path: when dropping
-// exhausts the fault list mid-chunk, the pre-drawn blocks of that
-// chunk have already consumed generator output, so the caller's
-// generator may end up to workers-1 blocks further advanced than after
-// a serial run (the curve itself is unaffected).
-func (p *Plan) coverageCurveFFRParallelCtx(ctx context.Context, gen *pattern.Generator, checkpoints []int, workers int, progress Progress) ([]CoveragePoint, error) {
-	workers = parallelWorkers(workers, len(p.faults))
-	if workers <= 1 {
-		return p.coverageCurveFFRCtx(ctx, gen, checkpoints, progress)
-	}
-	cps := append([]int(nil), checkpoints...)
-	sort.Ints(cps)
-	engines := make([]*Engine, workers)
-	blockWords := make([][]uint64, workers)
-	blockDet := make([][]uint64, workers)
-	for i := range engines {
-		engines[i] = p.AcquireEngine()
-		blockWords[i] = make([]uint64, len(p.c.Inputs))
-		blockDet[i] = make([]uint64, len(p.faults))
-	}
-	defer func() {
-		for _, e := range engines {
-			e.Release()
-		}
-	}()
-	ds := newDropState(p)
-	total := len(p.faults)
-	lastCp := 0
-	if len(cps) > 0 {
-		lastCp = cps[len(cps)-1]
-	}
-	var out []CoveragePoint
-	applied := 0
-	var wg sync.WaitGroup
-	for _, cp := range cps {
-		for applied < cp && len(ds.aliveIdx) > 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			k := 0
-			for ; k < workers && applied+k*64 < cp; k++ {
-				gen.NextBlock(blockWords[k])
-			}
-			for j := 0; j < k; j++ {
-				wg.Add(1)
-				go func(j int) {
-					defer wg.Done()
-					// liveGroups is only mutated between chunks.
-					engines[j].SimulateBlock(blockWords[j], blockDet[j], ds.liveGroups)
-				}(j)
-			}
-			wg.Wait()
-			for j := 0; j < k; j++ {
-				valid := cp - applied
-				mask := blockMask(valid)
-				applied += min(64, valid)
-				if progress != nil {
-					progress(applied, lastCp)
-				}
-				ds.drop(blockDet[j], mask)
-				if len(ds.aliveIdx) == 0 {
-					break
-				}
-			}
-		}
-		out = append(out, CoveragePoint{Patterns: cp, Coverage: 100 * float64(ds.dead) / float64(total)})
-	}
-	if progress != nil && applied < lastCp {
-		progress(lastCp, lastCp) // every fault dropped early
-	}
-	return out, nil
 }
 
 // coverageCurveNaiveParallelCtx is the retained oracle parallel path:

@@ -27,12 +27,13 @@ type Plan struct {
 
 	pool sync.Pool // *Engine
 
-	// Wide-engine state: the compiled levelized program (shared by all
-	// widths, built on first use) and one scratch pool per supported
-	// width (index widthSlot: W=1,4,8).
-	wideOnce  sync.Once
-	wideProg  *widesim.Program
-	widePools [3]sync.Pool // *wideEngine[B1] / [B4] / [B8]
+	// The compiled levelized program the wide engines of every width
+	// run, built on first use.  The engines themselves come from the
+	// package-level widePools.
+	wideOnce sync.Once
+	wideProg *widesim.Program
+
+	maxFanin int // largest gate fanin (at least 1): engine scratch size
 
 	// regions[si] lists the nodes a flip at Stems[si] must be propagated
 	// through for *detection*: the nodes strictly between the stem and
@@ -67,12 +68,16 @@ type faultInfo struct {
 func NewPlan(c *circuit.Circuit, faults []fault.Fault) *Plan {
 	ffr := c.FFR()
 	p := &Plan{
-		c:      c,
-		ffr:    ffr,
-		part:   fault.GroupByFFR(c, faults),
-		faults: faults,
-		info:   make([]faultInfo, len(faults)),
-		outIdx: make([]int32, c.NumNodes()),
+		c:        c,
+		ffr:      ffr,
+		part:     fault.GroupByFFR(c, faults),
+		faults:   faults,
+		info:     make([]faultInfo, len(faults)),
+		outIdx:   make([]int32, c.NumNodes()),
+		maxFanin: 1,
+	}
+	for i := range c.Nodes {
+		p.maxFanin = max(p.maxFanin, len(c.Nodes[i].Fanin))
 	}
 	for i := range p.outIdx {
 		p.outIdx[i] = -1

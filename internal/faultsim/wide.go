@@ -2,6 +2,7 @@ package faultsim
 
 import (
 	"fmt"
+	"sync"
 
 	"protest/internal/circuit"
 	"protest/internal/fault"
@@ -37,8 +38,19 @@ type WideEngine interface {
 	// GoodOutputWords copies the good output words of the last capture
 	// chunk into dst (numOutputs×W, lane-major).
 	GoodOutputWords(dst []uint64)
-	// Release returns the engine to its plan's pool.
+	// Release returns the engine to its width's pool.
 	Release()
+}
+
+// widePools hold the wide engines of every plan, one pool per width
+// (W=1, 4, 8).  No plan owns them: an engine's node-indexed scratch is
+// sized for whichever plan acquires it, so a server holding many plans
+// keeps about one engine per width and concurrent caller, not one per
+// plan.
+var widePools = [3]sync.Pool{
+	{New: func() any { return newWideEngine[widesim.B1]() }},
+	{New: func() any { return newWideEngine[widesim.B4]() }},
+	{New: func() any { return newWideEngine[widesim.B8]() }},
 }
 
 // widthSlot maps a supported width to its pool index.
@@ -57,95 +69,125 @@ func widthSlot(width int) int {
 // wideProgram compiles (once) the levelized program shared by every
 // wide engine of this plan.
 func (p *Plan) wideProgram() *widesim.Program {
-	p.wideOnce.Do(func() {
-		p.wideProg = widesim.Compile(p.c)
-		p.widePools[0].New = func() any { return newWideEngine[widesim.B1](p) }
-		p.widePools[1].New = func() any { return newWideEngine[widesim.B4](p) }
-		p.widePools[2].New = func() any { return newWideEngine[widesim.B8](p) }
-	})
+	p.wideOnce.Do(func() { p.wideProg = widesim.Compile(p.c) })
 	return p.wideProg
 }
 
 // AcquireWideEngine returns a pooled wide engine of the given width
-// (1, 4 or 8).  The caller owns it until Release; wide engines must
-// not be shared between goroutines.
+// (1, 4 or 8) bound to this plan.  The caller owns it until Release;
+// wide engines must not be shared between goroutines.
 func (p *Plan) AcquireWideEngine(width int) WideEngine {
-	p.wideProgram()
-	return p.widePools[widthSlot(width)].Get().(WideEngine)
+	return p.acquireWide(width)
+}
+
+// boundWide is the package's view of a pooled wide engine.
+type boundWide interface {
+	WideEngine
+	bind(*Plan)
+	buffers() (words, det []uint64)
+}
+
+func (p *Plan) acquireWide(width int) boundWide {
+	e := widePools[widthSlot(width)].Get().(boundWide)
+	e.bind(p)
+	return e
 }
 
 // wideEngine is the W-lane generalization of Engine: the same
 // block-level algorithm (good sim → critical-path trace → dominator-
 // bounded stem propagation → per-fault intersection) with every pattern
-// word widened to a B lane vector.  The win is architectural, not
-// SIMD: propagation bookkeeping (changed flags, frontier lists,
-// early-exit checks, fault-word indexing) runs once per chunk instead
-// of once per block, amortizing over W×64 patterns, and the one-pass
-// good simulation runs the compiled levelized program.
-type wideEngine[B widesim.Block[B]] struct {
+// word widened to a B lane vector.  Propagation bookkeeping runs once
+// per chunk instead of once per block, amortizing over W×64 patterns,
+// and both the good simulation and the stem propagation run the
+// compiled levelized program.
+type wideEngine[B widesim.Block] struct {
 	plan *Plan
-	good *widesim.Sim[B]
+	good widesim.Sim[B]
+	lsb  B // bit 0 of every lane: the launch-less transition slot
 
-	sens    []B    // per node: path sensitization to its FFR stem
-	obs     []B    // per stem index: stem observability
-	need    []bool // per stem index: required this chunk
-	fvals   []B    // faulty values of the current stem propagation
-	changed []bool // nodes deviating in the current stem propagation
-	dirty   []circuit.NodeID
+	sens    []B      // per node: path sensitization to its FFR stem
+	ov      []B      // per node: faulty-value overlay, good outside the stem region being propagated
+	obs     []B      // per stem index: stem observability
+	need    []bool   // per stem index: required this chunk
 	pinbuf  []B      // per-pin sensitization scratch
 	prebuf  []B      // prefix scratch for n-ary pin sensitization
 	lanebuf []uint64 // per-lane gather scratch for table gates
 	evalbuf []B      // gate-input gather scratch
 
-	// Capture (BIST) state, allocated on first SimulateChunkOutputs.
-	local   []B   // per fault: detect-at-stem vector of the last capture chunk
-	poDiff  [][]B // per stem index: per-output flip vectors
-	stemDet []B   // per stem index: OR over poDiff
-	goodOut []B   // good output vectors of the last capture chunk
+	// Per-call buffers of the measurement loops: numInputs×W input
+	// words and numFaults×W detection words.
+	words, det []uint64
+
+	// Capture (BIST) state, sized on each SimulateChunkOutputs.
+	local   []B // per fault: detect-at-stem vector of the last capture chunk
+	poDiff  []B // per stem index × output: flip vectors (stem-major)
+	goodOut []B // good output vectors of the last capture chunk
 }
 
-func newWideEngine[B widesim.Block[B]](plan *Plan) *wideEngine[B] {
-	c := plan.c
-	maxFanin := 1
-	for i := range c.Nodes {
-		if n := len(c.Nodes[i].Fanin); n > maxFanin {
-			maxFanin = n
-		}
+func newWideEngine[B widesim.Block]() *wideEngine[B] {
+	return &wideEngine[B]{lsb: widesim.Lsb[B]()}
+}
+
+// bind sizes the engine's scratch for plan p, reusing its capacity.
+// Stale contents are never read: every entry is written before use in
+// each chunk.
+func (e *wideEngine[B]) bind(p *Plan) {
+	c := p.c
+	w := e.Width()
+	e.plan = p
+	e.good.Reset(p.wideProgram())
+	e.sens = grow(e.sens, c.NumNodes())
+	e.ov = grow(e.ov, c.NumNodes())
+	e.obs = grow(e.obs, len(p.ffr.Stems))
+	e.need = grow(e.need, len(p.ffr.Stems))
+	e.pinbuf = grow(e.pinbuf, p.maxFanin)
+	e.prebuf = grow(e.prebuf, p.maxFanin)
+	e.lanebuf = grow(e.lanebuf, p.maxFanin)
+	e.evalbuf = grow(e.evalbuf, p.maxFanin)
+	e.words = grow(e.words, len(c.Inputs)*w)
+	e.det = grow(e.det, len(p.faults)*w)
+}
+
+// grow returns s resized to n elements, reallocating only when its
+// capacity is too small.  Contents are unspecified.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	return &wideEngine[B]{
-		plan:    plan,
-		good:    widesim.NewSim[B](plan.wideProgram()),
-		sens:    make([]B, c.NumNodes()),
-		obs:     make([]B, len(plan.ffr.Stems)),
-		need:    make([]bool, len(plan.ffr.Stems)),
-		fvals:   make([]B, c.NumNodes()),
-		changed: make([]bool, c.NumNodes()),
-		dirty:   make([]circuit.NodeID, 0, 64),
-		pinbuf:  make([]B, maxFanin),
-		prebuf:  make([]B, maxFanin),
-		lanebuf: make([]uint64, maxFanin),
-		evalbuf: make([]B, maxFanin),
-	}
+	return s[:n]
 }
 
 // Width returns the engine's lane count.
-func (e *wideEngine[B]) Width() int {
-	var z B
-	return z.Lanes()
-}
+func (e *wideEngine[B]) Width() int { return widesim.Lanes[B]() }
 
-// Release returns the engine to its plan's pool.
+// Release returns the engine to its width's pool, dropping its plan.
 func (e *wideEngine[B]) Release() {
-	e.plan.widePools[widthSlot(e.Width())].Put(e)
+	e.plan = nil
+	e.good.Reset(nil)
+	widePools[widthSlot(e.Width())].Put(e)
 }
 
-// SimulateChunk mirrors Engine.SimulateBlock over W lanes.
-func (e *wideEngine[B]) SimulateChunk(inputWords []uint64, det []uint64, liveGroups []bool) {
+// buffers returns the engine's input and detection word buffers, sized
+// numInputs×W and numFaults×W for the bound plan.
+func (e *wideEngine[B]) buffers() (words, det []uint64) {
+	return e.words, e.det
+}
+
+// simulateGood runs the good simulation of one chunk and resets the
+// overlay to the good values.
+func (e *wideEngine[B]) simulateGood(inputWords []uint64) []B {
 	if err := e.good.SetInputs(inputWords); err != nil {
 		panic(err) // callers size the chunk from the plan's circuit
 	}
 	e.good.Run()
 	g := e.good.Values()
+	copy(e.ov, g)
+	return g
+}
+
+// SimulateChunk mirrors Engine.SimulateBlock over W lanes.
+func (e *wideEngine[B]) SimulateChunk(inputWords []uint64, det []uint64, liveGroups []bool) {
+	g := e.simulateGood(inputWords)
 	e.markNeeds(liveGroups)
 	e.sensSweep(g)
 
@@ -168,48 +210,48 @@ func (e *wideEngine[B]) SimulateChunk(inputWords []uint64, det []uint64, liveGro
 			continue
 		}
 		for _, fi := range grp {
-			e.faultWord(g, int(fi)).And(e.obs[si]).Store(det[int(fi)*w : (int(fi)+1)*w])
+			widesim.Store(widesim.And(e.faultWord(g, int(fi)), e.obs[si]), det[int(fi)*w:(int(fi)+1)*w])
 		}
 	}
 }
 
 // faultWord mirrors Engine.faultWord, composing the kind conditions
-// from the fused lane kernels.  Shl1 shifts per lane, never across
+// from the lane kernels.  Shl1 shifts per lane, never across
 // lanes: launch/capture pairing is block-local, so every lane computes
 // exactly what a narrow SimulateBlock of that block would.
 func (e *wideEngine[B]) faultWord(g []B, fi int) B {
 	in := &e.plan.info[fi]
 	act := g[in.site]
 	if in.stuck != 0 {
-		act = act.Not()
+		act = widesim.Not(act)
 	}
 	switch in.kind {
 	case fault.KindBridgeAND, fault.KindBridgeOR:
 		// act &^= g[aggr] ^ stuck
 		if in.stuck != 0 {
-			act = act.And(g[in.aggr])
+			act = widesim.And(act, g[in.aggr])
 		} else {
-			act = act.AndNot(g[in.aggr])
+			act = widesim.AndNot(act, g[in.aggr])
 		}
 	case fault.KindSlowRise, fault.KindSlowFall:
 		// act &^= (g[site] << 1) ^ stuck, then drop the launch-less
 		// bit 0 of every lane.
-		shl := g[in.site].Shl1()
+		shl := widesim.Shl1(g[in.site])
 		if in.stuck != 0 {
-			act = act.And(shl)
+			act = widesim.And(act, shl)
 		} else {
-			act = act.AndNot(shl)
+			act = widesim.AndNot(act, shl)
 		}
-		act = act.AndNot(widesim.Lsb[B]())
+		act = widesim.AndNot(act, e.lsb)
 	}
-	if act.IsZero() {
+	if widesim.IsZero(act) {
 		var z B
 		return z
 	}
 	if in.pin == fault.StemPin {
-		return act.And(e.sens[in.site])
+		return widesim.And(act, e.sens[in.site])
 	}
-	return act.And(e.pinSens1(g, in.gate, int(in.pin))).And(e.sens[in.gate])
+	return widesim.And(widesim.And(act, e.pinSens1(g, in.gate, int(in.pin))), e.sens[in.gate])
 }
 
 // markNeeds is width-independent and identical to Engine.markNeeds.
@@ -251,168 +293,51 @@ func (e *wideEngine[B]) sensSweep(g []B) {
 			ps := e.pinSensAll(g, id, n)
 			for pin, f := range n.Fanin {
 				if ffr.StemIndex[f] == int32(si) {
-					e.sens[f] = sout.And(ps[pin])
+					e.sens[f] = widesim.And(sout, ps[pin])
 				}
 			}
 		}
 	}
 }
 
-// propagateStem mirrors Engine.propagateStem.  The changed flags are
-// per node, not per lane: fvals of a visited node holds the exact
-// faulty value in every lane (equal to the good value on lanes where
-// the flip was absorbed), so evaluating fanins from fvals wherever
-// changed is set stays exact lane-wise — the same argument that makes
-// the narrow engine exact across the 64 patterns of one word.
+// propagateStem computes the same stem observability as
+// Engine.propagateStem, but branch-free: the stem is flipped in the
+// overlay and every node of its region is re-evaluated from its fanins'
+// overlay values with the compiled program.  Outside the region the
+// overlay holds the good values, so a gate none of whose fanins flipped
+// simply recomputes its good value, and the result is exact lane by
+// lane.  The region is restored to the good values afterwards.
 func (e *wideEngine[B]) propagateStem(g []B, si int, s circuit.NodeID) B {
 	ffr := e.plan.ffr
 	d := ffr.Idom[s]
-	var zero B
+	var res B
 	if d == circuit.InvalidNode {
-		return zero
+		return res
 	}
 	region := e.plan.regions[si]
-	sinkMode := d == circuit.DomSink
-	var acc B
-	e.fvals[s] = g[s].Not()
-	e.changed[s] = true
-	dirty := append(e.dirty[:0], s)
-	c := e.plan.c
-	for _, id := range region {
-		n := &c.Nodes[id]
-		needs := false
-		for _, f := range n.Fanin {
-			if e.changed[f] {
-				needs = true
-				break
-			}
+	ov := e.ov
+	ov[s] = widesim.Not(g[s])
+	e.good.EvalNodes(region, ov)
+	if d == circuit.DomSink {
+		// Outputs outside the region still hold their good values.
+		for _, o := range e.plan.c.Outputs {
+			res = widesim.Or(res, widesim.Xor(ov[o], g[o]))
 		}
-		if !needs {
-			continue
-		}
-		v := e.evalChanged(g, id, n)
-		if v == g[id] {
-			continue // flip absorbed here in every lane
-		}
-		e.fvals[id] = v
-		e.changed[id] = true
-		dirty = append(dirty, id)
-		if sinkMode && n.IsOutput {
-			acc = acc.Or(v.Xor(g[id]))
-		}
+	} else {
+		res = widesim.And(widesim.And(widesim.Xor(ov[d], g[d]), e.sens[d]), e.obs[ffr.StemIndex[d]])
 	}
-	var res B
-	if sinkMode {
-		res = acc
-	} else if e.changed[d] {
-		res = e.fvals[d].Xor(g[d]).And(e.sens[d]).And(e.obs[ffr.StemIndex[d]])
-	}
-	for _, id := range dirty {
-		e.changed[id] = false
-	}
-	e.dirty = dirty[:0]
+	e.restore(g, s, region)
 	return res
 }
 
-// evalChanged mirrors Engine.evalChanged with the value selection
-// inlined (the narrow engine's closure shows up in profiles).
-func (e *wideEngine[B]) evalChanged(g []B, id circuit.NodeID, n *circuit.Node) B {
-	switch len(n.Fanin) {
-	case 1:
-		f := n.Fanin[0]
-		v := g[f]
-		if e.changed[f] {
-			v = e.fvals[f]
-		}
-		switch n.Op {
-		case logic.Buf, logic.And, logic.Or, logic.Xor:
-			return v
-		case logic.Not, logic.Nand, logic.Nor, logic.Xnor:
-			return v.Not()
-		}
-	case 2:
-		fa, fb := n.Fanin[0], n.Fanin[1]
-		a, b := g[fa], g[fb]
-		if e.changed[fa] {
-			a = e.fvals[fa]
-		}
-		if e.changed[fb] {
-			b = e.fvals[fb]
-		}
-		switch n.Op {
-		case logic.And:
-			return a.And(b)
-		case logic.Nand:
-			return a.And(b).Not()
-		case logic.Or:
-			return a.Or(b)
-		case logic.Nor:
-			return a.Or(b).Not()
-		case logic.Xor:
-			return a.Xor(b)
-		case logic.Xnor:
-			return a.Xor(b).Not()
-		}
+// restore resets the overlay of stem s and its region to the good
+// values.
+func (e *wideEngine[B]) restore(g []B, s circuit.NodeID, region []circuit.NodeID) {
+	ov := e.ov
+	ov[s] = g[s]
+	for _, id := range region {
+		ov[id] = g[id]
 	}
-	buf := e.evalbuf[:len(n.Fanin)]
-	for i, f := range n.Fanin {
-		if e.changed[f] {
-			buf[i] = e.fvals[f]
-		} else {
-			buf[i] = g[f]
-		}
-	}
-	return e.evalVector(n, buf)
-}
-
-// evalVector evaluates a general gate on gathered lane vectors: n-ary
-// basic ops fold with the fused kernels; tables evaluate per lane.
-func (e *wideEngine[B]) evalVector(n *circuit.Node, in []B) B {
-	switch n.Op {
-	case logic.And, logic.Nand:
-		v := in[0]
-		for _, x := range in[1:] {
-			v = v.And(x)
-		}
-		if n.Op == logic.Nand {
-			v = v.Not()
-		}
-		return v
-	case logic.Or, logic.Nor:
-		v := in[0]
-		for _, x := range in[1:] {
-			v = v.Or(x)
-		}
-		if n.Op == logic.Nor {
-			v = v.Not()
-		}
-		return v
-	case logic.Xor, logic.Xnor:
-		v := in[0]
-		for _, x := range in[1:] {
-			v = v.Xor(x)
-		}
-		if n.Op == logic.Xnor {
-			v = v.Not()
-		}
-		return v
-	}
-	// Truth tables (and any remaining op): per-lane evaluation through
-	// the narrow word kernels, exactly as bitsim would.
-	var v B
-	w := v.Lanes()
-	buf := e.lanebuf[:len(in)]
-	for l := 0; l < w; l++ {
-		for i := range in {
-			buf[i] = in[i].Lane(l)
-		}
-		if n.Op == logic.TableOp {
-			v = v.WithLane(l, n.Table.EvalWord(buf))
-		} else {
-			v = v.WithLane(l, logic.EvalWord(n.Op, buf))
-		}
-	}
-	return v
 }
 
 // pinSensAll mirrors Engine.pinSensAll.
@@ -443,12 +368,12 @@ func (e *wideEngine[B]) pinSensAll(g []B, id circuit.NodeID, n *circuit.Node) []
 		acc := widesim.Ones[B]()
 		for i, f := range n.Fanin {
 			pre[i] = acc
-			acc = acc.And(g[f])
+			acc = widesim.And(acc, g[f])
 		}
 		suf := widesim.Ones[B]()
 		for i := npins - 1; i >= 0; i-- {
-			ps[i] = pre[i].And(suf)
-			suf = suf.And(g[n.Fanin[i]])
+			ps[i] = widesim.And(pre[i], suf)
+			suf = widesim.And(suf, g[n.Fanin[i]])
 		}
 		return ps
 	case logic.Or, logic.Nor:
@@ -457,20 +382,20 @@ func (e *wideEngine[B]) pinSensAll(g []B, id circuit.NodeID, n *circuit.Node) []
 			return ps
 		}
 		if npins == 2 {
-			ps[0] = g[n.Fanin[1]].Not()
-			ps[1] = g[n.Fanin[0]].Not()
+			ps[0] = widesim.Not(g[n.Fanin[1]])
+			ps[1] = widesim.Not(g[n.Fanin[0]])
 			return ps
 		}
 		pre := e.prebuf[:npins]
 		var acc B
 		for i, f := range n.Fanin {
 			pre[i] = acc
-			acc = acc.Or(g[f])
+			acc = widesim.Or(acc, g[f])
 		}
 		var suf B
 		for i := npins - 1; i >= 0; i-- {
-			ps[i] = pre[i].Or(suf).Not()
-			suf = suf.Or(g[n.Fanin[i]])
+			ps[i] = widesim.Not(widesim.Or(pre[i], suf))
+			suf = widesim.Or(suf, g[n.Fanin[i]])
 		}
 		return ps
 	}
@@ -490,7 +415,7 @@ func (e *wideEngine[B]) pinSens1(g []B, id circuit.NodeID, pin int) B {
 		v := widesim.Ones[B]()
 		for i, f := range n.Fanin {
 			if i != pin {
-				v = v.And(g[f])
+				v = widesim.And(v, g[f])
 			}
 		}
 		return v
@@ -498,23 +423,33 @@ func (e *wideEngine[B]) pinSens1(g []B, id circuit.NodeID, pin int) B {
 		var v B
 		for i, f := range n.Fanin {
 			if i != pin {
-				v = v.Or(g[f])
+				v = widesim.Or(v, g[f])
 			}
 		}
-		return v.Not()
+		return widesim.Not(v)
 	}
 	return e.flipEval(g, id, n, pin)
 }
 
 // flipEval mirrors Engine.flipEval: evaluate with one pin complemented
-// and XOR against the good output.
+// and XOR against the good output.  pinSensAll and pinSens1 handle every
+// basic op in closed form, so only truth tables get here; they evaluate
+// per lane through the narrow word kernel, exactly as bitsim would.
 func (e *wideEngine[B]) flipEval(g []B, id circuit.NodeID, n *circuit.Node, pin int) B {
-	buf := e.evalbuf[:len(n.Fanin)]
+	in := e.evalbuf[:len(n.Fanin)]
 	for i, f := range n.Fanin {
-		buf[i] = g[f]
+		in[i] = g[f]
 	}
-	buf[pin] = buf[pin].Not()
-	return e.evalVector(n, buf).Xor(g[id])
+	in[pin] = widesim.Not(in[pin])
+	var v B
+	buf := e.lanebuf[:len(in)]
+	for l := 0; l < len(v); l++ {
+		for i := range in {
+			buf[i] = in[i][l]
+		}
+		v[l] = n.Table.EvalWord(buf)
+	}
+	return widesim.Xor(v, g[id])
 }
 
 // ---------------------------------------------------------------------
@@ -523,18 +458,11 @@ func (e *wideEngine[B]) flipEval(g []B, id circuit.NodeID, n *circuit.Node, pin 
 // SimulateChunkOutputs mirrors Engine.SimulateBlockOutputs over W lanes.
 func (e *wideEngine[B]) SimulateChunkOutputs(inputWords []uint64, det []uint64) {
 	c := e.plan.c
-	if err := e.good.SetInputs(inputWords); err != nil {
-		panic(err)
-	}
-	e.good.Run()
-	g := e.good.Values()
+	g := e.simulateGood(inputWords)
 	nOut := len(c.Outputs)
-	if e.poDiff == nil {
-		e.poDiff = make([][]B, len(e.plan.ffr.Stems))
-		e.stemDet = make([]B, len(e.plan.ffr.Stems))
-		e.local = make([]B, len(e.plan.faults))
-		e.goodOut = make([]B, nOut)
-	}
+	e.poDiff = grow(e.poDiff, len(e.plan.ffr.Stems)*nOut)
+	e.local = grow(e.local, len(e.plan.faults))
+	e.goodOut = grow(e.goodOut, nOut)
 	for i, id := range c.Outputs {
 		e.goodOut[i] = g[id]
 	}
@@ -550,73 +478,42 @@ func (e *wideEngine[B]) SimulateChunkOutputs(inputWords []uint64, det []uint64) 
 		if len(grp) == 0 {
 			continue
 		}
-		if e.poDiff[si] == nil {
-			e.poDiff[si] = make([]B, nOut)
-		}
-		e.captureStem(g, ffr.Stems[si], full[si], e.poDiff[si])
+		po := e.poDiff[si*nOut : (si+1)*nOut]
+		e.captureStem(g, ffr.Stems[si], full[si], po)
 		var acc B
-		for _, x := range e.poDiff[si] {
-			acc = acc.Or(x)
+		for _, x := range po {
+			acc = widesim.Or(acc, x)
 		}
-		e.stemDet[si] = acc
 		for _, fi := range grp {
 			l := e.faultWord(g, int(fi))
 			e.local[fi] = l
-			l.And(acc).Store(det[int(fi)*w : (int(fi)+1)*w])
+			widesim.Store(widesim.And(l, acc), det[int(fi)*w:(int(fi)+1)*w])
 		}
 	}
 }
 
-// captureStem mirrors Engine.captureStem.
+// captureStem propagates a flip of stem s through its full cone on the
+// overlay, as propagateStem does, and records every output's flip
+// vector in po.
 func (e *wideEngine[B]) captureStem(g []B, s circuit.NodeID, region []circuit.NodeID, po []B) {
-	var zero B
-	for i := range po {
-		po[i] = zero
+	ov := e.ov
+	ov[s] = widesim.Not(g[s])
+	e.good.EvalNodes(region, ov)
+	for i, o := range e.plan.c.Outputs {
+		po[i] = widesim.Xor(ov[o], g[o])
 	}
-	c := e.plan.c
-	e.fvals[s] = g[s].Not()
-	e.changed[s] = true
-	dirty := append(e.dirty[:0], s)
-	if oi := e.plan.outIdx[s]; oi >= 0 {
-		po[oi] = widesim.Ones[B]()
-	}
-	for _, id := range region {
-		n := &c.Nodes[id]
-		needs := false
-		for _, f := range n.Fanin {
-			if e.changed[f] {
-				needs = true
-				break
-			}
-		}
-		if !needs {
-			continue
-		}
-		v := e.evalChanged(g, id, n)
-		if v == g[id] {
-			continue
-		}
-		e.fvals[id] = v
-		e.changed[id] = true
-		dirty = append(dirty, id)
-		if oi := e.plan.outIdx[id]; oi >= 0 {
-			po[oi] = v.Xor(g[id])
-		}
-	}
-	for _, id := range dirty {
-		e.changed[id] = false
-	}
-	e.dirty = dirty[:0]
+	e.restore(g, s, region)
 }
 
 // FaultOutputs mirrors Engine.FaultOutputs in lane-major layout.
 func (e *wideEngine[B]) FaultOutputs(fi int, out []uint64) {
-	si := e.plan.info[fi].group
+	si := int(e.plan.info[fi].group)
+	nOut := len(e.goodOut)
 	l := e.local[fi]
-	po := e.poDiff[si]
+	po := e.poDiff[si*nOut : (si+1)*nOut]
 	w := e.Width()
 	for i, gw := range e.goodOut {
-		gw.Xor(l.And(po[i])).Store(out[i*w : (i+1)*w])
+		widesim.Store(widesim.Xor(gw, widesim.And(l, po[i])), out[i*w:(i+1)*w])
 	}
 }
 
@@ -625,6 +522,6 @@ func (e *wideEngine[B]) FaultOutputs(fi int, out []uint64) {
 func (e *wideEngine[B]) GoodOutputWords(dst []uint64) {
 	w := e.Width()
 	for i, gw := range e.goodOut {
-		gw.Store(dst[i*w : (i+1)*w])
+		widesim.Store(gw, dst[i*w:(i+1)*w])
 	}
 }

@@ -2,10 +2,14 @@ package faultsim
 
 import (
 	"context"
+	"fmt"
+	"math/bits"
 	"os"
 	"runtime"
+	"slices"
 	"testing"
 
+	"protest/internal/circuit"
 	"protest/internal/fault"
 	"protest/internal/pattern"
 )
@@ -22,7 +26,57 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-var wideWidths = []int{1, 4, 8}
+// wideWidths are the wide engine's lane counts; widthCases adds the
+// default schedule (Options.Width 0) for the measurement tables.
+var (
+	wideWidths = []int{1, 4, 8}
+	widthCases = []int{0, 1, 4, 8}
+)
+
+// raggedCounts are pattern budgets that end mid-block (1, 63, 65, 581),
+// fill whole 8-block chunks (512), or leave a 1-block tail after whole
+// chunks (1088 = 17 blocks), so the default schedule runs both its
+// engines: 8-block wide chunks and single narrow blocks.
+var raggedCounts = []int{1, 63, 65, 512, 581, 1088}
+
+// naiveCounts returns the naive oracle's detection counts for every
+// budget in counts, from one pass over the longest: the count for n
+// patterns sums each block's masked popcounts up to n.
+func naiveCounts(c *circuit.Circuit, faults []fault.Fault, seed uint64, counts []int) map[int][]int {
+	sim := New(c)
+	gen := pattern.NewUniform(len(c.Inputs), seed)
+	words := make([]uint64, len(c.Inputs))
+	det := make([]uint64, len(faults))
+	out := make(map[int][]int, len(counts))
+	for _, n := range counts {
+		out[n] = make([]int, len(faults))
+	}
+	for applied := 0; applied < slices.Max(counts); applied += 64 {
+		gen.NextBlock(words)
+		sim.SimulateBlock(words, faults, det)
+		for _, n := range counts {
+			if applied >= n {
+				continue
+			}
+			mask := blockMask(n - applied)
+			for i, d := range det {
+				out[n][i] += bits.OnesCount64(d & mask)
+			}
+		}
+	}
+	return out
+}
+
+// naiveCurve is the naive-oracle coverage-curve reference.
+func naiveCurve(t *testing.T, plan *Plan, seed uint64, cps []int) []CoveragePoint {
+	t.Helper()
+	res, err := plan.CoverageCurveCtx(context.Background(),
+		pattern.NewUniform(len(plan.c.Inputs), seed), cps, Options{Engine: EngineNaive}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
 
 // TestWideChunkIdentity drives the wide engine chunk-by-chunk against
 // the narrow engine block-by-block on the same pattern stream and
@@ -81,38 +135,34 @@ func TestWideChunkIdentity(t *testing.T) {
 }
 
 // TestWideMeasureDetectionIdentity compares whole measurements across
-// widths and worker counts: detection counts and PSim must match the
-// narrow serial reference exactly.
+// widths, including the default schedule, and worker counts: on every
+// ragged pattern budget, detection counts must match the naive oracle
+// exactly.  Parallel runs take the longest budget.
 func TestWideMeasureDetectionIdentity(t *testing.T) {
-	for _, c := range engineTestCircuits() {
+	for _, c := range widthTestCircuits() {
 		faults := fault.Collapse(c)
 		plan := NewPlan(c, faults)
-		const n = 1000 // not a multiple of 64, nor of 64*width
-		ref, err := plan.MeasureDetectionCtx(context.Background(),
-			pattern.NewUniform(len(c.Inputs), 3), n, Options{}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, w := range wideWidths {
-			for _, workers := range []int{1, 3} {
-				got, err := plan.MeasureDetectionCtx(context.Background(),
-					pattern.NewUniform(len(c.Inputs), 3), n,
-					Options{Width: w, Workers: workers}, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got.Applied != ref.Applied {
-					t.Fatalf("%s width %d workers %d: applied %d != %d",
-						c.Name, w, workers, got.Applied, ref.Applied)
-				}
-				for i := range faults {
-					if got.Detected[i] != ref.Detected[i] {
-						t.Fatalf("%s width %d workers %d fault %v: detected %d != %d",
-							c.Name, w, workers, faults[i], got.Detected[i], ref.Detected[i])
+		want := naiveCounts(c, faults, 3, raggedCounts)
+		for _, n := range raggedCounts {
+			for _, w := range widthCases {
+				for _, workers := range []int{1, 3} {
+					if workers > 1 && n != slices.Max(raggedCounts) {
+						continue
 					}
-					if got.PSim(i) != ref.PSim(i) {
-						t.Fatalf("%s width %d workers %d fault %v: PSim mismatch",
-							c.Name, w, workers, faults[i])
+					got, err := plan.MeasureDetectionCtx(context.Background(),
+						pattern.NewUniform(len(c.Inputs), 3), n,
+						Options{Width: w, Workers: workers}, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got.Applied != n {
+						t.Fatalf("%s n=%d width %d workers %d: applied %d", c.Name, n, w, workers, got.Applied)
+					}
+					for i := range faults {
+						if got.Detected[i] != want[n][i] {
+							t.Fatalf("%s n=%d width %d workers %d fault %v: detected %d != %d",
+								c.Name, n, w, workers, faults[i], got.Detected[i], want[n][i])
+						}
 					}
 				}
 			}
@@ -121,19 +171,17 @@ func TestWideMeasureDetectionIdentity(t *testing.T) {
 }
 
 // TestWideCoverageCurveIdentity compares fault-dropping coverage curves
-// across widths and worker counts against the narrow serial curve, on
-// checkpoints that are deliberately not multiples of 64 (nor 64*W).
+// across widths, including the default schedule, and worker counts
+// against the naive oracle's curve.  The checkpoints are the ragged
+// budgets, so the segments between them (1, 62, 2, 447, 69 and 507
+// patterns) end mid-block and run as narrow tails or 8-block chunks.
 func TestWideCoverageCurveIdentity(t *testing.T) {
-	cps := []int{10, 100, 500, 777, 1500}
-	for _, c := range engineTestCircuits() {
+	cps := raggedCounts
+	for _, c := range widthTestCircuits() {
 		faults := fault.Collapse(c)
 		plan := NewPlan(c, faults)
-		ref, err := plan.CoverageCurveCtx(context.Background(),
-			pattern.NewUniform(len(c.Inputs), 11), cps, Options{}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, w := range wideWidths {
+		ref := naiveCurve(t, plan, 11, cps)
+		for _, w := range widthCases {
 			for _, workers := range []int{1, 3} {
 				got, err := plan.CoverageCurveCtx(context.Background(),
 					pattern.NewUniform(len(c.Inputs), 11), cps,
@@ -155,11 +203,46 @@ func TestWideCoverageCurveIdentity(t *testing.T) {
 	}
 }
 
+// TestChunkWidthSchedule pins the default schedule: 8-block chunks while
+// at least 8 blocks remain, then single blocks, never padding a lane;
+// an explicit width is used as is.
+func TestChunkWidthSchedule(t *testing.T) {
+	schedule := func(width, n int) []int {
+		var out []int
+		for left := n; left > 0; {
+			w := chunkWidth(width, left)
+			out = append(out, w)
+			left -= min(w, left)
+		}
+		return out
+	}
+	cases := []struct {
+		width, blocks int
+		want          []int
+	}{
+		{0, 1, []int{1}},
+		{0, 3, []int{1, 1, 1}},
+		{0, 7, []int{1, 1, 1, 1, 1, 1, 1}},
+		{0, 8, []int{8}},
+		{0, 17, []int{8, 8, 1}},
+		{0, 19, []int{8, 8, 1, 1, 1}},
+		{4, 7, []int{4, 4}},
+		{8, 3, []int{8}},
+		{1, 2, []int{1, 1}},
+	}
+	for _, tc := range cases {
+		got := schedule(tc.width, tc.blocks)
+		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Errorf("width %d, %d blocks: chunks %v, want %v", tc.width, tc.blocks, got, tc.want)
+		}
+	}
+}
+
 // TestWideCaptureIdentity pins the capture path (BIST response
 // composition): detection words, good output words and every fault's
 // faulty output words must match the narrow capture lane for lane.
 func TestWideCaptureIdentity(t *testing.T) {
-	for _, c := range engineTestCircuits()[:6] {
+	for _, c := range append(engineTestCircuits()[:6], tableCircuit()) {
 		faults := fault.Collapse(c)
 		plan := NewPlan(c, faults)
 		narrow := plan.AcquireEngine()

@@ -100,10 +100,11 @@ type Config struct {
 	// Individual requests still override it per run through the
 	// fault_model field of their spec.
 	FaultModel protest.FaultModel
-	// SimWidth selects the wide simulation kernel for every Session the
-	// server opens (WithSimWidth): 1, 4 or 8 pattern blocks per sweep,
-	// 0 meaning 1.  Results are bit-identical at every width.  Widths
-	// above 1 additionally enable cross-request lane batching (unless
+	// SimWidth forces the simulation width of every Session the server
+	// opens (WithSimWidth): 1, 4 or 8 pattern blocks per sweep, or 0 for
+	// the engine-chosen schedule.  Results are bit-identical at every
+	// width.  Explicit widths above 1 additionally enable cross-request
+	// lane batching (unless
 	// NoCoalesce): concurrent requests' validation simulations on one
 	// circuit pack their pattern blocks into spare lanes of shared
 	// sweeps, flushing BatchWait after a sweep's first block.

@@ -35,7 +35,8 @@ func newModelTask(t *testing.T, name string, model fault.Model) *Task {
 // serial engine on every registry circuit and worker count, including
 // a pattern count that is not a multiple of the 64-pattern block size
 // (which for transition faults is also a ragged launch/capture
-// schedule).
+// schedule) and one whose one-worker shards hold whole 8-block chunks
+// of the default width schedule (2048).
 func TestShardedModelMatchesSerial(t *testing.T) {
 	for _, model := range []fault.Model{fault.ModelBridging, fault.ModelTransition} {
 		for _, name := range circuits.Names() {
@@ -44,14 +45,17 @@ func TestShardedModelMatchesSerial(t *testing.T) {
 				if task == nil {
 					t.Skipf("%s has no %s faults", name, model)
 				}
-				for _, workers := range []int{1, 3} {
-					p := localPool(t, workers, nil)
-					for _, n := range []int{257, 64} {
-						got, err := p.MeasureDetection(context.Background(), task, nil, n, nil)
+				for _, n := range []int{257, 64, 2048} {
+					want := serialDetect(t, task, nil, n)
+					for _, workers := range []int{1, 3} {
+						if workers > 1 && n == 2048 {
+							continue // the 8-block shards need one worker
+						}
+						got, err := localPool(t, workers, nil).MeasureDetection(context.Background(), task, nil, n, nil)
 						if err != nil {
 							t.Fatal(err)
 						}
-						sameDetect(t, name, got, serialDetect(t, task, nil, n))
+						sameDetect(t, name, got, want)
 					}
 				}
 			})

@@ -50,9 +50,10 @@ type Config struct {
 	// Seed seeds the backoff jitter (default 1; any value is fine —
 	// jitter affects timing only, never results).
 	Seed uint64
-	// SimWidth is the wide-kernel width (1, 4 or 8; 0 means 1) stamped
-	// on every shard request and used by degraded-local runs.  Width
-	// never changes results, only how fast workers compute them.
+	// SimWidth is the simulation width (faultsim.Options.Width: 1, 4 or
+	// 8, or 0 for the engine-chosen schedule) stamped on every shard
+	// request and used by degraded-local runs.  Width never changes
+	// results, only how fast workers compute them.
 	SimWidth int
 }
 

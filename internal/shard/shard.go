@@ -97,8 +97,9 @@ type Request struct {
 	BlockLo int `json:"block_lo"`
 	BlockHi int `json:"block_hi"`
 
-	// SimWidth selects the wide simulation kernel (1, 4 or 8 blocks per
-	// sweep; 0 means 1).  Width is a local execution detail — every
+	// SimWidth is the simulation width (faultsim.Options.Width): 0 lets
+	// the worker pick its chunk schedule, 1, 4 or 8 force that many
+	// blocks per sweep.  Width is a local execution detail — every
 	// width computes bit-identical counts — so coordinator and workers
 	// may even disagree on it without changing a merged result.
 	SimWidth int `json:"sim_width,omitempty"`
@@ -194,32 +195,20 @@ func runShard(ctx context.Context, plan *faultsim.Plan, req *Request) (*Response
 		return resp, nil // only empty FFR groups in range
 	}
 
-	if req.SimWidth > 1 {
-		return runShardWide(ctx, plan, req, blocks, gen, idx, resp)
-	}
-
-	eng := plan.AcquireEngine()
-	defer eng.Release()
-	det := make([]uint64, len(plan.Faults()))
-	words := make([]uint64, len(c.Inputs))
 	live := make([]bool, plan.NumGroups())
-
+	var visit faultsim.BlockVisitor
 	switch req.Kind {
 	case KindDetect:
 		for g := req.GroupLo; g < req.GroupHi; g++ {
 			live[g] = true
 		}
 		counts := make([]int, len(idx))
-		for b := req.BlockLo; b < req.BlockHi; b++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			gen.NextBlock(words)
-			eng.SimulateBlock(words, det, live)
-			mask := blocks[b].Mask
+		visit = func(j int, det []uint64, stride, lane int) bool {
+			mask := blocks[req.BlockLo+j].Mask
 			for k, i := range idx {
-				counts[k] += bits.OnesCount64(det[i] & mask)
+				counts[k] += bits.OnesCount64(det[i*stride+lane] & mask)
 			}
+			return true
 		}
 		resp.Counts = counts
 
@@ -228,7 +217,10 @@ func runShard(ctx context.Context, plan *faultsim.Plan, req *Request) (*Response
 		// faults: once every in-range fault of a group has a first
 		// position the group is skipped, exactly like the serial loop.
 		// (A fault another shard detected earlier stays "live" here; the
-		// extra work is invisible after the min-merge.)
+		// extra work is invisible after the min-merge.)  A chunk runs
+		// against the live set of its start, which only skips work:
+		// a fault whose group died mid-chunk already has its first
+		// position.
 		liveCount := make([]int, plan.NumGroups())
 		for _, i := range idx {
 			g := plan.GroupOf(i)
@@ -240,116 +232,26 @@ func runShard(ctx context.Context, plan *faultsim.Plan, req *Request) (*Response
 			first[k] = -1
 		}
 		remaining := len(idx)
-		for b := req.BlockLo; b < req.BlockHi && remaining > 0; b++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			gen.NextBlock(words)
-			eng.SimulateBlock(words, det, live)
-			mask := blocks[b].Mask
+		visit = func(j int, det []uint64, stride, lane int) bool {
+			blk := blocks[req.BlockLo+j]
 			for k, i := range idx {
-				if first[k] >= 0 {
+				if first[k] >= 0 || det[i*stride+lane]&blk.Mask == 0 {
 					continue
 				}
-				if det[i]&mask != 0 {
-					first[k] = blocks[b].End
-					remaining--
-					g := plan.GroupOf(i)
-					liveCount[g]--
-					if liveCount[g] == 0 {
-						live[g] = false
-					}
+				first[k] = blk.End
+				remaining--
+				g := plan.GroupOf(i)
+				liveCount[g]--
+				if liveCount[g] == 0 {
+					live[g] = false
 				}
 			}
+			return remaining > 0
 		}
 		resp.First = first
 	}
-	return resp, nil
-}
-
-// runShardWide is runShard's chunked body for SimWidth > 1: blocks
-// [BlockLo, BlockHi) are simulated min(width, remaining) at a time on
-// the wide engine, and each chunk's lanes are folded in block order so
-// every count and first-detection position matches the narrow loop bit
-// for bit.  Fault dropping uses the chunk-start live set — dropping
-// only skips work, never changes detection words, and a fault whose
-// group died mid-chunk already has its first position, so the extra
-// simulated lanes are invisible in the response.
-func runShardWide(ctx context.Context, plan *faultsim.Plan, req *Request, blocks []faultsim.BlockSpan, gen *pattern.Generator, idx []int, resp *Response) (*Response, error) {
-	w := req.SimWidth
-	eng := plan.AcquireWideEngine(w)
-	defer eng.Release()
-	c := plan.Circuit()
-	det := make([]uint64, len(plan.Faults())*w)
-	words := make([]uint64, len(c.Inputs)*w)
-	live := make([]bool, plan.NumGroups())
-
-	switch req.Kind {
-	case KindDetect:
-		for g := req.GroupLo; g < req.GroupHi; g++ {
-			live[g] = true
-		}
-		counts := make([]int, len(idx))
-		for b := req.BlockLo; b < req.BlockHi; b += w {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			n := req.BlockHi - b
-			if n > w {
-				n = w
-			}
-			gen.NextBlocks(words, w, n)
-			eng.SimulateChunk(words, det, live)
-			for l := 0; l < n; l++ {
-				mask := blocks[b+l].Mask
-				for k, i := range idx {
-					counts[k] += bits.OnesCount64(det[i*w+l] & mask)
-				}
-			}
-		}
-		resp.Counts = counts
-
-	case KindCurve:
-		liveCount := make([]int, plan.NumGroups())
-		for _, i := range idx {
-			g := plan.GroupOf(i)
-			liveCount[g]++
-			live[g] = true
-		}
-		first := make([]int, len(idx))
-		for k := range first {
-			first[k] = -1
-		}
-		remaining := len(idx)
-		for b := req.BlockLo; b < req.BlockHi && remaining > 0; b += w {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			n := req.BlockHi - b
-			if n > w {
-				n = w
-			}
-			gen.NextBlocks(words, w, n)
-			eng.SimulateChunk(words, det, live)
-			for l := 0; l < n; l++ {
-				mask := blocks[b+l].Mask
-				for k, i := range idx {
-					if first[k] >= 0 {
-						continue
-					}
-					if det[i*w+l]&mask != 0 {
-						first[k] = blocks[b+l].End
-						remaining--
-						g := plan.GroupOf(i)
-						liveCount[g]--
-						if liveCount[g] == 0 {
-							live[g] = false
-						}
-					}
-				}
-			}
-		}
-		resp.First = first
+	if err := plan.RunBlocks(ctx, gen, req.BlockHi-req.BlockLo, req.SimWidth, 1, live, visit); err != nil {
+		return nil, err
 	}
 	return resp, nil
 }

@@ -5,9 +5,11 @@ import (
 	"testing"
 	"time"
 
+	"protest/internal/circuit"
 	"protest/internal/circuits"
 	"protest/internal/fault"
 	"protest/internal/faultsim"
+	"protest/internal/logic"
 	"protest/internal/pattern"
 )
 
@@ -48,14 +50,15 @@ func localPool(t *testing.T, n int, mod func(*Config)) *Pool {
 	return p
 }
 
-// serialDetect runs the serial in-process oracle.
+// serialDetect runs the serial in-process narrow engine, one block at a
+// time: the reference faultsim's own tests pin to the naive oracle.
 func serialDetect(t *testing.T, task *Task, probs []float64, n int) *faultsim.Result {
 	t.Helper()
 	gen, err := newGenerator(len(task.Plan.Circuit().Inputs), probs, task.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := task.Plan.MeasureDetectionCtx(context.Background(), gen, n, faultsim.Options{}, nil)
+	res, err := task.Plan.MeasureDetectionCtx(context.Background(), gen, n, faultsim.Options{Width: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +71,7 @@ func serialCurve(t *testing.T, task *Task, probs []float64, cps []int) []faultsi
 	if err != nil {
 		t.Fatal(err)
 	}
-	points, err := task.Plan.CoverageCurveCtx(context.Background(), gen, cps, faultsim.Options{}, nil)
+	points, err := task.Plan.CoverageCurveCtx(context.Background(), gen, cps, faultsim.Options{Width: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,32 +288,147 @@ func TestSkipBlocksPositionsStream(t *testing.T) {
 	}
 }
 
-// TestShardedWideMatchesSerial pins the wide shard path: a pool whose
-// shards run at SimWidth 4 or 8 merges to exactly the narrow serial
-// result for both measurement kinds, on every registry circuit,
-// including a pattern budget that leaves a partial final chunk.
+// TestShardedWideMatchesSerial pins every width of the shard path,
+// including the default schedule: a pool whose shards run at SimWidth
+// 0, 1, 4 or 8 merges to exactly the serial result for both
+// measurement kinds, on every registry circuit.  With one worker a run
+// is cut into 4 block ranges, so the budgets give shards of 1-2 blocks
+// (257), 4-5 blocks (1088) and 8 blocks (2048): narrow tails, padded
+// wide chunks and whole 8-block chunks.
 func TestShardedWideMatchesSerial(t *testing.T) {
-	cps := []int{10, 100, 257}
+	cps := []int{10, 100, 257, 1088}
 	for _, name := range circuits.Names() {
 		t.Run(name, func(t *testing.T) {
 			task := newTestTask(t, name)
-			wantDet := serialDetect(t, task, nil, 257)
 			wantCurve := serialCurve(t, task, nil, cps)
-			for _, w := range []int{1, 4, 8} {
-				p := localPool(t, 3, func(c *Config) { c.SimWidth = w })
-				got, err := p.MeasureDetection(context.Background(), task, nil, 257, nil)
-				if err != nil {
-					t.Fatal(err)
+			for _, n := range []int{257, 1088, 2048} {
+				wantDet := serialDetect(t, task, nil, n)
+				for _, w := range []int{0, 1, 4, 8} {
+					p := localPool(t, 1, func(c *Config) { c.SimWidth = w })
+					got, err := p.MeasureDetection(context.Background(), task, nil, n, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameDetect(t, name, got, wantDet)
+					if n != 257 {
+						continue
+					}
+					curve, err := p.CoverageCurve(context.Background(), task, nil, cps, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameCurve(t, name, curve, wantCurve)
 				}
-				sameDetect(t, name, got, wantDet)
-				curve, err := p.CoverageCurve(context.Background(), task, nil, cps, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameCurve(t, name, curve, wantCurve)
 			}
 		})
 	}
+}
+
+// TestRunShardScheduleMatchesNaive drives runShard directly, so plans
+// the wire cannot carry are covered too: c1355 (n-ary gates) and a
+// truth-table circuit, under all three fault models.  Per-shard counts
+// over a split block axis must add up, and first-detection positions
+// must min-merge, to the naive oracle's counts and curve at every width.
+func TestRunShardScheduleMatchesNaive(t *testing.T) {
+	c1355, _ := circuits.Lookup("c1355")
+	const n = 1408           // 22 blocks: ranges [0,5) and [5,22)
+	cps := []int{63, 600, n} // 23 blocks: ranges [0,5) and [5,23)
+	for _, c := range []*circuit.Circuit{c1355, tableCircuit(t)} {
+		for _, model := range []fault.Model{fault.ModelStuckAt, fault.ModelBridging, fault.ModelTransition} {
+			faults := model.Faults(c)
+			if len(faults) == 0 {
+				continue
+			}
+			plan := faultsim.NewPlan(c, faults)
+			naive := faultsim.Options{Engine: faultsim.EngineNaive}
+			wantDet, err := plan.MeasureDetectionCtx(context.Background(), pattern.NewUniform(len(c.Inputs), testSeed), n, naive, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantCurve, err := plan.CoverageCurveCtx(context.Background(), pattern.NewUniform(len(c.Inputs), testSeed), cps, naive, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			curveBlocks := len(faultsim.CurveBlocks(cps))
+			for _, w := range []int{0, 1, 4, 8} {
+				counts := make([]int, len(faults))
+				first := make([]int, len(faults))
+				for i := range first {
+					first[i] = -1
+				}
+				for _, r := range [][2]int{{0, 5}, {5, 22}} {
+					req := &Request{Seed: testSeed, Kind: KindDetect, NumPatterns: n,
+						GroupLo: 0, GroupHi: plan.NumGroups(), BlockLo: r[0], BlockHi: r[1], SimWidth: w}
+					resp, err := runShard(context.Background(), plan, req)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i, k := range resp.Counts {
+						counts[i] += k
+					}
+					req.Kind, req.NumPatterns, req.Checkpoints = KindCurve, 0, cps
+					if r[1] == 22 {
+						req.BlockHi = curveBlocks
+					}
+					resp, err = runShard(context.Background(), plan, req)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i, f := range resp.First {
+						if f >= 0 && (first[i] < 0 || f < first[i]) {
+							first[i] = f
+						}
+					}
+				}
+				for i := range faults {
+					if counts[i] != wantDet.Detected[i] {
+						t.Fatalf("%s %s width %d fault %d: shard counts %d, naive %d",
+							c.Name, model, w, i, counts[i], wantDet.Detected[i])
+					}
+				}
+				for k, cp := range cps {
+					dead := 0
+					for _, f := range first {
+						if f >= 0 && f <= cp {
+							dead++
+						}
+					}
+					if got := 100 * float64(dead) / float64(len(faults)); got != wantCurve[k].Coverage {
+						t.Fatalf("%s %s width %d: coverage at %d = %v, naive %v",
+							c.Name, model, w, cp, got, wantCurve[k].Coverage)
+					}
+				}
+			}
+		}
+	}
+}
+
+// tableCircuit is a small reconvergent circuit of truth-table cells,
+// which the netlist format cannot carry; runShard takes its plan
+// directly.
+func tableCircuit(t *testing.T) *circuit.Circuit {
+	t.Helper()
+	maj, err := logic.TableFromFunc(3, func(in []bool) bool {
+		return in[0] && in[1] || in[1] && in[2] || in[0] && in[2]
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := circuit.NewBuilder("tables")
+	x := b.InputBus("x", 6)
+	m0 := b.TableGate("m0", maj, x[0], x[1], x[2])
+	m1 := b.TableGate("m1", maj, x[2], x[3], x[4])
+	a0 := b.And("a0", m0, x[5])
+	b.MarkOutputs(
+		b.Xor("o0", m1, a0),
+		b.TableGate("o1", maj, m0, m1, a0),
+		b.Or("o2", m0, x[3]),
+	)
+	c, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }
 
 // TestDegradedWideMatchesSerial checks the zero-worker fallback honours

@@ -53,6 +53,12 @@ type Program struct {
 	tables   []*logic.TruthTable
 	levelOff []int32 // levelOff[l]..levelOff[l+1] = instrs of level l+1
 	maxArity int
+	// at maps a node ID to the index of its instruction (-1 for primary
+	// inputs); order lists the gates in instruction order.  Together
+	// they let Sim.EvalNodes run any topologically ordered node subset
+	// through the same loop as a full Run.
+	at    []int32
+	order []circuit.NodeID
 }
 
 // Compile levelizes and flattens the circuit.  Instructions are ordered
@@ -78,6 +84,15 @@ func Compile(c *circuit.Circuit) *Program {
 	for l := 1; l <= maxLevel; l++ {
 		p.instrs = append(p.instrs, buckets[l]...)
 		p.levelOff = append(p.levelOff, int32(len(p.instrs)))
+	}
+	p.at = make([]int32, c.NumNodes())
+	for i := range p.at {
+		p.at[i] = -1
+	}
+	p.order = make([]circuit.NodeID, len(p.instrs))
+	for i, ins := range p.instrs {
+		p.at[ins.out] = int32(i)
+		p.order[i] = circuit.NodeID(ins.out)
 	}
 	return p
 }

@@ -2,6 +2,7 @@ package widesim
 
 import (
 	"fmt"
+	"slices"
 
 	"protest/internal/circuit"
 )
@@ -13,29 +14,37 @@ import (
 //
 // A Sim holds only per-call scratch; the Program is immutable and
 // shared.  Sim is not safe for concurrent use — pool instances instead.
-type Sim[B Block[B]] struct {
+type Sim[B Block] struct {
 	p      *Program
 	values []B
 	inbuf  []uint64 // per-lane pin scratch for table gates
 }
 
 // NewSim creates a simulator of width B over the compiled program.
-func NewSim[B Block[B]](p *Program) *Sim[B] {
-	s := &Sim[B]{p: p, values: make([]B, p.c.NumNodes())}
-	if p.maxArity > 0 {
-		s.inbuf = make([]uint64, p.maxArity)
-	}
+func NewSim[B Block](p *Program) *Sim[B] {
+	s := &Sim[B]{}
+	s.Reset(p)
 	return s
+}
+
+// Reset rebinds the simulator to another program, reusing its value
+// array when large enough; nil detaches it.  Values are undefined until
+// the next SetInputs and Run.
+func (s *Sim[B]) Reset(p *Program) {
+	s.p = p
+	if p == nil {
+		return
+	}
+	n := p.c.NumNodes()
+	s.values = slices.Grow(s.values[:0], n)[:n]
+	s.inbuf = slices.Grow(s.inbuf[:0], p.maxArity)[:p.maxArity]
 }
 
 // Program returns the compiled program the simulator runs.
 func (s *Sim[B]) Program() *Program { return s.p }
 
 // Width returns the simulation width W in 64-pattern lanes.
-func (s *Sim[B]) Width() int {
-	var z B
-	return z.Lanes()
-}
+func (s *Sim[B]) Width() int { return Lanes[B]() }
 
 // SetInput assigns the lane vector of primary input index i.
 func (s *Sim[B]) SetInput(i int, v B) {
@@ -47,93 +56,100 @@ func (s *Sim[B]) SetInput(i int, v B) {
 // produced by pattern.Generator.NextBlocks.  It returns a typed error
 // when the slice length does not match numInputs×W.
 func (s *Sim[B]) SetInputs(words []uint64) error {
-	var z B
-	w := z.Lanes()
+	w := Lanes[B]()
 	if len(words) != len(s.p.c.Inputs)*w {
 		return fmt.Errorf("widesim: %d input words for %d inputs at width %d", len(words), len(s.p.c.Inputs), w)
 	}
 	for i, id := range s.p.c.Inputs {
-		s.values[id] = z.Load(words[i*w:])
+		s.values[id] = Load[B](words[i*w:])
 	}
 	return nil
 }
 
 // Run evaluates every gate in level order.
 func (s *Sim[B]) Run() {
-	values := s.values
-	for i := range s.p.instrs {
-		ins := &s.p.instrs[i]
+	s.EvalNodes(s.p.order, s.values)
+}
+
+// EvalNodes evaluates the gates nodes, in the order given, over values
+// instead of the simulator's own array: each gate reads its fanins from
+// values and overwrites its own entry there.  The order must be
+// topological for the nodes' mutual dependencies (ascending node IDs
+// are); every other fanin is read as it stands.  Run is EvalNodes over
+// all gates, so a subset evaluates bit-identically to a full run.
+func (s *Sim[B]) EvalNodes(nodes []circuit.NodeID, values []B) {
+	instrs, at := s.p.instrs, s.p.at
+	for _, id := range nodes {
+		ins := &instrs[at[id]]
 		var v B
 		switch ins.op {
 		case opBuf:
 			v = values[ins.a]
 		case opNot:
-			v = values[ins.a].Not()
+			v = Not(values[ins.a])
 		case opAnd2:
-			v = values[ins.a].And(values[ins.b])
+			v = And(values[ins.a], values[ins.b])
 		case opNand2:
-			v = values[ins.a].And(values[ins.b]).Not()
+			v = Not(And(values[ins.a], values[ins.b]))
 		case opOr2:
-			v = values[ins.a].Or(values[ins.b])
+			v = Or(values[ins.a], values[ins.b])
 		case opNor2:
-			v = values[ins.a].Or(values[ins.b]).Not()
+			v = Not(Or(values[ins.a], values[ins.b]))
 		case opXor2:
-			v = values[ins.a].Xor(values[ins.b])
+			v = Xor(values[ins.a], values[ins.b])
 		case opXnor2:
-			v = values[ins.a].Xor(values[ins.b]).Not()
+			v = Not(Xor(values[ins.a], values[ins.b]))
 		case opConst0:
 			// v stays zero.
 		case opConst1:
-			v = v.Not()
+			v = Not(v)
 		default:
-			v = s.evalSlow(ins)
+			v = s.evalSlow(ins, values)
 		}
-		values[ins.out] = v
+		values[id] = v
 	}
 }
 
-// evalSlow handles n-ary and table gates, kept out of Run so the hot
-// loop stays small enough to stay in the instruction cache.
-func (s *Sim[B]) evalSlow(ins *instr) B {
-	values := s.values
+// evalSlow handles n-ary and table gates, kept out of EvalNodes so the
+// hot loop stays small enough to stay in the instruction cache.
+func (s *Sim[B]) evalSlow(ins *instr, values []B) B {
 	pins := s.p.args[ins.a : ins.a+ins.b]
 	switch ins.op {
 	case opAndN, opNandN:
 		v := values[pins[0]]
 		for _, f := range pins[1:] {
-			v = v.And(values[f])
+			v = And(v, values[f])
 		}
 		if ins.op == opNandN {
-			v = v.Not()
+			v = Not(v)
 		}
 		return v
 	case opOrN, opNorN:
 		v := values[pins[0]]
 		for _, f := range pins[1:] {
-			v = v.Or(values[f])
+			v = Or(v, values[f])
 		}
 		if ins.op == opNorN {
-			v = v.Not()
+			v = Not(v)
 		}
 		return v
 	case opXorN, opXnorN:
 		v := values[pins[0]]
 		for _, f := range pins[1:] {
-			v = v.Xor(values[f])
+			v = Xor(v, values[f])
 		}
 		if ins.op == opXnorN {
-			v = v.Not()
+			v = Not(v)
 		}
 		return v
 	case opTable:
 		tbl := s.p.tables[ins.tbl]
 		var v B
-		w := v.Lanes()
-		for l := 0; l < w; l++ {
+		for l := 0; l < len(v); l++ {
 			for i, f := range pins {
-				s.inbuf[i] = values[f].Lane(l)
+				s.inbuf[i] = values[f][l]
 			}
-			v = v.WithLane(l, tbl.EvalWord(s.inbuf[:len(pins)]))
+			v[l] = tbl.EvalWord(s.inbuf[:len(pins)])
 		}
 		return v
 	}
@@ -150,9 +166,8 @@ func (s *Sim[B]) Values() []B { return s.values }
 // OutputLanes copies the output vectors into dst in lane-major layout:
 // dst[i*W+l] is lane l of output i.  dst must have numOutputs×W words.
 func (s *Sim[B]) OutputLanes(dst []uint64) {
-	var z B
-	w := z.Lanes()
+	w := Lanes[B]()
 	for i, id := range s.p.c.Outputs {
-		s.values[id].Store(dst[i*w : (i+1)*w])
+		Store(s.values[id], dst[i*w:(i+1)*w])
 	}
 }

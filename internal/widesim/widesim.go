@@ -15,11 +15,13 @@
 //     constant-length loop over W machine words and the per-gate
 //     dispatch and index arithmetic amortize over W×64 patterns.
 //
-// The lane vector types B1/B4/B8 implement the Block constraint with
-// value receivers.  Each array size is its own gcshape, so the generic
-// simulator and the wide fault-simulation engine built on it stencil
-// into separate, fully inlined instantiations per width — there is no
-// dictionary dispatch on the hot path.
+// The lane vector types B1/B4/B8 are plain uint64 arrays, and the lane
+// kernels (And, Or, ..., Store) are generic functions over the Block
+// constraint, not methods: the compiler stencils one instantiation per
+// array length (each is its own gcshape), where the lane count is a
+// constant and every kernel inlines.  Methods called on a type
+// parameter would instead go through the instantiation's dictionary as
+// indirect calls, one per lane-vector operation.
 //
 // Lane l of every vector is pattern block l: bit b of lane l is
 // pattern l*64+b of the chunk.  A chunk of W blocks therefore carries
@@ -33,8 +35,8 @@ import "fmt"
 func Widths() []int { return []int{1, 4, 8} }
 
 // ValidWidth reports whether w is a supported simulation width.
-// Width 0 is accepted as "default" (narrow, W = 1) everywhere a width
-// option appears.
+// Width 0 is accepted everywhere a width option appears; it selects the
+// fault simulator's default schedule (see faultsim.Options.Width).
 func ValidWidth(w int) bool {
 	switch w {
 	case 0, 1, 4, 8:
@@ -51,8 +53,8 @@ func CheckWidth(w int) error {
 	return nil
 }
 
-// ParseWidth parses a -width flag value.  The empty string selects the
-// default width 1.
+// ParseWidth parses an explicit width.  The empty string selects
+// width 1.
 func ParseWidth(s string) (int, error) {
 	switch s {
 	case "", "1":
@@ -74,132 +76,108 @@ type (
 )
 
 // Block is the constraint shared by every width: a fixed-size lane
-// vector with fused bitwise kernels.  All methods use value receivers
-// so each width stencils into its own instantiation (arrays of
-// different lengths have distinct gcshapes); the per-width method
-// bodies are written element-wise so the compiler emits straight-line
-// code with no loops and no bounds checks.
-type Block[B any] interface {
-	B1 | B4 | B8
+// vector.  The kernels below loop over len(x), a constant in each
+// instantiation, so they compile to straight word operations.
+type Block interface {
+	~[1]uint64 | ~[4]uint64 | ~[8]uint64
+}
 
-	// And, Or, Xor, AndNot and Not are the lane-wise bitwise kernels
-	// (AndNot is receiver &^ argument).
-	And(B) B
-	Or(B) B
-	Xor(B) B
-	AndNot(B) B
-	Not() B
-	// Shl1 shifts every lane left by one bit independently — no bits
-	// cross lanes.  Bit b of a lane becomes bit b+1; bit 0 clears.
-	// This is the within-block previous-pattern operator behind the
-	// transition-fault launch condition.
-	Shl1() B
-	// IsZero reports whether no bit is set in any lane.
-	IsZero() bool
-	// Lanes returns the width W.
-	Lanes() int
-	// Lane returns lane i (block i of the chunk).
-	Lane(i int) uint64
-	// WithLane returns a copy with lane i replaced.
-	WithLane(i int, w uint64) B
-	// Load gathers lanes from src[0:W]; the receiver is ignored.
-	Load(src []uint64) B
-	// Store scatters the lanes into dst[0:W].
-	Store(dst []uint64)
+// Lanes returns the width W of B.
+func Lanes[B Block]() int {
+	var z B
+	return len(z)
+}
+
+// And returns x & y lane by lane.
+func And[B Block](x, y B) B {
+	for i := 0; i < len(x); i++ {
+		x[i] &= y[i]
+	}
+	return x
+}
+
+// Or returns x | y lane by lane.
+func Or[B Block](x, y B) B {
+	for i := 0; i < len(x); i++ {
+		x[i] |= y[i]
+	}
+	return x
+}
+
+// Xor returns x ^ y lane by lane.
+func Xor[B Block](x, y B) B {
+	for i := 0; i < len(x); i++ {
+		x[i] ^= y[i]
+	}
+	return x
+}
+
+// AndNot returns x &^ y lane by lane.
+func AndNot[B Block](x, y B) B {
+	for i := 0; i < len(x); i++ {
+		x[i] &^= y[i]
+	}
+	return x
+}
+
+// Not returns ^x lane by lane.
+func Not[B Block](x B) B {
+	for i := 0; i < len(x); i++ {
+		x[i] = ^x[i]
+	}
+	return x
+}
+
+// Shl1 shifts every lane left by one bit independently — no bits cross
+// lanes.  Bit b of a lane becomes bit b+1; bit 0 clears.  This is the
+// within-block previous-pattern operator behind the transition-fault
+// launch condition.
+func Shl1[B Block](x B) B {
+	for i := 0; i < len(x); i++ {
+		x[i] <<= 1
+	}
+	return x
+}
+
+// IsZero reports whether no bit is set in any lane.
+func IsZero[B Block](x B) bool {
+	var acc uint64
+	for i := 0; i < len(x); i++ {
+		acc |= x[i]
+	}
+	return acc == 0
+}
+
+// Load gathers a vector from src[0:W].
+func Load[B Block](src []uint64) B {
+	var x B
+	_ = src[len(x)-1]
+	for i := 0; i < len(x); i++ {
+		x[i] = src[i]
+	}
+	return x
+}
+
+// Store scatters the lanes of x into dst[0:W].
+func Store[B Block](x B, dst []uint64) {
+	_ = dst[len(x)-1]
+	for i := 0; i < len(x); i++ {
+		dst[i] = x[i]
+	}
 }
 
 // Ones returns the all-ones vector of a width.
-func Ones[B Block[B]]() B {
+func Ones[B Block]() B {
 	var z B
-	return z.Not()
+	return Not(z)
 }
 
 // Lsb returns the vector with only bit 0 of every lane set — the
 // launch-less first pattern slot of each 64-pattern block.
-func Lsb[B Block[B]]() B {
+func Lsb[B Block]() B {
 	var z B
-	for i := 0; i < z.Lanes(); i++ {
-		z = z.WithLane(i, 1)
+	for i := 0; i < len(z); i++ {
+		z[i] = 1
 	}
 	return z
 }
-
-func (x B1) And(y B1) B1    { return B1{x[0] & y[0]} }
-func (x B1) Or(y B1) B1     { return B1{x[0] | y[0]} }
-func (x B1) Xor(y B1) B1    { return B1{x[0] ^ y[0]} }
-func (x B1) AndNot(y B1) B1 { return B1{x[0] &^ y[0]} }
-func (x B1) Not() B1        { return B1{^x[0]} }
-func (x B1) Shl1() B1       { return B1{x[0] << 1} }
-func (x B1) IsZero() bool   { return x[0] == 0 }
-func (x B1) Lanes() int     { return 1 }
-
-func (x B1) Lane(i int) uint64 { return x[i] }
-func (x B1) WithLane(i int, w uint64) B1 {
-	x[i] = w
-	return x
-}
-func (B1) Load(src []uint64) B1 { return B1{src[0]} }
-func (x B1) Store(dst []uint64) { copy(dst, x[:]) }
-
-func (x B4) And(y B4) B4 {
-	return B4{x[0] & y[0], x[1] & y[1], x[2] & y[2], x[3] & y[3]}
-}
-func (x B4) Or(y B4) B4 {
-	return B4{x[0] | y[0], x[1] | y[1], x[2] | y[2], x[3] | y[3]}
-}
-func (x B4) Xor(y B4) B4 {
-	return B4{x[0] ^ y[0], x[1] ^ y[1], x[2] ^ y[2], x[3] ^ y[3]}
-}
-func (x B4) AndNot(y B4) B4 {
-	return B4{x[0] &^ y[0], x[1] &^ y[1], x[2] &^ y[2], x[3] &^ y[3]}
-}
-func (x B4) Not() B4      { return B4{^x[0], ^x[1], ^x[2], ^x[3]} }
-func (x B4) Shl1() B4     { return B4{x[0] << 1, x[1] << 1, x[2] << 1, x[3] << 1} }
-func (x B4) IsZero() bool { return x[0]|x[1]|x[2]|x[3] == 0 }
-func (x B4) Lanes() int   { return 4 }
-
-func (x B4) Lane(i int) uint64 { return x[i] }
-func (x B4) WithLane(i int, w uint64) B4 {
-	x[i] = w
-	return x
-}
-func (B4) Load(src []uint64) B4 { return B4{src[0], src[1], src[2], src[3]} }
-func (x B4) Store(dst []uint64) { copy(dst, x[:]) }
-
-func (x B8) And(y B8) B8 {
-	return B8{x[0] & y[0], x[1] & y[1], x[2] & y[2], x[3] & y[3],
-		x[4] & y[4], x[5] & y[5], x[6] & y[6], x[7] & y[7]}
-}
-func (x B8) Or(y B8) B8 {
-	return B8{x[0] | y[0], x[1] | y[1], x[2] | y[2], x[3] | y[3],
-		x[4] | y[4], x[5] | y[5], x[6] | y[6], x[7] | y[7]}
-}
-func (x B8) Xor(y B8) B8 {
-	return B8{x[0] ^ y[0], x[1] ^ y[1], x[2] ^ y[2], x[3] ^ y[3],
-		x[4] ^ y[4], x[5] ^ y[5], x[6] ^ y[6], x[7] ^ y[7]}
-}
-func (x B8) AndNot(y B8) B8 {
-	return B8{x[0] &^ y[0], x[1] &^ y[1], x[2] &^ y[2], x[3] &^ y[3],
-		x[4] &^ y[4], x[5] &^ y[5], x[6] &^ y[6], x[7] &^ y[7]}
-}
-func (x B8) Not() B8 {
-	return B8{^x[0], ^x[1], ^x[2], ^x[3], ^x[4], ^x[5], ^x[6], ^x[7]}
-}
-func (x B8) Shl1() B8 {
-	return B8{x[0] << 1, x[1] << 1, x[2] << 1, x[3] << 1,
-		x[4] << 1, x[5] << 1, x[6] << 1, x[7] << 1}
-}
-func (x B8) IsZero() bool {
-	return x[0]|x[1]|x[2]|x[3]|x[4]|x[5]|x[6]|x[7] == 0
-}
-func (x B8) Lanes() int { return 8 }
-
-func (x B8) Lane(i int) uint64 { return x[i] }
-func (x B8) WithLane(i int, w uint64) B8 {
-	x[i] = w
-	return x
-}
-func (B8) Load(src []uint64) B8 {
-	return B8{src[0], src[1], src[2], src[3], src[4], src[5], src[6], src[7]}
-}
-func (x B8) Store(dst []uint64) { copy(dst, x[:]) }

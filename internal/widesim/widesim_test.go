@@ -29,7 +29,7 @@ func runNarrow(t *testing.T, c *circuit.Circuit, seed uint64, blocks int) [][]ui
 	return out
 }
 
-func checkWidth[B widesim.Block[B]](t *testing.T, c *circuit.Circuit, seed uint64, want [][]uint64) {
+func checkWidth[B widesim.Block](t *testing.T, c *circuit.Circuit, seed uint64, want [][]uint64) {
 	t.Helper()
 	prog := widesim.Compile(c)
 	sim := widesim.NewSim[B](prog)
@@ -49,7 +49,7 @@ func checkWidth[B widesim.Block[B]](t *testing.T, c *circuit.Circuit, seed uint6
 		for id := 0; id < c.NumNodes(); id++ {
 			v := sim.Value(circuit.NodeID(id))
 			for l := 0; l < k; l++ {
-				if got, exp := v.Lane(l), want[base+l][id]; got != exp {
+				if got, exp := v[l], want[base+l][id]; got != exp {
 					t.Fatalf("width %d block %d node %d (%s): got %016x want %016x",
 						w, base+l, id, c.Node(circuit.NodeID(id)).Name, got, exp)
 				}
@@ -58,7 +58,7 @@ func checkWidth[B widesim.Block[B]](t *testing.T, c *circuit.Circuit, seed uint6
 				// Spare lanes run the all-zero pattern block; no
 				// particular value is required, only determinism —
 				// but inputs must be zero by the NextBlocks contract.
-				if c.Node(circuit.NodeID(id)).IsInput && v.Lane(l) != 0 {
+				if c.Node(circuit.NodeID(id)).IsInput && v[l] != 0 {
 					t.Fatalf("width %d: spare input lane %d not zeroed", w, l)
 				}
 			}

@@ -60,9 +60,9 @@ type PipelineSpec struct {
 	// engine produces bit-identical results (see WithSimEngine).
 	SimEngine SimEngine `json:"sim_engine,omitempty"`
 	// SimWidth overrides the Session's WithSimWidth setting for this
-	// run: the wide kernel simulates SimWidth pattern blocks per sweep
-	// (1, 4 or 8; 0 keeps the Session default).  Results are
-	// bit-identical at every width.
+	// run: 1, 4 or 8 forces that many pattern blocks per sweep; 0 keeps
+	// the Session's setting, whose own default is the engine-chosen
+	// schedule.  Results are bit-identical at every width.
 	SimWidth int `json:"sim_width,omitempty"`
 	// FaultModel overrides the Session's WithFaultModel setting for
 	// this run: FaultModelStuckAt, FaultModelBridging or

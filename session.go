@@ -167,14 +167,17 @@ func WithSimEngine(e SimEngine) Option {
 	return func(s *Session) { s.simEngine = e }
 }
 
-// WithSimWidth selects the wide fault-simulation kernel: w pattern
-// blocks (w×64 patterns) per sweep, w in {1, 4, 8} (0 means 1).  Wider
-// sweeps amortize the engine's per-node bookkeeping over more pattern
-// lanes and are typically severalfold faster on the FFR engine; every
-// result — detection counts, coverage curves, BIST signatures — is
-// bit-identical at every width.  The naive oracle engine ignores the
-// width.  Open fails on unsupported widths.  Sharded runs take their
-// width from the ShardPool's configuration, not the Session's.
+// WithSimWidth forces the fault-simulation width: w pattern blocks
+// (w×64 patterns) per sweep, w in {1, 4, 8}.  The default, 0, lets the
+// FFR engine pick per chunk: 8-block sweeps on the wide kernel while at
+// least 8 blocks remain, and the narrow engine for the ragged tail.
+// Wider sweeps amortize the engine's per-node bookkeeping over more
+// pattern lanes; every result — detection counts, coverage curves,
+// BIST signatures — is bit-identical at every width.  BIST capture has
+// no schedule and runs narrow at width 0.  The naive oracle engine
+// ignores the width.  Open fails on unsupported widths.  Sharded runs
+// take their width from the ShardPool's configuration, not the
+// Session's.
 func WithSimWidth(w int) Option {
 	return func(s *Session) { s.simWidth = w }
 }

@@ -9,20 +9,25 @@ import (
 
 // TestSimWidthIdenticalResults pins the public width contract: every
 // Session-level measurement — detection counts, coverage curves, BIST
-// signatures — is bit-identical at widths 1, 4 and 8.
+// signatures — is bit-identical to the naive oracle's at width 0 (the
+// default schedule) and at widths 1, 4 and 8, on pattern budgets that
+// end mid-block, fill whole 8-block chunks, or leave a narrow tail.
 func TestSimWidthIdenticalResults(t *testing.T) {
+	counts := []int{1, 63, 65, 512, 581, 1088}
+	cps := []int{10, 100, 300, 1088}
 	for _, name := range BenchmarkNames() {
 		c, _ := Benchmark(name)
-		ref, err := Open(c, WithSeed(11))
+		ref, err := Open(c, WithSeed(11), WithSimEngine(SimEngineNaive))
 		if err != nil {
 			t.Fatal(err)
 		}
 		ctx := context.Background()
-		wantSim, err := ref.Simulate(ctx, 700)
-		if err != nil {
-			t.Fatal(err)
+		wantSim := make([]*SimResult, len(counts))
+		for k, n := range counts {
+			if wantSim[k], err = ref.Simulate(ctx, n); err != nil {
+				t.Fatal(err)
+			}
 		}
-		cps := []int{10, 100, 300}
 		wantCurve, err := ref.CoverageCurve(ctx, nil, cps)
 		if err != nil {
 			t.Fatal(err)
@@ -31,21 +36,23 @@ func TestSimWidthIdenticalResults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, w := range []int{1, 4, 8} {
+		for _, w := range []int{0, 1, 4, 8} {
 			s, err := Open(c, WithSeed(11), WithSimWidth(w))
 			if err != nil {
 				t.Fatal(err)
 			}
-			sim, err := s.Simulate(ctx, 700)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if sim.Applied != wantSim.Applied {
-				t.Fatalf("%s width %d: applied %d != %d", name, w, sim.Applied, wantSim.Applied)
-			}
-			for i := range wantSim.Detected {
-				if sim.Detected[i] != wantSim.Detected[i] {
-					t.Fatalf("%s width %d fault %d: %d != %d", name, w, i, sim.Detected[i], wantSim.Detected[i])
+			for k, n := range counts {
+				sim, err := s.Simulate(ctx, n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if sim.Applied != wantSim[k].Applied {
+					t.Fatalf("%s width %d n=%d: applied %d != %d", name, w, n, sim.Applied, wantSim[k].Applied)
+				}
+				for i := range wantSim[k].Detected {
+					if sim.Detected[i] != wantSim[k].Detected[i] {
+						t.Fatalf("%s width %d n=%d fault %d: %d != %d", name, w, n, i, sim.Detected[i], wantSim[k].Detected[i])
+					}
 				}
 			}
 			curve, err := s.CoverageCurve(ctx, nil, cps)
@@ -77,7 +84,7 @@ func TestOpenRejectsBadWidth(t *testing.T) {
 }
 
 // TestPipelineSimWidthOverride checks a per-run SimWidth produces the
-// same report as the Session default path.
+// same report as the Session default schedule.
 func TestPipelineSimWidthOverride(t *testing.T) {
 	c, _ := Benchmark("alu")
 	s, err := Open(c, WithSeed(5))
@@ -88,14 +95,14 @@ func TestPipelineSimWidthOverride(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, w := range []int{4, 8} {
+	for _, w := range []int{1, 4, 8} {
 		rep, err := s.Run(context.Background(), PipelineSpec{SimPatterns: 500, SimWidth: w})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if rep.Uniform.Simulated.Coverage != ref.Uniform.Simulated.Coverage ||
 			rep.Uniform.Simulated.Summary != ref.Uniform.Simulated.Summary {
-			t.Fatalf("width %d: simulated report diverged from width-1 run", w)
+			t.Fatalf("width %d: simulated report diverged from the default run", w)
 		}
 	}
 	if _, err := s.Run(context.Background(), PipelineSpec{SimWidth: 5}); err == nil {
@@ -109,7 +116,7 @@ func TestPipelineSimWidthOverride(t *testing.T) {
 func TestValidateSweepAtWidths(t *testing.T) {
 	for _, name := range []string{"c17", "alu", "sn7485"} {
 		c, _ := Benchmark(name)
-		for _, w := range []int{1, 4, 8} {
+		for _, w := range []int{0, 1, 4, 8} {
 			s, err := Open(c, WithSeed(2), WithSimWidth(w))
 			if err != nil {
 				t.Fatal(err)
