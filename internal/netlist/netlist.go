@@ -47,7 +47,10 @@ type rawGate struct {
 // circuit name (netlists carry no name of their own).
 func Parse(r io.Reader, name string) (*circuit.Circuit, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	// Lines may reach 1 MiB, but the buffer starts at bufio's default
+	// size and grows only for long lines: zeroing 1 MiB per call
+	// dominated the parse of small netlists.
+	sc.Buffer(nil, 1<<20)
 
 	var inputs []string
 	var outputs []string
@@ -160,8 +163,12 @@ func assemble(name string, inputs, outputs []string, gates []rawGate) (*circuit.
 		}
 		pending[g.name] = g
 	}
-	var emit func(n string, stack []string) error
-	emit = func(n string, stack []string) error {
+	// A signal entered but not yet emitted is on the DFS stack (the
+	// first error aborts the walk), so reaching one again closes a
+	// cycle.  One mark per signal keeps the check linear in depth.
+	entered := make(map[string]bool, len(gates))
+	var emit func(n string) error
+	emit = func(n string) error {
 		if _, done := ids[n]; done {
 			return nil
 		}
@@ -169,15 +176,13 @@ func assemble(name string, inputs, outputs []string, gates []rawGate) (*circuit.
 		if !ok {
 			return fmt.Errorf("netlist: signal %q used but never defined", n)
 		}
-		for _, s := range stack {
-			if s == n {
-				return &ParseError{g.line, fmt.Sprintf("combinational cycle through %q", n)}
-			}
+		if entered[n] {
+			return &ParseError{g.line, fmt.Sprintf("combinational cycle through %q", n)}
 		}
-		stack = append(stack, n)
+		entered[n] = true
 		fanin := make([]circuit.NodeID, len(g.args))
 		for i, a := range g.args {
-			if err := emit(a, stack); err != nil {
+			if err := emit(a); err != nil {
 				return err
 			}
 			fanin[i] = ids[a]
@@ -192,7 +197,7 @@ func assemble(name string, inputs, outputs []string, gates []rawGate) (*circuit.
 	}
 	sort.Strings(names)
 	for _, n := range names {
-		if err := emit(n, nil); err != nil {
+		if err := emit(n); err != nil {
 			return nil, err
 		}
 	}

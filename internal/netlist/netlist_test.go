@@ -1,6 +1,9 @@
 package netlist_test
 
 import (
+	"bufio"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -59,6 +62,72 @@ z = NOT(a)
 	}
 	if c.NumGates() != 2 {
 		t.Errorf("gates = %d", c.NumGates())
+	}
+}
+
+// deepChain is a NOT chain of n gates whose deepest gate, g0, sorts
+// first, so assembly recurses through the whole chain from its first
+// root.  With cycle, the bottom gate reads g0 instead of the input.
+func deepChain(n int, cycle bool) string {
+	var sb strings.Builder
+	sb.WriteString("INPUT(a)\nOUTPUT(g0)\n")
+	for i := 0; i < n-1; i++ {
+		fmt.Fprintf(&sb, "g%d = NOT(g%d)\n", i, i+1)
+	}
+	bottom := "a"
+	if cycle {
+		bottom = "g0"
+	}
+	fmt.Fprintf(&sb, "g%d = NOT(%s)\n", n-1, bottom)
+	return sb.String()
+}
+
+// longLine is a one-gate netlist with a comment line of n bytes.
+func longLine(n int) string {
+	return "INPUT(a)\nOUTPUT(y)\n#" + strings.Repeat("x", n-1) + "\ny = NOT(a)\n"
+}
+
+// TestParseLargeInputs: both parsers accept lines past bufio's default
+// 64 KiB token and chains tens of thousands of gates deep, and still
+// reject a line past 1 MiB and a cycle closed at a deep chain's bottom.
+func TestParseLargeInputs(t *testing.T) {
+	cases := []struct {
+		name  string
+		src   string
+		gates int    // accepted: the circuit's gate count
+		is    error  // rejected: the error's cause
+		msg   string // rejected: a substring of the error
+	}{
+		{name: "line over 64 KiB", src: longLine(64<<10 + 1), gates: 1},
+		{name: "line over 1 MiB", src: longLine(1<<20 + 1), is: bufio.ErrTooLong},
+		{name: "deep chain", src: deepChain(40000, false), gates: 40000},
+		{name: "cycle under deep chain", src: deepChain(40000, true), msg: "combinational cycle"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			circ, err := netlist.ParseString(c.src, c.name)
+			info, scanErr := netlist.ParseScanString(c.src, c.name)
+			if c.gates > 0 {
+				if err != nil || scanErr != nil {
+					t.Fatalf("Parse: %v, ParseScan: %v", err, scanErr)
+				}
+				if circ.NumGates() != c.gates || info.Core.NumGates() != c.gates {
+					t.Fatalf("gates = %d (Parse), %d (ParseScan), want %d",
+						circ.NumGates(), info.Core.NumGates(), c.gates)
+				}
+				return
+			}
+			for _, err := range []error{err, scanErr} {
+				switch {
+				case err == nil:
+					t.Fatal("expected a parse error")
+				case c.is != nil && !errors.Is(err, c.is):
+					t.Fatalf("error %v, want %v", err, c.is)
+				case !strings.Contains(err.Error(), c.msg):
+					t.Fatalf("error %q does not mention %q", err, c.msg)
+				}
+			}
+		})
 	}
 }
 

@@ -39,7 +39,7 @@ type ScanInfo struct {
 // pseudo-ports.
 func ParseScan(r io.Reader, name string) (*ScanInfo, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(nil, 1<<20) // as in Parse
 
 	var inputs, outputs []string
 	var gates []rawGate

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 
@@ -49,7 +50,9 @@ func (s *Server) recoverToError(errp *error) {
 // a distributed fault-simulation run (see internal/shard).  Shards
 // pass the same admission control as every analysis endpoint, so a
 // worker overloaded with shards degrades into fast 429s the
-// coordinator's retry/hedge layer routes around.
+// coordinator's retry/hedge layer routes around.  A digest the worker
+// does not hold answers 404, which the coordinator's transport maps to
+// shard.ErrUnknownCircuit.
 func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
 	var req shard.Request
@@ -70,6 +73,10 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case err != nil && ctx.Err() != nil:
 		s.canceled.Add(1)
+	case errors.Is(err, shard.ErrUnknownCircuit):
+		// Not a failure: the coordinator resends the shard with its
+		// netlist.
+		s.error(w, http.StatusNotFound, err)
 	case err != nil:
 		s.failed.Add(1)
 		s.error(w, http.StatusBadRequest, err)

@@ -19,10 +19,12 @@ import (
 	"protest/internal/shard"
 )
 
-// TestShardEndpoint: a worker-mode server executes shard requests and
-// rejects malformed ones with a clean JSON error.
+// TestShardEndpoint: a worker-mode server executes shard requests,
+// answers a digest it does not hold with 404 until the netlist was sent
+// once and then byte-identically to the netlist request, and rejects
+// malformed requests; every error is a clean JSON envelope.
 func TestShardEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, Config{Worker: true})
+	srv, ts := newTestServer(t, Config{Worker: true})
 
 	c, ok := circuits.Lookup("c17")
 	if !ok {
@@ -32,30 +34,57 @@ func TestShardEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blocks := len(faultsim.DetectBlocks(128))
-	resp, body := postJSON(t, ts.URL+"/v1/shard", shard.Request{
-		Name: task.Name, Netlist: task.Netlist, Seed: testSeed,
+	full := shard.Request{
+		Name: task.Name, Digest: task.Digest, Netlist: task.Netlist, Seed: testSeed,
 		Kind: shard.KindDetect, NumPatterns: 128,
-		GroupLo: 0, GroupHi: task.Remote.NumGroups(), BlockLo: 0, BlockHi: blocks,
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("shard status %d: %s", resp.StatusCode, body)
+		GroupLo: 0, GroupHi: task.Remote.NumGroups(), BlockLo: 0, BlockHi: len(faultsim.DetectBlocks(128)),
 	}
-	var sr shard.Response
-	if err := json.Unmarshal(body, &sr); err != nil {
-		t.Fatalf("bad shard response %s: %v", body, err)
-	}
-	if want := len(task.Remote.Faults()); sr.Faults != want || len(sr.Counts) != want {
-		t.Fatalf("shard response covers %d faults (%d counts), want %d", sr.Faults, len(sr.Counts), want)
-	}
+	byDigest := full
+	byDigest.Netlist = ""
+	wrongDigest := full
+	wrongDigest.Digest = strings.Repeat("0", len(task.Digest))
 
-	resp, body = postJSON(t, ts.URL+"/v1/shard", shard.Request{Kind: shard.KindDetect})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("empty-netlist shard status %d: %s", resp.StatusCode, body)
-	}
-	var e errorResponse
-	if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
-		t.Fatalf("shard error not a JSON envelope: %s", body)
+	var okBody []byte
+	for _, step := range []struct {
+		name   string
+		req    shard.Request
+		status int
+		failed int64 // the worker's failed count after the step
+	}{
+		{"digest to a cold worker", byDigest, http.StatusNotFound, 0},
+		{"netlist with its digest", full, http.StatusOK, 0},
+		{"digest after the netlist", byDigest, http.StatusOK, 0},
+		{"netlist with a wrong digest", wrongDigest, http.StatusBadRequest, 1},
+		{"neither netlist nor digest", shard.Request{Kind: shard.KindDetect}, http.StatusBadRequest, 2},
+	} {
+		resp, body := postJSON(t, ts.URL+"/v1/shard", step.req)
+		if resp.StatusCode != step.status {
+			t.Fatalf("%s: status %d, want %d: %s", step.name, resp.StatusCode, step.status, body)
+		}
+		if got := srv.Stats().Failed; got != step.failed {
+			t.Fatalf("%s: worker counts %d failed, want %d", step.name, got, step.failed)
+		}
+		if step.status != http.StatusOK {
+			var e errorResponse
+			if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
+				t.Fatalf("%s: error not a JSON envelope: %s", step.name, body)
+			}
+			continue
+		}
+		if okBody != nil {
+			if !bytes.Equal(body, okBody) {
+				t.Fatalf("%s: body %s, want %s", step.name, body, okBody)
+			}
+			continue
+		}
+		okBody = body
+		var sr shard.Response
+		if err := json.Unmarshal(body, &sr); err != nil {
+			t.Fatalf("bad shard response %s: %v", body, err)
+		}
+		if want := len(task.Remote.Faults()); sr.Faults != want || len(sr.Counts) != want {
+			t.Fatalf("shard response covers %d faults (%d counts), want %d", sr.Faults, len(sr.Counts), want)
+		}
 	}
 }
 

@@ -78,15 +78,19 @@ func (s *sseStream) ping() {
 }
 
 // keepAlive pings the stream every interval until the returned stop
-// function is called (or ctx ends).  interval <= 0 disables pings and
+// function is called.  stop returns only after the last ping, so the
+// handler may return right after it: the ResponseWriter must not be
+// written once the handler is done.  interval <= 0 disables pings and
 // returns a no-op stop.
 func (s *sseStream) keepAlive(interval time.Duration) (stop func()) {
 	if interval <= 0 {
 		return func() {}
 	}
 	done := make(chan struct{})
+	exited := make(chan struct{})
 	var once sync.Once
 	go func() {
+		defer close(exited)
 		tick := time.NewTicker(interval)
 		defer tick.Stop()
 		for {
@@ -98,7 +102,10 @@ func (s *sseStream) keepAlive(interval time.Duration) (stop func()) {
 			}
 		}
 	}()
-	return func() { once.Do(func() { close(done) }) }
+	return func() {
+		once.Do(func() { close(done) })
+		<-exited
+	}
 }
 
 // progressEvent is the payload of "progress" events.

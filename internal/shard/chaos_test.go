@@ -3,8 +3,11 @@ package shard
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -192,32 +195,49 @@ func TestChaosHedgingStragglers(t *testing.T) {
 }
 
 // httpWorker is a minimal in-test worker process: the real shard
-// endpoint wire format over a real HTTP server, with a kill switch.
+// endpoint wire format over a real HTTP server, with a kill switch, a
+// restart that replaces its Executor, and a count of the connections
+// it accepted.
 type httpWorker struct {
-	exec  *Executor
+	exec  atomic.Pointer[Executor]
 	calls atomic.Int64
 	dead  atomic.Bool
-	ts    *httptest.Server
+	// restartAt, when positive, replaces the Executor before serving
+	// that call: a restarted process that lost every circuit.
+	restartAt atomic.Int64
+	conns     atomic.Int64
+	ts        *httptest.Server
 }
 
-func newHTTPWorker(t *testing.T) *httpWorker {
+// newHTTPWorker starts an httpWorker; with meet > 0 every call waits
+// until meet calls are in flight together.
+func newHTTPWorker(t *testing.T, meet int) *httpWorker {
 	t.Helper()
-	w := &httpWorker{exec: NewExecutor()}
+	w := &httpWorker{}
+	w.exec.Store(NewExecutor())
+	rv := &rendezvous{n: meet}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/shard", func(rw http.ResponseWriter, r *http.Request) {
-		w.calls.Add(1)
+		if w.calls.Add(1) == w.restartAt.Load() {
+			w.exec.Store(NewExecutor())
+		}
 		if w.dead.Load() {
 			http.Error(rw, `{"error":"worker killed"}`, http.StatusInternalServerError)
 			return
 		}
+		rv.wait(r.Context())
 		var req Request
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			http.Error(rw, `{"error":"bad body"}`, http.StatusBadRequest)
 			return
 		}
-		resp, err := w.exec.Run(r.Context(), &req)
+		resp, err := w.exec.Load().Run(r.Context(), &req)
 		if err != nil {
-			http.Error(rw, `{"error":"`+err.Error()+`"}`, http.StatusBadRequest)
+			status := http.StatusBadRequest
+			if errors.Is(err, ErrUnknownCircuit) {
+				status = http.StatusNotFound // as the server's shard handler answers
+			}
+			http.Error(rw, `{"error":"`+err.Error()+`"}`, status)
 			return
 		}
 		rw.Header().Set("Content-Type", "application/json")
@@ -230,9 +250,44 @@ func newHTTPWorker(t *testing.T) *httpWorker {
 		}
 		rw.WriteHeader(http.StatusOK)
 	})
-	w.ts = httptest.NewServer(mux)
+	w.ts = httptest.NewUnstartedServer(mux)
+	w.ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			w.conns.Add(1)
+		}
+	}
+	w.ts.Start()
 	t.Cleanup(w.ts.Close)
 	return w
+}
+
+// rendezvous holds each caller until n callers wait together (n <= 0
+// holds none), or the caller's context ends.
+type rendezvous struct {
+	n       int
+	mu      sync.Mutex
+	arrived int
+	all     chan struct{}
+}
+
+func (r *rendezvous) wait(ctx context.Context) {
+	if r.n <= 0 {
+		return
+	}
+	r.mu.Lock()
+	if r.all == nil {
+		r.all = make(chan struct{})
+	}
+	all := r.all
+	if r.arrived++; r.arrived == r.n {
+		close(all)
+		r.arrived, r.all = 0, nil
+	}
+	r.mu.Unlock()
+	select {
+	case <-all:
+	case <-ctx.Done():
+	}
 }
 
 // TestHTTPWorkerKilledMidRun drives the real HTTPTransport against two
@@ -240,7 +295,7 @@ func newHTTPWorker(t *testing.T) *httpWorker {
 // report must still be bit-identical to the serial oracle.
 func TestHTTPWorkerKilledMidRun(t *testing.T) {
 	task := newTestTask(t, "alu")
-	w1, w2 := newHTTPWorker(t), newHTTPWorker(t)
+	w1, w2 := newHTTPWorker(t, 0), newHTTPWorker(t, 0)
 
 	// Kill w1 after it has served two shards: remaining shards routed
 	// to it fail and retry on w2.
@@ -257,7 +312,6 @@ func TestHTTPWorkerKilledMidRun(t *testing.T) {
 
 	p := NewPool(Config{
 		Workers:       []string{w1.ts.URL, w2.ts.URL},
-		Transport:     NewHTTPTransport(nil),
 		ShardTimeout:  5 * time.Second,
 		BackoffBase:   time.Millisecond,
 		BackoffMax:    4 * time.Millisecond,
@@ -275,5 +329,80 @@ func TestHTTPWorkerKilledMidRun(t *testing.T) {
 	st := p.Stats()
 	if st.Shards == 0 {
 		t.Fatalf("nothing ran remotely: %+v", st)
+	}
+}
+
+// TestHTTPWorkerRestartedMidRun: a worker that loses its circuits
+// mid-run, as a restarted process does, costs the coordinator one
+// netlist resend per shard it misses, never a retry, an ejection or a
+// local fallback, and the merge stays exact.
+func TestHTTPWorkerRestartedMidRun(t *testing.T) {
+	task := newTestTask(t, "alu")
+	w := newHTTPWorker(t, 0)
+	p := NewPool(Config{
+		Workers:       []string{w.ts.URL},
+		ShardTimeout:  5 * time.Second,
+		HedgeAfter:    -1,
+		ProbeInterval: time.Minute,
+	})
+	defer p.Close()
+
+	want := serialDetect(t, task, nil, 513)
+	got, err := p.MeasureDetection(context.Background(), task, nil, 513, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameDetect(t, "alu/cold", got, want)
+	cold := p.Stats().CircuitMisses
+	if cold == 0 {
+		t.Fatal("a cold worker served digest-only shards")
+	}
+
+	// Restart before the next run's second call: the shards reaching
+	// the fresh Executor miss once each.
+	w.restartAt.Store(w.calls.Load() + 2)
+	got, err = p.MeasureDetection(context.Background(), task, nil, 513, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameDetect(t, "alu/restarted", got, want)
+	st := p.Stats()
+	if st.CircuitMisses <= cold {
+		t.Fatalf("restart cost no circuit miss: %+v", st)
+	}
+	if st.Retries != 0 || st.LocalFallbacks != 0 || st.Workers[0].Failures != 0 || st.Workers[0].Ejections != 0 {
+		t.Fatalf("a circuit miss cost a retry, failure or fallback: %+v", st)
+	}
+}
+
+// TestPoolKeepsWorkerConnectionsAlive: the default transport keeps as
+// many idle connections per worker as a run sends shards at once, so a
+// run over a warm pool dials none.  Each worker call waits for all 4 of
+// a run's shards, which forces 4 connections open at once.
+func TestPoolKeepsWorkerConnectionsAlive(t *testing.T) {
+	task := newTestTask(t, "alu")
+	w := newHTTPWorker(t, 4)
+	p := NewPool(Config{
+		Workers:       []string{w.ts.URL},
+		ShardTimeout:  5 * time.Second,
+		HedgeAfter:    -1,
+		ProbeInterval: time.Minute,
+	})
+	defer p.Close()
+
+	run := func() {
+		t.Helper()
+		if _, err := p.MeasureDetection(context.Background(), task, nil, 513, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	warm := w.conns.Load()
+	run()
+	if n := w.conns.Load() - warm; n != 0 {
+		t.Fatalf("a run over a warm pool opened %d new connections (%d before)", n, warm)
+	}
+	if st := p.Stats(); st.Shards != 8 {
+		t.Fatalf("want 4 shards per run: %+v", st)
 	}
 }

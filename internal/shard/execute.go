@@ -1,38 +1,90 @@
 package shard
 
 import (
+	"container/list"
 	"context"
+	"errors"
 	"fmt"
+	"sync"
 
 	"protest/internal/artifact"
+	"protest/internal/circuit"
 	"protest/internal/fault"
 	"protest/internal/faultsim"
 	"protest/internal/netlist"
 )
 
-// Executor runs shard requests on the worker side: it reconstructs the
-// circuit from the request's netlist, resolves the shared simulation
-// plan through the artifact store (so repeated shards of one run parse
-// and partition the circuit once), and executes the shard's rectangle
-// of the measurement grid.
+// ErrUnknownCircuit answers a request that names its circuit only by a
+// digest the Executor does not hold: it never received that netlist,
+// restarted, or evicted it.  The coordinator then resends the shard
+// with the netlist.
+var ErrUnknownCircuit = errors.New("shard: unknown circuit digest")
+
+// Executor runs shard requests on the worker side: it resolves the
+// request's circuit, the shared simulation plan through the artifact
+// store (so repeated shards of one run partition the circuit once),
+// and executes the shard's rectangle of the measurement grid.
+//
+// Circuits are resolved by digest.  The Executor parses every netlist
+// it receives, after checking it against the digest sent with it, and
+// keeps the interned circuit under that digest for later digest-only
+// requests, holding at most artifact.DefaultCapacity circuits in LRU
+// order.
 type Executor struct {
 	store *artifact.Store
+
+	mu       sync.Mutex
+	circuits map[string]*list.Element // digest → element of lru
+	lru      *list.List               // of *cached; front = most recently used
+}
+
+// cached is one circuit the Executor holds, under its digest.
+type cached struct {
+	digest string
+	c      *circuit.Circuit
 }
 
 // NewExecutor creates an Executor over the process-wide artifact
 // store.
 func NewExecutor() *Executor {
-	return &Executor{store: artifact.Default}
+	return &Executor{
+		store:    artifact.Default,
+		circuits: make(map[string]*list.Element),
+		lru:      list.New(),
+	}
 }
 
-// Run executes one shard request.
+// Run executes one shard request.  It parses the request's netlist when
+// one is present and looks its digest up otherwise, answering
+// ErrUnknownCircuit for a digest it does not hold.
 func (e *Executor) Run(ctx context.Context, req *Request) (*Response, error) {
-	if req.Netlist == "" {
-		return nil, fmt.Errorf("shard: empty netlist")
-	}
 	m, err := fault.ParseModel(req.FaultModel)
 	if err != nil {
 		return nil, fmt.Errorf("shard: %w", err)
+	}
+	c, err := e.resolve(req)
+	if err != nil {
+		return nil, err
+	}
+	return runShard(ctx, e.store.SimPlanFor(c, m), req)
+}
+
+// resolve returns the request's circuit.
+func (e *Executor) resolve(req *Request) (*circuit.Circuit, error) {
+	if req.Netlist == "" {
+		if req.Digest == "" {
+			return nil, fmt.Errorf("shard: request carries neither netlist nor digest")
+		}
+		if c := e.lookup(req.Digest); c != nil {
+			return c, nil
+		}
+		return nil, ErrUnknownCircuit
+	}
+	// Verify before caching anything: a request must not be able to
+	// bind another circuit to a digest some coordinator addresses.
+	d := digest(req.Name, req.Netlist)
+	if req.Digest != "" && req.Digest != d {
+		return nil, fmt.Errorf("shard: digest %q does not match the netlist", req.Digest)
 	}
 	name := req.Name
 	if name == "" {
@@ -43,7 +95,36 @@ func (e *Executor) Run(ctx context.Context, req *Request) (*Response, error) {
 		return nil, fmt.Errorf("shard: bad netlist: %w", err)
 	}
 	c = e.store.Intern(c)
-	return runShard(ctx, e.store.SimPlanFor(c, m), req)
+	e.remember(d, c)
+	return c, nil
+}
+
+// lookup returns the circuit held under digest d, or nil.
+func (e *Executor) lookup(d string) *circuit.Circuit {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	el, ok := e.circuits[d]
+	if !ok {
+		return nil
+	}
+	e.lru.MoveToFront(el)
+	return el.Value.(*cached).c
+}
+
+// remember holds c under digest d, evicting the least recently used
+// circuit beyond artifact.DefaultCapacity.
+func (e *Executor) remember(d string, c *circuit.Circuit) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if el, ok := e.circuits[d]; ok { // sent again, or parsed concurrently
+		e.lru.MoveToFront(el)
+		return
+	}
+	e.circuits[d] = e.lru.PushFront(&cached{digest: d, c: c})
+	if e.lru.Len() > artifact.DefaultCapacity {
+		old := e.lru.Remove(e.lru.Back()).(*cached)
+		delete(e.circuits, old.digest)
+	}
 }
 
 // Task is the coordinator-side handle of one distributable circuit.
@@ -62,6 +143,9 @@ func (e *Executor) Run(ctx context.Context, req *Request) (*Response, error) {
 type Task struct {
 	Name    string
 	Netlist string
+	// Digest is the content address of (Name, Netlist) that requests
+	// carry in place of the netlist.
+	Digest string
 	// Model is the fault universe both plans enumerate; requests carry
 	// it so workers re-derive the same universe from the netlist.
 	Model fault.Model
@@ -139,6 +223,7 @@ func NewModelTask(plan *faultsim.Plan, model fault.Model, seed uint64) (*Task, e
 	return &Task{
 		Name:        c.Name,
 		Netlist:     src,
+		Digest:      digest(c.Name, src),
 		Model:       model,
 		Plan:        plan,
 		Remote:      remote,

@@ -2,7 +2,9 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,7 +20,8 @@ type Config struct {
 	// empty list makes a permanently degraded pool: every run executes
 	// locally.
 	Workers []string
-	// Transport executes shard calls (default: NewHTTPTransport(nil)).
+	// Transport executes shard calls (default: an HTTPTransport that
+	// keeps up to MaxShards idle connections per worker).
 	Transport Transport
 	// ShardTimeout is the per-attempt deadline (default 30s).
 	ShardTimeout time.Duration
@@ -58,9 +61,6 @@ type Config struct {
 }
 
 func (c *Config) fill() {
-	if c.Transport == nil {
-		c.Transport = NewHTTPTransport(nil)
-	}
 	if c.ShardTimeout <= 0 {
 		c.ShardTimeout = 30 * time.Second
 	}
@@ -87,6 +87,13 @@ func (c *Config) fill() {
 	}
 	if c.MaxShards <= 0 {
 		c.MaxShards = 64
+	}
+	if c.Transport == nil {
+		// A run sends up to MaxShards shards at once; keeping as many
+		// connections per worker alive stops every run from redialing.
+		tr := http.DefaultTransport.(*http.Transport).Clone()
+		tr.MaxIdleConnsPerHost = c.MaxShards
+		c.Transport = NewHTTPTransport(&http.Client{Transport: tr})
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -125,6 +132,7 @@ type Pool struct {
 	retriesTotal   atomic.Int64
 	hedgesTotal    atomic.Int64
 	localFallbacks atomic.Int64
+	circuitMisses  atomic.Int64
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -343,7 +351,7 @@ func (p *Pool) attempt(ctx context.Context, primary *worker, t *Task, req *Reque
 	ch := make(chan result, 2)
 	launch := func(w *worker) {
 		go func() {
-			resp, err := p.tr.Do(actx, w.addr, req)
+			resp, err := p.send(actx, w, t, req)
 			ch <- result{resp, err, w}
 		}()
 	}
@@ -388,6 +396,21 @@ func (p *Pool) attempt(ctx context.Context, primary *worker, t *Task, req *Reque
 			}
 		}
 	}
+}
+
+// send runs req on w.  A worker that does not hold the request's
+// circuit (it never received it, restarted, or evicted it) gets the
+// shard once more with the netlist, under the same deadline, so a miss
+// costs one round trip and never a retry.
+func (p *Pool) send(ctx context.Context, w *worker, t *Task, req *Request) (*Response, error) {
+	resp, err := p.tr.Do(ctx, w.addr, req)
+	if !errors.Is(err, ErrUnknownCircuit) {
+		return resp, err
+	}
+	p.circuitMisses.Add(1)
+	full := *req
+	full.Netlist = t.Netlist
+	return p.tr.Do(ctx, w.addr, &full)
 }
 
 // runShardRemote drives one shard to completion: rotate attempts over
@@ -472,7 +495,7 @@ func (p *Pool) MeasureDetection(ctx context.Context, t *Task, probs []float64, n
 
 	shards := planShards(t.Remote.NumGroups(), len(blocks), healthy*p.cfg.ShardsPerWorker, p.cfg.MaxShards)
 	base := Request{
-		Name: t.Name, Netlist: t.Netlist, FaultModel: t.wireModel(),
+		Name: t.Name, Digest: t.Digest, FaultModel: t.wireModel(),
 		Seed: t.Seed, Probs: probs,
 		Kind: KindDetect, NumPatterns: numPatterns, SimWidth: p.cfg.SimWidth,
 	}
@@ -522,7 +545,7 @@ func (p *Pool) CoverageCurve(ctx context.Context, t *Task, probs []float64, chec
 
 	shards := planShards(t.Remote.NumGroups(), len(blocks), healthy*p.cfg.ShardsPerWorker, p.cfg.MaxShards)
 	base := Request{
-		Name: t.Name, Netlist: t.Netlist, FaultModel: t.wireModel(),
+		Name: t.Name, Digest: t.Digest, FaultModel: t.wireModel(),
 		Seed: t.Seed, Probs: probs,
 		Kind: KindCurve, Checkpoints: checkpoints, SimWidth: p.cfg.SimWidth,
 	}
@@ -593,11 +616,14 @@ type Stats struct {
 	DegradedRuns int64 `json:"degraded_runs"`
 	// Shards counts successful remote shard responses; Retries,
 	// Hedges and LocalFallbacks the robustness-layer activations.
-	Shards         int64         `json:"shards"`
-	Retries        int64         `json:"retries"`
-	Hedges         int64         `json:"hedges"`
-	LocalFallbacks int64         `json:"local_fallbacks"`
-	Workers        []WorkerStats `json:"workers"`
+	Shards         int64 `json:"shards"`
+	Retries        int64 `json:"retries"`
+	Hedges         int64 `json:"hedges"`
+	LocalFallbacks int64 `json:"local_fallbacks"`
+	// CircuitMisses counts shards resent with their netlist because
+	// the worker did not hold the circuit's digest.
+	CircuitMisses int64         `json:"circuit_misses"`
+	Workers       []WorkerStats `json:"workers"`
 }
 
 // Stats returns a snapshot of the pool's counters.  Counters are read
@@ -611,6 +637,7 @@ func (p *Pool) Stats() Stats {
 		Retries:        p.retriesTotal.Load(),
 		Hedges:         p.hedgesTotal.Load(),
 		LocalFallbacks: p.localFallbacks.Load(),
+		CircuitMisses:  p.circuitMisses.Load(),
 	}
 	for _, w := range p.workers {
 		st.Workers = append(st.Workers, WorkerStats{

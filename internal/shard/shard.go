@@ -25,6 +25,13 @@
 // deterministic functions of the circuit, so fault order, group
 // numbering and block schedule agree without negotiation.
 //
+// Requests are content-addressed: they name the circuit by a digest of
+// its name and netlist, and a worker that has never seen (or has
+// evicted) that digest answers ErrUnknownCircuit, whereupon the
+// coordinator resends the shard once with the netlist.  Workers verify
+// the digest of every netlist they receive, so a circuit cached under a
+// digest is the one that digest names.
+//
 // # Robustness
 //
 // The Pool assumes workers fail: every shard attempt runs under its
@@ -42,7 +49,11 @@ package shard
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
+	"io"
 	"math/bits"
 
 	"protest/internal/faultsim"
@@ -63,15 +74,22 @@ const (
 )
 
 // Request is one shard of a measurement — the body of POST /v1/shard.
-// The run-level fields (netlist, seed, probs, pattern budget or
+// The run-level fields (circuit, seed, probs, pattern budget or
 // checkpoints) are identical across every shard of a run; GroupLo/Hi
 // and BlockLo/Hi select this shard's rectangle of the (FFR group ×
 // pattern block) grid.  Both halves are half-open ranges.
 type Request struct {
 	// Name and Netlist identify the circuit; the worker reconstructs
-	// fault list, FFR partition and simulation plan from them.
+	// fault list, FFR partition and simulation plan from them.  Digest
+	// is the content address of the pair (see digest): a worker that
+	// holds it needs no Netlist, so a Pool sends the netlist only after
+	// the worker answered ErrUnknownCircuit.  A worker rejects a netlist
+	// that does not match a Digest sent with it; a request without a
+	// Digest (from a coordinator predating digests) must carry the
+	// netlist.
 	Name    string `json:"name"`
-	Netlist string `json:"netlist"`
+	Digest  string `json:"digest,omitempty"`
+	Netlist string `json:"netlist,omitempty"`
 	// Seed seeds the pattern stream; Probs are the per-input pattern
 	// probabilities (nil = uniform p = 0.5).  JSON round-trips float64
 	// exactly, so weighted streams stay bit-identical across the wire.
@@ -119,6 +137,20 @@ type Response struct {
 	// cumulative pattern count of the earliest shard block detecting it
 	// — or -1 when the shard's blocks never detect it.
 	First []int `json:"first,omitempty"`
+}
+
+// digest is the content address of a circuit on the wire: the hex
+// SHA-256 of its name and netlist, each prefixed by its length, so no
+// two (name, netlist) pairs share an encoding.
+func digest(name, netlist string) string {
+	h := sha256.New()
+	var n [8]byte
+	for _, s := range []string{name, netlist} {
+		binary.BigEndian.PutUint64(n[:], uint64(len(s)))
+		h.Write(n[:])
+		io.WriteString(h, s)
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // validate checks a request's shard geometry against the schedule its

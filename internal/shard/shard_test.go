@@ -2,9 +2,13 @@ package shard
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
+	"protest/internal/artifact"
 	"protest/internal/circuit"
 	"protest/internal/circuits"
 	"protest/internal/fault"
@@ -458,5 +462,97 @@ func TestShardWidthValidation(t *testing.T) {
 	}
 	if _, err := runShard(context.Background(), task.Remote, req); err == nil {
 		t.Fatal("SimWidth 3 should be rejected")
+	}
+}
+
+// errRejected stands for any error but ErrUnknownCircuit in
+// TestExecutorDigests.
+var errRejected = errors.New("rejected")
+
+// TestExecutorDigests pins the worker side of content addressing: a
+// digest resolves only after a netlist verified against it, and a
+// digest-only request then returns exactly what the netlist did.
+func TestExecutorDigests(t *testing.T) {
+	task := newTestTask(t, "c17")
+	shardReq := func(d, netlist string) *Request {
+		return &Request{Name: task.Name, Digest: d, Netlist: netlist, Seed: task.Seed,
+			Kind: KindDetect, NumPatterns: 128, GroupHi: task.Remote.NumGroups(), BlockHi: 2}
+	}
+	want, err := runShard(context.Background(), task.Remote, shardReq("", ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := newTestTask(t, "add8").Digest
+	type step struct {
+		req *Request
+		err error // nil: the response equals want
+	}
+	for _, tc := range []struct {
+		name  string
+		steps []step
+	}{
+		{"digest to a cold executor", []step{
+			{shardReq(task.Digest, ""), ErrUnknownCircuit},
+		}},
+		{"netlist then digest", []step{
+			{shardReq(task.Digest, task.Netlist), nil},
+			{shardReq(task.Digest, ""), nil},
+			{shardReq(task.Digest, ""), nil},
+		}},
+		{"wrong digest is rejected and not cached", []step{
+			{shardReq(other, task.Netlist), errRejected},
+			{shardReq(other, ""), ErrUnknownCircuit},
+			{shardReq(task.Digest, ""), ErrUnknownCircuit},
+		}},
+		{"netlist without digest", []step{
+			{shardReq("", task.Netlist), nil},
+			{shardReq(task.Digest, ""), nil},
+		}},
+		{"neither netlist nor digest", []step{
+			{shardReq("", ""), errRejected},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewExecutor()
+			for i, st := range tc.steps {
+				got, err := e.Run(context.Background(), st.req)
+				switch {
+				case st.err == nil && err != nil:
+					t.Fatalf("step %d: %v", i, err)
+				case st.err == nil && !reflect.DeepEqual(got, want):
+					t.Fatalf("step %d: response %+v, want %+v", i, got, want)
+				case st.err == ErrUnknownCircuit && !errors.Is(err, ErrUnknownCircuit):
+					t.Fatalf("step %d: error %v, want ErrUnknownCircuit", i, err)
+				case st.err == errRejected && (err == nil || errors.Is(err, ErrUnknownCircuit)):
+					t.Fatalf("step %d: error %v, want a rejection", i, err)
+				}
+			}
+		})
+	}
+}
+
+// TestExecutorBoundsCircuits: the executor holds at most
+// artifact.DefaultCapacity circuits, dropping the least recently used.
+func TestExecutorBoundsCircuits(t *testing.T) {
+	task := newTestTask(t, "c17")
+	e := NewExecutor()
+	req := func(i int, netlist string) *Request {
+		name := fmt.Sprintf("c17-%d", i)
+		return &Request{Name: name, Digest: digest(name, task.Netlist), Netlist: netlist, Seed: task.Seed,
+			Kind: KindDetect, NumPatterns: 64, GroupHi: task.Remote.NumGroups(), BlockHi: 1}
+	}
+	for i := 0; i <= artifact.DefaultCapacity; i++ {
+		if _, err := e.Run(context.Background(), req(i, task.Netlist)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := e.lru.Len(); n != artifact.DefaultCapacity || len(e.circuits) != n {
+		t.Fatalf("executor holds %d circuits (%d digests), want %d", n, len(e.circuits), artifact.DefaultCapacity)
+	}
+	if _, err := e.Run(context.Background(), req(0, "")); !errors.Is(err, ErrUnknownCircuit) {
+		t.Fatalf("least recently used circuit still held: %v", err)
+	}
+	if _, err := e.Run(context.Background(), req(artifact.DefaultCapacity, "")); err != nil {
+		t.Fatalf("most recent circuit dropped: %v", err)
 	}
 }

@@ -24,18 +24,17 @@ type Transport interface {
 
 // HTTPTransport talks to `protest serve -worker` processes: shards go
 // to POST {addr}/v1/shard, probes to GET {addr}/healthz.  Addresses
-// without a scheme get "http://" prefixed.
+// without a scheme get "http://" prefixed.  A 404 carrying the JSON
+// error envelope is the worker's ErrUnknownCircuit.
 type HTTPTransport struct {
 	client *http.Client
 }
 
-// NewHTTPTransport creates an HTTPTransport; a nil client selects
-// http.DefaultClient (per-attempt deadlines come from the Pool's
-// contexts, not client timeouts).
+// NewHTTPTransport creates an HTTPTransport over client, which must not
+// be nil (per-attempt deadlines come from the Pool's contexts, not
+// client timeouts).  A Pool whose Config leaves Transport unset builds
+// one that keeps connections to its workers alive.
 func NewHTTPTransport(client *http.Client) *HTTPTransport {
-	if client == nil {
-		client = http.DefaultClient
-	}
 	return &HTTPTransport{client: client}
 }
 
@@ -69,6 +68,9 @@ func (t *HTTPTransport) Do(ctx context.Context, addr string, req *Request) (*Res
 		}
 		msg, _ := io.ReadAll(io.LimitReader(hres.Body, 4096))
 		if json.Unmarshal(msg, &e) == nil && e.Error != "" {
+			if hres.StatusCode == http.StatusNotFound {
+				return nil, fmt.Errorf("shard: worker %s: %w", addr, ErrUnknownCircuit)
+			}
 			return nil, fmt.Errorf("shard: worker %s: %s (HTTP %d)", addr, e.Error, hres.StatusCode)
 		}
 		return nil, fmt.Errorf("shard: worker %s: HTTP %d", addr, hres.StatusCode)
