@@ -62,6 +62,36 @@ type Circuit struct {
 
 	fpOnce sync.Once // guards the lazily computed structural fingerprint
 	fp     uint64
+
+	derivedMu sync.Mutex // guards derived
+	derived   map[any]*derivedEntry
+}
+
+// derivedEntry is one lazily built value of Circuit.Derived.
+type derivedEntry struct {
+	once sync.Once
+	v    any
+}
+
+// Derived returns the value build computes for key, calling build at
+// most once per circuit and key; concurrent callers of one key wait for
+// the first build.  Packages attach structural indexes that depend only
+// on the circuit this way, so every consumer of one circuit shares them
+// and they live exactly as long as it.  Keys should be values of an
+// unexported type of the calling package.
+func (c *Circuit) Derived(key any, build func() any) any {
+	c.derivedMu.Lock()
+	e := c.derived[key]
+	if e == nil {
+		if c.derived == nil {
+			c.derived = make(map[any]*derivedEntry)
+		}
+		e = &derivedEntry{}
+		c.derived[key] = e
+	}
+	c.derivedMu.Unlock()
+	e.once.Do(func() { e.v = build() })
+	return e.v
 }
 
 // NumNodes returns the total number of nodes (inputs + gates).

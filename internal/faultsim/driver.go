@@ -44,10 +44,12 @@ func (n narrowChunks) buffers() (words, det []uint64) { return n.words, n.det }
 // chunk.  Width 0 picks the schedule: 8-block chunks on the wide engine
 // while at least 8 blocks remain, then the ragged tail block by block
 // on the narrow Engine, so no lane is ever simulated empty.  The tail
-// runs narrow rather than on the wide engine at W=1 because narrow is
-// the faster of the two on the smaller circuits (c432, c880).  There is
-// no W=4 step for tails of 4 to 7 blocks: each width in use holds its
-// own pooled engines, and a server's peak memory grew with the third.
+// runs on the narrow Engine, as explicit width 1 does, although the
+// wide engine at W=1 is the faster of the two on every circuit measured
+// (c432, c880, c499, c1355, mult): moving both onto it is the change
+// that retires the narrow Engine.  There is no W=4 step for tails of 4
+// to 7 blocks: each width in use holds its own pooled engines, and a
+// server's peak memory grew with the third.
 func chunkWidth(width, left int) int {
 	switch {
 	case width != 0:

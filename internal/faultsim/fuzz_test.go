@@ -1,0 +1,56 @@
+package faultsim
+
+import (
+	"context"
+	"testing"
+
+	"protest/internal/circuits"
+	"protest/internal/fault"
+	"protest/internal/pattern"
+)
+
+// FuzzEnginesAgree is the differential check of the FFR engines on
+// random circuits: for a circuits.Random topology, a fault model and a
+// pattern count drawn from the input, MeasureDetectionOpt must return
+// the naive oracle's detection counts at widths 0, 1, 4 and 8, and the
+// wide capture must reproduce the narrow capture's output words.
+// Random circuits reach what the registry rarely has and what the
+// compiled two-bank regions must bind correctly: n-ary gates (MaxArity
+// up to 9), gates fed twice by one node, and outputs that also fan out.
+// The seed corpus under testdata/fuzz/FuzzEnginesAgree covers all
+// three and runs with plain go test; run the fuzzer with
+//
+//	go test -fuzz FuzzEnginesAgree -run '^$' ./internal/faultsim
+func FuzzEnginesAgree(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed uint64, inputs, gates, maxArity, outputs, locality, model uint8, patterns uint16) {
+		c := circuits.Random(circuits.RandomOptions{
+			Inputs:   2 + int(inputs%30),
+			Gates:    1 + int(gates),
+			MaxArity: 2 + int(maxArity%8),
+			Outputs:  int(outputs % 16),
+			Seed:     seed,
+			Locality: 1 + int(locality%64),
+		})
+		m := fault.Models()[int(model)%len(fault.Models())]
+		faults := m.Faults(c)
+		if len(faults) == 0 {
+			return
+		}
+		n := 1 + int(patterns)%1100
+		want := naiveCounts(c, faults, seed, []int{n})[n]
+		for _, w := range widthCases {
+			got, err := MeasureDetectionOpt(context.Background(), c, faults,
+				pattern.NewUniform(len(c.Inputs), seed), n, Options{Width: w}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range faults {
+				if got.Detected[i] != want[i] {
+					t.Fatalf("%s %s n=%d width %d fault %v: detected %d, naive %d",
+						c.Name, m, n, w, faults[i], got.Detected[i], want[i])
+				}
+			}
+		}
+		checkCaptureIdentity(t, c, faults, seed)
+	})
+}

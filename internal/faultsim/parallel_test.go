@@ -2,8 +2,11 @@ package faultsim
 
 import (
 	"context"
+	"slices"
+	"sync"
 	"testing"
 
+	"protest/internal/circuit"
 	"protest/internal/circuits"
 	"protest/internal/fault"
 	"protest/internal/pattern"
@@ -124,5 +127,63 @@ func TestMeasureDetectionParallelCtx(t *testing.T) {
 	gen2 := pattern.NewUniform(len(c.Inputs), 5)
 	if _, err := MeasureDetectionParallelCtx(ctx, c, faults, gen2, 320, 4, nil); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestSharedRegionsConcurrent races the per-circuit stem regions: the
+// plans of all three fault models over one fresh circuit are built and
+// run on the W=8 engine by several goroutines at once, so the regions,
+// their compiled form and the compiled full cones are each first
+// requested concurrently.  Every detection count and capture word must
+// equal a serial run on a separate instance of the circuit.
+func TestSharedRegionsConcurrent(t *testing.T) {
+	const n = 1024
+	type run struct {
+		detected []int
+		capture  []uint64
+	}
+	simulate := func(c *circuit.Circuit, m fault.Model) run {
+		plan := NewPlan(c, m.Faults(c))
+		res, err := plan.MeasureDetectionCtx(context.Background(),
+			pattern.NewUniform(len(c.Inputs), 9), n, Options{Width: 8}, nil)
+		if err != nil {
+			t.Error(err)
+			return run{}
+		}
+		e := plan.AcquireWideEngine(8)
+		defer e.Release()
+		words := make([]uint64, len(c.Inputs)*8)
+		det := make([]uint64, len(plan.Faults())*8)
+		pattern.NewUniform(len(c.Inputs), 9).NextBlocks(words, 8, 8)
+		e.SimulateChunkOutputs(words, det)
+		return run{res.Detected, det}
+	}
+	models := fault.Models()
+	ref := circuits.Mult8()
+	want := make([]run, len(models))
+	for i, m := range models {
+		want[i] = simulate(ref, m)
+	}
+
+	c := circuits.Mult8()
+	const goroutines = 6
+	got := make([]run, goroutines)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			got[g] = simulate(c, models[g%len(models)])
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for g, r := range got {
+		w := want[g%len(models)]
+		if !slices.Equal(r.detected, w.detected) || !slices.Equal(r.capture, w.capture) {
+			t.Fatalf("goroutine %d (%s): concurrent run differs from the serial run", g, models[g%len(models)])
+		}
 	}
 }

@@ -66,13 +66,6 @@ func widthSlot(width int) int {
 	panic(fmt.Sprintf("faultsim: unsupported simulation width %d", width))
 }
 
-// wideProgram compiles (once) the levelized program shared by every
-// wide engine of this plan.
-func (p *Plan) wideProgram() *widesim.Program {
-	p.wideOnce.Do(func() { p.wideProg = widesim.Compile(p.c) })
-	return p.wideProg
-}
-
 // AcquireWideEngine returns a pooled wide engine of the given width
 // (1, 4 or 8) bound to this plan.  The caller owns it until Release;
 // wide engines must not be shared between goroutines.
@@ -97,16 +90,17 @@ func (p *Plan) acquireWide(width int) boundWide {
 // block-level algorithm (good sim → critical-path trace → dominator-
 // bounded stem propagation → per-fault intersection) with every pattern
 // word widened to a B lane vector.  Propagation bookkeeping runs once
-// per chunk instead of once per block, amortizing over W×64 patterns,
-// and both the good simulation and the stem propagation run the
-// compiled levelized program.
+// per chunk instead of once per block, amortizing over W×64 patterns.
+// The good simulation runs the compiled levelized program into the
+// simulator's good bank, and each stem propagation runs the stem's
+// compiled two-bank region into its faulty bank.
 type wideEngine[B widesim.Block] struct {
 	plan *Plan
 	good widesim.Sim[B]
-	lsb  B // bit 0 of every lane: the launch-less transition slot
+	code *widesim.Regions // the circuit's compiled detection regions
+	lsb  B                // bit 0 of every lane: the launch-less transition slot
 
 	sens    []B      // per node: path sensitization to its FFR stem
-	ov      []B      // per node: faulty-value overlay, good outside the stem region being propagated
 	obs     []B      // per stem index: stem observability
 	need    []bool   // per stem index: required this chunk
 	pinbuf  []B      // per-pin sensitization scratch
@@ -135,9 +129,10 @@ func (e *wideEngine[B]) bind(p *Plan) {
 	c := p.c
 	w := e.Width()
 	e.plan = p
-	e.good.Reset(p.wideProgram())
+	prog, code := p.regs.wide()
+	e.good.Reset(prog)
+	e.code = code
 	e.sens = grow(e.sens, c.NumNodes())
-	e.ov = grow(e.ov, c.NumNodes())
 	e.obs = grow(e.obs, len(p.ffr.Stems))
 	e.need = grow(e.need, len(p.ffr.Stems))
 	e.pinbuf = grow(e.pinbuf, p.maxFanin)
@@ -162,7 +157,7 @@ func (e *wideEngine[B]) Width() int { return widesim.Lanes[B]() }
 
 // Release returns the engine to its width's pool, dropping its plan.
 func (e *wideEngine[B]) Release() {
-	e.plan = nil
+	e.plan, e.code = nil, nil
 	e.good.Reset(nil)
 	widePools[widthSlot(e.Width())].Put(e)
 }
@@ -173,16 +168,13 @@ func (e *wideEngine[B]) buffers() (words, det []uint64) {
 	return e.words, e.det
 }
 
-// simulateGood runs the good simulation of one chunk and resets the
-// overlay to the good values.
+// simulateGood runs the good simulation of one chunk.
 func (e *wideEngine[B]) simulateGood(inputWords []uint64) []B {
 	if err := e.good.SetInputs(inputWords); err != nil {
 		panic(err) // callers size the chunk from the plan's circuit
 	}
 	e.good.Run()
-	g := e.good.Values()
-	copy(e.ov, g)
-	return g
+	return e.good.Values()
 }
 
 // SimulateChunk mirrors Engine.SimulateBlock over W lanes.
@@ -301,12 +293,11 @@ func (e *wideEngine[B]) sensSweep(g []B) {
 }
 
 // propagateStem computes the same stem observability as
-// Engine.propagateStem, but branch-free: the stem is flipped in the
-// overlay and every node of its region is re-evaluated from its fanins'
-// overlay values with the compiled program.  Outside the region the
-// overlay holds the good values, so a gate none of whose fanins flipped
-// simply recomputes its good value, and the result is exact lane by
-// lane.  The region is restored to the good values afterwards.
+// Engine.propagateStem, but branch-free: the stem's compiled region
+// flips the stem and re-evaluates every node of the region into the
+// faulty bank, reading the good bank outside the region, so a gate none
+// of whose fanins flipped simply recomputes its good value and the
+// result is exact lane by lane.
 func (e *wideEngine[B]) propagateStem(g []B, si int, s circuit.NodeID) B {
 	ffr := e.plan.ffr
 	d := ffr.Idom[s]
@@ -314,30 +305,19 @@ func (e *wideEngine[B]) propagateStem(g []B, si int, s circuit.NodeID) B {
 	if d == circuit.InvalidNode {
 		return res
 	}
-	region := e.plan.regions[si]
-	ov := e.ov
-	ov[s] = widesim.Not(g[s])
-	e.good.EvalNodes(region, ov)
+	e.good.Propagate(e.code, si)
+	f := e.good.Faulty()
 	if d == circuit.DomSink {
-		// Outputs outside the region still hold their good values.
-		for _, o := range e.plan.c.Outputs {
-			res = widesim.Or(res, widesim.Xor(ov[o], g[o]))
+		// Outputs outside the region keep their good values.
+		outs := e.plan.c.Outputs
+		for _, oi := range e.code.Outputs(si) {
+			o := outs[oi]
+			res = widesim.Or(res, widesim.Xor(f[o], g[o]))
 		}
 	} else {
-		res = widesim.And(widesim.And(widesim.Xor(ov[d], g[d]), e.sens[d]), e.obs[ffr.StemIndex[d]])
+		res = widesim.And(widesim.And(widesim.Xor(f[d], g[d]), e.sens[d]), e.obs[ffr.StemIndex[d]])
 	}
-	e.restore(g, s, region)
 	return res
-}
-
-// restore resets the overlay of stem s and its region to the good
-// values.
-func (e *wideEngine[B]) restore(g []B, s circuit.NodeID, region []circuit.NodeID) {
-	ov := e.ov
-	ov[s] = g[s]
-	for _, id := range region {
-		ov[id] = g[id]
-	}
 }
 
 // pinSensAll mirrors Engine.pinSensAll.
@@ -471,15 +451,14 @@ func (e *wideEngine[B]) SimulateChunkOutputs(inputWords []uint64, det []uint64) 
 	}
 	e.sensSweep(g)
 
-	full := e.plan.ensureFullRegions()
-	ffr := e.plan.ffr
+	full := e.plan.regs.fullWide()
 	w := e.Width()
 	for si, grp := range e.plan.part.Groups {
 		if len(grp) == 0 {
 			continue
 		}
 		po := e.poDiff[si*nOut : (si+1)*nOut]
-		e.captureStem(g, ffr.Stems[si], full[si], po)
+		e.captureStem(g, full, si, po)
 		var acc B
 		for _, x := range po {
 			acc = widesim.Or(acc, x)
@@ -492,17 +471,18 @@ func (e *wideEngine[B]) SimulateChunkOutputs(inputWords []uint64, det []uint64) 
 	}
 }
 
-// captureStem propagates a flip of stem s through its full cone on the
-// overlay, as propagateStem does, and records every output's flip
-// vector in po.
-func (e *wideEngine[B]) captureStem(g []B, s circuit.NodeID, region []circuit.NodeID, po []B) {
-	ov := e.ov
-	ov[s] = widesim.Not(g[s])
-	e.good.EvalNodes(region, ov)
-	for i, o := range e.plan.c.Outputs {
-		po[i] = widesim.Xor(ov[o], g[o])
+// captureStem propagates a flip of stem si through its compiled full
+// cone, as propagateStem does, and records every output's flip vector
+// in po.
+func (e *wideEngine[B]) captureStem(g []B, full *widesim.Regions, si int, po []B) {
+	clear(po)
+	e.good.Propagate(full, si)
+	f := e.good.Faulty()
+	outs := e.plan.c.Outputs
+	for _, oi := range full.Outputs(si) {
+		o := outs[oi]
+		po[oi] = widesim.Xor(f[o], g[o])
 	}
-	e.restore(g, s, region)
 }
 
 // FaultOutputs mirrors Engine.FaultOutputs in lane-major layout.

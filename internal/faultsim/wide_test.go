@@ -243,78 +243,85 @@ func TestChunkWidthSchedule(t *testing.T) {
 // faulty output words must match the narrow capture lane for lane.
 func TestWideCaptureIdentity(t *testing.T) {
 	for _, c := range append(engineTestCircuits()[:6], tableCircuit()) {
-		faults := fault.Collapse(c)
-		plan := NewPlan(c, faults)
-		narrow := plan.AcquireEngine()
-		nOut := len(c.Outputs)
+		checkCaptureIdentity(t, c, fault.Collapse(c), 5)
+	}
+}
 
-		const nBlocks = 7 // ragged at width 4 and 8
-		type blockRef struct {
-			det     []uint64
-			goodOut []uint64
-			fOut    [][]uint64
-		}
-		refs := make([]blockRef, nBlocks)
-		gen := pattern.NewUniform(len(c.Inputs), 5)
-		words := make([]uint64, len(c.Inputs))
-		for b := 0; b < nBlocks; b++ {
-			gen.NextBlock(words)
-			r := blockRef{
-				det:     make([]uint64, len(faults)),
-				goodOut: make([]uint64, nOut),
-				fOut:    make([][]uint64, len(faults)),
-			}
-			narrow.SimulateBlockOutputs(words, r.det)
-			narrow.GoodOutputWords(r.goodOut)
-			for fi := range faults {
-				r.fOut[fi] = make([]uint64, nOut)
-				narrow.FaultOutputs(fi, r.fOut[fi])
-			}
-			refs[b] = r
-		}
-		narrow.Release()
+// checkCaptureIdentity runs 7 blocks (ragged at widths 4 and 8) through
+// the narrow capture and through the wide capture at every width, and
+// requires identical detection, good output and faulty output words.
+func checkCaptureIdentity(t *testing.T, c *circuit.Circuit, faults []fault.Fault, seed uint64) {
+	t.Helper()
+	plan := NewPlan(c, faults)
+	narrow := plan.AcquireEngine()
+	defer narrow.Release()
+	nOut := len(c.Outputs)
 
-		for _, w := range wideWidths {
-			e := plan.AcquireWideEngine(w)
-			gen := pattern.NewUniform(len(c.Inputs), 5)
-			in := make([]uint64, len(c.Inputs)*w)
-			det := make([]uint64, len(faults)*w)
-			goodOut := make([]uint64, nOut*w)
-			fOut := make([]uint64, nOut*w)
-			for base := 0; base < nBlocks; base += w {
-				k := min(w, nBlocks-base)
-				gen.NextBlocks(in, w, k)
-				e.SimulateChunkOutputs(in, det)
-				e.GoodOutputWords(goodOut)
-				for l := 0; l < k; l++ {
-					r := &refs[base+l]
-					for fi := range faults {
-						if det[fi*w+l] != r.det[fi] {
-							t.Fatalf("%s width %d block %d fault %v: capture det mismatch",
-								c.Name, w, base+l, faults[fi])
-						}
-					}
-					for i := 0; i < nOut; i++ {
-						if goodOut[i*w+l] != r.goodOut[i] {
-							t.Fatalf("%s width %d block %d: good output %d mismatch",
-								c.Name, w, base+l, i)
-						}
-					}
-				}
+	const nBlocks = 7 // ragged at width 4 and 8
+	type blockRef struct {
+		det     []uint64
+		goodOut []uint64
+		fOut    [][]uint64
+	}
+	refs := make([]blockRef, nBlocks)
+	gen := pattern.NewUniform(len(c.Inputs), seed)
+	words := make([]uint64, len(c.Inputs))
+	for b := 0; b < nBlocks; b++ {
+		gen.NextBlock(words)
+		r := blockRef{
+			det:     make([]uint64, len(faults)),
+			goodOut: make([]uint64, nOut),
+			fOut:    make([][]uint64, len(faults)),
+		}
+		narrow.SimulateBlockOutputs(words, r.det)
+		narrow.GoodOutputWords(r.goodOut)
+		for fi := range faults {
+			r.fOut[fi] = make([]uint64, nOut)
+			narrow.FaultOutputs(fi, r.fOut[fi])
+		}
+		refs[b] = r
+	}
+
+	for _, w := range wideWidths {
+		e := plan.AcquireWideEngine(w)
+		gen := pattern.NewUniform(len(c.Inputs), seed)
+		in := make([]uint64, len(c.Inputs)*w)
+		det := make([]uint64, len(faults)*w)
+		goodOut := make([]uint64, nOut*w)
+		fOut := make([]uint64, nOut*w)
+		for base := 0; base < nBlocks; base += w {
+			k := min(w, nBlocks-base)
+			gen.NextBlocks(in, w, k)
+			e.SimulateChunkOutputs(in, det)
+			e.GoodOutputWords(goodOut)
+			for l := 0; l < k; l++ {
+				r := &refs[base+l]
 				for fi := range faults {
-					e.FaultOutputs(fi, fOut)
-					for l := 0; l < k; l++ {
-						for i := 0; i < nOut; i++ {
-							if fOut[i*w+l] != refs[base+l].fOut[fi][i] {
-								t.Fatalf("%s width %d block %d fault %v: faulty output %d mismatch",
-									c.Name, w, base+l, faults[fi], i)
-							}
+					if det[fi*w+l] != r.det[fi] {
+						t.Fatalf("%s width %d block %d fault %v: capture det mismatch",
+							c.Name, w, base+l, faults[fi])
+					}
+				}
+				for i := 0; i < nOut; i++ {
+					if goodOut[i*w+l] != r.goodOut[i] {
+						t.Fatalf("%s width %d block %d: good output %d mismatch",
+							c.Name, w, base+l, i)
+					}
+				}
+			}
+			for fi := range faults {
+				e.FaultOutputs(fi, fOut)
+				for l := 0; l < k; l++ {
+					for i := 0; i < nOut; i++ {
+						if fOut[i*w+l] != refs[base+l].fOut[fi][i] {
+							t.Fatalf("%s width %d block %d fault %v: faulty output %d mismatch",
+								c.Name, w, base+l, faults[fi], i)
 						}
 					}
 				}
 			}
-			e.Release()
 		}
+		e.Release()
 	}
 }
 

@@ -1,0 +1,133 @@
+package testlen
+
+import (
+	"fmt"
+	"math"
+	"math/rand/v2"
+	"sort"
+	"testing"
+
+	"protest/internal/circuits"
+	"protest/internal/core"
+	"protest/internal/fault"
+)
+
+// requiredOracle is Required before it skipped underflowing terms: it
+// sums log(1-(1-p)^N) over every fault at each search step.
+func requiredOracle(probs []float64, e float64) (int64, error) {
+	if e <= 0 || e >= 1 {
+		return 0, fmt.Errorf("testlen: confidence %v out of (0,1)", e)
+	}
+	for _, p := range probs {
+		if p <= 0 {
+			return 0, fmt.Errorf("testlen: a fault has detection probability 0; no test length reaches confidence %v", e)
+		}
+	}
+	logE := math.Log(e)
+	logq := make([]float64, 0, len(probs))
+	for _, p := range probs {
+		if p < 1 {
+			logq = append(logq, math.Log1p(-p))
+		}
+	}
+	logSet := func(n int64) float64 {
+		sum := 0.0
+		for _, lq := range logq {
+			sum += log1mexp(float64(n) * lq)
+			if math.IsInf(sum, -1) {
+				return sum
+			}
+		}
+		return sum
+	}
+	lo, hi := int64(0), int64(1)
+	for logSet(hi) < logE {
+		if hi >= MaxN/2 {
+			return 0, fmt.Errorf("testlen: required pattern count exceeds %d", MaxN)
+		}
+		lo = hi
+		hi *= 2
+	}
+	for lo+1 < hi {
+		mid := lo + (hi-lo)/2
+		if logSet(mid) >= logE {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return hi, nil
+}
+
+// selectTopOracle is SelectTop as it sorted before slices.SortFunc.
+func selectTopOracle(probs []float64, d float64) []float64 {
+	if d <= 0 || d > 1 {
+		d = 1
+	}
+	cp := append([]float64(nil), probs...)
+	sort.Sort(sort.Reverse(sort.Float64Slice(cp)))
+	k := min(max(int(math.Round(d*float64(len(cp)))), 1), len(cp))
+	return cp[:k]
+}
+
+// checkAgainstOracle requires RequiredFraction, and Required on the
+// unsorted set, to return the oracle's N and error.
+func checkAgainstOracle(t *testing.T, name string, probs []float64) {
+	t.Helper()
+	for _, d := range []float64{0.5, 0.9, 1} {
+		for _, e := range []float64{0.5, 0.9, 0.95, 0.99, 0.999} {
+			wantN, wantErr := requiredOracle(selectTopOracle(probs, d), e)
+			gotN, gotErr := RequiredFraction(probs, d, e)
+			if gotN != wantN || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+				t.Fatalf("%s d=%v e=%v: RequiredFraction = %d, %v; oracle %d, %v", name, d, e, gotN, gotErr, wantN, wantErr)
+			}
+		}
+	}
+	for _, e := range []float64{0.5, 0.99} {
+		wantN, wantErr := requiredOracle(probs, e)
+		gotN, gotErr := Required(probs, e)
+		if gotN != wantN || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Fatalf("%s unsorted e=%v: Required = %d, %v; oracle %d, %v", name, e, gotN, gotErr, wantN, wantErr)
+		}
+	}
+}
+
+// TestRequiredMatchesOracle pins Required, which skips the terms that
+// underflow to -0, to the full summation: the same N and the same error
+// on every registry circuit's detection probabilities under each fault
+// model, and on seeded random probability sets that mix certain,
+// near-certain, tiny and (in some sets) zero probabilities.
+func TestRequiredMatchesOracle(t *testing.T) {
+	for _, name := range circuits.Names() {
+		c, _ := circuits.Lookup(name)
+		res, err := core.Analyze(c, core.UniformProbs(c), core.DefaultParams())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, m := range fault.Models() {
+			if faults := m.Faults(c); len(faults) > 0 {
+				checkAgainstOracle(t, name+"/"+string(m), res.DetectProbs(faults))
+			}
+		}
+	}
+	rng := rand.New(rand.NewPCG(14, 1))
+	for set := 0; set < 40; set++ {
+		probs := make([]float64, 1+rng.IntN(500))
+		for i := range probs {
+			switch r := rng.Float64(); {
+			case r < 0.05:
+				probs[i] = 1
+			case r < 0.25:
+				probs[i] = 1 - math.Pow(10, -1-15*rng.Float64())
+			case r < 0.45:
+				probs[i] = math.Pow(10, -12*rng.Float64())
+			default:
+				probs[i] = rng.Float64()
+			}
+		}
+		if set%8 == 7 {
+			probs[rng.IntN(len(probs))] = 0
+		}
+		checkAgainstOracle(t, fmt.Sprintf("random set %d", set), probs)
+	}
+}

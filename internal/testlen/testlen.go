@@ -14,10 +14,16 @@
 package testlen
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
+
+// expUnderflow is math.Exp's underflow bound: Exp(x) is exactly 0 for
+// every x below it.
+const expUnderflow = -7.45133219101941108420e+02
 
 // MaxN caps the search; requests beyond this are reported as
 // unreachable (the paper's COMP needs ~5·10^8 patterns, well inside).
@@ -112,9 +118,22 @@ func Required(probs []float64, e float64) (int64, error) {
 			logq = append(logq, math.Log1p(-p))
 		}
 	}
+	// A term whose n·log(1-p) lies below expUnderflow adds exactly -0
+	// to the sum ((1-p)^n underflows to 0, and log1p(-0) = -0), so each
+	// step skips the prefix of such terms: the terms up to the last
+	// position where the running maximum of log(1-p) still underflows.
+	// For probabilities in descending order, as SelectTop returns them,
+	// log(1-p) ascends and the prefix holds every such term.
+	runMax := make([]float64, len(logq))
+	top := math.Inf(-1)
+	for i, lq := range logq {
+		top = max(top, lq)
+		runMax[i] = top
+	}
 	logSet := func(n int64) float64 {
+		k := sort.Search(len(runMax), func(i int) bool { return float64(n)*runMax[i] >= expUnderflow })
 		sum := 0.0
-		for _, lq := range logq {
+		for _, lq := range logq[k:] {
 			// log(1 - (1-p)^n) with (1-p)^n = exp(n·log(1-p)).
 			sum += log1mexp(float64(n) * lq)
 			if math.IsInf(sum, -1) {
@@ -152,7 +171,7 @@ func SelectTop(probs []float64, d float64) []float64 {
 		d = 1
 	}
 	cp := append([]float64(nil), probs...)
-	sort.Sort(sort.Reverse(sort.Float64Slice(cp)))
+	slices.SortFunc(cp, func(a, b float64) int { return cmp.Compare(b, a) })
 	k := int(math.Round(d * float64(len(cp))))
 	if k < 1 {
 		k = 1

@@ -12,11 +12,14 @@ import (
 // arrays (lanes of one node contiguous), evaluated by a single switch-
 // dispatched loop over the instruction stream.
 //
+// Its value array holds the two banks: the good values, written by Run,
+// and the faulty values of one stem flip, written by Propagate.
+//
 // A Sim holds only per-call scratch; the Program is immutable and
 // shared.  Sim is not safe for concurrent use — pool instances instead.
 type Sim[B Block] struct {
 	p      *Program
-	values []B
+	values []B      // good bank, then faulty bank
 	inbuf  []uint64 // per-lane pin scratch for table gates
 }
 
@@ -35,7 +38,7 @@ func (s *Sim[B]) Reset(p *Program) {
 	if p == nil {
 		return
 	}
-	n := p.c.NumNodes()
+	n := 2 * p.c.NumNodes()
 	s.values = slices.Grow(s.values[:0], n)[:n]
 	s.inbuf = slices.Grow(s.inbuf[:0], p.maxArity)[:p.maxArity]
 }
@@ -66,102 +69,117 @@ func (s *Sim[B]) SetInputs(words []uint64) error {
 	return nil
 }
 
-// Run evaluates every gate in level order.
+// Run evaluates every gate in level order into the good bank.
 func (s *Sim[B]) Run() {
-	s.EvalNodes(s.p.order, s.values)
+	s.exec(s.p.code, &s.p.stream)
 }
 
-// EvalNodes evaluates the gates nodes, in the order given, over values
-// instead of the simulator's own array: each gate reads its fanins from
-// values and overwrites its own entry there.  The order must be
-// topological for the nodes' mutual dependencies (ascending node IDs
-// are); every other fanin is read as it stands.  Run is EvalNodes over
-// all gates, so a subset evaluates bit-identically to a full run.
-func (s *Sim[B]) EvalNodes(nodes []circuit.NodeID, values []B) {
-	instrs, at := s.p.instrs, s.p.at
-	for _, id := range nodes {
-		ins := &instrs[at[id]]
-		var v B
-		switch ins.op {
+// Propagate runs stream i of r, which must have been compiled against
+// the simulator's program: it flips stem i over the good values of the
+// last Run and writes the faulty values of the stem and its region into
+// the faulty bank.  Faulty slots outside the region keep stale values;
+// r.Outputs(i) names the outputs the stream writes.
+func (s *Sim[B]) Propagate(r *Regions, i int) {
+	s.exec(r.code[r.off[i]:r.off[i+1]], &r.stream)
+}
+
+// exec is the one evaluation kernel of every width: it runs code, whose
+// n-ary and table gates refer to st, over the value array, writing each
+// result in place.
+func (s *Sim[B]) exec(code []instr, st *stream) {
+	v := s.values
+	for i := range code {
+		ins := &code[i]
+		d := &v[ins.out()]
+		switch ins.op() {
 		case opBuf:
-			v = values[ins.a]
+			*d = v[ins.a]
 		case opNot:
-			v = Not(values[ins.a])
+			not(d, &v[ins.a])
 		case opAnd2:
-			v = And(values[ins.a], values[ins.b])
+			and(d, &v[ins.a], &v[ins.b])
 		case opNand2:
-			v = Not(And(values[ins.a], values[ins.b]))
+			nand(d, &v[ins.a], &v[ins.b])
 		case opOr2:
-			v = Or(values[ins.a], values[ins.b])
+			or(d, &v[ins.a], &v[ins.b])
 		case opNor2:
-			v = Not(Or(values[ins.a], values[ins.b]))
+			nor(d, &v[ins.a], &v[ins.b])
 		case opXor2:
-			v = Xor(values[ins.a], values[ins.b])
+			xor(d, &v[ins.a], &v[ins.b])
 		case opXnor2:
-			v = Not(Xor(values[ins.a], values[ins.b]))
+			xnor(d, &v[ins.a], &v[ins.b])
 		case opConst0:
-			// v stays zero.
+			var z B
+			*d = z
 		case opConst1:
-			v = Not(v)
+			*d = Ones[B]()
 		default:
-			v = s.evalSlow(ins, values)
+			s.evalSlow(ins, st, d)
 		}
-		values[id] = v
 	}
 }
 
-// evalSlow handles n-ary and table gates, kept out of EvalNodes so the
-// hot loop stays small enough to stay in the instruction cache.
-func (s *Sim[B]) evalSlow(ins *instr, values []B) B {
-	pins := s.p.args[ins.a : ins.a+ins.b]
-	switch ins.op {
+// evalSlow handles n-ary and table gates, kept out of exec so the hot
+// loop stays small enough to stay in the instruction cache.
+func (s *Sim[B]) evalSlow(ins *instr, st *stream, d *B) {
+	v := s.values
+	pins := st.args[ins.a : ins.a+ins.b]
+	op := ins.op()
+	switch op {
 	case opAndN, opNandN:
-		v := values[pins[0]]
+		*d = v[pins[0]]
 		for _, f := range pins[1:] {
-			v = And(v, values[f])
+			and(d, d, &v[f])
 		}
-		if ins.op == opNandN {
-			v = Not(v)
+		if op == opNandN {
+			not(d, d)
 		}
-		return v
+		return
 	case opOrN, opNorN:
-		v := values[pins[0]]
+		*d = v[pins[0]]
 		for _, f := range pins[1:] {
-			v = Or(v, values[f])
+			or(d, d, &v[f])
 		}
-		if ins.op == opNorN {
-			v = Not(v)
+		if op == opNorN {
+			not(d, d)
 		}
-		return v
+		return
 	case opXorN, opXnorN:
-		v := values[pins[0]]
+		*d = v[pins[0]]
 		for _, f := range pins[1:] {
-			v = Xor(v, values[f])
+			xor(d, d, &v[f])
 		}
-		if ins.op == opXnorN {
-			v = Not(v)
+		if op == opXnorN {
+			not(d, d)
 		}
-		return v
+		return
 	case opTable:
-		tbl := s.p.tables[ins.tbl]
-		var v B
-		for l := 0; l < len(v); l++ {
+		tbl := st.tables[st.args[ins.a]]
+		pins = st.args[ins.a+1 : ins.a+1+ins.b]
+		for l := 0; l < len(*d); l++ {
 			for i, f := range pins {
-				s.inbuf[i] = values[f][l]
+				s.inbuf[i] = v[f][l]
 			}
-			v[l] = tbl.EvalWord(s.inbuf[:len(pins)])
+			(*d)[l] = tbl.EvalWord(s.inbuf[:len(pins)])
 		}
-		return v
+		return
 	}
-	panic(fmt.Sprintf("widesim: bad opcode %d", ins.op))
+	panic(fmt.Sprintf("widesim: bad opcode %d", op))
 }
 
 // Value returns the simulated lane vector of a node.
 func (s *Sim[B]) Value(id circuit.NodeID) B { return s.values[id] }
 
-// Values returns the raw value array (one lane vector per node).  It is
+// Values returns the good bank (one lane vector per node).  It is
 // invalidated by the next Run.
-func (s *Sim[B]) Values() []B { return s.values }
+func (s *Sim[B]) Values() []B {
+	n := s.p.c.NumNodes()
+	return s.values[:n:n]
+}
+
+// Faulty returns the faulty bank (one lane vector per node), valid
+// where the last Propagate wrote it.
+func (s *Sim[B]) Faulty() []B { return s.values[s.p.c.NumNodes():] }
 
 // OutputLanes copies the output vectors into dst in lane-major layout:
 // dst[i*W+l] is lane l of output i.  dst must have numOutputs×W words.

@@ -9,11 +9,18 @@
 //     arity-specialized opcode, instead of a walk over circuit.Node
 //     structs.  The evaluation loop touches only this stream and the
 //     value array, so the per-gate dispatch cost is a predictable
-//     switch on a byte, not pointer chasing.
+//     switch on a small opcode, not pointer chasing.
 //   - Values are stored structure-of-arrays: one [W]uint64 lane vector
 //     per node, lanes contiguous, so each gate kernel is a fused
 //     constant-length loop over W machine words and the per-gate
 //     dispatch and index arithmetic amortize over W×64 patterns.
+//
+// The value array has two banks: the good values, and the faulty values
+// of one stem flip.  Program.CompileRegions compiles a stem's region
+// into a stream that writes only the faulty bank and whose operands
+// were bound at compile time to the bank they must read, so fault
+// propagation (Sim.Propagate) runs the same evaluation loop as the good
+// simulation (Sim.Run) and never restores anything.
 //
 // The lane vector types B1/B4/B8 are plain uint64 arrays, and the lane
 // kernels (And, Or, ..., Store) are generic functions over the Block
@@ -21,7 +28,9 @@
 // array length (each is its own gcshape), where the lane count is a
 // constant and every kernel inlines.  Methods called on a type
 // parameter would instead go through the instantiation's dictionary as
-// indirect calls, one per lane-vector operation.
+// indirect calls, one per lane-vector operation.  The evaluation loop
+// uses pointer forms of the kernels that write each gate's result in
+// place.
 //
 // Lane l of every vector is pattern block l: bit b of lane l is
 // pattern l*64+b of the chunk.  A chunk of W blocks therefore carries
@@ -163,6 +172,52 @@ func Store[B Block](x B, dst []uint64) {
 	_ = dst[len(x)-1]
 	for i := 0; i < len(x); i++ {
 		dst[i] = x[i]
+	}
+}
+
+// and, or, xor, nand, nor, xnor and not are the pointer forms of the
+// lane kernels that the evaluation loop runs: each writes its result in
+// place into *d, which may alias an operand, instead of returning it
+// through a 64-byte temporary.
+func and[B Block](d, x, y *B) {
+	for i := 0; i < len(*d); i++ {
+		(*d)[i] = (*x)[i] & (*y)[i]
+	}
+}
+
+func or[B Block](d, x, y *B) {
+	for i := 0; i < len(*d); i++ {
+		(*d)[i] = (*x)[i] | (*y)[i]
+	}
+}
+
+func xor[B Block](d, x, y *B) {
+	for i := 0; i < len(*d); i++ {
+		(*d)[i] = (*x)[i] ^ (*y)[i]
+	}
+}
+
+func nand[B Block](d, x, y *B) {
+	for i := 0; i < len(*d); i++ {
+		(*d)[i] = ^((*x)[i] & (*y)[i])
+	}
+}
+
+func nor[B Block](d, x, y *B) {
+	for i := 0; i < len(*d); i++ {
+		(*d)[i] = ^((*x)[i] | (*y)[i])
+	}
+}
+
+func xnor[B Block](d, x, y *B) {
+	for i := 0; i < len(*d); i++ {
+		(*d)[i] = ^((*x)[i] ^ (*y)[i])
+	}
+}
+
+func not[B Block](d, x *B) {
+	for i := 0; i < len(*d); i++ {
+		(*d)[i] = ^(*x)[i]
 	}
 }
 

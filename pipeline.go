@@ -352,7 +352,6 @@ func (s *Session) planReport(ctx context.Context, spec PipelineSpec, probs []flo
 	plan.HardestFault = faults[hardest].Name(s.c)
 	plan.HardestProb = detect[hardest]
 
-	cfg.emit(PhaseTestLength, 1)
 	n, err := testlen.RequiredFraction(detect, spec.Fraction, spec.Confidence)
 	if err != nil {
 		plan.TestLength = -1
@@ -371,6 +370,7 @@ func (s *Session) planReport(ctx context.Context, spec PipelineSpec, probs []flo
 		}
 	}
 	plan.ExpectedCoverage = testlen.ExpectedCoverage(detect, int64(budget))
+	cfg.emit(PhaseTestLength, 1)
 
 	sim, err := s.simulate(ctx, probs, budget, cfg)
 	if err != nil {
