@@ -38,7 +38,10 @@ var (
 	ErrNodeBudget = bdd.ErrNodeBudget
 
 	// ErrBadSpec flags a ValidateSpec whose explicitly-set values are
-	// out of range (re-exported from the internal validate package).
+	// out of range, and a transition-model run of either spec whose
+	// effective pattern budget is below the 2 patterns of one
+	// launch/capture pair (re-exported from the internal validate
+	// package).
 	ErrBadSpec = validate.ErrBadSpec
 )
 

@@ -7,49 +7,18 @@ import (
 	"protest/internal/pattern"
 )
 
-// This file is the one measurement driver of the FFR engines: detection
+// This file is the one measurement driver of the FFR engine: detection
 // counts, coverage curves and shard bodies all run their blocks through
 // Plan.RunBlocks, whatever the width and worker count.
 
-// chunkEngine is what the driver runs: an FFR engine simulating W
-// consecutive 64-pattern blocks per call in the lane-major layout, with
-// its own input and detection word buffers.  The narrow Engine is the
-// W=1 instance, the wide engines the W=4 and W=8 ones.
-type chunkEngine interface {
-	Width() int
-	SimulateChunk(inputWords, det []uint64, liveGroups []bool)
-	buffers() (words, det []uint64)
-	Release()
-}
-
-// narrowChunks runs the narrow Engine as the driver's one-lane engine:
-// at W=1 the lane-major layout is the narrow one.  Narrow engines are
-// pooled per plan, so their word buffers live only as long as one run
-// instead of as long as the plan.
-type narrowChunks struct {
-	*Engine
-	words, det []uint64
-}
-
-func (narrowChunks) Width() int { return 1 }
-
-func (n narrowChunks) SimulateChunk(inputWords, det []uint64, liveGroups []bool) {
-	n.SimulateBlock(inputWords, det, liveGroups)
-}
-
-func (n narrowChunks) buffers() (words, det []uint64) { return n.words, n.det }
-
 // chunkWidth returns the lane count of the next chunk when left blocks
 // remain.  An explicit width is used as is, padding a short final
-// chunk.  Width 0 picks the schedule: 8-block chunks on the wide engine
-// while at least 8 blocks remain, then the ragged tail block by block
-// on the narrow Engine, so no lane is ever simulated empty.  The tail
-// runs on the narrow Engine, as explicit width 1 does, although the
-// wide engine at W=1 is the faster of the two on every circuit measured
-// (c432, c880, c499, c1355, mult): moving both onto it is the change
-// that retires the narrow Engine.  There is no W=4 step for tails of 4
-// to 7 blocks: each width in use holds its own pooled engines, and a
-// server's peak memory grew with the third.
+// chunk.  Width 0 picks the schedule: 8-block chunks while at least 8
+// blocks remain, then the ragged tail block by block at W=1, so no lane
+// is ever simulated empty.  Every chunk runs on the wide engine of its
+// width.  There is no W=4 step for tails of 4 to 7 blocks: each width
+// in use holds its own pooled engines, and a server's peak memory grew
+// with the third.
 func chunkWidth(width, left int) int {
 	switch {
 	case width != 0:
@@ -60,21 +29,16 @@ func chunkWidth(width, left int) int {
 	return 1
 }
 
-// engineSet holds one chunk engine per width, acquired on first use.
+// engineSet holds one wide engine per width, acquired on first use.
 type engineSet struct {
 	plan    *Plan
-	byWidth [3]chunkEngine // index widthSlot
+	byWidth [3]boundWide // index widthSlot
 }
 
-func (s *engineSet) get(width int) chunkEngine {
+func (s *engineSet) get(width int) boundWide {
 	i := widthSlot(width)
 	if s.byWidth[i] == nil {
-		if width == 1 {
-			p := s.plan
-			s.byWidth[i] = narrowChunks{p.AcquireEngine(), make([]uint64, len(p.c.Inputs)), make([]uint64, len(p.faults))}
-		} else {
-			s.byWidth[i] = s.plan.acquireWide(width)
-		}
+		s.byWidth[i] = s.plan.acquireWide(width)
 	}
 	return s.byWidth[i]
 }
@@ -91,7 +55,7 @@ func (s *engineSet) release() {
 // hold its input and detection words, and the k <= Width blocks it
 // carries.
 type chunk struct {
-	e chunkEngine
+	e boundWide
 	k int
 }
 
@@ -145,7 +109,7 @@ func (p *Plan) RunBlocks(ctx context.Context, gen *pattern.Generator, n, width, 
 		} else {
 			for _, ch := range wave[:m] {
 				wg.Add(1)
-				go func(e chunkEngine) {
+				go func(e boundWide) {
 					defer wg.Done()
 					words, det := e.buffers()
 					e.SimulateChunk(words, det, liveGroups)

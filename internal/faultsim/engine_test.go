@@ -2,6 +2,8 @@ package faultsim
 
 import (
 	"context"
+	"fmt"
+	"slices"
 	"testing"
 
 	"protest/internal/circuit"
@@ -265,30 +267,57 @@ func popcount(x uint64) int {
 	return n
 }
 
-// TestEngineLiveGroups checks that skipping dropped FFR groups leaves
-// the live groups' words untouched and exactly equal to a full block.
+// TestEngineLiveGroups checks the fault-dropping contract of the FFR
+// engines: with every other FFR group dropped, the live groups' words
+// equal a full block's (or, on the wide engine at W = 1, 4 and 8, a
+// full chunk's lane for lane), and the dropped groups' words still hold
+// what the caller left in them.  Each engine first runs a full chunk of
+// other patterns, so scratch a partial chunk failed to recompute would
+// hold wrong values.
 func TestEngineLiveGroups(t *testing.T) {
-	c := circuits.Mult8()
-	faults := fault.Collapse(c)
-	plan := NewPlan(c, faults)
-	e := NewEngine(plan)
-	gen := pattern.NewUniform(len(c.Inputs), 21)
-	words := make([]uint64, len(c.Inputs))
-	gen.NextBlock(words)
-	full := make([]uint64, len(faults))
-	e.SimulateBlock(words, full, nil)
-	live := make([]bool, plan.NumGroups())
-	for si := 0; si < plan.NumGroups(); si += 2 {
-		live[si] = true
-	}
-	partial := make([]uint64, len(faults))
-	e.SimulateBlock(words, partial, live)
-	for i := range faults {
-		if !live[plan.GroupOf(i)] {
-			continue
-		}
-		if partial[i] != full[i] {
-			t.Fatalf("fault %v: live-group word %016x != full %016x", faults[i], partial[i], full[i])
+	const sentinel = 0xdeadbeefcafef00d
+	c1355, _ := circuits.Lookup("c1355")
+	for _, c := range []*circuit.Circuit{circuits.Mult8(), c1355} {
+		for _, m := range fault.Models() {
+			faults := m.Faults(c)
+			plan := NewPlan(c, faults)
+			live := make([]bool, plan.NumGroups())
+			for si := 0; si < len(live); si += 2 {
+				live[si] = true
+			}
+			check := func(engine string, w int, run func(in, det []uint64, live []bool)) {
+				t.Helper()
+				other := make([]uint64, len(c.Inputs)*w)
+				pattern.NewUniform(len(c.Inputs), 99).NextBlocks(other, w, w)
+				in := make([]uint64, len(c.Inputs)*w)
+				pattern.NewUniform(len(c.Inputs), 21).NextBlocks(in, w, w)
+				full := make([]uint64, len(faults)*w)
+				run(other, full, nil)
+				partial := make([]uint64, len(faults)*w)
+				for i := range partial {
+					partial[i] = sentinel
+				}
+				run(in, partial, live)
+				run(in, full, nil)
+				for fi := range faults {
+					want := full[fi*w : (fi+1)*w]
+					if !live[plan.GroupOf(fi)] {
+						want = slices.Repeat([]uint64{sentinel}, w)
+					}
+					if got := partial[fi*w : (fi+1)*w]; !slices.Equal(got, want) {
+						t.Fatalf("%s %s %s fault %v (group live %v): words %016x, want %016x",
+							c.Name, m, engine, faults[fi], live[plan.GroupOf(fi)], got, want)
+					}
+				}
+			}
+			e := plan.AcquireEngine()
+			check("narrow", 1, e.SimulateBlock)
+			e.Release()
+			for _, w := range wideWidths {
+				e := plan.AcquireWideEngine(w)
+				check(fmt.Sprintf("wide W=%d", w), w, e.SimulateChunk)
+				e.Release()
+			}
 		}
 	}
 }

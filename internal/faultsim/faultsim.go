@@ -7,10 +7,12 @@
 //     partitioned by fanout-free region, each block runs one good
 //     simulation, one backward critical-path trace per live region and
 //     one dominator-bounded stem propagation per live stem, collapsing
-//     per-fault work to a few word operations.  It comes in a narrow
-//     form (Engine, one 64-pattern block per call) and a wide form
-//     (WideEngine, W blocks per call), both run by one driver,
-//     Plan.RunBlocks, on the width schedule of Options.Width;
+//     per-fault work to one fused lane loop per fault.  Measurements
+//     run the wide form (WideEngine, W blocks per call, W = 1, 4 or 8)
+//     through one driver, Plan.RunBlocks, on the width schedule of
+//     Options.Width.  The narrow form (Engine, one 64-pattern block
+//     per call) remains for BIST capture at width 1 and as a test
+//     reference;
 //   - the naive engine (Simulator), kept as the independent oracle:
 //     every fault is re-simulated individually inside its output cone.
 //
@@ -88,13 +90,12 @@ type Options struct {
 	// count.
 	Workers int
 	// Width is the simulation width in 64-pattern lanes.  0, the
-	// default, lets the driver pick per chunk: the W=8 wide engine
-	// while at least 8 blocks remain and the narrow engine for the
-	// ragged tail of up to 7 blocks (see chunkWidth).  1, 4 or 8 forces
-	// that width for every chunk: 1 is the narrow engine, 4 and 8 the
-	// wide one, padding a short final chunk.  Results are bit-identical
-	// at every width.  The naive oracle engine has no wide path and
-	// ignores Width.
+	// default, lets the driver pick per chunk: W=8 while at least 8
+	// blocks remain and W=1 for the ragged tail of up to 7 blocks (see
+	// chunkWidth).  1, 4 or 8 forces that width for every chunk,
+	// padding a short final chunk.  Every width runs on the wide
+	// engine, and results are bit-identical at every width.  The naive
+	// oracle engine has no wide path and ignores Width.
 	Width int
 }
 

@@ -29,7 +29,8 @@ type Plan struct {
 	maxFanin int // largest gate fanin (at least 1): engine scratch size
 
 	// regs holds the circuit's stem regions, shared by every plan of
-	// the circuit; regions is regs.det, read by the narrow engine.
+	// the circuit; regions is regs.det, read by the narrow engine, and
+	// regs.pinOff lays out the wide engines' line tables.
 	regs    *stemRegions
 	regions [][]circuit.NodeID
 
@@ -42,6 +43,7 @@ type faultInfo struct {
 	gate  circuit.NodeID // gate owning the faulty pin (== site for stems)
 	aggr  circuit.NodeID // bridge aggressor node (kind.IsBridge() only)
 	pin   int32          // fault.StemPin for stem faults
+	line  int32          // wide line-table slot: site, or the faulty gate pin
 	group int32          // FFR index (position in ffr.Stems)
 	kind  fault.Kind     // activation condition selector
 	stuck uint64         // faulty capture value replicated across the word
@@ -70,6 +72,8 @@ func NewPlan(c *circuit.Circuit, faults []fault.Fault) *Plan {
 	for i, out := range c.Outputs {
 		p.outIdx[out] = int32(i)
 	}
+	p.regs = circuitRegions(c)
+	p.regions = p.regs.det
 	for i, f := range faults {
 		in := faultInfo{
 			site:  f.Site(c),
@@ -77,6 +81,10 @@ func NewPlan(c *circuit.Circuit, faults []fault.Fault) *Plan {
 			pin:   int32(f.Pin),
 			group: p.part.GroupOf[i],
 			kind:  f.Kind,
+		}
+		in.line = int32(in.site)
+		if !f.IsStem() {
+			in.line = p.regs.pinOff[f.Gate] + int32(f.Pin)
 		}
 		if f.StuckAt {
 			in.stuck = ^uint64(0)
@@ -86,9 +94,6 @@ func NewPlan(c *circuit.Circuit, faults []fault.Fault) *Plan {
 		}
 		p.info[i] = in
 	}
-
-	p.regs = circuitRegions(c)
-	p.regions = p.regs.det
 	p.pool.New = func() any { return NewEngine(p) }
 	return p
 }

@@ -13,10 +13,17 @@ import (
 // their compiled two-bank form (widesim.Regions).  Regions depend only
 // on the circuit, not on the fault list, so the plans of every fault
 // model over one circuit share one instance, attached to the circuit
-// itself.  The detection node lists are built with it; the compiled
-// forms on first wide use, the full cones on first capture.
+// itself.  The detection node lists and the line-table layout are
+// built with it; the compiled forms on first wide use, the full cones
+// on first capture.
 type stemRegions struct {
 	c *circuit.Circuit
+
+	// The wide engines keep one lane vector per line: slots 0 to
+	// NumNodes-1 are the nodes, and pin p of node id is slot
+	// pinOff[id]+p.  numLines counts every slot.
+	pinOff   []int32
+	numLines int
 
 	// det[si] lists the nodes a flip at Stems[si] must be propagated
 	// through for *detection*: the nodes strictly between the stem and
@@ -50,7 +57,16 @@ func circuitRegions(c *circuit.Circuit) *stemRegions {
 
 func newStemRegions(c *circuit.Circuit) *stemRegions {
 	ffr := c.FFR()
-	r := &stemRegions{c: c, det: make([][]circuit.NodeID, len(ffr.Stems))}
+	r := &stemRegions{
+		c:      c,
+		det:    make([][]circuit.NodeID, len(ffr.Stems)),
+		pinOff: make([]int32, c.NumNodes()),
+	}
+	r.numLines = c.NumNodes()
+	for id := range c.Nodes {
+		r.pinOff[id] = int32(r.numLines)
+		r.numLines += len(c.Nodes[id].Fanin)
+	}
 	marked := make([]bool, c.NumNodes())
 	var buf []circuit.NodeID
 	for si, s := range ffr.Stems {

@@ -48,9 +48,9 @@ type WideEngine interface {
 // keeps about one engine per width and concurrent caller, not one per
 // plan.
 var widePools = [3]sync.Pool{
-	{New: func() any { return newWideEngine[widesim.B1]() }},
-	{New: func() any { return newWideEngine[widesim.B4]() }},
-	{New: func() any { return newWideEngine[widesim.B8]() }},
+	{New: func() any { return new(wideEngine[widesim.B1]) }},
+	{New: func() any { return new(wideEngine[widesim.B4]) }},
+	{New: func() any { return new(wideEngine[widesim.B8]) }},
 }
 
 // widthSlot maps a supported width to its pool index.
@@ -94,16 +94,20 @@ func (p *Plan) acquireWide(width int) boundWide {
 // The good simulation runs the compiled levelized program into the
 // simulator's good bank, and each stem propagation runs the stem's
 // compiled two-bank region into its faulty bank.
+//
+// The critical-path trace fills a line table: for every node and every
+// gate pin of a needed region, the vector of patterns on which a flip
+// of that line reaches the region's stem.  Each fault reads its one
+// line (resolved at plan time), so the per-fault pass is a single
+// fused lane loop: activation & line & stem observability.
 type wideEngine[B widesim.Block] struct {
 	plan *Plan
 	good widesim.Sim[B]
 	code *widesim.Regions // the circuit's compiled detection regions
-	lsb  B                // bit 0 of every lane: the launch-less transition slot
 
-	sens    []B      // per node: path sensitization to its FFR stem
+	line    []B      // per line slot (stemRegions.pinOff): sensitization to its FFR stem
 	obs     []B      // per stem index: stem observability
 	need    []bool   // per stem index: required this chunk
-	pinbuf  []B      // per-pin sensitization scratch
 	prebuf  []B      // prefix scratch for n-ary pin sensitization
 	lanebuf []uint64 // per-lane gather scratch for table gates
 	evalbuf []B      // gate-input gather scratch
@@ -113,13 +117,9 @@ type wideEngine[B widesim.Block] struct {
 	words, det []uint64
 
 	// Capture (BIST) state, sized on each SimulateChunkOutputs.
-	local   []B // per fault: detect-at-stem vector of the last capture chunk
-	poDiff  []B // per stem index × output: flip vectors (stem-major)
-	goodOut []B // good output vectors of the last capture chunk
-}
-
-func newWideEngine[B widesim.Block]() *wideEngine[B] {
-	return &wideEngine[B]{lsb: widesim.Lsb[B]()}
+	local   []uint64 // numFaults×W detect-at-stem words of the last capture chunk
+	poDiff  []B      // per stem index × output: flip vectors (stem-major)
+	goodOut []B      // good output vectors of the last capture chunk
 }
 
 // bind sizes the engine's scratch for plan p, reusing its capacity.
@@ -132,10 +132,9 @@ func (e *wideEngine[B]) bind(p *Plan) {
 	prog, code := p.regs.wide()
 	e.good.Reset(prog)
 	e.code = code
-	e.sens = grow(e.sens, c.NumNodes())
+	e.line = grow(e.line, p.regs.numLines)
 	e.obs = grow(e.obs, len(p.ffr.Stems))
 	e.need = grow(e.need, len(p.ffr.Stems))
-	e.pinbuf = grow(e.pinbuf, p.maxFanin)
 	e.prebuf = grow(e.prebuf, p.maxFanin)
 	e.lanebuf = grow(e.lanebuf, p.maxFanin)
 	e.evalbuf = grow(e.evalbuf, p.maxFanin)
@@ -183,67 +182,57 @@ func (e *wideEngine[B]) SimulateChunk(inputWords []uint64, det []uint64, liveGro
 	e.markNeeds(liveGroups)
 	e.sensSweep(g)
 
-	ffr := e.plan.ffr
-	for si := len(ffr.Stems) - 1; si >= 0; si-- {
-		if !e.need[si] {
-			continue
+	// Reverse topological stem order: each dominator composition reads
+	// an already computed downstream observability.
+	for si := len(e.need) - 1; si >= 0; si-- {
+		if e.need[si] {
+			e.propagateStem(g, si)
 		}
-		s := ffr.Stems[si]
-		if e.plan.c.Node(s).IsOutput {
-			e.obs[si] = widesim.Ones[B]()
-			continue
-		}
-		e.obs[si] = e.propagateStem(g, si, s)
 	}
 
-	w := e.Width()
 	for si, grp := range e.plan.part.Groups {
 		if liveGroups != nil && !liveGroups[si] {
 			continue
 		}
-		for _, fi := range grp {
-			widesim.Store(widesim.And(e.faultWord(g, int(fi)), e.obs[si]), det[int(fi)*w:(int(fi)+1)*w])
-		}
+		e.detect(g, grp, &e.obs[si], det)
 	}
 }
 
-// faultWord mirrors Engine.faultWord, composing the kind conditions
-// from the lane kernels.  Shl1 shifts per lane, never across
-// lanes: launch/capture pairing is block-local, so every lane computes
-// exactly what a narrow SimulateBlock of that block would.
-func (e *wideEngine[B]) faultWord(g []B, fi int) B {
-	in := &e.plan.info[fi]
-	act := g[in.site]
-	if in.stuck != 0 {
-		act = widesim.Not(act)
-	}
-	switch in.kind {
-	case fault.KindBridgeAND, fault.KindBridgeOR:
-		// act &^= g[aggr] ^ stuck
-		if in.stuck != 0 {
-			act = widesim.And(act, g[in.aggr])
-		} else {
-			act = widesim.AndNot(act, g[in.aggr])
+// detect writes activation & line & mask into the det lanes of every
+// fault of grp: the fault's local detectability at its FFR stem times
+// the stem's observability (or, in capture mode, all ones).  Each kind
+// is a conditional stuck-at with one lane loop, mirroring
+// Engine.faultWord.  The transition launch shift runs per lane, never
+// across lanes: launch/capture pairing is block-local, so every lane
+// computes exactly what a narrow SimulateBlock of that block would.
+func (e *wideEngine[B]) detect(g []B, grp []int32, mask *B, det []uint64) {
+	info, line := e.plan.info, e.line
+	w := widesim.Lanes[B]()
+	for _, fi := range grp {
+		in := &info[fi]
+		d := det[int(fi)*w : int(fi)*w+w]
+		site, l, stuck := &g[in.site], &line[in.line], in.stuck
+		switch in.kind {
+		case fault.KindBridgeAND, fault.KindBridgeOR:
+			// The short drives the victim only while the aggressor
+			// holds the faulty capture value.
+			aggr := &g[in.aggr]
+			for i := range d {
+				d[i] = ((*site)[i] ^ stuck) &^ ((*aggr)[i] ^ stuck) & (*l)[i] & (*mask)[i]
+			}
+		case fault.KindSlowRise, fault.KindSlowFall:
+			// The site held the faulty value on the previous pattern;
+			// bit 0 of each lane has no launch pattern.
+			for i := range d {
+				s := (*site)[i]
+				d[i] = (s ^ stuck) &^ ((s << 1) ^ stuck) &^ 1 & (*l)[i] & (*mask)[i]
+			}
+		default:
+			for i := range d {
+				d[i] = ((*site)[i] ^ stuck) & (*l)[i] & (*mask)[i]
+			}
 		}
-	case fault.KindSlowRise, fault.KindSlowFall:
-		// act &^= (g[site] << 1) ^ stuck, then drop the launch-less
-		// bit 0 of every lane.
-		shl := widesim.Shl1(g[in.site])
-		if in.stuck != 0 {
-			act = widesim.And(act, shl)
-		} else {
-			act = widesim.AndNot(act, shl)
-		}
-		act = widesim.AndNot(act, e.lsb)
 	}
-	if widesim.IsZero(act) {
-		var z B
-		return z
-	}
-	if in.pin == fault.StemPin {
-		return widesim.And(act, e.sens[in.site])
-	}
-	return widesim.And(widesim.And(act, e.pinSens1(g, in.gate, int(in.pin))), e.sens[in.gate])
 }
 
 // markNeeds is width-independent and identical to Engine.markNeeds.
@@ -266,26 +255,35 @@ func (e *wideEngine[B]) markNeeds(liveGroups []bool) {
 	}
 }
 
-// sensSweep mirrors Engine.sensSweep.
+// sensSweep mirrors Engine.sensSweep, keeping every line: each member
+// gate's pin sensitizations, times the gate's own sensitization, fill
+// the gate's pin lines, and an in-region fanin's node line is its pin
+// line (the fanin's unique fanout is this gate).
 func (e *wideEngine[B]) sensSweep(g []B) {
 	c := e.plan.c
 	ffr := e.plan.ffr
+	line, pinOff := e.line, e.plan.regs.pinOff
 	for si := range ffr.Stems {
 		if !e.need[si] {
 			continue
 		}
 		members := ffr.Members[si]
-		e.sens[members[0]] = widesim.Ones[B]()
+		line[members[0]] = widesim.Ones[B]()
 		for _, id := range members {
 			n := &c.Nodes[id]
 			if n.IsInput || len(n.Fanin) == 0 {
 				continue
 			}
-			sout := e.sens[id]
-			ps := e.pinSensAll(g, id, n)
+			sout := &line[id]
+			ps := line[pinOff[id] : int(pinOff[id])+len(n.Fanin)]
+			e.pinSensAll(g, id, n, ps)
 			for pin, f := range n.Fanin {
+				p := &ps[pin]
+				for i := 0; i < len(*p); i++ {
+					(*p)[i] &= (*sout)[i]
+				}
 				if ffr.StemIndex[f] == int32(si) {
-					e.sens[f] = widesim.And(sout, ps[pin])
+					line[f] = *p
 				}
 			}
 		}
@@ -293,17 +291,24 @@ func (e *wideEngine[B]) sensSweep(g []B) {
 }
 
 // propagateStem computes the same stem observability as
-// Engine.propagateStem, but branch-free: the stem's compiled region
-// flips the stem and re-evaluates every node of the region into the
-// faulty bank, reading the good bank outside the region, so a gate none
-// of whose fanins flipped simply recomputes its good value and the
-// result is exact lane by lane.
-func (e *wideEngine[B]) propagateStem(g []B, si int, s circuit.NodeID) B {
+// Engine.propagateStem into obs[si], but branch-free: the stem's
+// compiled region flips the stem and re-evaluates every node of the
+// region into the faulty bank, reading the good bank outside the
+// region, so a gate none of whose fanins flipped simply recomputes its
+// good value and the result is exact lane by lane.
+func (e *wideEngine[B]) propagateStem(g []B, si int) {
 	ffr := e.plan.ffr
+	s := ffr.Stems[si]
+	o := &e.obs[si]
+	if e.plan.c.Node(s).IsOutput {
+		*o = widesim.Ones[B]()
+		return
+	}
+	var zero B
+	*o = zero
 	d := ffr.Idom[s]
-	var res B
 	if d == circuit.InvalidNode {
-		return res
+		return
 	}
 	e.good.Propagate(e.code, si)
 	f := e.good.Faulty()
@@ -311,38 +316,42 @@ func (e *wideEngine[B]) propagateStem(g []B, si int, s circuit.NodeID) B {
 		// Outputs outside the region keep their good values.
 		outs := e.plan.c.Outputs
 		for _, oi := range e.code.Outputs(si) {
-			o := outs[oi]
-			res = widesim.Or(res, widesim.Xor(f[o], g[o]))
+			fo, gdo := &f[outs[oi]], &g[outs[oi]]
+			for i := 0; i < len(*o); i++ {
+				(*o)[i] |= (*fo)[i] ^ (*gdo)[i]
+			}
 		}
-	} else {
-		res = widesim.And(widesim.And(widesim.Xor(f[d], g[d]), e.sens[d]), e.obs[ffr.StemIndex[d]])
+		return
 	}
-	return res
+	fd, gd, ld, od := &f[d], &g[d], &e.line[d], &e.obs[ffr.StemIndex[d]]
+	for i := 0; i < len(*o); i++ {
+		(*o)[i] = ((*fd)[i] ^ (*gd)[i]) & (*ld)[i] & (*od)[i]
+	}
 }
 
-// pinSensAll mirrors Engine.pinSensAll.
-func (e *wideEngine[B]) pinSensAll(g []B, id circuit.NodeID, n *circuit.Node) []B {
+// pinSensAll mirrors Engine.pinSensAll, writing into ps (one vector
+// per pin of n).
+func (e *wideEngine[B]) pinSensAll(g []B, id circuit.NodeID, n *circuit.Node, ps []B) {
 	npins := len(n.Fanin)
-	ps := e.pinbuf[:npins]
 	switch n.Op {
 	case logic.Xor, logic.Xnor:
 		ones := widesim.Ones[B]()
 		for i := range ps {
 			ps[i] = ones
 		}
-		return ps
+		return
 	case logic.Buf, logic.Not:
 		ps[0] = widesim.Ones[B]()
-		return ps
+		return
 	case logic.And, logic.Nand:
 		if npins == 1 {
 			ps[0] = widesim.Ones[B]()
-			return ps
+			return
 		}
 		if npins == 2 {
 			ps[0] = g[n.Fanin[1]]
 			ps[1] = g[n.Fanin[0]]
-			return ps
+			return
 		}
 		pre := e.prebuf[:npins]
 		acc := widesim.Ones[B]()
@@ -355,16 +364,16 @@ func (e *wideEngine[B]) pinSensAll(g []B, id circuit.NodeID, n *circuit.Node) []
 			ps[i] = widesim.And(pre[i], suf)
 			suf = widesim.And(suf, g[n.Fanin[i]])
 		}
-		return ps
+		return
 	case logic.Or, logic.Nor:
 		if npins == 1 {
 			ps[0] = widesim.Ones[B]()
-			return ps
+			return
 		}
 		if npins == 2 {
 			ps[0] = widesim.Not(g[n.Fanin[1]])
 			ps[1] = widesim.Not(g[n.Fanin[0]])
-			return ps
+			return
 		}
 		pre := e.prebuf[:npins]
 		var acc B
@@ -377,44 +386,17 @@ func (e *wideEngine[B]) pinSensAll(g []B, id circuit.NodeID, n *circuit.Node) []
 			ps[i] = widesim.Not(widesim.Or(pre[i], suf))
 			suf = widesim.Or(suf, g[n.Fanin[i]])
 		}
-		return ps
+		return
 	}
 	for i := range ps {
 		ps[i] = e.flipEval(g, id, n, i)
 	}
-	return ps
-}
-
-// pinSens1 mirrors Engine.pinSens1.
-func (e *wideEngine[B]) pinSens1(g []B, id circuit.NodeID, pin int) B {
-	n := &e.plan.c.Nodes[id]
-	switch n.Op {
-	case logic.Xor, logic.Xnor, logic.Buf, logic.Not:
-		return widesim.Ones[B]()
-	case logic.And, logic.Nand:
-		v := widesim.Ones[B]()
-		for i, f := range n.Fanin {
-			if i != pin {
-				v = widesim.And(v, g[f])
-			}
-		}
-		return v
-	case logic.Or, logic.Nor:
-		var v B
-		for i, f := range n.Fanin {
-			if i != pin {
-				v = widesim.Or(v, g[f])
-			}
-		}
-		return widesim.Not(v)
-	}
-	return e.flipEval(g, id, n, pin)
 }
 
 // flipEval mirrors Engine.flipEval: evaluate with one pin complemented
-// and XOR against the good output.  pinSensAll and pinSens1 handle every
-// basic op in closed form, so only truth tables get here; they evaluate
-// per lane through the narrow word kernel, exactly as bitsim would.
+// and XOR against the good output.  pinSensAll handles every basic op
+// in closed form, so only truth tables get here; they evaluate per lane
+// through the narrow word kernel, exactly as bitsim would.
 func (e *wideEngine[B]) flipEval(g []B, id circuit.NodeID, n *circuit.Node, pin int) B {
 	in := e.evalbuf[:len(n.Fanin)]
 	for i, f := range n.Fanin {
@@ -436,12 +418,15 @@ func (e *wideEngine[B]) flipEval(g []B, id circuit.NodeID, n *circuit.Node, pin 
 // Capture mode (BIST), mirroring Engine.SimulateBlockOutputs et al.
 
 // SimulateChunkOutputs mirrors Engine.SimulateBlockOutputs over W lanes.
+// The per-fault detect-at-stem words come from the detection writer
+// with an all-ones mask.
 func (e *wideEngine[B]) SimulateChunkOutputs(inputWords []uint64, det []uint64) {
 	c := e.plan.c
 	g := e.simulateGood(inputWords)
 	nOut := len(c.Outputs)
+	w := e.Width()
 	e.poDiff = grow(e.poDiff, len(e.plan.ffr.Stems)*nOut)
-	e.local = grow(e.local, len(e.plan.faults))
+	e.local = grow(e.local, len(e.plan.faults)*w)
 	e.goodOut = grow(e.goodOut, nOut)
 	for i, id := range c.Outputs {
 		e.goodOut[i] = g[id]
@@ -452,7 +437,7 @@ func (e *wideEngine[B]) SimulateChunkOutputs(inputWords []uint64, det []uint64) 
 	e.sensSweep(g)
 
 	full := e.plan.regs.fullWide()
-	w := e.Width()
+	ones := widesim.Ones[B]()
 	for si, grp := range e.plan.part.Groups {
 		if len(grp) == 0 {
 			continue
@@ -463,10 +448,10 @@ func (e *wideEngine[B]) SimulateChunkOutputs(inputWords []uint64, det []uint64) 
 		for _, x := range po {
 			acc = widesim.Or(acc, x)
 		}
+		e.detect(g, grp, &ones, e.local)
 		for _, fi := range grp {
-			l := e.faultWord(g, int(fi))
-			e.local[fi] = l
-			widesim.Store(widesim.And(l, acc), det[int(fi)*w:(int(fi)+1)*w])
+			k := int(fi) * w
+			widesim.Store(widesim.And(widesim.Load[B](e.local[k:]), acc), det[k:k+w])
 		}
 	}
 }
@@ -489,9 +474,9 @@ func (e *wideEngine[B]) captureStem(g []B, full *widesim.Regions, si int, po []B
 func (e *wideEngine[B]) FaultOutputs(fi int, out []uint64) {
 	si := int(e.plan.info[fi].group)
 	nOut := len(e.goodOut)
-	l := e.local[fi]
-	po := e.poDiff[si*nOut : (si+1)*nOut]
 	w := e.Width()
+	l := widesim.Load[B](e.local[fi*w:])
+	po := e.poDiff[si*nOut : (si+1)*nOut]
 	for i, gw := range e.goodOut {
 		widesim.Store(widesim.Xor(gw, widesim.And(l, po[i])), out[i*w:(i+1)*w])
 	}

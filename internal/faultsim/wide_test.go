@@ -36,7 +36,7 @@ var (
 // raggedCounts are pattern budgets that end mid-block (1, 63, 65, 581),
 // fill whole 8-block chunks (512), or leave a 1-block tail after whole
 // chunks (1088 = 17 blocks), so the default schedule runs both its
-// engines: 8-block wide chunks and single narrow blocks.
+// widths: 8-block chunks and single-block W=1 chunks.
 var raggedCounts = []int{1, 63, 65, 512, 581, 1088}
 
 // naiveCounts returns the naive oracle's detection counts for every
@@ -174,7 +174,7 @@ func TestWideMeasureDetectionIdentity(t *testing.T) {
 // across widths, including the default schedule, and worker counts
 // against the naive oracle's curve.  The checkpoints are the ragged
 // budgets, so the segments between them (1, 62, 2, 447, 69 and 507
-// patterns) end mid-block and run as narrow tails or 8-block chunks.
+// patterns) end mid-block and run as W=1 tails or 8-block chunks.
 func TestWideCoverageCurveIdentity(t *testing.T) {
 	cps := raggedCounts
 	for _, c := range widthTestCircuits() {

@@ -122,12 +122,21 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
+// respond writes v as the JSON body of a status response.  It encodes
+// before writing the status, so a value that fails to encode (a NaN,
+// say) answers 500 with the error envelope instead of a 200 with an
+// empty body.
 func (s *Server) respond(w http.ResponseWriter, status int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		status = http.StatusInternalServerError
+		body, _ = json.Marshal(errorResponse{Error: "server: encode response: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	// Encode errors at this point mean the client is gone; there is
+	// Write errors at this point mean the client is gone; there is
 	// nobody left to report them to.
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(append(body, '\n'))
 }
 
 func (s *Server) error(w http.ResponseWriter, status int, err error) {

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -437,6 +438,51 @@ func TestBadRequests(t *testing.T) {
 	}
 	if got := srv.Stats().InFlight; got != 0 {
 		t.Errorf("rejected requests leaked %d slots", got)
+	}
+}
+
+// A transition run needs one launch/capture pair, so a budget of one
+// pattern is a bad spec: 400 with the envelope, where it used to answer
+// 200 with an empty body (P_SIM was 0/0).  Two and 65 patterns run.
+func TestTransitionBudgetBelowTwoIs400(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	post := func(path, body string) (int, []byte) {
+		t.Helper()
+		resp, out := postJSON(t, ts.URL+path, json.RawMessage(body))
+		return resp.StatusCode, out
+	}
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/pipeline", `{"circuit":"c17","spec":{"fault_model":"transition","sim_patterns":1}}`},
+		{"/v1/validate", `{"circuit":"c17","spec":{"fault_model":"transition","min_patterns":1,"max_patterns":1}}`},
+	} {
+		status, body := post(tc.path, tc.body)
+		var er errorResponse
+		if status != http.StatusBadRequest || json.Unmarshal(body, &er) != nil || er.Error == "" {
+			t.Fatalf("%s %s: status %d, body %q; want 400 with the error envelope", tc.path, tc.body, status, body)
+		}
+	}
+	for _, n := range []int{2, 65} {
+		for _, tc := range []struct{ path, body string }{
+			{"/v1/pipeline", fmt.Sprintf(`{"circuit":"c17","spec":{"fault_model":"transition","sim_patterns":%d}}`, n)},
+			{"/v1/validate", fmt.Sprintf(`{"circuit":"c17","spec":{"fault_model":"transition","min_patterns":%d,"max_patterns":%d}}`, n, n)},
+		} {
+			status, body := post(tc.path, tc.body)
+			if status != http.StatusOK || !json.Valid(body) {
+				t.Fatalf("%s %s: status %d, body %q; want 200 with a JSON body", tc.path, tc.body, status, body)
+			}
+		}
+	}
+}
+
+// respond encodes before it writes the status: a value JSON cannot
+// encode answers 500 with the envelope.
+func TestRespondUnencodableIs500(t *testing.T) {
+	srv, _ := newTestServer(t, Config{})
+	rec := httptest.NewRecorder()
+	srv.respond(rec, http.StatusOK, math.NaN())
+	var er errorResponse
+	if rec.Code != http.StatusInternalServerError || json.Unmarshal(rec.Body.Bytes(), &er) != nil || er.Error == "" {
+		t.Fatalf("status %d, body %q; want 500 with the error envelope", rec.Code, rec.Body.Bytes())
 	}
 }
 

@@ -54,8 +54,8 @@ func localPool(t *testing.T, n int, mod func(*Config)) *Pool {
 	return p
 }
 
-// serialDetect runs the serial in-process narrow engine, one block at a
-// time: the reference faultsim's own tests pin to the naive oracle.
+// serialDetect runs the serial in-process engine at width 1, one block
+// at a time: the reference faultsim's own tests pin to the naive oracle.
 func serialDetect(t *testing.T, task *Task, probs []float64, n int) *faultsim.Result {
 	t.Helper()
 	gen, err := newGenerator(len(task.Plan.Circuit().Inputs), probs, task.Seed)
@@ -297,7 +297,7 @@ func TestSkipBlocksPositionsStream(t *testing.T) {
 // 0, 1, 4 or 8 merges to exactly the serial result for both
 // measurement kinds, on every registry circuit.  With one worker a run
 // is cut into 4 block ranges, so the budgets give shards of 1-2 blocks
-// (257), 4-5 blocks (1088) and 8 blocks (2048): narrow tails, padded
+// (257), 4-5 blocks (1088) and 8 blocks (2048): W=1 tails, padded
 // wide chunks and whole 8-block chunks.
 func TestShardedWideMatchesSerial(t *testing.T) {
 	cps := []int{10, 100, 257, 1088}

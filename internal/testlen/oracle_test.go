@@ -93,10 +93,12 @@ func checkAgainstOracle(t *testing.T, name string, probs []float64) {
 }
 
 // TestRequiredMatchesOracle pins Required, which skips the terms that
-// underflow to -0, to the full summation: the same N and the same error
-// on every registry circuit's detection probabilities under each fault
-// model, and on seeded random probability sets that mix certain,
-// near-certain, tiny and (in some sets) zero probabilities.
+// underflow to -0 and starts from a closed-form bracket, to the full
+// summation and plain doubling: the same N and the same error on every
+// registry circuit's detection probabilities under each fault model,
+// on the sets at the bracket's edges, and on seeded random probability
+// sets that mix certain, near-certain, tiny and (in some sets) zero
+// probabilities.
 func TestRequiredMatchesOracle(t *testing.T) {
 	for _, name := range circuits.Names() {
 		c, _ := circuits.Lookup(name)
@@ -109,6 +111,18 @@ func TestRequiredMatchesOracle(t *testing.T) {
 				checkAgainstOracle(t, name+"/"+string(m), res.DetectProbs(faults))
 			}
 		}
+	}
+	for _, tc := range []struct {
+		name  string
+		probs []float64
+	}{
+		{"every p = 1", []float64{1, 1, 1}},
+		{"single fault", []float64{0.3}},
+		{"bracket beyond MaxN", []float64{1e-300, 0.5, 0.9}},
+		{"bracket at MaxN", []float64{1e-18, 0.25, 1}},
+		{"p_min near 1", []float64{1 - 1e-15, 1 - 1e-9, 1}},
+	} {
+		checkAgainstOracle(t, tc.name, tc.probs)
 	}
 	rng := rand.New(rand.NewPCG(14, 1))
 	for set := 0; set < 40; set++ {

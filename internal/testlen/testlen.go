@@ -14,7 +14,6 @@
 package testlen
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -142,8 +141,27 @@ func Required(probs []float64, e float64) (int64, error) {
 		}
 		return sum
 	}
-	// Exponential search for an upper bound.
+	// Bracket the search in closed form from p_min, the smallest
+	// probability (top = log(1-p_min)).  Any N with P_F >= e detects
+	// the hardest fault alone with probability at least e, so
+	// N >= log(1-e)/log(1-p_min); by the union bound
+	// P_F >= 1 - m(1-p_min)^N, N = log((1-e)/m)/log(1-p_min) suffices.
+	// Each bound is checked with one evaluation, and one that fails its
+	// check (rounding) is dropped, so rounding can only widen the
+	// search: the doubling below then runs as without the bracket.
 	lo, hi := int64(0), int64(1)
+	if len(logq) > 0 {
+		if n := searchCount(math.Log1p(-e)/top) - 1; n > 0 && logSet(n) < logE {
+			lo = n
+		}
+		for hi <= lo {
+			hi *= 2
+		}
+		if n := searchCount(math.Log((1-e)/float64(len(logq))) / top); n > lo && logSet(n) >= logE {
+			hi = n
+		}
+	}
+	// Exponential search for an upper bound.
 	for logSet(hi) < logE {
 		if hi >= MaxN/2 {
 			return 0, fmt.Errorf("testlen: required pattern count exceeds %d", MaxN)
@@ -163,6 +181,18 @@ func Required(probs []float64, e float64) (int64, error) {
 	return hi, nil
 }
 
+// searchCount rounds a bracket bound of Required up to a pattern
+// count, at most MaxN/2 (the largest count the search evaluates).
+func searchCount(x float64) int64 {
+	switch {
+	case !(x > 0):
+		return 0
+	case x >= float64(MaxN/2):
+		return MaxN / 2
+	}
+	return int64(math.Ceil(x))
+}
+
 // SelectTop returns the d·100% faults with the highest detection
 // probabilities (the paper's F_d), d in (0,1].  At least one fault is
 // kept.  The input is not modified.
@@ -171,7 +201,8 @@ func SelectTop(probs []float64, d float64) []float64 {
 		d = 1
 	}
 	cp := append([]float64(nil), probs...)
-	slices.SortFunc(cp, func(a, b float64) int { return cmp.Compare(b, a) })
+	slices.Sort(cp)
+	slices.Reverse(cp)
 	k := int(math.Round(d * float64(len(cp))))
 	if k < 1 {
 		k = 1

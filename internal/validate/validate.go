@@ -351,6 +351,10 @@ func Run(ctx context.Context, c *circuit.Circuit, faults []fault.Fault, analytic
 		n = int64(cfg.MaxPatterns)
 		rep.GuaranteeTruncated = n < rep.RequiredPatterns
 	}
+	if transition && n < 2 {
+		// One pattern holds no launch/capture pair: P_SIM would be 0/0.
+		return nil, fmt.Errorf("%w: a transition run needs at least 2 patterns, max_patterns is %d", ErrBadSpec, cfg.MaxPatterns)
+	}
 	rep.Patterns = int(n)
 	rep.AchievedEpsilon = cfg.Epsilon
 	if rep.GuaranteeTruncated && outcomes > 0 {

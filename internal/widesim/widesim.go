@@ -121,40 +121,12 @@ func Xor[B Block](x, y B) B {
 	return x
 }
 
-// AndNot returns x &^ y lane by lane.
-func AndNot[B Block](x, y B) B {
-	for i := 0; i < len(x); i++ {
-		x[i] &^= y[i]
-	}
-	return x
-}
-
 // Not returns ^x lane by lane.
 func Not[B Block](x B) B {
 	for i := 0; i < len(x); i++ {
 		x[i] = ^x[i]
 	}
 	return x
-}
-
-// Shl1 shifts every lane left by one bit independently — no bits cross
-// lanes.  Bit b of a lane becomes bit b+1; bit 0 clears.  This is the
-// within-block previous-pattern operator behind the transition-fault
-// launch condition.
-func Shl1[B Block](x B) B {
-	for i := 0; i < len(x); i++ {
-		x[i] <<= 1
-	}
-	return x
-}
-
-// IsZero reports whether no bit is set in any lane.
-func IsZero[B Block](x B) bool {
-	var acc uint64
-	for i := 0; i < len(x); i++ {
-		acc |= x[i]
-	}
-	return acc == 0
 }
 
 // Load gathers a vector from src[0:W].
@@ -225,14 +197,4 @@ func not[B Block](d, x *B) {
 func Ones[B Block]() B {
 	var z B
 	return Not(z)
-}
-
-// Lsb returns the vector with only bit 0 of every lane set — the
-// launch-less first pattern slot of each 64-pattern block.
-func Lsb[B Block]() B {
-	var z B
-	for i := 0; i < len(z); i++ {
-		z[i] = 1
-	}
-	return z
 }

@@ -369,6 +369,10 @@ func (s *Session) planReport(ctx context.Context, spec PipelineSpec, probs []flo
 			budget = int(plan.TestLength)
 		}
 	}
+	if cfg.model == FaultModelTransition && budget < 2 {
+		// One pattern holds no launch/capture pair: P_SIM would be 0/0.
+		return nil, fmt.Errorf("pipeline: %w: a transition run needs at least 2 simulation patterns, got %d", ErrBadSpec, budget)
+	}
 	plan.ExpectedCoverage = testlen.ExpectedCoverage(detect, int64(budget))
 	cfg.emit(PhaseTestLength, 1)
 

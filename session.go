@@ -169,12 +169,13 @@ func WithSimEngine(e SimEngine) Option {
 
 // WithSimWidth forces the fault-simulation width: w pattern blocks
 // (w×64 patterns) per sweep, w in {1, 4, 8}.  The default, 0, lets the
-// FFR engine pick per chunk: 8-block sweeps on the wide kernel while at
-// least 8 blocks remain, and the narrow engine for the ragged tail.
-// Wider sweeps amortize the engine's per-node bookkeeping over more
-// pattern lanes; every result — detection counts, coverage curves,
-// BIST signatures — is bit-identical at every width.  BIST capture has
-// no schedule and runs narrow at width 0.  The naive oracle engine
+// FFR engine pick per chunk: 8-block sweeps while at least 8 blocks
+// remain, and single-block sweeps for the ragged tail; every width runs
+// on the wide kernel.  Wider sweeps amortize the engine's per-node
+// bookkeeping over more pattern lanes; every result — detection counts,
+// coverage curves, BIST signatures — is bit-identical at every width.
+// BIST capture has no schedule and runs on the narrow engine at widths
+// 0 and 1.  The naive oracle engine
 // ignores the width.  Open fails on unsupported widths.  Sharded runs
 // take their width from the ShardPool's configuration, not the
 // Session's.

@@ -11,7 +11,7 @@ import (
 // Session-level measurement — detection counts, coverage curves, BIST
 // signatures — is bit-identical to the naive oracle's at width 0 (the
 // default schedule) and at widths 1, 4 and 8, on pattern budgets that
-// end mid-block, fill whole 8-block chunks, or leave a narrow tail.
+// end mid-block, fill whole 8-block chunks, or leave a W=1 tail.
 func TestSimWidthIdenticalResults(t *testing.T) {
 	counts := []int{1, 63, 65, 512, 581, 1088}
 	cps := []int{10, 100, 300, 1088}
