@@ -18,6 +18,13 @@ type BlockSpan struct {
 	End  int
 }
 
+// ChunkBlocks returns the number of blocks a full chunk of the
+// schedule at width carries: the width itself, or 8 for the default
+// schedule (chunkWidth).  A block range that starts at a multiple of
+// it, and ends at one or at the run's end, simulates the same chunks
+// as that stretch of the whole run.
+func ChunkBlocks(width int) int { return chunkWidth(width, 8) }
+
 // DetectBlocks returns the block schedule of a detection-probability
 // run over numPatterns patterns: ceil(numPatterns/64) blocks, every
 // mask full except the last, which keeps only the remainder — exactly

@@ -283,9 +283,6 @@ func New(cfg Config) *Server {
 		if pcfg.Seed == 0 {
 			pcfg.Seed = cfg.Seed
 		}
-		if pcfg.SimWidth == 0 {
-			pcfg.SimWidth = cfg.SimWidth
-		}
 		pool = shard.NewPool(pcfg)
 		opts = append(opts, protest.WithShardPool(pool))
 	}

@@ -53,7 +53,7 @@ func BenchmarkShardedDetect(b *testing.B) {
 			defer p.Close()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := p.MeasureDetection(context.Background(), task, nil, patterns, nil); err != nil {
+				if _, err := p.MeasureDetection(context.Background(), task, nil, patterns, 0, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -47,7 +47,7 @@ func TestChaosInjectedErrorsRetry(t *testing.T) {
 		"w1": {ErrEvery: 2},
 		"w2": {ErrEvery: 3},
 	}, nil)
-	got, err := p.MeasureDetection(context.Background(), task, nil, 257, nil)
+	got, err := p.MeasureDetection(context.Background(), task, nil, 257, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestChaosDroppedCallsTimeOut(t *testing.T) {
 	var runErr error
 	go func() {
 		defer close(done)
-		res, runErr = p.MeasureDetection(context.Background(), task, nil, 257, nil)
+		res, runErr = p.MeasureDetection(context.Background(), task, nil, 257, 0, nil)
 	}()
 	select {
 	case <-done:
@@ -93,7 +93,7 @@ func TestChaosCurveUnderErrors(t *testing.T) {
 		"w3": {ErrEvery: 2},
 	}, nil)
 	cps := []int{10, 100, 300}
-	got, err := p.CoverageCurve(context.Background(), task, nil, cps, nil)
+	got, err := p.CoverageCurve(context.Background(), task, nil, cps, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestChaosCrashEjectionAndReadmission(t *testing.T) {
 		cfg.EjectAfter = 1
 		cfg.ProbeInterval = 5 * time.Millisecond
 	})
-	got, err := p.MeasureDetection(context.Background(), task, nil, 257, nil)
+	got, err := p.MeasureDetection(context.Background(), task, nil, 257, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestChaosAllWorkersDownDegrades(t *testing.T) {
 		cfg.EjectAfter = 1
 		cfg.MaxAttempts = 2
 	})
-	got, err := p.MeasureDetection(context.Background(), task, nil, 257, nil)
+	got, err := p.MeasureDetection(context.Background(), task, nil, 257, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestChaosAllWorkersDownDegrades(t *testing.T) {
 	}
 
 	// The next run skips dispatch entirely: fully local, still exact.
-	got, err = p.MeasureDetection(context.Background(), task, nil, 257, nil)
+	got, err = p.MeasureDetection(context.Background(), task, nil, 257, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestChaosHedgingStragglers(t *testing.T) {
 		cfg.ShardsPerWorker = 1
 	})
 	start := time.Now()
-	got, err := p.MeasureDetection(context.Background(), task, nil, 257, nil)
+	got, err := p.MeasureDetection(context.Background(), task, nil, 257, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,6 +202,9 @@ type httpWorker struct {
 	exec  atomic.Pointer[Executor]
 	calls atomic.Int64
 	dead  atomic.Bool
+	// arrays answers in the wire format from before packed vectors:
+	// counts and first positions as JSON arrays of numbers.
+	arrays atomic.Bool
 	// restartAt, when positive, replaces the Executor before serving
 	// that call: a restarted process that lost every circuit.
 	restartAt atomic.Int64
@@ -241,6 +244,14 @@ func newHTTPWorker(t *testing.T, meet int) *httpWorker {
 			return
 		}
 		rw.Header().Set("Content-Type", "application/json")
+		if w.arrays.Load() {
+			json.NewEncoder(rw).Encode(struct {
+				Faults int   `json:"faults"`
+				Counts []int `json:"counts,omitempty"`
+				First  []int `json:"first,omitempty"`
+			}{resp.Faults, resp.Counts, resp.First})
+			return
+		}
 		json.NewEncoder(rw).Encode(resp)
 	})
 	mux.HandleFunc("GET /healthz", func(rw http.ResponseWriter, r *http.Request) {
@@ -321,7 +332,7 @@ func TestHTTPWorkerKilledMidRun(t *testing.T) {
 	})
 	defer p.Close()
 
-	got, err := p.MeasureDetection(context.Background(), task, nil, 513, nil)
+	got, err := p.MeasureDetection(context.Background(), task, nil, 513, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +359,7 @@ func TestHTTPWorkerRestartedMidRun(t *testing.T) {
 	defer p.Close()
 
 	want := serialDetect(t, task, nil, 513)
-	got, err := p.MeasureDetection(context.Background(), task, nil, 513, nil)
+	got, err := p.MeasureDetection(context.Background(), task, nil, 513, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +372,7 @@ func TestHTTPWorkerRestartedMidRun(t *testing.T) {
 	// Restart before the next run's second call: the shards reaching
 	// the fresh Executor miss once each.
 	w.restartAt.Store(w.calls.Load() + 2)
-	got, err = p.MeasureDetection(context.Background(), task, nil, 513, nil)
+	got, err = p.MeasureDetection(context.Background(), task, nil, 513, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,6 +383,45 @@ func TestHTTPWorkerRestartedMidRun(t *testing.T) {
 	}
 	if st.Retries != 0 || st.LocalFallbacks != 0 || st.Workers[0].Failures != 0 || st.Workers[0].Ejections != 0 {
 		t.Fatalf("a circuit miss cost a retry, failure or fallback: %+v", st)
+	}
+}
+
+// TestArrayWorkerFallsBack: a worker from before packed vectors
+// answers "counts":[…] and "first":[…].  The coordinator cannot decode
+// those bodies, so every attempt fails and the shards run locally: no
+// panic, no merged array, and the exact result for both kinds.
+func TestArrayWorkerFallsBack(t *testing.T) {
+	task := newTestTask(t, "alu")
+	w := newHTTPWorker(t, 0)
+	w.arrays.Store(true)
+	p := NewPool(Config{
+		Workers:       []string{w.ts.URL},
+		ShardTimeout:  5 * time.Second,
+		MaxAttempts:   2,
+		BackoffBase:   time.Millisecond,
+		BackoffMax:    2 * time.Millisecond,
+		HedgeAfter:    -1,
+		ProbeInterval: time.Minute,
+	})
+	defer p.Close()
+
+	got, err := p.MeasureDetection(context.Background(), task, nil, 513, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameDetect(t, "alu/arrays", got, serialDetect(t, task, nil, 513))
+	cps := []int{10, 100, 513}
+	curve, err := p.CoverageCurve(context.Background(), task, nil, cps, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameCurve(t, "alu/arrays", curve, serialCurve(t, task, nil, cps))
+	st := p.Stats()
+	if w.calls.Load() == 0 || st.LocalFallbacks == 0 {
+		t.Fatalf("the array worker was never asked, or nothing fell back: %d calls, %+v", w.calls.Load(), st)
+	}
+	if st.Shards != 0 {
+		t.Fatalf("%d array responses merged", st.Shards)
 	}
 }
 
@@ -392,7 +442,7 @@ func TestPoolKeepsWorkerConnectionsAlive(t *testing.T) {
 
 	run := func() {
 		t.Helper()
-		if _, err := p.MeasureDetection(context.Background(), task, nil, 513, nil); err != nil {
+		if _, err := p.MeasureDetection(context.Background(), task, nil, 513, 0, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -49,9 +49,9 @@ func TestShardedModelMatchesSerial(t *testing.T) {
 					want := serialDetect(t, task, nil, n)
 					for _, workers := range []int{1, 3} {
 						if workers > 1 && n == 2048 {
-							continue // the 8-block shards need one worker
+							continue // one pool covers the whole-chunk shards
 						}
-						got, err := localPool(t, workers, nil).MeasureDetection(context.Background(), task, nil, n, nil)
+						got, err := localPool(t, workers, nil).MeasureDetection(context.Background(), task, nil, n, 0, nil)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -73,7 +73,7 @@ func TestShardedModelCurveMatchesSerial(t *testing.T) {
 			t.Fatalf("alu must have %s faults", model)
 		}
 		p := localPool(t, 3, nil)
-		got, err := p.CoverageCurve(context.Background(), task, nil, cps, nil)
+		got, err := p.CoverageCurve(context.Background(), task, nil, cps, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

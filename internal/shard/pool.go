@@ -5,12 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"protest/internal/faultsim"
 	"protest/internal/pattern"
+	"protest/internal/widesim"
 )
 
 // Config tunes a Pool.  The zero value of every field selects the
@@ -53,11 +55,6 @@ type Config struct {
 	// Seed seeds the backoff jitter (default 1; any value is fine —
 	// jitter affects timing only, never results).
 	Seed uint64
-	// SimWidth is the simulation width (faultsim.Options.Width: 1, 4 or
-	// 8, or 0 for the engine-chosen schedule) stamped on every shard
-	// request and used by degraded-local runs.  Width never changes
-	// results, only how fast workers compute them.
-	SimWidth int
 }
 
 func (c *Config) fill() {
@@ -299,35 +296,24 @@ type span struct {
 	gLo, gHi, bLo, bHi int
 }
 
-// planShards cuts the grid into about `target` rectangles: the block
-// axis is split first (block splits duplicate no good-circuit work),
-// then the group axis.  The spans partition the grid exactly.
-func planShards(numGroups, numBlocks, target, maxShards int) []span {
-	if target > maxShards {
-		target = maxShards
-	}
-	if target < 1 {
-		target = 1
-	}
-	bp := numBlocks
-	if bp > target {
-		bp = target
-	}
-	gp := (target + bp - 1) / bp
-	if gp*bp > maxShards {
-		gp = maxShards / bp
-		if gp < 1 {
-			gp = 1
-		}
-	}
-	if gp > numGroups {
-		gp = numGroups
-	}
+// planShards cuts the grid into about target rectangles.  The block
+// axis is cut first, but only at multiples of chunk, the blocks of one
+// full chunk of the run's width, so the shards simulate exactly the
+// chunks a local run would.  A cut inside a chunk would instead
+// simulate its blocks in narrower chunks, and a W=1 block costs about
+// three times a block of a W=8 chunk.  The rest of the target goes on
+// the group axis, whose cuts each repeat the good-circuit simulation
+// of the chunks.  The spans partition the grid exactly.
+func planShards(numGroups, numBlocks, chunk, target, maxShards int) []span {
+	target = min(max(target, 1), maxShards)
+	chunks := (numBlocks + chunk - 1) / chunk
+	bp := min(chunks, target)
+	gp := min((target+bp-1)/bp, max(maxShards/bp, 1), numGroups)
 	out := make([]span, 0, gp*bp)
 	for gi := 0; gi < gp; gi++ {
 		gLo, gHi := gi*numGroups/gp, (gi+1)*numGroups/gp
 		for bi := 0; bi < bp; bi++ {
-			bLo, bHi := bi*numBlocks/bp, (bi+1)*numBlocks/bp
+			bLo, bHi := chunk*(bi*chunks/bp), min(chunk*((bi+1)*chunks/bp), numBlocks)
 			out = append(out, span{gLo, gHi, bLo, bHi})
 		}
 	}
@@ -339,7 +325,9 @@ func planShards(numGroups, numBlocks, target, maxShards int) []span {
 // first valid response wins; a late duplicate lands in the buffered
 // channel and is discarded, so the merge sees each shard exactly once,
 // and a loser cancelled mid-flight never poisons its worker's health.
-func (p *Pool) attempt(ctx context.Context, primary *worker, t *Task, req *Request) (*Response, error) {
+// A response that fails Response.check against the run's blocks is a
+// failed attempt.
+func (p *Pool) attempt(ctx context.Context, primary *worker, t *Task, blocks []faultsim.BlockSpan, req *Request) (*Response, error) {
 	actx, cancel := context.WithTimeout(ctx, p.cfg.ShardTimeout)
 	defer cancel()
 
@@ -371,9 +359,11 @@ func (p *Pool) attempt(ctx context.Context, primary *worker, t *Task, req *Reque
 		select {
 		case r := <-ch:
 			inFlight--
-			if r.err == nil && r.resp.Faults != want {
-				r.err = fmt.Errorf("shard: worker %s returned %d faults for groups [%d,%d), want %d",
-					r.w.addr, r.resp.Faults, req.GroupLo, req.GroupHi, want)
+			if r.err == nil {
+				if err := r.resp.check(req, want, blocks); err != nil {
+					r.err = fmt.Errorf("shard: worker %s: bad response for groups [%d,%d), blocks [%d,%d): %w",
+						r.w.addr, req.GroupLo, req.GroupHi, req.BlockLo, req.BlockHi, err)
+				}
 			}
 			if r.err == nil {
 				p.recordSuccess(r.w)
@@ -417,7 +407,7 @@ func (p *Pool) send(ctx context.Context, w *worker, t *Task, req *Request) (*Res
 // healthy workers with backoff between them, and when every remote
 // avenue is exhausted (attempts spent, or no healthy worker left),
 // execute the shard locally — the result is bit-identical either way.
-func (p *Pool) runShardRemote(ctx context.Context, t *Task, si int, req *Request) (*Response, error) {
+func (p *Pool) runShardRemote(ctx context.Context, t *Task, blocks []faultsim.BlockSpan, si int, req *Request) (*Response, error) {
 	for attempt := 0; attempt < p.cfg.MaxAttempts; attempt++ {
 		w := p.pickWorker(si + attempt)
 		if w == nil {
@@ -427,7 +417,7 @@ func (p *Pool) runShardRemote(ctx context.Context, t *Task, si int, req *Request
 			p.retriesTotal.Add(1)
 			w.retries.Add(1)
 		}
-		resp, err := p.attempt(ctx, w, t, req)
+		resp, err := p.attempt(ctx, w, t, blocks, req)
 		if err == nil {
 			return resp, nil
 		}
@@ -444,9 +434,11 @@ func (p *Pool) runShardRemote(ctx context.Context, t *Task, si int, req *Request
 	return runShard(ctx, t.Remote, req)
 }
 
-// dispatch fans the shards out concurrently and collects responses in
-// shard order.  progress receives (completed shards, total shards).
-func (p *Pool) dispatch(ctx context.Context, t *Task, base Request, shards []span, progress faultsim.Progress) ([]*Response, error) {
+// dispatch cuts a run of blocks into shards, fans them out
+// concurrently and collects the responses in shard order.  progress
+// receives (completed shards, total shards).
+func (p *Pool) dispatch(ctx context.Context, t *Task, base Request, blocks []faultsim.BlockSpan, healthy int, progress faultsim.Progress) ([]span, []*Response, error) {
+	shards := planShards(t.Remote.NumGroups(), len(blocks), faultsim.ChunkBlocks(base.SimWidth), healthy*p.cfg.ShardsPerWorker, p.cfg.MaxShards)
 	resps := make([]*Response, len(shards))
 	errs := make([]error, len(shards))
 	var done atomic.Int64
@@ -458,7 +450,7 @@ func (p *Pool) dispatch(ctx context.Context, t *Task, base Request, shards []spa
 			req := base
 			sp := shards[si]
 			req.GroupLo, req.GroupHi, req.BlockLo, req.BlockHi = sp.gLo, sp.gHi, sp.bLo, sp.bHi
-			resps[si], errs[si] = p.runShardRemote(ctx, t, si, &req)
+			resps[si], errs[si] = p.runShardRemote(ctx, t, blocks, si, &req)
 			if progress != nil {
 				progress(int(done.Add(1)), len(shards))
 			}
@@ -467,17 +459,22 @@ func (p *Pool) dispatch(ctx context.Context, t *Task, base Request, shards []spa
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
-	return resps, nil
+	return shards, resps, nil
 }
 
 // MeasureDetection runs the P_SIM measurement (detection counts over
 // numPatterns patterns) sharded across the pool's workers, returning a
-// Result bit-identical to the serial in-process engine.  With zero
-// healthy workers it degrades to a local serial run.
-func (p *Pool) MeasureDetection(ctx context.Context, t *Task, probs []float64, numPatterns int, progress faultsim.Progress) (*faultsim.Result, error) {
+// Result bit-identical to the serial in-process engine.  width is the
+// run's simulation width (faultsim.Options.Width), which the shards and
+// any local execution use.  With zero healthy workers it degrades to a
+// local serial run.
+func (p *Pool) MeasureDetection(ctx context.Context, t *Task, probs []float64, numPatterns, width int, progress faultsim.Progress) (*faultsim.Result, error) {
+	if err := widesim.CheckWidth(width); err != nil {
+		return nil, fmt.Errorf("shard: %w", err)
+	}
 	p.runs.Add(1)
 	plan := t.Plan
 	blocks := faultsim.DetectBlocks(numPatterns)
@@ -490,16 +487,15 @@ func (p *Pool) MeasureDetection(ctx context.Context, t *Task, probs []float64, n
 		if err != nil {
 			return nil, err
 		}
-		return plan.MeasureDetectionCtx(ctx, gen, numPatterns, faultsim.Options{Width: p.cfg.SimWidth}, progress)
+		return plan.MeasureDetectionCtx(ctx, gen, numPatterns, faultsim.Options{Width: width}, progress)
 	}
 
-	shards := planShards(t.Remote.NumGroups(), len(blocks), healthy*p.cfg.ShardsPerWorker, p.cfg.MaxShards)
 	base := Request{
 		Name: t.Name, Digest: t.Digest, FaultModel: t.wireModel(),
 		Seed: t.Seed, Probs: probs,
-		Kind: KindDetect, NumPatterns: numPatterns, SimWidth: p.cfg.SimWidth,
+		Kind: KindDetect, NumPatterns: numPatterns, SimWidth: width,
 	}
-	resps, err := p.dispatch(ctx, t, base, shards, progress)
+	shards, resps, err := p.dispatch(ctx, t, base, blocks, healthy, progress)
 	if err != nil {
 		return nil, err
 	}
@@ -526,8 +522,12 @@ func (p *Pool) MeasureDetection(ctx context.Context, t *Task, probs []float64, n
 // CoverageCurve runs the fault-dropping coverage measurement sharded
 // across the pool's workers: each fault's first-detection position is
 // min-merged over shards, and the curve computed from the merged
-// positions is bit-identical to the serial engine's.
-func (p *Pool) CoverageCurve(ctx context.Context, t *Task, probs []float64, checkpoints []int, progress faultsim.Progress) ([]faultsim.CoveragePoint, error) {
+// positions is bit-identical to the serial engine's.  width is used as
+// in MeasureDetection.
+func (p *Pool) CoverageCurve(ctx context.Context, t *Task, probs []float64, checkpoints []int, width int, progress faultsim.Progress) ([]faultsim.CoveragePoint, error) {
+	if err := widesim.CheckWidth(width); err != nil {
+		return nil, fmt.Errorf("shard: %w", err)
+	}
 	p.runs.Add(1)
 	plan := t.Plan
 	blocks := faultsim.CurveBlocks(checkpoints)
@@ -540,16 +540,15 @@ func (p *Pool) CoverageCurve(ctx context.Context, t *Task, probs []float64, chec
 		if err != nil {
 			return nil, err
 		}
-		return plan.CoverageCurveCtx(ctx, gen, checkpoints, faultsim.Options{Width: p.cfg.SimWidth}, progress)
+		return plan.CoverageCurveCtx(ctx, gen, checkpoints, faultsim.Options{Width: width}, progress)
 	}
 
-	shards := planShards(t.Remote.NumGroups(), len(blocks), healthy*p.cfg.ShardsPerWorker, p.cfg.MaxShards)
 	base := Request{
 		Name: t.Name, Digest: t.Digest, FaultModel: t.wireModel(),
 		Seed: t.Seed, Probs: probs,
-		Kind: KindCurve, Checkpoints: checkpoints, SimWidth: p.cfg.SimWidth,
+		Kind: KindCurve, Checkpoints: checkpoints, SimWidth: width,
 	}
-	resps, err := p.dispatch(ctx, t, base, shards, progress)
+	shards, resps, err := p.dispatch(ctx, t, base, blocks, healthy, progress)
 	if err != nil {
 		return nil, err
 	}
@@ -578,8 +577,7 @@ func (p *Pool) CoverageCurve(ctx context.Context, t *Task, probs []float64, chec
 	// checkpoint cp iff its first detection lies at or before cp —
 	// exactly the serial loop's drop accounting, including the float
 	// expression.
-	cps := append([]int(nil), checkpoints...)
-	sortInts(cps)
+	cps := slices.Sorted(slices.Values(checkpoints))
 	var out []faultsim.CoveragePoint
 	for _, cp := range cps {
 		dead := 0
@@ -652,13 +650,4 @@ func (p *Pool) Stats() Stats {
 		})
 	}
 	return st
-}
-
-// sortInts is sort.Ints without dragging sort into every caller.
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }

@@ -25,6 +25,15 @@
 // deterministic functions of the circuit, so fault order, group
 // numbering and block schedule agree without negotiation.
 //
+// # Cost
+//
+// A shard should cost what its simulation costs.  The block axis is
+// cut only at multiples of the run's chunk (faultsim.ChunkBlocks), so
+// shards simulate exactly the chunks a local run would; the rest of
+// the shard count comes from cutting the group axis.  Responses carry
+// their per-fault vectors packed (Vector), so the coordinator decodes
+// one base64 string per shard instead of one JSON number per fault.
+//
 // Requests are content-addressed: they name the circuit by a digest of
 // its name and netlist, and a worker that has never seen (or has
 // evicted) that digest answers ErrUnknownCircuit, whereupon the
@@ -42,19 +51,25 @@
 // and a shard that exhausts its remote attempts falls back to local
 // in-process execution.  With zero healthy workers the whole run
 // degrades to the local serial engine — callers always get an exact
-// answer, merely slower.  ChaosTransport injects drop/delay/error/
-// crash-after-N faults deterministically for the tests that prove all
-// of this keeps results bit-identical.
+// answer, merely slower.  A response that does not decode, or whose
+// vector or values no correct worker could send (Response.check), is a
+// failed attempt like any other.  ChaosTransport injects drop/delay/
+// error/crash-after-N faults deterministically for the tests that
+// prove all of this keeps results bit-identical.
 package shard
 
 import (
+	"cmp"
 	"context"
 	"crypto/sha256"
+	"encoding/base64"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
 	"math/bits"
+	"slices"
 
 	"protest/internal/faultsim"
 	"protest/internal/pattern"
@@ -115,28 +130,121 @@ type Request struct {
 	BlockLo int `json:"block_lo"`
 	BlockHi int `json:"block_hi"`
 
-	// SimWidth is the simulation width (faultsim.Options.Width): 0 lets
-	// the worker pick its chunk schedule, 1, 4 or 8 force that many
-	// blocks per sweep.  Width is a local execution detail — every
-	// width computes bit-identical counts — so coordinator and workers
-	// may even disagree on it without changing a merged result.
+	// SimWidth is the run's simulation width (faultsim.Options.Width):
+	// 0 selects the default chunk schedule, 1, 4 or 8 force that many
+	// blocks per sweep.  Every width computes bit-identical counts; the
+	// coordinator cuts block ranges on the width's chunk boundaries, so
+	// a shard simulates the same chunks a local run would.
 	SimWidth int `json:"sim_width,omitempty"`
 }
 
 // Response is one shard's partial result.  Faults is the number of
-// faults in the shard's group range — the coordinator cross-checks it
-// against its own plan, so a worker that reconstructed a different
-// fault universe is rejected rather than merged.
+// faults in the shard's group range.  The coordinator merges a
+// response only if it passes check against its own plan, so a worker
+// that reconstructed a different fault universe, or sent a vector of
+// the wrong length or with values no shard can produce, is rejected
+// rather than merged.
 type Response struct {
 	Faults int `json:"faults"`
 	// Counts (KindDetect) is the number of valid patterns within the
 	// shard's blocks detecting each fault of the group range, in
 	// ascending fault-index order.
-	Counts []int `json:"counts,omitempty"`
+	Counts Vector `json:"counts,omitempty"`
 	// First (KindCurve) is each fault's first-detection position — the
-	// cumulative pattern count of the earliest shard block detecting it
-	// — or -1 when the shard's blocks never detect it.
-	First []int `json:"first,omitempty"`
+	// cumulative pattern count (BlockSpan.End) of the earliest shard
+	// block detecting it — or -1 when the shard's blocks never detect
+	// it.
+	First Vector `json:"first,omitempty"`
+}
+
+// Vector is an int vector packed for the wire: every entry a zigzag
+// varint (binary.AppendVarint), the bytes one standard base64 JSON
+// string.  Decoding it costs a fraction of decoding a JSON array of
+// numbers.  Any int, negative or large, round-trips, so range checks
+// see exactly what a worker sent.  A peer that still sends or expects
+// a JSON array fails to decode the other side's body, and the pool
+// treats that as a failed attempt.
+type Vector []int
+
+// MarshalText implements encoding.TextMarshaler.
+func (v Vector) MarshalText() ([]byte, error) {
+	raw := make([]byte, 0, 2*len(v)) // counts under 8192 take two bytes
+	for _, x := range v {
+		raw = binary.AppendVarint(raw, int64(x))
+	}
+	out := make([]byte, base64.StdEncoding.EncodedLen(len(raw)))
+	base64.StdEncoding.Encode(out, raw)
+	return out, nil
+}
+
+// UnmarshalText implements encoding.TextUnmarshaler.  An empty text
+// decodes to a nil Vector, as an empty one encodes to nothing.
+func (v *Vector) UnmarshalText(text []byte) error {
+	raw, err := base64.StdEncoding.AppendDecode(nil, text)
+	if err != nil {
+		return fmt.Errorf("shard: vector: %w", err)
+	}
+	n := 0 // a varint's last byte is its only one below 0x80
+	for _, b := range raw {
+		if b < 0x80 {
+			n++
+		}
+	}
+	var out Vector
+	if n > 0 {
+		out = make(Vector, 0, n)
+	}
+	for len(raw) > 0 {
+		x, k := binary.Varint(raw)
+		if k <= 0 || int64(int(x)) != x {
+			return errors.New("shard: vector: malformed varint")
+		}
+		out = append(out, int(x))
+		raw = raw[k:]
+	}
+	*v = out
+	return nil
+}
+
+// check reports why resp cannot answer req, or nil when it can.  The
+// request's group range holds want faults and its blocks index the
+// run's schedule.  The fault count must match, the kind's vector must
+// have one entry per fault, every count must lie in [0, the shard's
+// valid patterns], and every first position must be -1 or the End of
+// a block of the shard.
+func (resp *Response) check(req *Request, want int, blocks []faultsim.BlockSpan) error {
+	if resp.Faults != want {
+		return fmt.Errorf("%d faults, want %d", resp.Faults, want)
+	}
+	own := blocks[req.BlockLo:req.BlockHi]
+	switch req.Kind {
+	case KindDetect:
+		if len(resp.Counts) != want {
+			return fmt.Errorf("%d counts for %d faults", len(resp.Counts), want)
+		}
+		patterns := own[len(own)-1].End
+		if req.BlockLo > 0 {
+			patterns -= blocks[req.BlockLo-1].End
+		}
+		for _, n := range resp.Counts {
+			if n < 0 || n > patterns {
+				return fmt.Errorf("count %d outside [0, %d]", n, patterns)
+			}
+		}
+	case KindCurve:
+		if len(resp.First) != want {
+			return fmt.Errorf("%d first positions for %d faults", len(resp.First), want)
+		}
+		for _, f := range resp.First {
+			if f == -1 {
+				continue
+			}
+			if _, ok := slices.BinarySearchFunc(own, f, func(b faultsim.BlockSpan, f int) int { return cmp.Compare(b.End, f) }); !ok {
+				return fmt.Errorf("first position %d ends no block of the shard", f)
+			}
+		}
+	}
+	return nil
 }
 
 // digest is the content address of a circuit on the wire: the hex

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"reflect"
 	"testing"
 	"time"
@@ -121,7 +122,7 @@ func TestShardedDetectMatchesSerial(t *testing.T) {
 			task := newTestTask(t, name)
 			p := localPool(t, 3, nil)
 			for _, n := range []int{257, 64} {
-				got, err := p.MeasureDetection(context.Background(), task, nil, n, nil)
+				got, err := p.MeasureDetection(context.Background(), task, nil, n, 0, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -141,7 +142,7 @@ func TestShardedDetectWeighted(t *testing.T) {
 		probs[i] = float64(i%15+1) / 16 // a quantized non-uniform tuple
 	}
 	p := localPool(t, 3, nil)
-	got, err := p.MeasureDetection(context.Background(), task, probs, 320, nil)
+	got, err := p.MeasureDetection(context.Background(), task, probs, 320, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +158,7 @@ func TestShardedCurveMatchesSerial(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			task := newTestTask(t, name)
 			p := localPool(t, 3, nil)
-			got, err := p.CoverageCurve(context.Background(), task, nil, cps, nil)
+			got, err := p.CoverageCurve(context.Background(), task, nil, cps, 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -167,13 +168,18 @@ func TestShardedCurveMatchesSerial(t *testing.T) {
 }
 
 // TestPlanShardsPartition checks the shard planner always produces an
-// exact partition of the (group × block) grid.
+// exact partition of the (group × block) grid, cutting the block axis
+// only on chunk boundaries: every block range starts at a multiple of
+// the chunk and ends at one or at the grid's end.
 func TestPlanShardsPartition(t *testing.T) {
-	for _, tc := range []struct{ groups, blocks, target, max int }{
-		{1, 1, 8, 64}, {1, 5, 12, 64}, {7, 1, 12, 64},
-		{13, 17, 12, 64}, {100, 3, 12, 8}, {3, 100, 200, 64}, {5, 5, 1, 64},
+	for _, tc := range []struct{ groups, blocks, chunk, target, max int }{
+		{1, 1, 8, 8, 64}, {1, 5, 1, 12, 64}, {1, 5, 4, 12, 64}, {7, 1, 8, 12, 64},
+		{13, 17, 1, 12, 64}, {13, 17, 4, 12, 64}, {13, 17, 8, 12, 64},
+		{100, 3, 1, 12, 8}, {100, 3, 8, 12, 8}, {100, 40, 4, 64, 8},
+		{3, 100, 1, 200, 64}, {3, 100, 4, 200, 64}, {3, 100, 8, 200, 64},
+		{5, 5, 1, 1, 64}, {5, 16, 8, 4, 64}, {5, 22, 8, 4, 64}, {5, 22, 4, 4, 64},
 	} {
-		spans := planShards(tc.groups, tc.blocks, tc.target, tc.max)
+		spans := planShards(tc.groups, tc.blocks, tc.chunk, tc.target, tc.max)
 		if len(spans) > tc.max {
 			t.Fatalf("planShards(%v): %d shards over cap %d", tc, len(spans), tc.max)
 		}
@@ -181,6 +187,9 @@ func TestPlanShardsPartition(t *testing.T) {
 		for _, sp := range spans {
 			if sp.gLo >= sp.gHi || sp.bLo >= sp.bHi {
 				t.Fatalf("planShards(%v): empty span %+v", tc, sp)
+			}
+			if sp.bLo%tc.chunk != 0 || sp.bHi%tc.chunk != 0 && sp.bHi != tc.blocks {
+				t.Fatalf("planShards(%v): span %+v cuts blocks off chunk boundaries", tc, sp)
 			}
 			for g := sp.gLo; g < sp.gHi; g++ {
 				for b := sp.bLo; b < sp.bHi; b++ {
@@ -207,7 +216,7 @@ func TestEmptyPoolIsPermanentlyDegraded(t *testing.T) {
 	if !p.Degraded() {
 		t.Fatal("empty pool not degraded")
 	}
-	got, err := p.MeasureDetection(context.Background(), task, nil, 200, nil)
+	got, err := p.MeasureDetection(context.Background(), task, nil, 200, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,45 +230,87 @@ func TestEmptyPoolIsPermanentlyDegraded(t *testing.T) {
 	}
 }
 
-// corruptTransport returns responses whose fault count does not match
-// the coordinator's plan — a worker that reconstructed a different
-// fault universe.
-type corruptTransport struct{ inner Transport }
+// corruptTransport passes every response through mutate: a worker
+// that reconstructed a different fault universe, or a buggy one.
+type corruptTransport struct {
+	inner  Transport
+	mutate func(req *Request, resp *Response)
+}
 
 func (c *corruptTransport) Do(ctx context.Context, addr string, req *Request) (*Response, error) {
 	resp, err := c.inner.Do(ctx, addr, req)
 	if err != nil {
 		return nil, err
 	}
-	resp.Faults++
+	c.mutate(req, resp)
 	return resp, nil
 }
 
 func (c *corruptTransport) Probe(ctx context.Context, addr string) error { return nil }
 
-// TestCorruptResponseRejected: a response failing the fault-count
-// cross-check must never be merged — the pool treats it as a failure
-// and the local fallback still produces the exact result.
+// TestCorruptResponseRejected: a response with the wrong fault count,
+// a vector of the wrong length, or a value no shard can produce must
+// never be merged.  The pool treats it as a failure, and the local
+// fallback still produces the exact result.  The curve case runs at
+// width 1, so every shard has blocks outside it.
 func TestCorruptResponseRejected(t *testing.T) {
-	task := newTestTask(t, "c17")
-	p := localPool(t, 2, func(cfg *Config) {
-		cfg.Transport = &corruptTransport{inner: &LocalTransport{Exec: NewExecutor()}}
-		cfg.MaxAttempts = 2
-		cfg.BackoffBase = time.Millisecond
-		cfg.BackoffMax = 2 * time.Millisecond
-		cfg.HedgeAfter = -1
-	})
-	got, err := p.MeasureDetection(context.Background(), task, nil, 200, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameDetect(t, "c17/corrupt", got, serialDetect(t, task, nil, 200))
-	st := p.Stats()
-	if st.LocalFallbacks == 0 {
-		t.Fatal("corrupt responses merged without local fallback")
-	}
-	if st.Shards != 0 {
-		t.Fatalf("%d corrupt responses recorded as successes", st.Shards)
+	const n = 200
+	cps := []int{100, n}
+	for _, tc := range []struct {
+		name   string
+		curve  bool
+		mutate func(req *Request, resp *Response)
+	}{
+		{"faults+1", false, func(_ *Request, r *Response) { r.Faults++ }},
+		{"dropped count", false, func(_ *Request, r *Response) { r.Counts = r.Counts[:len(r.Counts)-1] }},
+		{"appended count", false, func(_ *Request, r *Response) { r.Counts = append(r.Counts, 0) }},
+		{"negative count", false, func(_ *Request, r *Response) { r.Counts[0] = -1 }},
+		{"count above the shard's patterns", false, func(req *Request, r *Response) {
+			patterns := 0
+			for _, b := range req.schedule()[req.BlockLo:req.BlockHi] {
+				patterns += bits.OnesCount64(b.Mask)
+			}
+			r.Counts[0] = patterns + 1
+		}},
+		{"first position outside the shard", true, func(req *Request, r *Response) {
+			blocks := req.schedule()
+			if req.BlockHi < len(blocks) {
+				r.First[0] = blocks[req.BlockHi].End
+			} else {
+				r.First[0] = blocks[req.BlockLo-1].End
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			task := newTestTask(t, "c17")
+			p := localPool(t, 2, func(cfg *Config) {
+				cfg.Transport = &corruptTransport{inner: &LocalTransport{Exec: NewExecutor()}, mutate: tc.mutate}
+				cfg.MaxAttempts = 2
+				cfg.BackoffBase = time.Millisecond
+				cfg.BackoffMax = 2 * time.Millisecond
+				cfg.HedgeAfter = -1
+			})
+			if tc.curve {
+				got, err := p.CoverageCurve(context.Background(), task, nil, cps, 1, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameCurve(t, "c17/corrupt", got, serialCurve(t, task, nil, cps))
+			} else {
+				got, err := p.MeasureDetection(context.Background(), task, nil, n, 0, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameDetect(t, "c17/corrupt", got, serialDetect(t, task, nil, n))
+			}
+			st := p.Stats()
+			if st.LocalFallbacks == 0 {
+				t.Fatal("corrupt responses merged without local fallback")
+			}
+			if st.Shards != 0 {
+				t.Fatalf("%d corrupt responses recorded as successes", st.Shards)
+			}
+		})
 	}
 }
 
@@ -293,23 +344,23 @@ func TestSkipBlocksPositionsStream(t *testing.T) {
 }
 
 // TestShardedWideMatchesSerial pins every width of the shard path,
-// including the default schedule: a pool whose shards run at SimWidth
-// 0, 1, 4 or 8 merges to exactly the serial result for both
-// measurement kinds, on every registry circuit.  With one worker a run
-// is cut into 4 block ranges, so the budgets give shards of 1-2 blocks
-// (257), 4-5 blocks (1088) and 8 blocks (2048): W=1 tails, padded
-// wide chunks and whole 8-block chunks.
+// including the default schedule: runs whose shards simulate at width
+// 0, 1, 4 or 8 merge to exactly the serial result for both measurement
+// kinds, on every registry circuit.  With one worker a run aims at 4
+// shards, so the budgets give group cuts around a run shorter than a
+// chunk (257: 5 blocks), block cuts on chunk boundaries with a ragged
+// last range (1088: 17 blocks) and whole 8-block chunks (2048).
 func TestShardedWideMatchesSerial(t *testing.T) {
 	cps := []int{10, 100, 257, 1088}
 	for _, name := range circuits.Names() {
 		t.Run(name, func(t *testing.T) {
 			task := newTestTask(t, name)
+			p := localPool(t, 1, nil)
 			wantCurve := serialCurve(t, task, nil, cps)
 			for _, n := range []int{257, 1088, 2048} {
 				wantDet := serialDetect(t, task, nil, n)
 				for _, w := range []int{0, 1, 4, 8} {
-					p := localPool(t, 1, func(c *Config) { c.SimWidth = w })
-					got, err := p.MeasureDetection(context.Background(), task, nil, n, nil)
+					got, err := p.MeasureDetection(context.Background(), task, nil, n, w, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -317,7 +368,7 @@ func TestShardedWideMatchesSerial(t *testing.T) {
 					if n != 257 {
 						continue
 					}
-					curve, err := p.CoverageCurve(context.Background(), task, nil, cps, nil)
+					curve, err := p.CoverageCurve(context.Background(), task, nil, cps, w, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -436,14 +487,14 @@ func tableCircuit(t *testing.T) *circuit.Circuit {
 }
 
 // TestDegradedWideMatchesSerial checks the zero-worker fallback honours
-// the pool's width and still reproduces the serial result exactly.
+// the run's width and still reproduces the serial result exactly.
 func TestDegradedWideMatchesSerial(t *testing.T) {
 	task := newTestTask(t, "alu")
-	p := localPool(t, 0, func(c *Config) { c.SimWidth = 8 })
+	p := localPool(t, 0, nil)
 	if !p.Degraded() {
 		t.Fatal("empty pool should be degraded")
 	}
-	got, err := p.MeasureDetection(context.Background(), task, nil, 300, nil)
+	got, err := p.MeasureDetection(context.Background(), task, nil, 300, 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,7 +502,9 @@ func TestDegradedWideMatchesSerial(t *testing.T) {
 }
 
 // TestShardWidthValidation checks unsupported widths are rejected at
-// the request boundary rather than computed wrong.
+// the request boundary rather than computed wrong, and by the pool
+// before any shard is sent: a worker rejecting them would count as
+// failing and could be ejected.
 func TestShardWidthValidation(t *testing.T) {
 	task := newTestTask(t, "c17")
 	req := &Request{
@@ -462,6 +515,16 @@ func TestShardWidthValidation(t *testing.T) {
 	}
 	if _, err := runShard(context.Background(), task.Remote, req); err == nil {
 		t.Fatal("SimWidth 3 should be rejected")
+	}
+	p := localPool(t, 1, nil)
+	if _, err := p.MeasureDetection(context.Background(), task, nil, 128, 3, nil); err == nil {
+		t.Fatal("the pool accepted width 3 for detection")
+	}
+	if _, err := p.CoverageCurve(context.Background(), task, nil, []int{128}, 3, nil); err == nil {
+		t.Fatal("the pool accepted width 3 for a curve")
+	}
+	if st := p.Stats(); st.Runs != 0 || st.Workers[0].Failures != 0 {
+		t.Fatalf("a rejected width reached the workers: %+v", st)
 	}
 }
 

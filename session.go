@@ -177,8 +177,7 @@ func WithSimEngine(e SimEngine) Option {
 // BIST capture has no schedule and runs on the narrow engine at widths
 // 0 and 1.  The naive oracle engine
 // ignores the width.  Open fails on unsupported widths.  Sharded runs
-// take their width from the ShardPool's configuration, not the
-// Session's.
+// (WithShardPool) simulate their shards at this width too.
 func WithSimWidth(w int) Option {
 	return func(s *Session) { s.simWidth = w }
 }
@@ -576,7 +575,7 @@ func (s *Session) simulate(ctx context.Context, probs []float64, numPatterns int
 		// generator above, and the merge is bit-identical to local.
 		var t *shard.Task
 		if t, err = s.ensureShardTask(cfg.model); err == nil {
-			res, err = cfg.pool.MeasureDetection(ctx, t, probs, numPatterns, progress)
+			res, err = cfg.pool.MeasureDetection(ctx, t, probs, numPatterns, cfg.width, progress)
 		}
 	} else if s.laneWait > 0 && s.simWidth > 1 && cfg.width == s.simWidth && cfg.model.Normalize() == s.model {
 		// Cross-call lane batching: concurrent measurements on this
@@ -608,7 +607,7 @@ func (s *Session) CoverageCurve(ctx context.Context, probs []float64, checkpoint
 	} else if cfg.pool != nil {
 		var t *shard.Task
 		if t, err = s.ensureShardTask(cfg.model); err == nil {
-			points, err = cfg.pool.CoverageCurve(ctx, t, probs, checkpoints, progress)
+			points, err = cfg.pool.CoverageCurve(ctx, t, probs, checkpoints, cfg.width, progress)
 		}
 	} else {
 		points, err = s.ensureSimPlan(cfg.model).CoverageCurveCtx(ctx, gen, checkpoints, cfg.simOptions(), progress)

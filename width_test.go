@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"protest/internal/shard"
 )
 
 // TestSimWidthIdenticalResults pins the public width contract: every
@@ -107,6 +109,49 @@ func TestPipelineSimWidthOverride(t *testing.T) {
 	}
 	if _, err := s.Run(context.Background(), PipelineSpec{SimWidth: 5}); err == nil {
 		t.Fatal("SimWidth 5 should be rejected")
+	}
+}
+
+// widthRecorder runs shard requests in process and counts the widths
+// they carry.
+type widthRecorder struct {
+	shard.LocalTransport
+	mu     sync.Mutex
+	widths map[int]int
+}
+
+func (r *widthRecorder) Do(ctx context.Context, addr string, req *shard.Request) (*shard.Response, error) {
+	r.mu.Lock()
+	r.widths[req.SimWidth]++
+	r.mu.Unlock()
+	return r.LocalTransport.Do(ctx, addr, req)
+}
+
+// TestShardedRunsUseRunWidth: a sharded run's shards simulate at the
+// run's width, the Session's or a per-run override, for detection
+// counts and coverage curves alike.
+func TestShardedRunsUseRunWidth(t *testing.T) {
+	c, _ := Benchmark("alu")
+	for _, tc := range []struct{ session, spec, want int }{{0, 0, 0}, {4, 0, 4}, {4, 8, 8}, {0, 1, 1}} {
+		rec := &widthRecorder{LocalTransport: shard.LocalTransport{Exec: shard.NewExecutor()}, widths: map[int]int{}}
+		pool := NewShardPool(ShardPoolConfig{Workers: []string{"w"}, Transport: rec})
+		defer pool.Close()
+		s, err := Open(c, WithSimWidth(tc.session), WithShardPool(pool))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Run(context.Background(), PipelineSpec{SimPatterns: 600, SimWidth: tc.spec}); err != nil {
+			t.Fatal(err)
+		}
+		if tc.spec == 0 {
+			if _, err := s.CoverageCurve(context.Background(), nil, []int{100, 600}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(rec.widths) != 1 || rec.widths[tc.want] == 0 {
+			t.Fatalf("session width %d, run width %d: shards ran at widths %v, want only %d",
+				tc.session, tc.spec, rec.widths, tc.want)
+		}
 	}
 }
 
