@@ -225,19 +225,20 @@ func BenchmarkFaultSimMULT64Patterns(b *testing.B) {
 }
 
 // BenchmarkFaultSimFFRMULT64Patterns is the same block on the FFR
-// engine: critical path tracing + dominator-cut stem propagation
-// (bit-identical detection words; see internal/faultsim).
+// engine at W=1: critical path tracing + dominator-cut stem
+// propagation (bit-identical detection words; see internal/faultsim).
 func BenchmarkFaultSimFFRMULT64Patterns(b *testing.B) {
 	c := circuits.Mult8()
 	faults := fault.Collapse(c)
-	engine := faultsim.NewEngine(faultsim.NewPlan(c, faults))
+	engine := faultsim.NewPlan(c, faults).AcquireWideEngine(1)
+	defer engine.Release()
 	gen := pattern.NewUniform(len(c.Inputs), 1)
 	words := make([]uint64, len(c.Inputs))
 	det := make([]uint64, len(faults))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		gen.NextBlock(words)
-		engine.SimulateBlock(words, det, nil)
+		engine.SimulateChunk(words, det, nil)
 	}
 }
 

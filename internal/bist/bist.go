@@ -92,11 +92,13 @@ type Plan struct {
 	// either way.
 	Engine faultsim.EngineKind
 	// SimWidth is the FFR capture width in 64-cycle lanes (1, 4 or 8;
-	// 0 means 1, or "the Session's width" through a Session).  Wide
-	// capture simulates SimWidth consecutive blocks per sweep and
-	// clocks the signature registers lane by lane in cycle order, so
-	// signatures are bit-identical at every width.  The naive engine
-	// ignores it.
+	// 0 means 1, or "the Session's width" through a Session).  Capture
+	// simulates SimWidth consecutive blocks per sweep and clocks the
+	// signature registers lane by lane in cycle order, so signatures
+	// are bit-identical at every width.  Width 0 stays at 1 rather than
+	// following the measurement schedule: MISR clocking, not capture
+	// simulation, dominates a self test, and wider chunks do not pay
+	// for themselves there.  The naive engine ignores it.
 	SimWidth int
 }
 
@@ -148,11 +150,15 @@ type Program struct {
 type runState struct {
 	faultSigs      []uint64
 	outputDetected []bool
-	inWords        []uint64
-	goodOut        []uint64
-	faultyOut      []uint64
-	det            []uint64
-	sim            *faultsim.Simulator // naive engine, built on first use
+	faultyOut      []uint64 // one block's faulty output words
+
+	// inWords, det and goodOut are sized per run for a chunk of W
+	// blocks (W = 1 for the naive engine, which uses no det):
+	// numInputs×W input words, numFaults×W detection words, and the
+	// good output words of each block, block after block.
+	inWords, det, goodOut []uint64
+
+	sim *faultsim.Simulator // naive engine, built on first use
 }
 
 // NewProgram builds the self-test artifact.  planFn supplies the
@@ -166,10 +172,7 @@ func NewProgram(c *circuit.Circuit, faults []fault.Fault, planFn func() *faultsi
 		return &runState{
 			faultSigs:      make([]uint64, len(faults)),
 			outputDetected: make([]bool, len(faults)),
-			inWords:        make([]uint64, len(c.Inputs)),
-			goodOut:        make([]uint64, len(c.Outputs)),
 			faultyOut:      make([]uint64, len(c.Outputs)),
-			det:            make([]uint64, len(faults)),
 		}
 	}
 	return p
@@ -221,7 +224,7 @@ func RunPlanCtx(ctx context.Context, c *circuit.Circuit, faults []fault.Fault, s
 // concurrent use: concurrent runs share only the immutable plan and
 // the scratch pool.
 func (p *Program) RunCtx(ctx context.Context, gen *pattern.Generator, plan Plan, progress faultsim.Progress) (*Result, error) {
-	c, faults := p.c, p.faults
+	c := p.c
 	if gen.NumInputs() != len(c.Inputs) {
 		return nil, fmt.Errorf("bist: generator has %d inputs, circuit %d", gen.NumInputs(), len(c.Inputs))
 	}
@@ -231,105 +234,47 @@ func (p *Program) RunCtx(ctx context.Context, gen *pattern.Generator, plan Plan,
 	if plan.MISRWidth == 0 {
 		plan.MISRWidth = 16
 	}
-	goodMISR, err := NewMISR(plan.MISRWidth, plan.MISRSeed)
+	good, err := NewMISR(plan.MISRWidth, plan.MISRSeed)
 	if err != nil {
 		return nil, err
+	}
+	if plan.Engine != faultsim.EngineNaive {
+		if err := widesim.CheckWidth(plan.SimWidth); err != nil {
+			return nil, err
+		}
 	}
 	st := p.pool.Get().(*runState)
 	defer p.pool.Put(st)
 	// Per-fault signature registers.
-	faultSigs := st.faultSigs
-	for i := range faultSigs {
-		faultSigs[i] = plan.MISRSeed & (1<<plan.MISRWidth - 1)
+	for i := range st.faultSigs {
+		st.faultSigs[i] = good.Signature()
 	}
-	outputDetected := st.outputDetected
-	for i := range outputDetected {
-		outputDetected[i] = false
-	}
+	clear(st.outputDetected)
 
-	inWords, goodOut, faultyOut := st.inWords, st.goodOut, st.faultyOut
-	scratch := &MISR{width: plan.MISRWidth}
-	scratch.taps, _ = pattern.Taps(plan.MISRWidth)
-
-	// Engine selection: the FFR engine captures, per block, every
+	// Engine selection: the FFR engine captures, per chunk, every
 	// stem's output-flip words once and composes each fault's faulty
 	// responses from them; the naive oracle re-simulates every fault's
 	// cone.  Both yield the same response words, hence identical
 	// signatures.
-	var engine *faultsim.Engine
-	var sim *faultsim.Simulator
-	var det []uint64
 	if plan.Engine == faultsim.EngineNaive {
-		if st.sim == nil {
-			st.sim = faultsim.New(c)
-		}
-		sim = st.sim
+		err = p.runNaive(ctx, gen, plan, good, st, progress)
 	} else {
-		if err := widesim.CheckWidth(plan.SimWidth); err != nil {
-			return nil, err
-		}
-		if plan.SimWidth > 1 {
-			return p.runWide(ctx, gen, plan, goodMISR, st, scratch, progress)
-		}
-		engine = p.plan().AcquireEngine()
-		defer engine.Release()
-		det = st.det
+		err = p.runFFR(ctx, gen, plan, good, st, progress)
 	}
-
-	cycles := 0
-	for cycles < plan.Cycles {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		gen.NextBlock(inWords)
-		valid := plan.Cycles - cycles
-		if valid > 64 {
-			valid = 64
-		}
-		var mask uint64 = ^uint64(0)
-		if valid < 64 {
-			mask = 1<<valid - 1
-		}
-		if engine != nil {
-			engine.SimulateBlockOutputs(inWords, det)
-			engine.GoodOutputWords(goodOut)
-		} else {
-			sim.SimulateBlock(inWords, nil, nil)
-			sim.GoodOutputWords(goodOut)
-		}
-		clockStream(goodMISR, goodOut, valid)
-
-		for fi, f := range faults {
-			var d uint64
-			if engine != nil {
-				d = det[fi]
-				engine.FaultOutputs(fi, faultyOut)
-			} else {
-				d = sim.SimulateFaultBlock(inWords, f, faultyOut)
-			}
-			if d&mask != 0 {
-				outputDetected[fi] = true
-			}
-			scratch.state = faultSigs[fi]
-			clockStream(scratch, faultyOut, valid)
-			faultSigs[fi] = scratch.state
-		}
-		cycles += valid
-		if progress != nil {
-			progress(cycles, plan.Cycles)
-		}
+	if err != nil {
+		return nil, err
 	}
 
 	res := &Result{
-		GoodSignature: goodMISR.Signature(),
+		GoodSignature: good.Signature(),
 		MISRWidth:     plan.MISRWidth,
-		Faults:        len(faults),
+		Faults:        len(p.faults),
 		Cycles:        plan.Cycles,
 	}
-	for fi := range faults {
-		if faultSigs[fi] != res.GoodSignature {
+	for fi := range p.faults {
+		if st.faultSigs[fi] != res.GoodSignature {
 			res.Detected++
-		} else if outputDetected[fi] {
+		} else if st.outputDetected[fi] {
 			res.Aliased++
 		}
 	}
@@ -337,90 +282,119 @@ func (p *Program) RunCtx(ctx context.Context, gen *pattern.Generator, plan Plan,
 	return res, nil
 }
 
-// runWide is the wide-capture self-test loop: chunks of SimWidth
-// consecutive 64-cycle blocks run through one wide FFR capture sweep,
-// and every signature register is clocked lane by lane in cycle order
-// — serial compaction over wide simulation, so signatures are
-// bit-identical to the narrow loop.  Entered from RunCtx with the
-// per-fault registers already initialized on st.
-func (p *Program) runWide(ctx context.Context, gen *pattern.Generator, plan Plan, goodMISR *MISR, st *runState, scratch *MISR, progress faultsim.Progress) (*Result, error) {
-	c, faults := p.c, p.faults
-	w := plan.SimWidth
+// runFFR is the FFR self-test loop: chunks of max(SimWidth, 1)
+// consecutive 64-cycle blocks run through one wide capture sweep, and
+// every signature register is clocked lane by lane in cycle order —
+// serial compaction over wide simulation, so signatures are identical
+// at every width.  Each lane's output words come out contiguous, one
+// word per output, as clockStream takes them.
+func (p *Program) runFFR(ctx context.Context, gen *pattern.Generator, plan Plan, good *MISR, st *runState, progress faultsim.Progress) error {
+	w := max(plan.SimWidth, 1)
 	engine := p.plan().AcquireWideEngine(w)
 	defer engine.Release()
-
-	inWords := make([]uint64, len(c.Inputs)*w)
-	det := make([]uint64, len(faults)*w)
-	goodOut := make([]uint64, len(c.Outputs)*w)
-	faultyOut := make([]uint64, len(c.Outputs)*w)
-	faultSigs, outputDetected := st.faultSigs, st.outputDetected
+	nOut := len(p.c.Outputs)
+	st.inWords = grow(st.inWords, len(p.c.Inputs)*w)
+	st.det = grow(st.det, len(p.faults)*w)
+	st.goodOut = grow(st.goodOut, nOut*w)
+	sigs, outDet, det, out := st.faultSigs, st.outputDetected, st.det, st.faultyOut
+	scratch := &MISR{width: good.width, taps: good.taps}
+	valid, mask := make([]int, w), make([]uint64, w) // per lane of a chunk
 
 	nBlocks := (plan.Cycles + 63) / 64
-	cycles := 0
 	for b := 0; b < nBlocks; b += w {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return err
 		}
-		k := w
-		if rem := nBlocks - b; rem < k {
-			k = rem
-		}
-		gen.NextBlocks(inWords, w, k)
-		engine.SimulateChunkOutputs(inWords, det)
-		engine.GoodOutputWords(goodOut)
+		k := min(w, nBlocks-b)
+		gen.NextBlocks(st.inWords, w, k)
+		engine.SimulateChunkOutputs(st.inWords, det)
 		for l := 0; l < k; l++ {
-			valid := plan.Cycles - (cycles + l*64)
-			if valid > 64 {
-				valid = 64
-			}
-			clockStreamLane(goodMISR, goodOut, w, l, valid)
+			valid[l] = validCycles(plan.Cycles, b+l)
+			mask[l] = validMask(valid[l])
+			goodOut := st.goodOut[l*nOut : (l+1)*nOut]
+			engine.GoodOutputWords(l, goodOut)
+			clockStream(good, goodOut, valid[l])
 		}
-		for fi := range faults {
-			engine.FaultOutputs(fi, faultyOut)
-			scratch.state = faultSigs[fi]
+		for fi := range sigs {
+			scratch.state = sigs[fi]
 			for l := 0; l < k; l++ {
-				valid := plan.Cycles - (cycles + l*64)
-				if valid > 64 {
-					valid = 64
+				// A fault that flips no output in this lane responds
+				// with the good outputs.
+				resp := st.goodOut[l*nOut : (l+1)*nOut]
+				if d := det[fi*w+l]; d != 0 {
+					if d&mask[l] != 0 {
+						outDet[fi] = true
+					}
+					engine.FaultOutputs(fi, l, out)
+					resp = out
 				}
-				var mask uint64 = ^uint64(0)
-				if valid < 64 {
-					mask = 1<<valid - 1
-				}
-				if det[fi*w+l]&mask != 0 {
-					outputDetected[fi] = true
-				}
-				clockStreamLane(scratch, faultyOut, w, l, valid)
+				clockStream(scratch, resp, valid[l])
 			}
-			faultSigs[fi] = scratch.state
-		}
-		for l := 0; l < k; l++ {
-			valid := plan.Cycles - cycles
-			if valid > 64 {
-				valid = 64
-			}
-			cycles += valid
+			sigs[fi] = scratch.state
 		}
 		if progress != nil {
-			progress(cycles, plan.Cycles)
+			progress(min((b+k)*64, plan.Cycles), plan.Cycles)
 		}
 	}
+	return nil
+}
 
-	res := &Result{
-		GoodSignature: goodMISR.Signature(),
-		MISRWidth:     plan.MISRWidth,
-		Faults:        len(faults),
-		Cycles:        plan.Cycles,
+// runNaive is the oracle self-test loop: one 64-cycle block at a time,
+// every fault's faulty responses from its own cone re-simulation.
+func (p *Program) runNaive(ctx context.Context, gen *pattern.Generator, plan Plan, good *MISR, st *runState, progress faultsim.Progress) error {
+	if st.sim == nil {
+		st.sim = faultsim.New(p.c)
 	}
-	for fi := range faults {
-		if faultSigs[fi] != res.GoodSignature {
-			res.Detected++
-		} else if outputDetected[fi] {
-			res.Aliased++
+	sim := st.sim
+	st.inWords = grow(st.inWords, len(p.c.Inputs))
+	st.goodOut = grow(st.goodOut, len(p.c.Outputs))
+	scratch := &MISR{width: good.width, taps: good.taps}
+	nBlocks := (plan.Cycles + 63) / 64
+	for b := 0; b < nBlocks; b++ {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		gen.NextBlock(st.inWords)
+		valid := validCycles(plan.Cycles, b)
+		sim.SimulateBlock(st.inWords, nil, nil)
+		sim.GoodOutputWords(st.goodOut)
+		clockStream(good, st.goodOut, valid)
+		for fi, f := range p.faults {
+			if sim.SimulateFaultBlock(st.inWords, f, st.faultyOut)&validMask(valid) != 0 {
+				st.outputDetected[fi] = true
+			}
+			scratch.state = st.faultSigs[fi]
+			clockStream(scratch, st.faultyOut, valid)
+			st.faultSigs[fi] = scratch.state
+		}
+		if progress != nil {
+			progress(min((b+1)*64, plan.Cycles), plan.Cycles)
 		}
 	}
-	res.OutputDetected = res.Detected + res.Aliased
-	return res, nil
+	return nil
+}
+
+// validCycles returns how many of block b's 64 cycles fall within a
+// session of the given length.
+func validCycles(cycles, b int) int {
+	return min(cycles-b*64, 64)
+}
+
+// validMask returns the mask of a block's first valid cycles.
+func validMask(valid int) uint64 {
+	if valid < 64 {
+		return 1<<valid - 1
+	}
+	return ^uint64(0)
+}
+
+// grow returns s resized to n elements, reallocating only when its
+// capacity is too small.  Contents are unspecified.
+func grow(s []uint64, n int) []uint64 {
+	if cap(s) < n {
+		return make([]uint64, n)
+	}
+	return s[:n]
 }
 
 // clockStream feeds `valid` cycles of output words into the MISR:
@@ -431,18 +405,6 @@ func clockStream(m *MISR, outWords []uint64, valid int) {
 		var in uint64
 		for i, w := range outWords {
 			in |= (w >> b & 1) << (uint(i) % 64)
-		}
-		m.Clock(in)
-	}
-}
-
-// clockStreamLane is clockStream over lane `lane` of a lane-major wide
-// output buffer (outWords[i*stride+lane] is output i's word).
-func clockStreamLane(m *MISR, outWords []uint64, stride, lane, valid int) {
-	for b := 0; b < valid; b++ {
-		var in uint64
-		for i := 0; i*stride < len(outWords); i++ {
-			in |= (outWords[i*stride+lane] >> b & 1) << (uint(i) % 64)
 		}
 		m.Clock(in)
 	}

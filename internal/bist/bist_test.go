@@ -178,8 +178,9 @@ func TestRunDefaults(t *testing.T) {
 }
 
 // TestEngineSignatureIdentity runs the same self-test session on the
-// FFR engine and the naive oracle and requires identical results down
-// to the signature: same good signature, same per-category counts.
+// FFR engine at every width and on the naive oracle and requires
+// identical results down to the signature: same good signature, same
+// per-category counts.
 func TestEngineSignatureIdentity(t *testing.T) {
 	for _, build := range []func() *circuit.Circuit{circuits.C17, circuits.ALU74181, func() *circuit.Circuit {
 		return circuits.Random(circuits.RandomOptions{Inputs: 10, Gates: 90, Outputs: 5, Seed: 17})
@@ -187,27 +188,30 @@ func TestEngineSignatureIdentity(t *testing.T) {
 		c := build()
 		faults := fault.Collapse(c)
 		for _, cycles := range []int{64, 100, 257} {
-			plan := Plan{Cycles: cycles, MISRWidth: 16, MISRSeed: 5}
-			ffr, err := Run(c, faults, pattern.NewUniform(len(c.Inputs), 9), plan)
-			if err != nil {
-				t.Fatal(err)
-			}
-			plan.Engine = faultsim.EngineNaive
+			plan := Plan{Cycles: cycles, MISRWidth: 16, MISRSeed: 5, Engine: faultsim.EngineNaive}
 			naive, err := Run(c, faults, pattern.NewUniform(len(c.Inputs), 9), plan)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if *ffr != *naive {
-				t.Fatalf("%s cycles=%d: FFR result %+v != naive %+v", c.Name, cycles, ffr, naive)
+			for _, w := range []int{0, 1, 4, 8} {
+				plan := Plan{Cycles: cycles, MISRWidth: 16, MISRSeed: 5, SimWidth: w}
+				ffr, err := Run(c, faults, pattern.NewUniform(len(c.Inputs), 9), plan)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if *ffr != *naive {
+					t.Fatalf("%s cycles=%d width=%d: FFR result %+v != naive %+v", c.Name, cycles, w, ffr, naive)
+				}
 			}
 		}
 	}
 }
 
-// TestWideSignatureIdentity pins wide capture: the complete self-test
-// result (good signature, detected, aliased, output-detected counts)
-// must be identical at widths 4 and 8 to the narrow run, including
-// cycle counts that end mid-lane and mid-word.
+// TestWideSignatureIdentity pins the capture widths against each other
+// over the whole registry: the complete self-test result (good
+// signature, detected, aliased, output-detected counts) must be
+// identical at widths 1, 4 and 8 to the width-0 run, including cycle
+// counts that end mid-lane and mid-word.
 func TestWideSignatureIdentity(t *testing.T) {
 	for _, name := range circuits.Names() {
 		c, _ := circuits.Lookup(name)
@@ -226,7 +230,7 @@ func TestWideSignatureIdentity(t *testing.T) {
 					t.Fatal(err)
 				}
 				if *wide != *ref {
-					t.Fatalf("%s cycles=%d width=%d: %+v != narrow %+v", c.Name, cycles, w, wide, ref)
+					t.Fatalf("%s cycles=%d width=%d: %+v != width 0 %+v", c.Name, cycles, w, wide, ref)
 				}
 			}
 		}

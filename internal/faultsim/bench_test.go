@@ -10,15 +10,15 @@ import (
 	"protest/internal/pattern"
 )
 
-// benchBlock times one 64-pattern block over the full collapsed fault
-// list — the unit of work both engines share.  The FFR engine's
-// per-block cost is O(gates + Σ stem regions) while the naive oracle
-// pays O(faults × cone), so the ratio widens with circuit size and
-// fanout density.
-func benchBlockFFR(b *testing.B, c *circuit.Circuit) {
-	faults := fault.Collapse(c)
-	plan := NewPlan(c, faults)
-	e := NewEngine(plan)
+// benchBlockFFR times one 64-pattern block over the fault list on the
+// FFR engine at W=1, the width the default schedule's ragged tail runs
+// at — the unit of work the FFR engine and the naive oracle share.
+// The FFR engine's per-block cost is O(gates + Σ stem regions) while
+// the naive oracle pays O(faults × cone), so the ratio widens with
+// circuit size and fanout density.
+func benchBlockFFR(b *testing.B, c *circuit.Circuit, faults []fault.Fault) {
+	e := NewPlan(c, faults).AcquireWideEngine(1)
+	defer e.Release()
 	gen := pattern.NewUniform(len(c.Inputs), 1)
 	words := make([]uint64, len(c.Inputs))
 	det := make([]uint64, len(faults))
@@ -26,14 +26,13 @@ func benchBlockFFR(b *testing.B, c *circuit.Circuit) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		gen.NextBlock(words)
-		e.SimulateBlock(words, det, nil)
+		e.SimulateChunk(words, det, nil)
 	}
 }
 
-// benchBlockWide times 512 patterns per op through the wide kernel at
+// benchBlockWide times 512 patterns per op through the FFR engine at
 // width w — equal work at every width, so per-op times compare
-// directly across widths (w=1 is the wide family's own narrow
-// baseline; the plain "ffr" runs time the original engine per block).
+// directly across widths (the plain "ffr" runs time one block).
 func benchBlockWide(b *testing.B, c *circuit.Circuit, w int) {
 	faults := fault.Collapse(c)
 	plan := NewPlan(c, faults)
@@ -52,8 +51,7 @@ func benchBlockWide(b *testing.B, c *circuit.Circuit, w int) {
 	}
 }
 
-func benchBlockNaive(b *testing.B, c *circuit.Circuit) {
-	faults := fault.Collapse(c)
+func benchBlockNaive(b *testing.B, c *circuit.Circuit, faults []fault.Fault) {
 	s := New(c)
 	gen := pattern.NewUniform(len(c.Inputs), 1)
 	words := make([]uint64, len(c.Inputs))
@@ -67,12 +65,14 @@ func benchBlockNaive(b *testing.B, c *circuit.Circuit) {
 }
 
 // BenchmarkBlockEngines compares the engines per block on the paper
-// circuits.
+// circuits and the largest ISCAS-style ones.
 func BenchmarkBlockEngines(b *testing.B) {
-	for _, mk := range []func() *circuit.Circuit{circuits.Mult8, circuits.Div16, circuits.Comp24} {
-		c := mk()
-		b.Run(c.Name+"/ffr", func(b *testing.B) { benchBlockFFR(b, c) })
-		b.Run(c.Name+"/naive", func(b *testing.B) { benchBlockNaive(b, c) })
+	c880, _ := circuits.Lookup("c880")
+	c1355, _ := circuits.Lookup("c1355")
+	for _, c := range []*circuit.Circuit{circuits.Mult8(), circuits.Div16(), circuits.Comp24(), c880, c1355} {
+		faults := fault.Collapse(c)
+		b.Run(c.Name+"/ffr", func(b *testing.B) { benchBlockFFR(b, c, faults) })
+		b.Run(c.Name+"/naive", func(b *testing.B) { benchBlockNaive(b, c, faults) })
 		for _, w := range []int{1, 4, 8} {
 			b.Run(fmt.Sprintf("%s/wide-w%d", c.Name, w), func(b *testing.B) { benchBlockWide(b, c, w) })
 		}
@@ -89,31 +89,8 @@ func BenchmarkBlockEnginesBridging(b *testing.B) {
 	for _, mk := range []func() *circuit.Circuit{circuits.Mult8, circuits.Div16, circuits.Comp24} {
 		c := mk()
 		faults := fault.ModelBridging.Faults(c)
-		b.Run(c.Name+"/ffr", func(b *testing.B) {
-			plan := NewPlan(c, faults)
-			e := NewEngine(plan)
-			gen := pattern.NewUniform(len(c.Inputs), 1)
-			words := make([]uint64, len(c.Inputs))
-			det := make([]uint64, len(faults))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				gen.NextBlock(words)
-				e.SimulateBlock(words, det, nil)
-			}
-		})
-		b.Run(c.Name+"/naive", func(b *testing.B) {
-			s := New(c)
-			gen := pattern.NewUniform(len(c.Inputs), 1)
-			words := make([]uint64, len(c.Inputs))
-			det := make([]uint64, len(faults))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				gen.NextBlock(words)
-				s.SimulateBlock(words, faults, det)
-			}
-		})
+		b.Run(c.Name+"/ffr", func(b *testing.B) { benchBlockFFR(b, c, faults) })
+		b.Run(c.Name+"/naive", func(b *testing.B) { benchBlockNaive(b, c, faults) })
 	}
 }
 
@@ -131,7 +108,8 @@ func BenchmarkBlockFanoutHeavy(b *testing.B) {
 			MaxArity: 3,
 			Locality: 64,
 		})
-		b.Run(fmt.Sprintf("gates=%d/ffr", gates), func(b *testing.B) { benchBlockFFR(b, c) })
-		b.Run(fmt.Sprintf("gates=%d/naive", gates), func(b *testing.B) { benchBlockNaive(b, c) })
+		faults := fault.Collapse(c)
+		b.Run(fmt.Sprintf("gates=%d/ffr", gates), func(b *testing.B) { benchBlockFFR(b, c, faults) })
+		b.Run(fmt.Sprintf("gates=%d/naive", gates), func(b *testing.B) { benchBlockNaive(b, c, faults) })
 	}
 }

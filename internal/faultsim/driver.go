@@ -15,7 +15,7 @@ import (
 // remain.  An explicit width is used as is, padding a short final
 // chunk.  Width 0 picks the schedule: 8-block chunks while at least 8
 // blocks remain, then the ragged tail block by block at W=1, so no lane
-// is ever simulated empty.  Every chunk runs on the wide engine of its
+// is ever simulated empty.  Every chunk runs on the engine of its
 // width.  There is no W=4 step for tails of 4 to 7 blocks: each width
 // in use holds its own pooled engines, and a server's peak memory grew
 // with the third.

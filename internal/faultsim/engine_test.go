@@ -2,7 +2,6 @@ package faultsim
 
 import (
 	"context"
-	"fmt"
 	"slices"
 	"testing"
 
@@ -76,57 +75,22 @@ func tableCircuit() *circuit.Circuit {
 	return c
 }
 
-// TestEngineBlockIdentity drives the FFR engine and the naive oracle
-// with the same pattern blocks and requires word-for-word identical
-// detection words for every fault.
+// TestEngineBlockIdentity drives the FFR engine one block at a time
+// (W = 1, the width the default schedule runs for tail blocks) and the
+// naive oracle with the same pattern blocks and requires word-for-word
+// identical detection words for every fault.
 func TestEngineBlockIdentity(t *testing.T) {
 	for _, c := range engineTestCircuits() {
-		faults := fault.Collapse(c)
-		plan := NewPlan(c, faults)
-		e := NewEngine(plan)
-		naive := New(c)
-		gen := pattern.NewUniform(len(c.Inputs), 7)
-		words := make([]uint64, len(c.Inputs))
-		detF := make([]uint64, len(faults))
-		detN := make([]uint64, len(faults))
-		for block := 0; block < 8; block++ {
-			gen.NextBlock(words)
-			e.SimulateBlock(words, detF, nil)
-			naive.SimulateBlock(words, faults, detN)
-			for i := range faults {
-				if detF[i] != detN[i] {
-					t.Fatalf("%s block %d fault %v: FFR %016x != naive %016x",
-						c.Name, block, faults[i], detF[i], detN[i])
-				}
-			}
-		}
+		checkChunkIdentity(t, c, fault.Collapse(c), 7, 8, []int{1})
 	}
 }
 
-// TestEngineUncollapsedUniverse repeats the block identity on the full
+// TestEngineUncollapsedUniverse repeats the chunk identity on the full
 // (uncollapsed) fault universe, which exercises every stem and branch
 // position including equivalent and undetectable faults.
 func TestEngineUncollapsedUniverse(t *testing.T) {
 	for _, c := range engineTestCircuits()[:6] {
-		faults := fault.Universe(c)
-		plan := NewPlan(c, faults)
-		e := NewEngine(plan)
-		naive := New(c)
-		gen := pattern.NewUniform(len(c.Inputs), 99)
-		words := make([]uint64, len(c.Inputs))
-		detF := make([]uint64, len(faults))
-		detN := make([]uint64, len(faults))
-		for block := 0; block < 4; block++ {
-			gen.NextBlock(words)
-			e.SimulateBlock(words, detF, nil)
-			naive.SimulateBlock(words, faults, detN)
-			for i := range faults {
-				if detF[i] != detN[i] {
-					t.Fatalf("%s block %d fault %v: FFR %016x != naive %016x",
-						c.Name, block, faults[i], detF[i], detN[i])
-				}
-			}
-		}
+		checkChunkIdentity(t, c, fault.Universe(c), 99, 4, wideWidths)
 	}
 }
 
@@ -232,9 +196,9 @@ func TestEngineExhaustiveIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Feed the engine the same enumeration layout.
-		plan := NewPlan(c, faults)
-		e := NewEngine(plan)
+		// Feed the engine the same enumeration layout: at W=1 a chunk's
+		// input words are one block's, one word per input.
+		e := NewPlan(c, faults).AcquireWideEngine(1)
 		got := make([]int, len(faults))
 		det := make([]uint64, len(faults))
 		words := make([]uint64, len(c.Inputs))
@@ -244,12 +208,13 @@ func TestEngineExhaustiveIdentity(t *testing.T) {
 			for i := range words {
 				words[i] = enumInputWord(uint64(base), i)
 			}
-			e.SimulateBlock(words, det, nil)
+			e.SimulateChunk(words, det, nil)
 			mask := blockMask(valid)
 			for i, d := range det {
 				got[i] += popcount(d & mask)
 			}
 		}
+		e.Release()
 		for i := range faults {
 			if got[i] != want[i] {
 				t.Fatalf("%s fault %v: FFR exhaustive count %d != oracle %d",
@@ -268,12 +233,11 @@ func popcount(x uint64) int {
 }
 
 // TestEngineLiveGroups checks the fault-dropping contract of the FFR
-// engines: with every other FFR group dropped, the live groups' words
-// equal a full block's (or, on the wide engine at W = 1, 4 and 8, a
-// full chunk's lane for lane), and the dropped groups' words still hold
-// what the caller left in them.  Each engine first runs a full chunk of
-// other patterns, so scratch a partial chunk failed to recompute would
-// hold wrong values.
+// engine at W = 1, 4 and 8: with every other FFR group dropped, the
+// live groups' words equal a full chunk's lane for lane, and the
+// dropped groups' words still hold what the caller left in them.  Each
+// engine first runs a full chunk of other patterns, so scratch a
+// partial chunk failed to recompute would hold wrong values.
 func TestEngineLiveGroups(t *testing.T) {
 	const sentinel = 0xdeadbeefcafef00d
 	c1355, _ := circuits.Lookup("c1355")
@@ -285,74 +249,43 @@ func TestEngineLiveGroups(t *testing.T) {
 			for si := 0; si < len(live); si += 2 {
 				live[si] = true
 			}
-			check := func(engine string, w int, run func(in, det []uint64, live []bool)) {
-				t.Helper()
+			for _, w := range wideWidths {
+				e := plan.AcquireWideEngine(w)
 				other := make([]uint64, len(c.Inputs)*w)
 				pattern.NewUniform(len(c.Inputs), 99).NextBlocks(other, w, w)
 				in := make([]uint64, len(c.Inputs)*w)
 				pattern.NewUniform(len(c.Inputs), 21).NextBlocks(in, w, w)
 				full := make([]uint64, len(faults)*w)
-				run(other, full, nil)
+				e.SimulateChunk(other, full, nil)
 				partial := make([]uint64, len(faults)*w)
 				for i := range partial {
 					partial[i] = sentinel
 				}
-				run(in, partial, live)
-				run(in, full, nil)
+				e.SimulateChunk(in, partial, live)
+				e.SimulateChunk(in, full, nil)
+				e.Release()
 				for fi := range faults {
 					want := full[fi*w : (fi+1)*w]
 					if !live[plan.GroupOf(fi)] {
 						want = slices.Repeat([]uint64{sentinel}, w)
 					}
 					if got := partial[fi*w : (fi+1)*w]; !slices.Equal(got, want) {
-						t.Fatalf("%s %s %s fault %v (group live %v): words %016x, want %016x",
-							c.Name, m, engine, faults[fi], live[plan.GroupOf(fi)], got, want)
+						t.Fatalf("%s %s W=%d fault %v (group live %v): words %016x, want %016x",
+							c.Name, m, w, faults[fi], live[plan.GroupOf(fi)], got, want)
 					}
 				}
-			}
-			e := plan.AcquireEngine()
-			check("narrow", 1, e.SimulateBlock)
-			e.Release()
-			for _, w := range wideWidths {
-				e := plan.AcquireWideEngine(w)
-				check(fmt.Sprintf("wide W=%d", w), w, e.SimulateChunk)
-				e.Release()
 			}
 		}
 	}
 }
 
-// TestEngineCaptureOutputs checks capture mode against the naive
-// SimulateFaultBlock: identical faulty output words and detection
-// words for every fault.
+// TestEngineCaptureOutputs pins the single-block capture BIST runs at
+// widths 0 and 1: detection, good output and faulty output words of
+// the FFR engine at W = 1 must equal the naive oracle's
+// (Simulator.SimulateFaultBlock) for every fault.
 func TestEngineCaptureOutputs(t *testing.T) {
 	for _, c := range []*circuit.Circuit{circuits.C17(), circuits.ALU74181(),
 		circuits.Random(circuits.RandomOptions{Inputs: 9, Gates: 70, Outputs: 4, Seed: 3})} {
-		faults := fault.Collapse(c)
-		plan := NewPlan(c, faults)
-		e := NewEngine(plan)
-		naive := New(c)
-		gen := pattern.NewUniform(len(c.Inputs), 5)
-		words := make([]uint64, len(c.Inputs))
-		det := make([]uint64, len(faults))
-		outF := make([]uint64, len(c.Outputs))
-		outN := make([]uint64, len(c.Outputs))
-		for block := 0; block < 4; block++ {
-			gen.NextBlock(words)
-			e.SimulateBlockOutputs(words, det)
-			for fi, f := range faults {
-				dn := naive.SimulateFaultBlock(words, f, outN)
-				if det[fi] != dn {
-					t.Fatalf("%s fault %v: capture det %016x != naive %016x", c.Name, f, det[fi], dn)
-				}
-				e.FaultOutputs(fi, outF)
-				for oi := range outF {
-					if outF[oi] != outN[oi] {
-						t.Fatalf("%s fault %v output %d: capture %016x != naive %016x",
-							c.Name, f, oi, outF[oi], outN[oi])
-					}
-				}
-			}
-		}
+		checkCaptureIdentity(t, c, fault.Collapse(c), 5, []int{1})
 	}
 }

@@ -3,16 +3,15 @@
 // (section 4, Table 1) and fault-coverage-versus-pattern-count curves
 // with fault dropping (section 6, Table 6):
 //
-//   - the FFR engine (Plan), the default: the collapsed fault list is
-//     partitioned by fanout-free region, each block runs one good
-//     simulation, one backward critical-path trace per live region and
-//     one dominator-bounded stem propagation per live stem, collapsing
+//   - the FFR engine (Plan, WideEngine), the default: the collapsed
+//     fault list is partitioned by fanout-free region, each chunk of W
+//     64-pattern blocks (W = 1, 4 or 8) runs one good simulation, one
+//     backward critical-path trace per live region and one
+//     dominator-bounded stem propagation per live stem, collapsing
 //     per-fault work to one fused lane loop per fault.  Measurements
-//     run the wide form (WideEngine, W blocks per call, W = 1, 4 or 8)
-//     through one driver, Plan.RunBlocks, on the width schedule of
-//     Options.Width.  The narrow form (Engine, one 64-pattern block
-//     per call) remains for BIST capture at width 1 and as a test
-//     reference;
+//     run through one driver, Plan.RunBlocks, on the width schedule of
+//     Options.Width; BIST capture (package bist) drives the engine's
+//     capture mode itself;
 //   - the naive engine (Simulator), kept as the independent oracle:
 //     every fault is re-simulated individually inside its output cone.
 //
@@ -93,9 +92,9 @@ type Options struct {
 	// default, lets the driver pick per chunk: W=8 while at least 8
 	// blocks remain and W=1 for the ragged tail of up to 7 blocks (see
 	// chunkWidth).  1, 4 or 8 forces that width for every chunk,
-	// padding a short final chunk.  Every width runs on the wide
-	// engine, and results are bit-identical at every width.  The naive
-	// oracle engine has no wide path and ignores Width.
+	// padding a short final chunk.  Every width runs on the FFR engine,
+	// and results are bit-identical at every width.  The naive oracle
+	// engine has no wide path and ignores Width.
 	Width int
 }
 
@@ -181,7 +180,7 @@ func (s *Simulator) simulateFault(goodVals []uint64, f fault.Fault) uint64 {
 	}
 	// Activation: patterns where the fault changes the site value,
 	// intersected with the kind's condition word (every kind is a
-	// conditional stuck-at; see Engine.faultWord for the conditions).
+	// conditional stuck-at; wideEngine.detect applies the same ones).
 	act := goodVals[site] ^ stuck
 	switch f.Kind {
 	case fault.KindBridgeAND, fault.KindBridgeOR:

@@ -9,11 +9,12 @@ import (
 	"protest/internal/pattern"
 )
 
-// FuzzEnginesAgree is the differential check of the FFR engines on
+// FuzzEnginesAgree is the differential check of the FFR engine on
 // random circuits: for a circuits.Random topology, a fault model and a
 // pattern count drawn from the input, MeasureDetectionOpt must return
 // the naive oracle's detection counts at widths 0, 1, 4 and 8, and the
-// wide capture must reproduce the narrow capture's output words.
+// capture at every width must reproduce the naive oracle's output
+// words.
 // Random circuits reach what the registry rarely has and what the
 // compiled two-bank regions must bind correctly: n-ary gates (MaxArity
 // up to 9), gates fed twice by one node, and outputs that also fan out.
@@ -51,6 +52,6 @@ func FuzzEnginesAgree(f *testing.F) {
 				}
 			}
 		}
-		checkCaptureIdentity(t, c, faults, seed)
+		checkCaptureIdentity(t, c, faults, seed, wideWidths)
 	})
 }

@@ -13,7 +13,7 @@ import (
 
 // This file mirrors wide_test.go and engine_test.go for the non-stuck-at
 // universes: every equivalence the stuck-at properties pin — FFR vs
-// naive detection words, wide vs narrow lanes, every width schedule and
+// naive detection words at every width, every width schedule and
 // worker count, coverage curves — must hold bit-for-bit for bridging
 // and transition faults too, because every engine shares one
 // conditional-activation kernel across kinds.
@@ -30,80 +30,29 @@ func modelCases(c *circuit.Circuit) map[fault.Model][]fault.Fault {
 	return out
 }
 
-// TestModelEngineBlockIdentity drives the FFR engine and the naive
-// oracle with the same pattern blocks over the bridging and transition
-// universes and requires word-for-word identical detection words.
+// TestModelEngineBlockIdentity drives the FFR engine one block at a
+// time (W = 1) and the naive oracle with the same pattern blocks over
+// the bridging and transition universes and requires word-for-word
+// identical detection words.
 func TestModelEngineBlockIdentity(t *testing.T) {
 	for _, c := range engineTestCircuits() {
-		for model, faults := range modelCases(c) {
-			plan := NewPlan(c, faults)
-			e := NewEngine(plan)
-			naive := New(c)
-			gen := pattern.NewUniform(len(c.Inputs), 7)
-			words := make([]uint64, len(c.Inputs))
-			detF := make([]uint64, len(faults))
-			detN := make([]uint64, len(faults))
-			for block := 0; block < 8; block++ {
-				gen.NextBlock(words)
-				e.SimulateBlock(words, detF, nil)
-				naive.SimulateBlock(words, faults, detN)
-				for i := range faults {
-					if detF[i] != detN[i] {
-						t.Fatalf("%s %s block %d fault %v: FFR %016x != naive %016x",
-							c.Name, model, block, faults[i], detF[i], detN[i])
-					}
-				}
-			}
+		for _, faults := range modelCases(c) {
+			checkChunkIdentity(t, c, faults, 7, 8, []int{1})
 		}
 	}
 }
 
-// TestModelWideChunkIdentity drives the wide engine chunk-by-chunk
-// against the narrow engine block-by-block on the bridging and
-// transition universes and requires lane-for-lane identical detection
-// words, including the ragged final chunk.  Transition detection words
-// are the sharpest case: the launch/capture pairing is block-local, so
-// a lane split that shifted block boundaries would corrupt bit 0 of
-// every block.
+// TestModelWideChunkIdentity drives the wide engine chunk-by-chunk at
+// W = 4 and 8 against the naive oracle block-by-block on the bridging
+// and transition universes and requires lane-for-lane identical
+// detection words, including the ragged final chunk.  Transition
+// detection words are the sharpest case: the launch/capture pairing is
+// block-local, so a lane split that shifted block boundaries would
+// corrupt bit 0 of every block.
 func TestModelWideChunkIdentity(t *testing.T) {
 	for _, c := range engineTestCircuits() {
-		for model, faults := range modelCases(c) {
-			plan := NewPlan(c, faults)
-			narrow := plan.AcquireEngine()
-			const nBlocks = 11 // ragged at widths 4 and 8
-			refWords := make([][]uint64, nBlocks)
-			refDet := make([][]uint64, nBlocks)
-			gen := pattern.NewUniform(len(c.Inputs), 42)
-			words := make([]uint64, len(c.Inputs))
-			for b := 0; b < nBlocks; b++ {
-				gen.NextBlock(words)
-				det := make([]uint64, len(faults))
-				narrow.SimulateBlock(words, det, nil)
-				refWords[b] = append([]uint64(nil), words...)
-				refDet[b] = det
-			}
-			narrow.Release()
-
-			for _, w := range wideWidths {
-				e := plan.AcquireWideEngine(w)
-				gen := pattern.NewUniform(len(c.Inputs), 42)
-				in := make([]uint64, len(c.Inputs)*w)
-				det := make([]uint64, len(faults)*w)
-				for base := 0; base < nBlocks; base += w {
-					k := min(w, nBlocks-base)
-					gen.NextBlocks(in, w, k)
-					e.SimulateChunk(in, det, nil)
-					for fi := range faults {
-						for l := 0; l < k; l++ {
-							if got, exp := det[fi*w+l], refDet[base+l][fi]; got != exp {
-								t.Fatalf("%s %s width %d block %d fault %v: wide %016x != narrow %016x",
-									c.Name, model, w, base+l, faults[fi], got, exp)
-							}
-						}
-					}
-				}
-				e.Release()
-			}
+		for _, faults := range modelCases(c) {
+			checkChunkIdentity(t, c, faults, 42, 11, []int{4, 8})
 		}
 	}
 }

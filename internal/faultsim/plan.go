@@ -1,8 +1,6 @@
 package faultsim
 
 import (
-	"sync"
-
 	"protest/internal/circuit"
 	"protest/internal/fault"
 )
@@ -11,12 +9,10 @@ import (
 // engine: the fault list partitioned by fanout-free region, per-fault
 // injection metadata, and the per-stem propagation regions bounded by
 // the stem's immediate dominator (shared with the circuit's other
-// plans).  Build it once per (circuit, fault list) and attach any
-// number of Engines — each Engine owns only per-block scratch, so
-// parallel workers share one Plan the same way concurrent evaluators
-// share one core.Program.  AcquireEngine pools
-// the engines, so concurrent measurement calls over one shared Plan
-// reuse warmed-up scratch instead of allocating per call.
+// plans).  Build it once per (circuit, fault list) and bind any number
+// of wide engines to it (AcquireWideEngine) — each engine owns only
+// per-chunk scratch, so parallel workers share one Plan the same way
+// concurrent evaluators share one core.Program.
 type Plan struct {
 	c      *circuit.Circuit
 	ffr    *circuit.FFR
@@ -24,17 +20,11 @@ type Plan struct {
 	faults []fault.Fault
 	info   []faultInfo
 
-	pool sync.Pool // *Engine
-
 	maxFanin int // largest gate fanin (at least 1): engine scratch size
 
 	// regs holds the circuit's stem regions, shared by every plan of
-	// the circuit; regions is regs.det, read by the narrow engine, and
-	// regs.pinOff lays out the wide engines' line tables.
-	regs    *stemRegions
-	regions [][]circuit.NodeID
-
-	outIdx []int32 // node -> primary-output position, or -1
+	// the circuit; regs.pinOff lays out the engines' line tables.
+	regs *stemRegions
 }
 
 // faultInfo is the per-fault injection recipe resolved at plan time.
@@ -43,7 +33,7 @@ type faultInfo struct {
 	gate  circuit.NodeID // gate owning the faulty pin (== site for stems)
 	aggr  circuit.NodeID // bridge aggressor node (kind.IsBridge() only)
 	pin   int32          // fault.StemPin for stem faults
-	line  int32          // wide line-table slot: site, or the faulty gate pin
+	line  int32          // line-table slot: site, or the faulty gate pin
 	group int32          // FFR index (position in ffr.Stems)
 	kind  fault.Kind     // activation condition selector
 	stuck uint64         // faulty capture value replicated across the word
@@ -60,20 +50,12 @@ func NewPlan(c *circuit.Circuit, faults []fault.Fault) *Plan {
 		part:     fault.GroupByFFR(c, faults),
 		faults:   faults,
 		info:     make([]faultInfo, len(faults)),
-		outIdx:   make([]int32, c.NumNodes()),
 		maxFanin: 1,
+		regs:     circuitRegions(c),
 	}
 	for i := range c.Nodes {
 		p.maxFanin = max(p.maxFanin, len(c.Nodes[i].Fanin))
 	}
-	for i := range p.outIdx {
-		p.outIdx[i] = -1
-	}
-	for i, out := range c.Outputs {
-		p.outIdx[out] = int32(i)
-	}
-	p.regs = circuitRegions(c)
-	p.regions = p.regs.det
 	for i, f := range faults {
 		in := faultInfo{
 			site:  f.Site(c),
@@ -94,26 +76,7 @@ func NewPlan(c *circuit.Circuit, faults []fault.Fault) *Plan {
 		}
 		p.info[i] = in
 	}
-	p.pool.New = func() any { return NewEngine(p) }
 	return p
-}
-
-// AcquireEngine returns a pooled engine over this plan.  The caller
-// owns it until Release; engines must not be shared between
-// goroutines.
-func (p *Plan) AcquireEngine() *Engine {
-	return p.pool.Get().(*Engine)
-}
-
-// Release returns the engine to its plan's pool.  The caller must not
-// use it afterwards.
-func (e *Engine) Release() {
-	e.plan.pool.Put(e)
-}
-
-// ensureFullRegions returns the capture-mode (full cone) regions.
-func (p *Plan) ensureFullRegions() [][]circuit.NodeID {
-	return p.regs.fullCones()
 }
 
 // Circuit returns the planned circuit.

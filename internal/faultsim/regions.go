@@ -14,12 +14,12 @@ import (
 // on the circuit, not on the fault list, so the plans of every fault
 // model over one circuit share one instance, attached to the circuit
 // itself.  The detection node lists and the line-table layout are
-// built with it; the compiled forms on first wide use, the full cones
-// on first capture.
+// built with it; the compiled detection regions on first simulation,
+// the compiled full cones on first capture.
 type stemRegions struct {
 	c *circuit.Circuit
 
-	// The wide engines keep one lane vector per line: slots 0 to
+	// The engines keep one lane vector per line: slots 0 to
 	// NumNodes-1 are the nodes, and pin p of node id is slot
 	// pinOff[id]+p.  numLines counts every slot.
 	pinOff   []int32
@@ -34,16 +34,14 @@ type stemRegions struct {
 	det [][]circuit.NodeID
 
 	wideOnce sync.Once
-	prog     *widesim.Program // the good simulation of every wide engine
+	prog     *widesim.Program // the good simulation of every engine
 	detCode  *widesim.Regions // det, compiled
 
-	// full[si] is the complete fanout cone of Stems[si], for response
-	// capture (BIST), where every reached primary output matters and
-	// the dominator cut does not apply.
-	fullOnce     sync.Once
-	full         [][]circuit.NodeID
-	fullCodeOnce sync.Once
-	fullCode     *widesim.Regions
+	// fullCode holds the complete fanout cone of every stem, compiled,
+	// for response capture (BIST), where every reached primary output
+	// matters and the dominator cut does not apply.
+	fullOnce sync.Once
+	fullCode *widesim.Regions
 }
 
 // regionsKey keys a circuit's stemRegions in circuit.Derived.
@@ -92,7 +90,7 @@ func newStemRegions(c *circuit.Circuit) *stemRegions {
 	return r
 }
 
-// wide returns the compiled program and detection regions of the wide
+// wide returns the compiled program and detection regions of the
 // engines, compiling them on first use.
 func (r *stemRegions) wide() (*widesim.Program, *widesim.Regions) {
 	r.wideOnce.Do(func() {
@@ -102,28 +100,20 @@ func (r *stemRegions) wide() (*widesim.Program, *widesim.Regions) {
 	return r.prog, r.detCode
 }
 
-// fullCones returns the full fanout cone of every stem, built on first
-// use.
-func (r *stemRegions) fullCones() [][]circuit.NodeID {
+// fullWide returns the full fanout cone of every stem compiled for the
+// engines' capture mode, building it on first use.
+func (r *stemRegions) fullWide() *widesim.Regions {
 	r.fullOnce.Do(func() {
+		prog, _ := r.wide()
 		stems := r.c.FFR().Stems
-		r.full = make([][]circuit.NodeID, len(stems))
+		full := make([][]circuit.NodeID, len(stems))
 		marked := make([]bool, r.c.NumNodes())
 		var buf []circuit.NodeID
 		for si, s := range stems {
 			buf = cone(r.c, s, circuit.InvalidNode, marked, buf[:0])
-			r.full[si] = slices.Clone(buf)
+			full[si] = slices.Clone(buf)
 		}
-	})
-	return r.full
-}
-
-// fullWide returns the full cones compiled for the wide engines'
-// capture mode.
-func (r *stemRegions) fullWide() *widesim.Regions {
-	r.fullCodeOnce.Do(func() {
-		prog, _ := r.wide()
-		r.fullCode = prog.CompileRegions(r.c.FFR().Stems, r.fullCones())
+		r.fullCode = prog.CompileRegions(stems, full)
 	})
 	return r.fullCode
 }

@@ -10,34 +10,36 @@ import (
 	"protest/internal/widesim"
 )
 
-// WideEngine is the width-erased facade over the generic wide FFR
-// engine: one instance simulates chunks of W consecutive 64-pattern
-// blocks with all engine words widened to W lanes.  All flat slices use
-// the lane-major layout of pattern.Generator.NextBlocks —
-// inputWords[i*W+l], det[fi*W+l], output words out[i*W+l] — where lane
-// l is pattern block l of the chunk.
+// WideEngine is the width-erased facade over the generic FFR engine:
+// one instance simulates chunks of W consecutive 64-pattern blocks
+// with all engine words widened to W lanes (W = 1, 4 or 8).  Chunk
+// inputs and detection words use the lane-major layout of
+// pattern.Generator.NextBlocks — inputWords[i*W+l], det[fi*W+l] — where
+// lane l is pattern block l of the chunk.
 //
 // A chunk always carries W lanes; callers packing fewer than W blocks
 // zero-fill the spare lanes (NextBlocks does) and mask the
-// corresponding det lanes out, exactly as the narrow path masks the
-// ragged final block.  Results are bit-identical to W narrow
-// SimulateBlock calls, lane for lane.
+// corresponding det lanes out, as they mask the ragged final block.
+// Every lane's words are exactly what the naive oracle
+// (Simulator.SimulateBlock) computes for that block, at every width.
 type WideEngine interface {
 	// Width returns W, the number of 64-pattern lanes per chunk.
 	Width() int
-	// SimulateChunk is the wide SimulateBlock: det[fi*W+l] receives the
-	// detecting-pattern word of fault fi in lane l.  Groups dropped via
-	// liveGroups are skipped, leaving their det lanes untouched.
+	// SimulateChunk writes into det[fi*W+l] the detecting-pattern word
+	// of fault fi in lane l.  Groups dropped via liveGroups are
+	// skipped, leaving their det lanes untouched.
 	SimulateChunk(inputWords []uint64, det []uint64, liveGroups []bool)
-	// SimulateChunkOutputs is the wide SimulateBlockOutputs (capture
-	// mode for BIST response compaction).
+	// SimulateChunkOutputs is SimulateChunk in capture mode (BIST
+	// response compaction): every stem flip runs through its full cone
+	// and the per-output flip words are kept, so the accessors below
+	// can compose any fault's faulty outputs.  All groups are live.
 	SimulateChunkOutputs(inputWords []uint64, det []uint64)
-	// FaultOutputs composes fault fi's faulty output words of the last
-	// capture chunk into out (numOutputs×W, lane-major).
-	FaultOutputs(fi int, out []uint64)
-	// GoodOutputWords copies the good output words of the last capture
-	// chunk into dst (numOutputs×W, lane-major).
-	GoodOutputWords(dst []uint64)
+	// FaultOutputs writes fault fi's faulty output words in lane l of
+	// the last capture chunk into out, one word per primary output.
+	FaultOutputs(fi, lane int, out []uint64)
+	// GoodOutputWords writes the good output words of lane l of the
+	// last capture chunk into dst, one word per primary output.
+	GoodOutputWords(lane int, dst []uint64)
 	// Release returns the engine to its width's pool.
 	Release()
 }
@@ -86,20 +88,33 @@ func (p *Plan) acquireWide(width int) boundWide {
 	return e
 }
 
-// wideEngine is the W-lane generalization of Engine: the same
-// block-level algorithm (good sim → critical-path trace → dominator-
-// bounded stem propagation → per-fault intersection) with every pattern
-// word widened to a B lane vector.  Propagation bookkeeping runs once
-// per chunk instead of once per block, amortizing over W×64 patterns.
+// wideEngine is the FFR engine over B lane vectors.  Per chunk it runs
+// the good simulation once, then per fanout-free region:
+//
+//  1. critical-path-traces *backwards* from the region stem, computing
+//     for every member line the exact vector of patterns on which a
+//     flip of that line reaches the stem (inside an FFR there is a
+//     single path and no reconvergence, so the trace is exact);
+//  2. forward-propagates a flip of the *stem* once, stopping at the
+//     stem's immediate dominator, where the remaining observability is
+//     the dominator's own (already computed) observability;
+//  3. intersects each member fault's activation with its traced line
+//     and the stem observability.
+//
+// Per-fault work is therefore O(1) vectors instead of a cone
+// re-simulation, and per-chunk work is O(gates + Σ stem regions)
+// instead of O(faults × cone).  Every vector is an exact per-pattern
+// boolean computation, so the result is bit-identical to the naive
+// single-fault propagation engine.  Propagation bookkeeping runs once
+// per chunk, amortizing over W×64 patterns.
+//
 // The good simulation runs the compiled levelized program into the
 // simulator's good bank, and each stem propagation runs the stem's
-// compiled two-bank region into its faulty bank.
-//
-// The critical-path trace fills a line table: for every node and every
-// gate pin of a needed region, the vector of patterns on which a flip
-// of that line reaches the region's stem.  Each fault reads its one
-// line (resolved at plan time), so the per-fault pass is a single
-// fused lane loop: activation & line & stem observability.
+// compiled two-bank region into its faulty bank.  The critical-path
+// trace fills a line table: for every node and every gate pin of a
+// needed region, its sensitization to the region's stem.  Each fault
+// reads its one line (resolved at plan time), so the per-fault pass is
+// a single fused lane loop: activation & line & stem observability.
 type wideEngine[B widesim.Block] struct {
 	plan *Plan
 	good widesim.Sim[B]
@@ -176,7 +191,7 @@ func (e *wideEngine[B]) simulateGood(inputWords []uint64) []B {
 	return e.good.Values()
 }
 
-// SimulateChunk mirrors Engine.SimulateBlock over W lanes.
+// SimulateChunk implements WideEngine.
 func (e *wideEngine[B]) SimulateChunk(inputWords []uint64, det []uint64, liveGroups []bool) {
 	g := e.simulateGood(inputWords)
 	e.markNeeds(liveGroups)
@@ -200,11 +215,13 @@ func (e *wideEngine[B]) SimulateChunk(inputWords []uint64, det []uint64, liveGro
 
 // detect writes activation & line & mask into the det lanes of every
 // fault of grp: the fault's local detectability at its FFR stem times
-// the stem's observability (or, in capture mode, all ones).  Each kind
-// is a conditional stuck-at with one lane loop, mirroring
-// Engine.faultWord.  The transition launch shift runs per lane, never
-// across lanes: launch/capture pairing is block-local, so every lane
-// computes exactly what a narrow SimulateBlock of that block would.
+// the stem's observability (or, in capture mode, all ones).  Every kind
+// is a conditional stuck-at: the base activation (site differs from
+// the faulty capture value) is intersected with the kind's condition,
+// and the stuck-at propagation downstream is untouched.  The
+// transition launch shift runs per lane, never across lanes:
+// launch/capture pairing is block-local, so every lane computes
+// exactly what a single-block simulation of that block would.
 func (e *wideEngine[B]) detect(g []B, grp []int32, mask *B, det []uint64) {
 	info, line := e.plan.info, e.line
 	w := widesim.Lanes[B]()
@@ -235,7 +252,11 @@ func (e *wideEngine[B]) detect(g []B, grp []int32, mask *B, det []uint64) {
 	}
 }
 
-// markNeeds is width-independent and identical to Engine.markNeeds.
+// markNeeds marks the FFR groups whose stem observability this chunk
+// must produce: every live group plus, transitively, the FFR of each
+// needed stem's immediate dominator (the dominator composition reads
+// line[idom] and obs[stem-of-idom]).  The chain always points to
+// higher stem indices, so one ascending sweep closes it.
 func (e *wideEngine[B]) markNeeds(liveGroups []bool) {
 	ffr := e.plan.ffr
 	for si := range ffr.Stems {
@@ -255,10 +276,12 @@ func (e *wideEngine[B]) markNeeds(liveGroups []bool) {
 	}
 }
 
-// sensSweep mirrors Engine.sensSweep, keeping every line: each member
-// gate's pin sensitizations, times the gate's own sensitization, fill
-// the gate's pin lines, and an in-region fanin's node line is its pin
-// line (the fanin's unique fanout is this gate).
+// sensSweep critical-path-traces every needed FFR: one reverse
+// topological sweep over the region tree from the stem down to every
+// member, keeping every line.  Each member gate's pin sensitizations,
+// times the gate's own sensitization, fill the gate's pin lines, and
+// an in-region fanin's node line is its pin line (the fanin's unique
+// fanout is this gate).
 func (e *wideEngine[B]) sensSweep(g []B) {
 	c := e.plan.c
 	ffr := e.plan.ffr
@@ -290,12 +313,14 @@ func (e *wideEngine[B]) sensSweep(g []B) {
 	}
 }
 
-// propagateStem computes the same stem observability as
-// Engine.propagateStem into obs[si], but branch-free: the stem's
-// compiled region flips the stem and re-evaluates every node of the
-// region into the faulty bank, reading the good bank outside the
-// region, so a gate none of whose fanins flipped simply recomputes its
-// good value and the result is exact lane by lane.
+// propagateStem forward-simulates a flip of stem si through its
+// dominator-bounded region and writes the stem observability into
+// obs[si].  It runs branch-free: the stem's compiled region flips the
+// stem and re-evaluates every node of the region into the faulty bank,
+// reading the good bank outside the region, so a gate none of whose
+// fanins flipped simply recomputes its good value and the result is
+// exact lane by lane.  Beyond a dominator cut d the deviation is
+// exactly a flip of d, whose fate is d's own observability.
 func (e *wideEngine[B]) propagateStem(g []B, si int) {
 	ffr := e.plan.ffr
 	s := ffr.Stems[si]
@@ -329,8 +354,9 @@ func (e *wideEngine[B]) propagateStem(g []B, si int) {
 	}
 }
 
-// pinSensAll mirrors Engine.pinSensAll, writing into ps (one vector
-// per pin of n).
+// pinSensAll fills ps with one vector per input pin of gate id: the
+// patterns on which flipping that pin alone flips the gate output,
+// with all other pins at their good values.
 func (e *wideEngine[B]) pinSensAll(g []B, id circuit.NodeID, n *circuit.Node, ps []B) {
 	npins := len(n.Fanin)
 	switch n.Op {
@@ -393,10 +419,11 @@ func (e *wideEngine[B]) pinSensAll(g []B, id circuit.NodeID, n *circuit.Node, ps
 	}
 }
 
-// flipEval mirrors Engine.flipEval: evaluate with one pin complemented
-// and XOR against the good output.  pinSensAll handles every basic op
-// in closed form, so only truth tables get here; they evaluate per lane
-// through the narrow word kernel, exactly as bitsim would.
+// flipEval evaluates the gate with one pin complemented and XORs
+// against the good output: the exact boolean difference.  pinSensAll
+// handles every basic op in closed form, so only truth tables get
+// here; they evaluate per lane through the single-word kernel, exactly
+// as bitsim would.
 func (e *wideEngine[B]) flipEval(g []B, id circuit.NodeID, n *circuit.Node, pin int) B {
 	in := e.evalbuf[:len(n.Fanin)]
 	for i, f := range n.Fanin {
@@ -415,11 +442,12 @@ func (e *wideEngine[B]) flipEval(g []B, id circuit.NodeID, n *circuit.Node, pin 
 }
 
 // ---------------------------------------------------------------------
-// Capture mode (BIST), mirroring Engine.SimulateBlockOutputs et al.
+// Capture mode: faulty output words for response compaction (BIST).
 
-// SimulateChunkOutputs mirrors Engine.SimulateBlockOutputs over W lanes.
-// The per-fault detect-at-stem words come from the detection writer
-// with an all-ones mask.
+// SimulateChunkOutputs implements WideEngine.  Capture propagates
+// every faulty stem through its full cone, so no dominator chains are
+// needed, and the per-fault detect-at-stem words come from the
+// detection writer with an all-ones mask.
 func (e *wideEngine[B]) SimulateChunkOutputs(inputWords []uint64, det []uint64) {
 	c := e.plan.c
 	g := e.simulateGood(inputWords)
@@ -470,23 +498,22 @@ func (e *wideEngine[B]) captureStem(g []B, full *widesim.Regions, si int, po []B
 	}
 }
 
-// FaultOutputs mirrors Engine.FaultOutputs in lane-major layout.
-func (e *wideEngine[B]) FaultOutputs(fi int, out []uint64) {
+// FaultOutputs implements WideEngine: on the patterns where the fault
+// effect reaches the stem, each output flips exactly where the stem
+// flip reached it.
+func (e *wideEngine[B]) FaultOutputs(fi, lane int, out []uint64) {
 	si := int(e.plan.info[fi].group)
 	nOut := len(e.goodOut)
-	w := e.Width()
-	l := widesim.Load[B](e.local[fi*w:])
+	l := e.local[fi*e.Width()+lane]
 	po := e.poDiff[si*nOut : (si+1)*nOut]
-	for i, gw := range e.goodOut {
-		widesim.Store(widesim.Xor(gw, widesim.And(l, po[i])), out[i*w:(i+1)*w])
+	for i := range e.goodOut {
+		out[i] = e.goodOut[i][lane] ^ (l & po[i][lane])
 	}
 }
 
-// GoodOutputWords copies the good output vectors of the last capture
-// chunk in lane-major layout.
-func (e *wideEngine[B]) GoodOutputWords(dst []uint64) {
-	w := e.Width()
-	for i, gw := range e.goodOut {
-		widesim.Store(gw, dst[i*w:(i+1)*w])
+// GoodOutputWords implements WideEngine.
+func (e *wideEngine[B]) GoodOutputWords(lane int, dst []uint64) {
+	for i := range e.goodOut {
+		dst[i] = e.goodOut[i][lane]
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"protest/internal/circuit"
+	"protest/internal/circuits"
 	"protest/internal/fault"
 	"protest/internal/pattern"
 )
@@ -78,59 +79,65 @@ func naiveCurve(t *testing.T, plan *Plan, seed uint64, cps []int) []CoveragePoin
 	return res
 }
 
-// TestWideChunkIdentity drives the wide engine chunk-by-chunk against
-// the narrow engine block-by-block on the same pattern stream and
-// requires lane-for-lane identical detection words, including the
-// ragged final chunk.
+// TestWideChunkIdentity drives the wide engine chunk-by-chunk at
+// W = 4 and 8 against the naive oracle block-by-block on the same
+// pattern stream and requires lane-for-lane identical detection words,
+// including the ragged final chunk (11 blocks is 3 mod 8 and mod 4).
+// TestEngineBlockIdentity covers W = 1.
 func TestWideChunkIdentity(t *testing.T) {
 	for _, c := range engineTestCircuits() {
-		faults := fault.Collapse(c)
-		plan := NewPlan(c, faults)
-		narrow := plan.AcquireEngine()
-		const nBlocks = 11 // 11 ≡ 3 mod 8 and 3 mod 4: ragged at both widths
-		refWords := make([][]uint64, nBlocks)
-		refDet := make([][]uint64, nBlocks)
-		gen := pattern.NewUniform(len(c.Inputs), 42)
-		words := make([]uint64, len(c.Inputs))
-		for b := 0; b < nBlocks; b++ {
-			gen.NextBlock(words)
-			det := make([]uint64, len(faults))
-			narrow.SimulateBlock(words, det, nil)
-			refWords[b] = append([]uint64(nil), words...)
-			refDet[b] = det
-		}
-		narrow.Release()
+		checkChunkIdentity(t, c, fault.Collapse(c), 42, 11, []int{4, 8})
+	}
+}
 
-		for _, w := range wideWidths {
-			e := plan.AcquireWideEngine(w)
-			if e.Width() != w {
-				t.Fatalf("%s: AcquireWideEngine(%d).Width() = %d", c.Name, w, e.Width())
-			}
-			gen := pattern.NewUniform(len(c.Inputs), 42)
-			in := make([]uint64, len(c.Inputs)*w)
-			det := make([]uint64, len(faults)*w)
-			for base := 0; base < nBlocks; base += w {
-				k := min(w, nBlocks-base)
-				gen.NextBlocks(in, w, k)
-				for i := range c.Inputs {
-					for l := 0; l < k; l++ {
-						if in[i*w+l] != refWords[base+l][i] {
-							t.Fatalf("%s width %d: input stream diverges at block %d", c.Name, w, base+l)
-						}
-					}
-				}
-				e.SimulateChunk(in, det, nil)
-				for fi := range faults {
-					for l := 0; l < k; l++ {
-						if got, exp := det[fi*w+l], refDet[base+l][fi]; got != exp {
-							t.Fatalf("%s width %d block %d fault %v: wide %016x != narrow %016x",
-								c.Name, w, base+l, faults[fi], got, exp)
-						}
-					}
-				}
-			}
-			e.Release()
+// checkChunkIdentity simulates nBlocks blocks of the uniform stream of
+// seed with the naive oracle, then runs the same stream through the
+// wide engine at each of widths and requires every lane's detection
+// words to equal its block's.  A block count that is not a multiple of
+// the width covers a short final chunk.
+func checkChunkIdentity(t *testing.T, c *circuit.Circuit, faults []fault.Fault, seed uint64, nBlocks int, widths []int) {
+	t.Helper()
+	naive := New(c)
+	refWords := make([][]uint64, nBlocks)
+	refDet := make([][]uint64, nBlocks)
+	gen := pattern.NewUniform(len(c.Inputs), seed)
+	for b := range nBlocks {
+		refWords[b] = make([]uint64, len(c.Inputs))
+		refDet[b] = make([]uint64, len(faults))
+		gen.NextBlock(refWords[b])
+		naive.SimulateBlock(refWords[b], faults, refDet[b])
+	}
+
+	plan := NewPlan(c, faults)
+	for _, w := range widths {
+		e := plan.AcquireWideEngine(w)
+		if e.Width() != w {
+			t.Fatalf("%s: AcquireWideEngine(%d).Width() = %d", c.Name, w, e.Width())
 		}
+		gen := pattern.NewUniform(len(c.Inputs), seed)
+		in := make([]uint64, len(c.Inputs)*w)
+		det := make([]uint64, len(faults)*w)
+		for base := 0; base < nBlocks; base += w {
+			k := min(w, nBlocks-base)
+			gen.NextBlocks(in, w, k)
+			for i := range c.Inputs {
+				for l := 0; l < k; l++ {
+					if in[i*w+l] != refWords[base+l][i] {
+						t.Fatalf("%s width %d: input stream diverges at block %d", c.Name, w, base+l)
+					}
+				}
+			}
+			e.SimulateChunk(in, det, nil)
+			for fi := range faults {
+				for l := 0; l < k; l++ {
+					if got, exp := det[fi*w+l], refDet[base+l][fi]; got != exp {
+						t.Fatalf("%s width %d block %d fault %v: FFR %016x != naive %016x",
+							c.Name, w, base+l, faults[fi], got, exp)
+					}
+				}
+			}
+		}
+		e.Release()
 	}
 }
 
@@ -239,84 +246,78 @@ func TestChunkWidthSchedule(t *testing.T) {
 }
 
 // TestWideCaptureIdentity pins the capture path (BIST response
-// composition): detection words, good output words and every fault's
-// faulty output words must match the narrow capture lane for lane.
+// composition) at W = 4 and 8 against the naive oracle on c17, the
+// ALU, mult8, a random circuit and the truth-table circuit.  div16 and
+// comp24 are left out: the per-fault naive capture costs seconds
+// there.  TestEngineCaptureOutputs covers W = 1.
 func TestWideCaptureIdentity(t *testing.T) {
-	for _, c := range append(engineTestCircuits()[:6], tableCircuit()) {
-		checkCaptureIdentity(t, c, fault.Collapse(c), 5)
+	for _, c := range []*circuit.Circuit{circuits.C17(), circuits.ALU74181(), circuits.Mult8(),
+		circuits.Random(circuits.RandomOptions{Inputs: 9, Gates: 70, Outputs: 4, Seed: 3}),
+		tableCircuit()} {
+		checkCaptureIdentity(t, c, fault.Collapse(c), 5, []int{4, 8})
 	}
 }
 
-// checkCaptureIdentity runs 7 blocks (ragged at widths 4 and 8) through
-// the narrow capture and through the wide capture at every width, and
-// requires identical detection, good output and faulty output words.
-func checkCaptureIdentity(t *testing.T, c *circuit.Circuit, faults []fault.Fault, seed uint64) {
+// checkCaptureIdentity runs 7 blocks (ragged at widths 4 and 8)
+// through the wide capture at each of widths and requires, lane for
+// lane, the naive oracle's detection, good output and faulty output
+// words (Simulator.SimulateFaultBlock).
+func checkCaptureIdentity(t *testing.T, c *circuit.Circuit, faults []fault.Fault, seed uint64, widths []int) {
 	t.Helper()
-	plan := NewPlan(c, faults)
-	narrow := plan.AcquireEngine()
-	defer narrow.Release()
 	nOut := len(c.Outputs)
-
-	const nBlocks = 7 // ragged at width 4 and 8
+	const nBlocks = 7
 	type blockRef struct {
 		det     []uint64
 		goodOut []uint64
 		fOut    [][]uint64
 	}
 	refs := make([]blockRef, nBlocks)
+	naive := New(c)
 	gen := pattern.NewUniform(len(c.Inputs), seed)
 	words := make([]uint64, len(c.Inputs))
-	for b := 0; b < nBlocks; b++ {
+	for b := range refs {
 		gen.NextBlock(words)
 		r := blockRef{
 			det:     make([]uint64, len(faults)),
 			goodOut: make([]uint64, nOut),
 			fOut:    make([][]uint64, len(faults)),
 		}
-		narrow.SimulateBlockOutputs(words, r.det)
-		narrow.GoodOutputWords(r.goodOut)
-		for fi := range faults {
+		naive.SimulateBlock(words, nil, nil)
+		naive.GoodOutputWords(r.goodOut)
+		for fi, f := range faults {
 			r.fOut[fi] = make([]uint64, nOut)
-			narrow.FaultOutputs(fi, r.fOut[fi])
+			r.det[fi] = naive.SimulateFaultBlock(words, f, r.fOut[fi])
 		}
 		refs[b] = r
 	}
 
-	for _, w := range wideWidths {
+	plan := NewPlan(c, faults)
+	out := make([]uint64, nOut)
+	for _, w := range widths {
 		e := plan.AcquireWideEngine(w)
 		gen := pattern.NewUniform(len(c.Inputs), seed)
 		in := make([]uint64, len(c.Inputs)*w)
 		det := make([]uint64, len(faults)*w)
-		goodOut := make([]uint64, nOut*w)
-		fOut := make([]uint64, nOut*w)
 		for base := 0; base < nBlocks; base += w {
 			k := min(w, nBlocks-base)
 			gen.NextBlocks(in, w, k)
 			e.SimulateChunkOutputs(in, det)
-			e.GoodOutputWords(goodOut)
 			for l := 0; l < k; l++ {
 				r := &refs[base+l]
+				e.GoodOutputWords(l, out)
+				if !slices.Equal(out, r.goodOut) {
+					t.Fatalf("%s width %d block %d: good outputs %016x != naive %016x",
+						c.Name, w, base+l, out, r.goodOut)
+				}
 				for fi := range faults {
 					if det[fi*w+l] != r.det[fi] {
-						t.Fatalf("%s width %d block %d fault %v: capture det mismatch",
-							c.Name, w, base+l, faults[fi])
+						t.Fatalf("%s width %d block %d fault %v: capture det %016x != naive %016x",
+							c.Name, w, base+l, faults[fi], det[fi*w+l], r.det[fi])
 					}
-				}
-				for i := 0; i < nOut; i++ {
-					if goodOut[i*w+l] != r.goodOut[i] {
-						t.Fatalf("%s width %d block %d: good output %d mismatch",
-							c.Name, w, base+l, i)
-					}
-				}
-			}
-			for fi := range faults {
-				e.FaultOutputs(fi, fOut)
-				for l := 0; l < k; l++ {
-					for i := 0; i < nOut; i++ {
-						if fOut[i*w+l] != refs[base+l].fOut[fi][i] {
-							t.Fatalf("%s width %d block %d fault %v: faulty output %d mismatch",
-								c.Name, w, base+l, faults[fi], i)
-						}
+					e.FaultOutputs(fi, l, out)
+					if !slices.Equal(out, r.fOut[fi]) {
+						t.Fatalf("%s width %d block %d fault %v: faulty outputs %016x != naive %016x",
+							c.Name, w, base+l, faults[fi], out, r.fOut[fi])
 					}
 				}
 			}

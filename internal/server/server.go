@@ -103,11 +103,7 @@ type Config struct {
 	// SimWidth forces the simulation width of every Session the server
 	// opens (WithSimWidth): 1, 4 or 8 pattern blocks per sweep, or 0 for
 	// the engine-chosen schedule.  Results are bit-identical at every
-	// width.  Explicit widths above 1 additionally enable cross-request
-	// lane batching (unless
-	// NoCoalesce): concurrent requests' validation simulations on one
-	// circuit pack their pattern blocks into spare lanes of shared
-	// sweeps, flushing BatchWait after a sweep's first block.
+	// width.
 	SimWidth int
 	// JobWorkers is the size of the worker pool executing async jobs
 	// (default 2).
@@ -272,9 +268,6 @@ func New(cfg Config) *Server {
 		protest.WithSimEngine(cfg.Engine),
 		protest.WithSimWidth(cfg.SimWidth),
 		protest.WithFaultModel(cfg.FaultModel),
-	}
-	if cfg.SimWidth > 1 && !cfg.NoCoalesce {
-		opts = append(opts, protest.WithLaneBatching(cfg.BatchWait))
 	}
 	var pool *shard.Pool
 	if len(cfg.WorkerAddrs) > 0 {

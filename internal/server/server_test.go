@@ -441,6 +441,32 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// Bad BIST fields in a pipeline spec are a 400 before any phase runs,
+// on the synchronous and the async endpoint alike; they used to answer
+// 500 after the analysis and test-length phases.  A valid BIST spec
+// runs.
+func TestBadBISTSpecIs400(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, path := range []string{"/v1/pipeline", "/v1/jobs"} {
+		for _, body := range []string{
+			`{"circuit":"c17","spec":{"bist":{"Cycles":128,"SimWidth":3}}}`,
+			`{"circuit":"c17","spec":{"bist":{"Cycles":128,"MISRWidth":9}}}`,
+		} {
+			resp, out := postJSON(t, ts.URL+path, json.RawMessage(body))
+			var er errorResponse
+			if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(out, &er) != nil || er.Error == "" {
+				t.Fatalf("%s %s: status %d, body %q; want 400 with the error envelope", path, body, resp.StatusCode, out)
+			}
+		}
+	}
+	body := `{"circuit":"c17","spec":{"bist":{"Cycles":128,"SimWidth":4,"MISRWidth":8}}}`
+	resp, out := postJSON(t, ts.URL+"/v1/pipeline", json.RawMessage(body))
+	var rep protest.Report
+	if resp.StatusCode != http.StatusOK || json.Unmarshal(out, &rep) != nil || rep.BIST == nil {
+		t.Fatalf("%s: status %d, body %q; want 200 with a BIST report", body, resp.StatusCode, out)
+	}
+}
+
 // A transition run needs one launch/capture pair, so a budget of one
 // pattern is a bad spec: 400 with the envelope, where it used to answer
 // 200 with an empty body (P_SIM was 0/0).  Two and 65 patterns run.
@@ -641,9 +667,8 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
-// A wide-kernel server (lane batching included) must serve reports
-// byte-identical to a narrow one — width is a speed knob, never a
-// result knob.
+// A width-8 server must serve reports byte-identical to a direct run
+// at the default width — width is a speed knob, never a result knob.
 func TestPipelineSimWidthIdentical(t *testing.T) {
 	_, wide := newTestServer(t, Config{SimWidth: 8})
 	spec := protest.PipelineSpec{SimPatterns: 256}
@@ -661,6 +686,6 @@ func TestPipelineSimWidthIdentical(t *testing.T) {
 	}
 	want := directReport(t, "alu", spec)
 	if g, w := reportJSON(t, &got), reportJSON(t, want); g != w {
-		t.Fatalf("wide server report differs from narrow run:\n got %s\nwant %s", g, w)
+		t.Fatalf("width-8 server report differs from default-width run:\n got %s\nwant %s", g, w)
 	}
 }

@@ -1,6 +1,9 @@
 package protest
 
-import "testing"
+import (
+	"errors"
+	"testing"
+)
 
 // Normalize must apply exactly the documented zero-value defaults and
 // leave explicitly set fields alone — it is the canonical form request
@@ -64,5 +67,25 @@ func TestPipelineSpecNormalize(t *testing.T) {
 	}
 	if err := (PipelineSpec{}).Validate(); err != nil {
 		t.Errorf("Validate rejected the zero spec: %v", err)
+	}
+}
+
+// A pipeline's BIST fields are checked with the rest of the spec, so a
+// bad width is rejected before any phase runs, as ErrBadSpec.
+func TestPipelineSpecValidateBIST(t *testing.T) {
+	for _, bad := range []BISTPlan{
+		{Cycles: 128, SimWidth: 3},
+		{Cycles: 128, SimWidth: -1},
+		{Cycles: 128, MISRWidth: 9},
+	} {
+		spec := PipelineSpec{BIST: &bad}
+		if err := spec.Validate(); !errors.Is(err, ErrBadSpec) {
+			t.Errorf("Validate(BIST %+v) = %v, want ErrBadSpec", bad, err)
+		}
+	}
+	for _, ok := range []BISTPlan{{}, {Cycles: 128, SimWidth: 8, MISRWidth: 32}, {SimWidth: 1, MISRWidth: 4}} {
+		if err := (PipelineSpec{BIST: &ok}).Validate(); err != nil {
+			t.Errorf("Validate(BIST %+v) rejected a valid plan: %v", ok, err)
+		}
 	}
 }

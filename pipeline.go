@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 
+	"protest/internal/bist"
 	"protest/internal/pattern"
 	"protest/internal/stats"
 	"protest/internal/testlen"
@@ -106,6 +107,16 @@ func (spec *PipelineSpec) fill() error {
 	}
 	if !spec.FaultModel.Valid() {
 		return fmt.Errorf("pipeline: %w: %q", ErrBadFaultModel, string(spec.FaultModel))
+	}
+	if b := spec.BIST; b != nil {
+		if err := widesim.CheckWidth(b.SimWidth); err != nil {
+			return fmt.Errorf("pipeline: %w: bist: %v", ErrBadSpec, err)
+		}
+		if b.MISRWidth != 0 {
+			if _, err := bist.NewMISR(b.MISRWidth, 0); err != nil {
+				return fmt.Errorf("pipeline: %w: %v", ErrBadSpec, err)
+			}
+		}
 	}
 	return nil
 }

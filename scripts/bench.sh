@@ -31,8 +31,13 @@
 #
 # With a cpu list the trail keeps go's -N GOMAXPROCS suffix in the
 # benchmark names (BenchmarkFoo-2, BenchmarkFoo-4, ...), so one file
-# records the whole scaling curve; without one the suffix is stripped
-# as before, keeping names comparable across machines.
+# records the whole scaling curve; without one the suffix is stripped,
+# keeping names comparable across machines.  Go appends the same -N to
+# every benchmark of a package run, or none at GOMAXPROCS 1, and a
+# package's TestMain may change GOMAXPROCS, so the suffix is found per
+# package: a trailing -N is stripped only when every benchmark of the
+# package ends in the same one.  Sub-benchmark names that end in -N
+# themselves (BenchmarkShardedDetect/workers-2) keep it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -63,20 +68,37 @@ trap 'rm -f "$tmp"' EXIT
 go "${args[@]}" | tee "$tmp"
 
 awk -v keepcpu="${cpus:+1}" '
+# flush records the benchmarks of one package run, stripping the
+# GOMAXPROCS suffix when every name carries the same one.
+function flush(   i, suf, common, name, ns, al) {
+    common = ""
+    for (i = 1; i <= nb && keepcpu == ""; i++) {
+        if (!match(bname[i], /-[0-9]+$/)) { common = ""; break }
+        suf = substr(bname[i], RSTART)
+        if (i == 1) common = suf
+        else if (suf != common) { common = ""; break }
+    }
+    for (i = 1; i <= nb; i++) {
+        name = substr(bname[i], 1, length(bname[i]) - length(common))
+        ns = bns[i]; al = bal[i]
+        if (!(name in best_ns) || ns + 0 < best_ns[name] + 0) best_ns[name] = ns
+        if (al != "" && (!(name in best_al) || al + 0 < best_al[name] + 0)) best_al[name] = al
+        if (!(name in seen)) { order[++n] = name; seen[name] = 1 }
+    }
+    nb = 0
+}
+/^pkg:/ { flush() }
 /^Benchmark/ {
-    name = $1
-    if (keepcpu == "") sub(/-[0-9]+$/, "", name)
     ns = ""; allocs = ""
     for (i = 2; i <= NF; i++) {
         if ($(i) == "ns/op") ns = $(i-1)
         if ($(i) == "allocs/op") allocs = $(i-1)
     }
     if (ns == "") next
-    if (!(name in best_ns) || ns + 0 < best_ns[name] + 0) best_ns[name] = ns
-    if (allocs != "" && (!(name in best_al) || allocs + 0 < best_al[name] + 0)) best_al[name] = allocs
-    if (!(name in seen)) { order[++n] = name; seen[name] = 1 }
+    nb++; bname[nb] = $1; bns[nb] = ns; bal[nb] = allocs
 }
 END {
+    flush()
     printf "{\n"
     for (i = 1; i <= n; i++) {
         name = order[i]

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"protest/internal/artifact"
 	"protest/internal/bist"
@@ -63,7 +62,6 @@ type Session struct {
 	seed      uint64
 	workers   int
 	simWidth  int
-	laneWait  time.Duration
 	simEngine SimEngine
 	model     FaultModel // normalized default fault model
 	progress  func(Phase, float64)
@@ -96,12 +94,6 @@ type Session struct {
 	// shardTask pins the distributable form of the circuit (rendered
 	// netlist + shard geometry) once a sharded measurement has run.
 	shardTask atomic.Pointer[shard.Task]
-
-	// laneBatch pins the cross-call lane batcher once WithLaneBatching
-	// is active and the first Simulate call has built it.  It batches
-	// only the default model's measurements; per-call model overrides
-	// run on their own plans.
-	laneBatch atomic.Pointer[faultsim.LaneBatcher]
 }
 
 // modelArtifacts is one non-default fault model's lazily pinned
@@ -170,32 +162,16 @@ func WithSimEngine(e SimEngine) Option {
 // WithSimWidth forces the fault-simulation width: w pattern blocks
 // (w×64 patterns) per sweep, w in {1, 4, 8}.  The default, 0, lets the
 // FFR engine pick per chunk: 8-block sweeps while at least 8 blocks
-// remain, and single-block sweeps for the ragged tail; every width runs
-// on the wide kernel.  Wider sweeps amortize the engine's per-node
-// bookkeeping over more pattern lanes; every result — detection counts,
-// coverage curves, BIST signatures — is bit-identical at every width.
-// BIST capture has no schedule and runs on the narrow engine at widths
-// 0 and 1.  The naive oracle engine
-// ignores the width.  Open fails on unsupported widths.  Sharded runs
-// (WithShardPool) simulate their shards at this width too.
+// remain, and single-block sweeps for the ragged tail.  Wider sweeps
+// amortize the engine's per-node bookkeeping over more pattern lanes;
+// every result — detection counts, coverage curves, BIST signatures —
+// is bit-identical at every width.  BIST capture has no schedule: it
+// runs at width 1 when the width is 0 (see BISTPlan.SimWidth).  The
+// naive oracle engine ignores the width.  Open fails on unsupported
+// widths.  Sharded runs (WithShardPool) simulate their shards at this
+// width too.
 func WithSimWidth(w int) Option {
 	return func(s *Session) { s.simWidth = w }
-}
-
-// WithLaneBatching packs pattern blocks from *concurrent* Simulate /
-// SimulateWeighted calls into spare lanes of one wide good-simulation
-// sweep: each detection measurement still consumes its own seeded
-// stream and returns bit-identical counts, but blocks submitted within
-// wait of each other share a single W-lane engine pass (W from
-// WithSimWidth), so N concurrent callers cost roughly one sweep
-// instead of N.  It is effective only when WithSimWidth selects a
-// width above 1 and the call runs locally on the FFR engine (the
-// naive oracle, sharded runs, and per-run width overrides bypass it);
-// a lone caller pays at most wait extra latency per block.  The HTTP
-// server enables this to batch distinct requests' validation
-// simulations on one circuit.
-func WithLaneBatching(wait time.Duration) Option {
-	return func(s *Session) { s.laneWait = wait }
 }
 
 // WithFaultModel selects the fault universe the Session analyzes,
@@ -433,23 +409,6 @@ func (s *Session) ensureShardTask(m FaultModel) (*shard.Task, error) {
 	return slot.Load(), nil
 }
 
-// ensureLaneBatcher returns the Session's pinned lane batcher,
-// building it on first use (width was validated at Open).  Concurrent
-// cold calls race benignly; first-in wins and the rest adopt it.
-func (s *Session) ensureLaneBatcher() *faultsim.LaneBatcher {
-	if lb := s.laneBatch.Load(); lb != nil {
-		return lb
-	}
-	lb, err := s.ensureSimPlan(s.model).NewLaneBatcher(s.simWidth, s.laneWait)
-	if err != nil {
-		panic(err) // unreachable: Open validated the width
-	}
-	if !s.laneBatch.CompareAndSwap(nil, lb) {
-		lb.Close()
-	}
-	return s.laneBatch.Load()
-}
-
 // ensureBIST returns the pinned self-test program of the effective
 // model, resolving it through the artifact store on first use.
 func (s *Session) ensureBIST(m FaultModel) *bist.Program {
@@ -577,12 +536,6 @@ func (s *Session) simulate(ctx context.Context, probs []float64, numPatterns int
 		if t, err = s.ensureShardTask(cfg.model); err == nil {
 			res, err = cfg.pool.MeasureDetection(ctx, t, probs, numPatterns, cfg.width, progress)
 		}
-	} else if s.laneWait > 0 && s.simWidth > 1 && cfg.width == s.simWidth && cfg.model.Normalize() == s.model {
-		// Cross-call lane batching: concurrent measurements on this
-		// Session pack their blocks into one wide sweep.  A per-run
-		// width or fault-model override bypasses the shared batcher
-		// (the else branch).
-		res, err = s.ensureLaneBatcher().MeasureDetectionCtx(ctx, gen, numPatterns, progress)
 	} else {
 		res, err = s.ensureSimPlan(cfg.model).MeasureDetectionCtx(ctx, gen, numPatterns, cfg.simOptions(), progress)
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"sync"
 	"testing"
-	"time"
 
 	"protest/internal/shard"
 )
@@ -172,52 +171,6 @@ func TestValidateSweepAtWidths(t *testing.T) {
 			}
 			if len(rep.Flags) != 0 {
 				t.Fatalf("%s width %d: %d validation flags, want 0: %+v", name, w, len(rep.Flags), rep.Flags)
-			}
-		}
-	}
-}
-
-// TestLaneBatchingIdenticalResults drives concurrent measurements
-// through a lane-batching Session and checks each caller's counts are
-// bit-identical to a plain serial Session's.
-func TestLaneBatchingIdenticalResults(t *testing.T) {
-	c, _ := Benchmark("mult")
-	s, err := Open(c, WithSeed(9), WithSimWidth(8), WithLaneBatching(10*time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := Open(c, WithSeed(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	const callers = 5
-	results := make([]*SimResult, callers)
-	var wg sync.WaitGroup
-	for k := 0; k < callers; k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			res, err := s.Simulate(context.Background(), 400+64*k)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			results[k] = res
-		}(k)
-	}
-	wg.Wait()
-	for k := 0; k < callers; k++ {
-		want, err := ref.Simulate(context.Background(), 400+64*k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := results[k]
-		if got == nil || got.Applied != want.Applied {
-			t.Fatalf("caller %d: applied mismatch", k)
-		}
-		for i := range want.Detected {
-			if got.Detected[i] != want.Detected[i] {
-				t.Fatalf("caller %d fault %d: %d != %d", k, i, got.Detected[i], want.Detected[i])
 			}
 		}
 	}
