@@ -46,10 +46,11 @@ func BenchmarkAblationMaxVers(b *testing.B) {
 			if mv == 0 {
 				params.MaxCandidates = 0
 			}
-			an, err := core.NewAnalyzer(c, params)
+			prog, err := core.NewProgram(c, params)
 			if err != nil {
 				b.Fatal(err)
 			}
+			an := prog.NewEvaluator()
 			var res *core.Analysis
 			for i := 0; i < b.N; i++ {
 				res, err = an.Run(probs)
@@ -74,10 +75,11 @@ func BenchmarkAblationMaxList(b *testing.B) {
 		b.Run(fmt.Sprintf("maxlist=%d", ml), func(b *testing.B) {
 			params := core.DefaultParams()
 			params.MaxList = ml
-			an, err := core.NewAnalyzer(c, params)
+			prog, err := core.NewProgram(c, params)
 			if err != nil {
 				b.Fatal(err)
 			}
+			an := prog.NewEvaluator()
 			var res *core.Analysis
 			for i := 0; i < b.N; i++ {
 				res, err = an.Run(probs)
@@ -106,10 +108,11 @@ func BenchmarkAblationObsModel(b *testing.B) {
 		b.Run(m.name, func(b *testing.B) {
 			params := core.DefaultParams()
 			params.ObsModel = m.model
-			an, err := core.NewAnalyzer(c, params)
+			prog, err := core.NewProgram(c, params)
 			if err != nil {
 				b.Fatal(err)
 			}
+			an := prog.NewEvaluator()
 			var res *core.Analysis
 			for i := 0; i < b.N; i++ {
 				res, err = an.Run(probs)
@@ -139,10 +142,11 @@ func BenchmarkAblationLocalDiff(b *testing.B) {
 		b.Run(m.name, func(b *testing.B) {
 			params := core.DefaultParams()
 			params.PaperLocalDiff = m.paper
-			an, err := core.NewAnalyzer(c, params)
+			prog, err := core.NewProgram(c, params)
 			if err != nil {
 				b.Fatal(err)
 			}
+			an := prog.NewEvaluator()
 			var res *core.Analysis
 			for i := 0; i < b.N; i++ {
 				res, err = an.Run(probs)
@@ -175,10 +179,11 @@ func BenchmarkAblationSignalAccuracy(b *testing.B) {
 			if mv == 0 {
 				params.MaxCandidates = 0
 			}
-			an, err := core.NewAnalyzer(c, params)
+			prog, err := core.NewProgram(c, params)
 			if err != nil {
 				b.Fatal(err)
 			}
+			an := prog.NewEvaluator()
 			var res *core.Analysis
 			for i := 0; i < b.N; i++ {
 				res, err = an.Run(probs)

@@ -91,7 +91,9 @@ func BenchmarkTable2Validation(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		gen := pattern.NewUniform(len(c.Inputs), uint64(i))
-		faultsim.CoverageCurve(c, faults, gen, []int{int(n)})
+		if _, err := faultsim.NewPlan(c, faults).CoverageCurve(context.Background(), gen, []int{int(n)}, faultsim.Options{}, nil); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -165,10 +167,11 @@ func BenchmarkTable8OptimizationScaling(b *testing.B) {
 
 func BenchmarkAnalyzeALU(b *testing.B) {
 	c := circuits.ALU74181()
-	an, err := core.NewAnalyzer(c, core.DefaultParams())
+	prog, err := core.NewProgram(c, core.DefaultParams())
 	if err != nil {
 		b.Fatal(err)
 	}
+	an := prog.NewEvaluator()
 	probs := core.UniformProbs(c)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -180,10 +183,11 @@ func BenchmarkAnalyzeALU(b *testing.B) {
 
 func BenchmarkAnalyzeMULT(b *testing.B) {
 	c := circuits.Mult8()
-	an, err := core.NewAnalyzer(c, core.DefaultParams())
+	prog, err := core.NewProgram(c, core.DefaultParams())
 	if err != nil {
 		b.Fatal(err)
 	}
+	an := prog.NewEvaluator()
 	probs := core.UniformProbs(c)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -195,10 +199,11 @@ func BenchmarkAnalyzeMULT(b *testing.B) {
 
 func BenchmarkAnalyzeDIV(b *testing.B) {
 	c := circuits.Div16()
-	an, err := core.NewAnalyzer(c, core.DefaultParams())
+	prog, err := core.NewProgram(c, core.DefaultParams())
 	if err != nil {
 		b.Fatal(err)
 	}
+	an := prog.NewEvaluator()
 	probs := core.UniformProbs(c)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -326,10 +331,11 @@ func BenchmarkOptimizeParallel(b *testing.B) {
 // 0 allocs/op — the hot path reuses caller buffers end to end.
 func BenchmarkAnalyzeIncrementalCOMP(b *testing.B) {
 	c := circuits.Comp24()
-	an, err := core.NewAnalyzer(c, core.FastParams())
+	prog, err := core.NewProgram(c, core.FastParams())
 	if err != nil {
 		b.Fatal(err)
 	}
+	an := prog.NewEvaluator()
 	faults := fault.Collapse(c)
 	probs := core.UniformProbs(c)
 	res := an.NewAnalysis()

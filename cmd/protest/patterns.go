@@ -72,7 +72,7 @@ func runFsim(ctx context.Context, args []string) error {
 	pFile := fs.String("pfile", "", "read per-input probabilities from `file`")
 	count := fs.Int("count", 10000, "number of random patterns")
 	seed := fs.Uint64("seed", 1, "generator seed")
-	workers := fs.Int("workers", 1, "simulate fault cones on this many goroutines (-1 = all cores; identical results)")
+	workers := fs.Int("workers", 1, "run the FFR simulation on this many goroutines (-1 = all cores; the naive engine is serial; identical results)")
 	engine := fs.String("engine", "ffr", "fault-simulation engine: ffr (FFR partition + dominator cut) or naive (per-fault cones; identical results)")
 	curve := fs.String("curve", "", "comma list of checkpoints for a coverage curve (e.g. 10,100,1000)")
 	psim := fs.Bool("psim", false, "report per-fault measured detection probabilities")

@@ -38,10 +38,12 @@ var (
 	ErrNodeBudget = bdd.ErrNodeBudget
 
 	// ErrBadSpec flags a ValidateSpec whose explicitly-set values are
-	// out of range, and a transition-model run of either spec whose
-	// effective pattern budget is below the 2 patterns of one
-	// launch/capture pair (re-exported from the internal validate
-	// package).
+	// out of range (SimWidth included), a PipelineSpec or ValidateSpec
+	// naming an unknown
+	// simulation engine, bad BIST fields of a PipelineSpec, and a
+	// transition-model run of either spec whose effective pattern
+	// budget is below the 2 patterns of one launch/capture pair
+	// (re-exported from the internal validate package).
 	ErrBadSpec = validate.ErrBadSpec
 )
 

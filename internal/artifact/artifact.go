@@ -239,12 +239,6 @@ func (s *Store) Program(c *circuit.Circuit, params core.Params) (*core.Program, 
 	return v.(*core.Program), nil
 }
 
-// Faults returns the shared collapsed single-stuck-at fault list of c.
-// The slice is shared: callers must not modify it.
-func (s *Store) Faults(c *circuit.Circuit) []fault.Fault {
-	return s.FaultsFor(c, fault.ModelStuckAt)
-}
-
 // FaultsFor returns the shared fault list of c under a fault model.
 // The slice is shared: callers must not modify it.
 func (s *Store) FaultsFor(c *circuit.Circuit, m fault.Model) []fault.Fault {
@@ -256,12 +250,6 @@ func (s *Store) FaultsFor(c *circuit.Circuit, m fault.Model) []fault.Fault {
 	return v.([]fault.Fault)
 }
 
-// SimPlan returns the shared FFR fault-simulation plan of c over its
-// collapsed stuck-at fault list.
-func (s *Store) SimPlan(c *circuit.Circuit) *faultsim.Plan {
-	return s.SimPlanFor(c, fault.ModelStuckAt)
-}
-
 // SimPlanFor returns the shared FFR fault-simulation plan of c over a
 // fault model's universe.
 func (s *Store) SimPlanFor(c *circuit.Circuit, m fault.Model) *faultsim.Plan {
@@ -271,12 +259,6 @@ func (s *Store) SimPlanFor(c *circuit.Circuit, m fault.Model) *faultsim.Plan {
 		return faultsim.NewPlan(c, s.FaultsFor(c, m)), nil
 	})
 	return v.(*faultsim.Plan)
-}
-
-// BIST returns the shared self-test program of c over its collapsed
-// stuck-at fault list.
-func (s *Store) BIST(c *circuit.Circuit) *bist.Program {
-	return s.BISTFor(c, fault.ModelStuckAt)
 }
 
 // BISTFor returns the shared self-test program of c over a fault

@@ -6,6 +6,7 @@ import (
 
 	"protest/internal/circuits"
 	"protest/internal/core"
+	"protest/internal/fault"
 )
 
 func TestInternDeduplicatesEqualCircuits(t *testing.T) {
@@ -122,7 +123,7 @@ func TestLRUEviction(t *testing.T) {
 	if _, err := s.Program(c, core.DefaultParams()); err != nil {
 		t.Fatal(err)
 	}
-	s.Faults(c) // third key evicts the fast program
+	s.FaultsFor(c, fault.ModelStuckAt) // third key evicts the fast program
 	if got := s.Len(); got != 2 {
 		t.Fatalf("store holds %d entries, want capacity 2", got)
 	}
@@ -142,16 +143,16 @@ func TestLRUEviction(t *testing.T) {
 func TestSharedDerivedArtifacts(t *testing.T) {
 	s := NewStore(16)
 	a, b := circuits.Mult8(), circuits.Mult8()
-	if fa, fb := s.Faults(a), s.Faults(b); &fa[0] != &fb[0] {
+	if fa, fb := s.FaultsFor(a, fault.ModelStuckAt), s.FaultsFor(b, fault.ModelStuckAt); &fa[0] != &fb[0] {
 		t.Fatal("equal circuits did not share one fault list")
 	}
-	if s.SimPlan(a) != s.SimPlan(b) {
+	if s.SimPlanFor(a, fault.ModelStuckAt) != s.SimPlanFor(b, fault.ModelStuckAt) {
 		t.Fatal("equal circuits did not share one simulation plan")
 	}
-	if s.BIST(a) != s.BIST(b) {
+	if s.BISTFor(a, fault.ModelStuckAt) != s.BISTFor(b, fault.ModelStuckAt) {
 		t.Fatal("equal circuits did not share one BIST program")
 	}
-	if s.SimPlan(a).Faults() == nil {
+	if s.SimPlanFor(a, fault.ModelStuckAt).Faults() == nil {
 		t.Fatal("sim plan lost its fault list")
 	}
 }
@@ -190,8 +191,8 @@ func TestStoreStats(t *testing.T) {
 func TestStoreStatsEvictions(t *testing.T) {
 	s := NewStore(1)
 	c := circuits.C17()
-	s.Faults(c)
-	s.SimPlan(c) // evicts the fault-list entry (capacity 1)
+	s.FaultsFor(c, fault.ModelStuckAt)
+	s.SimPlanFor(c, fault.ModelStuckAt) // evicts the fault-list entry (capacity 1)
 	st := s.Stats()
 	if st.Evictions == 0 {
 		t.Fatalf("capacity-1 store recorded no evictions: %+v", st)

@@ -87,9 +87,9 @@ type Plan struct {
 	MISRSeed uint64
 	// Engine selects the fault-simulation engine producing the faulty
 	// responses (the zero value is the FFR engine; faultsim.EngineNaive
-	// selects the per-fault oracle).  Through a Session the zero value
-	// means "the Session's engine".  Signatures are bit-identical
-	// either way.
+	// selects the per-fault oracle; RunCtx rejects any other value).
+	// Through a Session the zero value means "the Session's engine".
+	// Signatures are bit-identical either way.
 	Engine faultsim.EngineKind
 	// SimWidth is the FFR capture width in 64-cycle lanes (1, 4 or 8;
 	// 0 means 1, or "the Session's width" through a Session).  Capture
@@ -192,41 +192,20 @@ func (p *Program) plan() *faultsim.Plan {
 	return p.simPlan
 }
 
-// Run simulates the complete self test: every fault's response stream
-// is compacted into its own signature and compared against the good
-// one.  The generator supplies the stimulus (uniform for a classic
-// BILBO, weighted for the optimized NLFSR scheme).
-func Run(c *circuit.Circuit, faults []fault.Fault, gen *pattern.Generator, plan Plan) (*Result, error) {
-	return RunCtx(context.Background(), c, faults, gen, plan, nil)
-}
-
-// RunCtx is Run with cancellation and progress reporting: between
+// RunCtx simulates the complete self test: every fault's response
+// stream is compacted into its own signature and compared against the
+// good one.  The generator supplies the stimulus (uniform for a
+// classic BILBO, weighted for the optimized NLFSR scheme).  Between
 // 64-cycle blocks it checks ctx and, on cancellation, returns ctx.Err()
-// and a nil result.  It derives the FFR simulation plan itself; use
-// RunPlanCtx (or a long-lived Program) to reuse an existing one.
-func RunCtx(ctx context.Context, c *circuit.Circuit, faults []fault.Fault, gen *pattern.Generator, plan Plan, progress faultsim.Progress) (*Result, error) {
-	return RunPlanCtx(ctx, c, faults, nil, gen, plan, progress)
-}
-
-// RunPlanCtx is RunCtx with a caller-provided FFR simulation plan.
-// simPlan must have been built over exactly c and faults (nil builds a
-// fresh one); it is ignored by the naive engine.
-func RunPlanCtx(ctx context.Context, c *circuit.Circuit, faults []fault.Fault, simPlan *faultsim.Plan, gen *pattern.Generator, plan Plan, progress faultsim.Progress) (*Result, error) {
-	p := NewProgram(c, faults, nil)
-	p.simPlan = simPlan
-	if simPlan != nil {
-		p.planOnce.Do(func() {})
-	}
-	return p.RunCtx(ctx, gen, plan, progress)
-}
-
-// RunCtx runs one self-test session on pooled scratch.  Safe for
-// concurrent use: concurrent runs share only the immutable plan and
-// the scratch pool.
+// and a nil result.  Safe for concurrent use: concurrent runs share
+// only the immutable plan and the scratch pool.
 func (p *Program) RunCtx(ctx context.Context, gen *pattern.Generator, plan Plan, progress faultsim.Progress) (*Result, error) {
 	c := p.c
 	if gen.NumInputs() != len(c.Inputs) {
 		return nil, fmt.Errorf("bist: generator has %d inputs, circuit %d", gen.NumInputs(), len(c.Inputs))
+	}
+	if err := faultsim.CheckEngine(plan.Engine); err != nil {
+		return nil, err
 	}
 	if plan.Cycles <= 0 {
 		plan.Cycles = 1024

@@ -1,6 +1,7 @@
 package bist
 
 import (
+	"context"
 	"testing"
 
 	"protest/internal/circuit"
@@ -68,11 +69,16 @@ func TestFoldWideOutputs(t *testing.T) {
 	}
 }
 
+// run runs one self test on a fresh Program over (c, faults).
+func run(c *circuit.Circuit, faults []fault.Fault, gen *pattern.Generator, plan Plan) (*Result, error) {
+	return NewProgram(c, faults, nil).RunCtx(context.Background(), gen, plan, nil)
+}
+
 func TestRunC17FullCoverage(t *testing.T) {
 	c := circuits.C17()
 	faults := fault.Collapse(c)
 	gen := pattern.NewUniform(len(c.Inputs), 3)
-	res, err := Run(c, faults, gen, Plan{Cycles: 512, MISRWidth: 16})
+	res, err := run(c, faults, gen, Plan{Cycles: 512, MISRWidth: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +96,7 @@ func TestRunAliasingAccounting(t *testing.T) {
 	c := circuits.ALU74181()
 	faults := fault.Collapse(c)
 	gen := pattern.NewUniform(len(c.Inputs), 7)
-	res, err := Run(c, faults, gen, Plan{Cycles: 320, MISRWidth: 8})
+	res, err := run(c, faults, gen, Plan{Cycles: 320, MISRWidth: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,12 +115,15 @@ func TestRunMatchesFaultSimulation(t *testing.T) {
 	faults := fault.Collapse(c)
 	cycles := 128
 	genA := pattern.NewUniform(len(c.Inputs), 9)
-	res, err := Run(c, faults, genA, Plan{Cycles: cycles, MISRWidth: 16})
+	res, err := run(c, faults, genA, Plan{Cycles: cycles, MISRWidth: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
 	genB := pattern.NewUniform(len(c.Inputs), 9)
-	sim := faultsim.MeasureDetection(c, faults, genB, cycles)
+	sim, err := faultsim.NewPlan(c, faults).MeasureDetection(context.Background(), genB, cycles, faultsim.Options{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	simDetected := 0
 	for i := range faults {
 		if sim.Detected[i] > 0 {
@@ -133,7 +142,7 @@ func TestWeightedBeatsUniformOnEqualityLogic(t *testing.T) {
 	faults := fault.Collapse(c)
 	cycles := 96
 	genU := pattern.NewUniform(len(c.Inputs), 21)
-	resU, err := Run(c, faults, genU, Plan{Cycles: cycles})
+	resU, err := run(c, faults, genU, Plan{Cycles: cycles})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +153,7 @@ func TestWeightedBeatsUniformOnEqualityLogic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resW, err := Run(c, faults, genW, Plan{Cycles: cycles})
+	resW, err := run(c, faults, genW, Plan{Cycles: cycles})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,19 +165,22 @@ func TestWeightedBeatsUniformOnEqualityLogic(t *testing.T) {
 func TestRunValidation(t *testing.T) {
 	c := circuits.C17()
 	gen := pattern.NewUniform(2, 1)
-	if _, err := Run(c, fault.Collapse(c), gen, Plan{}); err == nil {
+	if _, err := run(c, fault.Collapse(c), gen, Plan{}); err == nil {
 		t.Error("input-count mismatch must fail")
 	}
 	gen2 := pattern.NewUniform(len(c.Inputs), 1)
-	if _, err := Run(c, fault.Collapse(c), gen2, Plan{MISRWidth: 9}); err == nil {
+	if _, err := run(c, fault.Collapse(c), gen2, Plan{MISRWidth: 9}); err == nil {
 		t.Error("unsupported MISR width must fail")
+	}
+	if _, err := run(c, fault.Collapse(c), gen2, Plan{Engine: 9}); err == nil {
+		t.Error("unknown engine must fail")
 	}
 }
 
 func TestRunDefaults(t *testing.T) {
 	c := circuits.C17()
 	gen := pattern.NewUniform(len(c.Inputs), 1)
-	res, err := Run(c, fault.Collapse(c), gen, Plan{})
+	res, err := run(c, fault.Collapse(c), gen, Plan{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,16 +198,16 @@ func TestEngineSignatureIdentity(t *testing.T) {
 		return circuits.Random(circuits.RandomOptions{Inputs: 10, Gates: 90, Outputs: 5, Seed: 17})
 	}} {
 		c := build()
-		faults := fault.Collapse(c)
+		prog := NewProgram(c, fault.Collapse(c), nil)
 		for _, cycles := range []int{64, 100, 257} {
 			plan := Plan{Cycles: cycles, MISRWidth: 16, MISRSeed: 5, Engine: faultsim.EngineNaive}
-			naive, err := Run(c, faults, pattern.NewUniform(len(c.Inputs), 9), plan)
+			naive, err := prog.RunCtx(context.Background(), pattern.NewUniform(len(c.Inputs), 9), plan, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, w := range []int{0, 1, 4, 8} {
 				plan := Plan{Cycles: cycles, MISRWidth: 16, MISRSeed: 5, SimWidth: w}
-				ffr, err := Run(c, faults, pattern.NewUniform(len(c.Inputs), 9), plan)
+				ffr, err := prog.RunCtx(context.Background(), pattern.NewUniform(len(c.Inputs), 9), plan, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -215,17 +227,17 @@ func TestEngineSignatureIdentity(t *testing.T) {
 func TestWideSignatureIdentity(t *testing.T) {
 	for _, name := range circuits.Names() {
 		c, _ := circuits.Lookup(name)
-		faults := fault.Collapse(c)
+		prog := NewProgram(c, fault.Collapse(c), nil)
 		for _, cycles := range []int{64, 100, 257, 1000} {
 			base := Plan{Cycles: cycles, MISRWidth: 16, MISRSeed: 5}
-			ref, err := Run(c, faults, pattern.NewUniform(len(c.Inputs), 9), base)
+			ref, err := prog.RunCtx(context.Background(), pattern.NewUniform(len(c.Inputs), 9), base, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, w := range []int{1, 4, 8} {
 				plan := base
 				plan.SimWidth = w
-				wide, err := Run(c, faults, pattern.NewUniform(len(c.Inputs), 9), plan)
+				wide, err := prog.RunCtx(context.Background(), pattern.NewUniform(len(c.Inputs), 9), plan, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -241,7 +253,7 @@ func TestWideWidthValidation(t *testing.T) {
 	c := circuits.C17()
 	faults := fault.Collapse(c)
 	plan := Plan{Cycles: 64, SimWidth: 3}
-	if _, err := Run(c, faults, pattern.NewUniform(len(c.Inputs), 1), plan); err == nil {
+	if _, err := run(c, faults, pattern.NewUniform(len(c.Inputs), 1), plan); err == nil {
 		t.Fatal("SimWidth 3 should be rejected")
 	}
 }

@@ -33,11 +33,11 @@ func TestCompiledConditioningIdentity(t *testing.T) {
 	}
 	for _, c := range cs {
 		for _, p := range params {
-			fast, err := NewAnalyzer(c, p)
+			fast, err := newEvaluator(c, p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err := NewAnalyzer(c, p)
+			ref, err := newEvaluator(c, p)
 			if err != nil {
 				t.Fatal(err)
 			}

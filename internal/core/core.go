@@ -282,9 +282,6 @@ func (p *Program) checkShape(res *Analysis) error {
 // every piece of mutable per-run scratch and is therefore NOT safe for
 // concurrent use; each goroutine needs its own, normally from the
 // program pool (Program.Acquire / Evaluator.Release).
-//
-// Deprecated aliases: Analyzer names this type for callers of the
-// original single-tier API.
 type Evaluator struct {
 	*Program
 
@@ -343,30 +340,10 @@ func (e *Evaluator) Release() {
 	e.Program.pool.Put(e)
 }
 
-// Analyzer is the original name of Evaluator, kept so existing callers
-// compile unchanged.
-//
-// Deprecated: build a Program with NewProgram and use pooled
-// Evaluators (Program.Acquire / Program.Run) instead.
-type Analyzer = Evaluator
-
 type scoredCandidate struct {
 	x     circuit.NodeID
 	ci    int // index into the plan's candidates/reach lists
 	score float64
-}
-
-// NewAnalyzer compiles the analysis plan and returns a private
-// evaluator over it.
-//
-// Deprecated: use NewProgram; share the Program and acquire pooled
-// Evaluators per goroutine.
-func NewAnalyzer(c *circuit.Circuit, params Params) (*Analyzer, error) {
-	p, err := NewProgram(c, params)
-	if err != nil {
-		return nil, err
-	}
-	return p.NewEvaluator(), nil
 }
 
 // initScratch sizes the per-run scratch buffers to the circuit.
@@ -424,17 +401,6 @@ func (e *Evaluator) initScratch() {
 	e.sigMerge = make([]circuit.NodeID, 0, c.NumNodes())
 	e.obsMerge = make([]circuit.NodeID, 0, c.NumNodes())
 	e.changedBuf = make([]int, 0, maxIncrementalChanged+1)
-}
-
-// Clone returns an independent evaluator over the same program.  The
-// plan (cones, joining points, incremental regions) is shared
-// read-only; all mutable scratch is fresh, so the clone can run
-// concurrently with the original.
-//
-// Deprecated: use Program.Acquire / Evaluator.Release, which pool
-// evaluators instead of allocating new scratch every time.
-func (e *Evaluator) Clone() *Evaluator {
-	return e.Program.NewEvaluator()
 }
 
 // Run estimates signal probabilities and observabilities for the given

@@ -18,28 +18,38 @@ func mustParse(t *testing.T, src, name string) *circuit.Circuit {
 	return c
 }
 
+// newEvaluator compiles the program of (c, params) and returns a
+// private evaluator over it.
+func newEvaluator(c *circuit.Circuit, params Params) (*Evaluator, error) {
+	p, err := NewProgram(c, params)
+	if err != nil {
+		return nil, err
+	}
+	return p.NewEvaluator(), nil
+}
+
 func TestParamsValidation(t *testing.T) {
 	c := circuits.C17()
 	bad := DefaultParams()
 	bad.MaxVers = -1
-	if _, err := NewAnalyzer(c, bad); err == nil {
+	if _, err := newEvaluator(c, bad); err == nil {
 		t.Error("negative MaxVers must fail")
 	}
 	bad = DefaultParams()
 	bad.MaxVers = 20
-	if _, err := NewAnalyzer(c, bad); err == nil {
+	if _, err := newEvaluator(c, bad); err == nil {
 		t.Error("huge MaxVers must fail")
 	}
 	bad = DefaultParams()
 	bad.MaxCandidates = 1
-	if _, err := NewAnalyzer(c, bad); err == nil {
+	if _, err := newEvaluator(c, bad); err == nil {
 		t.Error("MaxCandidates < MaxVers must fail")
 	}
 }
 
 func TestRunValidation(t *testing.T) {
 	c := circuits.C17()
-	an, err := NewAnalyzer(c, DefaultParams())
+	an, err := newEvaluator(c, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,7 @@ func assertAnalysisEqual(t *testing.T, label string, got, want *Analysis, faults
 }
 
 // For random circuits and random single-, pair- and multi-input
-// perturbations, chained Analyzer.Update calls must stay bit-identical
+// perturbations, chained Evaluator.Update calls must stay bit-identical
 // to a fresh full Run at every step — the exactness contract of the
 // incremental engine.
 func TestUpdateMatchesRunRandomCircuits(t *testing.T) {
@@ -53,7 +53,7 @@ func TestUpdateMatchesRunRandomCircuits(t *testing.T) {
 		})
 		faults := fault.Collapse(c)
 		for _, params := range []Params{DefaultParams(), FastParams()} {
-			an, err := NewAnalyzer(c, params)
+			an, err := newEvaluator(c, params)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -96,11 +96,11 @@ func TestUpdateMatchesRunPaperCircuits(t *testing.T) {
 	for _, build := range []func() *circuit.Circuit{circuits.ALU74181, circuits.Comp24} {
 		c := build()
 		faults := fault.Collapse(c)
-		an, err := NewAnalyzer(c, FastParams())
+		an, err := newEvaluator(c, FastParams())
 		if err != nil {
 			t.Fatal(err)
 		}
-		worker := an.Clone()
+		worker := an.NewEvaluator()
 		probs := UniformProbs(c)
 		res := an.NewAnalysis()
 		if err := an.RunInto(res, probs); err != nil {
@@ -134,7 +134,7 @@ func TestUpdateMatchesRunPaperCircuits(t *testing.T) {
 func TestRunIntoAndCopyFrom(t *testing.T) {
 	c := circuits.ALU74181()
 	faults := fault.Collapse(c)
-	an, err := NewAnalyzer(c, DefaultParams())
+	an, err := newEvaluator(c, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestRunIntoAndCopyFrom(t *testing.T) {
 // set.
 func TestUpdateValidation(t *testing.T) {
 	c := circuits.C17()
-	an, err := NewAnalyzer(c, DefaultParams())
+	an, err := newEvaluator(c, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestUpdateValidation(t *testing.T) {
 // of RunInto/Update is an allocation-free optimizer hot path.
 func TestUpdateDoesNotAllocate(t *testing.T) {
 	c := circuits.Comp24()
-	an, err := NewAnalyzer(c, FastParams())
+	an, err := newEvaluator(c, FastParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestUpdateDoesNotAllocate(t *testing.T) {
 // RunInto itself must also be allocation free in the steady state.
 func TestRunIntoDoesNotAllocate(t *testing.T) {
 	c := circuits.ALU74181()
-	an, err := NewAnalyzer(c, DefaultParams())
+	an, err := newEvaluator(c, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,29 +79,3 @@ func TestEvaluatorPoolReuse(t *testing.T) {
 		t.Skip("pool did not reuse the evaluator (GC interference); wiring still exercised")
 	}
 }
-
-// The deprecated Analyzer surface (NewAnalyzer, Clone) must keep
-// working over the Program split.
-func TestDeprecatedAnalyzerSurface(t *testing.T) {
-	c := circuits.C17()
-	an, err := NewAnalyzer(c, DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	clone := an.Clone()
-	if clone.Program != an.Program {
-		t.Fatal("clone does not share the program")
-	}
-	probs := UniformProbs(c)
-	a, err := an.Run(probs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := clone.Run(probs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a.Prob, b.Prob) || !reflect.DeepEqual(a.Obs, b.Obs) {
-		t.Fatal("clone result differs from original")
-	}
-}

@@ -232,10 +232,10 @@ func TestObservabilityInvariants(t *testing.T) {
 }
 
 // The analyzer plan must be reusable: two Run calls with different
-// tuples from one Analyzer must equal fresh Analyze calls.
+// tuples from one Evaluator must equal fresh Analyze calls.
 func TestAnalyzerReuse(t *testing.T) {
 	c := circuits.ALU74181()
-	an, err := NewAnalyzer(c, DefaultParams())
+	an, err := newEvaluator(c, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,13 +55,13 @@ func programFor(c *circuit.Circuit, p core.Params) (*core.Program, error) {
 
 // faultsFor returns the shared collapsed fault list of c.
 func faultsFor(c *circuit.Circuit) []fault.Fault {
-	return artifact.Default.Faults(c)
+	return artifact.Default.FaultsFor(c, fault.ModelStuckAt)
 }
 
 // simPlanFor returns the shared FFR fault-simulation plan of c over
 // its collapsed fault list.
 func simPlanFor(c *circuit.Circuit) *faultsim.Plan {
-	return artifact.Default.SimPlan(c)
+	return artifact.Default.SimPlanFor(c, fault.ModelStuckAt)
 }
 
 // Config tunes experiment effort.  The zero value gives the full
@@ -122,7 +122,7 @@ func Validity(c *circuit.Circuit, cfg Config) (*ValidityResult, error) {
 	}
 	est := res.DetectProbs(faults)
 	gen := pattern.NewUniform(len(c.Inputs), cfg.Seed+1)
-	sim, err := simPlanFor(c).MeasureDetectionCtx(context.Background(), gen, cfg.patterns(), faultsim.Options{Workers: cfg.Workers}, nil)
+	sim, err := simPlanFor(c).MeasureDetection(context.Background(), gen, cfg.patterns(), faultsim.Options{Workers: cfg.Workers}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -218,7 +218,7 @@ func Table2(cfg Config) (*Table2Result, error) {
 			continue
 		}
 		gen := pattern.NewUniform(len(c.Inputs), cfg.Seed+2)
-		curve, err := simPlanFor(c).CoverageCurveCtx(context.Background(), gen, []int{int(n)}, faultsim.Options{}, nil)
+		curve, err := simPlanFor(c).CoverageCurve(context.Background(), gen, []int{int(n)}, faultsim.Options{}, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -424,10 +424,10 @@ func Table6(cfg Config, tuples map[string][]float64) ([]*CurvePair, error) {
 		plan := simPlanFor(c)
 		opt := faultsim.Options{Workers: cfg.Workers}
 		pair := &CurvePair{Circuit: c.Name}
-		if pair.Uniform, err = plan.CoverageCurveCtx(context.Background(), genU, checkpoints, opt, nil); err != nil {
+		if pair.Uniform, err = plan.CoverageCurve(context.Background(), genU, checkpoints, opt, nil); err != nil {
 			return nil, err
 		}
-		if pair.Optimized, err = plan.CoverageCurveCtx(context.Background(), genO, checkpoints, opt, nil); err != nil {
+		if pair.Optimized, err = plan.CoverageCurve(context.Background(), genO, checkpoints, opt, nil); err != nil {
 			return nil, err
 		}
 		out = append(out, pair)

@@ -2,28 +2,48 @@ package faultsim
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
+	"protest/internal/circuit"
 	"protest/internal/circuits"
 	"protest/internal/fault"
 	"protest/internal/pattern"
 )
+
+// curveRun is one coverage-curve entry point under test.
+type curveRun struct {
+	name string
+	run  func(gen *pattern.Generator, cps []int, progress Progress) ([]CoveragePoint, error)
+}
+
+// curveRuns lists the coverage-curve entry points that must agree on
+// (c, faults): the FFR engine serial and on workers goroutines, and
+// the naive oracle.
+func curveRuns(c *circuit.Circuit, faults []fault.Fault, workers int) []curveRun {
+	ctx := context.Background()
+	plan := NewPlan(c, faults)
+	return []curveRun{
+		{"ffr", func(gen *pattern.Generator, cps []int, progress Progress) ([]CoveragePoint, error) {
+			return plan.CoverageCurve(ctx, gen, cps, Options{}, progress)
+		}},
+		{"naive", func(gen *pattern.Generator, cps []int, progress Progress) ([]CoveragePoint, error) {
+			return CoverageCurveNaive(ctx, c, faults, gen, cps, progress)
+		}},
+		{fmt.Sprintf("ffr workers=%d", workers), func(gen *pattern.Generator, cps []int, progress Progress) ([]CoveragePoint, error) {
+			return plan.CoverageCurve(ctx, gen, cps, Options{Workers: workers}, progress)
+		}},
+	}
+}
 
 // curveEngines runs a coverage-curve scenario against every engine and
 // worker combination and requires identical points.
 func curveEngines(t *testing.T, cps []int, seed uint64) []CoveragePoint {
 	t.Helper()
 	c := circuits.C17()
-	faults := fault.Collapse(c)
 	var ref []CoveragePoint
-	for _, opt := range []Options{
-		{},
-		{Engine: EngineNaive},
-		{Workers: 3},
-		{Engine: EngineNaive, Workers: 3},
-	} {
-		got, err := CoverageCurveOpt(context.Background(), c, faults,
-			pattern.NewUniform(len(c.Inputs), seed), cps, opt, nil)
+	for _, r := range curveRuns(c, fault.Collapse(c), 3) {
+		got, err := r.run(pattern.NewUniform(len(c.Inputs), seed), cps, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -32,11 +52,11 @@ func curveEngines(t *testing.T, cps []int, seed uint64) []CoveragePoint {
 			continue
 		}
 		if len(got) != len(ref) {
-			t.Fatalf("opt %+v: %d points, want %d", opt, len(got), len(ref))
+			t.Fatalf("%s: %d points, want %d", r.name, len(got), len(ref))
 		}
 		for i := range ref {
 			if got[i] != ref[i] {
-				t.Fatalf("opt %+v point %d: %+v != %+v", opt, i, got[i], ref[i])
+				t.Fatalf("%s point %d: %+v != %+v", r.name, i, got[i], ref[i])
 			}
 		}
 	}
@@ -99,48 +119,47 @@ func TestCoverageCurveAllFaultsDropEarly(t *testing.T) {
 	c := circuits.C17()
 	faults := fault.Collapse(c)
 	cps := []int{10000, 20000, 30000}
-	for _, opt := range []Options{{}, {Engine: EngineNaive}, {Workers: 2}} {
+	for _, r := range curveRuns(c, faults, 2) {
 		var dones []int
 		var totals []int
 		progress := func(done, total int) {
 			dones = append(dones, done)
 			totals = append(totals, total)
 		}
-		pts, err := CoverageCurveOpt(context.Background(), c, faults,
-			pattern.NewUniform(len(c.Inputs), 2), cps, opt, progress)
+		pts, err := r.run(pattern.NewUniform(len(c.Inputs), 2), cps, progress)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(pts) != 3 {
-			t.Fatalf("opt %+v: %d points, want 3", opt, len(pts))
+			t.Fatalf("%s: %d points, want 3", r.name, len(pts))
 		}
 		for _, p := range pts {
 			if p.Coverage != 100 {
-				t.Errorf("opt %+v: coverage %.1f at %d patterns, want 100", opt, p.Coverage, p.Patterns)
+				t.Errorf("%s: coverage %.1f at %d patterns, want 100", r.name, p.Coverage, p.Patterns)
 			}
 		}
 		if len(dones) == 0 {
-			t.Fatalf("opt %+v: no progress reported", opt)
+			t.Fatalf("%s: no progress reported", r.name)
 		}
 		// The drop exhausts the list within the first checkpoint, so
 		// far fewer than 30000/64 blocks may be simulated...
 		if len(dones) > 200 {
-			t.Errorf("opt %+v: %d progress calls — early exit did not trigger", opt, len(dones))
+			t.Errorf("%s: %d progress calls — early exit did not trigger", r.name, len(dones))
 		}
 		// ...but the totals must stay the final checkpoint throughout
 		// and the last report must close the bar at (total, total).
 		for i, tot := range totals {
 			if tot != 30000 {
-				t.Errorf("opt %+v: progress total %d at call %d, want 30000", opt, tot, i)
+				t.Errorf("%s: progress total %d at call %d, want 30000", r.name, tot, i)
 			}
 		}
 		for i := 1; i < len(dones); i++ {
 			if dones[i] < dones[i-1] {
-				t.Errorf("opt %+v: progress done decreases at call %d", opt, i)
+				t.Errorf("%s: progress done decreases at call %d", r.name, i)
 			}
 		}
 		if last := dones[len(dones)-1]; last != 30000 {
-			t.Errorf("opt %+v: final progress done = %d, want 30000", opt, last)
+			t.Errorf("%s: final progress done = %d, want 30000", r.name, last)
 		}
 	}
 }

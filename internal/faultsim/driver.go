@@ -2,6 +2,7 @@ package faultsim
 
 import (
 	"context"
+	"runtime"
 	"sync"
 
 	"protest/internal/pattern"
@@ -57,6 +58,23 @@ func (s *engineSet) release() {
 type chunk struct {
 	e boundWide
 	k int
+}
+
+// parallelWorkers resolves an Options.Workers value: <= 1 is serial
+// (1), negative selects GOMAXPROCS, and anything above GOMAXPROCS is
+// clamped to it.  The goroutines are CPU-bound with no blocking between
+// blocks, so running more of them than cores cannot help and the bench
+// trail shows oversubscription actively hurting on small machines; the
+// block distribution (and therefore every result) is identical either
+// way.
+func parallelWorkers(workers, nFaults int) int {
+	if maxProcs := runtime.GOMAXPROCS(0); workers < 0 || workers > maxProcs {
+		workers = maxProcs
+	}
+	if workers <= 1 || nFaults == 0 {
+		return 1
+	}
+	return workers
 }
 
 // BlockVisitor receives the detection words of one simulated block:

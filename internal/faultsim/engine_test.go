@@ -100,18 +100,14 @@ func TestEngineMeasureDetectionIdentity(t *testing.T) {
 	for _, c := range engineTestCircuits() {
 		faults := fault.Collapse(c)
 		const n = 1000 // deliberately not a multiple of 64
-		ref := MeasureDetection(c, faults, pattern.NewUniform(len(c.Inputs), 3), n)
-		naive, err := MeasureDetectionOpt(context.Background(), c, faults,
-			pattern.NewUniform(len(c.Inputs), 3), n, Options{Engine: EngineNaive}, nil)
+		ref := measure(t, c, faults, pattern.NewUniform(len(c.Inputs), 3), n, Options{})
+		naive, err := MeasureDetectionNaive(context.Background(), c, faults,
+			pattern.NewUniform(len(c.Inputs), 3), n, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{2, 3, -1} {
-			par, err := MeasureDetectionOpt(context.Background(), c, faults,
-				pattern.NewUniform(len(c.Inputs), 3), n, Options{Workers: workers}, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
+			par := measure(t, c, faults, pattern.NewUniform(len(c.Inputs), 3), n, Options{Workers: workers})
 			for i := range faults {
 				if ref.Detected[i] != par.Detected[i] {
 					t.Fatalf("%s workers=%d fault %v: serial %d != parallel %d",
@@ -155,17 +151,12 @@ func TestEngineCoverageCurveIdentity(t *testing.T) {
 			},
 		}
 		for name, mk := range gens {
-			ref := CoverageCurve(c, faults, mk(11), cps)
-			naive, err := CoverageCurveOpt(context.Background(), c, faults, mk(11), cps,
-				Options{Engine: EngineNaive}, nil)
+			ref := curve(t, c, faults, mk(11), cps, Options{})
+			naive, err := CoverageCurveNaive(context.Background(), c, faults, mk(11), cps, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			par, err := CoverageCurveOpt(context.Background(), c, faults, mk(11), cps,
-				Options{Workers: -1}, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
+			par := curve(t, c, faults, mk(11), cps, Options{Workers: -1})
 			if len(ref) != len(naive) || len(ref) != len(par) {
 				t.Fatalf("%s/%s: curve lengths differ", c.Name, name)
 			}

@@ -13,10 +13,12 @@
 //     Options.Width; BIST capture (package bist) drives the engine's
 //     capture mode itself;
 //   - the naive engine (Simulator), kept as the independent oracle:
-//     every fault is re-simulated individually inside its output cone.
+//     every fault is re-simulated individually inside its output cone,
+//     serially, by MeasureDetectionNaive and CoverageCurveNaive.
 //
 // Both produce bit-identical detection words; the engine property
-// tests enforce it.  Select with Options.Engine.
+// tests enforce it.  EngineKind names the two for the callers that let
+// a user choose.
 package faultsim
 
 import (
@@ -75,11 +77,19 @@ func ParseEngine(s string) (EngineKind, error) {
 	return 0, fmt.Errorf("faultsim: unknown engine %q (want ffr or naive)", s)
 }
 
-// Options tunes a measurement run.  The zero value selects the FFR
-// engines, serial, on the default width schedule.
+// CheckEngine returns an error unless k is EngineFFR or EngineNaive.
+func CheckEngine(k EngineKind) error {
+	if k != EngineFFR && k != EngineNaive {
+		return fmt.Errorf("faultsim: unknown engine %v (want ffr or naive)", k)
+	}
+	return nil
+}
+
+// Options tunes an FFR measurement run (Plan.MeasureDetection and
+// Plan.CoverageCurve).  The zero value runs serially on the default
+// width schedule.  The naive oracle takes no options: it is serial and
+// has no wide path.
 type Options struct {
-	// Engine selects the simulation engine.
-	Engine EngineKind
 	// Workers spreads the per-block work over goroutines; <= 1 is
 	// serial, < 0 selects GOMAXPROCS.  Values above GOMAXPROCS are
 	// clamped to it — oversubscribing cores only adds scheduling
@@ -92,9 +102,8 @@ type Options struct {
 	// default, lets the driver pick per chunk: W=8 while at least 8
 	// blocks remain and W=1 for the ragged tail of up to 7 blocks (see
 	// chunkWidth).  1, 4 or 8 forces that width for every chunk,
-	// padding a short final chunk.  Every width runs on the FFR engine,
-	// and results are bit-identical at every width.  The naive oracle
-	// engine has no wide path and ignores Width.
+	// padding a short final chunk.  Results are bit-identical at every
+	// width.
 	Width int
 }
 
@@ -377,40 +386,13 @@ func blockMask(valid int) uint64 {
 	return ^uint64(0)
 }
 
-// MeasureDetection applies numPatterns patterns from gen to the circuit
-// and counts, for every fault, how many patterns detect it — the
-// experiment behind P_SIM in section 4 of the paper.  No fault dropping
-// is performed.
-func MeasureDetection(c *circuit.Circuit, faults []fault.Fault, gen *pattern.Generator, numPatterns int) *Result {
-	res, _ := MeasureDetectionCtx(context.Background(), c, faults, gen, numPatterns, nil)
-	return res
-}
-
-// MeasureDetectionCtx is MeasureDetection with cancellation and
-// progress reporting: between 64-pattern blocks it checks ctx and, on
-// cancellation, returns ctx.Err() and a nil result.
-func MeasureDetectionCtx(ctx context.Context, c *circuit.Circuit, faults []fault.Fault, gen *pattern.Generator, numPatterns int, progress Progress) (*Result, error) {
-	return MeasureDetectionOpt(ctx, c, faults, gen, numPatterns, Options{}, progress)
-}
-
-// MeasureDetectionOpt is MeasureDetectionCtx with engine and worker
-// selection.
-func MeasureDetectionOpt(ctx context.Context, c *circuit.Circuit, faults []fault.Fault, gen *pattern.Generator, numPatterns int, opt Options, progress Progress) (*Result, error) {
-	if opt.Engine == EngineNaive {
-		if parallelWorkers(opt.Workers, len(faults)) > 1 {
-			return measureDetectionNaiveParallelCtx(ctx, c, faults, gen, numPatterns, opt.Workers, progress)
-		}
-		return measureDetectionNaiveCtx(ctx, c, faults, gen, numPatterns, progress)
-	}
-	return NewPlan(c, faults).MeasureDetectionCtx(ctx, gen, numPatterns, opt, progress)
-}
-
-// MeasureDetectionCtx measures detection counts with this plan's FFR
-// engines (or the naive oracle when opt.Engine says so).
-func (p *Plan) MeasureDetectionCtx(ctx context.Context, gen *pattern.Generator, numPatterns int, opt Options, progress Progress) (*Result, error) {
-	if opt.Engine == EngineNaive {
-		return MeasureDetectionOpt(ctx, p.c, p.faults, gen, numPatterns, opt, progress)
-	}
+// MeasureDetection applies numPatterns patterns from gen to the
+// plan's circuit and counts, for every fault, how many patterns detect
+// it — the experiment behind P_SIM in section 4 of the paper.  No fault
+// dropping is performed.  Between chunks it checks ctx and, on
+// cancellation, returns ctx.Err() and a nil result; progress, when
+// non-nil, sees every block.
+func (p *Plan) MeasureDetection(ctx context.Context, gen *pattern.Generator, numPatterns int, opt Options, progress Progress) (*Result, error) {
 	if err := widesim.CheckWidth(opt.Width); err != nil {
 		return nil, err
 	}
@@ -438,9 +420,10 @@ func (p *Plan) MeasureDetectionCtx(ctx context.Context, gen *pattern.Generator, 
 	return res, nil
 }
 
-// measureDetectionNaiveCtx is the retained oracle implementation: one
-// cone re-simulation per fault per block.
-func measureDetectionNaiveCtx(ctx context.Context, c *circuit.Circuit, faults []fault.Fault, gen *pattern.Generator, numPatterns int, progress Progress) (*Result, error) {
+// MeasureDetectionNaive is MeasureDetection on the naive oracle: one
+// serial cone re-simulation per fault per block, the independent
+// reference the FFR engine is checked against.
+func MeasureDetectionNaive(ctx context.Context, c *circuit.Circuit, faults []fault.Fault, gen *pattern.Generator, numPatterns int, progress Progress) (*Result, error) {
 	s := New(c)
 	res := &Result{
 		Faults:   faults,
@@ -474,44 +457,17 @@ type CoveragePoint struct {
 
 // CoverageCurve fault-simulates with fault dropping and records the
 // cumulative fault coverage at each checkpoint (pattern counts, sorted
-// ascending) — the experiment behind Table 6.
-func CoverageCurve(c *circuit.Circuit, faults []fault.Fault, gen *pattern.Generator, checkpoints []int) []CoveragePoint {
-	out, _ := CoverageCurveCtx(context.Background(), c, faults, gen, checkpoints, nil)
-	return out
-}
-
-// CoverageCurveCtx is CoverageCurve with cancellation and progress
-// reporting; it checks ctx between 64-pattern blocks.
-func CoverageCurveCtx(ctx context.Context, c *circuit.Circuit, faults []fault.Fault, gen *pattern.Generator, checkpoints []int, progress Progress) ([]CoveragePoint, error) {
-	return CoverageCurveOpt(ctx, c, faults, gen, checkpoints, Options{}, progress)
-}
-
-// CoverageCurveOpt is CoverageCurveCtx with engine and worker
-// selection.
-func CoverageCurveOpt(ctx context.Context, c *circuit.Circuit, faults []fault.Fault, gen *pattern.Generator, checkpoints []int, opt Options, progress Progress) ([]CoveragePoint, error) {
-	if opt.Engine == EngineNaive {
-		if parallelWorkers(opt.Workers, len(faults)) > 1 {
-			return coverageCurveNaiveParallelCtx(ctx, c, faults, gen, checkpoints, opt.Workers, progress)
-		}
-		return coverageCurveNaiveCtx(ctx, c, faults, gen, checkpoints, progress)
-	}
-	return NewPlan(c, faults).CoverageCurveCtx(ctx, gen, checkpoints, opt, progress)
-}
-
-// CoverageCurveCtx computes the coverage curve with this plan's FFR
-// engines (or the naive oracle when opt.Engine says so).  Fault dropping
-// drops whole FFR groups: once every fault of a region is detected the
+// ascending) — the experiment behind Table 6.  Fault dropping drops
+// whole FFR groups: once every fault of a region is detected the
 // region is never traced again.  Each segment between checkpoints runs
 // through RunBlocks, whose chunks simulate against the live set of
 // their wave's start while the drops fold block by block, so the curve
 // is identical for every width and worker count.  When dropping
 // exhausts the fault list mid-wave, the generator may end up further
 // advanced than after a one-block-at-a-time run (see RunBlocks); the
-// curve itself is unaffected.
-func (p *Plan) CoverageCurveCtx(ctx context.Context, gen *pattern.Generator, checkpoints []int, opt Options, progress Progress) ([]CoveragePoint, error) {
-	if opt.Engine == EngineNaive {
-		return CoverageCurveOpt(ctx, p.c, p.faults, gen, checkpoints, opt, progress)
-	}
+// curve itself is unaffected.  Cancellation and progress work as in
+// MeasureDetection.
+func (p *Plan) CoverageCurve(ctx context.Context, gen *pattern.Generator, checkpoints []int, opt Options, progress Progress) ([]CoveragePoint, error) {
 	if err := widesim.CheckWidth(opt.Width); err != nil {
 		return nil, err
 	}
@@ -599,8 +555,10 @@ func (d *dropState) dropLane(det []uint64, stride, lane int, mask uint64) {
 	d.aliveIdx = d.aliveIdx[:w]
 }
 
-// coverageCurveNaiveCtx is the retained oracle implementation.
-func coverageCurveNaiveCtx(ctx context.Context, c *circuit.Circuit, faults []fault.Fault, gen *pattern.Generator, checkpoints []int, progress Progress) ([]CoveragePoint, error) {
+// CoverageCurveNaive is CoverageCurve on the naive oracle: one serial
+// cone re-simulation per live fault per block, dropping faults one by
+// one.
+func CoverageCurveNaive(ctx context.Context, c *circuit.Circuit, faults []fault.Fault, gen *pattern.Generator, checkpoints []int, progress Progress) ([]CoveragePoint, error) {
 	cps := append([]int(nil), checkpoints...)
 	sort.Ints(cps)
 	s := New(c)

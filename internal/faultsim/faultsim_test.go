@@ -1,6 +1,7 @@
 package faultsim
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -34,6 +35,26 @@ func c17(t *testing.T) *circuit.Circuit {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// measure runs the FFR detection measurement of (c, faults).
+func measure(t *testing.T, c *circuit.Circuit, faults []fault.Fault, gen *pattern.Generator, n int, opt Options) *Result {
+	t.Helper()
+	res, err := NewPlan(c, faults).MeasureDetection(context.Background(), gen, n, opt, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// curve runs the FFR coverage curve of (c, faults).
+func curve(t *testing.T, c *circuit.Circuit, faults []fault.Fault, gen *pattern.Generator, cps []int, opt Options) []CoveragePoint {
+	t.Helper()
+	pts, err := NewPlan(c, faults).CoverageCurve(context.Background(), gen, cps, opt, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pts
 }
 
 // Brute-force oracle: simulate the faulty circuit explicitly by
@@ -198,7 +219,7 @@ func TestMeasureDetection(t *testing.T) {
 	c := c17(t)
 	faults := fault.Collapse(c)
 	gen := pattern.NewUniform(len(c.Inputs), 123)
-	res := MeasureDetection(c, faults, gen, 6400)
+	res := measure(t, c, faults, gen, 6400, Options{})
 	if res.Applied != 6400 {
 		t.Fatalf("applied = %d", res.Applied)
 	}
@@ -224,7 +245,7 @@ func TestMeasureDetectionPartialBlock(t *testing.T) {
 	c := c17(t)
 	faults := fault.Collapse(c)
 	gen := pattern.NewUniform(len(c.Inputs), 5)
-	res := MeasureDetection(c, faults, gen, 10) // non-multiple of 64
+	res := measure(t, c, faults, gen, 10, Options{}) // non-multiple of 64
 	if res.Applied != 10 {
 		t.Fatalf("applied = %d", res.Applied)
 	}
@@ -239,18 +260,18 @@ func TestCoverageCurveMonotone(t *testing.T) {
 	c := c17(t)
 	faults := fault.Collapse(c)
 	gen := pattern.NewUniform(len(c.Inputs), 77)
-	curve := CoverageCurve(c, faults, gen, []int{1, 2, 4, 8, 16, 32, 64, 128})
-	if len(curve) != 8 {
-		t.Fatalf("curve has %d points", len(curve))
+	pts := curve(t, c, faults, gen, []int{1, 2, 4, 8, 16, 32, 64, 128}, Options{})
+	if len(pts) != 8 {
+		t.Fatalf("curve has %d points", len(pts))
 	}
 	prev := -1.0
-	for _, pt := range curve {
+	for _, pt := range pts {
 		if pt.Coverage < prev {
 			t.Errorf("coverage not monotone at %d patterns: %v < %v", pt.Patterns, pt.Coverage, prev)
 		}
 		prev = pt.Coverage
 	}
-	last := curve[len(curve)-1]
+	last := pts[len(pts)-1]
 	if last.Coverage < 99.9 {
 		t.Errorf("c17 should reach full coverage in 128 patterns, got %.1f%%", last.Coverage)
 	}
@@ -263,10 +284,10 @@ func TestCoverageMatchesMeasure(t *testing.T) {
 	faults := fault.Collapse(c)
 	genA := pattern.NewUniform(len(c.Inputs), 99)
 	genB := pattern.NewUniform(len(c.Inputs), 99)
-	res := MeasureDetection(c, faults, genA, 128)
-	curve := CoverageCurve(c, faults, genB, []int{128})
-	if math.Abs(res.Coverage()*100-curve[0].Coverage) > 1e-9 {
-		t.Errorf("coverage mismatch: measure=%v curve=%v", res.Coverage()*100, curve[0].Coverage)
+	res := measure(t, c, faults, genA, 128, Options{})
+	pts := curve(t, c, faults, genB, []int{128}, Options{})
+	if math.Abs(res.Coverage()*100-pts[0].Coverage) > 1e-9 {
+		t.Errorf("coverage mismatch: measure=%v curve=%v", res.Coverage()*100, pts[0].Coverage)
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 
 // FuzzEnginesAgree is the differential check of the FFR engine on
 // random circuits: for a circuits.Random topology, a fault model and a
-// pattern count drawn from the input, MeasureDetectionOpt must return
+// pattern count drawn from the input, Plan.MeasureDetection must return
 // the naive oracle's detection counts at widths 0, 1, 4 and 8, and the
 // capture at every width must reproduce the naive oracle's output
 // words.
@@ -39,8 +39,9 @@ func FuzzEnginesAgree(f *testing.F) {
 		}
 		n := 1 + int(patterns)%1100
 		want := naiveCounts(c, faults, seed, []int{n})[n]
+		plan := NewPlan(c, faults)
 		for _, w := range widthCases {
-			got, err := MeasureDetectionOpt(context.Background(), c, faults,
+			got, err := plan.MeasureDetection(context.Background(),
 				pattern.NewUniform(len(c.Inputs), seed), n, Options{Width: w}, nil)
 			if err != nil {
 				t.Fatal(err)

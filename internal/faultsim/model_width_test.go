@@ -74,7 +74,7 @@ func TestModelMeasureDetectionIdentity(t *testing.T) {
 							continue
 						}
 						opts := Options{Width: w, Workers: workers}
-						got, err := plan.MeasureDetectionCtx(context.Background(),
+						got, err := plan.MeasureDetection(context.Background(),
 							pattern.NewUniform(len(c.Inputs), 3), n, opts, nil)
 						if err != nil {
 							t.Fatal(err)
@@ -109,7 +109,7 @@ func TestModelCoverageCurveIdentity(t *testing.T) {
 			ref := naiveCurve(t, plan, 11, cps)
 			for _, w := range widthCases {
 				for _, workers := range []int{1, 3} {
-					got, err := plan.CoverageCurveCtx(context.Background(),
+					got, err := plan.CoverageCurve(context.Background(),
 						pattern.NewUniform(len(c.Inputs), 11), cps, Options{Width: w, Workers: workers}, nil)
 					if err != nil {
 						t.Fatal(err)

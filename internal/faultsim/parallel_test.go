@@ -18,8 +18,8 @@ func TestParallelMatchesSerial(t *testing.T) {
 	faults := fault.Collapse(c)
 	genA := pattern.NewUniform(len(c.Inputs), 31)
 	genB := pattern.NewUniform(len(c.Inputs), 31)
-	serial := MeasureDetection(c, faults, genA, 1000)
-	parallel := MeasureDetectionParallel(c, faults, genB, 1000, 4)
+	serial := measure(t, c, faults, genA, 1000, Options{})
+	parallel := measure(t, c, faults, genB, 1000, Options{Workers: 4})
 	if serial.Applied != parallel.Applied {
 		t.Fatal("applied mismatch")
 	}
@@ -33,9 +33,9 @@ func TestParallelMatchesSerial(t *testing.T) {
 func TestParallelDegenerateWorkerCounts(t *testing.T) {
 	c := circuits.C17()
 	faults := fault.Collapse(c)
-	for _, w := range []int{0, 1, 100} {
+	for _, w := range []int{-1, 0, 1, 100} {
 		gen := pattern.NewUniform(len(c.Inputs), 7)
-		res := MeasureDetectionParallel(c, faults, gen, 128, w)
+		res := measure(t, c, faults, gen, 128, Options{Workers: w})
 		if res.Applied != 128 {
 			t.Errorf("workers=%d: applied %d", w, res.Applied)
 		}
@@ -50,7 +50,7 @@ func TestParallelRace(t *testing.T) {
 	c := circuits.Mult8()
 	faults := fault.Collapse(c)
 	gen := pattern.NewUniform(len(c.Inputs), 9)
-	res := MeasureDetectionParallel(c, faults, gen, 256, 8)
+	res := measure(t, c, faults, gen, 256, Options{Workers: 8})
 	if res.Coverage() <= 0.5 {
 		t.Errorf("implausible MULT coverage %v", res.Coverage())
 	}
@@ -68,10 +68,10 @@ func TestCoverageCurveParallelMatchesSerial(t *testing.T) {
 		faults := fault.Collapse(c)
 		checkpoints := []int{10, 100, 500, 1000}
 		genA := pattern.NewUniform(len(c.Inputs), 13)
-		serial := CoverageCurve(c, faults, genA, checkpoints)
+		serial := curve(t, c, faults, genA, checkpoints, Options{})
 		for _, w := range []int{2, 5, 16} {
 			genB := pattern.NewUniform(len(c.Inputs), 13)
-			parallel := CoverageCurveParallel(c, faults, genB, checkpoints, w)
+			parallel := curve(t, c, faults, genB, checkpoints, Options{Workers: w})
 			if len(parallel) != len(serial) {
 				t.Fatalf("%s workers=%d: %d points != %d", name, w, len(parallel), len(serial))
 			}
@@ -91,7 +91,7 @@ func TestCoverageCurveParallelCancellation(t *testing.T) {
 	gen := pattern.NewUniform(len(c.Inputs), 3)
 	ctx, cancel := context.WithCancel(context.Background())
 	blocks := 0
-	out, err := CoverageCurveParallelCtx(ctx, c, faults, gen, []int{100000}, 4, func(done, total int) {
+	out, err := NewPlan(c, faults).CoverageCurve(ctx, gen, []int{100000}, Options{Workers: 4}, func(done, total int) {
 		blocks++
 		if blocks == 2 {
 			cancel()
@@ -102,14 +102,15 @@ func TestCoverageCurveParallelCancellation(t *testing.T) {
 	}
 }
 
-// MeasureDetectionParallelCtx must honor cancellation and report
-// progress like the serial path.
+// A parallel measurement must honor cancellation and report progress
+// like the serial one.
 func TestMeasureDetectionParallelCtx(t *testing.T) {
 	c := circuits.ALU74181()
 	faults := fault.Collapse(c)
+	plan := NewPlan(c, faults)
 	gen := pattern.NewUniform(len(c.Inputs), 5)
 	var last int
-	res, err := MeasureDetectionParallelCtx(context.Background(), c, faults, gen, 320, 4, func(done, total int) {
+	res, err := plan.MeasureDetection(context.Background(), gen, 320, Options{Workers: 4}, func(done, total int) {
 		if done <= last || total != 320 {
 			t.Fatalf("bad progress (%d, %d) after %d", done, total, last)
 		}
@@ -125,7 +126,7 @@ func TestMeasureDetectionParallelCtx(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	gen2 := pattern.NewUniform(len(c.Inputs), 5)
-	if _, err := MeasureDetectionParallelCtx(ctx, c, faults, gen2, 320, 4, nil); err != context.Canceled {
+	if _, err := plan.MeasureDetection(ctx, gen2, 320, Options{Workers: 4}, nil); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
@@ -144,7 +145,7 @@ func TestSharedRegionsConcurrent(t *testing.T) {
 	}
 	simulate := func(c *circuit.Circuit, m fault.Model) run {
 		plan := NewPlan(c, m.Faults(c))
-		res, err := plan.MeasureDetectionCtx(context.Background(),
+		res, err := plan.MeasureDetection(context.Background(),
 			pattern.NewUniform(len(c.Inputs), 9), n, Options{Width: 8}, nil)
 		if err != nil {
 			t.Error(err)

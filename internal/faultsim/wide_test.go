@@ -71,8 +71,8 @@ func naiveCounts(c *circuit.Circuit, faults []fault.Fault, seed uint64, counts [
 // naiveCurve is the naive-oracle coverage-curve reference.
 func naiveCurve(t *testing.T, plan *Plan, seed uint64, cps []int) []CoveragePoint {
 	t.Helper()
-	res, err := plan.CoverageCurveCtx(context.Background(),
-		pattern.NewUniform(len(plan.c.Inputs), seed), cps, Options{Engine: EngineNaive}, nil)
+	res, err := CoverageCurveNaive(context.Background(), plan.c, plan.faults,
+		pattern.NewUniform(len(plan.c.Inputs), seed), cps, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestWideMeasureDetectionIdentity(t *testing.T) {
 					if workers > 1 && n != slices.Max(raggedCounts) {
 						continue
 					}
-					got, err := plan.MeasureDetectionCtx(context.Background(),
+					got, err := plan.MeasureDetection(context.Background(),
 						pattern.NewUniform(len(c.Inputs), 3), n,
 						Options{Width: w, Workers: workers}, nil)
 					if err != nil {
@@ -190,7 +190,7 @@ func TestWideCoverageCurveIdentity(t *testing.T) {
 		ref := naiveCurve(t, plan, 11, cps)
 		for _, w := range widthCases {
 			for _, workers := range []int{1, 3} {
-				got, err := plan.CoverageCurveCtx(context.Background(),
+				got, err := plan.CoverageCurve(context.Background(),
 					pattern.NewUniform(len(c.Inputs), 11), cps,
 					Options{Width: w, Workers: workers}, nil)
 				if err != nil {
@@ -333,13 +333,13 @@ func TestOptionsWidthValidation(t *testing.T) {
 	faults := fault.Collapse(c)
 	plan := NewPlan(c, faults)
 	for _, bad := range []int{-1, 2, 3, 16} {
-		if _, err := plan.MeasureDetectionCtx(context.Background(),
+		if _, err := plan.MeasureDetection(context.Background(),
 			pattern.NewUniform(len(c.Inputs), 1), 128, Options{Width: bad}, nil); err == nil {
-			t.Fatalf("MeasureDetectionCtx accepted width %d", bad)
+			t.Fatalf("MeasureDetection accepted width %d", bad)
 		}
-		if _, err := plan.CoverageCurveCtx(context.Background(),
+		if _, err := plan.CoverageCurve(context.Background(),
 			pattern.NewUniform(len(c.Inputs), 1), []int{128}, Options{Width: bad}, nil); err == nil {
-			t.Fatalf("CoverageCurveCtx accepted width %d", bad)
+			t.Fatalf("CoverageCurve accepted width %d", bad)
 		}
 	}
 }

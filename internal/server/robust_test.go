@@ -30,7 +30,7 @@ func TestShardEndpoint(t *testing.T) {
 	if !ok {
 		t.Fatal("c17 missing from registry")
 	}
-	task, err := shard.NewTask(faultsim.NewPlan(c, fault.Collapse(c)), testSeed)
+	task, err := shard.NewModelTask(faultsim.NewPlan(c, fault.Collapse(c)), fault.ModelStuckAt, testSeed)
 	if err != nil {
 		t.Fatal(err)
 	}

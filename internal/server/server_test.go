@@ -467,6 +467,33 @@ func TestBadBISTSpecIs400(t *testing.T) {
 	}
 }
 
+// An unknown engine, for a run or its BIST phase, and an unsupported
+// validate width are bad specs: 400 with the error envelope before any
+// phase runs, on every endpoint that takes them.  Unknown engines used
+// to run silently on the FFR engine (200, or 202 for a job), and a
+// validate width of 3 answered 500 after the analysis and the BDD
+// oracle.
+func TestUnknownEngineAndValidateWidthAre400(t *testing.T) {
+	srv, ts := newTestServer(t, Config{})
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/pipeline", `{"circuit":"c17","spec":{"sim_engine":7}}`},
+		{"/v1/jobs", `{"circuit":"c17","spec":{"sim_engine":7}}`},
+		{"/v1/pipeline", `{"circuit":"c17","spec":{"bist":{"Cycles":64,"Engine":9}}}`},
+		{"/v1/jobs", `{"circuit":"c17","spec":{"bist":{"Cycles":64,"Engine":9}}}`},
+		{"/v1/validate", `{"circuit":"c17","spec":{"sim_engine":7}}`},
+		{"/v1/validate", `{"circuit":"c17","spec":{"sim_width":3}}`},
+	} {
+		resp, out := postJSON(t, ts.URL+tc.path, json.RawMessage(tc.body))
+		var er errorResponse
+		if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(out, &er) != nil || er.Error == "" {
+			t.Fatalf("%s %s: status %d, body %q; want 400 with the error envelope", tc.path, tc.body, resp.StatusCode, out)
+		}
+	}
+	if st := srv.Stats(); st.Validate.Runs != 0 {
+		t.Errorf("a rejected spec must not count as a validate run: %+v", st.Validate)
+	}
+}
+
 // A transition run needs one launch/capture pair, so a budget of one
 // pattern is a bad spec: 400 with the envelope, where it used to answer
 // 200 with an empty body (P_SIM was 0/0).  Two and 65 patterns run.

@@ -22,7 +22,7 @@ func BenchmarkShardedDetect(b *testing.B) {
 		b.Fatal("alu missing from registry")
 	}
 	plan := faultsim.NewPlan(c, fault.Collapse(c))
-	task, err := NewTask(plan, 1)
+	task, err := NewModelTask(plan, fault.ModelStuckAt, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func BenchmarkShardedDetect(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := plan.MeasureDetectionCtx(context.Background(), gen, patterns, faultsim.Options{}, nil); err != nil {
+			if _, err := plan.MeasureDetection(context.Background(), gen, patterns, faultsim.Options{}, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -165,18 +165,12 @@ type Task struct {
 	groupPrefix []int
 }
 
-// NewTask renders the plan's circuit as a netlist, derives the remote
-// stuck-at plan workers will reconstruct from it, and precomputes the
+// NewModelTask renders the plan's circuit as a netlist, derives the
+// remote plan workers will reconstruct from it, and precomputes the
 // geometry shards are cut along plus the remote→local fault
-// permutation.
-func NewTask(plan *faultsim.Plan, seed uint64) (*Task, error) {
-	return NewModelTask(plan, fault.ModelStuckAt, seed)
-}
-
-// NewModelTask is NewTask for an arbitrary fault model: plan must
-// enumerate model's universe, and the remote plan is derived under the
-// same model, so fault order on the wire matches what workers compute
-// from the request's FaultModel field.
+// permutation.  plan must enumerate model's universe, and the remote
+// plan is derived under the same model, so fault order on the wire
+// matches what workers compute from the request's FaultModel field.
 func NewModelTask(plan *faultsim.Plan, model fault.Model, seed uint64) (*Task, error) {
 	model = model.Normalize()
 	c := plan.Circuit()

@@ -487,7 +487,7 @@ func (p *Pool) MeasureDetection(ctx context.Context, t *Task, probs []float64, n
 		if err != nil {
 			return nil, err
 		}
-		return plan.MeasureDetectionCtx(ctx, gen, numPatterns, faultsim.Options{Width: width}, progress)
+		return plan.MeasureDetection(ctx, gen, numPatterns, faultsim.Options{Width: width}, progress)
 	}
 
 	base := Request{
@@ -540,7 +540,7 @@ func (p *Pool) CoverageCurve(ctx context.Context, t *Task, probs []float64, chec
 		if err != nil {
 			return nil, err
 		}
-		return plan.CoverageCurveCtx(ctx, gen, checkpoints, faultsim.Options{Width: width}, progress)
+		return plan.CoverageCurve(ctx, gen, checkpoints, faultsim.Options{Width: width}, progress)
 	}
 
 	base := Request{

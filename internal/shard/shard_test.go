@@ -28,9 +28,9 @@ func newTestTask(t *testing.T, name string) *Task {
 		t.Fatalf("unknown circuit %q", name)
 	}
 	plan := faultsim.NewPlan(c, fault.Collapse(c))
-	task, err := NewTask(plan, testSeed)
+	task, err := NewModelTask(plan, fault.ModelStuckAt, testSeed)
 	if err != nil {
-		t.Fatalf("NewTask(%s): %v", name, err)
+		t.Fatalf("NewModelTask(%s): %v", name, err)
 	}
 	return task
 }
@@ -63,7 +63,7 @@ func serialDetect(t *testing.T, task *Task, probs []float64, n int) *faultsim.Re
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := task.Plan.MeasureDetectionCtx(context.Background(), gen, n, faultsim.Options{Width: 1}, nil)
+	res, err := task.Plan.MeasureDetection(context.Background(), gen, n, faultsim.Options{Width: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func serialCurve(t *testing.T, task *Task, probs []float64, cps []int) []faultsi
 	if err != nil {
 		t.Fatal(err)
 	}
-	points, err := task.Plan.CoverageCurveCtx(context.Background(), gen, cps, faultsim.Options{Width: 1}, nil)
+	points, err := task.Plan.CoverageCurve(context.Background(), gen, cps, faultsim.Options{Width: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,12 +395,11 @@ func TestRunShardScheduleMatchesNaive(t *testing.T) {
 				continue
 			}
 			plan := faultsim.NewPlan(c, faults)
-			naive := faultsim.Options{Engine: faultsim.EngineNaive}
-			wantDet, err := plan.MeasureDetectionCtx(context.Background(), pattern.NewUniform(len(c.Inputs), testSeed), n, naive, nil)
+			wantDet, err := faultsim.MeasureDetectionNaive(context.Background(), c, faults, pattern.NewUniform(len(c.Inputs), testSeed), n, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantCurve, err := plan.CoverageCurveCtx(context.Background(), pattern.NewUniform(len(c.Inputs), testSeed), cps, naive, nil)
+			wantCurve, err := faultsim.CoverageCurveNaive(context.Background(), c, faults, pattern.NewUniform(len(c.Inputs), testSeed), cps, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

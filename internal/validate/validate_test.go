@@ -46,7 +46,7 @@ func openHarness(t *testing.T, name string) *harness {
 		probs:    core.UniformProbs(c),
 		sim: func(ctx context.Context, n int) (*faultsim.Result, error) {
 			gen := pattern.NewUniform(len(c.Inputs), 1)
-			return faultsim.MeasureDetectionOpt(ctx, c, faults, gen, n, faultsim.Options{}, nil)
+			return faultsim.MeasureDetectionNaive(ctx, c, faults, gen, n, nil)
 		},
 	}
 }

@@ -57,6 +57,8 @@ func TestPipelineSpecNormalize(t *testing.T) {
 		{Fraction: -0.1},
 		{Confidence: 1},
 		{Confidence: -0.5},
+		{SimEngine: 7},
+		{SimEngine: -1},
 	} {
 		if _, err := bad.Normalize(); err == nil {
 			t.Errorf("Normalize(%+v) accepted an out-of-range spec", bad)
@@ -71,19 +73,20 @@ func TestPipelineSpecNormalize(t *testing.T) {
 }
 
 // A pipeline's BIST fields are checked with the rest of the spec, so a
-// bad width is rejected before any phase runs, as ErrBadSpec.
+// bad width or engine is rejected before any phase runs, as ErrBadSpec.
 func TestPipelineSpecValidateBIST(t *testing.T) {
 	for _, bad := range []BISTPlan{
 		{Cycles: 128, SimWidth: 3},
 		{Cycles: 128, SimWidth: -1},
 		{Cycles: 128, MISRWidth: 9},
+		{Cycles: 64, Engine: 9},
 	} {
 		spec := PipelineSpec{BIST: &bad}
 		if err := spec.Validate(); !errors.Is(err, ErrBadSpec) {
 			t.Errorf("Validate(BIST %+v) = %v, want ErrBadSpec", bad, err)
 		}
 	}
-	for _, ok := range []BISTPlan{{}, {Cycles: 128, SimWidth: 8, MISRWidth: 32}, {SimWidth: 1, MISRWidth: 4}} {
+	for _, ok := range []BISTPlan{{}, {Cycles: 128, SimWidth: 8, MISRWidth: 32}, {SimWidth: 1, MISRWidth: 4}, {Engine: SimEngineNaive}} {
 		if err := (PipelineSpec{BIST: &ok}).Validate(); err != nil {
 			t.Errorf("Validate(BIST %+v) rejected a valid plan: %v", ok, err)
 		}

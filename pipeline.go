@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"protest/internal/bist"
+	"protest/internal/faultsim"
 	"protest/internal/pattern"
 	"protest/internal/stats"
 	"protest/internal/testlen"
@@ -52,13 +53,14 @@ type PipelineSpec struct {
 	BIST *BISTPlan `json:"bist,omitempty"`
 	// Workers overrides the Session's WithWorkers setting for this run:
 	// > 1 scores optimizer candidates and fault-simulates on that many
-	// goroutines, < 0 selects GOMAXPROCS, 0 keeps the Session default;
-	// counts beyond GOMAXPROCS are clamped to it.  Results are
-	// identical for every worker count.
+	// goroutines (the naive engine stays serial), < 0 selects
+	// GOMAXPROCS, 0 keeps the Session default; counts beyond GOMAXPROCS
+	// are clamped to it.  Results are identical for every worker count.
 	Workers int `json:"workers,omitempty"`
 	// SimEngine overrides the Session's fault-simulation engine for
 	// this run; the zero value keeps the Session default.  Every
-	// engine produces bit-identical results (see WithSimEngine).
+	// engine produces bit-identical results (see WithSimEngine); any
+	// other value, here or in BIST.Engine, fails with ErrBadSpec.
 	SimEngine SimEngine `json:"sim_engine,omitempty"`
 	// SimWidth overrides the Session's WithSimWidth setting for this
 	// run: 1, 4 or 8 forces that many pattern blocks per sweep; 0 keeps
@@ -105,11 +107,17 @@ func (spec *PipelineSpec) fill() error {
 	if err := widesim.CheckWidth(spec.SimWidth); err != nil {
 		return fmt.Errorf("protest: pipeline %w", err)
 	}
+	if err := faultsim.CheckEngine(spec.SimEngine); err != nil {
+		return fmt.Errorf("pipeline: %w: %v", ErrBadSpec, err)
+	}
 	if !spec.FaultModel.Valid() {
 		return fmt.Errorf("pipeline: %w: %q", ErrBadFaultModel, string(spec.FaultModel))
 	}
 	if b := spec.BIST; b != nil {
 		if err := widesim.CheckWidth(b.SimWidth); err != nil {
+			return fmt.Errorf("pipeline: %w: bist: %v", ErrBadSpec, err)
+		}
+		if err := faultsim.CheckEngine(b.Engine); err != nil {
 			return fmt.Errorf("pipeline: %w: bist: %v", ErrBadSpec, err)
 		}
 		if b.MISRWidth != 0 {

@@ -39,14 +39,10 @@
 // The returned Report is JSON-serializable and carries the estimated
 // and the fault-simulated evidence for each pattern plan.
 //
-// # Deprecated package-level functions
-//
-// The original release exposed the workflow as ~30 package-level
-// functions (Analyze, OptimizeInputs, MeasureDetection, RunBIST, ...).
-// They keep working — each is now a thin wrapper over the same
-// internals a Session drives — but new code should open a Session:
-// the package-level forms re-derive circuit state on every call and
-// cannot be cancelled or observed mid-run.
+// Every analysis, optimization, simulation and self-test measurement
+// runs through a Session method.  The package-level functions are
+// context-free helpers around them: fault lists, test-length formulas,
+// pattern generators, exact oracles and netlist I/O.
 //
 // The analysis estimates signal probabilities with reconvergent-fanout
 // correction (joining points, bounded by the MAXVERS/MAXLIST parameters
@@ -109,11 +105,6 @@ type (
 	// Evaluator holds the mutable per-run scratch of one analysis
 	// evaluation; acquire one per goroutine from Program.Acquire.
 	Evaluator = core.Evaluator
-	// Analyzer is the original name of Evaluator.
-	//
-	// Deprecated: build a Program with NewProgram and acquire pooled
-	// Evaluators, or just open a Session.
-	Analyzer = core.Analyzer
 	// ObsModel selects the fanout-stem observability model.
 	ObsModel = core.ObsModel
 
@@ -233,27 +224,10 @@ func FastParams() Params { return core.FastParams() }
 // UniformProbs returns the conventional tuple p_i = 0.5.
 func UniformProbs(c *Circuit) []float64 { return core.UniformProbs(c) }
 
-// Analyze estimates signal probabilities, observabilities and fault
-// detection probabilities for one input tuple.
-//
-// Deprecated: open a Session and use Session.Analyze, which reuses the
-// cached analysis plan and honors cancellation.
-func Analyze(c *Circuit, inputProbs []float64, p Params) (*Analysis, error) {
-	return core.Analyze(c, inputProbs, p)
-}
-
 // NewProgram compiles the analysis plan of (c, p) for repeated and
 // concurrent evaluation; see Program.
 func NewProgram(c *Circuit, p Params) (*Program, error) {
 	return core.NewProgram(c, p)
-}
-
-// NewAnalyzer precomputes the analysis plan for repeated Run calls.
-//
-// Deprecated: use NewProgram; share the Program and acquire pooled
-// Evaluators per goroutine.
-func NewAnalyzer(c *Circuit, p Params) (*Analyzer, error) {
-	return core.NewAnalyzer(c, p)
 }
 
 // Faults returns the collapsed single stuck-at fault list of a circuit.
@@ -301,23 +275,6 @@ func TestLengthTable(detectProbs []float64, ds, es []float64) []TestLengthRow {
 	return testlen.Table(detectProbs, ds, es)
 }
 
-// OptimizeInputs hill-climbs the per-input signal probabilities to
-// maximize the estimated whole-set detection probability J_N.
-//
-// Deprecated: open a Session and use Session.Optimize, which reuses
-// the cached fast-parameter plan and honors cancellation.
-func OptimizeInputs(c *Circuit, faults []Fault, opt OptimizeOptions) (*OptimizeResult, error) {
-	if opt.Params == nil {
-		fp := FastParams()
-		opt.Params = &fp
-	}
-	prog, err := core.NewProgram(c, *opt.Params)
-	if err != nil {
-		return nil, err
-	}
-	return optimize.Optimize(prog, faults, opt)
-}
-
 // NewUniformGenerator creates a deterministic generator of uniform
 // random patterns for n inputs.
 func NewUniformGenerator(n int, seed uint64) *Generator {
@@ -338,24 +295,6 @@ func NewWeightedGenerator(probs []float64, seed uint64) (*Generator, error) {
 // PipelineSpec.QuantizeGrid documents.
 func QuantizeProbs(probs []float64, grid int) []float64 {
 	return pattern.QuantizeGrid(probs, grid)
-}
-
-// MeasureDetection fault-simulates numPatterns patterns and counts how
-// many detect each fault (the P_SIM measurement of the paper).
-//
-// Deprecated: open a Session and use Session.Simulate or
-// Session.SimulateWeighted, which honor cancellation and progress.
-func MeasureDetection(c *Circuit, faults []Fault, gen *Generator, numPatterns int) *SimResult {
-	return faultsim.MeasureDetection(c, faults, gen, numPatterns)
-}
-
-// CoverageCurve fault-simulates with fault dropping and reports the
-// cumulative coverage at each checkpoint (the Table 6 experiment).
-//
-// Deprecated: open a Session and use Session.CoverageCurve, which
-// honors cancellation and progress.
-func CoverageCurve(c *Circuit, faults []Fault, gen *Generator, checkpoints []int) []CoveragePoint {
-	return faultsim.CoverageCurve(c, faults, gen, checkpoints)
 }
 
 // Summarize computes max/average error and correlation between
@@ -400,39 +339,12 @@ type (
 	BISTResult = bist.Result
 )
 
-// RunBIST simulates a complete self test: the generator stimulates the
-// circuit and every fault's response stream is compacted into a
-// signature; coverage accounts for MISR aliasing.
-//
-// Deprecated: open a Session and use Session.RunBIST or
-// Session.RunBISTWeighted, which honor cancellation and progress.
-func RunBIST(c *Circuit, faults []Fault, gen *Generator, plan BISTPlan) (*BISTResult, error) {
-	return bist.Run(c, faults, gen, plan)
-}
-
 // Multi-distribution optimization types (gradient-clustered weight
 // sets, the follow-up direction to the paper's single tuple).
 type (
 	MultiOptimizeOptions = optimize.MultiOptions
 	MultiOptimizeResult  = optimize.MultiResult
 )
-
-// OptimizeInputsMulti derives several weighted-pattern distributions,
-// each serving the fault group whose detection gradients align.
-//
-// Deprecated: open a Session and use Session.OptimizeMulti, which
-// reuses the cached fast-parameter plan and honors cancellation.
-func OptimizeInputsMulti(c *Circuit, faults []Fault, opt MultiOptimizeOptions) (*MultiOptimizeResult, error) {
-	if opt.PerSet.Params == nil {
-		fp := FastParams()
-		opt.PerSet.Params = &fp
-	}
-	prog, err := core.NewProgram(c, *opt.PerSet.Params)
-	if err != nil {
-		return nil, err
-	}
-	return optimize.OptimizeMulti(prog, faults, opt)
-}
 
 // ATPG types: the deterministic second stage behind the random phase
 // PROTEST sizes (PODEM with SCOAP-guided backtrace).

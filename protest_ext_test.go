@@ -1,6 +1,7 @@
 package protest
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -17,7 +18,11 @@ func TestExactProbsBDDAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Analyze(alu, probs, DefaultParams())
+	s, err := Open(alu)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Analyze(context.Background(), probs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,9 +77,11 @@ func TestAnalyzeStafanAPI(t *testing.T) {
 
 func TestRunBISTAPI(t *testing.T) {
 	c, _ := Benchmark("c17")
-	faults := Faults(c)
-	gen := NewUniformGenerator(len(c.Inputs), 5)
-	res, err := RunBIST(c, faults, gen, BISTPlan{Cycles: 256})
+	s, err := Open(c, WithSeed(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.RunBIST(context.Background(), BISTPlan{Cycles: 256})
 	if err != nil {
 		t.Fatal(err)
 	}

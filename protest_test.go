@@ -1,6 +1,7 @@
 package protest
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -17,7 +18,12 @@ func TestPipelineC17(t *testing.T) {
 	if len(faults) == 0 {
 		t.Fatal("no faults")
 	}
-	res, err := Analyze(c, UniformProbs(c), DefaultParams())
+	s, err := Open(c, WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	res, err := s.Analyze(ctx, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,8 +38,10 @@ func TestPipelineC17(t *testing.T) {
 	// Validate: simulating n patterns should reach full coverage most
 	// of the time; with a fixed seed we demand it outright (the
 	// estimate is conservative for c17).
-	gen := NewUniformGenerator(len(c.Inputs), 1)
-	sim := MeasureDetection(c, faults, gen, int(n)*4)
+	sim, err := s.Simulate(ctx, int(n)*4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if cov := sim.Coverage(); cov < 1 {
 		t.Errorf("4N patterns cover only %.3f of c17", cov)
 	}
@@ -53,7 +61,11 @@ func TestPipelineBuilderAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Analyze(c, UniformProbs(c), DefaultParams())
+	s, err := Open(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Analyze(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,8 +112,14 @@ func TestExactAgreesWithSimulationAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen := NewUniformGenerator(len(c.Inputs), 42)
-	sim := MeasureDetection(c, faults, gen, 64*200)
+	s, err := Open(c, WithSeed(42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := s.Simulate(context.Background(), 64*200)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range faults {
 		if math.Abs(sim.PSim(i)-exact[i]) > 0.05 {
 			t.Errorf("fault %d: P_SIM %v exact %v", i, sim.PSim(i), exact[i])
@@ -124,19 +142,22 @@ eq = AND(x0, x1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	faults := Faults(c)
-	res, err := OptimizeInputs(c, faults, OptimizeOptions{MaxSweeps: 4})
+	s, err := Open(c, WithSeed(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	res, err := s.Optimize(ctx, OptimizeOptions{MaxSweeps: 4, SeedSet: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Objective < res.InitialObjective {
 		t.Error("optimization worsened the objective")
 	}
-	gen, err := NewWeightedGenerator(res.Probs, 7)
+	curve, err := s.CoverageCurve(ctx, res.Probs, []int{256})
 	if err != nil {
 		t.Fatal(err)
 	}
-	curve := CoverageCurve(c, faults, gen, []int{256})
 	if curve[0].Coverage < 99 {
 		t.Errorf("optimized patterns reach only %.1f%% on eq4", curve[0].Coverage)
 	}

@@ -4,6 +4,9 @@ import (
 	"context"
 	"math"
 	"testing"
+
+	"protest/internal/core"
+	"protest/internal/optimize"
 )
 
 // An explicit seed 0 must be honored, not silently replaced by the
@@ -43,14 +46,18 @@ func TestOptimizeExplicitSeedZeroDeterministic(t *testing.T) {
 	}
 
 	// The Session path with an explicit seed 0 must also match the
-	// package-level optimizer, which never substitutes seeds.
-	ref, err := OptimizeInputs(c, Faults(c), OptimizeOptions{Seed: 0, Restarts: 2})
+	// internal optimizer, which never substitutes seeds.
+	prog, err := core.NewProgram(c, FastParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := optimize.Optimize(prog, Faults(c), OptimizeOptions{Seed: 0, Restarts: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range ref.Probs {
 		if r1.Probs[i] != ref.Probs[i] {
-			t.Fatalf("session seed-0 climb diverges from package-level: probs[%d] = %v vs %v",
+			t.Fatalf("session seed-0 climb diverges from the internal optimizer: probs[%d] = %v vs %v",
 				i, r1.Probs[i], ref.Probs[i])
 		}
 	}

@@ -136,13 +136,14 @@ func WithSeed(seed uint64) Option {
 }
 
 // WithWorkers runs the Session's parallelizable phases — optimizer
-// candidate scoring, gradient clustering, fault simulation and
+// candidate scoring, gradient clustering, and FFR fault simulation and
 // coverage curves — on n goroutines.  Every result is identical to
 // the serial one: parallel fault simulation shares the same generator
 // stream and per-fault counts, and the optimizer accepts moves in the
 // serial first-improvement order.  n <= 1 stays serial (the default);
 // negative n selects GOMAXPROCS, and n beyond GOMAXPROCS is clamped to
 // it (oversubscription only adds scheduler contention, never speed).
+// The naive oracle engine (SimEngineNaive) always runs serially.
 // Individual OptimizeOptions.Workers values override the Session
 // default per call.
 func WithWorkers(n int) Option {
@@ -153,8 +154,9 @@ func WithWorkers(n int) Option {
 // SimulateWeighted, CoverageCurve, RunBIST and the pipeline's
 // validation phases.  The default SimEngineFFR partitions the fault
 // list by fanout-free region and is typically several times faster;
-// SimEngineNaive re-simulates every fault cone individually and is
-// kept as the independent oracle.  Results are bit-identical.
+// SimEngineNaive re-simulates every fault cone individually, serially,
+// and is kept as the independent oracle.  Results are bit-identical.
+// Open fails on any other value.
 func WithSimEngine(e SimEngine) Option {
 	return func(s *Session) { s.simEngine = e }
 }
@@ -228,6 +230,9 @@ func Open(c *Circuit, opts ...Option) (*Session, error) {
 		opt(s)
 	}
 	if err := widesim.CheckWidth(s.simWidth); err != nil {
+		return nil, fmt.Errorf("protest: Open: %w", err)
+	}
+	if err := faultsim.CheckEngine(s.simEngine); err != nil {
 		return nil, fmt.Errorf("protest: Open: %w", err)
 	}
 	if !s.model.Valid() {
@@ -368,9 +373,9 @@ func (s *Session) TestLength(d, e float64) (int64, error) {
 	return testlen.RequiredFraction(res.DetectProbs(s.faults), d, e)
 }
 
-// simOptions bundles an effective engine and worker configuration.
+// simOptions bundles the effective FFR worker and width configuration.
 func (cfg runCfg) simOptions() faultsim.Options {
-	return faultsim.Options{Engine: cfg.engine, Workers: cfg.workers, Width: cfg.width}
+	return faultsim.Options{Workers: cfg.workers, Width: cfg.width}
 }
 
 // ensureSimPlan returns the pinned FFR fault-simulation plan of the
@@ -528,7 +533,7 @@ func (s *Session) simulate(ctx context.Context, probs []float64, numPatterns int
 	var res *SimResult
 	if cfg.engine == SimEngineNaive {
 		// The oracle path never reads the FFR plan; skip building it.
-		res, err = faultsim.MeasureDetectionOpt(ctx, s.c, s.modelFaults(cfg.model), gen, numPatterns, cfg.simOptions(), progress)
+		res, err = faultsim.MeasureDetectionNaive(ctx, s.c, s.modelFaults(cfg.model), gen, numPatterns, progress)
 	} else if cfg.pool != nil {
 		// Sharded across the pool's workers; probs were validated by the
 		// generator above, and the merge is bit-identical to local.
@@ -537,7 +542,7 @@ func (s *Session) simulate(ctx context.Context, probs []float64, numPatterns int
 			res, err = cfg.pool.MeasureDetection(ctx, t, probs, numPatterns, cfg.width, progress)
 		}
 	} else {
-		res, err = s.ensureSimPlan(cfg.model).MeasureDetectionCtx(ctx, gen, numPatterns, cfg.simOptions(), progress)
+		res, err = s.ensureSimPlan(cfg.model).MeasureDetection(ctx, gen, numPatterns, cfg.simOptions(), progress)
 	}
 	return res, wrapCanceled(err)
 }
@@ -556,14 +561,14 @@ func (s *Session) CoverageCurve(ctx context.Context, probs []float64, checkpoint
 	}
 	var points []CoveragePoint
 	if cfg.engine == SimEngineNaive {
-		points, err = faultsim.CoverageCurveOpt(ctx, s.c, s.modelFaults(cfg.model), gen, checkpoints, cfg.simOptions(), progress)
+		points, err = faultsim.CoverageCurveNaive(ctx, s.c, s.modelFaults(cfg.model), gen, checkpoints, progress)
 	} else if cfg.pool != nil {
 		var t *shard.Task
 		if t, err = s.ensureShardTask(cfg.model); err == nil {
 			points, err = cfg.pool.CoverageCurve(ctx, t, probs, checkpoints, cfg.width, progress)
 		}
 	} else {
-		points, err = s.ensureSimPlan(cfg.model).CoverageCurveCtx(ctx, gen, checkpoints, cfg.simOptions(), progress)
+		points, err = s.ensureSimPlan(cfg.model).CoverageCurve(ctx, gen, checkpoints, cfg.simOptions(), progress)
 	}
 	return points, wrapCanceled(err)
 }

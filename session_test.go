@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"testing"
+
+	"protest/internal/core"
 )
 
 // The one-call pipeline must reproduce the paper workflow on the ALU:
@@ -296,7 +298,7 @@ func TestSessionAnalyzeCacheIsolation(t *testing.T) {
 	}
 }
 
-// TestLength must agree with the deprecated package-level path.
+// TestLength must agree with a direct analysis.
 func TestSessionTestLength(t *testing.T) {
 	c, _ := Benchmark("c17")
 	s, err := Open(c)
@@ -307,7 +309,7 @@ func TestSessionTestLength(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Analyze(c, UniformProbs(c), DefaultParams())
+	res, err := core.Analyze(c, UniformProbs(c), DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +318,7 @@ func TestSessionTestLength(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n != want {
-		t.Errorf("Session.TestLength %d, package-level %d", n, want)
+		t.Errorf("Session.TestLength %d, direct analysis %d", n, want)
 	}
 }
 

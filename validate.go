@@ -7,6 +7,7 @@ import (
 	"protest/internal/core"
 	"protest/internal/faultsim"
 	"protest/internal/validate"
+	"protest/internal/widesim"
 )
 
 // PhaseValidate is the phase reported around a Session.Validate run;
@@ -65,7 +66,8 @@ type ValidateSpec struct {
 	// Workers, SimEngine, SimWidth and NoShard override the Session's
 	// execution strategy for this run's Monte-Carlo measurement, with
 	// the same semantics as the PipelineSpec fields of the same names;
-	// results are bit-identical for every setting.
+	// results are bit-identical for every setting.  An unknown engine
+	// or an unsupported width fails with ErrBadSpec.
 	Workers   int       `json:"workers,omitempty"`
 	SimEngine SimEngine `json:"sim_engine,omitempty"`
 	SimWidth  int       `json:"sim_width,omitempty"`
@@ -103,8 +105,15 @@ type ValidateSpec struct {
 // the whole report deterministic.  Oracle disagreement is reported in
 // the Flags of the report, not as an error; the error return is for
 // infrastructure failure (bad spec, cancellation, simulator error)
-// only.
+// only.  An unknown SimEngine or unsupported SimWidth fails with
+// ErrBadSpec before any phase runs.
 func (s *Session) Validate(ctx context.Context, spec ValidateSpec) (*ValidateReport, error) {
+	if err := widesim.CheckWidth(spec.SimWidth); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadSpec, err)
+	}
+	if err := faultsim.CheckEngine(spec.SimEngine); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadSpec, err)
+	}
 	cfg := s.cfg()
 	if spec.Workers != 0 {
 		cfg.workers = spec.Workers

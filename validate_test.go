@@ -133,6 +133,27 @@ func TestValidateBadSpec(t *testing.T) {
 	}
 }
 
+// An unsupported width or an unknown engine is a bad spec, rejected
+// before any phase runs: the progress callback sees nothing.  A width
+// of 3 used to fail only after the analysis and the BDD oracle, and an
+// unknown engine ran on the FFR engine.
+func TestValidateBadExecutionSpec(t *testing.T) {
+	c, _ := Benchmark("c1355")
+	var phases []Phase
+	s, err := Open(c, WithProgress(func(ph Phase, _ float64) { phases = append(phases, ph) }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range []ValidateSpec{{SimWidth: 3}, {SimWidth: -1}, {SimEngine: 7}} {
+		if _, err := s.Validate(context.Background(), spec); !errors.Is(err, ErrBadSpec) {
+			t.Errorf("Validate(%+v) = %v, want ErrBadSpec", spec, err)
+		}
+	}
+	if len(phases) != 0 {
+		t.Errorf("a rejected spec reported progress: %v", phases)
+	}
+}
+
 // TestValidateWeightedInputs runs the three oracles under a non-uniform
 // tuple: the weighted Monte-Carlo generator and the weighted BDD
 // probabilities must stay statistically consistent (the hard

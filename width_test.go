@@ -84,6 +84,18 @@ func TestOpenRejectsBadWidth(t *testing.T) {
 	}
 }
 
+// TestOpenRejectsUnknownEngine checks unknown engines fail at Open, as
+// unsupported widths do.
+func TestOpenRejectsUnknownEngine(t *testing.T) {
+	c, _ := Benchmark("c17")
+	if _, err := Open(c, WithSimEngine(5)); err == nil {
+		t.Fatal("engine 5 should be rejected at Open")
+	}
+	if _, err := Open(c, WithSimEngine(SimEngineNaive)); err != nil {
+		t.Fatalf("naive engine rejected: %v", err)
+	}
+}
+
 // TestPipelineSimWidthOverride checks a per-run SimWidth produces the
 // same report as the Session default schedule.
 func TestPipelineSimWidthOverride(t *testing.T) {
