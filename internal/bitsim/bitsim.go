@@ -130,29 +130,38 @@ func (s *Simulator) OutputWords(dst []uint64) {
 	}
 }
 
-// EnumerateExhaustive runs the circuit over all 2^n input combinations
-// (n = #inputs, n <= 30 enforced) and calls visit once per block of 64
-// patterns.  Pattern b of block k assigns input i the i-th bit of the
-// global index k*64+b.  visit receives the block's base index and the
-// number of valid patterns in the block (64 except possibly the last).
-func (s *Simulator) EnumerateExhaustive(visit func(base uint64, valid int)) error {
-	n := len(s.c.Inputs)
+// Exhaustive enumerates all 2^n assignments of n inputs (n <= 30
+// enforced) in blocks of 64 patterns: pattern b of block k assigns
+// input i the i-th bit of the global index k*64+b.  visit receives the
+// block's input words (one per input; the slice is reused across
+// calls), its base index and its number of valid patterns (64 except
+// possibly the last).
+func Exhaustive(n int, visit func(words []uint64, base uint64, valid int)) error {
 	if n > 30 {
 		return fmt.Errorf("bitsim: exhaustive enumeration of %d inputs refused (limit 30)", n)
 	}
+	words := make([]uint64, n)
 	total := uint64(1) << n
 	for base := uint64(0); base < total; base += 64 {
-		valid := 64
-		if total-base < 64 {
-			valid = int(total - base)
+		for i := range words {
+			words[i] = enumWord(base, i)
 		}
-		for i := 0; i < n; i++ {
-			s.SetInput(i, enumWord(base, i))
+		visit(words, base, int(min(total-base, 64)))
+	}
+	return nil
+}
+
+// EnumerateExhaustive runs the circuit over every block of Exhaustive
+// for its inputs and calls visit after each, with the block's base
+// index and number of valid patterns; Values then holds the block.
+func (s *Simulator) EnumerateExhaustive(visit func(base uint64, valid int)) error {
+	return Exhaustive(len(s.c.Inputs), func(words []uint64, base uint64, valid int) {
+		for i, w := range words {
+			s.SetInput(i, w)
 		}
 		s.Run()
 		visit(base, valid)
-	}
-	return nil
+	})
 }
 
 // enumWord returns the word for input i when patterns base..base+63

@@ -61,12 +61,7 @@ func ExactDetectProbs(c *circuit.Circuit, faults []fault.Fault, inputProbs []flo
 	fs := faultsim.New(c)
 	det := make([]uint64, len(faults))
 	out := make([]float64, len(faults))
-	gsim := bitsim.New(c)
-	words := make([]uint64, n)
-	err := gsim.EnumerateExhaustive(func(base uint64, valid int) {
-		for i := range words {
-			words[i] = exhaustiveWord(base, i)
-		}
+	err := bitsim.Exhaustive(n, func(words []uint64, base uint64, valid int) {
 		fs.SimulateBlock(words, faults, det)
 		for fi, w := range det {
 			if w == 0 {
@@ -104,20 +99,6 @@ func patternWeights(inputProbs []float64) []float64 {
 		size <<= 1
 	}
 	return weights
-}
-
-func exhaustiveWord(base uint64, i int) uint64 {
-	masks := [6]uint64{
-		0xAAAAAAAAAAAAAAAA, 0xCCCCCCCCCCCCCCCC, 0xF0F0F0F0F0F0F0F0,
-		0xFF00FF00FF00FF00, 0xFFFF0000FFFF0000, 0xFFFFFFFF00000000,
-	}
-	if i < 6 {
-		return masks[i]
-	}
-	if base>>uint(i)&1 == 1 {
-		return ^uint64(0)
-	}
-	return 0
 }
 
 // MonteCarloProbs estimates signal probabilities by random simulation

@@ -140,9 +140,9 @@ func (f Fault) String() string {
 }
 
 // Name formats the fault with signal names from the circuit
-// (e.g. "G10/sa1", "G10~G11/band", "G10.2/str").  Names are stable
-// under netlist round-trips (they depend on signal names, not node
-// numbering), which is why the shard layer uses them as merge keys.
+// (e.g. "G10/sa1", "G10~G11/band", "G10.2/str").  Names depend on
+// signal names, not node numbering, so they survive netlist
+// round-trips.
 func (f Fault) Name(c *circuit.Circuit) string {
 	if f.Kind.IsBridge() {
 		return fmt.Sprintf("%s~%s/%s", c.Node(f.Gate).Name, c.Node(f.Aggressor).Name, f.Kind)

@@ -68,9 +68,9 @@ func (m Model) Valid() bool {
 }
 
 // Faults enumerates and collapses the model's fault universe for the
-// circuit.  Unknown models yield nil.  Like Collapse, the result is
-// deterministic for a given circuit and stable as a *set* under
-// netlist round-trips (fault names are the cross-process merge keys).
+// circuit.  Unknown models yield nil.  Like Collapse, the result is a
+// deterministic function of the circuit, which is what lets a shard
+// worker holding an equal circuit enumerate the coordinator's list.
 func (m Model) Faults(c *circuit.Circuit) []Fault {
 	switch m.Normalize() {
 	case ModelStuckAt:
@@ -95,9 +95,7 @@ func (m Model) Faults(c *circuit.Circuit) []Fault {
 // the other's cone — levels increase along every path — so the
 // fault-free aggressor value is always well defined (no feedback
 // bridges).  The heuristic depends only on levels and signal names,
-// both stable under netlist round-trips, so a shard worker re-deriving
-// the universe from a rendered netlist enumerates the same set even
-// though its node numbering differs.
+// so the set does not depend on node numbering.
 func BridgeFaults(c *circuit.Circuit) []Fault {
 	byLevel := make(map[int32][]circuit.NodeID)
 	for id := range c.Nodes {

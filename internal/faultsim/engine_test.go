@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"protest/internal/bitsim"
 	"protest/internal/circuit"
 	"protest/internal/circuits"
 	"protest/internal/fault"
@@ -192,20 +193,17 @@ func TestEngineExhaustiveIdentity(t *testing.T) {
 		e := NewPlan(c, faults).AcquireWideEngine(1)
 		got := make([]int, len(faults))
 		det := make([]uint64, len(faults))
-		words := make([]uint64, len(c.Inputs))
-		total := 1 << len(c.Inputs)
-		for base := 0; base < total; base += 64 {
-			valid := min(64, total-base)
-			for i := range words {
-				words[i] = enumInputWord(uint64(base), i)
-			}
+		err = bitsim.Exhaustive(len(c.Inputs), func(words []uint64, _ uint64, valid int) {
 			e.SimulateChunk(words, det, nil)
 			mask := blockMask(valid)
 			for i, d := range det {
 				got[i] += popcount(d & mask)
 			}
-		}
+		})
 		e.Release()
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i := range faults {
 			if got[i] != want[i] {
 				t.Fatalf("%s fault %v: FFR exhaustive count %d != oracle %d",

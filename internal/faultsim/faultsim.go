@@ -616,12 +616,7 @@ func ExhaustiveDetection(c *circuit.Circuit, faults []fault.Fault) ([]int, error
 	s := New(c)
 	counts := make([]int, len(faults))
 	det := make([]uint64, len(faults))
-	words := make([]uint64, len(c.Inputs))
-	gsim := bitsim.New(c)
-	err := gsim.EnumerateExhaustive(func(base uint64, valid int) {
-		for i := range words {
-			words[i] = enumInputWord(base, i)
-		}
+	err := bitsim.Exhaustive(len(c.Inputs), func(words []uint64, _ uint64, valid int) {
 		mask := blockMask(valid)
 		s.SimulateBlock(words, faults, det)
 		for i, d := range det {
@@ -638,19 +633,4 @@ type errTooManyInputs int
 
 func (e errTooManyInputs) Error() string {
 	return fmt.Sprintf("faultsim: exhaustive detection limited to 20 inputs, circuit has %d", int(e))
-}
-
-// enumInputWord mirrors bitsim's exhaustive enumeration pattern layout.
-func enumInputWord(base uint64, i int) uint64 {
-	masks := [6]uint64{
-		0xAAAAAAAAAAAAAAAA, 0xCCCCCCCCCCCCCCCC, 0xF0F0F0F0F0F0F0F0,
-		0xFF00FF00FF00FF00, 0xFFFF0000FFFF0000, 0xFFFFFFFF00000000,
-	}
-	if i < 6 {
-		return masks[i]
-	}
-	if base>>uint(i)&1 == 1 {
-		return ^uint64(0)
-	}
-	return 0
 }

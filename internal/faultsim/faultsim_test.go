@@ -176,11 +176,11 @@ func TestSimulatorMatchesOracle(t *testing.T) {
 	det := make([]uint64, len(faults))
 
 	// All 32 patterns in one block.
-	words := make([]uint64, 5)
-	for i := range words {
-		words[i] = enumInputWord(0, i)
+	if err := bitsim.Exhaustive(5, func(words []uint64, _ uint64, _ int) {
+		s.SimulateBlock(words, faults, det)
+	}); err != nil {
+		t.Fatal(err)
 	}
-	s.SimulateBlock(words, faults, det)
 
 	for fi, f := range faults {
 		for r := 0; r < 32; r++ {

@@ -13,6 +13,16 @@
 // CONST1.  OUTPUT statements may appear before the signal is defined.
 // Sequential elements (DFF) are rejected: PROTEST analyzes the
 // combinational core of a scan design.
+//
+// There are two readers.  Parse accepts gates in any order and numbers
+// the nodes itself: inputs in declaration order, then gates in a
+// depth-first walk of the sorted gate names, so a netlist's node order
+// does not depend on how its lines are arranged.  Decode is the strict
+// reader of Write's output: it numbers nodes in statement order and
+// rejects a signal used above its definition, so for a circuit whose
+// node names the syntax can carry, Decode(String(c)) is circuit.Equal
+// to c (same node IDs, hence the same fault order and FFR numbering).
+// Shard workers decode the coordinator's circuit with it.
 package netlist
 
 import (
@@ -43,20 +53,34 @@ type rawGate struct {
 	line int
 }
 
-// Parse reads a netlist and builds the circuit.  name becomes the
-// circuit name (netlists carry no name of their own).
-func Parse(r io.Reader, name string) (*circuit.Circuit, error) {
+// stmtKind tells the statements of a netlist apart.
+type stmtKind uint8
+
+const (
+	stmtGate stmtKind = iota
+	stmtInput
+	stmtOutput
+	stmtDFF // q = DFF(d), read only for ParseScan: name q, args [d]
+)
+
+// statement is one non-blank line of a netlist.  INPUT and OUTPUT
+// statements carry only a name.
+type statement struct {
+	kind stmtKind
+	rawGate
+}
+
+// read splits a netlist into its statements, in line order.  DFF
+// statements are an error unless scan is set.
+func read(r io.Reader, scan bool) ([]statement, error) {
 	sc := bufio.NewScanner(r)
 	// Lines may reach 1 MiB, but the buffer starts at bufio's default
 	// size and grows only for long lines: zeroing 1 MiB per call
 	// dominated the parse of small netlists.
 	sc.Buffer(nil, 1<<20)
 
-	var inputs []string
-	var outputs []string
-	var gates []rawGate
+	var stmts []statement
 	lineNo := 0
-
 	for sc.Scan() {
 		lineNo++
 		line := strings.TrimSpace(sc.Text())
@@ -72,25 +96,103 @@ func Parse(r io.Reader, name string) (*circuit.Circuit, error) {
 			if err != nil {
 				return nil, &ParseError{lineNo, err.Error()}
 			}
-			inputs = append(inputs, arg)
+			stmts = append(stmts, statement{stmtInput, rawGate{name: arg, line: lineNo}})
 		case strings.HasPrefix(line, "OUTPUT(") || strings.HasPrefix(line, "OUTPUT ("):
 			arg, err := parenArg(line, "OUTPUT")
 			if err != nil {
 				return nil, &ParseError{lineNo, err.Error()}
 			}
-			outputs = append(outputs, arg)
+			stmts = append(stmts, statement{stmtOutput, rawGate{name: arg, line: lineNo}})
 		default:
+			if scan {
+				if q, d, ok, err := parseDFF(line, lineNo); err != nil {
+					return nil, err
+				} else if ok {
+					stmts = append(stmts, statement{stmtDFF, rawGate{name: q, args: []string{d}, line: lineNo}})
+					continue
+				}
+			}
 			g, err := parseGate(line, lineNo)
 			if err != nil {
 				return nil, err
 			}
-			gates = append(gates, g)
+			stmts = append(stmts, statement{stmtGate, g})
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
+	return stmts, nil
+}
+
+// Parse reads a netlist and builds the circuit.  name becomes the
+// circuit name (netlists carry no name of their own).
+func Parse(r io.Reader, name string) (*circuit.Circuit, error) {
+	stmts, err := read(r, false)
+	if err != nil {
+		return nil, err
+	}
+	inputs, outputs, gates, _ := split(stmts)
 	return assemble(name, inputs, outputs, gates)
+}
+
+// split sorts statements by kind, keeping each kind in line order.
+// cells are the DFF statements.
+func split(stmts []statement) (inputs, outputs []string, gates, cells []rawGate) {
+	for _, st := range stmts {
+		switch st.kind {
+		case stmtInput:
+			inputs = append(inputs, st.name)
+		case stmtOutput:
+			outputs = append(outputs, st.name)
+		case stmtDFF:
+			cells = append(cells, st.rawGate)
+		default:
+			gates = append(gates, st.rawGate)
+		}
+	}
+	return inputs, outputs, gates, cells
+}
+
+// Decode reads a netlist in node order, as Write renders it, and
+// builds the circuit: every INPUT and gate statement creates the next
+// node, and a gate may only use signals declared above it.  OUTPUT
+// statements may appear anywhere; they mark outputs in their own
+// order.  name becomes the circuit name.
+func Decode(src, name string) (*circuit.Circuit, error) {
+	stmts, err := read(strings.NewReader(src), false)
+	if err != nil {
+		return nil, err
+	}
+	b := circuit.NewBuilder(name)
+	ids := make(map[string]circuit.NodeID, len(stmts))
+	for _, st := range stmts {
+		switch st.kind {
+		case stmtInput:
+			ids[st.name] = b.Input(st.name)
+		case stmtGate:
+			fanin := make([]circuit.NodeID, len(st.args))
+			for i, a := range st.args {
+				id, ok := ids[a]
+				if !ok {
+					return nil, &ParseError{st.line, fmt.Sprintf("signal %q used before its definition", a)}
+				}
+				fanin[i] = id
+			}
+			ids[st.name] = b.Gate(st.op, st.name, fanin...)
+		}
+	}
+	for _, st := range stmts {
+		if st.kind != stmtOutput {
+			continue
+		}
+		id, ok := ids[st.name]
+		if !ok {
+			return nil, &ParseError{st.line, fmt.Sprintf("OUTPUT(%s) never defined", st.name)}
+		}
+		b.MarkOutput(id)
+	}
+	return b.Build()
 }
 
 func parenArg(line, keyword string) (string, error) {
@@ -216,24 +318,31 @@ func ParseString(s, name string) (*circuit.Circuit, error) {
 	return Parse(strings.NewReader(s), name)
 }
 
-// Write renders the circuit in .bench syntax.  TableOp gates cannot be
-// expressed and cause an error.
+// Write renders the circuit in .bench syntax, one statement per node
+// in node-ID order, so Decode reads back the same circuit.  The OUTPUT
+// statements come before the first gate: when every input precedes
+// every gate, as in circuits Parse builds, the inputs, the outputs and
+// then the gates.  TableOp gates cannot be expressed and cause an
+// error.
 func Write(w io.Writer, c *circuit.Circuit) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "# circuit %s\n", c.Name)
 	st := c.Stats()
 	fmt.Fprintf(bw, "# %d inputs, %d outputs, %d gates\n", st.Inputs, st.Outputs, st.Gates)
-	for _, id := range c.Inputs {
-		fmt.Fprintf(bw, "INPUT(%s)\n", c.Node(id).Name)
+	outputs := c.Outputs // written before the first gate
+	writeOutputs := func() {
+		for _, id := range outputs {
+			fmt.Fprintf(bw, "OUTPUT(%s)\n", c.Node(id).Name)
+		}
+		outputs = nil
 	}
-	for _, id := range c.Outputs {
-		fmt.Fprintf(bw, "OUTPUT(%s)\n", c.Node(id).Name)
-	}
-	for _, id := range c.TopoOrder() {
-		n := c.Node(id)
+	for id := range c.Nodes {
+		n := &c.Nodes[id]
 		if n.IsInput {
+			fmt.Fprintf(bw, "INPUT(%s)\n", n.Name)
 			continue
 		}
+		writeOutputs()
 		if n.Op == logic.TableOp {
 			return fmt.Errorf("netlist: gate %q uses an explicit truth table, not expressible in .bench", n.Name)
 		}
@@ -243,6 +352,7 @@ func Write(w io.Writer, c *circuit.Circuit) error {
 		}
 		fmt.Fprintf(bw, "%s = %s(%s)\n", n.Name, n.Op, strings.Join(args, ", "))
 	}
+	writeOutputs() // a circuit without gates
 	return bw.Flush()
 }
 

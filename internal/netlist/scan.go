@@ -1,7 +1,6 @@
 package netlist
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"sort"
@@ -38,63 +37,18 @@ type ScanInfo struct {
 // the combinational core with the flip-flops replaced by scan
 // pseudo-ports.
 func ParseScan(r io.Reader, name string) (*ScanInfo, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(nil, 1<<20) // as in Parse
-
-	var inputs, outputs []string
-	var gates []rawGate
-	type dff struct {
-		q, d string
-		line int
-	}
-	var cells []dff
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if i := strings.IndexByte(line, '#'); i >= 0 {
-			line = strings.TrimSpace(line[:i])
-		}
-		if line == "" {
-			continue
-		}
-		switch {
-		case strings.HasPrefix(line, "INPUT(") || strings.HasPrefix(line, "INPUT ("):
-			arg, err := parenArg(line, "INPUT")
-			if err != nil {
-				return nil, &ParseError{lineNo, err.Error()}
-			}
-			inputs = append(inputs, arg)
-		case strings.HasPrefix(line, "OUTPUT(") || strings.HasPrefix(line, "OUTPUT ("):
-			arg, err := parenArg(line, "OUTPUT")
-			if err != nil {
-				return nil, &ParseError{lineNo, err.Error()}
-			}
-			outputs = append(outputs, arg)
-		default:
-			if q, d, ok, err := parseDFF(line, lineNo); err != nil {
-				return nil, err
-			} else if ok {
-				cells = append(cells, dff{q: q, d: d, line: lineNo})
-				continue
-			}
-			g, err := parseGate(line, lineNo)
-			if err != nil {
-				return nil, err
-			}
-			gates = append(gates, g)
-		}
-	}
-	if err := sc.Err(); err != nil {
+	stmts, err := read(r, true)
+	if err != nil {
 		return nil, err
 	}
+	inputs, outputs, gates, cells := split(stmts) // cell: q = DFF(d) as name q, args [d]
 
 	// Flip-flop outputs become pseudo-inputs; their D signals become
 	// pseudo-outputs (wrapped in a BUF so a D that is also a primary
 	// output or an input keeps a distinct observable point).
 	info := &ScanInfo{ScanCells: len(cells)}
 	for _, cell := range cells {
-		inputs = append(inputs, cell.q)
+		inputs = append(inputs, cell.name)
 		info.PseudoInputs = append(info.PseudoInputs, len(inputs)-1)
 	}
 	for i, cell := range cells {
@@ -102,7 +56,7 @@ func ParseScan(r io.Reader, name string) (*ScanInfo, error) {
 		gates = append(gates, rawGate{
 			name: wrap,
 			op:   logic.Buf,
-			args: []string{cell.d},
+			args: cell.args,
 			line: cell.line,
 		})
 		outputs = append(outputs, wrap)

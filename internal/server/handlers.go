@@ -221,7 +221,6 @@ func pipelineSpecKey(spec protest.PipelineSpec) (string, error) {
 	}
 	norm.Workers = 0
 	norm.SimEngine = protest.SimEngineFFR
-	norm.NoShard = false
 	norm.Progress = nil
 	data, err := json.Marshal(norm)
 	if err != nil {

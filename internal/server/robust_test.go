@@ -16,13 +16,15 @@ import (
 	"protest/internal/circuits"
 	"protest/internal/fault"
 	"protest/internal/faultsim"
+	"protest/internal/netlist"
 	"protest/internal/shard"
 )
 
 // TestShardEndpoint: a worker-mode server executes shard requests,
 // answers a digest it does not hold with 404 until the netlist was sent
 // once and then byte-identically to the netlist request, and rejects
-// malformed requests; every error is a clean JSON envelope.
+// malformed requests and requests without a digest; every error is a
+// clean JSON envelope.
 func TestShardEndpoint(t *testing.T) {
 	srv, ts := newTestServer(t, Config{Worker: true})
 
@@ -30,19 +32,22 @@ func TestShardEndpoint(t *testing.T) {
 	if !ok {
 		t.Fatal("c17 missing from registry")
 	}
-	task, err := shard.NewModelTask(faultsim.NewPlan(c, fault.Collapse(c)), fault.ModelStuckAt, testSeed)
+	plan := faultsim.NewPlan(c, fault.Collapse(c))
+	src, err := netlist.String(c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	full := shard.Request{
-		Name: task.Name, Digest: task.Digest, Netlist: task.Netlist, Seed: testSeed,
+		Name: c.Name, Digest: shard.Digest(c.Name, src), Netlist: src, Seed: testSeed,
 		Kind: shard.KindDetect, NumPatterns: 128,
-		GroupLo: 0, GroupHi: task.Remote.NumGroups(), BlockLo: 0, BlockHi: len(faultsim.DetectBlocks(128)),
+		GroupLo: 0, GroupHi: plan.NumGroups(), BlockLo: 0, BlockHi: len(faultsim.DetectBlocks(128)),
 	}
 	byDigest := full
 	byDigest.Netlist = ""
 	wrongDigest := full
-	wrongDigest.Digest = strings.Repeat("0", len(task.Digest))
+	wrongDigest.Digest = shard.Digest("c17-other", src)
+	noDigest := full
+	noDigest.Digest = ""
 
 	var okBody []byte
 	for _, step := range []struct {
@@ -55,7 +60,8 @@ func TestShardEndpoint(t *testing.T) {
 		{"netlist with its digest", full, http.StatusOK, 0},
 		{"digest after the netlist", byDigest, http.StatusOK, 0},
 		{"netlist with a wrong digest", wrongDigest, http.StatusBadRequest, 1},
-		{"neither netlist nor digest", shard.Request{Kind: shard.KindDetect}, http.StatusBadRequest, 2},
+		{"netlist without a digest", noDigest, http.StatusBadRequest, 2},
+		{"neither netlist nor digest", shard.Request{Kind: shard.KindDetect}, http.StatusBadRequest, 3},
 	} {
 		resp, body := postJSON(t, ts.URL+"/v1/shard", step.req)
 		if resp.StatusCode != step.status {
@@ -82,7 +88,7 @@ func TestShardEndpoint(t *testing.T) {
 		if err := json.Unmarshal(body, &sr); err != nil {
 			t.Fatalf("bad shard response %s: %v", body, err)
 		}
-		if want := len(task.Remote.Faults()); sr.Faults != want || len(sr.Counts) != want {
+		if want := len(plan.Faults()); sr.Faults != want || len(sr.Counts) != want {
 			t.Fatalf("shard response covers %d faults (%d counts), want %d", sr.Faults, len(sr.Counts), want)
 		}
 	}

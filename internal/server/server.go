@@ -136,10 +136,6 @@ type Config struct {
 	// bit-identical to local execution, and /healthz reports the pool
 	// under "shard" plus a top-level "degraded" flag.
 	WorkerAddrs []string
-	// ShardPool tunes the pool built for WorkerAddrs; the Workers and
-	// Seed fields are filled in from this Config.  Zero value = the
-	// documented shard.Config defaults.
-	ShardPool shard.Config
 	// SSEKeepAlive is the idle interval after which SSE streams emit a
 	// `: ping` comment so proxies and clients keep half-idle
 	// connections alive (default 15s; negative disables).
@@ -271,12 +267,7 @@ func New(cfg Config) *Server {
 	}
 	var pool *shard.Pool
 	if len(cfg.WorkerAddrs) > 0 {
-		pcfg := cfg.ShardPool
-		pcfg.Workers = cfg.WorkerAddrs
-		if pcfg.Seed == 0 {
-			pcfg.Seed = cfg.Seed
-		}
-		pool = shard.NewPool(pcfg)
+		pool = shard.NewPool(shard.Config{Workers: cfg.WorkerAddrs, Seed: cfg.Seed})
 		opts = append(opts, protest.WithShardPool(pool))
 	}
 	s := &Server{

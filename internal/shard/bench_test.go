@@ -12,7 +12,7 @@ import (
 )
 
 // BenchmarkShardedDetect records the sharded measurement path —
-// coordinator planning, transport round-trips, merge, permutation —
+// coordinator planning, transport round-trips, merge —
 // against the serial engine it must match bit-for-bit.  On 1-CPU CI
 // the sharded variants mostly price the coordination overhead; on real
 // multicore or multi-machine setups they are the scale-out curve.
@@ -22,10 +22,6 @@ func BenchmarkShardedDetect(b *testing.B) {
 		b.Fatal("alu missing from registry")
 	}
 	plan := faultsim.NewPlan(c, fault.Collapse(c))
-	task, err := NewModelTask(plan, fault.ModelStuckAt, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
 	const patterns = 4096
 
 	b.Run("serial", func(b *testing.B) {
@@ -53,7 +49,7 @@ func BenchmarkShardedDetect(b *testing.B) {
 			defer p.Close()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := p.MeasureDetection(context.Background(), task, nil, patterns, 0, nil); err != nil {
+				if _, err := p.MeasureDetection(context.Background(), plan, fault.ModelStuckAt, 1, nil, patterns, 0, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -42,16 +42,16 @@ func chaosPool(t *testing.T, addrs []string, policies map[string]Policy, mod fun
 // TestChaosInjectedErrorsRetry: workers failing every other call must
 // cost retries, never correctness.
 func TestChaosInjectedErrorsRetry(t *testing.T) {
-	task := newTestTask(t, "alu")
+	run := newTestRun(t, "alu")
 	p, _ := chaosPool(t, []string{"w1", "w2"}, map[string]Policy{
 		"w1": {ErrEvery: 2},
 		"w2": {ErrEvery: 3},
 	}, nil)
-	got, err := p.MeasureDetection(context.Background(), task, nil, 257, 0, nil)
+	got, err := run.detect(p, nil, 257, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameDetect(t, "alu/errors", got, serialDetect(t, task, nil, 257))
+	sameDetect(t, "alu/errors", got, serialDetect(t, run, nil, 257))
 	if st := p.Stats(); st.Retries == 0 {
 		t.Fatalf("no retries recorded under injected errors: %+v", st)
 	}
@@ -60,7 +60,7 @@ func TestChaosInjectedErrorsRetry(t *testing.T) {
 // TestChaosDroppedCallsTimeOut: a black-holed request must be cut by
 // the per-attempt deadline and retried elsewhere, not hang the run.
 func TestChaosDroppedCallsTimeOut(t *testing.T) {
-	task := newTestTask(t, "c17")
+	run := newTestRun(t, "c17")
 	p, _ := chaosPool(t, []string{"w1", "w2"}, map[string]Policy{
 		"w1": {DropEvery: 2},
 	}, func(cfg *Config) {
@@ -71,7 +71,7 @@ func TestChaosDroppedCallsTimeOut(t *testing.T) {
 	var runErr error
 	go func() {
 		defer close(done)
-		res, runErr = p.MeasureDetection(context.Background(), task, nil, 257, 0, nil)
+		res, runErr = run.detect(p, nil, 257, 0)
 	}()
 	select {
 	case <-done:
@@ -81,41 +81,41 @@ func TestChaosDroppedCallsTimeOut(t *testing.T) {
 	if runErr != nil {
 		t.Fatal(runErr)
 	}
-	sameDetect(t, "c17/drops", res, serialDetect(t, task, nil, 257))
+	sameDetect(t, "c17/drops", res, serialDetect(t, run, nil, 257))
 }
 
 // TestChaosCurveUnderErrors: the curve path has its own merge; run it
 // through the same injected-failure gauntlet.
 func TestChaosCurveUnderErrors(t *testing.T) {
-	task := newTestTask(t, "add8")
+	run := newTestRun(t, "add8")
 	p, _ := chaosPool(t, []string{"w1", "w2", "w3"}, map[string]Policy{
 		"w1": {ErrEvery: 2},
 		"w3": {ErrEvery: 2},
 	}, nil)
 	cps := []int{10, 100, 300}
-	got, err := p.CoverageCurve(context.Background(), task, nil, cps, 0, nil)
+	got, err := run.curve(p, nil, cps, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameCurve(t, "add8/chaos-curve", got, serialCurve(t, task, nil, cps))
+	sameCurve(t, "add8/chaos-curve", got, serialCurve(t, run, nil, cps))
 }
 
 // TestChaosCrashEjectionAndReadmission: a worker that dies mid-run is
 // ejected after consecutive failures; once its probes answer again it
 // is re-admitted.  Results stay exact throughout.
 func TestChaosCrashEjectionAndReadmission(t *testing.T) {
-	task := newTestTask(t, "alu")
+	run := newTestRun(t, "alu")
 	p, _ := chaosPool(t, []string{"w1", "w2"}, map[string]Policy{
 		"w1": {CrashAfter: 1, RecoverAfter: 2},
 	}, func(cfg *Config) {
 		cfg.EjectAfter = 1
 		cfg.ProbeInterval = 5 * time.Millisecond
 	})
-	got, err := p.MeasureDetection(context.Background(), task, nil, 257, 0, nil)
+	got, err := run.detect(p, nil, 257, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameDetect(t, "alu/crash", got, serialDetect(t, task, nil, 257))
+	sameDetect(t, "alu/crash", got, serialDetect(t, run, nil, 257))
 
 	st := p.Stats()
 	if st.Workers[0].Ejections == 0 {
@@ -140,7 +140,7 @@ func TestChaosCrashEjectionAndReadmission(t *testing.T) {
 // fall back to local execution; once all workers are ejected the next
 // run degrades wholesale — and both paths stay bit-identical.
 func TestChaosAllWorkersDownDegrades(t *testing.T) {
-	task := newTestTask(t, "c17")
+	run := newTestRun(t, "c17")
 	p, _ := chaosPool(t, []string{"w1", "w2"}, map[string]Policy{
 		"w1": {ErrEvery: 1},
 		"w2": {ErrEvery: 1},
@@ -148,11 +148,11 @@ func TestChaosAllWorkersDownDegrades(t *testing.T) {
 		cfg.EjectAfter = 1
 		cfg.MaxAttempts = 2
 	})
-	got, err := p.MeasureDetection(context.Background(), task, nil, 257, 0, nil)
+	got, err := run.detect(p, nil, 257, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameDetect(t, "c17/all-down", got, serialDetect(t, task, nil, 257))
+	sameDetect(t, "c17/all-down", got, serialDetect(t, run, nil, 257))
 	st := p.Stats()
 	if st.LocalFallbacks == 0 {
 		t.Fatalf("no local fallbacks despite total failure: %+v", st)
@@ -162,11 +162,11 @@ func TestChaosAllWorkersDownDegrades(t *testing.T) {
 	}
 
 	// The next run skips dispatch entirely: fully local, still exact.
-	got, err = p.MeasureDetection(context.Background(), task, nil, 257, 0, nil)
+	got, err = run.detect(p, nil, 257, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameDetect(t, "c17/degraded-run", got, serialDetect(t, task, nil, 257))
+	sameDetect(t, "c17/degraded-run", got, serialDetect(t, run, nil, 257))
 	if st = p.Stats(); st.DegradedRuns != 1 {
 		t.Fatalf("degraded_runs = %d, want 1: %+v", st.DegradedRuns, st)
 	}
@@ -176,7 +176,7 @@ func TestChaosAllWorkersDownDegrades(t *testing.T) {
 // onto the healthy one; the first response wins and the result is the
 // exact one.
 func TestChaosHedgingStragglers(t *testing.T) {
-	task := newTestTask(t, "alu")
+	run := newTestRun(t, "alu")
 	p, _ := chaosPool(t, []string{"slow", "fast"}, map[string]Policy{
 		"slow": {Delay: 300 * time.Millisecond},
 	}, func(cfg *Config) {
@@ -184,11 +184,11 @@ func TestChaosHedgingStragglers(t *testing.T) {
 		cfg.ShardsPerWorker = 1
 	})
 	start := time.Now()
-	got, err := p.MeasureDetection(context.Background(), task, nil, 257, 0, nil)
+	got, err := run.detect(p, nil, 257, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameDetect(t, "alu/hedge", got, serialDetect(t, task, nil, 257))
+	sameDetect(t, "alu/hedge", got, serialDetect(t, run, nil, 257))
 	if st := p.Stats(); st.Hedges == 0 {
 		t.Fatalf("no hedges dispatched against a straggler: %+v (took %v)", st, time.Since(start))
 	}
@@ -305,7 +305,7 @@ func (r *rendezvous) wait(ctx context.Context) {
 // live HTTP workers and kills one after its second shard: the merged
 // report must still be bit-identical to the serial oracle.
 func TestHTTPWorkerKilledMidRun(t *testing.T) {
-	task := newTestTask(t, "alu")
+	run := newTestRun(t, "alu")
 	w1, w2 := newHTTPWorker(t, 0), newHTTPWorker(t, 0)
 
 	// Kill w1 after it has served two shards: remaining shards routed
@@ -332,11 +332,11 @@ func TestHTTPWorkerKilledMidRun(t *testing.T) {
 	})
 	defer p.Close()
 
-	got, err := p.MeasureDetection(context.Background(), task, nil, 513, 0, nil)
+	got, err := run.detect(p, nil, 513, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameDetect(t, "alu/killed-http", got, serialDetect(t, task, nil, 513))
+	sameDetect(t, "alu/killed-http", got, serialDetect(t, run, nil, 513))
 	st := p.Stats()
 	if st.Shards == 0 {
 		t.Fatalf("nothing ran remotely: %+v", st)
@@ -348,7 +348,7 @@ func TestHTTPWorkerKilledMidRun(t *testing.T) {
 // netlist resend per shard it misses, never a retry, an ejection or a
 // local fallback, and the merge stays exact.
 func TestHTTPWorkerRestartedMidRun(t *testing.T) {
-	task := newTestTask(t, "alu")
+	run := newTestRun(t, "alu")
 	w := newHTTPWorker(t, 0)
 	p := NewPool(Config{
 		Workers:       []string{w.ts.URL},
@@ -358,8 +358,8 @@ func TestHTTPWorkerRestartedMidRun(t *testing.T) {
 	})
 	defer p.Close()
 
-	want := serialDetect(t, task, nil, 513)
-	got, err := p.MeasureDetection(context.Background(), task, nil, 513, 0, nil)
+	want := serialDetect(t, run, nil, 513)
+	got, err := run.detect(p, nil, 513, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +372,7 @@ func TestHTTPWorkerRestartedMidRun(t *testing.T) {
 	// Restart before the next run's second call: the shards reaching
 	// the fresh Executor miss once each.
 	w.restartAt.Store(w.calls.Load() + 2)
-	got, err = p.MeasureDetection(context.Background(), task, nil, 513, 0, nil)
+	got, err = run.detect(p, nil, 513, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +391,7 @@ func TestHTTPWorkerRestartedMidRun(t *testing.T) {
 // those bodies, so every attempt fails and the shards run locally: no
 // panic, no merged array, and the exact result for both kinds.
 func TestArrayWorkerFallsBack(t *testing.T) {
-	task := newTestTask(t, "alu")
+	run := newTestRun(t, "alu")
 	w := newHTTPWorker(t, 0)
 	w.arrays.Store(true)
 	p := NewPool(Config{
@@ -405,17 +405,17 @@ func TestArrayWorkerFallsBack(t *testing.T) {
 	})
 	defer p.Close()
 
-	got, err := p.MeasureDetection(context.Background(), task, nil, 513, 0, nil)
+	got, err := run.detect(p, nil, 513, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameDetect(t, "alu/arrays", got, serialDetect(t, task, nil, 513))
+	sameDetect(t, "alu/arrays", got, serialDetect(t, run, nil, 513))
 	cps := []int{10, 100, 513}
-	curve, err := p.CoverageCurve(context.Background(), task, nil, cps, 0, nil)
+	curve, err := run.curve(p, nil, cps, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameCurve(t, "alu/arrays", curve, serialCurve(t, task, nil, cps))
+	sameCurve(t, "alu/arrays", curve, serialCurve(t, run, nil, cps))
 	st := p.Stats()
 	if w.calls.Load() == 0 || st.LocalFallbacks == 0 {
 		t.Fatalf("the array worker was never asked, or nothing fell back: %d calls, %+v", w.calls.Load(), st)
@@ -430,7 +430,7 @@ func TestArrayWorkerFallsBack(t *testing.T) {
 // run over a warm pool dials none.  Each worker call waits for all 4 of
 // a run's shards, which forces 4 connections open at once.
 func TestPoolKeepsWorkerConnectionsAlive(t *testing.T) {
-	task := newTestTask(t, "alu")
+	run := newTestRun(t, "alu")
 	w := newHTTPWorker(t, 4)
 	p := NewPool(Config{
 		Workers:       []string{w.ts.URL},
@@ -440,15 +440,15 @@ func TestPoolKeepsWorkerConnectionsAlive(t *testing.T) {
 	})
 	defer p.Close()
 
-	run := func() {
+	measure := func() {
 		t.Helper()
-		if _, err := p.MeasureDetection(context.Background(), task, nil, 513, 0, nil); err != nil {
+		if _, err := run.detect(p, nil, 513, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	run()
+	measure()
 	warm := w.conns.Load()
-	run()
+	measure()
 	if n := w.conns.Load() - warm; n != 0 {
 		t.Fatalf("a run over a warm pool opened %d new connections (%d before)", n, warm)
 	}

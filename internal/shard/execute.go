@@ -5,12 +5,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 
 	"protest/internal/artifact"
 	"protest/internal/circuit"
 	"protest/internal/fault"
-	"protest/internal/faultsim"
 	"protest/internal/netlist"
 )
 
@@ -25,11 +25,12 @@ var ErrUnknownCircuit = errors.New("shard: unknown circuit digest")
 // store (so repeated shards of one run partition the circuit once),
 // and executes the shard's rectangle of the measurement grid.
 //
-// Circuits are resolved by digest.  The Executor parses every netlist
-// it receives, after checking it against the digest sent with it, and
-// keeps the interned circuit under that digest for later digest-only
-// requests, holding at most artifact.DefaultCapacity circuits in LRU
-// order.
+// Circuits are resolved by digest.  The Executor decodes every netlist
+// it receives (netlist.Decode, so its circuit is the coordinator's,
+// node for node), after checking it against the digest sent with it,
+// and keeps the interned circuit under that digest for later
+// digest-only requests, holding at most artifact.DefaultCapacity
+// circuits in LRU order.
 type Executor struct {
 	store *artifact.Store
 
@@ -54,8 +55,8 @@ func NewExecutor() *Executor {
 	}
 }
 
-// Run executes one shard request.  It parses the request's netlist when
-// one is present and looks its digest up otherwise, answering
+// Run executes one shard request.  It decodes the request's netlist
+// when one is present and looks its digest up otherwise, answering
 // ErrUnknownCircuit for a digest it does not hold.
 func (e *Executor) Run(ctx context.Context, req *Request) (*Response, error) {
 	m, err := fault.ParseModel(req.FaultModel)
@@ -69,12 +70,15 @@ func (e *Executor) Run(ctx context.Context, req *Request) (*Response, error) {
 	return runShard(ctx, e.store.SimPlanFor(c, m), req)
 }
 
-// resolve returns the request's circuit.
+// resolve returns the request's circuit.  Every request must carry a
+// digest of this wire version (see Digest): a coordinator of another
+// version numbers its shards another way, and failing its attempt
+// makes it run the shard locally instead.
 func (e *Executor) resolve(req *Request) (*circuit.Circuit, error) {
+	if !strings.HasPrefix(req.Digest, wireVersion) {
+		return nil, fmt.Errorf("shard: digest %q is not a %s digest", req.Digest, wireVersion)
+	}
 	if req.Netlist == "" {
-		if req.Digest == "" {
-			return nil, fmt.Errorf("shard: request carries neither netlist nor digest")
-		}
 		if c := e.lookup(req.Digest); c != nil {
 			return c, nil
 		}
@@ -82,20 +86,15 @@ func (e *Executor) resolve(req *Request) (*circuit.Circuit, error) {
 	}
 	// Verify before caching anything: a request must not be able to
 	// bind another circuit to a digest some coordinator addresses.
-	d := digest(req.Name, req.Netlist)
-	if req.Digest != "" && req.Digest != d {
+	if req.Digest != Digest(req.Name, req.Netlist) {
 		return nil, fmt.Errorf("shard: digest %q does not match the netlist", req.Digest)
 	}
-	name := req.Name
-	if name == "" {
-		name = "netlist"
-	}
-	c, err := netlist.ParseString(req.Netlist, name)
+	c, err := netlist.Decode(req.Netlist, req.Name)
 	if err != nil {
 		return nil, fmt.Errorf("shard: bad netlist: %w", err)
 	}
 	c = e.store.Intern(c)
-	e.remember(d, c)
+	e.remember(req.Digest, c)
 	return c, nil
 }
 
@@ -125,118 +124,4 @@ func (e *Executor) remember(d string, c *circuit.Circuit) {
 		old := e.lru.Remove(e.lru.Back()).(*cached)
 		delete(e.circuits, old.digest)
 	}
-}
-
-// Task is the coordinator-side handle of one distributable circuit.
-// Tasks are immutable and safe for concurrent use; a Session builds
-// one per circuit and reuses it for every sharded measurement.
-//
-// A worker reconstructs the circuit by parsing Netlist — and parsing
-// renumbers nodes, so the worker's fault list and FFR partition are
-// ordered differently from the coordinator's native plan.  Rather than
-// negotiate, the Task adopts the worker's frame: it parses its own
-// rendered netlist (parsing a given string is deterministic, and the
-// artifact store interns by exact node order, so every process derives
-// the identical plan from the identical string), cuts shards along
-// that remote plan's geometry, and carries a fault-name permutation to
-// translate merged results back into the local plan's order.
-type Task struct {
-	Name    string
-	Netlist string
-	// Digest is the content address of (Name, Netlist) that requests
-	// carry in place of the netlist.
-	Digest string
-	// Model is the fault universe both plans enumerate; requests carry
-	// it so workers re-derive the same universe from the netlist.
-	Model fault.Model
-	// Plan is the Session's native plan: results are returned in its
-	// fault order.
-	Plan *faultsim.Plan
-	// Remote is the plan every worker derives from Netlist: shard
-	// geometry (group numbering, fault order on the wire) is its.
-	Remote *faultsim.Plan
-	Seed   uint64
-
-	// perm maps a Remote fault index to its Plan fault index (matched
-	// by fault name, which survives the netlist round-trip).
-	perm []int
-	// groupPrefix[g] is the number of faults in Remote groups [0, g);
-	// the response cross-check and the merge size group ranges with it.
-	groupPrefix []int
-}
-
-// NewModelTask renders the plan's circuit as a netlist, derives the
-// remote plan workers will reconstruct from it, and precomputes the
-// geometry shards are cut along plus the remote→local fault
-// permutation.  plan must enumerate model's universe, and the remote
-// plan is derived under the same model, so fault order on the wire
-// matches what workers compute from the request's FaultModel field.
-func NewModelTask(plan *faultsim.Plan, model fault.Model, seed uint64) (*Task, error) {
-	model = model.Normalize()
-	c := plan.Circuit()
-	src, err := netlist.String(c)
-	if err != nil {
-		return nil, fmt.Errorf("shard: render netlist: %w", err)
-	}
-	rc, err := netlist.ParseString(src, c.Name)
-	if err != nil {
-		return nil, fmt.Errorf("shard: netlist does not round-trip: %w", err)
-	}
-	rc = artifact.Default.Intern(rc)
-	remote := artifact.Default.SimPlanFor(rc, model)
-
-	local := plan.Faults()
-	byName := make(map[string]int, len(local))
-	for i := range local {
-		name := local[i].Name(c)
-		if _, dup := byName[name]; dup {
-			return nil, fmt.Errorf("shard: duplicate fault name %q", name)
-		}
-		byName[name] = i
-	}
-	rem := remote.Faults()
-	if len(rem) != len(local) {
-		return nil, fmt.Errorf("shard: round-trip changed fault count: %d != %d", len(rem), len(local))
-	}
-	perm := make([]int, len(rem))
-	for j := range rem {
-		i, ok := byName[rem[j].Name(rc)]
-		if !ok {
-			return nil, fmt.Errorf("shard: fault %q missing after round-trip", rem[j].Name(rc))
-		}
-		perm[j] = i
-	}
-
-	prefix := make([]int, remote.NumGroups()+1)
-	for j := range rem {
-		prefix[remote.GroupOf(j)+1]++
-	}
-	for g := 1; g < len(prefix); g++ {
-		prefix[g] += prefix[g-1]
-	}
-	return &Task{
-		Name:        c.Name,
-		Netlist:     src,
-		Digest:      digest(c.Name, src),
-		Model:       model,
-		Plan:        plan,
-		Remote:      remote,
-		Seed:        seed,
-		perm:        perm,
-		groupPrefix: prefix,
-	}, nil
-}
-
-// wireModel is the value Requests carry for the task's model: empty
-// for stuck-at, keeping pre-model request bytes unchanged.
-func (t *Task) wireModel() string {
-	if t.Model == fault.ModelStuckAt {
-		return ""
-	}
-	return string(t.Model)
-}
-
-// faultsIn returns the number of faults in Remote groups [lo, hi).
-func (t *Task) faultsIn(lo, hi int) int {
-	return t.groupPrefix[hi] - t.groupPrefix[lo]
 }

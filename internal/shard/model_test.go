@@ -2,31 +2,12 @@ package shard
 
 import (
 	"context"
+	"sync"
 	"testing"
 
 	"protest/internal/circuits"
 	"protest/internal/fault"
-	"protest/internal/faultsim"
 )
-
-// newModelTask builds a Task over a non-stuck-at universe of one
-// registry circuit, or nil when the universe is empty there.
-func newModelTask(t *testing.T, name string, model fault.Model) *Task {
-	t.Helper()
-	c, ok := circuits.Lookup(name)
-	if !ok {
-		t.Fatalf("unknown circuit %q", name)
-	}
-	faults := model.Faults(c)
-	if len(faults) == 0 {
-		return nil
-	}
-	task, err := NewModelTask(faultsim.NewPlan(c, faults), model, testSeed)
-	if err != nil {
-		t.Fatalf("NewModelTask(%s, %s): %v", name, model, err)
-	}
-	return task
-}
 
 // TestShardedModelMatchesSerial extends the core exactness contract to
 // the bridging and transition universes: the merged distributed
@@ -41,17 +22,17 @@ func TestShardedModelMatchesSerial(t *testing.T) {
 	for _, model := range []fault.Model{fault.ModelBridging, fault.ModelTransition} {
 		for _, name := range circuits.Names() {
 			t.Run(string(model)+"/"+name, func(t *testing.T) {
-				task := newModelTask(t, name, model)
-				if task == nil {
+				run, ok := newModelRun(t, name, model)
+				if !ok {
 					t.Skipf("%s has no %s faults", name, model)
 				}
 				for _, n := range []int{257, 64, 2048} {
-					want := serialDetect(t, task, nil, n)
+					want := serialDetect(t, run, nil, n)
 					for _, workers := range []int{1, 3} {
 						if workers > 1 && n == 2048 {
 							continue // one pool covers the whole-chunk shards
 						}
-						got, err := localPool(t, workers, nil).MeasureDetection(context.Background(), task, nil, n, 0, nil)
+						got, err := run.detect(localPool(t, workers, nil), nil, n, 0)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -68,31 +49,40 @@ func TestShardedModelMatchesSerial(t *testing.T) {
 func TestShardedModelCurveMatchesSerial(t *testing.T) {
 	cps := []int{10, 100, 257}
 	for _, model := range []fault.Model{fault.ModelBridging, fault.ModelTransition} {
-		task := newModelTask(t, "alu", model)
-		if task == nil {
+		run, ok := newModelRun(t, "alu", model)
+		if !ok {
 			t.Fatalf("alu must have %s faults", model)
 		}
 		p := localPool(t, 3, nil)
-		got, err := p.CoverageCurve(context.Background(), task, nil, cps, 0, nil)
+		got, err := run.curve(p, nil, cps, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameCurve(t, string(model), got, serialCurve(t, task, nil, cps))
+		sameCurve(t, string(model), got, serialCurve(t, run, nil, cps))
 	}
 }
 
-// TestModelTaskWireFormat pins the backward-compatible wire contract:
-// a stuck-at Task serializes the empty fault model (so pre-model
-// coordinators and workers interoperate), non-stuck-at Tasks name
-// theirs, and the executor rejects a request naming an unknown model.
-func TestModelTaskWireFormat(t *testing.T) {
-	stuck := newTestTask(t, "c17")
-	if got := stuck.wireModel(); got != "" {
-		t.Errorf("stuck-at wire model = %q, want empty", got)
-	}
-	bridge := newModelTask(t, "c17", fault.ModelBridging)
-	if got := bridge.wireModel(); got != "bridging" {
-		t.Errorf("bridging wire model = %q", got)
+// TestModelWireFormat: every request names the run's fault model, from
+// which workers derive the coordinator's universe, and the executor
+// rejects a request naming an unknown model.
+func TestModelWireFormat(t *testing.T) {
+	for _, model := range []fault.Model{fault.ModelStuckAt, fault.ModelBridging} {
+		var mu sync.Mutex
+		seen := map[string]int{}
+		p := localPool(t, 2, func(cfg *Config) {
+			cfg.Transport = &corruptTransport{inner: &LocalTransport{Exec: NewExecutor()}, mutate: func(req *Request, _ *Response) {
+				mu.Lock()
+				seen[req.FaultModel]++
+				mu.Unlock()
+			}}
+		})
+		run, _ := newModelRun(t, "c17", model)
+		if _, err := run.detect(p, nil, 128, 0); err != nil {
+			t.Fatal(err)
+		}
+		if len(seen) != 1 || seen[string(model)] == 0 {
+			t.Errorf("%s run sent fault models %v", model, seen)
+		}
 	}
 
 	exec := NewExecutor()

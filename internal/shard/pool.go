@@ -10,7 +10,10 @@ import (
 	"sync/atomic"
 	"time"
 
+	"protest/internal/circuit"
+	"protest/internal/fault"
 	"protest/internal/faultsim"
+	"protest/internal/netlist"
 	"protest/internal/pattern"
 	"protest/internal/widesim"
 )
@@ -320,14 +323,45 @@ func planShards(numGroups, numBlocks, chunk, target, maxShards int) []span {
 	return out
 }
 
+// wire is a circuit's form on the shard wire: the netlist workers
+// decode and the digest requests name it by.  err is set when the
+// circuit has none.
+type wire struct {
+	netlist, digest string
+	err             error
+}
+
+// wireKey keys the wire form among a circuit's derived values.
+type wireKey struct{}
+
+// wireOf returns the circuit's wire form, rendered once per circuit and
+// shared by every fault model's runs.  Workers merge by the
+// coordinator's fault index, so the form exists only when the
+// rendering decodes to exactly c.
+func wireOf(c *circuit.Circuit) *wire {
+	return c.Derived(wireKey{}, func() any {
+		src, err := netlist.String(c)
+		if err == nil {
+			var d *circuit.Circuit
+			if d, err = netlist.Decode(src, c.Name); err == nil && !circuit.Equal(d, c) {
+				err = errors.New("netlist: rendering does not decode to the circuit")
+			}
+		}
+		if err != nil {
+			return &wire{err: err}
+		}
+		return &wire{netlist: src, digest: Digest(c.Name, src)}
+	}).(*wire)
+}
+
 // attempt runs one remote attempt of a shard against primary, hedging
 // onto a second worker when the primary stalls past HedgeAfter.  The
 // first valid response wins; a late duplicate lands in the buffered
 // channel and is discarded, so the merge sees each shard exactly once,
 // and a loser cancelled mid-flight never poisons its worker's health.
-// A response that fails Response.check against the run's blocks is a
-// failed attempt.
-func (p *Pool) attempt(ctx context.Context, primary *worker, t *Task, blocks []faultsim.BlockSpan, req *Request) (*Response, error) {
+// A response that fails Response.check against the run's blocks and
+// the shard's want faults is a failed attempt.
+func (p *Pool) attempt(ctx context.Context, primary *worker, src string, blocks []faultsim.BlockSpan, req *Request, want int) (*Response, error) {
 	actx, cancel := context.WithTimeout(ctx, p.cfg.ShardTimeout)
 	defer cancel()
 
@@ -339,7 +373,7 @@ func (p *Pool) attempt(ctx context.Context, primary *worker, t *Task, blocks []f
 	ch := make(chan result, 2)
 	launch := func(w *worker) {
 		go func() {
-			resp, err := p.send(actx, w, t, req)
+			resp, err := p.send(actx, w, src, req)
 			ch <- result{resp, err, w}
 		}()
 	}
@@ -353,7 +387,6 @@ func (p *Pool) attempt(ctx context.Context, primary *worker, t *Task, blocks []f
 		hedgeC = tm.C
 	}
 
-	want := t.faultsIn(req.GroupLo, req.GroupHi)
 	var firstErr error
 	for {
 		select {
@@ -390,16 +423,16 @@ func (p *Pool) attempt(ctx context.Context, primary *worker, t *Task, blocks []f
 
 // send runs req on w.  A worker that does not hold the request's
 // circuit (it never received it, restarted, or evicted it) gets the
-// shard once more with the netlist, under the same deadline, so a miss
-// costs one round trip and never a retry.
-func (p *Pool) send(ctx context.Context, w *worker, t *Task, req *Request) (*Response, error) {
+// shard once more with the netlist src, under the same deadline, so a
+// miss costs one round trip and never a retry.
+func (p *Pool) send(ctx context.Context, w *worker, src string, req *Request) (*Response, error) {
 	resp, err := p.tr.Do(ctx, w.addr, req)
 	if !errors.Is(err, ErrUnknownCircuit) {
 		return resp, err
 	}
 	p.circuitMisses.Add(1)
 	full := *req
-	full.Netlist = t.Netlist
+	full.Netlist = src
 	return p.tr.Do(ctx, w.addr, &full)
 }
 
@@ -407,7 +440,7 @@ func (p *Pool) send(ctx context.Context, w *worker, t *Task, req *Request) (*Res
 // healthy workers with backoff between them, and when every remote
 // avenue is exhausted (attempts spent, or no healthy worker left),
 // execute the shard locally — the result is bit-identical either way.
-func (p *Pool) runShardRemote(ctx context.Context, t *Task, blocks []faultsim.BlockSpan, si int, req *Request) (*Response, error) {
+func (p *Pool) runShardRemote(ctx context.Context, plan *faultsim.Plan, src string, blocks []faultsim.BlockSpan, si int, req *Request, want int) (*Response, error) {
 	for attempt := 0; attempt < p.cfg.MaxAttempts; attempt++ {
 		w := p.pickWorker(si + attempt)
 		if w == nil {
@@ -417,7 +450,7 @@ func (p *Pool) runShardRemote(ctx context.Context, t *Task, blocks []faultsim.Bl
 			p.retriesTotal.Add(1)
 			w.retries.Add(1)
 		}
-		resp, err := p.attempt(ctx, w, t, blocks, req)
+		resp, err := p.attempt(ctx, w, src, blocks, req, want)
 		if err == nil {
 			return resp, nil
 		}
@@ -431,14 +464,32 @@ func (p *Pool) runShardRemote(ctx context.Context, t *Task, blocks []faultsim.Bl
 		}
 	}
 	p.localFallbacks.Add(1)
-	return runShard(ctx, t.Remote, req)
+	return runShard(ctx, plan, req)
+}
+
+// start opens a measurement of numBlocks blocks over circuit c.  It
+// returns c's wire form and the number of healthy workers to shard
+// the run across, or 0 when the run must execute locally: no healthy
+// worker, no blocks, or a circuit without a wire form.
+func (p *Pool) start(c *circuit.Circuit, numBlocks int) (*wire, int) {
+	p.runs.Add(1)
+	healthy := p.healthy()
+	if healthy == 0 {
+		p.degradedRuns.Add(1)
+	}
+	w := wireOf(c)
+	if numBlocks == 0 || w.err != nil {
+		return w, 0
+	}
+	return w, healthy
 }
 
 // dispatch cuts a run of blocks into shards, fans them out
-// concurrently and collects the responses in shard order.  progress
+// concurrently and collects the responses in shard order.  src is the
+// netlist sent to workers that miss the circuit's digest; progress
 // receives (completed shards, total shards).
-func (p *Pool) dispatch(ctx context.Context, t *Task, base Request, blocks []faultsim.BlockSpan, healthy int, progress faultsim.Progress) ([]span, []*Response, error) {
-	shards := planShards(t.Remote.NumGroups(), len(blocks), faultsim.ChunkBlocks(base.SimWidth), healthy*p.cfg.ShardsPerWorker, p.cfg.MaxShards)
+func (p *Pool) dispatch(ctx context.Context, plan *faultsim.Plan, src string, base Request, blocks []faultsim.BlockSpan, healthy int, progress faultsim.Progress) ([]span, []*Response, error) {
+	shards := planShards(plan.NumGroups(), len(blocks), faultsim.ChunkBlocks(base.SimWidth), healthy*p.cfg.ShardsPerWorker, p.cfg.MaxShards)
 	resps := make([]*Response, len(shards))
 	errs := make([]error, len(shards))
 	var done atomic.Int64
@@ -450,7 +501,7 @@ func (p *Pool) dispatch(ctx context.Context, t *Task, base Request, blocks []fau
 			req := base
 			sp := shards[si]
 			req.GroupLo, req.GroupHi, req.BlockLo, req.BlockHi = sp.gLo, sp.gHi, sp.bLo, sp.bHi
-			resps[si], errs[si] = p.runShardRemote(ctx, t, blocks, si, &req)
+			resps[si], errs[si] = p.runShardRemote(ctx, plan, src, blocks, si, &req, faultsIn(plan, sp.gLo, sp.gHi))
 			if progress != nil {
 				progress(int(done.Add(1)), len(shards))
 			}
@@ -465,25 +516,39 @@ func (p *Pool) dispatch(ctx context.Context, t *Task, base Request, blocks []fau
 	return shards, resps, nil
 }
 
+// faultsIn returns the number of the plan's faults in FFR groups
+// [lo, hi): the length of a shard's response vectors, which list those
+// faults in ascending plan order.
+func faultsIn(plan *faultsim.Plan, lo, hi int) int {
+	n := 0
+	for i := range plan.Faults() {
+		if g := plan.GroupOf(i); g >= lo && g < hi {
+			n++
+		}
+	}
+	return n
+}
+
 // MeasureDetection runs the P_SIM measurement (detection counts over
-// numPatterns patterns) sharded across the pool's workers, returning a
-// Result bit-identical to the serial in-process engine.  width is the
-// run's simulation width (faultsim.Options.Width), which the shards and
-// any local execution use.  With zero healthy workers it degrades to a
-// local serial run.
-func (p *Pool) MeasureDetection(ctx context.Context, t *Task, probs []float64, numPatterns, width int, progress faultsim.Progress) (*faultsim.Result, error) {
+// numPatterns patterns of the seed's stream, weighted by probs when
+// non-nil) of a plan over model's universe sharded across the pool's
+// workers, returning a Result bit-identical to the serial in-process
+// engine.  The plan must enumerate model's universe of its circuit
+// (normalized, as artifact.Store.SimPlanFor builds it): workers derive
+// their plan from the circuit and model, and the merge adds their
+// counts by fault index.  width is the run's simulation width
+// (faultsim.Options.Width), which the shards and any local execution
+// use.  With zero healthy workers, or for a circuit without a wire
+// form, it runs locally.
+func (p *Pool) MeasureDetection(ctx context.Context, plan *faultsim.Plan, model fault.Model, seed uint64, probs []float64, numPatterns, width int, progress faultsim.Progress) (*faultsim.Result, error) {
 	if err := widesim.CheckWidth(width); err != nil {
 		return nil, fmt.Errorf("shard: %w", err)
 	}
-	p.runs.Add(1)
-	plan := t.Plan
+	c := plan.Circuit()
 	blocks := faultsim.DetectBlocks(numPatterns)
-	healthy := p.healthy()
-	if healthy == 0 || len(blocks) == 0 {
-		if healthy == 0 {
-			p.degradedRuns.Add(1)
-		}
-		gen, err := newGenerator(len(plan.Circuit().Inputs), probs, t.Seed)
+	w, healthy := p.start(c, len(blocks))
+	if healthy == 0 {
+		gen, err := newGenerator(len(c.Inputs), probs, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -491,27 +556,23 @@ func (p *Pool) MeasureDetection(ctx context.Context, t *Task, probs []float64, n
 	}
 
 	base := Request{
-		Name: t.Name, Digest: t.Digest, FaultModel: t.wireModel(),
-		Seed: t.Seed, Probs: probs,
+		Name: c.Name, Digest: w.digest, FaultModel: string(model), Seed: seed, Probs: probs,
 		Kind: KindDetect, NumPatterns: numPatterns, SimWidth: width,
 	}
-	shards, resps, err := p.dispatch(ctx, t, base, blocks, healthy, progress)
-	if err != nil {
-		return nil, err
-	}
-
-	// Responses are in the remote plan's fault order; t.perm routes each
-	// count to its fault in the native plan.
 	res := &faultsim.Result{
 		Faults:   plan.Faults(),
 		Detected: make([]int, len(plan.Faults())),
 		Applied:  numPatterns,
 	}
+	shards, resps, err := p.dispatch(ctx, plan, w.netlist, base, blocks, healthy, progress)
+	if err != nil {
+		return nil, err
+	}
 	for si, sp := range shards {
 		k := 0
-		for j := range t.perm {
-			if g := t.Remote.GroupOf(j); g >= sp.gLo && g < sp.gHi {
-				res.Detected[t.perm[j]] += resps[si].Counts[k]
+		for i := range res.Detected {
+			if g := plan.GroupOf(i); g >= sp.gLo && g < sp.gHi {
+				res.Detected[i] += resps[si].Counts[k]
 				k++
 			}
 		}
@@ -522,21 +583,17 @@ func (p *Pool) MeasureDetection(ctx context.Context, t *Task, probs []float64, n
 // CoverageCurve runs the fault-dropping coverage measurement sharded
 // across the pool's workers: each fault's first-detection position is
 // min-merged over shards, and the curve computed from the merged
-// positions is bit-identical to the serial engine's.  width is used as
-// in MeasureDetection.
-func (p *Pool) CoverageCurve(ctx context.Context, t *Task, probs []float64, checkpoints []int, width int, progress faultsim.Progress) ([]faultsim.CoveragePoint, error) {
+// positions is bit-identical to the serial engine's.  The arguments
+// and the local cases are those of MeasureDetection.
+func (p *Pool) CoverageCurve(ctx context.Context, plan *faultsim.Plan, model fault.Model, seed uint64, probs []float64, checkpoints []int, width int, progress faultsim.Progress) ([]faultsim.CoveragePoint, error) {
 	if err := widesim.CheckWidth(width); err != nil {
 		return nil, fmt.Errorf("shard: %w", err)
 	}
-	p.runs.Add(1)
-	plan := t.Plan
+	c := plan.Circuit()
 	blocks := faultsim.CurveBlocks(checkpoints)
-	healthy := p.healthy()
-	if healthy == 0 || len(blocks) == 0 {
-		if healthy == 0 {
-			p.degradedRuns.Add(1)
-		}
-		gen, err := newGenerator(len(plan.Circuit().Inputs), probs, t.Seed)
+	w, healthy := p.start(c, len(blocks))
+	if healthy == 0 {
+		gen, err := newGenerator(len(c.Inputs), probs, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -544,27 +601,22 @@ func (p *Pool) CoverageCurve(ctx context.Context, t *Task, probs []float64, chec
 	}
 
 	base := Request{
-		Name: t.Name, Digest: t.Digest, FaultModel: t.wireModel(),
-		Seed: t.Seed, Probs: probs,
+		Name: c.Name, Digest: w.digest, FaultModel: string(model), Seed: seed, Probs: probs,
 		Kind: KindCurve, Checkpoints: checkpoints, SimWidth: width,
 	}
-	shards, resps, err := p.dispatch(ctx, t, base, blocks, healthy, progress)
-	if err != nil {
-		return nil, err
-	}
-
-	// First-detection positions arrive in remote fault order; min-merge
-	// them through t.perm into native order.
 	total := len(plan.Faults())
 	first := make([]int, total)
 	for i := range first {
 		first[i] = -1
 	}
+	shards, resps, err := p.dispatch(ctx, plan, w.netlist, base, blocks, healthy, progress)
+	if err != nil {
+		return nil, err
+	}
 	for si, sp := range shards {
 		k := 0
-		for j := range t.perm {
-			if g := t.Remote.GroupOf(j); g >= sp.gLo && g < sp.gHi {
-				i := t.perm[j]
+		for i := range first {
+			if g := plan.GroupOf(i); g >= sp.gLo && g < sp.gHi {
 				if f := resps[si].First[k]; f >= 0 && (first[i] < 0 || f < first[i]) {
 					first[i] = f
 				}

@@ -20,10 +20,16 @@
 //     per-block valid masks derive from faultsim.DetectBlocks /
 //     CurveBlocks on both sides.
 //
-// Workers reconstruct the coordinator's exact fault universe from the
-// circuit netlist alone: fault collapse and FFR partitioning are
-// deterministic functions of the circuit, so fault order, group
-// numbering and block schedule agree without negotiation.
+// Workers reconstruct the coordinator's exact circuit from its netlist:
+// netlist.Write renders nodes in node-ID order and netlist.Decode
+// numbers them in statement order, so the worker's circuit is
+// circuit.Equal to the coordinator's.  Fault enumeration and FFR
+// partitioning are deterministic functions of the circuit, so fault
+// order, group numbering and block schedule agree without negotiation,
+// and responses merge by the coordinator's own fault index.  A circuit
+// whose rendering does not decode to exactly it (a truth-table gate, a
+// node name the syntax cannot carry) has no wire form, and its runs
+// stay local.
 //
 // # Cost
 //
@@ -39,7 +45,9 @@
 // evicted) that digest answers ErrUnknownCircuit, whereupon the
 // coordinator resends the shard once with the netlist.  Workers verify
 // the digest of every netlist they receive, so a circuit cached under a
-// digest is the one that digest names.
+// digest is the one that digest names.  Every digest starts with the
+// wire version, and workers reject requests without it, so peers that
+// number shards differently never merge each other's responses.
 //
 // # Robustness
 //
@@ -94,14 +102,14 @@ const (
 // and BlockLo/Hi select this shard's rectangle of the (FFR group ×
 // pattern block) grid.  Both halves are half-open ranges.
 type Request struct {
-	// Name and Netlist identify the circuit; the worker reconstructs
-	// fault list, FFR partition and simulation plan from them.  Digest
-	// is the content address of the pair (see digest): a worker that
-	// holds it needs no Netlist, so a Pool sends the netlist only after
-	// the worker answered ErrUnknownCircuit.  A worker rejects a netlist
-	// that does not match a Digest sent with it; a request without a
-	// Digest (from a coordinator predating digests) must carry the
-	// netlist.
+	// Name and Netlist identify the circuit; the worker decodes the
+	// netlist and derives fault list, FFR partition and simulation plan
+	// from it.  Digest is the content address of the pair (see Digest)
+	// and every request carries one: a worker that holds it needs no
+	// Netlist, so a Pool sends the netlist only after the worker
+	// answered ErrUnknownCircuit.  A worker rejects a request without a
+	// digest of its wire version, and a netlist that does not match
+	// its digest.
 	Name    string `json:"name"`
 	Digest  string `json:"digest,omitempty"`
 	Netlist string `json:"netlist,omitempty"`
@@ -112,11 +120,8 @@ type Request struct {
 	Probs []float64 `json:"probs,omitempty"`
 
 	// FaultModel names the fault universe of the run ("stuck-at",
-	// "bridging", "transition"); empty means stuck-at, so pre-model
-	// coordinators and workers interoperate unchanged.  The worker
-	// re-derives the universe deterministically from the netlist, and
-	// fault names — which survive the netlist round-trip — stay the
-	// merge key.
+	// "bridging", "transition"; empty means stuck-at).  The worker
+	// re-derives the universe deterministically from the circuit.
 	FaultModel string `json:"fault_model,omitempty"`
 
 	Kind Kind `json:"kind"`
@@ -247,10 +252,16 @@ func (resp *Response) check(req *Request, want int, blocks []faultsim.BlockSpan)
 	return nil
 }
 
-// digest is the content address of a circuit on the wire: the hex
-// SHA-256 of its name and netlist, each prefixed by its length, so no
-// two (name, netlist) pairs share an encoding.
-func digest(name, netlist string) string {
+// wireVersion starts every digest.  It names the wire's circuit
+// encoding, nodes in node-ID order (netlist.Decode), on which the
+// merge by fault index rests.
+const wireVersion = "v2:"
+
+// Digest is the content address of a circuit on the wire: the wire
+// version followed by the hex SHA-256 of its name and netlist, each
+// prefixed by its length, so no two (name, netlist) pairs share an
+// encoding.
+func Digest(name, netlist string) string {
 	h := sha256.New()
 	var n [8]byte
 	for _, s := range []string{name, netlist} {
@@ -258,7 +269,7 @@ func digest(name, netlist string) string {
 		h.Write(n[:])
 		io.WriteString(h, s)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return wireVersion + hex.EncodeToString(h.Sum(nil))
 }
 
 // validate checks a request's shard geometry against the schedule its

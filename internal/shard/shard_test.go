@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/bits"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -20,19 +21,53 @@ import (
 
 const testSeed = 7
 
-// newTestTask builds the Task for one registry circuit.
-func newTestTask(t *testing.T, name string) *Task {
+// testRun is a registry circuit's plan over a fault model's universe,
+// as a Session hands it to the pool.
+type testRun struct {
+	plan  *faultsim.Plan
+	model fault.Model
+}
+
+// newTestRun builds the stuck-at run of one registry circuit.
+func newTestRun(t *testing.T, name string) testRun {
 	t.Helper()
-	c, ok := circuits.Lookup(name)
+	run, ok := newModelRun(t, name, fault.ModelStuckAt)
 	if !ok {
+		t.Fatalf("%s has no faults", name)
+	}
+	return run
+}
+
+// newModelRun builds the run of one registry circuit over a fault
+// model's universe; ok is false when the universe is empty there.
+func newModelRun(t *testing.T, name string, model fault.Model) (run testRun, ok bool) {
+	t.Helper()
+	c, found := circuits.Lookup(name)
+	if !found {
 		t.Fatalf("unknown circuit %q", name)
 	}
-	plan := faultsim.NewPlan(c, fault.Collapse(c))
-	task, err := NewModelTask(plan, fault.ModelStuckAt, testSeed)
-	if err != nil {
-		t.Fatalf("NewModelTask(%s): %v", name, err)
+	faults := model.Faults(c)
+	return testRun{faultsim.NewPlan(c, faults), model}, len(faults) > 0
+}
+
+// detect runs the sharded detection measurement on p.
+func (r testRun) detect(p *Pool, probs []float64, n, width int) (*faultsim.Result, error) {
+	return p.MeasureDetection(context.Background(), r.plan, r.model, testSeed, probs, n, width, nil)
+}
+
+// curve runs the sharded coverage curve on p.
+func (r testRun) curve(p *Pool, probs []float64, cps []int, width int) ([]faultsim.CoveragePoint, error) {
+	return p.CoverageCurve(context.Background(), r.plan, r.model, testSeed, probs, cps, width, nil)
+}
+
+// netlist returns the run circuit's wire form: its netlist and digest.
+func (r testRun) netlist(t *testing.T) (src, digest string) {
+	t.Helper()
+	w := wireOf(r.plan.Circuit())
+	if w.err != nil {
+		t.Fatal(w.err)
 	}
-	return task
+	return w.netlist, w.digest
 }
 
 // localPool builds a Pool over the in-process transport with n
@@ -57,26 +92,26 @@ func localPool(t *testing.T, n int, mod func(*Config)) *Pool {
 
 // serialDetect runs the serial in-process engine at width 1, one block
 // at a time: the reference faultsim's own tests pin to the naive oracle.
-func serialDetect(t *testing.T, task *Task, probs []float64, n int) *faultsim.Result {
+func serialDetect(t *testing.T, run testRun, probs []float64, n int) *faultsim.Result {
 	t.Helper()
-	gen, err := newGenerator(len(task.Plan.Circuit().Inputs), probs, task.Seed)
+	gen, err := newGenerator(len(run.plan.Circuit().Inputs), probs, testSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := task.Plan.MeasureDetection(context.Background(), gen, n, faultsim.Options{Width: 1}, nil)
+	res, err := run.plan.MeasureDetection(context.Background(), gen, n, faultsim.Options{Width: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return res
 }
 
-func serialCurve(t *testing.T, task *Task, probs []float64, cps []int) []faultsim.CoveragePoint {
+func serialCurve(t *testing.T, run testRun, probs []float64, cps []int) []faultsim.CoveragePoint {
 	t.Helper()
-	gen, err := newGenerator(len(task.Plan.Circuit().Inputs), probs, task.Seed)
+	gen, err := newGenerator(len(run.plan.Circuit().Inputs), probs, testSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	points, err := task.Plan.CoverageCurve(context.Background(), gen, cps, faultsim.Options{Width: 1}, nil)
+	points, err := run.plan.CoverageCurve(context.Background(), gen, cps, faultsim.Options{Width: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,14 +154,14 @@ func sameCurve(t *testing.T, name string, got, want []faultsim.CoveragePoint) {
 func TestShardedDetectMatchesSerial(t *testing.T) {
 	for _, name := range circuits.Names() {
 		t.Run(name, func(t *testing.T) {
-			task := newTestTask(t, name)
+			run := newTestRun(t, name)
 			p := localPool(t, 3, nil)
 			for _, n := range []int{257, 64} {
-				got, err := p.MeasureDetection(context.Background(), task, nil, n, 0, nil)
+				got, err := run.detect(p, nil, n, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
-				sameDetect(t, name, got, serialDetect(t, task, nil, n))
+				sameDetect(t, name, got, serialDetect(t, run, nil, n))
 			}
 		})
 	}
@@ -136,17 +171,17 @@ func TestShardedDetectMatchesSerial(t *testing.T) {
 // the wire types bit-identically (float64 probabilities survive the
 // Request round-trip exactly).
 func TestShardedDetectWeighted(t *testing.T) {
-	task := newTestTask(t, "alu")
-	probs := make([]float64, len(task.Plan.Circuit().Inputs))
+	run := newTestRun(t, "alu")
+	probs := make([]float64, len(run.plan.Circuit().Inputs))
 	for i := range probs {
 		probs[i] = float64(i%15+1) / 16 // a quantized non-uniform tuple
 	}
 	p := localPool(t, 3, nil)
-	got, err := p.MeasureDetection(context.Background(), task, probs, 320, 0, nil)
+	got, err := run.detect(p, probs, 320, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameDetect(t, "alu/weighted", got, serialDetect(t, task, probs, 320))
+	sameDetect(t, "alu/weighted", got, serialDetect(t, run, probs, 320))
 }
 
 // TestShardedCurveMatchesSerial checks coverage curves — first
@@ -156,13 +191,13 @@ func TestShardedCurveMatchesSerial(t *testing.T) {
 	cps := []int{10, 100, 257}
 	for _, name := range circuits.Names() {
 		t.Run(name, func(t *testing.T) {
-			task := newTestTask(t, name)
+			run := newTestRun(t, name)
 			p := localPool(t, 3, nil)
-			got, err := p.CoverageCurve(context.Background(), task, nil, cps, 0, nil)
+			got, err := run.curve(p, nil, cps, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameCurve(t, name, got, serialCurve(t, task, nil, cps))
+			sameCurve(t, name, got, serialCurve(t, run, nil, cps))
 		})
 	}
 }
@@ -211,16 +246,16 @@ func TestPlanShardsPartition(t *testing.T) {
 // TestEmptyPoolIsPermanentlyDegraded: no workers configured means
 // every run executes locally — same results, degraded flagged.
 func TestEmptyPoolIsPermanentlyDegraded(t *testing.T) {
-	task := newTestTask(t, "c17")
+	run := newTestRun(t, "c17")
 	p := localPool(t, 0, nil)
 	if !p.Degraded() {
 		t.Fatal("empty pool not degraded")
 	}
-	got, err := p.MeasureDetection(context.Background(), task, nil, 200, 0, nil)
+	got, err := run.detect(p, nil, 200, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameDetect(t, "c17/degraded", got, serialDetect(t, task, nil, 200))
+	sameDetect(t, "c17/degraded", got, serialDetect(t, run, nil, 200))
 	st := p.Stats()
 	if st.Runs != 1 || st.DegradedRuns != 1 {
 		t.Fatalf("stats = %+v, want runs=1 degraded_runs=1", st)
@@ -282,7 +317,7 @@ func TestCorruptResponseRejected(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			task := newTestTask(t, "c17")
+			run := newTestRun(t, "c17")
 			p := localPool(t, 2, func(cfg *Config) {
 				cfg.Transport = &corruptTransport{inner: &LocalTransport{Exec: NewExecutor()}, mutate: tc.mutate}
 				cfg.MaxAttempts = 2
@@ -291,17 +326,17 @@ func TestCorruptResponseRejected(t *testing.T) {
 				cfg.HedgeAfter = -1
 			})
 			if tc.curve {
-				got, err := p.CoverageCurve(context.Background(), task, nil, cps, 1, nil)
+				got, err := run.curve(p, nil, cps, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
-				sameCurve(t, "c17/corrupt", got, serialCurve(t, task, nil, cps))
+				sameCurve(t, "c17/corrupt", got, serialCurve(t, run, nil, cps))
 			} else {
-				got, err := p.MeasureDetection(context.Background(), task, nil, n, 0, nil)
+				got, err := run.detect(p, nil, n, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
-				sameDetect(t, "c17/corrupt", got, serialDetect(t, task, nil, n))
+				sameDetect(t, "c17/corrupt", got, serialDetect(t, run, nil, n))
 			}
 			st := p.Stats()
 			if st.LocalFallbacks == 0 {
@@ -354,13 +389,13 @@ func TestShardedWideMatchesSerial(t *testing.T) {
 	cps := []int{10, 100, 257, 1088}
 	for _, name := range circuits.Names() {
 		t.Run(name, func(t *testing.T) {
-			task := newTestTask(t, name)
+			run := newTestRun(t, name)
 			p := localPool(t, 1, nil)
-			wantCurve := serialCurve(t, task, nil, cps)
+			wantCurve := serialCurve(t, run, nil, cps)
 			for _, n := range []int{257, 1088, 2048} {
-				wantDet := serialDetect(t, task, nil, n)
+				wantDet := serialDetect(t, run, nil, n)
 				for _, w := range []int{0, 1, 4, 8} {
-					got, err := p.MeasureDetection(context.Background(), task, nil, n, w, nil)
+					got, err := run.detect(p, nil, n, w)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -368,7 +403,7 @@ func TestShardedWideMatchesSerial(t *testing.T) {
 					if n != 257 {
 						continue
 					}
-					curve, err := p.CoverageCurve(context.Background(), task, nil, cps, w, nil)
+					curve, err := run.curve(p, nil, cps, w)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -488,16 +523,16 @@ func tableCircuit(t *testing.T) *circuit.Circuit {
 // TestDegradedWideMatchesSerial checks the zero-worker fallback honours
 // the run's width and still reproduces the serial result exactly.
 func TestDegradedWideMatchesSerial(t *testing.T) {
-	task := newTestTask(t, "alu")
+	run := newTestRun(t, "alu")
 	p := localPool(t, 0, nil)
 	if !p.Degraded() {
 		t.Fatal("empty pool should be degraded")
 	}
-	got, err := p.MeasureDetection(context.Background(), task, nil, 300, 8, nil)
+	got, err := run.detect(p, nil, 300, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameDetect(t, "alu/degraded-wide", got, serialDetect(t, task, nil, 300))
+	sameDetect(t, "alu/degraded-wide", got, serialDetect(t, run, nil, 300))
 }
 
 // TestShardWidthValidation checks unsupported widths are rejected at
@@ -505,21 +540,20 @@ func TestDegradedWideMatchesSerial(t *testing.T) {
 // before any shard is sent: a worker rejecting them would count as
 // failing and could be ejected.
 func TestShardWidthValidation(t *testing.T) {
-	task := newTestTask(t, "c17")
+	run := newTestRun(t, "c17")
 	req := &Request{
-		Name: task.Name, Netlist: task.Netlist, Seed: task.Seed,
-		Kind: KindDetect, NumPatterns: 128,
-		GroupLo: 0, GroupHi: task.Remote.NumGroups(), BlockLo: 0, BlockHi: 2,
+		Seed: testSeed, Kind: KindDetect, NumPatterns: 128,
+		GroupLo: 0, GroupHi: run.plan.NumGroups(), BlockLo: 0, BlockHi: 2,
 		SimWidth: 3,
 	}
-	if _, err := runShard(context.Background(), task.Remote, req); err == nil {
+	if _, err := runShard(context.Background(), run.plan, req); err == nil {
 		t.Fatal("SimWidth 3 should be rejected")
 	}
 	p := localPool(t, 1, nil)
-	if _, err := p.MeasureDetection(context.Background(), task, nil, 128, 3, nil); err == nil {
+	if _, err := run.detect(p, nil, 128, 3); err == nil {
 		t.Fatal("the pool accepted width 3 for detection")
 	}
-	if _, err := p.CoverageCurve(context.Background(), task, nil, []int{128}, 3, nil); err == nil {
+	if _, err := run.curve(p, nil, []int{128}, 3); err == nil {
 		t.Fatal("the pool accepted width 3 for a curve")
 	}
 	if st := p.Stats(); st.Runs != 0 || st.Workers[0].Failures != 0 {
@@ -532,19 +566,22 @@ func TestShardWidthValidation(t *testing.T) {
 var errRejected = errors.New("rejected")
 
 // TestExecutorDigests pins the worker side of content addressing: a
-// digest resolves only after a netlist verified against it, and a
-// digest-only request then returns exactly what the netlist did.
+// digest resolves only after a netlist verified against it, a
+// digest-only request then returns exactly what the netlist did, and
+// a request without a digest of this wire version is rejected.
 func TestExecutorDigests(t *testing.T) {
-	task := newTestTask(t, "c17")
+	run := newTestRun(t, "c17")
+	src, d := run.netlist(t)
 	shardReq := func(d, netlist string) *Request {
-		return &Request{Name: task.Name, Digest: d, Netlist: netlist, Seed: task.Seed,
-			Kind: KindDetect, NumPatterns: 128, GroupHi: task.Remote.NumGroups(), BlockHi: 2}
+		return &Request{Name: "c17", Digest: d, Netlist: netlist, Seed: testSeed,
+			Kind: KindDetect, NumPatterns: 128, GroupHi: run.plan.NumGroups(), BlockHi: 2}
 	}
-	want, err := runShard(context.Background(), task.Remote, shardReq("", ""))
+	want, err := runShard(context.Background(), run.plan, shardReq("", ""))
 	if err != nil {
 		t.Fatal(err)
 	}
-	other := newTestTask(t, "add8").Digest
+	_, other := newTestRun(t, "add8").netlist(t)
+	untagged := strings.TrimPrefix(d, wireVersion)
 	type step struct {
 		req *Request
 		err error // nil: the response equals want
@@ -554,21 +591,26 @@ func TestExecutorDigests(t *testing.T) {
 		steps []step
 	}{
 		{"digest to a cold executor", []step{
-			{shardReq(task.Digest, ""), ErrUnknownCircuit},
+			{shardReq(d, ""), ErrUnknownCircuit},
 		}},
 		{"netlist then digest", []step{
-			{shardReq(task.Digest, task.Netlist), nil},
-			{shardReq(task.Digest, ""), nil},
-			{shardReq(task.Digest, ""), nil},
+			{shardReq(d, src), nil},
+			{shardReq(d, ""), nil},
+			{shardReq(d, ""), nil},
 		}},
 		{"wrong digest is rejected and not cached", []step{
-			{shardReq(other, task.Netlist), errRejected},
+			{shardReq(other, src), errRejected},
 			{shardReq(other, ""), ErrUnknownCircuit},
-			{shardReq(task.Digest, ""), ErrUnknownCircuit},
+			{shardReq(d, ""), ErrUnknownCircuit},
 		}},
 		{"netlist without digest", []step{
-			{shardReq("", task.Netlist), nil},
-			{shardReq(task.Digest, ""), nil},
+			{shardReq("", src), errRejected},
+			{shardReq(d, ""), ErrUnknownCircuit},
+		}},
+		{"digest without the wire version", []step{
+			{shardReq(untagged, src), errRejected},
+			{shardReq(d, src), nil},
+			{shardReq(untagged, ""), errRejected},
 		}},
 		{"neither netlist nor digest", []step{
 			{shardReq("", ""), errRejected},
@@ -596,15 +638,16 @@ func TestExecutorDigests(t *testing.T) {
 // TestExecutorBoundsCircuits: the executor holds at most
 // artifact.DefaultCapacity circuits, dropping the least recently used.
 func TestExecutorBoundsCircuits(t *testing.T) {
-	task := newTestTask(t, "c17")
+	run := newTestRun(t, "c17")
+	src, _ := run.netlist(t)
 	e := NewExecutor()
 	req := func(i int, netlist string) *Request {
 		name := fmt.Sprintf("c17-%d", i)
-		return &Request{Name: name, Digest: digest(name, task.Netlist), Netlist: netlist, Seed: task.Seed,
-			Kind: KindDetect, NumPatterns: 64, GroupHi: task.Remote.NumGroups(), BlockHi: 1}
+		return &Request{Name: name, Digest: Digest(name, src), Netlist: netlist, Seed: testSeed,
+			Kind: KindDetect, NumPatterns: 64, GroupHi: run.plan.NumGroups(), BlockHi: 1}
 	}
 	for i := 0; i <= artifact.DefaultCapacity; i++ {
-		if _, err := e.Run(context.Background(), req(i, task.Netlist)); err != nil {
+		if _, err := e.Run(context.Background(), req(i, src)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -616,5 +659,83 @@ func TestExecutorBoundsCircuits(t *testing.T) {
 	}
 	if _, err := e.Run(context.Background(), req(artifact.DefaultCapacity, "")); err != nil {
 		t.Fatalf("most recent circuit dropped: %v", err)
+	}
+}
+
+// editTransport sends every request through edit first.
+type editTransport struct {
+	inner Transport
+	edit  func(req *Request)
+}
+
+func (e *editTransport) Do(ctx context.Context, addr string, req *Request) (*Response, error) {
+	r := *req
+	e.edit(&r)
+	return e.inner.Do(ctx, addr, &r)
+}
+
+func (e *editTransport) Probe(ctx context.Context, addr string) error { return nil }
+
+// TestOtherWireVersionRunsLocally: workers reject a request whose
+// digest lacks the wire version, or that carries none, as from a
+// coordinator that numbers shards another way.  Every shard then runs
+// locally, and the result is unchanged.
+func TestOtherWireVersionRunsLocally(t *testing.T) {
+	run := newTestRun(t, "alu")
+	want := serialDetect(t, run, nil, 513)
+	for name, edit := range map[string]func(*Request){
+		"untagged digest": func(r *Request) { r.Digest = strings.TrimPrefix(r.Digest, wireVersion) },
+		"no digest":       func(r *Request) { r.Digest = "" },
+	} {
+		p := localPool(t, 2, func(cfg *Config) {
+			cfg.Transport = &editTransport{inner: &LocalTransport{Exec: NewExecutor()}, edit: edit}
+			cfg.MaxAttempts = 2
+			cfg.BackoffBase = time.Millisecond
+			cfg.BackoffMax = 2 * time.Millisecond
+			cfg.HedgeAfter = -1
+		})
+		got, err := run.detect(p, nil, 513, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameDetect(t, name, got, want)
+		if st := p.Stats(); st.Shards != 0 || st.LocalFallbacks == 0 || st.CircuitMisses != 0 {
+			t.Fatalf("%s: %+v, want every shard rejected and run locally", name, st)
+		}
+	}
+}
+
+// TestNoWireFormRunsLocally: a circuit whose rendering does not decode
+// to exactly it (a truth-table gate renders to nothing, and an input
+// named with a leading blank decodes without it) runs locally with
+// healthy workers, sending no shard.
+func TestNoWireFormRunsLocally(t *testing.T) {
+	b := circuit.NewBuilder("blank")
+	x := b.Inputs(" a", "b")
+	b.MarkOutputs(b.And("o", x...), b.Xor("p", x...))
+	blank, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cps := []int{64, 300}
+	for _, c := range []*circuit.Circuit{tableCircuit(t), blank} {
+		if wireOf(c).err == nil {
+			t.Fatalf("%s has a wire form", c.Name)
+		}
+		run := testRun{faultsim.NewPlan(c, fault.Collapse(c)), fault.ModelStuckAt}
+		p := localPool(t, 2, nil)
+		got, err := run.detect(p, nil, 300, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameDetect(t, c.Name, got, serialDetect(t, run, nil, 300))
+		curve, err := run.curve(p, nil, cps, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameCurve(t, c.Name, curve, serialCurve(t, run, nil, cps))
+		if st := p.Stats(); st.Shards != 0 || st.LocalFallbacks != 0 {
+			t.Fatalf("%s: shards were sent: %+v", c.Name, st)
+		}
 	}
 }

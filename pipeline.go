@@ -18,7 +18,9 @@ import (
 // analyzes under uniform patterns, derives the test length for full
 // coverage at 95% confidence, and validates by fault simulation.
 // Non-zero Fraction/Confidence values outside their ranges make Run
-// fail rather than being silently replaced.
+// fail rather than being silently replaced.  A Session opened
+// WithShardPool shards the run's fault simulation across the pool;
+// the report is the same either way.
 type PipelineSpec struct {
 	// Fraction is the paper's d: the fraction of easiest faults the
 	// test must cover, in (0,1] (default 1.0).
@@ -71,11 +73,6 @@ type PipelineSpec struct {
 	// this run: FaultModelStuckAt, FaultModelBridging or
 	// FaultModelTransition.  The empty value keeps the Session default.
 	FaultModel FaultModel `json:"fault_model,omitempty"`
-	// NoShard forces this run's fault simulation to execute locally
-	// even when the Session was opened WithShardPool — the escape hatch
-	// for latency-sensitive runs and for A/B-checking the distributed
-	// path (results are bit-identical either way).
-	NoShard bool `json:"no_shard,omitempty"`
 	// Progress, when non-nil, overrides the Session's WithProgress
 	// callback for this run only, receiving the same (phase, fraction)
 	// stream.  It lets several callers share one concurrent Session
@@ -262,25 +259,7 @@ func (s *Session) Run(ctx context.Context, spec PipelineSpec) (*Report, error) {
 	// The overrides apply to every phase of this run only; they travel
 	// in the per-call configuration, so concurrent runs with different
 	// overrides never observe each other.
-	cfg := s.cfg()
-	if spec.Workers != 0 {
-		cfg.workers = spec.Workers
-	}
-	if spec.SimEngine != SimEngineFFR {
-		cfg.engine = spec.SimEngine
-	}
-	if spec.SimWidth != 0 {
-		cfg.width = spec.SimWidth
-	}
-	if spec.Progress != nil {
-		cfg.progress = spec.Progress
-	}
-	if spec.NoShard {
-		cfg.pool = nil
-	}
-	if spec.FaultModel != "" {
-		cfg.model = spec.FaultModel.Normalize()
-	}
+	cfg := s.cfg().with(spec.Workers, spec.SimEngine, spec.SimWidth, spec.FaultModel, spec.Progress)
 	faults := s.modelFaults(cfg.model)
 	if len(faults) == 0 {
 		return nil, fmt.Errorf("pipeline: %s model: %w", cfg.model, ErrNoFaults)

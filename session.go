@@ -90,19 +90,14 @@ type Session struct {
 	// rebuild for this Session.
 	simPlan  atomic.Pointer[faultsim.Plan]
 	bistProg atomic.Pointer[bist.Program]
-
-	// shardTask pins the distributable form of the circuit (rendered
-	// netlist + shard geometry) once a sharded measurement has run.
-	shardTask atomic.Pointer[shard.Task]
 }
 
 // modelArtifacts is one non-default fault model's lazily pinned
 // artifact bundle, mirroring the Session's default-model fields.
 type modelArtifacts struct {
-	faults    []Fault
-	simPlan   atomic.Pointer[faultsim.Plan]
-	bistProg  atomic.Pointer[bist.Program]
-	shardTask atomic.Pointer[shard.Task]
+	faults   []Fault
+	simPlan  atomic.Pointer[faultsim.Plan]
+	bistProg atomic.Pointer[bist.Program]
 }
 
 // Option configures a Session at Open time.  Options are applied in
@@ -188,14 +183,17 @@ func WithFaultModel(m FaultModel) Option {
 }
 
 // WithShardPool distributes the Session's fault simulation and
-// coverage curves across the pool's workers.  Results stay
-// bit-identical to local execution — the shard layer merges exactly —
-// and the pool degrades to local in-process execution when no worker
-// is healthy, so correctness never depends on worker availability.
-// The pool is shared, not owned: many Sessions may use one Pool, and
-// closing it is the caller's job.  The naive oracle engine
-// (SimEngineNaive) always runs locally so it stays an independent
-// cross-check.
+// coverage curves, those of every Run and Validate included, across
+// the pool's workers.  Workers rebuild the
+// Session's circuit node for node from its netlist and merge by the
+// Session's own fault order, so results stay bit-identical to local
+// execution.  The pool degrades to local in-process execution when no
+// worker is healthy, so correctness never depends on worker
+// availability, and a circuit the netlist cannot carry exactly (truth-
+// table gates) always runs locally.  The pool is shared, not owned:
+// many Sessions may use one Pool, and closing it is the caller's job.
+// The naive oracle engine (SimEngineNaive) always runs locally so it
+// stays an independent cross-check.
 func WithShardPool(p *ShardPool) Option {
 	return func(s *Session) { s.pool = p }
 }
@@ -291,9 +289,9 @@ func (s *Session) modelFaults(m FaultModel) []Fault {
 }
 
 // runCfg is the effective per-call configuration: the Session defaults
-// with any per-call overrides (PipelineSpec.Workers / SimEngine /
-// Progress) applied.  Threading it through instead of mutating Session
-// fields is what keeps concurrent calls isolated.
+// with any per-call overrides (runCfg.with) applied.  Threading it
+// through instead of mutating Session fields is what keeps concurrent
+// calls isolated.
 type runCfg struct {
 	workers  int
 	width    int
@@ -305,6 +303,28 @@ type runCfg struct {
 
 func (s *Session) cfg() runCfg {
 	return runCfg{workers: s.workers, width: s.simWidth, engine: s.simEngine, model: s.model, progress: s.progress, pool: s.pool}
+}
+
+// with applies one run's overrides (the PipelineSpec or ValidateSpec
+// fields of the same names): each non-zero value replaces the Session
+// default for this run only.
+func (cfg runCfg) with(workers int, engine SimEngine, width int, model FaultModel, progress func(Phase, float64)) runCfg {
+	if workers != 0 {
+		cfg.workers = workers
+	}
+	if engine != SimEngineFFR {
+		cfg.engine = engine
+	}
+	if width != 0 {
+		cfg.width = width
+	}
+	if model != "" {
+		cfg.model = model.Normalize()
+	}
+	if progress != nil {
+		cfg.progress = progress
+	}
+	return cfg
 }
 
 func (cfg runCfg) emit(ph Phase, frac float64) {
@@ -392,26 +412,6 @@ func (s *Session) ensureSimPlan(m FaultModel) *faultsim.Plan {
 	}
 	slot.CompareAndSwap(nil, s.store.SimPlanFor(s.c, m))
 	return slot.Load()
-}
-
-// ensureShardTask returns the pinned shard task — the distributable
-// form of the circuit under the effective model — building it on first
-// use.  Concurrent cold calls race benignly: every candidate is
-// identical.
-func (s *Session) ensureShardTask(m FaultModel) (*shard.Task, error) {
-	slot := &s.shardTask
-	if m = m.Normalize(); m != s.model {
-		slot = &s.modelArts(m).shardTask
-	}
-	if t := slot.Load(); t != nil {
-		return t, nil
-	}
-	t, err := shard.NewModelTask(s.ensureSimPlan(m), m, s.seed)
-	if err != nil {
-		return nil, err
-	}
-	slot.CompareAndSwap(nil, t)
-	return slot.Load(), nil
 }
 
 // ensureBIST returns the pinned self-test program of the effective
@@ -537,10 +537,7 @@ func (s *Session) simulate(ctx context.Context, probs []float64, numPatterns int
 	} else if cfg.pool != nil {
 		// Sharded across the pool's workers; probs were validated by the
 		// generator above, and the merge is bit-identical to local.
-		var t *shard.Task
-		if t, err = s.ensureShardTask(cfg.model); err == nil {
-			res, err = cfg.pool.MeasureDetection(ctx, t, probs, numPatterns, cfg.width, progress)
-		}
+		res, err = cfg.pool.MeasureDetection(ctx, s.ensureSimPlan(cfg.model), cfg.model, s.seed, probs, numPatterns, cfg.width, progress)
 	} else {
 		res, err = s.ensureSimPlan(cfg.model).MeasureDetection(ctx, gen, numPatterns, cfg.simOptions(), progress)
 	}
@@ -563,10 +560,7 @@ func (s *Session) CoverageCurve(ctx context.Context, probs []float64, checkpoint
 	if cfg.engine == SimEngineNaive {
 		points, err = faultsim.CoverageCurveNaive(ctx, s.c, s.modelFaults(cfg.model), gen, checkpoints, progress)
 	} else if cfg.pool != nil {
-		var t *shard.Task
-		if t, err = s.ensureShardTask(cfg.model); err == nil {
-			points, err = cfg.pool.CoverageCurve(ctx, t, probs, checkpoints, cfg.width, progress)
-		}
+		points, err = cfg.pool.CoverageCurve(ctx, s.ensureSimPlan(cfg.model), cfg.model, s.seed, probs, checkpoints, cfg.width, progress)
 	} else {
 		points, err = s.ensureSimPlan(cfg.model).CoverageCurve(ctx, gen, checkpoints, cfg.simOptions(), progress)
 	}

@@ -63,15 +63,15 @@ type ValidateSpec struct {
 	// InputProbs are the per-input signal probabilities all three
 	// oracles run under; nil means the conventional uniform tuple.
 	InputProbs []float64 `json:"input_probs,omitempty"`
-	// Workers, SimEngine, SimWidth and NoShard override the Session's
-	// execution strategy for this run's Monte-Carlo measurement, with
-	// the same semantics as the PipelineSpec fields of the same names;
-	// results are bit-identical for every setting.  An unknown engine
-	// or an unsupported width fails with ErrBadSpec.
+	// Workers, SimEngine and SimWidth override the Session's execution
+	// strategy for this run's Monte-Carlo measurement, with the same
+	// semantics as the PipelineSpec fields of the same names; results
+	// are bit-identical for every setting.  An unknown engine or an
+	// unsupported width fails with ErrBadSpec.  A Session opened
+	// WithShardPool shards the measurement across the pool's workers.
 	Workers   int       `json:"workers,omitempty"`
 	SimEngine SimEngine `json:"sim_engine,omitempty"`
 	SimWidth  int       `json:"sim_width,omitempty"`
-	NoShard   bool      `json:"no_shard,omitempty"`
 	// FaultModel overrides the Session's fault model for this run, with
 	// PipelineSpec.FaultModel semantics: all three oracles validate the
 	// selected universe.  The empty value keeps the Session default.
@@ -114,28 +114,10 @@ func (s *Session) Validate(ctx context.Context, spec ValidateSpec) (*ValidateRep
 	if err := faultsim.CheckEngine(spec.SimEngine); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadSpec, err)
 	}
-	cfg := s.cfg()
-	if spec.Workers != 0 {
-		cfg.workers = spec.Workers
+	if !spec.FaultModel.Valid() {
+		return nil, fmt.Errorf("validate: %w: %q", ErrBadFaultModel, string(spec.FaultModel))
 	}
-	if spec.SimEngine != SimEngineFFR {
-		cfg.engine = spec.SimEngine
-	}
-	if spec.SimWidth != 0 {
-		cfg.width = spec.SimWidth
-	}
-	if spec.Progress != nil {
-		cfg.progress = spec.Progress
-	}
-	if spec.NoShard {
-		cfg.pool = nil
-	}
-	if spec.FaultModel != "" {
-		if !spec.FaultModel.Valid() {
-			return nil, fmt.Errorf("validate: %w: %q", ErrBadFaultModel, string(spec.FaultModel))
-		}
-		cfg.model = spec.FaultModel.Normalize()
-	}
+	cfg := s.cfg().with(spec.Workers, spec.SimEngine, spec.SimWidth, spec.FaultModel, spec.Progress)
 	faults := s.modelFaults(cfg.model)
 	if len(faults) == 0 {
 		return nil, fmt.Errorf("validate: %s model: %w", cfg.model, ErrNoFaults)
