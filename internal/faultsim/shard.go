@@ -30,7 +30,7 @@ func ChunkBlocks(width int) int { return chunkWidth(width, 8) }
 // mask full except the last, which keeps only the remainder — exactly
 // the masks the serial MeasureDetection loop applies.
 func DetectBlocks(numPatterns int) []BlockSpan {
-	var out []BlockSpan
+	out := make([]BlockSpan, 0, max(0, (numPatterns+63)/64))
 	for applied := 0; applied < numPatterns; applied += 64 {
 		out = append(out, BlockSpan{
 			Mask: blockMask(numPatterns - applied),
@@ -52,7 +52,14 @@ func DetectBlocks(numPatterns int) []BlockSpan {
 func CurveBlocks(checkpoints []int) []BlockSpan {
 	cps := append([]int(nil), checkpoints...)
 	sort.Ints(cps)
-	var out []BlockSpan
+	n, prev := 0, 0
+	for _, cp := range cps {
+		if cp > prev {
+			n += (cp - prev + 63) / 64
+			prev = cp
+		}
+	}
+	out := make([]BlockSpan, 0, n)
 	applied := 0
 	for _, cp := range cps {
 		for applied < cp {

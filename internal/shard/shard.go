@@ -316,7 +316,7 @@ func newGenerator(nInputs int, probs []float64, seed uint64) (*pattern.Generator
 // lies in [lo, hi), in ascending fault order — the order Response
 // slices use.
 func groupFaults(plan *faultsim.Plan, lo, hi int) []int {
-	var idx []int
+	idx := make([]int, 0, faultsIn(plan, lo, hi))
 	for i := range plan.Faults() {
 		if g := plan.GroupOf(i); g >= lo && g < hi {
 			idx = append(idx, i)

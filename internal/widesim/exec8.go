@@ -1,0 +1,153 @@
+package widesim
+
+// exec8 is the evaluation loop of Sim[B8] (see the package comment): it
+// runs the same instruction stream over the same value array as the
+// generic loop, but writes each gate's eight lanes as straight-line
+// code.  Table gates take the generic evalSlow.
+func exec8(s *Sim[B8], code []instr, st *stream) {
+	v := s.values
+	for i := range code {
+		ins := &code[i]
+		d := &v[ins.out()]
+		switch ins.op() {
+		case opBuf:
+			*d = v[ins.a]
+		case opNot:
+			x := &v[ins.a]
+			d[0] = ^x[0]
+			d[1] = ^x[1]
+			d[2] = ^x[2]
+			d[3] = ^x[3]
+			d[4] = ^x[4]
+			d[5] = ^x[5]
+			d[6] = ^x[6]
+			d[7] = ^x[7]
+		case opAnd2:
+			x, y := &v[ins.a], &v[ins.b]
+			d[0] = x[0] & y[0]
+			d[1] = x[1] & y[1]
+			d[2] = x[2] & y[2]
+			d[3] = x[3] & y[3]
+			d[4] = x[4] & y[4]
+			d[5] = x[5] & y[5]
+			d[6] = x[6] & y[6]
+			d[7] = x[7] & y[7]
+		case opNand2:
+			x, y := &v[ins.a], &v[ins.b]
+			d[0] = ^(x[0] & y[0])
+			d[1] = ^(x[1] & y[1])
+			d[2] = ^(x[2] & y[2])
+			d[3] = ^(x[3] & y[3])
+			d[4] = ^(x[4] & y[4])
+			d[5] = ^(x[5] & y[5])
+			d[6] = ^(x[6] & y[6])
+			d[7] = ^(x[7] & y[7])
+		case opOr2:
+			x, y := &v[ins.a], &v[ins.b]
+			d[0] = x[0] | y[0]
+			d[1] = x[1] | y[1]
+			d[2] = x[2] | y[2]
+			d[3] = x[3] | y[3]
+			d[4] = x[4] | y[4]
+			d[5] = x[5] | y[5]
+			d[6] = x[6] | y[6]
+			d[7] = x[7] | y[7]
+		case opNor2:
+			x, y := &v[ins.a], &v[ins.b]
+			d[0] = ^(x[0] | y[0])
+			d[1] = ^(x[1] | y[1])
+			d[2] = ^(x[2] | y[2])
+			d[3] = ^(x[3] | y[3])
+			d[4] = ^(x[4] | y[4])
+			d[5] = ^(x[5] | y[5])
+			d[6] = ^(x[6] | y[6])
+			d[7] = ^(x[7] | y[7])
+		case opXor2:
+			x, y := &v[ins.a], &v[ins.b]
+			d[0] = x[0] ^ y[0]
+			d[1] = x[1] ^ y[1]
+			d[2] = x[2] ^ y[2]
+			d[3] = x[3] ^ y[3]
+			d[4] = x[4] ^ y[4]
+			d[5] = x[5] ^ y[5]
+			d[6] = x[6] ^ y[6]
+			d[7] = x[7] ^ y[7]
+		case opXnor2:
+			x, y := &v[ins.a], &v[ins.b]
+			d[0] = ^(x[0] ^ y[0])
+			d[1] = ^(x[1] ^ y[1])
+			d[2] = ^(x[2] ^ y[2])
+			d[3] = ^(x[3] ^ y[3])
+			d[4] = ^(x[4] ^ y[4])
+			d[5] = ^(x[5] ^ y[5])
+			d[6] = ^(x[6] ^ y[6])
+			d[7] = ^(x[7] ^ y[7])
+		case opConst0:
+			*d = B8{}
+		case opConst1:
+			*d = Ones[B8]()
+		case opAndN, opNandN, opOrN, opNorN, opXorN, opXnorN:
+			nary8(v, st.args[ins.a:ins.a+ins.b], ins.op(), d)
+		default:
+			s.evalSlow(ins, st, d)
+		}
+	}
+}
+
+// nary8 evaluates an n-ary And, Or or Xor gate over pins, complemented
+// for Nand, Nor and Xnor, at W = 8.  The eight lanes accumulate in
+// locals and *d is written once, not once per pin.
+func nary8(v []B8, pins []int32, op opcode, d *B8) {
+	x := &v[pins[0]]
+	a0, a1, a2, a3, a4, a5, a6, a7 := x[0], x[1], x[2], x[3], x[4], x[5], x[6], x[7]
+	switch op {
+	case opAndN, opNandN:
+		for _, f := range pins[1:] {
+			x := &v[f]
+			a0 &= x[0]
+			a1 &= x[1]
+			a2 &= x[2]
+			a3 &= x[3]
+			a4 &= x[4]
+			a5 &= x[5]
+			a6 &= x[6]
+			a7 &= x[7]
+		}
+	case opOrN, opNorN:
+		for _, f := range pins[1:] {
+			x := &v[f]
+			a0 |= x[0]
+			a1 |= x[1]
+			a2 |= x[2]
+			a3 |= x[3]
+			a4 |= x[4]
+			a5 |= x[5]
+			a6 |= x[6]
+			a7 |= x[7]
+		}
+	default:
+		for _, f := range pins[1:] {
+			x := &v[f]
+			a0 ^= x[0]
+			a1 ^= x[1]
+			a2 ^= x[2]
+			a3 ^= x[3]
+			a4 ^= x[4]
+			a5 ^= x[5]
+			a6 ^= x[6]
+			a7 ^= x[7]
+		}
+	}
+	var inv uint64
+	if op == opNandN || op == opNorN || op == opXnorN {
+		inv = ^uint64(0)
+	}
+	d[0] = a0 ^ inv
+	d[1] = a1 ^ inv
+	d[2] = a2 ^ inv
+	d[3] = a3 ^ inv
+	d[4] = a4 ^ inv
+	d[5] = a5 ^ inv
+	d[6] = a6 ^ inv
+	d[7] = a7 ^ inv
+}

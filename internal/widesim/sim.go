@@ -9,8 +9,8 @@ import (
 
 // Sim evaluates a compiled Program over W-lane blocks.  It is the wide
 // counterpart of bitsim.Simulator: one B value per node, structure of
-// arrays (lanes of one node contiguous), evaluated by a single switch-
-// dispatched loop over the instruction stream.
+// arrays (lanes of one node contiguous), evaluated by a switch-
+// dispatched loop over the instruction stream (exec8 at W = 8).
 //
 // Its value array holds the two banks: the good values, written by Run,
 // and the faulty values of one stem flip, written by Propagate.
@@ -83,10 +83,14 @@ func (s *Sim[B]) Propagate(r *Regions, i int) {
 	s.exec(r.code[r.off[i]:r.off[i+1]], &r.stream)
 }
 
-// exec is the one evaluation kernel of every width: it runs code, whose
-// n-ary and table gates refer to st, over the value array, writing each
-// result in place.
+// exec runs code, whose n-ary and table gates refer to st, over the
+// value array, writing each result in place.  W = 8 runs exec8; the
+// other widths run the generic loop below.
 func (s *Sim[B]) exec(code []instr, st *stream) {
+	if s8, ok := any(s).(*Sim[B8]); ok {
+		exec8(s8, code, st)
+		return
+	}
 	v := s.values
 	for i := range code {
 		ins := &code[i]

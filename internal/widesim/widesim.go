@@ -28,9 +28,22 @@
 // array length (each is its own gcshape), where the lane count is a
 // constant and every kernel inlines.  Methods called on a type
 // parameter would instead go through the instantiation's dictionary as
-// indirect calls, one per lane-vector operation.  The evaluation loop
-// uses pointer forms of the kernels that write each gate's result in
-// place.
+// indirect calls, one per lane-vector operation.
+//
+// Two evaluation loops run the compiled streams, chosen once per Run or
+// Propagate from the simulator's width.  W = 1 and W = 4 run the
+// generic loop, whose pointer forms of the kernels write each gate's
+// result in place.  W = 8 runs exec8, a non-generic loop: the compiler
+// does not unroll the kernels' constant-trip loops, and at eight lanes
+// that loop overhead costs as much as the gate arithmetic, so exec8
+// writes the eight lanes of every 0-, 1- and 2-input gate as
+// straight-line code and accumulates an n-ary gate's lanes in locals,
+// storing them once instead of once per pin.  W = 8 carries every full
+// chunk of the fault simulator's default schedule, so it runs nearly
+// all good simulations and stem propagations.  W = 1 has no loop to
+// unroll, and W = 4 runs only when a caller asks for it, so both keep
+// the generic loop; table gates take the generic evalSlow at every
+// width.
 //
 // Lane l of every vector is pattern block l: bit b of lane l is
 // pattern l*64+b of the chunk.  A chunk of W blocks therefore carries

@@ -6,6 +6,7 @@ import (
 	"protest/internal/bitsim"
 	"protest/internal/circuit"
 	"protest/internal/circuits"
+	"protest/internal/logic"
 	"protest/internal/pattern"
 	"protest/internal/widesim"
 )
@@ -68,10 +69,11 @@ func checkWidth[B widesim.Block](t *testing.T, c *circuit.Circuit, seed uint64, 
 
 // TestWideMatchesNarrow pins every width's node values bit-identical to
 // the bitsim oracle on every registry circuit, including the ragged
-// final chunk (blocks not a multiple of W).
+// final chunk (blocks not a multiple of W).  No registry circuit has an
+// n-ary Nand, Xor or Xnor gate, so random circuits with up to 9 pins
+// per gate cover every n-ary opcode at every pin count from 3 to 9.
 func TestWideMatchesNarrow(t *testing.T) {
-	for _, name := range circuits.Names() {
-		c, _ := circuits.Lookup(name)
+	check := func(name string, c *circuit.Circuit) {
 		t.Run(name, func(t *testing.T) {
 			const seed, blocks = 12345, 11 // 11 ≡ 3 mod 8: ragged at both widths
 			want := runNarrow(t, c, seed, blocks)
@@ -79,6 +81,30 @@ func TestWideMatchesNarrow(t *testing.T) {
 			checkWidth[widesim.B4](t, c, seed, want)
 			checkWidth[widesim.B8](t, c, seed, want)
 		})
+	}
+	for _, name := range circuits.Names() {
+		c, _ := circuits.Lookup(name)
+		check(name, c)
+	}
+	nary := map[logic.Op]map[int]bool{}
+	for seed := uint64(1); seed <= 3; seed++ {
+		c := circuits.Random(circuits.RandomOptions{Inputs: 16, Gates: 200, Seed: seed, MaxArity: 9})
+		for _, n := range c.Nodes {
+			if len(n.Fanin) > 2 {
+				if nary[n.Op] == nil {
+					nary[n.Op] = map[int]bool{}
+				}
+				nary[n.Op][len(n.Fanin)] = true
+			}
+		}
+		check(c.Name, c)
+	}
+	for _, op := range []logic.Op{logic.And, logic.Nand, logic.Or, logic.Nor, logic.Xor, logic.Xnor} {
+		for pins := 3; pins <= 9; pins++ {
+			if !nary[op][pins] {
+				t.Errorf("no random circuit has a %d-pin %v gate", pins, op)
+			}
+		}
 	}
 }
 

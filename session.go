@@ -510,7 +510,8 @@ func (s *Session) generator(probs []float64) (*Generator, error) {
 }
 
 // Simulate fault-simulates numPatterns uniform random patterns and
-// counts how many detect each fault (the P_SIM measurement).
+// counts how many detect each fault (the P_SIM measurement).  A
+// numPatterns below 1 fails with ErrBadSpec.
 func (s *Session) Simulate(ctx context.Context, numPatterns int) (*SimResult, error) {
 	return s.SimulateWeighted(ctx, nil, numPatterns)
 }
@@ -518,6 +519,9 @@ func (s *Session) Simulate(ctx context.Context, numPatterns int) (*SimResult, er
 // SimulateWeighted is Simulate with per-input pattern probabilities; a
 // nil probs means uniform.
 func (s *Session) SimulateWeighted(ctx context.Context, probs []float64, numPatterns int) (*SimResult, error) {
+	if numPatterns < 1 {
+		return nil, fmt.Errorf("simulate: %w: %d patterns, want at least 1", ErrBadSpec, numPatterns)
+	}
 	return s.simulate(ctx, probs, numPatterns, s.cfg())
 }
 
@@ -546,8 +550,13 @@ func (s *Session) simulate(ctx context.Context, probs []float64, numPatterns int
 
 // CoverageCurve fault-simulates with fault dropping and reports the
 // cumulative coverage at each checkpoint; nil probs means uniform
-// patterns.
+// patterns.  A negative checkpoint fails with ErrBadSpec.
 func (s *Session) CoverageCurve(ctx context.Context, probs []float64, checkpoints []int) ([]CoveragePoint, error) {
+	for _, cp := range checkpoints {
+		if cp < 0 {
+			return nil, fmt.Errorf("coverage curve: %w: checkpoint %d is negative", ErrBadSpec, cp)
+		}
+	}
 	cfg := s.cfg()
 	gen, err := s.generator(probs)
 	if err != nil {

@@ -219,6 +219,40 @@ func TestSessionSentinelErrors(t *testing.T) {
 	}
 }
 
+// A pattern count below 1 and a negative coverage checkpoint are
+// rejected as ErrBadSpec before anything is simulated, by every engine
+// and fault model and by a sharded Session, which sends no shard.
+func TestSimulateRejectsBadCounts(t *testing.T) {
+	c, _ := Benchmark("c17")
+	ctx := context.Background()
+	pool := inProcessPool(t, "w")
+	for name, opts := range map[string][]Option{
+		"ffr":        nil,
+		"naive":      {WithSimEngine(SimEngineNaive)},
+		"transition": {WithFaultModel(FaultModelTransition)},
+		"sharded":    {WithShardPool(pool)},
+	} {
+		s, err := Open(c, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int{0, -3} {
+			if _, err := s.Simulate(ctx, n); !errors.Is(err, ErrBadSpec) {
+				t.Errorf("%s: Simulate(%d) = %v, want ErrBadSpec", name, n, err)
+			}
+			if _, err := s.SimulateWeighted(ctx, nil, n); !errors.Is(err, ErrBadSpec) {
+				t.Errorf("%s: SimulateWeighted(%d) = %v, want ErrBadSpec", name, n, err)
+			}
+		}
+		if _, err := s.CoverageCurve(ctx, nil, []int{-5, 10}); !errors.Is(err, ErrBadSpec) {
+			t.Errorf("%s: CoverageCurve(-5, 10) = %v, want ErrBadSpec", name, err)
+		}
+	}
+	if st := pool.Stats(); st.Runs != 0 {
+		t.Errorf("sharded Session ran %d measurements on rejected counts", st.Runs)
+	}
+}
+
 // Progress callbacks must see every pipeline phase in order.
 func TestSessionProgressPhases(t *testing.T) {
 	c, _ := Benchmark("c17")
