@@ -14,7 +14,8 @@ func runBist(ctx context.Context, args []string) error {
 	pSpec := fs.String("p", "0.5", "PRPG input probabilities (0.5 = classic BILBO)")
 	pFile := fs.String("pfile", "", "read per-input probabilities from `file`")
 	cycles := fs.Int("cycles", 1024, "self-test cycles")
-	width := fs.Uint("misr", 16, "MISR width (4, 8, 16, 24, 32)")
+	misr := fs.Uint("misr", 16, "MISR width (4, 8, 16, 24, 32)")
+	width := fs.Int("width", 0, "capture width: 1, 4 or 8 pattern blocks per sweep (0 = 1; identical signatures)")
 	seed := fs.Uint64("seed", 1, "PRPG seed")
 	engine := fs.String("engine", "ffr", "fault-simulation engine: ffr or naive (identical signatures)")
 	if err := fs.Parse(args); err != nil {
@@ -35,14 +36,15 @@ func runBist(ctx context.Context, args []string) error {
 	}
 	res, err := s.RunBISTWeighted(ctx, probs, protest.BISTPlan{
 		Cycles:    *cycles,
-		MISRWidth: *width,
+		MISRWidth: *misr,
+		SimWidth:  *width,
 	})
 	if err != nil {
 		return err
 	}
 	fmt.Printf("circuit:          %s\n", c.Name)
 	fmt.Printf("cycles:           %d\n", res.Cycles)
-	fmt.Printf("good signature:   %0*x (%d-bit MISR)\n", int(*width+3)/4, res.GoodSignature, *width)
+	fmt.Printf("good signature:   %0*x (%d-bit MISR)\n", int(*misr+3)/4, res.GoodSignature, *misr)
 	fmt.Printf("faults:           %d\n", res.Faults)
 	fmt.Printf("signature-detected: %d (%.2f%%)\n", res.Detected, 100*res.Coverage())
 	fmt.Printf("output-detected:  %d (before compaction)\n", res.OutputDetected)

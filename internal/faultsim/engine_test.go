@@ -81,6 +81,7 @@ func tableCircuit() *circuit.Circuit {
 // naive oracle with the same pattern blocks and requires word-for-word
 // identical detection words for every fault.
 func TestEngineBlockIdentity(t *testing.T) {
+	t.Parallel()
 	for _, c := range engineTestCircuits() {
 		checkChunkIdentity(t, c, fault.Collapse(c), 7, 8, []int{1})
 	}
@@ -90,6 +91,7 @@ func TestEngineBlockIdentity(t *testing.T) {
 // (uncollapsed) fault universe, which exercises every stem and branch
 // position including equivalent and undetectable faults.
 func TestEngineUncollapsedUniverse(t *testing.T) {
+	t.Parallel()
 	for _, c := range engineTestCircuits()[:6] {
 		checkChunkIdentity(t, c, fault.Universe(c), 99, 4, wideWidths)
 	}
@@ -97,15 +99,17 @@ func TestEngineUncollapsedUniverse(t *testing.T) {
 
 // TestEngineMeasureDetectionIdentity compares whole measurements:
 // detection counts and PSim between the engines, serial and parallel.
+// The naive counts come from the seed-3 reference that
+// TestWideMeasureDetectionIdentity shares.
 func TestEngineMeasureDetectionIdentity(t *testing.T) {
+	t.Parallel()
 	for _, c := range engineTestCircuits() {
 		faults := fault.Collapse(c)
 		const n = 1000 // deliberately not a multiple of 64
 		ref := measure(t, c, faults, pattern.NewUniform(len(c.Inputs), 3), n, Options{})
-		naive, err := MeasureDetectionNaive(context.Background(), c, faults,
-			pattern.NewUniform(len(c.Inputs), 3), n, nil)
-		if err != nil {
-			t.Fatal(err)
+		naive := &Result{Faults: faults, Detected: sharedNaive(c, faults, 3).counts([]int{n})[n], Applied: n}
+		if ref.Applied != n {
+			t.Fatalf("%s: applied %d, want %d", c.Name, ref.Applied, n)
 		}
 		for _, workers := range []int{2, 3, -1} {
 			par := measure(t, c, faults, pattern.NewUniform(len(c.Inputs), 3), n, Options{Workers: workers})
@@ -132,6 +136,7 @@ func TestEngineMeasureDetectionIdentity(t *testing.T) {
 // dropping across engines, worker counts and pattern sources, on
 // checkpoints that are deliberately not multiples of 64.
 func TestEngineCoverageCurveIdentity(t *testing.T) {
+	t.Parallel()
 	cps := []int{10, 100, 500, 777, 1500}
 	for _, c := range engineTestCircuits() {
 		faults := fault.Collapse(c)

@@ -38,7 +38,7 @@ func FuzzEnginesAgree(f *testing.F) {
 			return
 		}
 		n := 1 + int(patterns)%1100
-		want := naiveCounts(c, faults, seed, []int{n})[n]
+		want := newNaive(c, faults, seed).counts([]int{n})[n]
 		plan := NewPlan(c, faults)
 		for _, w := range widthCases {
 			got, err := plan.MeasureDetection(context.Background(),

@@ -35,6 +35,7 @@ func modelCases(c *circuit.Circuit) map[fault.Model][]fault.Fault {
 // the bridging and transition universes and requires word-for-word
 // identical detection words.
 func TestModelEngineBlockIdentity(t *testing.T) {
+	t.Parallel()
 	for _, c := range engineTestCircuits() {
 		for _, faults := range modelCases(c) {
 			checkChunkIdentity(t, c, faults, 7, 8, []int{1})
@@ -50,6 +51,7 @@ func TestModelEngineBlockIdentity(t *testing.T) {
 // block-local, so a lane split that shifted block boundaries would
 // corrupt bit 0 of every block.
 func TestModelWideChunkIdentity(t *testing.T) {
+	t.Parallel()
 	for _, c := range engineTestCircuits() {
 		for _, faults := range modelCases(c) {
 			checkChunkIdentity(t, c, faults, 42, 11, []int{4, 8})
@@ -63,10 +65,11 @@ func TestModelWideChunkIdentity(t *testing.T) {
 // naive oracle exactly for every width (including the default
 // schedule); parallel runs take the longest budget.
 func TestModelMeasureDetectionIdentity(t *testing.T) {
+	t.Parallel()
 	for _, c := range widthTestCircuits() {
 		for model, faults := range modelCases(c) {
 			plan := NewPlan(c, faults)
-			want := naiveCounts(c, faults, 3, raggedCounts)
+			want := sharedNaive(c, faults, 3).counts(raggedCounts)
 			for _, n := range raggedCounts {
 				for _, w := range widthCases {
 					for _, workers := range []int{1, 3, -1} {
@@ -100,6 +103,7 @@ func TestModelMeasureDetectionIdentity(t *testing.T) {
 // (including the default schedule) and worker counts against the naive
 // oracle, on the ragged checkpoints.
 func TestModelCoverageCurveIdentity(t *testing.T) {
+	t.Parallel()
 	cps := raggedCounts
 	c1355, _ := circuits.Lookup("c1355")
 	cs := append(engineTestCircuits()[:6], tableCircuit(), c1355)

@@ -7,6 +7,7 @@ import (
 	"os"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
 
 	"protest/internal/circuit"
@@ -20,6 +21,11 @@ import (
 // counts to GOMAXPROCS, which would silently turn every parallel test
 // serial on one core.  GOMAXPROCS may legally exceed the physical CPU
 // count; correctness tests only need the goroutines to exist.
+//
+// The identity tables that compare engines, widths and worker counts
+// against the naive oracle call t.Parallel: they share nothing mutable
+// but the naive references (sharedNaive), and under the race detector
+// they take most of the package's time.
 func TestMain(m *testing.M) {
 	if runtime.GOMAXPROCS(0) < 4 {
 		runtime.GOMAXPROCS(4)
@@ -40,27 +46,89 @@ var (
 // widths: 8-block chunks and single-block W=1 chunks.
 var raggedCounts = []int{1, 63, 65, 512, 581, 1088}
 
-// naiveCounts returns the naive oracle's detection counts for every
-// budget in counts, from one pass over the longest: the count for n
-// patterns sums each block's masked popcounts up to n.
-func naiveCounts(c *circuit.Circuit, faults []fault.Fault, seed uint64, counts []int) map[int][]int {
-	sim := New(c)
-	gen := pattern.NewUniform(len(c.Inputs), seed)
-	words := make([]uint64, len(c.Inputs))
-	det := make([]uint64, len(faults))
-	out := make(map[int][]int, len(counts))
-	for _, n := range counts {
-		out[n] = make([]int, len(faults))
+// naiveRef is the naive oracle's reference for one pattern stream: the
+// input and detection words of the first blocks of seed's uniform
+// stream over (c, faults), one slice per block.  Under the race
+// detector the naive oracle takes most of the identity tests' time, so
+// the tests share one reference per (circuit, fault list, seed) through
+// sharedNaive, and blocks simulates the blocks it adds in parallel,
+// each goroutine on its own Simulator.  Blocks are independent, so the
+// words are those of one serial pass.
+type naiveRef struct {
+	c      *circuit.Circuit
+	faults []fault.Fault
+	seed   uint64
+
+	mu      sync.Mutex
+	gen     *pattern.Generator
+	in, det [][]uint64
+}
+
+func newNaive(c *circuit.Circuit, faults []fault.Fault, seed uint64) *naiveRef {
+	return &naiveRef{c: c, faults: faults, seed: seed, gen: pattern.NewUniform(len(c.Inputs), seed)}
+}
+
+// sharedRefs holds the references sharedNaive has handed out.
+var sharedRefs struct {
+	sync.Mutex
+	refs []*naiveRef
+}
+
+// sharedNaive returns the reference of (c, faults, seed) shared by every
+// test in the binary.  Fuzz targets, which build a circuit per input,
+// use newNaive instead.
+func sharedNaive(c *circuit.Circuit, faults []fault.Fault, seed uint64) *naiveRef {
+	sharedRefs.Lock()
+	defer sharedRefs.Unlock()
+	for _, r := range sharedRefs.refs {
+		if r.seed == seed && circuit.Equal(r.c, c) && slices.Equal(r.faults, faults) {
+			return r
+		}
 	}
-	for applied := 0; applied < slices.Max(counts); applied += 64 {
-		gen.NextBlock(words)
-		sim.SimulateBlock(words, faults, det)
-		for _, n := range counts {
-			if applied >= n {
-				continue
+	r := newNaive(c, faults, seed)
+	sharedRefs.refs = append(sharedRefs.refs, r)
+	return r
+}
+
+// blocks returns the input and detection words of the stream's first n
+// blocks.  The caller must not modify them.
+func (r *naiveRef) blocks(n int) (in, det [][]uint64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	have := len(r.det)
+	for len(r.in) < n {
+		words := make([]uint64, len(r.c.Inputs))
+		r.gen.NextBlock(words)
+		r.in = append(r.in, words)
+		r.det = append(r.det, make([]uint64, len(r.faults)))
+	}
+	var wg sync.WaitGroup
+	workers := min(runtime.GOMAXPROCS(0), n-have)
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sim := New(r.c)
+			for b := have + w; b < n; b += workers {
+				sim.SimulateBlock(r.in[b], r.faults, r.det[b])
 			}
-			mask := blockMask(n - applied)
-			for i, d := range det {
+		}()
+	}
+	wg.Wait()
+	return r.in[:n], r.det[:n]
+}
+
+// counts returns the naive detection counts for every budget in
+// budgets: the count for n patterns sums each block's masked popcounts
+// up to n.
+func (r *naiveRef) counts(budgets []int) map[int][]int {
+	_, det := r.blocks((slices.Max(budgets) + 63) / 64)
+	out := make(map[int][]int, len(budgets))
+	for _, n := range budgets {
+		out[n] = make([]int, len(r.faults))
+		for b := 0; b*64 < n; b++ {
+			mask := blockMask(n - b*64)
+			for i, d := range det[b] {
 				out[n][i] += bits.OnesCount64(d & mask)
 			}
 		}
@@ -85,28 +153,20 @@ func naiveCurve(t *testing.T, plan *Plan, seed uint64, cps []int) []CoveragePoin
 // including the ragged final chunk (11 blocks is 3 mod 8 and mod 4).
 // TestEngineBlockIdentity covers W = 1.
 func TestWideChunkIdentity(t *testing.T) {
+	t.Parallel()
 	for _, c := range engineTestCircuits() {
 		checkChunkIdentity(t, c, fault.Collapse(c), 42, 11, []int{4, 8})
 	}
 }
 
-// checkChunkIdentity simulates nBlocks blocks of the uniform stream of
-// seed with the naive oracle, then runs the same stream through the
+// checkChunkIdentity takes nBlocks blocks of the uniform stream of seed
+// from the shared naive reference, then runs the same stream through the
 // wide engine at each of widths and requires every lane's detection
 // words to equal its block's.  A block count that is not a multiple of
 // the width covers a short final chunk.
 func checkChunkIdentity(t *testing.T, c *circuit.Circuit, faults []fault.Fault, seed uint64, nBlocks int, widths []int) {
 	t.Helper()
-	naive := New(c)
-	refWords := make([][]uint64, nBlocks)
-	refDet := make([][]uint64, nBlocks)
-	gen := pattern.NewUniform(len(c.Inputs), seed)
-	for b := range nBlocks {
-		refWords[b] = make([]uint64, len(c.Inputs))
-		refDet[b] = make([]uint64, len(faults))
-		gen.NextBlock(refWords[b])
-		naive.SimulateBlock(refWords[b], faults, refDet[b])
-	}
+	refWords, refDet := sharedNaive(c, faults, seed).blocks(nBlocks)
 
 	plan := NewPlan(c, faults)
 	for _, w := range widths {
@@ -146,10 +206,11 @@ func checkChunkIdentity(t *testing.T, c *circuit.Circuit, faults []fault.Fault, 
 // ragged pattern budget, detection counts must match the naive oracle
 // exactly.  Parallel runs take the longest budget.
 func TestWideMeasureDetectionIdentity(t *testing.T) {
+	t.Parallel()
 	for _, c := range widthTestCircuits() {
 		faults := fault.Collapse(c)
 		plan := NewPlan(c, faults)
-		want := naiveCounts(c, faults, 3, raggedCounts)
+		want := sharedNaive(c, faults, 3).counts(raggedCounts)
 		for _, n := range raggedCounts {
 			for _, w := range widthCases {
 				for _, workers := range []int{1, 3} {
@@ -183,6 +244,7 @@ func TestWideMeasureDetectionIdentity(t *testing.T) {
 // budgets, so the segments between them (1, 62, 2, 447, 69 and 507
 // patterns) end mid-block and run as W=1 tails or 8-block chunks.
 func TestWideCoverageCurveIdentity(t *testing.T) {
+	t.Parallel()
 	cps := raggedCounts
 	for _, c := range widthTestCircuits() {
 		faults := fault.Collapse(c)

@@ -88,20 +88,23 @@ type Spec struct {
 
 // ErrBadSpec flags a Spec whose explicitly-set values are out of range.
 // Match with errors.Is; it is a caller mistake, not a harness failure.
-var ErrBadSpec = errors.New("validate: bad spec")
+// Its text names no phase: the simulate, coverage-curve and pipeline
+// inputs of package protest use it too, and each wrapper, this
+// package's included, adds its own context.
+var ErrBadSpec = errors.New("bad spec")
 
 func (s *Spec) fill() error {
 	switch {
 	case s.Epsilon == 0:
 		s.Epsilon = 0.05
 	case s.Epsilon <= 0 || s.Epsilon >= 1:
-		return fmt.Errorf("%w: epsilon %v out of (0,1)", ErrBadSpec, s.Epsilon)
+		return fmt.Errorf("validate: %w: epsilon %v out of (0,1)", ErrBadSpec, s.Epsilon)
 	}
 	switch {
 	case s.PMinFloor == 0:
 		s.PMinFloor = 1e-4
 	case s.PMinFloor <= 0 || s.PMinFloor >= 1:
-		return fmt.Errorf("%w: pmin_floor %v out of (0,1)", ErrBadSpec, s.PMinFloor)
+		return fmt.Errorf("validate: %w: pmin_floor %v out of (0,1)", ErrBadSpec, s.PMinFloor)
 	}
 	if s.MinPatterns <= 0 {
 		s.MinPatterns = 16384
@@ -110,7 +113,7 @@ func (s *Spec) fill() error {
 		s.MaxPatterns = 1 << 20
 	}
 	if s.MaxPatterns < s.MinPatterns {
-		return fmt.Errorf("%w: max_patterns %d below min_patterns %d", ErrBadSpec, s.MaxPatterns, s.MinPatterns)
+		return fmt.Errorf("validate: %w: max_patterns %d below min_patterns %d", ErrBadSpec, s.MaxPatterns, s.MinPatterns)
 	}
 	if s.BDDBudget <= 0 {
 		s.BDDBudget = 1 << 20
@@ -119,7 +122,7 @@ func (s *Spec) fill() error {
 	case s.GrossTol == 0:
 		s.GrossTol = 0.5
 	case s.GrossTol < 0:
-		return fmt.Errorf("%w: gross_tol %v negative", ErrBadSpec, s.GrossTol)
+		return fmt.Errorf("validate: %w: gross_tol %v negative", ErrBadSpec, s.GrossTol)
 	}
 	return nil
 }
@@ -353,7 +356,7 @@ func Run(ctx context.Context, c *circuit.Circuit, faults []fault.Fault, analytic
 	}
 	if transition && n < 2 {
 		// One pattern holds no launch/capture pair: P_SIM would be 0/0.
-		return nil, fmt.Errorf("%w: a transition run needs at least 2 patterns, max_patterns is %d", ErrBadSpec, cfg.MaxPatterns)
+		return nil, fmt.Errorf("validate: %w: a transition run needs at least 2 patterns, max_patterns is %d", ErrBadSpec, cfg.MaxPatterns)
 	}
 	rep.Patterns = int(n)
 	rep.AchievedEpsilon = cfg.Epsilon

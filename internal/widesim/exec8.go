@@ -1,9 +1,25 @@
 package widesim
 
-// exec8 is the evaluation loop of Sim[B8] (see the package comment): it
-// runs the same instruction stream over the same value array as the
-// generic loop, but writes each gate's eight lanes as straight-line
-// code.  Table gates take the generic evalSlow.
+// execAVX2 runs code over the value array of s with the assembly loop
+// exec8AVX2 (see the package comment), which stops at each table gate:
+// Go evaluates the gate with evalSlow and the loop resumes after it.
+func execAVX2(s *Sim[B8], code []instr, st *stream) {
+	for {
+		i := exec8AVX2(s.values, code, st.args)
+		if i == len(code) {
+			return
+		}
+		ins := &code[i]
+		s.evalSlow(ins, st, &s.values[ins.out()])
+		code = code[i+1:]
+	}
+}
+
+// exec8 is the Go evaluation loop of Sim[B8] where the CPU lacks AVX2
+// (see the package comment): it runs the same instruction stream over
+// the same value array as the generic loop, but writes each gate's
+// eight lanes as straight-line code.  Table gates take the generic
+// evalSlow.
 func exec8(s *Sim[B8], code []instr, st *stream) {
 	v := s.values
 	for i := range code {

@@ -53,16 +53,22 @@ func (ins *instr) op() opcode { return opcode(ins.opOut & (1<<opBits - 1)) }
 func (ins *instr) out() int32 { return int32(ins.opOut >> opBits) }
 
 // stream is a compiled instruction sequence with the pin lists and
-// truth tables its n-ary and table gates refer to.
+// truth tables its n-ary and table gates refer to.  slots is one more
+// than the largest value slot any instruction reads or writes: a value
+// array of at least slots entries is one that no instruction of the
+// stream can index out of.
 type stream struct {
 	code   []instr
 	args   []int32
 	tables []*logic.TruthTable
+	slots  int32
 }
 
 // emit appends the instruction of gate n writing value slot out and
-// reading each fanin f from value slot slot(f).
-func (st *stream) emit(n *circuit.Node, out int32, slot func(circuit.NodeID) int32) {
+// reading each fanin f from value slot bind(f).
+func (st *stream) emit(n *circuit.Node, out int32, bind func(circuit.NodeID) int32) {
+	st.use(out)
+	slot := func(f circuit.NodeID) int32 { return st.use(bind(f)) }
 	var ins instr
 	var op opcode
 	if n.Op == logic.TableOp {
@@ -131,6 +137,13 @@ func (st *stream) emit(n *circuit.Node, out int32, slot func(circuit.NodeID) int
 	st.code = append(st.code, pack(ins, op, out))
 }
 
+// use records that the stream reads or writes value slot v, and
+// returns v.
+func (st *stream) use(v int32) int32 {
+	st.slots = max(st.slots, v+1)
+	return v
+}
+
 // pack sets the opcode and output slot of ins.
 func pack(ins instr, op opcode, out int32) instr {
 	if out < 0 || out >= 1<<(32-opBits) {
@@ -141,9 +154,9 @@ func pack(ins instr, op opcode, out int32) instr {
 }
 
 // Program is an immutable compiled form of a circuit: gates flattened
-// into a single instruction stream in level order (all level-1 gates,
-// then level-2, ...), with per-level slab boundaries.  One Program is
-// shared by any number of Sim instances of any width.
+// into a single instruction stream in level order (the constant gates
+// of level 0, then all level-1 gates, then level-2, ...).  One Program
+// is shared by any number of Sim instances of any width.
 //
 // A Sim's value array has two banks of one slot per node: the good bank
 // (slot id) that the program writes, and the faulty bank (slot
@@ -151,7 +164,6 @@ func pack(ins instr, op opcode, out int32) instr {
 type Program struct {
 	c *circuit.Circuit
 	stream
-	levelOff []int32 // levelOff[l]..levelOff[l+1] = instrs of level l+1
 	maxArity int
 }
 
@@ -161,8 +173,7 @@ type Program struct {
 // strictly smaller level.
 func Compile(c *circuit.Circuit) *Program {
 	p := &Program{c: c}
-	maxLevel := c.MaxLevel()
-	buckets := make([][]circuit.NodeID, maxLevel+1)
+	buckets := make([][]circuit.NodeID, c.MaxLevel()+1)
 	for _, id := range c.TopoOrder() {
 		n := c.Node(id)
 		if n.IsInput {
@@ -173,21 +184,16 @@ func Compile(c *circuit.Circuit) *Program {
 	}
 	good := func(f circuit.NodeID) int32 { return int32(f) }
 	p.code = make([]instr, 0, c.NumGates())
-	p.levelOff = make([]int32, 1, maxLevel+2)
-	for l := 1; l <= maxLevel; l++ {
-		for _, id := range buckets[l] {
+	for _, ids := range buckets {
+		for _, id := range ids {
 			p.emit(c.Node(id), int32(id), good)
 		}
-		p.levelOff = append(p.levelOff, int32(len(p.code)))
 	}
 	return p
 }
 
 // Circuit returns the compiled circuit.
 func (p *Program) Circuit() *circuit.Circuit { return p.c }
-
-// NumLevels returns the number of gate levels in the program.
-func (p *Program) NumLevels() int { return len(p.levelOff) - 1 }
 
 // Regions is the compiled two-bank form of a list of stem regions, one
 // instruction stream per stem.  Stream i first writes the complement of
@@ -229,7 +235,7 @@ func (p *Program) CompileRegions(stems []circuit.NodeID, regions [][]circuit.Nod
 		for _, id := range regions[i] {
 			faulty[id] = true
 		}
-		r.code = append(r.code, pack(instr{a: int32(s)}, opNot, nn+int32(s)))
+		r.code = append(r.code, pack(instr{a: int32(s)}, opNot, r.use(nn+int32(s))))
 		for _, id := range regions[i] {
 			r.emit(c.Node(id), nn+int32(id), slot)
 		}

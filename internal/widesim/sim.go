@@ -9,8 +9,8 @@ import (
 
 // Sim evaluates a compiled Program over W-lane blocks.  It is the wide
 // counterpart of bitsim.Simulator: one B value per node, structure of
-// arrays (lanes of one node contiguous), evaluated by a switch-
-// dispatched loop over the instruction stream (exec8 at W = 8).
+// arrays (lanes of one node contiguous), evaluated by a loop over the
+// instruction stream (see exec).
 //
 // Its value array holds the two banks: the good values, written by Run,
 // and the faulty values of one stem flip, written by Propagate.
@@ -84,11 +84,21 @@ func (s *Sim[B]) Propagate(r *Regions, i int) {
 }
 
 // exec runs code, whose n-ary and table gates refer to st, over the
-// value array, writing each result in place.  W = 8 runs exec8; the
-// other widths run the generic loop below.
+// value array, writing each result in place.  W = 8 runs execAVX2
+// where the CPU has AVX2 and exec8 elsewhere; the other widths run the
+// generic loop below.  Every slot code names is below st.slots, so the
+// one check here stands for a bounds check on every access, which the
+// assembly loop does not make.
 func (s *Sim[B]) exec(code []instr, st *stream) {
+	if int(st.slots) > len(s.values) {
+		panic(fmt.Sprintf("widesim: stream reads %d value slots, simulator has %d", st.slots, len(s.values)))
+	}
 	if s8, ok := any(s).(*Sim[B8]); ok {
-		exec8(s8, code, st)
+		if hasAVX2 {
+			execAVX2(s8, code, st)
+		} else {
+			exec8(s8, code, st)
+		}
 		return
 	}
 	v := s.values

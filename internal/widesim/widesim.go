@@ -30,20 +30,32 @@
 // parameter would instead go through the instantiation's dictionary as
 // indirect calls, one per lane-vector operation.
 //
-// Two evaluation loops run the compiled streams, chosen once per Run or
-// Propagate from the simulator's width.  W = 1 and W = 4 run the
-// generic loop, whose pointer forms of the kernels write each gate's
-// result in place.  W = 8 runs exec8, a non-generic loop: the compiler
+// Three evaluation loops run the compiled streams, chosen once per Run
+// or Propagate from the simulator's width and, at W = 8, the CPU.
+// W = 1 and W = 4 run the generic loop, whose pointer forms of the
+// kernels write each gate's result in place.  W = 8 carries every full
+// chunk of the fault simulator's default schedule, so it runs nearly
+// all good simulations and stem propagations, and a B8 is exactly two
+// 256-bit registers.  On amd64 CPUs with AVX2 it runs exec8AVX2, an
+// assembly loop that holds each B8 in two YMM registers, accumulates an
+// n-ary gate's pins in registers, and inverts the result of Nand, Nor,
+// Xnor, Not and Const1 with an all-ones register.  It stops
+// at each table gate, which Go evaluates before the loop resumes.
+// Everywhere else W = 8 runs exec8, a non-generic Go loop: the compiler
 // does not unroll the kernels' constant-trip loops, and at eight lanes
 // that loop overhead costs as much as the gate arithmetic, so exec8
 // writes the eight lanes of every 0-, 1- and 2-input gate as
-// straight-line code and accumulates an n-ary gate's lanes in locals,
-// storing them once instead of once per pin.  W = 8 carries every full
-// chunk of the fault simulator's default schedule, so it runs nearly
-// all good simulations and stem propagations.  W = 1 has no loop to
-// unroll, and W = 4 runs only when a caller asks for it, so both keep
-// the generic loop; table gates take the generic evalSlow at every
-// width.
+// straight-line code and accumulates an n-ary gate's lanes in locals.
+// Table gates take the generic evalSlow at every width.  Every loop
+// gives the same words (TestAVX2MatchesExec8 and TestWideMatchesNarrow
+// pin them to each other and to bitsim).
+//
+// The assembly loop checks no index.  Instead every compiled stream
+// records one more than the largest value slot it names (stream.slots),
+// and each Run or Propagate checks that against the value array once,
+// panicking before any gate runs on a stream compiled for a larger
+// circuit.  The n-ary pin ranges it reads are built by emit and lie
+// inside the stream's args.
 //
 // Lane l of every vector is pattern block l: bit b of lane l is
 // pattern l*64+b of the chunk.  A chunk of W blocks therefore carries

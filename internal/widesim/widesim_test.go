@@ -1,6 +1,8 @@
 package widesim_test
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"protest/internal/bitsim"
@@ -72,6 +74,9 @@ func checkWidth[B widesim.Block](t *testing.T, c *circuit.Circuit, seed uint64, 
 // final chunk (blocks not a multiple of W).  No registry circuit has an
 // n-ary Nand, Xor or Xnor gate, so random circuits with up to 9 pins
 // per gate cover every n-ary opcode at every pin count from 3 to 9.
+// No registry circuit has a table gate or a constant either, so
+// TableCircuit pins the W = 8 assembly loop's stop and resume at table
+// gates, and the constants, to the oracle.
 func TestWideMatchesNarrow(t *testing.T) {
 	check := func(name string, c *circuit.Circuit) {
 		t.Run(name, func(t *testing.T) {
@@ -86,6 +91,7 @@ func TestWideMatchesNarrow(t *testing.T) {
 		c, _ := circuits.Lookup(name)
 		check(name, c)
 	}
+	check("tables", widesim.TableCircuit())
 	nary := map[logic.Op]map[int]bool{}
 	for seed := uint64(1); seed <= 3; seed++ {
 		c := circuits.Random(circuits.RandomOptions{Inputs: 16, Gates: 200, Seed: seed, MaxArity: 9})
@@ -183,6 +189,35 @@ func TestNextBlocksStream(t *testing.T) {
 			t.Fatalf("generator state diverged after wide fills")
 		}
 	}
+}
+
+// TestStreamSlotsChecked: the W = 8 assembly loop makes no bounds
+// checks, so every width checks a stream's largest value slot against
+// the simulator's value array once per call.  A stem stream compiled
+// against mult, run on a simulator of c17, must panic there at every
+// width rather than read or write past the array.
+func TestStreamSlotsChecked(t *testing.T) {
+	big, _ := circuits.Lookup("mult")
+	small, _ := circuits.Lookup("c17")
+	stem := big.Inputs[0]
+	r := widesim.Compile(big).CompileRegions([]circuit.NodeID{stem}, [][]circuit.NodeID{big.FanoutCone(stem)})
+	p := widesim.Compile(small)
+	checkSlotPanic(t, widesim.NewSim[widesim.B1](p), r)
+	checkSlotPanic(t, widesim.NewSim[widesim.B4](p), r)
+	checkSlotPanic(t, widesim.NewSim[widesim.B8](p), r)
+}
+
+func checkSlotPanic[B widesim.Block](t *testing.T, s *widesim.Sim[B], r *widesim.Regions) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		if e := recover(); e == nil {
+			t.Errorf("width %d: a stream past the value array did not panic", s.Width())
+		} else if msg := fmt.Sprint(e); !strings.Contains(msg, "value slots") {
+			t.Errorf("width %d: panic %q is not the slot check's", s.Width(), msg)
+		}
+	}()
+	s.Propagate(r, 0)
 }
 
 func TestSetInputsLengthError(t *testing.T) {

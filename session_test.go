@@ -219,6 +219,33 @@ func TestSessionSentinelErrors(t *testing.T) {
 	}
 }
 
+// ErrBadSpec's own text names no phase; each phase names itself.  The
+// message of a zero pattern count, which protest fsim -count 0 prints,
+// used to read "simulate: validate: bad spec: ...".
+func TestBadSpecMessageNamesItsPhase(t *testing.T) {
+	c, _ := Benchmark("c17")
+	s, err := Open(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	_, simErr := s.Simulate(ctx, 0)
+	_, curveErr := s.CoverageCurve(ctx, nil, []int{-5})
+	_, valErr := s.Validate(ctx, ValidateSpec{SimWidth: 3})
+	for _, tc := range []struct {
+		err  error
+		want string
+	}{
+		{simErr, "simulate: bad spec: 0 patterns, want at least 1"},
+		{curveErr, "coverage curve: bad spec: checkpoint -5 is negative"},
+		{valErr, "validate: bad spec: widesim: unsupported width 3 (want 1, 4 or 8)"},
+	} {
+		if !errors.Is(tc.err, ErrBadSpec) || tc.err.Error() != tc.want {
+			t.Errorf("error %v, want ErrBadSpec reading %q", tc.err, tc.want)
+		}
+	}
+}
+
 // A pattern count below 1 and a negative coverage checkpoint are
 // rejected as ErrBadSpec before anything is simulated, by every engine
 // and fault model and by a sharded Session, which sends no shard.

@@ -109,10 +109,10 @@ type ValidateSpec struct {
 // ErrBadSpec before any phase runs.
 func (s *Session) Validate(ctx context.Context, spec ValidateSpec) (*ValidateReport, error) {
 	if err := widesim.CheckWidth(spec.SimWidth); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadSpec, err)
+		return nil, fmt.Errorf("validate: %w: %v", ErrBadSpec, err)
 	}
 	if err := faultsim.CheckEngine(spec.SimEngine); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadSpec, err)
+		return nil, fmt.Errorf("validate: %w: %v", ErrBadSpec, err)
 	}
 	if !spec.FaultModel.Valid() {
 		return nil, fmt.Errorf("validate: %w: %q", ErrBadFaultModel, string(spec.FaultModel))
