@@ -93,3 +93,42 @@ func Random(opt RandomOptions) *circuit.Circuit {
 	}
 	return c
 }
+
+// Tables returns a small reconvergent circuit of truth-table cells
+// (majority and multiplexer) mixed with constant, Buf, Not, 2-input and
+// n-ary gates.  No registry circuit has a table gate or a constant, and
+// the netlist format cannot carry a truth table, so the simulators'
+// tests use it to cover their table and constant paths.
+func Tables() *circuit.Circuit {
+	maj, _ := logic.TableFromFunc(3, func(in []bool) bool {
+		return in[0] && in[1] || in[1] && in[2] || in[0] && in[2]
+	})
+	mux, _ := logic.TableFromFunc(3, func(in []bool) bool {
+		if in[0] {
+			return in[2]
+		}
+		return in[1]
+	})
+	b := circuit.NewBuilder("tables")
+	x := b.InputBus("x", 8)
+	k0 := b.Gate(logic.Const0, "k0")
+	k1 := b.Gate(logic.Const1, "k1")
+	m0 := b.TableGate("m0", maj, x[0], x[1], x[2])
+	m1 := b.TableGate("m1", maj, x[2], x[3], x[4])
+	s0 := b.TableGate("s0", mux, x[5], m0, m1)
+	a0 := b.And("a0", m0, x[6], k1)
+	s1 := b.TableGate("s1", mux, b.Not("n0", m1), x[7], a0)
+	r0 := b.Nor("r0", k0, s1, x[0])
+	o2 := b.Or("o2", m0, s1, x[3])
+	b.MarkOutputs(
+		b.Xor("o0", s0, a0),
+		o2,
+		b.Buf("o3", r0),
+		b.TableGate("o1", maj, o2, r0, x[1]),
+	)
+	c, err := b.Build()
+	if err != nil {
+		panic("circuits: tables: " + err.Error())
+	}
+	return c
+}

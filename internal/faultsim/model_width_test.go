@@ -106,7 +106,7 @@ func TestModelCoverageCurveIdentity(t *testing.T) {
 	t.Parallel()
 	cps := raggedCounts
 	c1355, _ := circuits.Lookup("c1355")
-	cs := append(engineTestCircuits()[:6], tableCircuit(), c1355)
+	cs := append(engineTestCircuits()[:6], circuits.Tables(), c1355)
 	for _, c := range cs {
 		for model, faults := range modelCases(c) {
 			plan := NewPlan(c, faults)

@@ -315,7 +315,7 @@ func TestChunkWidthSchedule(t *testing.T) {
 func TestWideCaptureIdentity(t *testing.T) {
 	for _, c := range []*circuit.Circuit{circuits.C17(), circuits.ALU74181(), circuits.Mult8(),
 		circuits.Random(circuits.RandomOptions{Inputs: 9, Gates: 70, Outputs: 4, Seed: 3}),
-		tableCircuit()} {
+		circuits.Tables()} {
 		checkCaptureIdentity(t, c, fault.Collapse(c), 5, []int{4, 8})
 	}
 }

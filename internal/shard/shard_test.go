@@ -15,7 +15,6 @@ import (
 	"protest/internal/circuits"
 	"protest/internal/fault"
 	"protest/internal/faultsim"
-	"protest/internal/logic"
 	"protest/internal/pattern"
 )
 
@@ -423,7 +422,7 @@ func TestRunShardScheduleMatchesNaive(t *testing.T) {
 	c1355, _ := circuits.Lookup("c1355")
 	const n = 1408           // 22 blocks: ranges [0,5) and [5,22)
 	cps := []int{63, 600, n} // 23 blocks: ranges [0,5) and [5,23)
-	for _, c := range []*circuit.Circuit{c1355, tableCircuit(t)} {
+	for _, c := range []*circuit.Circuit{c1355, circuits.Tables()} {
 		for _, model := range []fault.Model{fault.ModelStuckAt, fault.ModelBridging, fault.ModelTransition} {
 			faults := model.Faults(c)
 			if len(faults) == 0 {
@@ -490,34 +489,6 @@ func TestRunShardScheduleMatchesNaive(t *testing.T) {
 			}
 		}
 	}
-}
-
-// tableCircuit is a small reconvergent circuit of truth-table cells,
-// which the netlist format cannot carry; runShard takes its plan
-// directly.
-func tableCircuit(t *testing.T) *circuit.Circuit {
-	t.Helper()
-	maj, err := logic.TableFromFunc(3, func(in []bool) bool {
-		return in[0] && in[1] || in[1] && in[2] || in[0] && in[2]
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := circuit.NewBuilder("tables")
-	x := b.InputBus("x", 6)
-	m0 := b.TableGate("m0", maj, x[0], x[1], x[2])
-	m1 := b.TableGate("m1", maj, x[2], x[3], x[4])
-	a0 := b.And("a0", m0, x[5])
-	b.MarkOutputs(
-		b.Xor("o0", m1, a0),
-		b.TableGate("o1", maj, m0, m1, a0),
-		b.Or("o2", m0, x[3]),
-	)
-	c, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
 }
 
 // TestDegradedWideMatchesSerial checks the zero-worker fallback honours
@@ -718,7 +689,7 @@ func TestNoWireFormRunsLocally(t *testing.T) {
 		t.Fatal(err)
 	}
 	cps := []int{64, 300}
-	for _, c := range []*circuit.Circuit{tableCircuit(t), blank} {
+	for _, c := range []*circuit.Circuit{circuits.Tables(), blank} {
 		if wireOf(c).err == nil {
 			t.Fatalf("%s has a wire form", c.Name)
 		}

@@ -5,61 +5,24 @@ import (
 
 	"protest/internal/circuit"
 	"protest/internal/circuits"
-	"protest/internal/logic"
 	"protest/internal/pattern"
 )
-
-// TableCircuit is a small reconvergent circuit of truth-table cells
-// (majority and multiplexer) mixed with constant, Buf, Not, 2-input and
-// n-ary gates.  Its program starts with the constants and then two
-// table gates in a row, and ends with a table gate, so it covers every
-// place where the assembly loop stops and resumes around a table gate.
-func TableCircuit() *circuit.Circuit {
-	maj, _ := logic.TableFromFunc(3, func(in []bool) bool {
-		return in[0] && in[1] || in[1] && in[2] || in[0] && in[2]
-	})
-	mux, _ := logic.TableFromFunc(3, func(in []bool) bool {
-		if in[0] {
-			return in[2]
-		}
-		return in[1]
-	})
-	b := circuit.NewBuilder("tables")
-	x := b.InputBus("x", 8)
-	k0 := b.Gate(logic.Const0, "k0")
-	k1 := b.Gate(logic.Const1, "k1")
-	m0 := b.TableGate("m0", maj, x[0], x[1], x[2])
-	m1 := b.TableGate("m1", maj, x[2], x[3], x[4])
-	s0 := b.TableGate("s0", mux, x[5], m0, m1)
-	a0 := b.And("a0", m0, x[6], k1)
-	s1 := b.TableGate("s1", mux, b.Not("n0", m1), x[7], a0)
-	r0 := b.Nor("r0", k0, s1, x[0])
-	o2 := b.Or("o2", m0, s1, x[3])
-	b.MarkOutputs(
-		b.Xor("o0", s0, a0),
-		o2,
-		b.Buf("o3", r0),
-		b.TableGate("o1", maj, o2, r0, x[1]),
-	)
-	c, err := b.Build()
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
 
 // TestAVX2MatchesExec8 runs the assembly loop (with its Go resumption
 // at table gates) and the Go loop exec8 on copies of one value array,
 // over the good program and every stem's fanout-cone stream, and
 // requires identical words in both banks after every stream.  The
 // random circuits carry every n-ary form at 3 to 9 pins (see
-// TestWideMatchesNarrow); TableCircuit adds table gates and constants.
+// TestWideMatchesNarrow); circuits.Tables adds table gates and
+// constants.  Its program starts with the constants and then two table
+// gates in a row, and ends with a table gate, so it covers every place
+// where the assembly loop stops and resumes around a table gate.
 // Every slot starts random, so each lane of each operand is exercised.
 func TestAVX2MatchesExec8(t *testing.T) {
 	if !hasAVX2 {
 		t.Skip("no AVX2 (or the OS does not save YMM state): Sim[B8] runs exec8 only, so there is nothing to compare")
 	}
-	cs := []*circuit.Circuit{TableCircuit()}
+	cs := []*circuit.Circuit{circuits.Tables()}
 	for seed := uint64(1); seed <= 3; seed++ {
 		cs = append(cs, circuits.Random(circuits.RandomOptions{Inputs: 16, Gates: 200, Seed: seed, MaxArity: 9}))
 	}

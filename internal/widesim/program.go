@@ -53,10 +53,11 @@ func (ins *instr) op() opcode { return opcode(ins.opOut & (1<<opBits - 1)) }
 func (ins *instr) out() int32 { return int32(ins.opOut >> opBits) }
 
 // stream is a compiled instruction sequence with the pin lists and
-// truth tables its n-ary and table gates refer to.  slots is one more
-// than the largest value slot any instruction reads or writes: a value
-// array of at least slots entries is one that no instruction of the
-// stream can index out of.
+// truth tables its n-ary and table gates refer to.  Every value slot an
+// instruction reads or writes is below slots, so a value array of at
+// least slots entries is one that no instruction of the stream can
+// index out of: NumNodes for a Program, which names only the good bank,
+// and 2*NumNodes for Regions, which name both banks.
 type stream struct {
 	code   []instr
 	args   []int32
@@ -65,10 +66,8 @@ type stream struct {
 }
 
 // emit appends the instruction of gate n writing value slot out and
-// reading each fanin f from value slot bind(f).
-func (st *stream) emit(n *circuit.Node, out int32, bind func(circuit.NodeID) int32) {
-	st.use(out)
-	slot := func(f circuit.NodeID) int32 { return st.use(bind(f)) }
+// reading each fanin f from value slot slot(f).
+func (st *stream) emit(n *circuit.Node, out int32, slot func(circuit.NodeID) int32) {
 	var ins instr
 	var op opcode
 	if n.Op == logic.TableOp {
@@ -137,13 +136,6 @@ func (st *stream) emit(n *circuit.Node, out int32, bind func(circuit.NodeID) int
 	st.code = append(st.code, pack(ins, op, out))
 }
 
-// use records that the stream reads or writes value slot v, and
-// returns v.
-func (st *stream) use(v int32) int32 {
-	st.slots = max(st.slots, v+1)
-	return v
-}
-
 // pack sets the opcode and output slot of ins.
 func pack(ins instr, op opcode, out int32) instr {
 	if out < 0 || out >= 1<<(32-opBits) {
@@ -173,6 +165,7 @@ type Program struct {
 // strictly smaller level.
 func Compile(c *circuit.Circuit) *Program {
 	p := &Program{c: c}
+	p.slots = int32(c.NumNodes())
 	buckets := make([][]circuit.NodeID, c.MaxLevel()+1)
 	for _, id := range c.TopoOrder() {
 		n := c.Node(id)
@@ -230,12 +223,13 @@ func (p *Program) CompileRegions(stems []circuit.NodeID, regions [][]circuit.Nod
 		return int32(f)
 	}
 	r := &Regions{off: make([]int32, 1, len(stems)+1), outOff: make([]int32, 1, len(stems)+1)}
+	r.slots = 2 * nn
 	for i, s := range stems {
 		faulty[s] = true
 		for _, id := range regions[i] {
 			faulty[id] = true
 		}
-		r.code = append(r.code, pack(instr{a: int32(s)}, opNot, r.use(nn+int32(s))))
+		r.code = append(r.code, pack(instr{a: int32(s)}, opNot, nn+int32(s)))
 		for _, id := range regions[i] {
 			r.emit(c.Node(id), nn+int32(id), slot)
 		}

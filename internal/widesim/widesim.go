@@ -51,11 +51,13 @@
 // pin them to each other and to bitsim).
 //
 // The assembly loop checks no index.  Instead every compiled stream
-// records one more than the largest value slot it names (stream.slots),
-// and each Run or Propagate checks that against the value array once,
-// panicking before any gate runs on a stream compiled for a larger
-// circuit.  The n-ary pin ranges it reads are built by emit and lie
-// inside the stream's args.
+// records a bound that each value slot it names lies below
+// (stream.slots: the circuit's node count for a Program, twice that for
+// Regions, whose streams also name the faulty bank), and each Run or
+// Propagate checks that bound against the value array once, panicking
+// before any gate runs on a stream compiled for a larger circuit.  The
+// n-ary pin ranges it reads are built by emit and lie inside the
+// stream's args.
 //
 // Lane l of every vector is pattern block l: bit b of lane l is
 // pattern l*64+b of the chunk.  A chunk of W blocks therefore carries

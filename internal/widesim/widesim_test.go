@@ -75,8 +75,8 @@ func checkWidth[B widesim.Block](t *testing.T, c *circuit.Circuit, seed uint64, 
 // n-ary Nand, Xor or Xnor gate, so random circuits with up to 9 pins
 // per gate cover every n-ary opcode at every pin count from 3 to 9.
 // No registry circuit has a table gate or a constant either, so
-// TableCircuit pins the W = 8 assembly loop's stop and resume at table
-// gates, and the constants, to the oracle.
+// circuits.Tables pins the W = 8 assembly loop's stop and resume at
+// table gates, and the constants, to the oracle.
 func TestWideMatchesNarrow(t *testing.T) {
 	check := func(name string, c *circuit.Circuit) {
 		t.Run(name, func(t *testing.T) {
@@ -91,7 +91,7 @@ func TestWideMatchesNarrow(t *testing.T) {
 		c, _ := circuits.Lookup(name)
 		check(name, c)
 	}
-	check("tables", widesim.TableCircuit())
+	check("tables", circuits.Tables())
 	nary := map[logic.Op]map[int]bool{}
 	for seed := uint64(1); seed <= 3; seed++ {
 		c := circuits.Random(circuits.RandomOptions{Inputs: 16, Gates: 200, Seed: seed, MaxArity: 9})

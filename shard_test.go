@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"protest/internal/artifact"
-	"protest/internal/logic"
+	"protest/internal/circuits"
 	"protest/internal/shard"
 )
 
@@ -23,22 +23,7 @@ func inProcessPool(t *testing.T, workers ...string) *ShardPool {
 // healthy workers or none: Simulate, CoverageCurve and Run give the
 // unsharded Session's results, and no shard is sent.
 func TestShardedTableCircuitRunsLocally(t *testing.T) {
-	maj, err := logic.TableFromFunc(3, func(in []bool) bool {
-		return in[0] && in[1] || in[1] && in[2] || in[0] && in[2]
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := NewBuilder("tables")
-	x := b.InputBus("x", 6)
-	m0 := b.TableGate("m0", maj, x[0], x[1], x[2])
-	m1 := b.TableGate("m1", maj, x[2], x[3], x[4])
-	a0 := b.And("a0", m0, x[5])
-	b.MarkOutputs(b.Xor("o0", m1, a0), b.TableGate("o1", maj, m0, m1, a0), b.Or("o2", m0, x[3]))
-	c, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := circuits.Tables()
 
 	ctx := context.Background()
 	cps := []int{100, 1000}
