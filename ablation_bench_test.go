@@ -7,6 +7,7 @@ package protest
 // b.ReportMetric next to the usual time/op.
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -53,7 +54,7 @@ func BenchmarkAblationMaxVers(b *testing.B) {
 			an := prog.NewEvaluator()
 			var res *core.Analysis
 			for i := 0; i < b.N; i++ {
-				res, err = an.Run(probs)
+				res, err = an.Run(context.Background(), probs)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -82,7 +83,7 @@ func BenchmarkAblationMaxList(b *testing.B) {
 			an := prog.NewEvaluator()
 			var res *core.Analysis
 			for i := 0; i < b.N; i++ {
-				res, err = an.Run(probs)
+				res, err = an.Run(context.Background(), probs)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -115,7 +116,7 @@ func BenchmarkAblationObsModel(b *testing.B) {
 			an := prog.NewEvaluator()
 			var res *core.Analysis
 			for i := 0; i < b.N; i++ {
-				res, err = an.Run(probs)
+				res, err = an.Run(context.Background(), probs)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -149,7 +150,7 @@ func BenchmarkAblationLocalDiff(b *testing.B) {
 			an := prog.NewEvaluator()
 			var res *core.Analysis
 			for i := 0; i < b.N; i++ {
-				res, err = an.Run(probs)
+				res, err = an.Run(context.Background(), probs)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -186,7 +187,7 @@ func BenchmarkAblationSignalAccuracy(b *testing.B) {
 			an := prog.NewEvaluator()
 			var res *core.Analysis
 			for i := 0; i < b.N; i++ {
-				res, err = an.Run(probs)
+				res, err = an.Run(context.Background(), probs)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -175,7 +175,7 @@ func BenchmarkAnalyzeALU(b *testing.B) {
 	probs := core.UniformProbs(c)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := an.Run(probs); err != nil {
+		if _, err := an.Run(context.Background(), probs); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -191,7 +191,7 @@ func BenchmarkAnalyzeMULT(b *testing.B) {
 	probs := core.UniformProbs(c)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := an.Run(probs); err != nil {
+		if _, err := an.Run(context.Background(), probs); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -207,7 +207,7 @@ func BenchmarkAnalyzeDIV(b *testing.B) {
 	probs := core.UniformProbs(c)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := an.Run(probs); err != nil {
+		if _, err := an.Run(context.Background(), probs); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -298,7 +298,7 @@ func BenchmarkOptimizeEq8Style(b *testing.B) {
 	faults := fault.Collapse(c)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := optimize.Optimize(prog, faults, optimize.Options{MaxSweeps: 1}); err != nil {
+		if _, err := optimize.Optimize(context.Background(), prog, faults, optimize.Options{MaxSweeps: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -319,7 +319,7 @@ func BenchmarkOptimizeParallel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := optimize.Optimize(prog, faults, optimize.Options{MaxSweeps: 1, Workers: -1}); err != nil {
+		if _, err := optimize.Optimize(context.Background(), prog, faults, optimize.Options{MaxSweeps: 1, Workers: -1}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -89,8 +89,8 @@ type Store struct {
 	internCount int
 
 	// Effectiveness counters (see Stats).  They are monotonic over the
-	// store's lifetime — Purge does not reset them — so callers can
-	// diff snapshots across operations.
+	// store's lifetime, so callers can diff snapshots across
+	// operations.
 	builds    atomic.Int64
 	hits      atomic.Int64
 	buildErrs atomic.Int64
@@ -280,18 +280,4 @@ func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.lru.Len()
-}
-
-// Purge drops every cache entry and the interned circuit identities.
-// Canonical circuit pointers already handed out stay valid; future
-// interns start a fresh generation.
-func (s *Store) Purge() {
-	s.mu.Lock()
-	s.entries = make(map[key]*entry)
-	s.lru.Init()
-	s.mu.Unlock()
-	s.internMu.Lock()
-	s.interned = make(map[uint64][]*circuit.Circuit)
-	s.internCount = 0
-	s.internMu.Unlock()
 }

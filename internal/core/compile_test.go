@@ -43,11 +43,11 @@ func TestCompiledConditioningIdentity(t *testing.T) {
 			}
 			ref.noCompile = true
 			for _, tuple := range testTuples(c) {
-				got, err := fast.Run(tuple)
+				got, err := fast.Run(t.Context(), tuple)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := ref.Run(tuple)
+				want, err := ref.Run(t.Context(), tuple)
 				if err != nil {
 					t.Fatal(err)
 				}

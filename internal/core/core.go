@@ -24,11 +24,11 @@
 //     goroutine from the Program's pool (Acquire/Release) or build a
 //     private one with NewEvaluator.
 //
-// Program.Run/RunCtx are the concurrency-safe convenience entries:
-// they acquire a pooled Evaluator, run, and release it.  Every
-// evaluation path — pooled, fresh, cloned, serial or parallel — is
-// bit-identical: the plan is static and the per-node kernels are
-// deterministic, so results depend only on the input tuple.
+// Program.Run is the concurrency-safe convenience entry: it acquires
+// a pooled Evaluator, runs, and releases it.  Every evaluation path —
+// pooled, fresh, cloned, serial or parallel — is bit-identical: the
+// plan is static and the per-node kernels are deterministic, so
+// results depend only on the input tuple.
 //
 // # Repeated evaluation
 //
@@ -36,7 +36,7 @@
 // related tuples, so an Evaluator offers three tiers of evaluation
 // cost:
 //
-//   - Run/RunCtx: a full analysis allocating a fresh Analysis;
+//   - Run: a full analysis allocating a fresh Analysis;
 //   - RunInto: a full analysis into caller-owned buffers (NewAnalysis),
 //     zero allocations in the steady state;
 //   - Update: an incremental re-analysis after a few inputs changed,
@@ -216,17 +216,13 @@ func (p *Program) Acquire() *Evaluator {
 }
 
 // Run estimates signal probabilities and observabilities for one input
-// tuple on a pooled evaluator.  Safe for concurrent use.
-func (p *Program) Run(inputProbs []float64) (*Analysis, error) {
-	return p.RunCtx(context.Background(), inputProbs)
-}
-
-// RunCtx is Run with cancellation.  Safe for concurrent use: each call
-// acquires its own pooled evaluator and releases it before returning.
-func (p *Program) RunCtx(ctx context.Context, inputProbs []float64) (*Analysis, error) {
+// tuple on a pooled evaluator, aborting with ctx.Err() as Evaluator.Run
+// does.  Safe for concurrent use: each call acquires its own pooled
+// evaluator and releases it before returning.
+func (p *Program) Run(ctx context.Context, inputProbs []float64) (*Analysis, error) {
 	e := p.Acquire()
 	defer e.Release()
-	return e.RunCtx(ctx, inputProbs)
+	return e.Run(ctx, inputProbs)
 }
 
 // NewAnalysis allocates an Analysis shaped for this program's circuit
@@ -404,14 +400,9 @@ func (e *Evaluator) initScratch() {
 }
 
 // Run estimates signal probabilities and observabilities for the given
-// per-input signal probabilities.
-func (e *Evaluator) Run(inputProbs []float64) (*Analysis, error) {
-	return e.RunCtx(context.Background(), inputProbs)
-}
-
-// RunCtx is Run with cancellation: it aborts with ctx.Err() before the
+// per-input signal probabilities.  It aborts with ctx.Err() before the
 // signal pass and between the signal and observability passes.
-func (e *Evaluator) RunCtx(ctx context.Context, inputProbs []float64) (*Analysis, error) {
+func (e *Evaluator) Run(ctx context.Context, inputProbs []float64) (*Analysis, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -482,7 +473,7 @@ func Analyze(c *circuit.Circuit, inputProbs []float64, params Params) (*Analysis
 	if err != nil {
 		return nil, err
 	}
-	return p.Run(inputProbs)
+	return p.Run(context.Background(), inputProbs)
 }
 
 // UniformProbs returns the conventional tuple p_i = 0.5 for every input.

@@ -53,10 +53,10 @@ func TestRunValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := an.Run([]float64{0.5}); err == nil {
+	if _, err := an.Run(t.Context(), []float64{0.5}); err == nil {
 		t.Error("wrong probability count must fail")
 	}
-	if _, err := an.Run([]float64{0.5, 0.5, 0.5, 0.5, 1.5}); err == nil {
+	if _, err := an.Run(t.Context(), []float64{0.5, 0.5, 0.5, 0.5, 1.5}); err == nil {
 		t.Error("out-of-range probability must fail")
 	}
 }

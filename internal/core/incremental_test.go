@@ -58,7 +58,7 @@ func TestUpdateMatchesRunRandomCircuits(t *testing.T) {
 				t.Fatal(err)
 			}
 			probs := UniformProbs(c)
-			res, err := an.Run(probs)
+			res, err := an.Run(t.Context(), probs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -79,7 +79,7 @@ func TestUpdateMatchesRunRandomCircuits(t *testing.T) {
 				if err := an.Update(res, changed, probs); err != nil {
 					t.Fatal(err)
 				}
-				fresh, err := an.Run(probs)
+				fresh, err := an.Run(t.Context(), probs)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -120,7 +120,7 @@ func TestUpdateMatchesRunPaperCircuits(t *testing.T) {
 			if err := u.Update(res, []int{i, j}, probs); err != nil {
 				t.Fatal(err)
 			}
-			fresh, err := an.Run(probs)
+			fresh, err := an.Run(t.Context(), probs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -143,7 +143,7 @@ func TestRunIntoAndCopyFrom(t *testing.T) {
 	if err := an.RunInto(res, probs); err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := an.Run(probs)
+	fresh, err := an.Run(t.Context(), probs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestRunIntoAndCopyFrom(t *testing.T) {
 	if err := an.Update(cp, []int{3}, probs); err != nil {
 		t.Fatal(err)
 	}
-	fresh2, err := an.Run(probs)
+	fresh2, err := an.Run(t.Context(), probs)
 	if err != nil {
 		t.Fatal(err)
 	}

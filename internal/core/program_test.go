@@ -29,7 +29,7 @@ func TestProgramConcurrentRunBitIdentical(t *testing.T) {
 	want := make([]*Analysis, len(tuples))
 	serial := prog.NewEvaluator()
 	for ti, probs := range tuples {
-		res, err := serial.Run(probs)
+		res, err := serial.Run(t.Context(), probs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,7 +44,7 @@ func TestProgramConcurrentRunBitIdentical(t *testing.T) {
 			defer wg.Done()
 			for k := 0; k < 2*len(tuples); k++ {
 				ti := (g + k) % len(tuples)
-				res, err := prog.Run(tuples[ti])
+				res, err := prog.Run(t.Context(), tuples[ti])
 				if err != nil {
 					t.Error(err)
 					return

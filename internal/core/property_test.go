@@ -245,7 +245,7 @@ func TestAnalyzerReuse(t *testing.T) {
 		tuples[1][i] = float64(i+1) / float64(len(c.Inputs)+2)
 	}
 	for _, tp := range tuples {
-		fromReuse, err := an.Run(tp)
+		fromReuse, err := an.Run(t.Context(), tp)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -116,7 +116,7 @@ func Validity(c *circuit.Circuit, cfg Config) (*ValidityResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := an.Run(core.UniformProbs(c))
+	res, err := an.Run(context.Background(), core.UniformProbs(c))
 	if err != nil {
 		return nil, err
 	}
@@ -205,7 +205,7 @@ func Table2(cfg Config) (*Table2Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := an.Run(core.UniformProbs(c))
+		res, err := an.Run(context.Background(), core.UniformProbs(c))
 		if err != nil {
 			return nil, err
 		}
@@ -256,7 +256,7 @@ func SizeTable(c *circuit.Circuit, inputProbs []float64) ([]SizeRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := an.Run(inputProbs)
+	res, err := an.Run(context.Background(), inputProbs)
 	if err != nil {
 		return nil, err
 	}
@@ -328,7 +328,7 @@ func Table4(cfg Config) (*Table4Result, error) {
 		return nil, err
 	}
 	faults := faultsFor(c)
-	opt, err := optimize.Optimize(an, faults, optimize.Options{
+	opt, err := optimize.Optimize(context.Background(), an, faults, optimize.Options{
 		MaxSweeps: cfg.sweeps(),
 		Seed:      cfg.Seed,
 		Workers:   cfg.Workers,
@@ -371,7 +371,7 @@ func Table5(cfg Config) (map[string][]SizeRow, map[string][]float64, error) {
 			return nil, nil, err
 		}
 		faults := faultsFor(c)
-		opt, err := optimize.Optimize(an, faults, optimize.Options{
+		opt, err := optimize.Optimize(context.Background(), an, faults, optimize.Options{
 			MaxSweeps: cfg.sweeps(),
 			Seed:      cfg.Seed,
 			Workers:   cfg.Workers,
@@ -546,12 +546,12 @@ func Table8(cfg Config) ([]ScaleRow, error) {
 			sweeps = 1
 		}
 		start := time.Now()
-		opt, err := optimize.Optimize(an, faults, optimize.Options{MaxSweeps: sweeps, Seed: cfg.Seed, Workers: cfg.Workers})
+		opt, err := optimize.Optimize(context.Background(), an, faults, optimize.Options{MaxSweeps: sweeps, Seed: cfg.Seed, Workers: cfg.Workers})
 		if err != nil {
 			return nil, err
 		}
 		elapsed := time.Since(start)
-		res, err := an.Run(opt.Probs)
+		res, err := an.Run(context.Background(), opt.Probs)
 		if err != nil {
 			return nil, err
 		}

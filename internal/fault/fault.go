@@ -311,18 +311,6 @@ func repairClasses(c *circuit.Circuit, kept []Fault, drop map[Fault]bool) []Faul
 	return kept
 }
 
-// CountUniverse returns the size of the uncollapsed fault list without
-// materializing it.
-func CountUniverse(c *circuit.Circuit) int {
-	n := 2 * c.NumNodes()
-	for id := range c.Nodes {
-		if !c.Nodes[id].IsInput {
-			n += 2 * len(c.Nodes[id].Fanin)
-		}
-	}
-	return n
-}
-
 // CollapseDominance applies dominance collapsing on top of equivalence
 // collapsing: for a gate with a controlling value, the output fault
 // caused by the *non-controlled* case dominates each input fault of the

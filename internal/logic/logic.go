@@ -103,16 +103,6 @@ func (op Op) ArityOK(n int) bool {
 	return false
 }
 
-// Inverting reports whether the operator complements the underlying
-// monotone core (NAND, NOR, NOT, XNOR).  Used by fault collapsing.
-func (op Op) Inverting() bool {
-	switch op {
-	case Not, Nand, Nor, Xnor:
-		return true
-	}
-	return false
-}
-
 // Eval evaluates the operator on boolean inputs.  TableOp gates must be
 // evaluated through their TruthTable instead.
 func Eval(op Op, in []bool) bool {

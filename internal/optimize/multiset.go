@@ -55,14 +55,9 @@ func (r *MultiResult) TotalPatterns() int64 {
 // measured by finite differences around the uniform tuple (one
 // analysis per input), faults are grouped by the direction their
 // detection probability wants the weights to move, and each group gets
-// its own optimized tuple and session length.
-func OptimizeMulti(prog *core.Program, faults []fault.Fault, opt MultiOptions) (*MultiResult, error) {
-	return OptimizeMultiCtx(context.Background(), prog, faults, opt)
-}
-
-// OptimizeMultiCtx is OptimizeMulti with cancellation, threading ctx
-// through the gradient clustering and each per-group climb.
-func OptimizeMultiCtx(ctx context.Context, prog *core.Program, faults []fault.Fault, opt MultiOptions) (*MultiResult, error) {
+// its own optimized tuple and session length.  ctx is threaded through
+// the gradient clustering and each per-group climb.
+func OptimizeMulti(ctx context.Context, prog *core.Program, faults []fault.Fault, opt MultiOptions) (*MultiResult, error) {
 	if opt.Sets <= 0 {
 		opt.Sets = 2
 	}
@@ -78,11 +73,11 @@ func OptimizeMultiCtx(ctx context.Context, prog *core.Program, faults []fault.Fa
 		if len(group) == 0 {
 			continue
 		}
-		single, err := OptimizeCtx(ctx, prog, group, opt.PerSet)
+		single, err := Optimize(ctx, prog, group, opt.PerSet)
 		if err != nil {
 			return nil, err
 		}
-		run, err := prog.RunCtx(ctx, single.Probs)
+		run, err := prog.Run(ctx, single.Probs)
 		if err != nil {
 			return nil, err
 		}

@@ -42,11 +42,11 @@ func TestOptimizeMultiBeatsSingleOnConflict(t *testing.T) {
 	}
 	faults := fault.Collapse(c)
 
-	single, err := Optimize(an, faults, Options{MaxSweeps: 12})
+	single, err := Optimize(t.Context(), an, faults, Options{MaxSweeps: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
-	runSingle, err := an.Run(single.Probs)
+	runSingle, err := an.Run(t.Context(), single.Probs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestOptimizeMultiBeatsSingleOnConflict(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	multi, err := OptimizeMulti(an, faults, MultiOptions{
+	multi, err := OptimizeMulti(t.Context(), an, faults, MultiOptions{
 		Sets:              2,
 		SessionConfidence: 0.95,
 		PerSet:            Options{MaxSweeps: 12},
@@ -86,7 +86,7 @@ func TestOptimizeMultiSingleSetDegenerates(t *testing.T) {
 		t.Fatal(err)
 	}
 	faults := fault.Collapse(c)
-	multi, err := OptimizeMulti(an, faults, MultiOptions{Sets: 1, PerSet: Options{MaxSweeps: 4}})
+	multi, err := OptimizeMulti(t.Context(), an, faults, MultiOptions{Sets: 1, PerSet: Options{MaxSweeps: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -155,7 +155,7 @@ func chooseN(detect []float64) float64 {
 // reporting tables).  Safe for concurrent use: it runs on a pooled
 // evaluator of the shared program.
 func Objective(prog *core.Program, faults []fault.Fault, probs []float64, n float64) (float64, error) {
-	res, err := prog.Run(probs)
+	res, err := prog.Run(context.Background(), probs)
 	if err != nil {
 		return 0, err
 	}
@@ -480,14 +480,9 @@ func (c *climber) commit(cur []int, mv move) error {
 // the uniform tuple p_i = 0.5, with structural pair moves when single
 // moves stall.  It is safe to run any number of concurrent climbs over
 // one shared Program; each climb only acquires pooled evaluators.
-func Optimize(prog *core.Program, faults []fault.Fault, opt Options) (*Result, error) {
-	return OptimizeCtx(context.Background(), prog, faults, opt)
-}
-
-// OptimizeCtx is Optimize with cancellation: every objective
-// evaluation checks ctx, so a cancelled context aborts the climb
-// within one incremental evaluation and returns ctx.Err().
-func OptimizeCtx(ctx context.Context, prog *core.Program, faults []fault.Fault, opt Options) (*Result, error) {
+// Every objective evaluation checks ctx, so a cancelled context aborts
+// the climb within one incremental evaluation and returns ctx.Err().
+func Optimize(ctx context.Context, prog *core.Program, faults []fault.Fault, opt Options) (*Result, error) {
 	opt.fill()
 	c := prog.Circuit()
 	nin := len(c.Inputs)

@@ -76,7 +76,7 @@ func TestOptimizeImprovesEq8(t *testing.T) {
 		t.Fatal(err)
 	}
 	faults := fault.Collapse(c)
-	res, err := Optimize(an, faults, Options{MaxSweeps: 6})
+	res, err := Optimize(t.Context(), an, faults, Options{MaxSweeps: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestOptimizeReducesTestLength(t *testing.T) {
 	}
 	faults := fault.Collapse(c)
 
-	uniform, err := an.Run(core.UniformProbs(c))
+	uniform, err := an.Run(t.Context(), core.UniformProbs(c))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,11 +114,11 @@ func TestOptimizeReducesTestLength(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := Optimize(an, faults, Options{MaxSweeps: 8})
+	res, err := Optimize(t.Context(), an, faults, Options{MaxSweeps: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := an.Run(res.Probs)
+	opt, err := an.Run(t.Context(), res.Probs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,11 +139,11 @@ func TestOptimizeWithRestarts(t *testing.T) {
 		t.Fatal(err)
 	}
 	faults := fault.Collapse(c)
-	base, err := Optimize(an, faults, Options{MaxSweeps: 3})
+	base, err := Optimize(t.Context(), an, faults, Options{MaxSweeps: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr, err := Optimize(an, faults, Options{MaxSweeps: 3, Restarts: 2, Seed: 5})
+	rr, err := Optimize(t.Context(), an, faults, Options{MaxSweeps: 3, Restarts: 2, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestOptimizeCallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	calls := 0
-	_, err = Optimize(an, fault.Collapse(c), Options{
+	_, err = Optimize(t.Context(), an, fault.Collapse(c), Options{
 		MaxSweeps: 2,
 		OnImprove: func(sweep, input int, obj float64) { calls++ },
 	})
@@ -178,11 +178,11 @@ func TestOptimizeDefaultsAndDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	faults := fault.Collapse(c)
-	a, err := Optimize(an, faults, Options{})
+	a, err := Optimize(t.Context(), an, faults, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Optimize(an, faults, Options{})
+	b, err := Optimize(t.Context(), an, faults, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func TestOptimizeWorkersDeterministic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := Optimize(an, faults, Options{
+			res, err := Optimize(t.Context(), an, faults, Options{
 				MaxSweeps: 2,
 				Restarts:  1,
 				Seed:      5,
@@ -65,7 +65,7 @@ func TestOptimizeWorkersCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	evals := 0
-	_, err = OptimizeCtx(ctx, an, faults, Options{
+	_, err = Optimize(ctx, an, faults, Options{
 		MaxSweeps: 50,
 		Workers:   4,
 		OnImprove: func(int, int, float64) {
@@ -94,7 +94,7 @@ func TestOptimizeMultiWorkersDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := OptimizeMulti(an, faults, MultiOptions{
+		res, err := OptimizeMulti(t.Context(), an, faults, MultiOptions{
 			Sets:   2,
 			PerSet: Options{MaxSweeps: 1, Workers: workers},
 		})

@@ -50,7 +50,7 @@ func (s *Server) recoverToError(errp *error) {
 // a distributed fault-simulation run (see internal/shard).  Shards
 // pass the same admission control as every analysis endpoint, so a
 // worker overloaded with shards degrades into fast 429s the
-// coordinator's retry/hedge layer routes around.  A digest the worker
+// coordinator's retries route around.  A digest the worker
 // does not hold answers 404, which the coordinator's transport maps to
 // shard.ErrUnknownCircuit.
 func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {

@@ -132,7 +132,7 @@ type Config struct {
 	Worker bool
 	// WorkerAddrs, when non-empty, shards every Session's fault
 	// simulation across those worker processes through a failure-aware
-	// pool (retries, hedging, ejection, local fallback); results stay
+	// pool (retries, ejection, local fallback); results stay
 	// bit-identical to local execution, and /healthz reports the pool
 	// under "shard" plus a top-level "degraded" flag.
 	WorkerAddrs []string

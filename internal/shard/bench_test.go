@@ -39,8 +39,8 @@ func BenchmarkShardedDetect(b *testing.B) {
 		b.Run(fmt.Sprintf("workers-%d", n), func(b *testing.B) {
 			cfg := Config{
 				Transport:     &LocalTransport{Exec: NewExecutor()},
-				ShardTimeout:  time.Minute,
-				ProbeInterval: time.Hour,
+				shardTimeout:  time.Minute,
+				probeInterval: time.Hour,
 			}
 			for i := 0; i < n; i++ {
 				cfg.Workers = append(cfg.Workers, fmt.Sprintf("w%d", i))

@@ -25,11 +25,10 @@ func chaosPool(t *testing.T, addrs []string, policies map[string]Policy, mod fun
 	cfg := Config{
 		Workers:       addrs,
 		Transport:     tr,
-		ShardTimeout:  5 * time.Second,
-		BackoffBase:   time.Millisecond,
-		BackoffMax:    4 * time.Millisecond,
-		HedgeAfter:    -1,
-		ProbeInterval: time.Minute,
+		shardTimeout:  5 * time.Second,
+		backoffBase:   time.Millisecond,
+		backoffMax:    4 * time.Millisecond,
+		probeInterval: time.Minute,
 	}
 	if mod != nil {
 		mod(&cfg)
@@ -64,7 +63,7 @@ func TestChaosDroppedCallsTimeOut(t *testing.T) {
 	p, _ := chaosPool(t, []string{"w1", "w2"}, map[string]Policy{
 		"w1": {DropEvery: 2},
 	}, func(cfg *Config) {
-		cfg.ShardTimeout = 30 * time.Millisecond
+		cfg.shardTimeout = 30 * time.Millisecond
 	})
 	done := make(chan struct{})
 	var res *faultsim.Result
@@ -82,6 +81,37 @@ func TestChaosDroppedCallsTimeOut(t *testing.T) {
 		t.Fatal(runErr)
 	}
 	sameDetect(t, "c17/drops", res, serialDetect(t, run, nil, 257))
+}
+
+// TestChaosCancelledRunIsNotAFailure: a caller that gives up on a run
+// whose calls hang gets context.Canceled at once, and its cancellation
+// is held against no worker: no retry, failure, ejection or local
+// fallback.
+func TestChaosCancelledRunIsNotAFailure(t *testing.T) {
+	run := newTestRun(t, "alu")
+	p, _ := chaosPool(t, []string{"w1", "w2"}, map[string]Policy{
+		"w1": {DropEvery: 1},
+		"w2": {DropEvery: 1},
+	}, nil)
+	ctx, cancel := context.WithCancel(t.Context())
+	time.AfterFunc(20*time.Millisecond, cancel)
+	start := time.Now()
+	_, err := p.MeasureDetection(ctx, run.plan, run.model, testSeed, nil, 257, 0, nil)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if d := time.Since(start); d > p.cfg.shardTimeout/2 {
+		t.Fatalf("cancelled run returned after %v, per-attempt deadline %v", d, p.cfg.shardTimeout)
+	}
+	st := p.Stats()
+	if st.Retries != 0 || st.LocalFallbacks != 0 {
+		t.Fatalf("cancellation cost a retry or a local fallback: %+v", st)
+	}
+	for _, w := range st.Workers {
+		if w.Failures != 0 || w.Ejections != 0 {
+			t.Fatalf("cancellation held against worker %s: %+v", w.Addr, st)
+		}
+	}
 }
 
 // TestChaosCurveUnderErrors: the curve path has its own merge; run it
@@ -108,8 +138,8 @@ func TestChaosCrashEjectionAndReadmission(t *testing.T) {
 	p, _ := chaosPool(t, []string{"w1", "w2"}, map[string]Policy{
 		"w1": {CrashAfter: 1, RecoverAfter: 2},
 	}, func(cfg *Config) {
-		cfg.EjectAfter = 1
-		cfg.ProbeInterval = 5 * time.Millisecond
+		cfg.ejectAfter = 1
+		cfg.probeInterval = 5 * time.Millisecond
 	})
 	got, err := run.detect(p, nil, 257, 0)
 	if err != nil {
@@ -145,8 +175,8 @@ func TestChaosAllWorkersDownDegrades(t *testing.T) {
 		"w1": {ErrEvery: 1},
 		"w2": {ErrEvery: 1},
 	}, func(cfg *Config) {
-		cfg.EjectAfter = 1
-		cfg.MaxAttempts = 2
+		cfg.ejectAfter = 1
+		cfg.maxAttempts = 2
 	})
 	got, err := run.detect(p, nil, 257, 0)
 	if err != nil {
@@ -169,28 +199,6 @@ func TestChaosAllWorkersDownDegrades(t *testing.T) {
 	sameDetect(t, "c17/degraded-run", got, serialDetect(t, run, nil, 257))
 	if st = p.Stats(); st.DegradedRuns != 1 {
 		t.Fatalf("degraded_runs = %d, want 1: %+v", st.DegradedRuns, st)
-	}
-}
-
-// TestChaosHedgingStragglers: a straggling worker's shards are hedged
-// onto the healthy one; the first response wins and the result is the
-// exact one.
-func TestChaosHedgingStragglers(t *testing.T) {
-	run := newTestRun(t, "alu")
-	p, _ := chaosPool(t, []string{"slow", "fast"}, map[string]Policy{
-		"slow": {Delay: 300 * time.Millisecond},
-	}, func(cfg *Config) {
-		cfg.HedgeAfter = 10 * time.Millisecond
-		cfg.ShardsPerWorker = 1
-	})
-	start := time.Now()
-	got, err := run.detect(p, nil, 257, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameDetect(t, "alu/hedge", got, serialDetect(t, run, nil, 257))
-	if st := p.Stats(); st.Hedges == 0 {
-		t.Fatalf("no hedges dispatched against a straggler: %+v (took %v)", st, time.Since(start))
 	}
 }
 
@@ -323,12 +331,11 @@ func TestHTTPWorkerKilledMidRun(t *testing.T) {
 
 	p := NewPool(Config{
 		Workers:       []string{w1.ts.URL, w2.ts.URL},
-		ShardTimeout:  5 * time.Second,
-		BackoffBase:   time.Millisecond,
-		BackoffMax:    4 * time.Millisecond,
-		EjectAfter:    2,
-		HedgeAfter:    -1,
-		ProbeInterval: time.Minute,
+		shardTimeout:  5 * time.Second,
+		backoffBase:   time.Millisecond,
+		backoffMax:    4 * time.Millisecond,
+		ejectAfter:    2,
+		probeInterval: time.Minute,
 	})
 	defer p.Close()
 
@@ -352,9 +359,8 @@ func TestHTTPWorkerRestartedMidRun(t *testing.T) {
 	w := newHTTPWorker(t, 0)
 	p := NewPool(Config{
 		Workers:       []string{w.ts.URL},
-		ShardTimeout:  5 * time.Second,
-		HedgeAfter:    -1,
-		ProbeInterval: time.Minute,
+		shardTimeout:  5 * time.Second,
+		probeInterval: time.Minute,
 	})
 	defer p.Close()
 
@@ -396,12 +402,11 @@ func TestArrayWorkerFallsBack(t *testing.T) {
 	w.arrays.Store(true)
 	p := NewPool(Config{
 		Workers:       []string{w.ts.URL},
-		ShardTimeout:  5 * time.Second,
-		MaxAttempts:   2,
-		BackoffBase:   time.Millisecond,
-		BackoffMax:    2 * time.Millisecond,
-		HedgeAfter:    -1,
-		ProbeInterval: time.Minute,
+		shardTimeout:  5 * time.Second,
+		maxAttempts:   2,
+		backoffBase:   time.Millisecond,
+		backoffMax:    2 * time.Millisecond,
+		probeInterval: time.Minute,
 	})
 	defer p.Close()
 
@@ -434,9 +439,8 @@ func TestPoolKeepsWorkerConnectionsAlive(t *testing.T) {
 	w := newHTTPWorker(t, 4)
 	p := NewPool(Config{
 		Workers:       []string{w.ts.URL},
-		ShardTimeout:  5 * time.Second,
-		HedgeAfter:    -1,
-		ProbeInterval: time.Minute,
+		shardTimeout:  5 * time.Second,
+		probeInterval: time.Minute,
 	})
 	defer p.Close()
 

@@ -4,16 +4,12 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"time"
 )
 
 // Policy describes the faults ChaosTransport injects for one worker
 // address.  Counters are per-address and 1-based: ErrEvery = 3 fails
 // calls 3, 6, 9, …  The zero Policy injects nothing.
 type Policy struct {
-	// Delay stalls every call (and probe) this long before it runs —
-	// the straggler the hedging path exists for.
-	Delay time.Duration
 	// ErrEvery fails every n-th call with an injected error (0 = never).
 	ErrEvery int
 	// DropEvery swallows every n-th call: it blocks until the caller's
@@ -33,7 +29,6 @@ type Policy struct {
 // addrState is the per-address chaos bookkeeping.
 type addrState struct {
 	calls       int
-	probes      int
 	crashed     bool
 	probesSince int // failed probes since the crash
 }
@@ -68,26 +63,15 @@ func (c *ChaosTransport) SetPolicy(addr string, p Policy) {
 	c.state[addr] = &addrState{}
 }
 
-// Calls returns how many shard calls addr has received (including
-// injected failures).
-func (c *ChaosTransport) Calls(addr string) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if st := c.state[addr]; st != nil {
-		return st.calls
-	}
-	return 0
-}
-
 // admitCall advances addr's call counter and decides this call's fate.
-// It returns (delay, drop, err): sleep delay first, then either block
-// until ctx ends (drop), fail with err, or pass through.
-func (c *ChaosTransport) admitCall(addr string) (time.Duration, bool, error) {
+// It returns (drop, err): either block until ctx ends (drop), fail with
+// err, or pass through.
+func (c *ChaosTransport) admitCall(addr string) (bool, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	p := c.policies[addr]
 	if p == nil {
-		return 0, false, nil
+		return false, nil
 	}
 	st := c.state[addr]
 	st.calls++
@@ -95,25 +79,20 @@ func (c *ChaosTransport) admitCall(addr string) (time.Duration, bool, error) {
 		st.crashed = true
 	}
 	if st.crashed {
-		return 0, false, fmt.Errorf("chaos: worker %s crashed", addr)
+		return false, fmt.Errorf("chaos: worker %s crashed", addr)
 	}
 	if p.DropEvery > 0 && st.calls%p.DropEvery == 0 {
-		return p.Delay, true, nil
+		return true, nil
 	}
 	if p.ErrEvery > 0 && st.calls%p.ErrEvery == 0 {
-		return p.Delay, false, fmt.Errorf("chaos: injected error on %s (call %d)", addr, st.calls)
+		return false, fmt.Errorf("chaos: injected error on %s (call %d)", addr, st.calls)
 	}
-	return p.Delay, false, nil
+	return false, nil
 }
 
 // Do implements Transport.
 func (c *ChaosTransport) Do(ctx context.Context, addr string, req *Request) (*Response, error) {
-	delay, drop, err := c.admitCall(addr)
-	if delay > 0 {
-		if serr := sleep(ctx, delay); serr != nil {
-			return nil, serr
-		}
-	}
+	drop, err := c.admitCall(addr)
 	if drop {
 		<-ctx.Done()
 		return nil, ctx.Err()
@@ -134,8 +113,6 @@ func (c *ChaosTransport) Probe(ctx context.Context, addr string) error {
 		return c.Inner.Probe(ctx, addr)
 	}
 	st := c.state[addr]
-	st.probes++
-	delay := p.Delay
 	if st.crashed {
 		st.probesSince++
 		if p.RecoverAfter > 0 && st.probesSince >= p.RecoverAfter {
@@ -145,10 +122,5 @@ func (c *ChaosTransport) Probe(ctx context.Context, addr string) error {
 		return fmt.Errorf("chaos: worker %s crashed", addr)
 	}
 	c.mu.Unlock()
-	if delay > 0 {
-		if serr := sleep(ctx, delay); serr != nil {
-			return serr
-		}
-	}
 	return c.Inner.Probe(ctx, addr)
 }

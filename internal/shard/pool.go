@@ -18,81 +18,63 @@ import (
 	"protest/internal/widesim"
 )
 
-// Config tunes a Pool.  The zero value of every field selects the
-// documented default, so Config{Workers: addrs} is a working setup.
+// Config configures a Pool.  Config{Workers: addrs} is a working
+// setup; the deadline, retry, ejection and probe timings are fixed
+// (see the package's Robustness section).
 type Config struct {
 	// Workers are the worker addresses shards are dispatched to.  An
 	// empty list makes a permanently degraded pool: every run executes
 	// locally.
 	Workers []string
 	// Transport executes shard calls (default: an HTTPTransport that
-	// keeps up to MaxShards idle connections per worker).
+	// keeps up to 64 idle connections per worker, as many as one run
+	// sends at once).
 	Transport Transport
-	// ShardTimeout is the per-attempt deadline (default 30s).
-	ShardTimeout time.Duration
-	// MaxAttempts bounds remote attempts per shard before it falls back
-	// to local execution (default 3).
-	MaxAttempts int
-	// BackoffBase and BackoffMax shape the capped exponential backoff
-	// between attempts: attempt n waits ~BackoffBase·2ⁿ, jittered over
-	// its top half, never more than BackoffMax (defaults 50ms, 2s).
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	// HedgeAfter re-dispatches a shard to a second worker when the
-	// first has not answered in this long; the first response wins and
-	// the duplicate is discarded.  Default 2s; negative disables.
-	HedgeAfter time.Duration
-	// EjectAfter is the consecutive-failure count that ejects a worker
-	// from dispatch (default 3).  Ejected workers are re-admitted by a
-	// successful probe, or by a success from a still-in-flight attempt.
-	EjectAfter int
-	// ProbeInterval is how often ejected workers are probed for
-	// re-admission (default 3s).
-	ProbeInterval time.Duration
-	// ShardsPerWorker scales the shard count: a run is cut into about
-	// healthy-workers × ShardsPerWorker shards (default 4), bounded by
-	// MaxShards (default 64), so one slow worker delays at most a
-	// fraction of the run and retries move small units.
-	ShardsPerWorker int
-	MaxShards       int
 	// Seed seeds the backoff jitter (default 1; any value is fine —
 	// jitter affects timing only, never results).
 	Seed uint64
+
+	// The pool's timings.  Zero selects the default; only this
+	// package's tests shorten them.
+	shardTimeout            time.Duration // per-attempt deadline (30s)
+	maxAttempts             int           // remote attempts per shard before it runs locally (3)
+	backoffBase, backoffMax time.Duration // bounds of the pre-retry wait (50ms, 2s; see backoff)
+	ejectAfter              int           // consecutive failures that eject a worker (3)
+	probeInterval           time.Duration // how often ejected workers are probed for re-admission (3s)
 }
 
+// A run is cut into about healthy-workers × shardsPerWorker shards, at
+// most maxShards, so one slow worker delays at most a fraction of the
+// run and retries move small units.
+const (
+	shardsPerWorker = 4
+	maxShards       = 64
+)
+
 func (c *Config) fill() {
-	if c.ShardTimeout <= 0 {
-		c.ShardTimeout = 30 * time.Second
+	if c.shardTimeout <= 0 {
+		c.shardTimeout = 30 * time.Second
 	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 3
+	if c.maxAttempts <= 0 {
+		c.maxAttempts = 3
 	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = 50 * time.Millisecond
+	if c.backoffBase <= 0 {
+		c.backoffBase = 50 * time.Millisecond
 	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = 2 * time.Second
+	if c.backoffMax <= 0 {
+		c.backoffMax = 2 * time.Second
 	}
-	if c.HedgeAfter == 0 {
-		c.HedgeAfter = 2 * time.Second
+	if c.ejectAfter <= 0 {
+		c.ejectAfter = 3
 	}
-	if c.EjectAfter <= 0 {
-		c.EjectAfter = 3
-	}
-	if c.ProbeInterval <= 0 {
-		c.ProbeInterval = 3 * time.Second
-	}
-	if c.ShardsPerWorker <= 0 {
-		c.ShardsPerWorker = 4
-	}
-	if c.MaxShards <= 0 {
-		c.MaxShards = 64
+	if c.probeInterval <= 0 {
+		c.probeInterval = 3 * time.Second
 	}
 	if c.Transport == nil {
-		// A run sends up to MaxShards shards at once; keeping as many
+		// A run sends up to maxShards shards at once; keeping as many
 		// connections per worker alive stops every run from redialing.
 		tr := http.DefaultTransport.(*http.Transport).Clone()
-		tr.MaxIdleConnsPerHost = c.MaxShards
+		tr.MaxIdleConnsPerHost = maxShards
 		c.Transport = NewHTTPTransport(&http.Client{Transport: tr})
 	}
 	if c.Seed == 0 {
@@ -110,7 +92,6 @@ type worker struct {
 	shards       atomic.Int64 // successful shard responses
 	failures     atomic.Int64 // failed attempts (timeouts included)
 	retries      atomic.Int64 // attempts beyond a shard's first
-	hedges       atomic.Int64 // hedged duplicates dispatched here
 	ejections    atomic.Int64
 	readmissions atomic.Int64
 }
@@ -130,7 +111,6 @@ type Pool struct {
 	degradedRuns   atomic.Int64
 	shardsTotal    atomic.Int64
 	retriesTotal   atomic.Int64
-	hedgesTotal    atomic.Int64
 	localFallbacks atomic.Int64
 	circuitMisses  atomic.Int64
 
@@ -184,7 +164,7 @@ func (p *Pool) Degraded() bool { return p.healthy() == 0 }
 // that answer.
 func (p *Pool) probeLoop() {
 	defer p.probeWG.Done()
-	tick := time.NewTicker(p.cfg.ProbeInterval)
+	tick := time.NewTicker(p.cfg.probeInterval)
 	defer tick.Stop()
 	for {
 		select {
@@ -195,7 +175,7 @@ func (p *Pool) probeLoop() {
 				if !w.ejected.Load() {
 					continue
 				}
-				ctx, cancel := context.WithTimeout(context.Background(), p.cfg.ShardTimeout)
+				ctx, cancel := context.WithTimeout(context.Background(), p.cfg.shardTimeout)
 				err := p.tr.Probe(ctx, w.addr)
 				cancel()
 				if err == nil {
@@ -224,14 +204,14 @@ func (p *Pool) recordSuccess(w *worker) {
 }
 
 // recordFailure accounts one failed attempt, ejecting the worker after
-// EjectAfter consecutive failures.  Failures caused by the caller's
+// ejectAfter consecutive failures.  Failures caused by the caller's
 // own cancellation are not held against the worker.
 func (p *Pool) recordFailure(parent context.Context, w *worker) {
 	if parent.Err() != nil {
 		return
 	}
 	w.failures.Add(1)
-	if w.consecFails.Add(1) >= int64(p.cfg.EjectAfter) && w.ejected.CompareAndSwap(false, true) {
+	if w.consecFails.Add(1) >= int64(p.cfg.ejectAfter) && w.ejected.CompareAndSwap(false, true) {
 		w.ejections.Add(1)
 	}
 }
@@ -240,24 +220,8 @@ func (p *Pool) recordFailure(parent context.Context, w *worker) {
 // (shard index + attempt, so consecutive attempts rotate), or nil.
 func (p *Pool) pickWorker(start int) *worker {
 	n := len(p.workers)
-	if n == 0 {
-		return nil
-	}
-	if start < 0 {
-		start = -start
-	}
 	for i := 0; i < n; i++ {
 		if w := p.workers[(start+i)%n]; !w.ejected.Load() {
-			return w
-		}
-	}
-	return nil
-}
-
-// pickHedge returns a healthy worker other than the primary, or nil.
-func (p *Pool) pickHedge(primary *worker) *worker {
-	for _, w := range p.workers {
-		if w != primary && !w.ejected.Load() {
 			return w
 		}
 	}
@@ -268,12 +232,12 @@ func (p *Pool) pickHedge(primary *worker) *worker {
 // exponential, jittered over its top half so synchronized retries
 // spread out.
 func (p *Pool) backoff(attempt int) time.Duration {
-	d := p.cfg.BackoffBase
-	for i := 0; i < attempt && d < p.cfg.BackoffMax; i++ {
+	d := p.cfg.backoffBase
+	for i := 0; i < attempt && d < p.cfg.backoffMax; i++ {
 		d *= 2
 	}
-	if d > p.cfg.BackoffMax {
-		d = p.cfg.BackoffMax
+	if d > p.cfg.backoffMax {
+		d = p.cfg.backoffMax
 	}
 	half := d / 2
 	p.rngMu.Lock()
@@ -354,71 +318,25 @@ func wireOf(c *circuit.Circuit) *wire {
 	}).(*wire)
 }
 
-// attempt runs one remote attempt of a shard against primary, hedging
-// onto a second worker when the primary stalls past HedgeAfter.  The
-// first valid response wins; a late duplicate lands in the buffered
-// channel and is discarded, so the merge sees each shard exactly once,
-// and a loser cancelled mid-flight never poisons its worker's health.
-// A response that fails Response.check against the run's blocks and
-// the shard's want faults is a failed attempt.
-func (p *Pool) attempt(ctx context.Context, primary *worker, src string, blocks []faultsim.BlockSpan, req *Request, want int) (*Response, error) {
-	actx, cancel := context.WithTimeout(ctx, p.cfg.ShardTimeout)
+// attempt runs one remote attempt of a shard on w under the
+// per-attempt deadline.  A response that fails Response.check against
+// the run's blocks and the shard's want faults is a failed attempt.
+func (p *Pool) attempt(ctx context.Context, w *worker, src string, blocks []faultsim.BlockSpan, req *Request, want int) (*Response, error) {
+	actx, cancel := context.WithTimeout(ctx, p.cfg.shardTimeout)
 	defer cancel()
-
-	type result struct {
-		resp *Response
-		err  error
-		w    *worker
-	}
-	ch := make(chan result, 2)
-	launch := func(w *worker) {
-		go func() {
-			resp, err := p.send(actx, w, src, req)
-			ch <- result{resp, err, w}
-		}()
-	}
-	launch(primary)
-	inFlight := 1
-
-	var hedgeC <-chan time.Time
-	if p.cfg.HedgeAfter > 0 {
-		tm := time.NewTimer(p.cfg.HedgeAfter)
-		defer tm.Stop()
-		hedgeC = tm.C
-	}
-
-	var firstErr error
-	for {
-		select {
-		case r := <-ch:
-			inFlight--
-			if r.err == nil {
-				if err := r.resp.check(req, want, blocks); err != nil {
-					r.err = fmt.Errorf("shard: worker %s: bad response for groups [%d,%d), blocks [%d,%d): %w",
-						r.w.addr, req.GroupLo, req.GroupHi, req.BlockLo, req.BlockHi, err)
-				}
-			}
-			if r.err == nil {
-				p.recordSuccess(r.w)
-				return r.resp, nil
-			}
-			p.recordFailure(ctx, r.w)
-			if firstErr == nil {
-				firstErr = r.err
-			}
-			if inFlight == 0 {
-				return nil, firstErr
-			}
-		case <-hedgeC:
-			hedgeC = nil
-			if h := p.pickHedge(primary); h != nil {
-				p.hedgesTotal.Add(1)
-				h.hedges.Add(1)
-				inFlight++
-				launch(h)
-			}
+	resp, err := p.send(actx, w, src, req)
+	if err == nil {
+		if err = resp.check(req, want, blocks); err != nil {
+			err = fmt.Errorf("shard: worker %s: bad response for groups [%d,%d), blocks [%d,%d): %w",
+				w.addr, req.GroupLo, req.GroupHi, req.BlockLo, req.BlockHi, err)
 		}
 	}
+	if err != nil {
+		p.recordFailure(ctx, w)
+		return nil, err
+	}
+	p.recordSuccess(w)
+	return resp, nil
 }
 
 // send runs req on w.  A worker that does not hold the request's
@@ -441,7 +359,7 @@ func (p *Pool) send(ctx context.Context, w *worker, src string, req *Request) (*
 // avenue is exhausted (attempts spent, or no healthy worker left),
 // execute the shard locally — the result is bit-identical either way.
 func (p *Pool) runShardRemote(ctx context.Context, plan *faultsim.Plan, src string, blocks []faultsim.BlockSpan, si int, req *Request, want int) (*Response, error) {
-	for attempt := 0; attempt < p.cfg.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < p.cfg.maxAttempts; attempt++ {
 		w := p.pickWorker(si + attempt)
 		if w == nil {
 			break
@@ -457,7 +375,7 @@ func (p *Pool) runShardRemote(ctx context.Context, plan *faultsim.Plan, src stri
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
-		if attempt+1 < p.cfg.MaxAttempts {
+		if attempt+1 < p.cfg.maxAttempts {
 			if err := sleep(ctx, p.backoff(attempt)); err != nil {
 				return nil, err
 			}
@@ -489,7 +407,7 @@ func (p *Pool) start(c *circuit.Circuit, numBlocks int) (*wire, int) {
 // netlist sent to workers that miss the circuit's digest; progress
 // receives (completed shards, total shards).
 func (p *Pool) dispatch(ctx context.Context, plan *faultsim.Plan, src string, base Request, blocks []faultsim.BlockSpan, healthy int, progress faultsim.Progress) ([]span, []*Response, error) {
-	shards := planShards(plan.NumGroups(), len(blocks), faultsim.ChunkBlocks(base.SimWidth), healthy*p.cfg.ShardsPerWorker, p.cfg.MaxShards)
+	shards := planShards(plan.NumGroups(), len(blocks), faultsim.ChunkBlocks(base.SimWidth), healthy*shardsPerWorker, maxShards)
 	resps := make([]*Response, len(shards))
 	errs := make([]error, len(shards))
 	var done atomic.Int64
@@ -650,7 +568,6 @@ type WorkerStats struct {
 	Shards       int64  `json:"shards"`
 	Failures     int64  `json:"failures"`
 	Retries      int64  `json:"retries"`
-	Hedges       int64  `json:"hedges"`
 	Ejections    int64  `json:"ejections"`
 	Readmissions int64  `json:"readmissions"`
 }
@@ -664,11 +581,10 @@ type Stats struct {
 	// ran fully local for lack of healthy workers.
 	Runs         int64 `json:"runs"`
 	DegradedRuns int64 `json:"degraded_runs"`
-	// Shards counts successful remote shard responses; Retries,
-	// Hedges and LocalFallbacks the robustness-layer activations.
+	// Shards counts successful remote shard responses; Retries and
+	// LocalFallbacks the robustness-layer activations.
 	Shards         int64 `json:"shards"`
 	Retries        int64 `json:"retries"`
-	Hedges         int64 `json:"hedges"`
 	LocalFallbacks int64 `json:"local_fallbacks"`
 	// CircuitMisses counts shards resent with their netlist because
 	// the worker did not hold the circuit's digest.
@@ -685,7 +601,6 @@ func (p *Pool) Stats() Stats {
 		DegradedRuns:   p.degradedRuns.Load(),
 		Shards:         p.shardsTotal.Load(),
 		Retries:        p.retriesTotal.Load(),
-		Hedges:         p.hedgesTotal.Load(),
 		LocalFallbacks: p.localFallbacks.Load(),
 		CircuitMisses:  p.circuitMisses.Load(),
 	}
@@ -696,7 +611,6 @@ func (p *Pool) Stats() Stats {
 			Shards:       w.shards.Load(),
 			Failures:     w.failures.Load(),
 			Retries:      w.retries.Load(),
-			Hedges:       w.hedges.Load(),
 			Ejections:    w.ejections.Load(),
 			Readmissions: w.readmissions.Load(),
 		})

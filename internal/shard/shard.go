@@ -51,19 +51,19 @@
 //
 // # Robustness
 //
-// The Pool assumes workers fail: every shard attempt runs under its
-// own deadline, failures retry on the next healthy worker with capped
-// exponential backoff plus jitter, stragglers are hedged onto a second
-// worker (first response wins, the duplicate is discarded), workers
-// accumulating consecutive failures are ejected and probed back in,
-// and a shard that exhausts its remote attempts falls back to local
-// in-process execution.  With zero healthy workers the whole run
-// degrades to the local serial engine — callers always get an exact
-// answer, merely slower.  A response that does not decode, or whose
-// vector or values no correct worker could send (Response.check), is a
-// failed attempt like any other.  ChaosTransport injects drop/delay/
-// error/crash-after-N faults deterministically for the tests that
-// prove all of this keeps results bit-identical.
+// The Pool assumes workers fail: every shard attempt is one call under
+// its own deadline, failures retry on the next healthy worker with
+// capped exponential backoff plus jitter, workers accumulating
+// consecutive failures are ejected and probed back in, and a shard
+// that exhausts its remote attempts falls back to local in-process
+// execution.  With zero healthy workers the whole run degrades to the
+// local serial engine — callers always get an exact answer, merely
+// slower.  A response that does not decode, or whose vector or values
+// no correct worker could send (Response.check), is a failed attempt
+// like any other.  A caller's own cancellation is never held against a
+// worker.  The package's tests inject dropped calls, errors and
+// crashes deterministically to prove all of this keeps results
+// bit-identical.
 package shard
 
 import (

@@ -75,8 +75,8 @@ func localPool(t *testing.T, n int, mod func(*Config)) *Pool {
 	t.Helper()
 	cfg := Config{
 		Transport:     &LocalTransport{Exec: NewExecutor()},
-		ShardTimeout:  5 * time.Second,
-		ProbeInterval: time.Minute, // keep probes out of short tests
+		shardTimeout:  5 * time.Second,
+		probeInterval: time.Minute, // keep probes out of short tests
 	}
 	for i := 0; i < n; i++ {
 		cfg.Workers = append(cfg.Workers, string(rune('a'+i)))
@@ -319,10 +319,9 @@ func TestCorruptResponseRejected(t *testing.T) {
 			run := newTestRun(t, "c17")
 			p := localPool(t, 2, func(cfg *Config) {
 				cfg.Transport = &corruptTransport{inner: &LocalTransport{Exec: NewExecutor()}, mutate: tc.mutate}
-				cfg.MaxAttempts = 2
-				cfg.BackoffBase = time.Millisecond
-				cfg.BackoffMax = 2 * time.Millisecond
-				cfg.HedgeAfter = -1
+				cfg.maxAttempts = 2
+				cfg.backoffBase = time.Millisecond
+				cfg.backoffMax = 2 * time.Millisecond
 			})
 			if tc.curve {
 				got, err := run.curve(p, nil, cps, 1)
@@ -660,10 +659,9 @@ func TestOtherWireVersionRunsLocally(t *testing.T) {
 	} {
 		p := localPool(t, 2, func(cfg *Config) {
 			cfg.Transport = &editTransport{inner: &LocalTransport{Exec: NewExecutor()}, edit: edit}
-			cfg.MaxAttempts = 2
-			cfg.BackoffBase = time.Millisecond
-			cfg.BackoffMax = 2 * time.Millisecond
-			cfg.HedgeAfter = -1
+			cfg.maxAttempts = 2
+			cfg.backoffBase = time.Millisecond
+			cfg.backoffMax = 2 * time.Millisecond
 		})
 		got, err := run.detect(p, nil, 513, 0)
 		if err != nil {

@@ -11,9 +11,9 @@ import (
 )
 
 // Transport executes shard requests against a worker address.  Both
-// methods must honor ctx cancellation — the Pool's deadlines, hedging
-// and shutdown all rely on it.  Implementations must be safe for
-// concurrent use.
+// methods must honor ctx cancellation — the Pool's per-attempt
+// deadlines and its callers' cancellation rely on it.  Implementations
+// must be safe for concurrent use.
 type Transport interface {
 	// Do executes one shard request on the worker at addr.
 	Do(ctx context.Context, addr string, req *Request) (*Response, error)

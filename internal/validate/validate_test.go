@@ -35,7 +35,7 @@ func openHarness(t *testing.T, name string) *harness {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := prog.Run(core.UniformProbs(c))
+	res, err := prog.Run(t.Context(), core.UniformProbs(c))
 	if err != nil {
 		t.Fatal(err)
 	}

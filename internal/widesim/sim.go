@@ -194,12 +194,3 @@ func (s *Sim[B]) Values() []B {
 // Faulty returns the faulty bank (one lane vector per node), valid
 // where the last Propagate wrote it.
 func (s *Sim[B]) Faulty() []B { return s.values[s.p.c.NumNodes():] }
-
-// OutputLanes copies the output vectors into dst in lane-major layout:
-// dst[i*W+l] is lane l of output i.  dst must have numOutputs×W words.
-func (s *Sim[B]) OutputLanes(dst []uint64) {
-	w := Lanes[B]()
-	for i, id := range s.p.c.Outputs {
-		Store(s.values[id], dst[i*w:(i+1)*w])
-	}
-}

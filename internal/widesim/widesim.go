@@ -67,9 +67,6 @@ package widesim
 
 import "fmt"
 
-// Widths lists the supported simulation widths in 64-pattern lanes.
-func Widths() []int { return []int{1, 4, 8} }
-
 // ValidWidth reports whether w is a supported simulation width.
 // Width 0 is accepted everywhere a width option appears; it selects the
 // fault simulator's default schedule (see faultsim.Options.Width).
@@ -87,20 +84,6 @@ func CheckWidth(w int) error {
 		return fmt.Errorf("widesim: unsupported width %d (want 1, 4 or 8)", w)
 	}
 	return nil
-}
-
-// ParseWidth parses an explicit width.  The empty string selects
-// width 1.
-func ParseWidth(s string) (int, error) {
-	switch s {
-	case "", "1":
-		return 1, nil
-	case "4":
-		return 4, nil
-	case "8":
-		return 8, nil
-	}
-	return 0, fmt.Errorf("widesim: unsupported width %q (want 1, 4 or 8)", s)
 }
 
 // B1, B4 and B8 are the lane vectors: W consecutive 64-pattern blocks,

@@ -114,33 +114,6 @@ func TestWideMatchesNarrow(t *testing.T) {
 	}
 }
 
-// TestWideOutputLanes checks the lane-major output layout against the
-// narrow OutputWords.
-func TestWideOutputLanes(t *testing.T) {
-	c, _ := circuits.Lookup("mult")
-	const seed = 99
-	want := runNarrow(t, c, seed, 8)
-
-	prog := widesim.Compile(c)
-	sim := widesim.NewSim[widesim.B8](prog)
-	gen := pattern.NewUniform(len(c.Inputs), seed)
-	in := make([]uint64, len(c.Inputs)*8)
-	gen.NextBlocks(in, 8, 8)
-	if err := sim.SetInputs(in); err != nil {
-		t.Fatal(err)
-	}
-	sim.Run()
-	out := make([]uint64, len(c.Outputs)*8)
-	sim.OutputLanes(out)
-	for i, id := range c.Outputs {
-		for l := 0; l < 8; l++ {
-			if got, exp := out[i*8+l], want[l][id]; got != exp {
-				t.Fatalf("output %d lane %d: got %016x want %016x", i, l, got, exp)
-			}
-		}
-	}
-}
-
 // TestNextBlocksStream pins the wide fill to the narrow random stream:
 // k lanes of NextBlocks consume and produce exactly the words of k
 // NextBlock calls.
@@ -241,14 +214,5 @@ func TestWidthHelpers(t *testing.T) {
 		if err := widesim.CheckWidth(w); err == nil {
 			t.Fatalf("CheckWidth(%d) should fail", w)
 		}
-	}
-	if w, err := widesim.ParseWidth(""); err != nil || w != 1 {
-		t.Fatalf("ParseWidth(\"\") = %d, %v", w, err)
-	}
-	if w, err := widesim.ParseWidth("8"); err != nil || w != 8 {
-		t.Fatalf("ParseWidth(\"8\") = %d, %v", w, err)
-	}
-	if _, err := widesim.ParseWidth("2"); err == nil {
-		t.Fatal("ParseWidth(\"2\") should fail")
 	}
 }

@@ -371,13 +371,14 @@ func ATPGTestBools(test []atpg.V, fill bool) []bool { return atpg.TestBools(test
 
 // Sharded fault-simulation types: a ShardPool distributes simulation
 // and coverage measurements over `protest serve -worker` processes with
-// retries, hedging, health-based ejection and local fallback, merging
-// results bit-identically to in-process execution (see WithShardPool).
+// retries, health-based ejection and local fallback, merging results
+// bit-identically to in-process execution (see WithShardPool).
 type (
 	// ShardPool is the failure-aware coordinator.
 	ShardPool = shard.Pool
-	// ShardPoolConfig tunes a pool; the zero value of every field
-	// selects a documented default, so Config{Workers: addrs} works.
+	// ShardPoolConfig names a pool's workers, and optionally its
+	// transport and backoff-jitter seed; ShardPoolConfig{Workers: addrs}
+	// works.
 	ShardPoolConfig = shard.Config
 	// ShardStats is a pool's counter snapshot (exposed in /healthz).
 	ShardStats = shard.Stats

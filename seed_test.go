@@ -51,7 +51,7 @@ func TestOptimizeExplicitSeedZeroDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := optimize.Optimize(prog, Faults(c), OptimizeOptions{Seed: 0, Restarts: 2})
+	ref, err := optimize.Optimize(t.Context(), prog, Faults(c), OptimizeOptions{Seed: 0, Restarts: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -363,7 +363,7 @@ func (s *Session) analyze(ctx context.Context, inputProbs []float64, cfg runCfg)
 		inputProbs = core.UniformProbs(s.c)
 	}
 	cfg.emit(PhaseAnalyze, 0)
-	res, err := s.prog.RunCtx(ctx, inputProbs)
+	res, err := s.prog.Run(ctx, inputProbs)
 	if err != nil {
 		return nil, wrapCanceled(err)
 	}
@@ -444,7 +444,7 @@ func (s *Session) optimize(ctx context.Context, faults []Fault, opt OptimizeOpti
 	if err != nil {
 		return nil, err
 	}
-	res, err := optimize.OptimizeCtx(ctx, prog, faults, opt)
+	res, err := optimize.Optimize(ctx, prog, faults, opt)
 	return res, wrapCanceled(err)
 }
 
@@ -489,7 +489,7 @@ func (s *Session) OptimizeMulti(ctx context.Context, opt MultiOptimizeOptions) (
 	if err != nil {
 		return nil, err
 	}
-	res, err := optimize.OptimizeMultiCtx(ctx, prog, s.faults, opt)
+	res, err := optimize.OptimizeMulti(ctx, prog, s.faults, opt)
 	return res, wrapCanceled(err)
 }
 
