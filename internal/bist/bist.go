@@ -87,7 +87,7 @@ type Plan struct {
 	MISRSeed uint64
 	// Engine selects the fault-simulation engine producing the faulty
 	// responses (the zero value is the FFR engine; faultsim.EngineNaive
-	// selects the per-fault oracle; RunCtx rejects any other value).
+	// selects the per-fault oracle; Run rejects any other value).
 	// Through a Session the zero value means "the Session's engine".
 	// Signatures are bit-identical either way.
 	Engine faultsim.EngineKind
@@ -192,14 +192,14 @@ func (p *Program) plan() *faultsim.Plan {
 	return p.simPlan
 }
 
-// RunCtx simulates the complete self test: every fault's response
+// Run simulates the complete self test: every fault's response
 // stream is compacted into its own signature and compared against the
 // good one.  The generator supplies the stimulus (uniform for a
 // classic BILBO, weighted for the optimized NLFSR scheme).  Between
 // 64-cycle blocks it checks ctx and, on cancellation, returns ctx.Err()
 // and a nil result.  Safe for concurrent use: concurrent runs share
 // only the immutable plan and the scratch pool.
-func (p *Program) RunCtx(ctx context.Context, gen *pattern.Generator, plan Plan, progress faultsim.Progress) (*Result, error) {
+func (p *Program) Run(ctx context.Context, gen *pattern.Generator, plan Plan, progress faultsim.Progress) (*Result, error) {
 	c := p.c
 	if gen.NumInputs() != len(c.Inputs) {
 		return nil, fmt.Errorf("bist: generator has %d inputs, circuit %d", gen.NumInputs(), len(c.Inputs))

@@ -71,7 +71,7 @@ func TestFoldWideOutputs(t *testing.T) {
 
 // run runs one self test on a fresh Program over (c, faults).
 func run(c *circuit.Circuit, faults []fault.Fault, gen *pattern.Generator, plan Plan) (*Result, error) {
-	return NewProgram(c, faults, nil).RunCtx(context.Background(), gen, plan, nil)
+	return NewProgram(c, faults, nil).Run(context.Background(), gen, plan, nil)
 }
 
 func TestRunC17FullCoverage(t *testing.T) {
@@ -201,13 +201,13 @@ func TestEngineSignatureIdentity(t *testing.T) {
 		prog := NewProgram(c, fault.Collapse(c), nil)
 		for _, cycles := range []int{64, 100, 257} {
 			plan := Plan{Cycles: cycles, MISRWidth: 16, MISRSeed: 5, Engine: faultsim.EngineNaive}
-			naive, err := prog.RunCtx(context.Background(), pattern.NewUniform(len(c.Inputs), 9), plan, nil)
+			naive, err := prog.Run(context.Background(), pattern.NewUniform(len(c.Inputs), 9), plan, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, w := range []int{0, 1, 4, 8} {
 				plan := Plan{Cycles: cycles, MISRWidth: 16, MISRSeed: 5, SimWidth: w}
-				ffr, err := prog.RunCtx(context.Background(), pattern.NewUniform(len(c.Inputs), 9), plan, nil)
+				ffr, err := prog.Run(context.Background(), pattern.NewUniform(len(c.Inputs), 9), plan, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -230,14 +230,14 @@ func TestWideSignatureIdentity(t *testing.T) {
 		prog := NewProgram(c, fault.Collapse(c), nil)
 		for _, cycles := range []int{64, 100, 257, 1000} {
 			base := Plan{Cycles: cycles, MISRWidth: 16, MISRSeed: 5}
-			ref, err := prog.RunCtx(context.Background(), pattern.NewUniform(len(c.Inputs), 9), base, nil)
+			ref, err := prog.Run(context.Background(), pattern.NewUniform(len(c.Inputs), 9), base, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, w := range []int{1, 4, 8} {
 				plan := base
 				plan.SimWidth = w
-				wide, err := prog.RunCtx(context.Background(), pattern.NewUniform(len(c.Inputs), 9), plan, nil)
+				wide, err := prog.Run(context.Background(), pattern.NewUniform(len(c.Inputs), 9), plan, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

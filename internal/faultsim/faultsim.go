@@ -10,8 +10,11 @@
 //     dominator-bounded stem propagation per live stem, collapsing
 //     per-fault work to one fused lane loop per fault.  Measurements
 //     run through one driver, Plan.RunBlocks, on the width schedule of
-//     Options.Width; BIST capture (package bist) drives the engine's
-//     capture mode itself;
+//     Options.Width.  Detection counts (MeasureDetection, shard detect
+//     bodies) count inside that loop, masked to the valid patterns of
+//     each lane, and store no detection words; coverage curves visit
+//     every block's words, because fault dropping needs them.  BIST
+//     capture (package bist) drives the engine's capture mode itself;
 //   - the naive engine (Simulator), kept as the independent oracle:
 //     every fault is re-simulated individually inside its output cone,
 //     serially, by MeasureDetectionNaive and CoverageCurveNaive.
@@ -389,9 +392,10 @@ func blockMask(valid int) uint64 {
 // MeasureDetection applies numPatterns patterns from gen to the
 // plan's circuit and counts, for every fault, how many patterns detect
 // it — the experiment behind P_SIM in section 4 of the paper.  No fault
-// dropping is performed.  Between chunks it checks ctx and, on
-// cancellation, returns ctx.Err() and a nil result; progress, when
-// non-nil, sees every block.
+// dropping is performed.  It is a counting RunBlocks run: the engines
+// count as they simulate and keep no detection words.  Between chunks
+// it checks ctx and, on cancellation, returns ctx.Err() and a nil
+// result; progress, when non-nil, sees every block.
 func (p *Plan) MeasureDetection(ctx context.Context, gen *pattern.Generator, numPatterns int, opt Options, progress Progress) (*Result, error) {
 	if err := widesim.CheckWidth(opt.Width); err != nil {
 		return nil, err
@@ -400,19 +404,15 @@ func (p *Plan) MeasureDetection(ctx context.Context, gen *pattern.Generator, num
 		Faults:   p.faults,
 		Detected: make([]int, len(p.faults)),
 	}
-	applied := 0
-	err := p.RunBlocks(ctx, gen, (numPatterns+63)/64, opt.Width, parallelWorkers(opt.Workers, len(p.faults)), nil,
-		func(_ int, det []uint64, stride, lane int) bool {
-			mask := blockMask(numPatterns - applied)
-			for i := range p.faults {
-				res.Detected[i] += bits.OnesCount64(det[i*stride+lane] & mask)
-			}
-			applied = min(applied+64, numPatterns)
-			if progress != nil {
-				progress(applied, numPatterns)
-			}
+	var visit BlockVisitor
+	if progress != nil {
+		visit = func(j int, _ []uint64, _, _ int) bool {
+			progress(min(64*(j+1), numPatterns), numPatterns)
 			return true
-		})
+		}
+	}
+	tally := &Tally{Detected: res.Detected, Patterns: numPatterns}
+	err := p.RunBlocks(ctx, gen, (numPatterns+63)/64, opt.Width, parallelWorkers(opt.Workers, len(p.faults)), nil, tally, visit)
 	if err != nil {
 		return nil, err
 	}
@@ -484,7 +484,7 @@ func (p *Plan) CoverageCurve(ctx context.Context, gen *pattern.Generator, checkp
 	applied := 0
 	for _, cp := range cps {
 		if applied < cp && len(ds.aliveIdx) > 0 {
-			err := p.RunBlocks(ctx, gen, (cp-applied+63)/64, opt.Width, workers, ds.liveGroups,
+			err := p.RunBlocks(ctx, gen, (cp-applied+63)/64, opt.Width, workers, ds.liveGroups, nil,
 				func(_ int, det []uint64, stride, lane int) bool {
 					valid := cp - applied
 					mask := blockMask(valid)

@@ -2,6 +2,7 @@ package faultsim
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"protest/internal/circuit"
@@ -80,6 +81,12 @@ type boundWide interface {
 	WideEngine
 	bind(*Plan)
 	buffers() (words, det []uint64)
+	// simulate is SimulateChunk when counts is nil.  Otherwise it
+	// counts instead of storing: for every fault fi of a live group it
+	// adds to counts[fi] the set bits of its detection words under the
+	// lane masks lanes (one word per lane), and writes no detection
+	// words.
+	simulate(inputWords, det, lanes []uint64, counts []int, liveGroups []bool)
 }
 
 func (p *Plan) acquireWide(width int) boundWide {
@@ -193,6 +200,13 @@ func (e *wideEngine[B]) simulateGood(inputWords []uint64) []B {
 
 // SimulateChunk implements WideEngine.
 func (e *wideEngine[B]) SimulateChunk(inputWords []uint64, det []uint64, liveGroups []bool) {
+	e.simulate(inputWords, det, nil, nil, liveGroups)
+}
+
+// simulate implements boundWide.  In a counting chunk a lane mask
+// joins each stem observability, so every fault's words carry only the
+// patterns it counts.
+func (e *wideEngine[B]) simulate(inputWords, det, lanes []uint64, counts []int, liveGroups []bool) {
 	g := e.simulateGood(inputWords)
 	e.markNeeds(liveGroups)
 	e.sensSweep(g)
@@ -209,7 +223,15 @@ func (e *wideEngine[B]) SimulateChunk(inputWords []uint64, det []uint64, liveGro
 		if liveGroups != nil && !liveGroups[si] {
 			continue
 		}
-		e.detect(g, grp, &e.obs[si], det)
+		if counts == nil {
+			e.detect(g, grp, &e.obs[si], det)
+			continue
+		}
+		mask := e.obs[si]
+		for i := range lanes {
+			mask[i] &= lanes[i]
+		}
+		e.count(g, grp, &mask, counts)
 	}
 }
 
@@ -249,6 +271,36 @@ func (e *wideEngine[B]) detect(g []B, grp []int32, mask *B, det []uint64) {
 				d[i] = ((*site)[i] ^ stuck) & (*l)[i] & (*mask)[i]
 			}
 		}
+	}
+}
+
+// count is detect for a counting run: it adds the set bits of every
+// fault's detection words to counts[fi] and stores no words.  Its kind
+// cases are detect's, term for term; it is a loop of its own so that
+// detect's word-writing loop carries no counting.
+func (e *wideEngine[B]) count(g []B, grp []int32, mask *B, counts []int) {
+	info, line := e.plan.info, e.line
+	for _, fi := range grp {
+		in := &info[fi]
+		site, l, stuck := &g[in.site], &line[in.line], in.stuck
+		n := 0
+		switch in.kind {
+		case fault.KindBridgeAND, fault.KindBridgeOR:
+			aggr := &g[in.aggr]
+			for i := 0; i < len(*mask); i++ {
+				n += bits.OnesCount64(((*site)[i] ^ stuck) &^ ((*aggr)[i] ^ stuck) & (*l)[i] & (*mask)[i])
+			}
+		case fault.KindSlowRise, fault.KindSlowFall:
+			for i := 0; i < len(*mask); i++ {
+				s := (*site)[i]
+				n += bits.OnesCount64((s ^ stuck) &^ ((s << 1) ^ stuck) &^ 1 & (*l)[i] & (*mask)[i])
+			}
+		default:
+			for i := 0; i < len(*mask); i++ {
+				n += bits.OnesCount64(((*site)[i] ^ stuck) & (*l)[i] & (*mask)[i])
+			}
+		}
+		counts[fi] += n
 	}
 }
 

@@ -454,18 +454,19 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	sess, res := out.sess, out.res
-	faults := artifact.Default.FaultsFor(sess.Circuit(), model)
-	detect := res.DetectProbs(faults)
+	sc := out.sess.Circuit()
+	faults := artifact.Default.FaultsFor(sc, model)
+	detect := out.res.DetectProbs(faults)
 	resp := AnalyzeResponse{
 		Circuit: c.Name,
+		Gates:   sc.NumGates(),
+		Inputs:  len(sc.Inputs),
+		Outputs: len(sc.Outputs),
 		Faults:  make([]FaultReport, len(faults)),
 	}
-	st := sess.Circuit().Stats()
-	resp.Gates, resp.Inputs, resp.Outputs = st.Gates, st.Inputs, st.Outputs
 	hardest := 0
 	for i, f := range faults {
-		resp.Faults[i] = FaultReport{Name: f.Name(sess.Circuit()), DetectProb: detect[i]}
+		resp.Faults[i] = FaultReport{Name: f.Name(sc), DetectProb: detect[i]}
 		if detect[i] < detect[hardest] {
 			hardest = i
 		}

@@ -7,9 +7,11 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"protest/internal/artifact"
 	"protest/internal/circuit"
+	"protest/internal/coalesce"
 	"protest/internal/fault"
 	"protest/internal/netlist"
 )
@@ -25,14 +27,18 @@ var ErrUnknownCircuit = errors.New("shard: unknown circuit digest")
 // store (so repeated shards of one run partition the circuit once),
 // and executes the shard's rectangle of the measurement grid.
 //
-// Circuits are resolved by digest.  The Executor decodes every netlist
-// it receives (netlist.Decode, so its circuit is the coordinator's,
-// node for node), after checking it against the digest sent with it,
-// and keeps the interned circuit under that digest for later
-// digest-only requests, holding at most artifact.DefaultCapacity
+// Circuits are resolved by digest.  A netlist the Executor receives
+// is checked against the digest sent with it and decoded
+// (netlist.Decode, so its circuit is the coordinator's, node for node)
+// only when the Executor does not hold that digest yet; requests that
+// carry one new digest at once share one decode.  The interned circuit
+// stays under its digest for later requests, with or without the
+// netlist, and the Executor holds at most artifact.DefaultCapacity
 // circuits in LRU order.
 type Executor struct {
-	store *artifact.Store
+	store   *artifact.Store
+	decodes *coalesce.Group[string, *circuit.Circuit, struct{}]
+	decoded atomic.Int64 // netlists decoded
 
 	mu       sync.Mutex
 	circuits map[string]*list.Element // digest → element of lru
@@ -50,6 +56,7 @@ type cached struct {
 func NewExecutor() *Executor {
 	return &Executor{
 		store:    artifact.Default,
+		decodes:  coalesce.NewGroup[string, *circuit.Circuit, struct{}](),
 		circuits: make(map[string]*list.Element),
 		lru:      list.New(),
 	}
@@ -63,7 +70,7 @@ func (e *Executor) Run(ctx context.Context, req *Request) (*Response, error) {
 	if err != nil {
 		return nil, fmt.Errorf("shard: %w", err)
 	}
-	c, err := e.resolve(req)
+	c, err := e.resolve(ctx, req)
 	if err != nil {
 		return nil, err
 	}
@@ -74,7 +81,7 @@ func (e *Executor) Run(ctx context.Context, req *Request) (*Response, error) {
 // digest of this wire version (see Digest): a coordinator of another
 // version numbers its shards another way, and failing its attempt
 // makes it run the shard locally instead.
-func (e *Executor) resolve(req *Request) (*circuit.Circuit, error) {
+func (e *Executor) resolve(ctx context.Context, req *Request) (*circuit.Circuit, error) {
 	if !strings.HasPrefix(req.Digest, wireVersion) {
 		return nil, fmt.Errorf("shard: digest %q is not a %s digest", req.Digest, wireVersion)
 	}
@@ -84,18 +91,27 @@ func (e *Executor) resolve(req *Request) (*circuit.Circuit, error) {
 		}
 		return nil, ErrUnknownCircuit
 	}
-	// Verify before caching anything: a request must not be able to
-	// bind another circuit to a digest some coordinator addresses.
+	// Verify before anything else: a request must not be able to bind
+	// another circuit to a digest some coordinator addresses.
 	if req.Digest != Digest(req.Name, req.Netlist) {
 		return nil, fmt.Errorf("shard: digest %q does not match the netlist", req.Digest)
 	}
-	c, err := netlist.Decode(req.Netlist, req.Name)
-	if err != nil {
-		return nil, fmt.Errorf("shard: bad netlist: %w", err)
-	}
-	c = e.store.Intern(c)
-	e.remember(req.Digest, c)
-	return c, nil
+	// Requests that carry one digest at once share this call, and a
+	// digest already held needs no decode.
+	c, err, _ := e.decodes.Do(ctx, req.Digest, nil, func(context.Context, func(struct{})) (*circuit.Circuit, error) {
+		if c := e.lookup(req.Digest); c != nil {
+			return c, nil
+		}
+		e.decoded.Add(1)
+		c, err := netlist.Decode(req.Netlist, req.Name)
+		if err != nil {
+			return nil, fmt.Errorf("shard: bad netlist: %w", err)
+		}
+		c = e.store.Intern(c)
+		e.remember(req.Digest, c)
+		return c, nil
+	})
+	return c, err
 }
 
 // lookup returns the circuit held under digest d, or nil.
@@ -115,7 +131,7 @@ func (e *Executor) lookup(d string) *circuit.Circuit {
 func (e *Executor) remember(d string, c *circuit.Circuit) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if el, ok := e.circuits[d]; ok { // sent again, or parsed concurrently
+	if el, ok := e.circuits[d]; ok {
 		e.lru.MoveToFront(el)
 		return
 	}

@@ -76,7 +76,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/bits"
 	"slices"
 
 	"protest/internal/faultsim"
@@ -347,21 +346,25 @@ func runShard(ctx context.Context, plan *faultsim.Plan, req *Request) (*Response
 	}
 
 	live := make([]bool, plan.NumGroups())
-	var visit faultsim.BlockVisitor
+	n := req.BlockHi - req.BlockLo
 	switch req.Kind {
 	case KindDetect:
+		// Only the run's last block is short, so the shard's valid
+		// patterns are the first ones of its blocks.
 		for g := req.GroupLo; g < req.GroupHi; g++ {
 			live[g] = true
 		}
-		counts := make([]int, len(idx))
-		visit = func(j int, det []uint64, stride, lane int) bool {
-			mask := blocks[req.BlockLo+j].Mask
-			for k, i := range idx {
-				counts[k] += bits.OnesCount64(det[i*stride+lane] & mask)
-			}
-			return true
+		tally := &faultsim.Tally{Detected: make([]int, len(plan.Faults())), Patterns: blocks[req.BlockHi-1].End}
+		if req.BlockLo > 0 {
+			tally.Patterns -= blocks[req.BlockLo-1].End
 		}
-		resp.Counts = counts
+		if err := plan.RunBlocks(ctx, gen, n, req.SimWidth, 1, live, tally, nil); err != nil {
+			return nil, err
+		}
+		resp.Counts = make([]int, len(idx))
+		for k, i := range idx {
+			resp.Counts[k] = tally.Detected[i]
+		}
 
 	case KindCurve:
 		// Fault dropping at FFR granularity, restricted to this shard's
@@ -383,7 +386,7 @@ func runShard(ctx context.Context, plan *faultsim.Plan, req *Request) (*Response
 			first[k] = -1
 		}
 		remaining := len(idx)
-		visit = func(j int, det []uint64, stride, lane int) bool {
+		visit := func(j int, det []uint64, stride, lane int) bool {
 			blk := blocks[req.BlockLo+j]
 			for k, i := range idx {
 				if first[k] >= 0 || det[i*stride+lane]&blk.Mask == 0 {
@@ -399,10 +402,10 @@ func runShard(ctx context.Context, plan *faultsim.Plan, req *Request) (*Response
 			}
 			return remaining > 0
 		}
+		if err := plan.RunBlocks(ctx, gen, n, req.SimWidth, 1, live, nil, visit); err != nil {
+			return nil, err
+		}
 		resp.First = first
-	}
-	if err := plan.RunBlocks(ctx, gen, req.BlockHi-req.BlockLo, req.SimWidth, 1, live, visit); err != nil {
-		return nil, err
 	}
 	return resp, nil
 }

@@ -7,6 +7,7 @@ import (
 	"math/bits"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -553,37 +554,48 @@ func TestExecutorDigests(t *testing.T) {
 	_, other := newTestRun(t, "add8").netlist(t)
 	untagged := strings.TrimPrefix(d, wireVersion)
 	type step struct {
-		req *Request
-		err error // nil: the response equals want
+		req     *Request
+		err     error // nil: the response equals want
+		decoded int64 // netlists the executor has decoded after the step
 	}
 	for _, tc := range []struct {
 		name  string
 		steps []step
 	}{
 		{"digest to a cold executor", []step{
-			{shardReq(d, ""), ErrUnknownCircuit},
+			{shardReq(d, ""), ErrUnknownCircuit, 0},
 		}},
 		{"netlist then digest", []step{
-			{shardReq(d, src), nil},
-			{shardReq(d, ""), nil},
-			{shardReq(d, ""), nil},
+			{shardReq(d, src), nil, 1},
+			{shardReq(d, ""), nil, 1},
+			{shardReq(d, ""), nil, 1},
+		}},
+		{"netlist of a held digest is not decoded again", []step{
+			{shardReq(d, src), nil, 1},
+			{shardReq(d, src), nil, 1},
+			{shardReq(d, src), nil, 1},
 		}},
 		{"wrong digest is rejected and not cached", []step{
-			{shardReq(other, src), errRejected},
-			{shardReq(other, ""), ErrUnknownCircuit},
-			{shardReq(d, ""), ErrUnknownCircuit},
+			{shardReq(other, src), errRejected, 0},
+			{shardReq(other, ""), ErrUnknownCircuit, 0},
+			{shardReq(d, ""), ErrUnknownCircuit, 0},
+		}},
+		{"wrong digest is rejected for a held circuit", []step{
+			{shardReq(d, src), nil, 1},
+			{shardReq(other, src), errRejected, 1},
+			{shardReq(d, ""), nil, 1},
 		}},
 		{"netlist without digest", []step{
-			{shardReq("", src), errRejected},
-			{shardReq(d, ""), ErrUnknownCircuit},
+			{shardReq("", src), errRejected, 0},
+			{shardReq(d, ""), ErrUnknownCircuit, 0},
 		}},
 		{"digest without the wire version", []step{
-			{shardReq(untagged, src), errRejected},
-			{shardReq(d, src), nil},
-			{shardReq(untagged, ""), errRejected},
+			{shardReq(untagged, src), errRejected, 0},
+			{shardReq(d, src), nil, 1},
+			{shardReq(untagged, ""), errRejected, 1},
 		}},
 		{"neither netlist nor digest", []step{
-			{shardReq("", ""), errRejected},
+			{shardReq("", ""), errRejected, 0},
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -600,9 +612,52 @@ func TestExecutorDigests(t *testing.T) {
 				case st.err == errRejected && (err == nil || errors.Is(err, ErrUnknownCircuit)):
 					t.Fatalf("step %d: error %v, want a rejection", i, err)
 				}
+				if n := e.decoded.Load(); n != st.decoded {
+					t.Fatalf("step %d: %d netlists decoded, want %d", i, n, st.decoded)
+				}
 			}
 		})
 	}
+	// All shards of a circuit's first run miss the digest at once and
+	// each carries the netlist; they share one decode.  div's netlist
+	// decodes slowly enough for the requests to overlap.
+	t.Run("concurrent first arrivals share one decode", func(t *testing.T) {
+		div := newTestRun(t, "div")
+		src, d := div.netlist(t)
+		req := &Request{Name: div.plan.Circuit().Name, Digest: d, Netlist: src, Seed: testSeed,
+			Kind: KindDetect, NumPatterns: 64, GroupHi: 1, BlockHi: 1}
+		want, err := runShard(context.Background(), div.plan, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := NewExecutor()
+		const n = 8
+		errs := make([]error, n)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := range errs {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				<-start
+				got, err := e.Run(context.Background(), req)
+				if err == nil && !reflect.DeepEqual(got, want) {
+					err = fmt.Errorf("response %+v, want %+v", got, want)
+				}
+				errs[i] = err
+			}(i)
+		}
+		close(start)
+		wg.Wait()
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("request %d: %v", i, err)
+			}
+		}
+		if got := e.decoded.Load(); got != 1 {
+			t.Fatalf("%d netlists decoded for one digest, want 1", got)
+		}
+	})
 }
 
 // TestExecutorBoundsCircuits: the executor holds at most

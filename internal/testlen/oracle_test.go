@@ -59,7 +59,9 @@ func requiredOracle(probs []float64, e float64) (int64, error) {
 	return hi, nil
 }
 
-// selectTopOracle is SelectTop as it sorted before slices.SortFunc.
+// selectTopOracle returns F_d, the d·100% highest probabilities (at
+// least one), by sorting a copy: the set a prepared Set takes as a
+// prefix of its descending order.
 func selectTopOracle(probs []float64, d float64) []float64 {
 	if d <= 0 || d > 1 {
 		d = 1
@@ -70,17 +72,46 @@ func selectTopOracle(probs []float64, d float64) []float64 {
 	return cp[:k]
 }
 
-// checkAgainstOracle requires RequiredFraction, and Required on the
-// unsorted set, to return the oracle's N and error.
-func checkAgainstOracle(t *testing.T, name string, probs []float64) {
+// expectedCoverageOracle is ExpectedCoverage before it read prepared
+// logs: it computes each term from its probability.
+func expectedCoverageOracle(probs []float64, n int64) float64 {
+	if len(probs) == 0 {
+		return 1
+	}
+	sum := 0.0
+	for _, p := range probs {
+		if p >= 1 {
+			sum += 1
+			continue
+		}
+		if p <= 0 {
+			continue
+		}
+		sum += -math.Expm1(float64(n) * math.Log1p(-p))
+	}
+	return sum / float64(len(probs))
+}
+
+// checkAgainstOracle requires the prepared set of probs to answer
+// RequiredFraction with the oracle's N and error for every (d, e), and
+// ExpectedCoverage with the direct form's bits at several pattern
+// counts; and Required, on the unsorted set, to return the oracle's N
+// and error.
+func checkAgainstOracle(t *testing.T, name string, probs []float64, set *Set) {
 	t.Helper()
 	for _, d := range []float64{0.5, 0.9, 1} {
 		for _, e := range []float64{0.5, 0.9, 0.95, 0.99, 0.999} {
 			wantN, wantErr := requiredOracle(selectTopOracle(probs, d), e)
-			gotN, gotErr := RequiredFraction(probs, d, e)
+			gotN, gotErr := set.RequiredFraction(d, e)
 			if gotN != wantN || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 				t.Fatalf("%s d=%v e=%v: RequiredFraction = %d, %v; oracle %d, %v", name, d, e, gotN, gotErr, wantN, wantErr)
 			}
+		}
+	}
+	for _, n := range []int64{0, 1, 7, 64, 1000, 4096, 1 << 40} {
+		got, want := set.ExpectedCoverage(n), expectedCoverageOracle(probs, n)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s n=%d: ExpectedCoverage = %v; direct form %v", name, n, got, want)
 		}
 	}
 	for _, e := range []float64{0.5, 0.99} {
@@ -92,9 +123,11 @@ func checkAgainstOracle(t *testing.T, name string, probs []float64) {
 	}
 }
 
-// TestRequiredMatchesOracle pins Required, which skips the terms that
-// underflow to -0 and starts from a closed-form bracket, to the full
-// summation and plain doubling: the same N and the same error on every
+// TestRequiredMatchesOracle pins Required and a prepared Set, which
+// skip the terms that underflow to -0 and start from a closed-form
+// bracket, to the full summation and plain doubling over a sorted copy,
+// and a Set's ExpectedCoverage to the per-probability form: the same N,
+// the same error and the same coverage bits on every
 // registry circuit's detection probabilities under each fault model,
 // on the sets at the bracket's edges, and on seeded random probability
 // sets that mix certain, near-certain, tiny and (in some sets) zero
@@ -108,7 +141,8 @@ func TestRequiredMatchesOracle(t *testing.T) {
 		}
 		for _, m := range fault.Models() {
 			if faults := m.Faults(c); len(faults) > 0 {
-				checkAgainstOracle(t, name+"/"+string(m), res.DetectProbs(faults))
+				probs := res.DetectProbs(faults)
+				checkAgainstOracle(t, name+"/"+string(m), probs, Prepare(probs))
 			}
 		}
 	}
@@ -121,8 +155,11 @@ func TestRequiredMatchesOracle(t *testing.T) {
 		{"bracket beyond MaxN", []float64{1e-300, 0.5, 0.9}},
 		{"bracket at MaxN", []float64{1e-18, 0.25, 1}},
 		{"p_min near 1", []float64{1 - 1e-15, 1 - 1e-9, 1}},
+		{"empty set", nil},
+		{"NaN sorts last", []float64{0.5, math.NaN(), 1, 0.2}},
+		{"NaN after a zero", []float64{0.5, math.NaN(), 0, 0.3}},
 	} {
-		checkAgainstOracle(t, tc.name, tc.probs)
+		checkAgainstOracle(t, tc.name, tc.probs, Prepare(tc.probs))
 	}
 	rng := rand.New(rand.NewPCG(14, 1))
 	for set := 0; set < 40; set++ {
@@ -142,6 +179,6 @@ func TestRequiredMatchesOracle(t *testing.T) {
 		if set%8 == 7 {
 			probs[rng.IntN(len(probs))] = 0
 		}
-		checkAgainstOracle(t, fmt.Sprintf("random set %d", set), probs)
+		checkAgainstOracle(t, fmt.Sprintf("random set %d", set), probs, Prepare(probs))
 	}
 }

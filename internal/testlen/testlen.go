@@ -73,62 +73,156 @@ func log1mexp(x float64) float64 {
 	return math.Log1p(-math.Exp(x))
 }
 
+// Set is a fault set prepared for repeated test-length questions:
+// RequiredFraction and ExpectedCoverage, for any (d, e) and any pattern
+// count, read the miss-rate logs log(1-P_f) that Prepare computes once.
+// A Set is immutable after Prepare and safe for concurrent use.
+type Set struct {
+	probs []float64 // detection probabilities, in fault order
+	logq  []float64 // log(1-P_f) in fault order, for ExpectedCoverage
+	// desc holds log(1-P_f) of the faults with 0 < P_f < 1 in
+	// descending order of P_f, the order in which F_d takes them.  It
+	// never decreases, so it is its own running maximum.
+	desc []float64
+	// certain and zero count the faults with P_f >= 1 and P_f <= 0: the
+	// head and the tail of descending order.
+	certain, zero int
+}
+
+// Prepare returns the Set of the detection probabilities probs.  The
+// Set keeps probs; the caller must not modify it afterwards.
+func Prepare(probs []float64) *Set {
+	s := &Set{probs: probs, logq: make([]float64, len(probs))}
+	desc := make([]float64, 0, len(probs))
+	for i, p := range probs {
+		switch {
+		case p >= 1:
+			s.certain++
+		case p <= 0:
+			s.zero++
+		default:
+			s.logq[i] = math.Log1p(-p)
+			if p < 1 { // not NaN, which F_d sorts last and Required skips
+				desc = append(desc, p)
+			}
+		}
+	}
+	slices.Sort(desc)
+	slices.Reverse(desc)
+	for i, p := range desc {
+		desc[i] = math.Log1p(-p)
+	}
+	s.desc = desc
+	return s
+}
+
+// Probs returns the Set's detection probabilities in fault order.  The
+// slice is shared and must be treated as read-only.
+func (s *Set) Probs() []float64 { return s.probs }
+
 // ExpectedCoverage returns the expected fraction of faults detected by
 // n patterns: (Σ 1-(1-P_f)^n) / |F|.  This is what a coverage curve
 // (Table 6) measures on average.
 func ExpectedCoverage(probs []float64, n int64) float64 {
-	if len(probs) == 0 {
+	return Prepare(probs).ExpectedCoverage(n)
+}
+
+// ExpectedCoverage is the free ExpectedCoverage on the Set, summed in
+// fault order.
+func (s *Set) ExpectedCoverage(n int64) float64 {
+	if len(s.probs) == 0 {
 		return 1
 	}
 	sum := 0.0
-	for _, p := range probs {
-		if p >= 1 {
+	for i, p := range s.probs {
+		switch {
+		case p >= 1:
 			sum += 1
-			continue
+		case p <= 0:
+		default:
+			sum += -math.Expm1(float64(n) * s.logq[i])
 		}
-		if p <= 0 {
-			continue
-		}
-		sum += -math.Expm1(float64(n) * math.Log1p(-p))
 	}
-	return sum / float64(len(probs))
+	return sum / float64(len(s.probs))
 }
 
 // Required returns the smallest N with P_F >= e.  It returns an error
 // when some fault has detection probability 0 (unreachable) or when N
-// would exceed MaxN.
+// would exceed MaxN.  The sum runs in input order, so probs need not be
+// sorted.
 func Required(probs []float64, e float64) (int64, error) {
-	if e <= 0 || e >= 1 {
-		return 0, fmt.Errorf("testlen: confidence %v out of (0,1)", e)
+	if err := checkConfidence(e); err != nil {
+		return 0, err
 	}
 	for _, p := range probs {
 		if p <= 0 {
-			return 0, fmt.Errorf("testlen: a fault has detection probability 0; no test length reaches confidence %v", e)
+			return 0, errUndetectable(e)
 		}
 	}
-	logE := math.Log(e)
-	// The search evaluates log P_F for dozens of pattern counts over
-	// one fixed fault set; the per-fault miss-rate logs log(1-P_f)
-	// depend only on the set, so hoist them out of the search.  Faults
-	// with P_f >= 1 contribute 0 to every sum and are dropped.
+	// Faults with P_f >= 1 contribute 0 to every sum and are dropped.
 	logq := make([]float64, 0, len(probs))
 	for _, p := range probs {
 		if p < 1 {
 			logq = append(logq, math.Log1p(-p))
 		}
 	}
-	// A term whose n·log(1-p) lies below expUnderflow adds exactly -0
-	// to the sum ((1-p)^n underflows to 0, and log1p(-0) = -0), so each
-	// step skips the prefix of such terms: the terms up to the last
-	// position where the running maximum of log(1-p) still underflows.
-	// For probabilities in descending order, as SelectTop returns them,
-	// log(1-p) ascends and the prefix holds every such term.
 	runMax := make([]float64, len(logq))
 	top := math.Inf(-1)
 	for i, lq := range logq {
 		top = max(top, lq)
 		runMax[i] = top
 	}
+	return search(logq, runMax, e)
+}
+
+// RequiredFraction returns the smallest N such that the d·100% easiest
+// faults are all detected with probability e — the quantity tabulated
+// in Tables 2, 3 and 5 of the paper.
+func RequiredFraction(probs []float64, d, e float64) (int64, error) {
+	return Prepare(probs).RequiredFraction(d, e)
+}
+
+// RequiredFraction is the free RequiredFraction on the Set: Required
+// over F_d, the d·100% faults with the highest detection
+// probabilities, d in (0,1] (any other d selects 1), summed in
+// descending order of probability.  F_d keeps at least one fault.
+func (s *Set) RequiredFraction(d, e float64) (int64, error) {
+	if err := checkConfidence(e); err != nil {
+		return 0, err
+	}
+	if d <= 0 || d > 1 {
+		d = 1
+	}
+	k := min(max(int(math.Round(d*float64(len(s.probs)))), 1), len(s.probs))
+	if s.zero > 0 && k > s.certain+len(s.desc) {
+		return 0, errUndetectable(e)
+	}
+	terms := s.desc[:min(max(k-s.certain, 0), len(s.desc))]
+	return search(terms, terms, e)
+}
+
+func checkConfidence(e float64) error {
+	if e <= 0 || e >= 1 {
+		return fmt.Errorf("testlen: confidence %v out of (0,1)", e)
+	}
+	return nil
+}
+
+func errUndetectable(e float64) error {
+	return fmt.Errorf("testlen: a fault has detection probability 0; no test length reaches confidence %v", e)
+}
+
+// search returns the smallest N with Σ_i log(1-(1-P_i)^N) >= log e,
+// given logq[i] = log(1-P_i) of faults with 0 < P_i < 1, summed in
+// order, and runMax[i], the maximum of logq[:i+1].
+func search(logq, runMax []float64, e float64) (int64, error) {
+	logE := math.Log(e)
+	// A term whose n·log(1-p) lies below expUnderflow adds exactly -0
+	// to the sum ((1-p)^n underflows to 0, and log1p(-0) = -0), so each
+	// step skips the prefix of such terms: the terms up to the last
+	// position where the running maximum of log(1-p) still underflows.
+	// In descending order of probability, as F_d takes them, log(1-p)
+	// ascends and the prefix holds every such term.
 	logSet := func(n int64) float64 {
 		k := sort.Search(len(runMax), func(i int) bool { return float64(n)*runMax[i] >= expUnderflow })
 		sum := 0.0
@@ -151,6 +245,7 @@ func Required(probs []float64, e float64) (int64, error) {
 	// search: the doubling below then runs as without the bracket.
 	lo, hi := int64(0), int64(1)
 	if len(logq) > 0 {
+		top := runMax[len(runMax)-1]
 		if n := searchCount(math.Log1p(-e)/top) - 1; n > 0 && logSet(n) < logE {
 			lo = n
 		}
@@ -181,8 +276,8 @@ func Required(probs []float64, e float64) (int64, error) {
 	return hi, nil
 }
 
-// searchCount rounds a bracket bound of Required up to a pattern
-// count, at most MaxN/2 (the largest count the search evaluates).
+// searchCount rounds a bracket bound of search up to a pattern count,
+// at most MaxN/2 (the largest count the search evaluates).
 func searchCount(x float64) int64 {
 	switch {
 	case !(x > 0):
@@ -191,33 +286,6 @@ func searchCount(x float64) int64 {
 		return MaxN / 2
 	}
 	return int64(math.Ceil(x))
-}
-
-// SelectTop returns the d·100% faults with the highest detection
-// probabilities (the paper's F_d), d in (0,1].  At least one fault is
-// kept.  The input is not modified.
-func SelectTop(probs []float64, d float64) []float64 {
-	if d <= 0 || d > 1 {
-		d = 1
-	}
-	cp := append([]float64(nil), probs...)
-	slices.Sort(cp)
-	slices.Reverse(cp)
-	k := int(math.Round(d * float64(len(cp))))
-	if k < 1 {
-		k = 1
-	}
-	if k > len(cp) {
-		k = len(cp)
-	}
-	return cp[:k]
-}
-
-// RequiredFraction returns the smallest N such that the d·100% easiest
-// faults are all detected with probability e — the quantity tabulated
-// in Tables 2, 3 and 5 of the paper.
-func RequiredFraction(probs []float64, d, e float64) (int64, error) {
-	return Required(SelectTop(probs, d), e)
 }
 
 // Row is one entry of a test-length table.
@@ -229,11 +297,11 @@ type Row struct {
 
 // Table computes the paper's table layout: N for each (d, e) pair.
 func Table(probs []float64, ds, es []float64) []Row {
+	s := Prepare(probs)
 	var rows []Row
 	for _, d := range ds {
-		top := SelectTop(probs, d)
 		for _, e := range es {
-			n, err := Required(top, e)
+			n, err := s.RequiredFraction(d, e)
 			rows = append(rows, Row{D: d, E: e, N: n, Err: err})
 		}
 	}

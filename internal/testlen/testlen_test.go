@@ -135,23 +135,27 @@ func TestExpectedCoverage(t *testing.T) {
 	}
 }
 
+// TestSelectTop pins which faults F_d keeps: the d·100% with the
+// highest detection probabilities, at least one, with an invalid d
+// treated as 1.
 func TestSelectTop(t *testing.T) {
-	probs := []float64{0.1, 0.9, 0.5, 0.3}
-	top := SelectTop(probs, 0.5)
-	if len(top) != 2 || top[0] != 0.9 || top[1] != 0.5 {
-		t.Errorf("SelectTop = %v", top)
-	}
-	all := SelectTop(probs, 1.0)
-	if len(all) != 4 {
-		t.Errorf("d=1 keeps all, got %d", len(all))
-	}
-	one := SelectTop(probs, 0.01)
-	if len(one) != 1 || one[0] != 0.9 {
-		t.Errorf("tiny d keeps best fault, got %v", one)
-	}
-	bad := SelectTop(probs, -1)
-	if len(bad) != 4 {
-		t.Errorf("invalid d treated as 1, got %d", len(bad))
+	set := Prepare([]float64{0.1, 0.9, 0.5, 0.3})
+	for _, tc := range []struct {
+		d   float64
+		top []float64
+	}{
+		{0.5, []float64{0.9, 0.5}},
+		{1, []float64{0.9, 0.5, 0.3, 0.1}},
+		{0.01, []float64{0.9}},
+		{-1, []float64{0.9, 0.5, 0.3, 0.1}},
+	} {
+		for _, e := range []float64{0.9, 0.999} {
+			got, gotErr := set.RequiredFraction(tc.d, e)
+			want, wantErr := Required(tc.top, e)
+			if got != want || gotErr != nil || wantErr != nil {
+				t.Errorf("d=%v e=%v: RequiredFraction = %d, %v; Required over %v = %d, %v", tc.d, e, got, gotErr, tc.top, want, wantErr)
+			}
+		}
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"protest/internal/faultsim"
 	"protest/internal/pattern"
 	"protest/internal/stats"
-	"protest/internal/testlen"
 	"protest/internal/widesim"
 )
 
@@ -265,12 +264,11 @@ func (s *Session) Run(ctx context.Context, spec PipelineSpec) (*Report, error) {
 		return nil, fmt.Errorf("pipeline: %s model: %w", cfg.model, ErrNoFaults)
 	}
 
-	st := s.c.Stats()
 	rep := &Report{
 		Circuit:    s.c.Name,
-		Gates:      st.Gates,
-		Inputs:     st.Inputs,
-		Outputs:    st.Outputs,
+		Gates:      s.c.NumGates(),
+		Inputs:     len(s.c.Inputs),
+		Outputs:    len(s.c.Outputs),
 		Faults:     len(faults),
 		Fraction:   spec.Fraction,
 		Confidence: spec.Confidence,
@@ -328,29 +326,34 @@ func (s *Session) Run(ctx context.Context, spec PipelineSpec) (*Report, error) {
 
 // planReport builds the PlanReport for one pattern source (nil probs =
 // uniform): analysis, test length, fault-simulation validation, and
-// the estimated-vs-simulated summary.
+// the estimated-vs-simulated summary.  The uniform plan reads the
+// Session's cached estimate; a weighted one prepares its own.
 func (s *Session) planReport(ctx context.Context, spec PipelineSpec, probs []float64, cfg runCfg) (*PlanReport, error) {
-	res, err := s.analyze(ctx, probs, cfg)
-	if err != nil {
-		return nil, err
+	var est *estimate
+	if probs == nil {
+		var err error
+		if est, err = s.uniformEstimate(ctx, cfg); err != nil {
+			return nil, err
+		}
+	} else {
+		res, err := s.analyze(ctx, probs, cfg)
+		if err != nil {
+			return nil, err
+		}
+		faults := s.modelFaults(cfg.model)
+		est = newEstimate(s.c, faults, res.DetectProbs(faults))
 	}
-	faults := s.modelFaults(cfg.model)
-	detect := res.DetectProbs(faults)
+	detect := est.set.Probs()
 
-	plan := &PlanReport{}
+	plan := &PlanReport{
+		HardestFault: est.name,
+		HardestProb:  detect[est.hardest],
+	}
 	if probs != nil {
 		plan.InputProbs = append([]float64(nil), probs...)
 	}
-	hardest := 0
-	for i, p := range detect {
-		if p < detect[hardest] {
-			hardest = i
-		}
-	}
-	plan.HardestFault = faults[hardest].Name(s.c)
-	plan.HardestProb = detect[hardest]
 
-	n, err := testlen.RequiredFraction(detect, spec.Fraction, spec.Confidence)
+	n, err := est.set.RequiredFraction(spec.Fraction, spec.Confidence)
 	if err != nil {
 		plan.TestLength = -1
 		plan.Unreachable = err.Error()
@@ -371,14 +374,14 @@ func (s *Session) planReport(ctx context.Context, spec PipelineSpec, probs []flo
 		// One pattern holds no launch/capture pair: P_SIM would be 0/0.
 		return nil, fmt.Errorf("pipeline: %w: a transition run needs at least 2 simulation patterns, got %d", ErrBadSpec, budget)
 	}
-	plan.ExpectedCoverage = testlen.ExpectedCoverage(detect, int64(budget))
+	plan.ExpectedCoverage = est.set.ExpectedCoverage(int64(budget))
 	cfg.emit(PhaseTestLength, 1)
 
 	sim, err := s.simulate(ctx, probs, budget, cfg)
 	if err != nil {
 		return nil, err
 	}
-	psim := make([]float64, len(faults))
+	psim := make([]float64, len(detect))
 	for i := range psim {
 		psim[i] = sim.PSim(i)
 	}

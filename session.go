@@ -83,6 +83,10 @@ type Session struct {
 	// strictly read-only; Analyze hands callers clones.
 	baseline atomic.Pointer[Analysis]
 
+	// est caches the default model's uniform estimate (see estimate),
+	// derived from baseline and published the same way.
+	est atomic.Pointer[estimate]
+
 	// simPlan and bistProg pin the Session's simulation artifacts after
 	// first use: they come from the artifact store (so concurrent cold
 	// Sessions share one build), but once resolved the hot paths read
@@ -96,8 +100,30 @@ type Session struct {
 // artifact bundle, mirroring the Session's default-model fields.
 type modelArtifacts struct {
 	faults   []Fault
+	est      atomic.Pointer[estimate]
 	simPlan  atomic.Pointer[faultsim.Plan]
 	bistProg atomic.Pointer[bist.Program]
+}
+
+// estimate is one plan's test-length inputs under one fault model: its
+// detection probabilities prepared for testlen's questions, and its
+// hardest fault.  A Session derives the uniform plan's estimate once
+// per model from the cached uniform analysis and treats it as
+// read-only from then on; weighted plans build theirs per call.
+type estimate struct {
+	set     *testlen.Set
+	hardest int    // index of the first fault of smallest probability
+	name    string // the hardest fault's name
+}
+
+func newEstimate(c *Circuit, faults []Fault, detect []float64) *estimate {
+	hardest := 0
+	for i, p := range detect {
+		if p < detect[hardest] {
+			hardest = i
+		}
+	}
+	return &estimate{set: testlen.Prepare(detect), hardest: hardest, name: faults[hardest].Name(c)}
 }
 
 // Option configures a Session at Open time.  Options are applied in
@@ -381,16 +407,41 @@ func (s *Session) analyze(ctx context.Context, inputProbs []float64, cfg runCfg)
 
 // TestLength returns the number of uniform random patterns needed to
 // detect the d·100% easiest faults with confidence e — the paper's
-// N(F_d, e).  The underlying uniform analysis is computed once and
-// cached; the first call on a cold Session therefore runs a full
-// (uncancellable) analysis pass.  To keep that pass under a context,
-// prime the cache with Analyze(ctx, nil) first.
+// N(F_d, e).  The underlying uniform analysis and its test-length
+// estimate are computed once and cached; the first call on a cold
+// Session therefore runs a full (uncancellable) analysis pass.  To
+// keep that pass under a context, prime the cache with
+// Analyze(ctx, nil) first.
 func (s *Session) TestLength(d, e float64) (int64, error) {
-	res, err := s.analyze(context.Background(), nil, s.cfg())
+	est, err := s.uniformEstimate(context.Background(), s.cfg())
 	if err != nil {
 		return 0, err
 	}
-	return testlen.RequiredFraction(res.DetectProbs(s.faults), d, e)
+	return est.set.RequiredFraction(d, e)
+}
+
+// uniformEstimate returns the uniform plan's estimate under the
+// effective model, deriving it from the cached uniform analysis on
+// first use.  Concurrent cold calls may race to publish; every
+// candidate is bit-identical, so first-in wins and the others adopt it.
+func (s *Session) uniformEstimate(ctx context.Context, cfg runCfg) (*estimate, error) {
+	slot := &s.est
+	if cfg.model != s.model {
+		slot = &s.modelArts(cfg.model).est
+	}
+	if est := slot.Load(); est != nil {
+		return est, nil
+	}
+	res, err := s.analyze(ctx, nil, cfg)
+	if err != nil {
+		return nil, err
+	}
+	faults := s.modelFaults(cfg.model)
+	est := newEstimate(s.c, faults, res.DetectProbs(faults))
+	if !slot.CompareAndSwap(nil, est) {
+		est = slot.Load()
+	}
+	return est, nil
 }
 
 // simOptions bundles the effective FFR worker and width configuration.
@@ -607,7 +658,7 @@ func (s *Session) runBIST(ctx context.Context, probs []float64, plan BISTPlan, c
 		plan.SimWidth = cfg.width
 	}
 	cfg.emit(PhaseBIST, 0)
-	res, err := s.ensureBIST(cfg.model).RunCtx(ctx, gen, plan, func(done, total int) {
+	res, err := s.ensureBIST(cfg.model).Run(ctx, gen, plan, func(done, total int) {
 		cfg.emit(PhaseBIST, float64(done)/float64(total))
 	})
 	return res, wrapCanceled(err)

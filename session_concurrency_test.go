@@ -278,3 +278,65 @@ func TestSessionsShareArtifacts(t *testing.T) {
 	}
 	checkAnalysis(t, "shared-artifact analyze", results[1], results[0])
 }
+
+// TestColdSessionConcurrentRuns starts eight pipelines at once on a
+// fresh Session, across the three fault models and mixed (d, e,
+// budget), so they race to publish the uniform analysis and each
+// model's test-length estimate.  Every report must equal the one a
+// fresh Session gives when it runs the specs one after another.
+func TestColdSessionConcurrentRuns(t *testing.T) {
+	c, ok := protest.Benchmark("alu")
+	if !ok {
+		t.Fatal("alu benchmark missing")
+	}
+	specs := []protest.PipelineSpec{
+		{Fraction: 1, Confidence: 0.95, MaxSimPatterns: 300},
+		{Fraction: 0.9, Confidence: 0.99, SimPatterns: 100},
+		{Fraction: 1, Confidence: 0.9, MaxSimPatterns: 300, FaultModel: protest.FaultModelBridging},
+		{Fraction: 0.5, Confidence: 0.95, SimPatterns: 200, FaultModel: protest.FaultModelBridging},
+		{Fraction: 1, Confidence: 0.95, SimPatterns: 130, FaultModel: protest.FaultModelTransition},
+		{Fraction: 0.9, Confidence: 0.9, MaxSimPatterns: 300, FaultModel: protest.FaultModelTransition},
+		{Fraction: 0.5, Confidence: 0.9, SimPatterns: 64},
+		{Fraction: 0.9, Confidence: 0.99, MaxSimPatterns: 300, FaultModel: protest.FaultModelBridging},
+	}
+	open := func() *protest.Session {
+		s, err := protest.Open(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	ctx := context.Background()
+	serial := open()
+	want := make([]*protest.Report, len(specs))
+	for i, spec := range specs {
+		var err error
+		if want[i], err = serial.Run(ctx, spec); err != nil {
+			t.Fatalf("spec %d: %v", i, err)
+		}
+	}
+
+	cold := open()
+	got := make([]*protest.Report, len(specs))
+	errs := make([]error, len(specs))
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i, spec := range specs {
+		wg.Add(1)
+		go func(i int, spec protest.PipelineSpec) {
+			defer wg.Done()
+			<-start
+			got[i], errs[i] = cold.Run(ctx, spec)
+		}(i, spec)
+	}
+	close(start)
+	wg.Wait()
+	for i := range specs {
+		if errs[i] != nil {
+			t.Fatalf("spec %d: %v", i, errs[i])
+		}
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("spec %d: concurrent report on a cold Session differs from the serial one", i)
+		}
+	}
+}

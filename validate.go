@@ -124,15 +124,23 @@ func (s *Session) Validate(ctx context.Context, spec ValidateSpec) (*ValidateRep
 	}
 
 	cfg.emit(PhaseValidate, 0)
-	// Oracle 1: the analytic estimator (cached when uniform).
-	res, err := s.analyze(ctx, spec.InputProbs, cfg)
-	if err != nil {
-		return nil, err
-	}
-	analytic := res.DetectProbs(faults)
+	// Oracle 1: the analytic estimator.  The uniform vector is the
+	// Session's cached estimate, shared: validate.Run perturbs a copy.
+	var analytic []float64
 	inputProbs := spec.InputProbs
 	if inputProbs == nil {
+		est, err := s.uniformEstimate(ctx, cfg)
+		if err != nil {
+			return nil, err
+		}
+		analytic = est.set.Probs()
 		inputProbs = core.UniformProbs(s.c)
+	} else {
+		res, err := s.analyze(ctx, inputProbs, cfg)
+		if err != nil {
+			return nil, err
+		}
+		analytic = res.DetectProbs(faults)
 	}
 
 	vcfg := validate.Config{

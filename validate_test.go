@@ -86,7 +86,8 @@ func TestValidatePerturbationHook(t *testing.T) {
 
 // TestValidateDeterministic: the report is a pure function of the
 // circuit, spec and Session seed — the property that makes the CI
-// sweep a stable gate rather than a statistical flake.
+// sweep a stable gate rather than a statistical flake.  A per-call
+// fault model gives the report of a Session opened on that model.
 func TestValidateDeterministic(t *testing.T) {
 	c, _ := Benchmark("c17")
 	s, err := Open(c)
@@ -103,6 +104,23 @@ func TestValidateDeterministic(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("reports differ across identical runs:\n%+v\n%+v", a, b)
+	}
+	for _, m := range []FaultModel{FaultModelBridging, FaultModelTransition} {
+		got, err := s.Validate(context.Background(), ValidateSpec{FaultModel: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sm, err := Open(c, WithFaultModel(m))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := sm.Validate(context.Background(), ValidateSpec{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: per-call model report differs from a %s Session's:\n%+v\n%+v", m, m, got, want)
+		}
 	}
 }
 
