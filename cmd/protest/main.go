@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 
 	"protest"
@@ -84,9 +85,19 @@ func main() {
 			fmt.Fprintln(os.Stderr, "protest: interrupted")
 			os.Exit(130)
 		}
-		fmt.Fprintln(os.Stderr, "protest:", err)
+		fmt.Fprintln(os.Stderr, errorLine(err))
 		os.Exit(1)
 	}
+}
+
+// errorLine renders a failed subcommand's error with one "protest:"
+// prefix: the library's errors carry it already, the others get it.
+func errorLine(err error) string {
+	msg := err.Error()
+	if !strings.HasPrefix(msg, "protest:") {
+		msg = "protest: " + msg
+	}
+	return msg
 }
 
 func usage() {

@@ -6,17 +6,20 @@ import (
 	"sync"
 
 	"protest/internal/pattern"
+	"protest/internal/widesim"
 )
 
-// This file is the one measurement driver of the FFR engine: detection
-// counts, coverage curves and shard bodies all run their blocks through
-// Plan.RunBlocks, whatever the width and worker count.  A run either
-// counts or visits.  Counting runs (detection counts, local and shard)
-// have each chunk's engine add every live fault's detecting patterns
-// to a counts slice as it computes them, and no detection word is
-// stored.  Visiting runs (coverage curves, local and shard) get every
-// block's detection words, because fault dropping needs to know which
-// faults a block detected.
+// This file is the one measurement driver of the FFR engine and the
+// two measurement bodies that run on it.  A body runs over a stretch
+// of a block schedule (DetectBlocks, CurveBlocks): a local run
+// (Plan.MeasureDetection, Plan.CoverageCurve) passes the whole
+// schedule, and a shard worker and its coordinator's local fallback
+// pass the shard's block range, so a shard computes exactly what the
+// same blocks compute in a local run.  DetectionCounts has each
+// chunk's engine add every fault's detecting patterns to a counts
+// slice as it computes them, and stores no detection word.
+// FirstDetections visits every block's detection words, because fault
+// dropping needs to know which faults a block detected.
 
 // chunkWidth returns the lane count of the next chunk when left blocks
 // remain.  An explicit width is used as is, padding a short final
@@ -87,45 +90,104 @@ func parallelWorkers(workers, nFaults int) int {
 	return workers
 }
 
-// BlockVisitor receives the detection words of one simulated block:
-// the word of fault fi is det[fi*stride+lane].  j numbers the blocks of
-// the run from 0.  Returning false ends the run.  In a counting run det
-// is nil: the visitor learns only that block j is done.
-type BlockVisitor func(j int, det []uint64, stride, lane int) bool
-
-// Tally makes a RunBlocks run count: its engines add, for every fault
-// fi of a live FFR group, the fault's detecting patterns among the
-// first Patterns patterns of the run to Detected[fi].  Detected has
-// one entry per plan fault.
-type Tally struct {
-	Detected []int
-	Patterns int
+// DetectionCounts is the detection-count body.  It simulates the
+// blocks of a schedule stretch, drawn from gen, which must stand at
+// the stretch's first block, and returns for every plan fault the
+// number of patterns detecting it among the blocks' valid patterns
+// (BlockSpan.Mask).  Counts over disjoint stretches of one run add up
+// to the counts of their union.  Between chunks it checks ctx and, on
+// cancellation, returns ctx.Err(); progress, when non-nil, receives
+// (End, the stretch's last End) after every block.
+func (p *Plan) DetectionCounts(ctx context.Context, gen *pattern.Generator, blocks Schedule, opt Options, progress Progress) ([]int, error) {
+	counts := make([]int, len(p.faults))
+	if err := p.runBlocks(ctx, gen, blocks, opt, progress, nil, counts, nil); err != nil {
+		return nil, err
+	}
+	return counts, nil
 }
 
-// RunBlocks is the FFR measurement driver.  It simulates n consecutive
-// 64-pattern blocks drawn from gen in chunks of width lanes (0 selects
-// the default schedule of chunkWidth), runs up to workers chunks per
-// wave concurrently, and hands every block to visit, when non-nil, in
-// block order.  FFR groups whose liveGroups entry is false are skipped
-// (nil = all live); the set is read while a wave runs and visit is
-// called only between waves, so visit may clear entries to drop groups
-// from later waves.  The detection words do not depend on width,
-// workers or schedule, so neither does anything visit computes.
+// FirstDetections is the first-detection body of a coverage curve.  It
+// simulates the blocks of a schedule stretch as DetectionCounts does,
+// with fault dropping, and returns every plan fault's first-detection
+// position: the End of the earliest block whose valid patterns detect
+// it, or -1 when none does.  Dropping drops whole FFR groups: once
+// every fault of a region is detected, the region is never traced
+// again, and once every fault is, the remaining blocks are skipped.
+// The minimum over disjoint stretches of one run is the position in
+// their union; CurveOf turns positions into the curve.  Cancellation
+// and progress work as in DetectionCounts.
+func (p *Plan) FirstDetections(ctx context.Context, gen *pattern.Generator, blocks Schedule, opt Options, progress Progress) ([]int, error) {
+	first := make([]int, len(p.faults))
+	alive := make([]int32, len(p.faults))     // faults without a first position
+	live := make([]int32, p.part.NumGroups()) // undetected faults per FFR group
+	liveGroups := make([]bool, p.part.NumGroups())
+	for fi := range first {
+		first[fi] = -1
+		alive[fi] = int32(fi)
+		g := p.part.GroupOf[fi]
+		live[g]++
+		liveGroups[g] = true
+	}
+	err := p.runBlocks(ctx, gen, blocks, opt, progress, liveGroups, nil, func(j int, det []uint64, stride, lane int) bool {
+		b := blocks.Block(j)
+		w := 0
+		for _, fi := range alive {
+			if det[int(fi)*stride+lane]&b.Mask == 0 {
+				alive[w] = fi
+				w++
+				continue
+			}
+			first[fi] = b.End
+			g := p.part.GroupOf[fi]
+			if live[g]--; live[g] == 0 {
+				liveGroups[g] = false
+			}
+		}
+		alive = alive[:w]
+		return len(alive) > 0
+	})
+	if err != nil {
+		return nil, err
+	}
+	return first, nil
+}
+
+// blockVisitor receives the detection words of block j of a stretch:
+// the word of fault fi is det[fi*stride+lane].  Returning false ends
+// the run.
+type blockVisitor func(j int, det []uint64, stride, lane int) bool
+
+// runBlocks is the FFR measurement driver.  It simulates the blocks of
+// a schedule stretch, drawn from gen, in chunks of opt.Width lanes (0
+// selects the default schedule of chunkWidth), runs up to opt.Workers
+// chunks per wave concurrently, and hands every block to visit, when
+// non-nil, in block order.  FFR groups whose liveGroups entry is false
+// are skipped (nil = all live); the set is read while a wave runs and
+// visit is called only between waves, so visit may clear entries to
+// drop groups from later waves.  The detection words do not depend on
+// width, workers or schedule, so neither does anything visit computes.
 //
-// With tally non-nil the run counts instead of handing out words: each
-// chunk's engine gets one mask per lane (all ones for a full block,
-// the valid patterns for the block that holds the tally's last
-// pattern, zero past it and for padding lanes) and adds the masked
-// words' set bits to the tally as it computes them, storing none.
-// With several workers every engine set counts into its own slice, and
-// the slices are added to the tally after the run.
+// With counts non-nil the run counts instead of handing out words:
+// each chunk's engine gets its blocks' masks as lane masks (zero for
+// padding lanes) and adds the masked words' set bits to counts as it
+// computes them, storing none.  With several workers every engine set
+// counts into its own slice, and the slices are added to counts after
+// the run.
 //
-// When visit ends the run early, the generator has still produced every
-// block of the current wave: it may end up to workers×8-1 blocks
-// further advanced than the visited blocks account for, and a tally
-// holds the counts of every block of the wave.
-func (p *Plan) RunBlocks(ctx context.Context, gen *pattern.Generator, n, width, workers int, liveGroups []bool, tally *Tally, visit BlockVisitor) error {
-	workers = max(workers, 1)
+// When visit ends the run early, progress gets one final (total,
+// total) call, and the generator has still produced every block of the
+// current wave: it may end up to workers×8-1 blocks further advanced
+// than the visited blocks account for.
+func (p *Plan) runBlocks(ctx context.Context, gen *pattern.Generator, blocks Schedule, opt Options, progress Progress, liveGroups []bool, counts []int, visit blockVisitor) error {
+	if err := widesim.CheckWidth(opt.Width); err != nil {
+		return err
+	}
+	n := blocks.Len()
+	if n == 0 {
+		return nil
+	}
+	total := blocks.Block(n - 1).End
+	workers := parallelWorkers(opt.Workers, len(p.faults))
 	sets := make([]engineSet, workers)
 	for i := range sets {
 		sets[i].plan = p
@@ -135,8 +197,8 @@ func (p *Plan) RunBlocks(ctx context.Context, gen *pattern.Generator, n, width, 
 			sets[i].release()
 		}
 	}()
-	if tally != nil {
-		sets[0].counts = tally.Detected
+	if counts != nil {
+		sets[0].counts = counts
 		for i := 1; i < workers; i++ {
 			sets[i].counts = make([]int, len(p.faults))
 		}
@@ -150,16 +212,16 @@ run:
 		}
 		m := 0
 		for b := j; m < workers && b < n; m++ {
-			e := sets[m].get(chunkWidth(width, n-b))
+			e := sets[m].get(chunkWidth(opt.Width, n-b))
 			k := min(e.Width(), n-b)
 			words, _ := e.buffers()
 			gen.NextBlocks(words, e.Width(), k)
 			ch := &wave[m]
 			ch.e, ch.k, ch.counts = e, k, sets[m].counts
-			if tally != nil {
+			if counts != nil {
 				ch.lanes = [8]uint64{}
 				for l := range k {
-					ch.lanes[l] = blockMask(max(tally.Patterns-64*(b+l), 0))
+					ch.lanes[l] = blocks.Block(b + l).Mask
 				}
 			}
 			b += k
@@ -180,12 +242,15 @@ run:
 			wg.Wait()
 		}
 		for _, ch := range wave[:m] {
-			var det []uint64
-			if tally == nil {
-				_, det = ch.e.buffers()
-			}
+			_, det := ch.e.buffers()
 			for l := 0; l < ch.k; l++ {
+				if progress != nil {
+					progress(blocks.Block(j).End, total)
+				}
 				if visit != nil && !visit(j, det, ch.e.Width(), l) {
+					if progress != nil && j+1 < n {
+						progress(total, total)
+					}
 					break run
 				}
 				j++
@@ -194,7 +259,7 @@ run:
 	}
 	for _, s := range sets[1:] {
 		for fi, c := range s.counts {
-			tally.Detected[fi] += c
+			counts[fi] += c
 		}
 	}
 	return nil

@@ -206,7 +206,7 @@ func TestEngineLiveGroups(t *testing.T) {
 		for _, m := range fault.Models() {
 			faults := m.Faults(c)
 			plan := NewPlan(c, faults)
-			live := make([]bool, plan.NumGroups())
+			live := make([]bool, plan.part.NumGroups())
 			for si := 0; si < len(live); si += 2 {
 				live[si] = true
 			}
@@ -227,12 +227,12 @@ func TestEngineLiveGroups(t *testing.T) {
 				e.Release()
 				for fi := range faults {
 					want := full[fi*w : (fi+1)*w]
-					if !live[plan.GroupOf(fi)] {
+					if !live[plan.part.GroupOf[fi]] {
 						want = slices.Repeat([]uint64{sentinel}, w)
 					}
 					if got := partial[fi*w : (fi+1)*w]; !slices.Equal(got, want) {
 						t.Fatalf("%s %s W=%d fault %v (group live %v): words %016x, want %016x",
-							c.Name, m, w, faults[fi], live[plan.GroupOf(fi)], got, want)
+							c.Name, m, w, faults[fi], live[plan.part.GroupOf[fi]], got, want)
 					}
 				}
 			}

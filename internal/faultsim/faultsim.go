@@ -8,13 +8,16 @@
 //     64-pattern blocks (W = 1, 4 or 8) runs one good simulation, one
 //     backward critical-path trace per live region and one
 //     dominator-bounded stem propagation per live stem, collapsing
-//     per-fault work to one fused lane loop per fault.  Measurements
-//     run through one driver, Plan.RunBlocks, on the width schedule of
-//     Options.Width.  Detection counts (MeasureDetection, shard detect
-//     bodies) count inside that loop, masked to the valid patterns of
-//     each lane, and store no detection words; coverage curves visit
-//     every block's words, because fault dropping needs them.  BIST
-//     capture (package bist) drives the engine's capture mode itself;
+//     per-fault work to one fused lane loop per fault.  Each
+//     measurement has one body over a stretch of its block schedule
+//     (Schedule): DetectionCounts counts inside that loop, masked to
+//     each block's valid patterns, and stores no detection words;
+//     FirstDetections visits every block's words, because fault
+//     dropping needs them, and CurveOf turns its first-detection
+//     positions into a coverage curve.  MeasureDetection and
+//     CoverageCurve run the bodies over the whole schedule, a shard
+//     over its block range.  BIST capture (package bist) drives the
+//     engine's capture mode itself;
 //   - the naive engine (Simulator), kept as the independent oracle:
 //     every fault is re-simulated individually inside its output cone,
 //     serially, by MeasureDetectionNaive and CoverageCurveNaive.
@@ -28,6 +31,7 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"protest/internal/bitsim"
@@ -35,7 +39,6 @@ import (
 	"protest/internal/fault"
 	"protest/internal/logic"
 	"protest/internal/pattern"
-	"protest/internal/widesim"
 )
 
 // Progress receives (patterns applied, patterns requested) after each
@@ -392,32 +395,14 @@ func blockMask(valid int) uint64 {
 // MeasureDetection applies numPatterns patterns from gen to the
 // plan's circuit and counts, for every fault, how many patterns detect
 // it — the experiment behind P_SIM in section 4 of the paper.  No fault
-// dropping is performed.  It is a counting RunBlocks run: the engines
-// count as they simulate and keep no detection words.  Between chunks
-// it checks ctx and, on cancellation, returns ctx.Err() and a nil
-// result; progress, when non-nil, sees every block.
+// dropping is performed.  It runs DetectionCounts over the whole
+// DetectBlocks schedule; cancellation and progress work as there.
 func (p *Plan) MeasureDetection(ctx context.Context, gen *pattern.Generator, numPatterns int, opt Options, progress Progress) (*Result, error) {
-	if err := widesim.CheckWidth(opt.Width); err != nil {
-		return nil, err
-	}
-	res := &Result{
-		Faults:   p.faults,
-		Detected: make([]int, len(p.faults)),
-	}
-	var visit BlockVisitor
-	if progress != nil {
-		visit = func(j int, _ []uint64, _, _ int) bool {
-			progress(min(64*(j+1), numPatterns), numPatterns)
-			return true
-		}
-	}
-	tally := &Tally{Detected: res.Detected, Patterns: numPatterns}
-	err := p.RunBlocks(ctx, gen, (numPatterns+63)/64, opt.Width, parallelWorkers(opt.Workers, len(p.faults)), nil, tally, visit)
+	counts, err := p.DetectionCounts(ctx, gen, DetectBlocks(numPatterns), opt, progress)
 	if err != nil {
 		return nil, err
 	}
-	res.Applied = numPatterns
-	return res, nil
+	return &Result{Faults: p.faults, Detected: counts, Applied: numPatterns}, nil
 }
 
 // MeasureDetectionNaive is MeasureDetection on the naive oracle: one
@@ -457,102 +442,37 @@ type CoveragePoint struct {
 
 // CoverageCurve fault-simulates with fault dropping and records the
 // cumulative fault coverage at each checkpoint (pattern counts, sorted
-// ascending) — the experiment behind Table 6.  Fault dropping drops
-// whole FFR groups: once every fault of a region is detected the
-// region is never traced again.  Each segment between checkpoints runs
-// through RunBlocks, whose chunks simulate against the live set of
-// their wave's start while the drops fold block by block, so the curve
-// is identical for every width and worker count.  When dropping
-// exhausts the fault list mid-wave, the generator may end up further
-// advanced than after a one-block-at-a-time run (see RunBlocks); the
-// curve itself is unaffected.  Cancellation and progress work as in
-// MeasureDetection.
+// ascending) — the experiment behind Table 6.  It runs FirstDetections
+// over the whole CurveBlocks schedule and turns the positions into the
+// curve with CurveOf, so the curve is identical for every width and
+// worker count.  When dropping exhausts the fault list mid-wave, the
+// generator may end up further advanced than after a
+// one-block-at-a-time run; the curve itself is unaffected.
+// Cancellation and progress work as in DetectionCounts.
 func (p *Plan) CoverageCurve(ctx context.Context, gen *pattern.Generator, checkpoints []int, opt Options, progress Progress) ([]CoveragePoint, error) {
-	if err := widesim.CheckWidth(opt.Width); err != nil {
+	first, err := p.FirstDetections(ctx, gen, CurveBlocks(checkpoints), opt, progress)
+	if err != nil {
 		return nil, err
 	}
-	cps := append([]int(nil), checkpoints...)
-	sort.Ints(cps)
-	workers := parallelWorkers(opt.Workers, len(p.faults))
-	ds := newDropState(p)
-	total := len(p.faults)
-	lastCp := 0
-	if len(cps) > 0 {
-		lastCp = cps[len(cps)-1]
-	}
+	return CurveOf(first, checkpoints), nil
+}
+
+// CurveOf turns first-detection positions (FirstDetections, or their
+// minimum over the block ranges of one run) into the run's coverage
+// curve: at each checkpoint, sorted ascending, the percentage of
+// faults first detected at or before it.
+func CurveOf(first, checkpoints []int) []CoveragePoint {
 	var out []CoveragePoint
-	applied := 0
-	for _, cp := range cps {
-		if applied < cp && len(ds.aliveIdx) > 0 {
-			err := p.RunBlocks(ctx, gen, (cp-applied+63)/64, opt.Width, workers, ds.liveGroups, nil,
-				func(_ int, det []uint64, stride, lane int) bool {
-					valid := cp - applied
-					mask := blockMask(valid)
-					applied += min(64, valid)
-					if progress != nil {
-						progress(applied, lastCp)
-					}
-					ds.dropLane(det, stride, lane, mask)
-					return len(ds.aliveIdx) > 0
-				})
-			if err != nil {
-				return nil, err
+	for _, cp := range slices.Sorted(slices.Values(checkpoints)) {
+		dead := 0
+		for _, f := range first {
+			if f >= 0 && f <= cp {
+				dead++
 			}
 		}
-		out = append(out, CoveragePoint{Patterns: cp, Coverage: 100 * float64(ds.dead) / float64(total)})
+		out = append(out, CoveragePoint{Patterns: cp, Coverage: 100 * float64(dead) / float64(len(first))})
 	}
-	if progress != nil && applied < lastCp {
-		progress(lastCp, lastCp) // every fault dropped early
-	}
-	return out, nil
-}
-
-// dropState tracks the live fault set of a coverage run at FFR-group
-// granularity.
-type dropState struct {
-	plan       *Plan
-	aliveIdx   []int32 // indices of still-undetected faults
-	liveCount  []int32 // live faults per FFR group
-	liveGroups []bool  // liveCount > 0
-	dead       int
-}
-
-func newDropState(p *Plan) *dropState {
-	d := &dropState{
-		plan:       p,
-		aliveIdx:   make([]int32, len(p.faults)),
-		liveCount:  make([]int32, p.NumGroups()),
-		liveGroups: make([]bool, p.NumGroups()),
-	}
-	for i := range p.faults {
-		d.aliveIdx[i] = int32(i)
-		d.liveCount[p.part.GroupOf[i]]++
-	}
-	for si, n := range d.liveCount {
-		d.liveGroups[si] = n > 0
-	}
-	return d
-}
-
-// dropLane removes the faults whose masked detection word is non-zero,
-// releasing exhausted FFR groups.  det is laid out det[fi*stride+lane]
-// as RunBlocks hands it over.
-func (d *dropState) dropLane(det []uint64, stride, lane int, mask uint64) {
-	w := 0
-	for _, fi := range d.aliveIdx {
-		if det[int(fi)*stride+lane]&mask != 0 {
-			d.dead++
-			g := d.plan.part.GroupOf[fi]
-			d.liveCount[g]--
-			if d.liveCount[g] == 0 {
-				d.liveGroups[g] = false
-			}
-			continue
-		}
-		d.aliveIdx[w] = fi
-		w++
-	}
-	d.aliveIdx = d.aliveIdx[:w]
+	return out
 }
 
 // CoverageCurveNaive is CoverageCurve on the naive oracle: one serial

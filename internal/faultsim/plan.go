@@ -84,9 +84,3 @@ func (p *Plan) Circuit() *circuit.Circuit { return p.c }
 
 // Faults returns the planned fault list (shared, do not modify).
 func (p *Plan) Faults() []fault.Fault { return p.faults }
-
-// NumGroups returns the number of FFR groups (including empty ones).
-func (p *Plan) NumGroups() int { return p.part.NumGroups() }
-
-// GroupOf returns the FFR group index of fault i.
-func (p *Plan) GroupOf(i int) int { return int(p.part.GroupOf[i]) }

@@ -40,7 +40,7 @@ func TestShardEndpoint(t *testing.T) {
 	full := shard.Request{
 		Name: c.Name, Digest: shard.Digest(c.Name, src), Netlist: src, Seed: testSeed,
 		Kind: shard.KindDetect, NumPatterns: 128,
-		GroupLo: 0, GroupHi: plan.NumGroups(), BlockLo: 0, BlockHi: len(faultsim.DetectBlocks(128)),
+		BlockLo: 0, BlockHi: faultsim.DetectBlocks(128).Len(),
 	}
 	byDigest := full
 	byDigest.Netlist = ""

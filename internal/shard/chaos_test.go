@@ -236,12 +236,16 @@ func newHTTPWorker(t *testing.T, meet int) *httpWorker {
 			http.Error(rw, `{"error":"worker killed"}`, http.StatusInternalServerError)
 			return
 		}
-		rv.wait(r.Context())
+		// Read the body before the rendezvous: net/http notices the
+		// client's close, and cancels r.Context(), only once the body
+		// has been read, so a call held before would outlive its
+		// attempt's deadline.
 		var req Request
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			http.Error(rw, `{"error":"bad body"}`, http.StatusBadRequest)
 			return
 		}
+		rv.wait(r.Context())
 		resp, err := w.exec.Load().Run(r.Context(), &req)
 		if err != nil {
 			status := http.StatusBadRequest
@@ -311,7 +315,8 @@ func (r *rendezvous) wait(ctx context.Context) {
 
 // TestHTTPWorkerKilledMidRun drives the real HTTPTransport against two
 // live HTTP workers and kills one after its second shard: the merged
-// report must still be bit-identical to the serial oracle.
+// report must still be bit-identical to the serial oracle.  The run
+// holds eight whole chunks, so it sends 8 shards, 4 to each worker.
 func TestHTTPWorkerKilledMidRun(t *testing.T) {
 	run := newTestRun(t, "alu")
 	w1, w2 := newHTTPWorker(t, 0), newHTTPWorker(t, 0)
@@ -339,11 +344,11 @@ func TestHTTPWorkerKilledMidRun(t *testing.T) {
 	})
 	defer p.Close()
 
-	got, err := run.detect(p, nil, 513, 0)
+	got, err := run.detect(p, nil, 4096, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameDetect(t, "alu/killed-http", got, serialDetect(t, run, nil, 513))
+	sameDetect(t, "alu/killed-http", got, serialDetect(t, run, nil, 4096))
 	st := p.Stats()
 	if st.Shards == 0 {
 		t.Fatalf("nothing ran remotely: %+v", st)
@@ -433,7 +438,8 @@ func TestArrayWorkerFallsBack(t *testing.T) {
 // TestPoolKeepsWorkerConnectionsAlive: the default transport keeps as
 // many idle connections per worker as a run sends shards at once, so a
 // run over a warm pool dials none.  Each worker call waits for all 4 of
-// a run's shards, which forces 4 connections open at once.
+// a run's shards, which forces 4 connections open at once; the budget
+// holds four whole chunks, so the run sends 4 shards.
 func TestPoolKeepsWorkerConnectionsAlive(t *testing.T) {
 	run := newTestRun(t, "alu")
 	w := newHTTPWorker(t, 4)
@@ -446,7 +452,7 @@ func TestPoolKeepsWorkerConnectionsAlive(t *testing.T) {
 
 	measure := func() {
 		t.Helper()
-		if _, err := run.detect(p, nil, 513, 0); err != nil {
+		if _, err := run.detect(p, nil, 2048, 0); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -25,7 +25,7 @@ var ErrUnknownCircuit = errors.New("shard: unknown circuit digest")
 // Executor runs shard requests on the worker side: it resolves the
 // request's circuit, the shared simulation plan through the artifact
 // store (so repeated shards of one run partition the circuit once),
-// and executes the shard's rectangle of the measurement grid.
+// and runs the measurement's body over the shard's block range.
 //
 // Circuits are resolved by digest.  A netlist the Executor receives
 // is checked against the digest sent with it and decoded

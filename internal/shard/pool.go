@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -258,31 +257,21 @@ func sleep(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// span is one shard's rectangle of the (group × block) grid.
-type span struct {
-	gLo, gHi, bLo, bHi int
-}
+// span is one shard's half-open range of the run's block schedule.
+type span struct{ lo, hi int }
 
-// planShards cuts the grid into about target rectangles.  The block
-// axis is cut first, but only at multiples of chunk, the blocks of one
-// full chunk of the run's width, so the shards simulate exactly the
-// chunks a local run would.  A cut inside a chunk would instead
-// simulate its blocks in narrower chunks, and a W=1 block costs about
-// three times a block of a W=8 chunk.  The rest of the target goes on
-// the group axis, whose cuts each repeat the good-circuit simulation
-// of the chunks.  The spans partition the grid exactly.
-func planShards(numGroups, numBlocks, chunk, target, maxShards int) []span {
-	target = min(max(target, 1), maxShards)
+// planShards cuts numBlocks blocks into about target ranges, at most
+// maxShards, and only at multiples of chunk, the blocks of one full
+// chunk of the run's width, so the shards simulate exactly the chunks
+// a local run would.  A cut inside a chunk would instead simulate its
+// blocks in narrower chunks, and a W=1 block costs about three times
+// a block of a W=8 chunk.  The spans partition the blocks in order.
+func planShards(numBlocks, chunk, target, maxShards int) []span {
 	chunks := (numBlocks + chunk - 1) / chunk
-	bp := min(chunks, target)
-	gp := min((target+bp-1)/bp, max(maxShards/bp, 1), numGroups)
-	out := make([]span, 0, gp*bp)
-	for gi := 0; gi < gp; gi++ {
-		gLo, gHi := gi*numGroups/gp, (gi+1)*numGroups/gp
-		for bi := 0; bi < bp; bi++ {
-			bLo, bHi := chunk*(bi*chunks/bp), min(chunk*((bi+1)*chunks/bp), numBlocks)
-			out = append(out, span{gLo, gHi, bLo, bHi})
-		}
+	n := min(chunks, max(target, 1), maxShards)
+	out := make([]span, n)
+	for i := range out {
+		out[i] = span{chunk * (i * chunks / n), min(chunk*((i+1)*chunks/n), numBlocks)}
 	}
 	return out
 }
@@ -320,15 +309,14 @@ func wireOf(c *circuit.Circuit) *wire {
 
 // attempt runs one remote attempt of a shard on w under the
 // per-attempt deadline.  A response that fails Response.check against
-// the run's blocks and the shard's want faults is a failed attempt.
-func (p *Pool) attempt(ctx context.Context, w *worker, src string, blocks []faultsim.BlockSpan, req *Request, want int) (*Response, error) {
+// the run's blocks and the plan's want faults is a failed attempt.
+func (p *Pool) attempt(ctx context.Context, w *worker, src string, blocks faultsim.Schedule, req *Request, want int) (*Response, error) {
 	actx, cancel := context.WithTimeout(ctx, p.cfg.shardTimeout)
 	defer cancel()
 	resp, err := p.send(actx, w, src, req)
 	if err == nil {
 		if err = resp.check(req, want, blocks); err != nil {
-			err = fmt.Errorf("shard: worker %s: bad response for groups [%d,%d), blocks [%d,%d): %w",
-				w.addr, req.GroupLo, req.GroupHi, req.BlockLo, req.BlockHi, err)
+			err = fmt.Errorf("shard: worker %s: bad response for blocks [%d,%d): %w", w.addr, req.BlockLo, req.BlockHi, err)
 		}
 	}
 	if err != nil {
@@ -358,7 +346,7 @@ func (p *Pool) send(ctx context.Context, w *worker, src string, req *Request) (*
 // healthy workers with backoff between them, and when every remote
 // avenue is exhausted (attempts spent, or no healthy worker left),
 // execute the shard locally — the result is bit-identical either way.
-func (p *Pool) runShardRemote(ctx context.Context, plan *faultsim.Plan, src string, blocks []faultsim.BlockSpan, si int, req *Request, want int) (*Response, error) {
+func (p *Pool) runShardRemote(ctx context.Context, plan *faultsim.Plan, src string, blocks faultsim.Schedule, si int, req *Request) (*Response, error) {
 	for attempt := 0; attempt < p.cfg.maxAttempts; attempt++ {
 		w := p.pickWorker(si + attempt)
 		if w == nil {
@@ -368,7 +356,7 @@ func (p *Pool) runShardRemote(ctx context.Context, plan *faultsim.Plan, src stri
 			p.retriesTotal.Add(1)
 			w.retries.Add(1)
 		}
-		resp, err := p.attempt(ctx, w, src, blocks, req, want)
+		resp, err := p.attempt(ctx, w, src, blocks, req, len(plan.Faults()))
 		if err == nil {
 			return resp, nil
 		}
@@ -406,55 +394,41 @@ func (p *Pool) start(c *circuit.Circuit, numBlocks int) (*wire, int) {
 // concurrently and collects the responses in shard order.  src is the
 // netlist sent to workers that miss the circuit's digest; progress
 // receives (completed shards, total shards).
-func (p *Pool) dispatch(ctx context.Context, plan *faultsim.Plan, src string, base Request, blocks []faultsim.BlockSpan, healthy int, progress faultsim.Progress) ([]span, []*Response, error) {
-	shards := planShards(plan.NumGroups(), len(blocks), faultsim.ChunkBlocks(base.SimWidth), healthy*shardsPerWorker, maxShards)
+func (p *Pool) dispatch(ctx context.Context, plan *faultsim.Plan, src string, base Request, blocks faultsim.Schedule, healthy int, progress faultsim.Progress) ([]*Response, error) {
+	shards := planShards(blocks.Len(), faultsim.ChunkBlocks(base.SimWidth), healthy*shardsPerWorker, maxShards)
 	resps := make([]*Response, len(shards))
 	errs := make([]error, len(shards))
 	var done atomic.Int64
 	var wg sync.WaitGroup
-	for si := range shards {
+	for si, sp := range shards {
 		wg.Add(1)
-		go func(si int) {
+		go func() {
 			defer wg.Done()
 			req := base
-			sp := shards[si]
-			req.GroupLo, req.GroupHi, req.BlockLo, req.BlockHi = sp.gLo, sp.gHi, sp.bLo, sp.bHi
-			resps[si], errs[si] = p.runShardRemote(ctx, plan, src, blocks, si, &req, faultsIn(plan, sp.gLo, sp.gHi))
+			req.BlockLo, req.BlockHi = sp.lo, sp.hi
+			resps[si], errs[si] = p.runShardRemote(ctx, plan, src, blocks, si, &req)
 			if progress != nil {
 				progress(int(done.Add(1)), len(shards))
 			}
-		}(si)
+		}()
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
-	return shards, resps, nil
-}
-
-// faultsIn returns the number of the plan's faults in FFR groups
-// [lo, hi): the length of a shard's response vectors, which list those
-// faults in ascending plan order.
-func faultsIn(plan *faultsim.Plan, lo, hi int) int {
-	n := 0
-	for i := range plan.Faults() {
-		if g := plan.GroupOf(i); g >= lo && g < hi {
-			n++
-		}
-	}
-	return n
+	return resps, nil
 }
 
 // MeasureDetection runs the P_SIM measurement (detection counts over
 // numPatterns patterns of the seed's stream, weighted by probs when
 // non-nil) of a plan over model's universe sharded across the pool's
-// workers, returning a Result bit-identical to the serial in-process
-// engine.  The plan must enumerate model's universe of its circuit
-// (normalized, as artifact.Store.SimPlanFor builds it): workers derive
-// their plan from the circuit and model, and the merge adds their
-// counts by fault index.  width is the run's simulation width
+// workers, returning a Result bit-identical to the in-process engine.
+// The plan must enumerate model's universe of its circuit (normalized,
+// as artifact.Store.SimPlanFor builds it): workers derive their plan
+// from the circuit and model, and the merge adds their counts by fault
+// index.  width is the run's simulation width
 // (faultsim.Options.Width), which the shards and any local execution
 // use.  With zero healthy workers, or for a circuit without a wire
 // form, it runs locally.
@@ -464,7 +438,7 @@ func (p *Pool) MeasureDetection(ctx context.Context, plan *faultsim.Plan, model 
 	}
 	c := plan.Circuit()
 	blocks := faultsim.DetectBlocks(numPatterns)
-	w, healthy := p.start(c, len(blocks))
+	w, healthy := p.start(c, blocks.Len())
 	if healthy == 0 {
 		gen, err := newGenerator(len(c.Inputs), probs, seed)
 		if err != nil {
@@ -477,22 +451,14 @@ func (p *Pool) MeasureDetection(ctx context.Context, plan *faultsim.Plan, model 
 		Name: c.Name, Digest: w.digest, FaultModel: string(model), Seed: seed, Probs: probs,
 		Kind: KindDetect, NumPatterns: numPatterns, SimWidth: width,
 	}
-	res := &faultsim.Result{
-		Faults:   plan.Faults(),
-		Detected: make([]int, len(plan.Faults())),
-		Applied:  numPatterns,
-	}
-	shards, resps, err := p.dispatch(ctx, plan, w.netlist, base, blocks, healthy, progress)
+	resps, err := p.dispatch(ctx, plan, w.netlist, base, blocks, healthy, progress)
 	if err != nil {
 		return nil, err
 	}
-	for si, sp := range shards {
-		k := 0
-		for i := range res.Detected {
-			if g := plan.GroupOf(i); g >= sp.gLo && g < sp.gHi {
-				res.Detected[i] += resps[si].Counts[k]
-				k++
-			}
+	res := &faultsim.Result{Faults: plan.Faults(), Detected: make([]int, len(plan.Faults())), Applied: numPatterns}
+	for _, r := range resps {
+		for i, n := range r.Counts {
+			res.Detected[i] += n
 		}
 	}
 	return res, nil
@@ -500,16 +466,16 @@ func (p *Pool) MeasureDetection(ctx context.Context, plan *faultsim.Plan, model 
 
 // CoverageCurve runs the fault-dropping coverage measurement sharded
 // across the pool's workers: each fault's first-detection position is
-// min-merged over shards, and the curve computed from the merged
-// positions is bit-identical to the serial engine's.  The arguments
-// and the local cases are those of MeasureDetection.
+// min-merged over shards, and faultsim.CurveOf turns the merged
+// positions into the curve, bit-identical to the in-process engine's.
+// The arguments and the local cases are those of MeasureDetection.
 func (p *Pool) CoverageCurve(ctx context.Context, plan *faultsim.Plan, model fault.Model, seed uint64, probs []float64, checkpoints []int, width int, progress faultsim.Progress) ([]faultsim.CoveragePoint, error) {
 	if err := widesim.CheckWidth(width); err != nil {
 		return nil, fmt.Errorf("shard: %w", err)
 	}
 	c := plan.Circuit()
 	blocks := faultsim.CurveBlocks(checkpoints)
-	w, healthy := p.start(c, len(blocks))
+	w, healthy := p.start(c, blocks.Len())
 	if healthy == 0 {
 		gen, err := newGenerator(len(c.Inputs), probs, seed)
 		if err != nil {
@@ -522,43 +488,19 @@ func (p *Pool) CoverageCurve(ctx context.Context, plan *faultsim.Plan, model fau
 		Name: c.Name, Digest: w.digest, FaultModel: string(model), Seed: seed, Probs: probs,
 		Kind: KindCurve, Checkpoints: checkpoints, SimWidth: width,
 	}
-	total := len(plan.Faults())
-	first := make([]int, total)
-	for i := range first {
-		first[i] = -1
-	}
-	shards, resps, err := p.dispatch(ctx, plan, w.netlist, base, blocks, healthy, progress)
+	resps, err := p.dispatch(ctx, plan, w.netlist, base, blocks, healthy, progress)
 	if err != nil {
 		return nil, err
 	}
-	for si, sp := range shards {
-		k := 0
-		for i := range first {
-			if g := plan.GroupOf(i); g >= sp.gLo && g < sp.gHi {
-				if f := resps[si].First[k]; f >= 0 && (first[i] < 0 || f < first[i]) {
-					first[i] = f
-				}
-				k++
+	first := resps[0].First
+	for _, r := range resps[1:] {
+		for i, f := range r.First {
+			if f >= 0 && (first[i] < 0 || f < first[i]) {
+				first[i] = f
 			}
 		}
 	}
-
-	// The curve from merged first positions: a fault is dead at
-	// checkpoint cp iff its first detection lies at or before cp —
-	// exactly the serial loop's drop accounting, including the float
-	// expression.
-	cps := slices.Sorted(slices.Values(checkpoints))
-	var out []faultsim.CoveragePoint
-	for _, cp := range cps {
-		dead := 0
-		for _, f := range first {
-			if f >= 0 && f <= cp {
-				dead++
-			}
-		}
-		out = append(out, faultsim.CoveragePoint{Patterns: cp, Coverage: 100 * float64(dead) / float64(total)})
-	}
-	return out, nil
+	return faultsim.CurveOf(first, checkpoints), nil
 }
 
 // WorkerStats is one worker's health and traffic snapshot.

@@ -1,19 +1,23 @@
 // Package shard distributes PROTEST fault simulation across worker
 // processes without ever changing a result: a coordinator (Pool)
-// splits one measurement into (FFR-group × pattern-block) shards,
-// dispatches them to workers over a pluggable Transport, and merges
-// the responses into exactly the Result or coverage curve the
-// in-process serial engine produces.
+// cuts one measurement's block schedule into ranges of 64-pattern
+// blocks, dispatches them to workers over a pluggable Transport, and
+// merges the responses into exactly the Result or coverage curve the
+// in-process engine produces.
 //
 // # Exactness
 //
-// Every quantity the engines measure decomposes over the shard grid:
+// A shard runs the local measurement's own body over its block range:
+// faultsim.Plan.DetectionCounts for detection counts,
+// faultsim.Plan.FirstDetections for a coverage curve.  Both quantities
+// decompose over block ranges:
 //
-//   - detection counts are sums of per-block popcounts, so disjoint
-//     block ranges add and disjoint group ranges concatenate;
+//   - detection counts are sums of per-block popcounts, so the counts
+//     of disjoint block ranges add;
 //   - a coverage curve is determined by each fault's first-detection
 //     position (the cumulative pattern count of the block that first
-//     detects it), which merges across shards by minimum;
+//     detects it), which merges across ranges by minimum, and
+//     faultsim.CurveOf turns the merged positions into the curve;
 //   - the pattern stream itself is positionable: block k of a seeded
 //     generator is reproduced remotely by seeding the same generator
 //     and skipping k blocks (pattern.Generator.SkipBlocks), and the
@@ -23,20 +27,23 @@
 // Workers reconstruct the coordinator's exact circuit from its netlist:
 // netlist.Write renders nodes in node-ID order and netlist.Decode
 // numbers them in statement order, so the worker's circuit is
-// circuit.Equal to the coordinator's.  Fault enumeration and FFR
-// partitioning are deterministic functions of the circuit, so fault
-// order, group numbering and block schedule agree without negotiation,
-// and responses merge by the coordinator's own fault index.  A circuit
-// whose rendering does not decode to exactly it (a truth-table gate, a
-// node name the syntax cannot carry) has no wire form, and its runs
-// stay local.
+// circuit.Equal to the coordinator's.  Fault enumeration is a
+// deterministic function of the circuit, so fault order and block
+// schedule agree without negotiation, and every response vector has
+// one entry per fault of the coordinator's plan, in its order.  A
+// circuit whose rendering does not decode to exactly it (a truth-table
+// gate, a node name the syntax cannot carry) has no wire form, and its
+// runs stay local.
 //
 // # Cost
 //
-// A shard should cost what its simulation costs.  The block axis is
-// cut only at multiples of the run's chunk (faultsim.ChunkBlocks), so
-// shards simulate exactly the chunks a local run would; the rest of
-// the shard count comes from cutting the group axis.  Responses carry
+// A shard should cost what its simulation costs.  Block ranges are cut
+// only at multiples of the run's chunk (faultsim.ChunkBlocks), so
+// shards simulate exactly the chunks a local run would.  Two
+// consequences are accepted: a run of at most one chunk is one shard,
+// so a short run does not spread over several workers; and a curve
+// shard after the first re-detects faults that an earlier range
+// already found, extra work the min-merge hides.  Responses carry
 // their per-fault vectors packed (Vector), so the coordinator decodes
 // one base64 string per shard instead of one JSON number per fault.
 //
@@ -47,7 +54,7 @@
 // the digest of every netlist they receive, so a circuit cached under a
 // digest is the one that digest names.  Every digest starts with the
 // wire version, and workers reject requests without it, so peers that
-// number shards differently never merge each other's responses.
+// cut shards differently never merge each other's responses.
 //
 // # Robustness
 //
@@ -56,18 +63,17 @@
 // capped exponential backoff plus jitter, workers accumulating
 // consecutive failures are ejected and probed back in, and a shard
 // that exhausts its remote attempts falls back to local in-process
-// execution.  With zero healthy workers the whole run degrades to the
-// local serial engine — callers always get an exact answer, merely
-// slower.  A response that does not decode, or whose vector or values
-// no correct worker could send (Response.check), is a failed attempt
-// like any other.  A caller's own cancellation is never held against a
-// worker.  The package's tests inject dropped calls, errors and
-// crashes deterministically to prove all of this keeps results
+// execution of the same body.  With zero healthy workers the whole run
+// degrades to the local engine — callers always get an exact answer,
+// merely slower.  A response that does not decode, or whose vector or
+// values no correct worker could send (Response.check), is a failed
+// attempt like any other.  A caller's own cancellation is never held
+// against a worker.  The package's tests inject dropped calls, errors
+// and crashes deterministically to prove all of this keeps results
 // bit-identical.
 package shard
 
 import (
-	"cmp"
 	"context"
 	"crypto/sha256"
 	"encoding/base64"
@@ -76,11 +82,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"slices"
+	"sort"
 
 	"protest/internal/faultsim"
 	"protest/internal/pattern"
-	"protest/internal/widesim"
 )
 
 // Kind selects the measurement a shard request contributes to.
@@ -97,9 +102,9 @@ const (
 
 // Request is one shard of a measurement — the body of POST /v1/shard.
 // The run-level fields (circuit, seed, probs, pattern budget or
-// checkpoints) are identical across every shard of a run; GroupLo/Hi
-// and BlockLo/Hi select this shard's rectangle of the (FFR group ×
-// pattern block) grid.  Both halves are half-open ranges.
+// checkpoints) are identical across every shard of a run; BlockLo and
+// BlockHi select this shard's half-open range of the run's block
+// schedule.
 type Request struct {
 	// Name and Netlist identify the circuit; the worker decodes the
 	// netlist and derives fault list, FFR partition and simulation plan
@@ -129,8 +134,6 @@ type Request struct {
 	// Checkpoints are the run's coverage checkpoints (KindCurve).
 	Checkpoints []int `json:"checkpoints,omitempty"`
 
-	GroupLo int `json:"group_lo"`
-	GroupHi int `json:"group_hi"`
 	BlockLo int `json:"block_lo"`
 	BlockHi int `json:"block_hi"`
 
@@ -143,16 +146,15 @@ type Request struct {
 }
 
 // Response is one shard's partial result.  Faults is the number of
-// faults in the shard's group range.  The coordinator merges a
-// response only if it passes check against its own plan, so a worker
-// that reconstructed a different fault universe, or sent a vector of
-// the wrong length or with values no shard can produce, is rejected
-// rather than merged.
+// faults in the worker's plan.  The coordinator merges a response only
+// if it passes check against its own plan, so a worker that
+// reconstructed a different fault universe, or sent a vector of the
+// wrong length or with values no shard can produce, is rejected rather
+// than merged.
 type Response struct {
 	Faults int `json:"faults"`
 	// Counts (KindDetect) is the number of valid patterns within the
-	// shard's blocks detecting each fault of the group range, in
-	// ascending fault-index order.
+	// shard's blocks detecting each fault, in plan order.
 	Counts Vector `json:"counts,omitempty"`
 	// First (KindCurve) is each fault's first-detection position — the
 	// cumulative pattern count (BlockSpan.End) of the earliest shard
@@ -211,24 +213,24 @@ func (v *Vector) UnmarshalText(text []byte) error {
 }
 
 // check reports why resp cannot answer req, or nil when it can.  The
-// request's group range holds want faults and its blocks index the
-// run's schedule.  The fault count must match, the kind's vector must
-// have one entry per fault, every count must lie in [0, the shard's
-// valid patterns], and every first position must be -1 or the End of
-// a block of the shard.
-func (resp *Response) check(req *Request, want int, blocks []faultsim.BlockSpan) error {
+// coordinator's plan holds want faults and the request's blocks index
+// the run's schedule.  The fault count must match, the kind's vector
+// must have one entry per fault, every count must lie in [0, the
+// shard's valid patterns], and every first position must be -1 or the
+// End of a block of the shard.
+func (resp *Response) check(req *Request, want int, blocks faultsim.Schedule) error {
 	if resp.Faults != want {
 		return fmt.Errorf("%d faults, want %d", resp.Faults, want)
 	}
-	own := blocks[req.BlockLo:req.BlockHi]
+	own := blocks.Range(req.BlockLo, req.BlockHi)
 	switch req.Kind {
 	case KindDetect:
 		if len(resp.Counts) != want {
 			return fmt.Errorf("%d counts for %d faults", len(resp.Counts), want)
 		}
-		patterns := own[len(own)-1].End
+		patterns := own.Block(own.Len() - 1).End
 		if req.BlockLo > 0 {
-			patterns -= blocks[req.BlockLo-1].End
+			patterns -= blocks.Block(req.BlockLo - 1).End
 		}
 		for _, n := range resp.Counts {
 			if n < 0 || n > patterns {
@@ -243,7 +245,7 @@ func (resp *Response) check(req *Request, want int, blocks []faultsim.BlockSpan)
 			if f == -1 {
 				continue
 			}
-			if _, ok := slices.BinarySearchFunc(own, f, func(b faultsim.BlockSpan, f int) int { return cmp.Compare(b.End, f) }); !ok {
+			if j := sort.Search(own.Len(), func(j int) bool { return own.Block(j).End >= f }); j == own.Len() || own.Block(j).End != f {
 				return fmt.Errorf("first position %d ends no block of the shard", f)
 			}
 		}
@@ -253,8 +255,9 @@ func (resp *Response) check(req *Request, want int, blocks []faultsim.BlockSpan)
 
 // wireVersion starts every digest.  It names the wire's circuit
 // encoding, nodes in node-ID order (netlist.Decode), on which the
-// merge by fault index rests.
-const wireVersion = "v2:"
+// merge by fault index rests, and the shard geometry, block ranges
+// with one vector entry per plan fault.
+const wireVersion = "v3:"
 
 // Digest is the content address of a circuit on the wire: the wire
 // version followed by the hex SHA-256 of its name and netlist, each
@@ -271,28 +274,22 @@ func Digest(name, netlist string) string {
 	return wireVersion + hex.EncodeToString(h.Sum(nil))
 }
 
-// validate checks a request's shard geometry against the schedule its
-// run-level fields imply.
-func (req *Request) validate(plan *faultsim.Plan, blocks []faultsim.BlockSpan) error {
+// validate checks a request's kind and block range against the
+// schedule its run-level fields imply.
+func (req *Request) validate(blocks faultsim.Schedule) error {
 	switch req.Kind {
 	case KindDetect, KindCurve:
 	default:
 		return fmt.Errorf("shard: unknown kind %q", req.Kind)
 	}
-	if req.GroupLo < 0 || req.GroupHi > plan.NumGroups() || req.GroupLo >= req.GroupHi {
-		return fmt.Errorf("shard: group range [%d,%d) outside %d groups", req.GroupLo, req.GroupHi, plan.NumGroups())
-	}
-	if req.BlockLo < 0 || req.BlockHi > len(blocks) || req.BlockLo >= req.BlockHi {
-		return fmt.Errorf("shard: block range [%d,%d) outside %d blocks", req.BlockLo, req.BlockHi, len(blocks))
-	}
-	if err := widesim.CheckWidth(req.SimWidth); err != nil {
-		return fmt.Errorf("shard: %w", err)
+	if req.BlockLo < 0 || req.BlockHi > blocks.Len() || req.BlockLo >= req.BlockHi {
+		return fmt.Errorf("shard: block range [%d,%d) outside %d blocks", req.BlockLo, req.BlockHi, blocks.Len())
 	}
 	return nil
 }
 
 // schedule derives the run's block schedule from the request.
-func (req *Request) schedule() []faultsim.BlockSpan {
+func (req *Request) schedule() faultsim.Schedule {
 	if req.Kind == KindCurve {
 		return faultsim.CurveBlocks(req.Checkpoints)
 	}
@@ -311,101 +308,30 @@ func newGenerator(nInputs int, probs []float64, seed uint64) (*pattern.Generator
 	return pattern.NewWeighted(probs, seed)
 }
 
-// groupFaults returns the indices of the plan's faults whose FFR group
-// lies in [lo, hi), in ascending fault order — the order Response
-// slices use.
-func groupFaults(plan *faultsim.Plan, lo, hi int) []int {
-	idx := make([]int, 0, faultsIn(plan, lo, hi))
-	for i := range plan.Faults() {
-		if g := plan.GroupOf(i); g >= lo && g < hi {
-			idx = append(idx, i)
-		}
-	}
-	return idx
-}
-
-// runShard executes one shard request against a resolved plan — the
-// worker's core, shared by the coordinator's local fallback so a shard
-// computes the same bits wherever it runs.
+// runShard executes one shard request against a resolved plan: the
+// measurement's faultsim body over the shard's block range, serially
+// at the run's width.  Workers and the coordinator's local fallback
+// both run it, so a shard computes the same bits wherever it runs.
 func runShard(ctx context.Context, plan *faultsim.Plan, req *Request) (*Response, error) {
 	blocks := req.schedule()
-	if err := req.validate(plan, blocks); err != nil {
+	if err := req.validate(blocks); err != nil {
 		return nil, err
 	}
-	c := plan.Circuit()
-	gen, err := newGenerator(len(c.Inputs), req.Probs, req.Seed)
+	gen, err := newGenerator(len(plan.Circuit().Inputs), req.Probs, req.Seed)
 	if err != nil {
 		return nil, err
 	}
 	gen.SkipBlocks(req.BlockLo)
-
-	idx := groupFaults(plan, req.GroupLo, req.GroupHi)
-	resp := &Response{Faults: len(idx)}
-	if len(idx) == 0 {
-		return resp, nil // only empty FFR groups in range
+	own := blocks.Range(req.BlockLo, req.BlockHi)
+	opt := faultsim.Options{Width: req.SimWidth}
+	resp := &Response{Faults: len(plan.Faults())}
+	if req.Kind == KindCurve {
+		resp.First, err = plan.FirstDetections(ctx, gen, own, opt, nil)
+	} else {
+		resp.Counts, err = plan.DetectionCounts(ctx, gen, own, opt, nil)
 	}
-
-	live := make([]bool, plan.NumGroups())
-	n := req.BlockHi - req.BlockLo
-	switch req.Kind {
-	case KindDetect:
-		// Only the run's last block is short, so the shard's valid
-		// patterns are the first ones of its blocks.
-		for g := req.GroupLo; g < req.GroupHi; g++ {
-			live[g] = true
-		}
-		tally := &faultsim.Tally{Detected: make([]int, len(plan.Faults())), Patterns: blocks[req.BlockHi-1].End}
-		if req.BlockLo > 0 {
-			tally.Patterns -= blocks[req.BlockLo-1].End
-		}
-		if err := plan.RunBlocks(ctx, gen, n, req.SimWidth, 1, live, tally, nil); err != nil {
-			return nil, err
-		}
-		resp.Counts = make([]int, len(idx))
-		for k, i := range idx {
-			resp.Counts[k] = tally.Detected[i]
-		}
-
-	case KindCurve:
-		// Fault dropping at FFR granularity, restricted to this shard's
-		// faults: once every in-range fault of a group has a first
-		// position the group is skipped, exactly like the serial loop.
-		// (A fault another shard detected earlier stays "live" here; the
-		// extra work is invisible after the min-merge.)  A chunk runs
-		// against the live set of its start, which only skips work:
-		// a fault whose group died mid-chunk already has its first
-		// position.
-		liveCount := make([]int, plan.NumGroups())
-		for _, i := range idx {
-			g := plan.GroupOf(i)
-			liveCount[g]++
-			live[g] = true
-		}
-		first := make([]int, len(idx))
-		for k := range first {
-			first[k] = -1
-		}
-		remaining := len(idx)
-		visit := func(j int, det []uint64, stride, lane int) bool {
-			blk := blocks[req.BlockLo+j]
-			for k, i := range idx {
-				if first[k] >= 0 || det[i*stride+lane]&blk.Mask == 0 {
-					continue
-				}
-				first[k] = blk.End
-				remaining--
-				g := plan.GroupOf(i)
-				liveCount[g]--
-				if liveCount[g] == 0 {
-					live[g] = false
-				}
-			}
-			return remaining > 0
-		}
-		if err := plan.RunBlocks(ctx, gen, n, req.SimWidth, 1, live, nil, visit); err != nil {
-			return nil, err
-		}
-		resp.First = first
+	if err != nil {
+		return nil, err
 	}
 	return resp, nil
 }

@@ -203,42 +203,79 @@ func TestShardedCurveMatchesSerial(t *testing.T) {
 }
 
 // TestPlanShardsPartition checks the shard planner always produces an
-// exact partition of the (group × block) grid, cutting the block axis
-// only on chunk boundaries: every block range starts at a multiple of
-// the chunk and ends at one or at the grid's end.
+// exact, ordered partition of the block axis into at most the target
+// and the cap of ranges, cut only on chunk boundaries: every range
+// starts at a multiple of the chunk and ends at one or at the run's
+// end.  A run spreads over as many ranges as it has chunks, up to the
+// target.
 func TestPlanShardsPartition(t *testing.T) {
-	for _, tc := range []struct{ groups, blocks, chunk, target, max int }{
-		{1, 1, 8, 8, 64}, {1, 5, 1, 12, 64}, {1, 5, 4, 12, 64}, {7, 1, 8, 12, 64},
-		{13, 17, 1, 12, 64}, {13, 17, 4, 12, 64}, {13, 17, 8, 12, 64},
-		{100, 3, 1, 12, 8}, {100, 3, 8, 12, 8}, {100, 40, 4, 64, 8},
-		{3, 100, 1, 200, 64}, {3, 100, 4, 200, 64}, {3, 100, 8, 200, 64},
-		{5, 5, 1, 1, 64}, {5, 16, 8, 4, 64}, {5, 22, 8, 4, 64}, {5, 22, 4, 4, 64},
+	for _, tc := range []struct{ blocks, chunk, target, max int }{
+		{1, 8, 8, 64}, {5, 1, 12, 64}, {5, 4, 12, 64}, {5, 8, 4, 64},
+		{17, 1, 12, 64}, {17, 4, 12, 64}, {17, 8, 12, 64},
+		{3, 1, 12, 8}, {3, 8, 12, 8}, {40, 4, 64, 8},
+		{100, 1, 200, 64}, {100, 4, 200, 64}, {100, 8, 200, 64},
+		{5, 1, 1, 64}, {16, 8, 4, 64}, {22, 8, 4, 64}, {22, 4, 4, 64}, {22, 1, 0, 64},
 	} {
-		spans := planShards(tc.groups, tc.blocks, tc.chunk, tc.target, tc.max)
-		if len(spans) > tc.max {
-			t.Fatalf("planShards(%v): %d shards over cap %d", tc, len(spans), tc.max)
+		spans := planShards(tc.blocks, tc.chunk, tc.target, tc.max)
+		chunks := (tc.blocks + tc.chunk - 1) / tc.chunk
+		if want := min(chunks, max(tc.target, 1), tc.max); len(spans) != want {
+			t.Fatalf("planShards(%v): %d shards, want %d", tc, len(spans), want)
 		}
-		seen := make(map[[2]int]int)
+		next := 0
 		for _, sp := range spans {
-			if sp.gLo >= sp.gHi || sp.bLo >= sp.bHi {
-				t.Fatalf("planShards(%v): empty span %+v", tc, sp)
+			if sp.lo != next || sp.lo >= sp.hi {
+				t.Fatalf("planShards(%v): span %+v after block %d", tc, sp, next)
 			}
-			if sp.bLo%tc.chunk != 0 || sp.bHi%tc.chunk != 0 && sp.bHi != tc.blocks {
+			if sp.lo%tc.chunk != 0 || sp.hi%tc.chunk != 0 && sp.hi != tc.blocks {
 				t.Fatalf("planShards(%v): span %+v cuts blocks off chunk boundaries", tc, sp)
 			}
-			for g := sp.gLo; g < sp.gHi; g++ {
-				for b := sp.bLo; b < sp.bHi; b++ {
-					seen[[2]int{g, b}]++
-				}
-			}
+			next = sp.hi
 		}
-		if len(seen) != tc.groups*tc.blocks {
-			t.Fatalf("planShards(%v): covered %d cells, want %d", tc, len(seen), tc.groups*tc.blocks)
+		if next != tc.blocks {
+			t.Fatalf("planShards(%v): spans end at block %d, want %d", tc, next, tc.blocks)
 		}
-		for cell, n := range seen {
-			if n != 1 {
-				t.Fatalf("planShards(%v): cell %v covered %d times", tc, cell, n)
-			}
+	}
+}
+
+// TestShortRunIsOneShard: with one worker a run aims at 4 shards, but
+// a run of at most one chunk goes out as exactly one shard, whose
+// response vectors, counts and first positions, carry one entry per
+// plan fault.
+func TestShortRunIsOneShard(t *testing.T) {
+	run := newTestRun(t, "alu")
+	want := len(run.plan.Faults())
+	var mu sync.Mutex
+	var resps []*Response
+	p := localPool(t, 1, func(cfg *Config) {
+		cfg.Transport = &corruptTransport{inner: &LocalTransport{Exec: NewExecutor()}, mutate: func(_ *Request, r *Response) {
+			mu.Lock()
+			resps = append(resps, r)
+			mu.Unlock()
+		}}
+	})
+	cps := []int{10, 100, 300} // 1 + 2 + 4 blocks
+	for _, n := range []int{257, 512} {
+		got, err := run.detect(p, nil, n, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameDetect(t, "alu", got, serialDetect(t, run, nil, n))
+	}
+	curve, err := run.curve(p, nil, cps, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameCurve(t, "alu", curve, serialCurve(t, run, nil, cps))
+	if st := p.Stats(); st.Runs != 3 || st.Shards != 3 || len(resps) != 3 {
+		t.Fatalf("3 runs of at most one chunk: %d responses, %+v", len(resps), st)
+	}
+	for i, r := range resps {
+		vec := r.Counts // two detection runs, then the curve
+		if i == 2 {
+			vec = r.First
+		}
+		if r.Faults != want || len(vec) != want {
+			t.Fatalf("response %d: %d faults, %d entries, want %d", i, r.Faults, len(vec), want)
 		}
 	}
 }
@@ -301,18 +338,19 @@ func TestCorruptResponseRejected(t *testing.T) {
 		{"appended count", false, func(_ *Request, r *Response) { r.Counts = append(r.Counts, 0) }},
 		{"negative count", false, func(_ *Request, r *Response) { r.Counts[0] = -1 }},
 		{"count above the shard's patterns", false, func(req *Request, r *Response) {
+			own := req.schedule().Range(req.BlockLo, req.BlockHi)
 			patterns := 0
-			for _, b := range req.schedule()[req.BlockLo:req.BlockHi] {
-				patterns += bits.OnesCount64(b.Mask)
+			for j := range own.Len() {
+				patterns += bits.OnesCount64(own.Block(j).Mask)
 			}
 			r.Counts[0] = patterns + 1
 		}},
 		{"first position outside the shard", true, func(req *Request, r *Response) {
 			blocks := req.schedule()
-			if req.BlockHi < len(blocks) {
-				r.First[0] = blocks[req.BlockHi].End
+			if req.BlockHi < blocks.Len() {
+				r.First[0] = blocks.Block(req.BlockHi).End
 			} else {
-				r.First[0] = blocks[req.BlockLo-1].End
+				r.First[0] = blocks.Block(req.BlockLo - 1).End
 			}
 		}},
 	} {
@@ -381,9 +419,9 @@ func TestSkipBlocksPositionsStream(t *testing.T) {
 // including the default schedule: runs whose shards simulate at width
 // 0, 1, 4 or 8 merge to exactly the serial result for both measurement
 // kinds, on every registry circuit.  With one worker a run aims at 4
-// shards, so the budgets give group cuts around a run shorter than a
-// chunk (257: 5 blocks), block cuts on chunk boundaries with a ragged
-// last range (1088: 17 blocks) and whole 8-block chunks (2048).
+// shards, so at width 0 the budgets give one shard for a run shorter
+// than a chunk (257: 5 blocks), block cuts on chunk boundaries with a
+// ragged last range (1088: 17 blocks) and whole 8-block chunks (2048).
 func TestShardedWideMatchesSerial(t *testing.T) {
 	cps := []int{10, 100, 257, 1088}
 	for _, name := range circuits.Names() {
@@ -417,7 +455,8 @@ func TestShardedWideMatchesSerial(t *testing.T) {
 // the wire cannot carry are covered too: c1355 (n-ary gates) and a
 // truth-table circuit, under all three fault models.  Per-shard counts
 // over a split block axis must add up, and first-detection positions
-// must min-merge, to the naive oracle's counts and curve at every width.
+// must min-merge, through faultsim.CurveOf, to the naive oracle's
+// counts and curve at every width.
 func TestRunShardScheduleMatchesNaive(t *testing.T) {
 	c1355, _ := circuits.Lookup("c1355")
 	const n = 1408           // 22 blocks: ranges [0,5) and [5,22)
@@ -437,7 +476,7 @@ func TestRunShardScheduleMatchesNaive(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			curveBlocks := len(faultsim.CurveBlocks(cps))
+			curveBlocks := faultsim.CurveBlocks(cps).Len()
 			for _, w := range []int{0, 1, 4, 8} {
 				counts := make([]int, len(faults))
 				first := make([]int, len(faults))
@@ -446,7 +485,7 @@ func TestRunShardScheduleMatchesNaive(t *testing.T) {
 				}
 				for _, r := range [][2]int{{0, 5}, {5, 22}} {
 					req := &Request{Seed: testSeed, Kind: KindDetect, NumPatterns: n,
-						GroupLo: 0, GroupHi: plan.NumGroups(), BlockLo: r[0], BlockHi: r[1], SimWidth: w}
+						BlockLo: r[0], BlockHi: r[1], SimWidth: w}
 					resp, err := runShard(context.Background(), plan, req)
 					if err != nil {
 						t.Fatal(err)
@@ -474,16 +513,9 @@ func TestRunShardScheduleMatchesNaive(t *testing.T) {
 							c.Name, model, w, i, counts[i], wantDet.Detected[i])
 					}
 				}
-				for k, cp := range cps {
-					dead := 0
-					for _, f := range first {
-						if f >= 0 && f <= cp {
-							dead++
-						}
-					}
-					if got := 100 * float64(dead) / float64(len(faults)); got != wantCurve[k].Coverage {
-						t.Fatalf("%s %s width %d: coverage at %d = %v, naive %v",
-							c.Name, model, w, cp, got, wantCurve[k].Coverage)
+				for k, p := range faultsim.CurveOf(first, cps) {
+					if p != wantCurve[k] {
+						t.Fatalf("%s %s width %d: point %+v, naive %+v", c.Name, model, w, p, wantCurve[k])
 					}
 				}
 			}
@@ -514,7 +546,7 @@ func TestShardWidthValidation(t *testing.T) {
 	run := newTestRun(t, "c17")
 	req := &Request{
 		Seed: testSeed, Kind: KindDetect, NumPatterns: 128,
-		GroupLo: 0, GroupHi: run.plan.NumGroups(), BlockLo: 0, BlockHi: 2,
+		BlockLo: 0, BlockHi: 2,
 		SimWidth: 3,
 	}
 	if _, err := runShard(context.Background(), run.plan, req); err == nil {
@@ -545,7 +577,7 @@ func TestExecutorDigests(t *testing.T) {
 	src, d := run.netlist(t)
 	shardReq := func(d, netlist string) *Request {
 		return &Request{Name: "c17", Digest: d, Netlist: netlist, Seed: testSeed,
-			Kind: KindDetect, NumPatterns: 128, GroupHi: run.plan.NumGroups(), BlockHi: 2}
+			Kind: KindDetect, NumPatterns: 128, BlockHi: 2}
 	}
 	want, err := runShard(context.Background(), run.plan, shardReq("", ""))
 	if err != nil {
@@ -625,7 +657,7 @@ func TestExecutorDigests(t *testing.T) {
 		div := newTestRun(t, "div")
 		src, d := div.netlist(t)
 		req := &Request{Name: div.plan.Circuit().Name, Digest: d, Netlist: src, Seed: testSeed,
-			Kind: KindDetect, NumPatterns: 64, GroupHi: 1, BlockHi: 1}
+			Kind: KindDetect, NumPatterns: 64, BlockHi: 1}
 		want, err := runShard(context.Background(), div.plan, req)
 		if err != nil {
 			t.Fatal(err)
@@ -669,7 +701,7 @@ func TestExecutorBoundsCircuits(t *testing.T) {
 	req := func(i int, netlist string) *Request {
 		name := fmt.Sprintf("c17-%d", i)
 		return &Request{Name: name, Digest: Digest(name, src), Netlist: netlist, Seed: testSeed,
-			Kind: KindDetect, NumPatterns: 64, GroupHi: run.plan.NumGroups(), BlockHi: 1}
+			Kind: KindDetect, NumPatterns: 64, BlockHi: 1}
 	}
 	for i := 0; i <= artifact.DefaultCapacity; i++ {
 		if _, err := e.Run(context.Background(), req(i, src)); err != nil {

@@ -66,7 +66,8 @@ type PipelineSpec struct {
 	// SimWidth overrides the Session's WithSimWidth setting for this
 	// run: 1, 4 or 8 forces that many pattern blocks per sweep; 0 keeps
 	// the Session's setting, whose own default is the engine-chosen
-	// schedule.  Results are bit-identical at every width.
+	// schedule.  Results are bit-identical at every width; any other
+	// value, here or in BIST.SimWidth, fails with ErrBadSpec.
 	SimWidth int `json:"sim_width,omitempty"`
 	// FaultModel overrides the Session's WithFaultModel setting for
 	// this run: FaultModelStuckAt, FaultModelBridging or
@@ -101,7 +102,7 @@ func (spec *PipelineSpec) fill() error {
 		spec.MaxSimPatterns = 4096
 	}
 	if err := widesim.CheckWidth(spec.SimWidth); err != nil {
-		return fmt.Errorf("protest: pipeline %w", err)
+		return fmt.Errorf("pipeline: %w: %v", ErrBadSpec, err)
 	}
 	if err := faultsim.CheckEngine(spec.SimEngine); err != nil {
 		return fmt.Errorf("pipeline: %w: %v", ErrBadSpec, err)

@@ -68,36 +68,27 @@ type Session struct {
 	store     *artifact.Store
 	pool      *shard.Pool
 
-	faults []Fault       // default model's shared store slice; hand out copies only
-	prog   *core.Program // compiled analysis program under params
+	prog *core.Program // compiled analysis program under params
 
-	// extra holds the artifact bundles of fault models requested
-	// per-call (PipelineSpec/ValidateSpec.FaultModel) that differ from
-	// the Session default — fault.Model -> *modelArtifacts.  The default
-	// model stays on the dedicated fields below so its hot path is one
-	// atomic load, not a map lookup.
-	extra sync.Map
+	// models holds one artifact bundle per fault model, fault.Model ->
+	// *modelArtifacts, behind the same lookup for every model.  Open
+	// stores the default model's; the others are added on first use.
+	models sync.Map
 
 	// baseline caches the uniform (p = 0.5) analysis for TestLength and
 	// repeated Analyze(ctx, nil) calls.  Once published it is treated as
 	// strictly read-only; Analyze hands callers clones.
 	baseline atomic.Pointer[Analysis]
-
-	// est caches the default model's uniform estimate (see estimate),
-	// derived from baseline and published the same way.
-	est atomic.Pointer[estimate]
-
-	// simPlan and bistProg pin the Session's simulation artifacts after
-	// first use: they come from the artifact store (so concurrent cold
-	// Sessions share one build), but once resolved the hot paths read
-	// them lock-free and LRU eviction in the store cannot force a
-	// rebuild for this Session.
-	simPlan  atomic.Pointer[faultsim.Plan]
-	bistProg atomic.Pointer[bist.Program]
 }
 
-// modelArtifacts is one non-default fault model's lazily pinned
-// artifact bundle, mirroring the Session's default-model fields.
+// modelArtifacts is one fault model's artifact bundle: its fault list,
+// the store's shared slice (hand out copies only), and the artifacts
+// pinned on first use.  est is the uniform plan's estimate (see
+// estimate), derived from the Session's baseline and published the
+// same way.  simPlan and bistProg come from the artifact store (so
+// concurrent cold Sessions share one build), but once pinned the hot
+// paths read them lock-free and LRU eviction in the store cannot force
+// a rebuild for this Session.
 type modelArtifacts struct {
 	faults   []Fault
 	est      atomic.Pointer[estimate]
@@ -272,7 +263,7 @@ func Open(c *Circuit, opts ...Option) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.faults = faults
+	s.models.Store(s.model, &modelArtifacts{faults: faults})
 	s.prog = prog
 	return s, nil
 }
@@ -293,26 +284,21 @@ func (s *Session) FaultModel() FaultModel { return s.model }
 // model's universe — collapsed stuck-at unless WithFaultModel chose
 // another model).
 func (s *Session) Faults() []Fault {
-	return append([]Fault(nil), s.faults...)
+	return append([]Fault(nil), s.modelFaults(s.model)...)
 }
 
-// modelArts returns the pinned artifact bundle of a non-default model.
-func (s *Session) modelArts(m FaultModel) *modelArtifacts {
-	if v, ok := s.extra.Load(m); ok {
+// arts returns the artifact bundle of fault model m.
+func (s *Session) arts(m FaultModel) *modelArtifacts {
+	m = m.Normalize()
+	if v, ok := s.models.Load(m); ok {
 		return v.(*modelArtifacts)
 	}
-	a := &modelArtifacts{faults: s.store.FaultsFor(s.c, m)}
-	v, _ := s.extra.LoadOrStore(m, a)
+	v, _ := s.models.LoadOrStore(m, &modelArtifacts{faults: s.store.FaultsFor(s.c, m)})
 	return v.(*modelArtifacts)
 }
 
 // modelFaults returns the shared fault list of the effective model.
-func (s *Session) modelFaults(m FaultModel) []Fault {
-	if m = m.Normalize(); m == s.model {
-		return s.faults
-	}
-	return s.modelArts(m).faults
-}
+func (s *Session) modelFaults(m FaultModel) []Fault { return s.arts(m).faults }
 
 // runCfg is the effective per-call configuration: the Session defaults
 // with any per-call overrides (runCfg.with) applied.  Threading it
@@ -425,10 +411,7 @@ func (s *Session) TestLength(d, e float64) (int64, error) {
 // first use.  Concurrent cold calls may race to publish; every
 // candidate is bit-identical, so first-in wins and the others adopt it.
 func (s *Session) uniformEstimate(ctx context.Context, cfg runCfg) (*estimate, error) {
-	slot := &s.est
-	if cfg.model != s.model {
-		slot = &s.modelArts(cfg.model).est
-	}
+	slot := &s.arts(cfg.model).est
 	if est := slot.Load(); est != nil {
 		return est, nil
 	}
@@ -454,28 +437,22 @@ func (cfg runCfg) simOptions() faultsim.Options {
 // use.  Concurrent cold calls may race to the store, which
 // singleflights the build; they all pin the same plan.
 func (s *Session) ensureSimPlan(m FaultModel) *faultsim.Plan {
-	slot := &s.simPlan
-	if m = m.Normalize(); m != s.model {
-		slot = &s.modelArts(m).simPlan
-	}
+	slot := &s.arts(m).simPlan
 	if p := slot.Load(); p != nil {
 		return p
 	}
-	slot.CompareAndSwap(nil, s.store.SimPlanFor(s.c, m))
+	slot.CompareAndSwap(nil, s.store.SimPlanFor(s.c, m.Normalize()))
 	return slot.Load()
 }
 
 // ensureBIST returns the pinned self-test program of the effective
 // model, resolving it through the artifact store on first use.
 func (s *Session) ensureBIST(m FaultModel) *bist.Program {
-	slot := &s.bistProg
-	if m = m.Normalize(); m != s.model {
-		slot = &s.modelArts(m).bistProg
-	}
+	slot := &s.arts(m).bistProg
 	if p := slot.Load(); p != nil {
 		return p
 	}
-	slot.CompareAndSwap(nil, s.store.BISTFor(s.c, m))
+	slot.CompareAndSwap(nil, s.store.BISTFor(s.c, m.Normalize()))
 	return slot.Load()
 }
 
@@ -487,7 +464,7 @@ func (s *Session) ensureBIST(m FaultModel) *bist.Program {
 // opt.SeedSet is false) to the Session seed — set opt.SeedSet to run
 // with an explicit seed 0.
 func (s *Session) Optimize(ctx context.Context, opt OptimizeOptions) (*OptimizeResult, error) {
-	return s.optimize(ctx, s.faults, opt, s.cfg())
+	return s.optimize(ctx, s.modelFaults(s.model), opt, s.cfg())
 }
 
 func (s *Session) optimize(ctx context.Context, faults []Fault, opt OptimizeOptions, cfg runCfg) (*OptimizeResult, error) {
@@ -540,7 +517,7 @@ func (s *Session) OptimizeMulti(ctx context.Context, opt MultiOptimizeOptions) (
 	if err != nil {
 		return nil, err
 	}
-	res, err := optimize.OptimizeMulti(ctx, prog, s.faults, opt)
+	res, err := optimize.OptimizeMulti(ctx, prog, s.modelFaults(s.model), opt)
 	return res, wrapCanceled(err)
 }
 

@@ -2,6 +2,7 @@ package protest
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"testing"
 
@@ -118,8 +119,8 @@ func TestPipelineSimWidthOverride(t *testing.T) {
 			t.Fatalf("width %d: simulated report diverged from the default run", w)
 		}
 	}
-	if _, err := s.Run(context.Background(), PipelineSpec{SimWidth: 5}); err == nil {
-		t.Fatal("SimWidth 5 should be rejected")
+	if _, err := s.Run(context.Background(), PipelineSpec{SimWidth: 5}); !errors.Is(err, ErrBadSpec) {
+		t.Fatalf("SimWidth 5: %v, want ErrBadSpec", err)
 	}
 }
 
