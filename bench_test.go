@@ -255,7 +255,7 @@ func BenchmarkFaultSimFFRMULT512PatternsWide(b *testing.B) {
 	c := circuits.Mult8()
 	faults := fault.Collapse(c)
 	plan := faultsim.NewPlan(c, faults)
-	for _, w := range []int{1, 4, 8} {
+	for _, w := range []int{1, 8} {
 		b.Run(fmt.Sprintf("w%d", w), func(b *testing.B) {
 			e := plan.AcquireWideEngine(w)
 			defer e.Release()

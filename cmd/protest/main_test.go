@@ -17,9 +17,11 @@ func TestErrorLineOnePrefix(t *testing.T) {
 		want string
 	}{
 		{"fsim width", runFsim(ctx, []string{"-circuit", "c17", "-width", "3"}),
-			"protest: Open: widesim: unsupported width 3 (want 1, 4 or 8)"},
+			"protest: Open: widesim: unsupported width 3 (want 0, 1 or 8)"},
+		{"fsim width 4", runFsim(ctx, []string{"-circuit", "c17", "-width", "4"}),
+			"protest: Open: widesim: unsupported width 4 (want 0, 1 or 8)"},
 		{"pipeline width", runPipeline(ctx, []string{"-circuit", "c17", "-q", "-width", "3"}),
-			"protest: pipeline: bad spec: widesim: unsupported width 3 (want 1, 4 or 8)"},
+			"protest: pipeline: bad spec: widesim: unsupported width 3 (want 0, 1 or 8)"},
 		{"unprefixed", errors.New("unknown built-in circuit"), "protest: unknown built-in circuit"},
 	} {
 		if tc.err == nil {

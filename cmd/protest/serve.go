@@ -27,7 +27,7 @@ func runServe(ctx context.Context, args []string) error {
 	seed := fs.Uint64("seed", 1, "session seed for every deterministic pattern stream")
 	engineName := fs.String("engine", "", "fault-simulation engine: ffr (default) or naive")
 	modelName := addFaultModelFlag(fs)
-	width := fs.Int("width", 0, "simulation width: 1, 4 or 8 pattern blocks per sweep (0 = 8-block sweeps, then the tail one block at a time)")
+	width := fs.Int("width", 0, "simulation width: 1 or 8 pattern blocks per sweep (0 = 8-block sweeps, then the tail one block at a time)")
 	drain := fs.Duration("drain", 15*time.Second, "graceful-shutdown drain `timeout`")
 	jobWorkers := fs.Int("job-workers", 0, "worker pool executing async /v1/jobs (0 = 2)")
 	jobStore := fs.Int("job-store", 0, "max jobs held by the job store before 429 (0 = 256)")

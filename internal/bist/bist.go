@@ -85,21 +85,6 @@ type Plan struct {
 	MISRWidth uint
 	// MISRSeed seeds the register (default 0).
 	MISRSeed uint64
-	// Engine selects the fault-simulation engine producing the faulty
-	// responses (the zero value is the FFR engine; faultsim.EngineNaive
-	// selects the per-fault oracle; Run rejects any other value).
-	// Through a Session the zero value means "the Session's engine".
-	// Signatures are bit-identical either way.
-	Engine faultsim.EngineKind
-	// SimWidth is the FFR capture width in 64-cycle lanes (1, 4 or 8;
-	// 0 means 1, or "the Session's width" through a Session).  Capture
-	// simulates SimWidth consecutive blocks per sweep and clocks the
-	// signature registers lane by lane in cycle order, so signatures
-	// are bit-identical at every width.  Width 0 stays at 1 rather than
-	// following the measurement schedule: MISR clocking, not capture
-	// simulation, dominates a self test, and wider chunks do not pay
-	// for themselves there.  The naive engine ignores it.
-	SimWidth int
 }
 
 // Result reports the outcome of a simulated self-test session.
@@ -195,16 +180,20 @@ func (p *Program) plan() *faultsim.Plan {
 // Run simulates the complete self test: every fault's response
 // stream is compacted into its own signature and compared against the
 // good one.  The generator supplies the stimulus (uniform for a
-// classic BILBO, weighted for the optimized NLFSR scheme).  Between
-// 64-cycle blocks it checks ctx and, on cancellation, returns ctx.Err()
-// and a nil result.  Safe for concurrent use: concurrent runs share
-// only the immutable plan and the scratch pool.
-func (p *Program) Run(ctx context.Context, gen *pattern.Generator, plan Plan, progress faultsim.Progress) (*Result, error) {
+// classic BILBO, weighted for the optimized NLFSR scheme).  engine
+// produces the faulty responses, and width is the FFR engine's capture
+// width in 64-cycle lanes, 1 or 8; 0 means 1, because MISR clocking,
+// not capture simulation, dominates a self test.  Signatures are
+// bit-identical for every engine and width.  Between 64-cycle blocks
+// Run checks ctx and, on cancellation, returns ctx.Err() and a nil
+// result.  Safe for concurrent use: concurrent runs share only the
+// immutable plan and the scratch pool.
+func (p *Program) Run(ctx context.Context, gen *pattern.Generator, plan Plan, engine faultsim.EngineKind, width int, progress faultsim.Progress) (*Result, error) {
 	c := p.c
 	if gen.NumInputs() != len(c.Inputs) {
 		return nil, fmt.Errorf("bist: generator has %d inputs, circuit %d", gen.NumInputs(), len(c.Inputs))
 	}
-	if err := faultsim.CheckEngine(plan.Engine); err != nil {
+	if err := faultsim.CheckEngine(engine); err != nil {
 		return nil, err
 	}
 	if plan.Cycles <= 0 {
@@ -217,8 +206,8 @@ func (p *Program) Run(ctx context.Context, gen *pattern.Generator, plan Plan, pr
 	if err != nil {
 		return nil, err
 	}
-	if plan.Engine != faultsim.EngineNaive {
-		if err := widesim.CheckWidth(plan.SimWidth); err != nil {
+	if engine != faultsim.EngineNaive {
+		if err := widesim.CheckWidth(width); err != nil {
 			return nil, err
 		}
 	}
@@ -235,10 +224,10 @@ func (p *Program) Run(ctx context.Context, gen *pattern.Generator, plan Plan, pr
 	// responses from them; the naive oracle re-simulates every fault's
 	// cone.  Both yield the same response words, hence identical
 	// signatures.
-	if plan.Engine == faultsim.EngineNaive {
+	if engine == faultsim.EngineNaive {
 		err = p.runNaive(ctx, gen, plan, good, st, progress)
 	} else {
-		err = p.runFFR(ctx, gen, plan, good, st, progress)
+		err = p.runFFR(ctx, gen, plan, max(width, 1), good, st, progress)
 	}
 	if err != nil {
 		return nil, err
@@ -261,14 +250,13 @@ func (p *Program) Run(ctx context.Context, gen *pattern.Generator, plan Plan, pr
 	return res, nil
 }
 
-// runFFR is the FFR self-test loop: chunks of max(SimWidth, 1)
-// consecutive 64-cycle blocks run through one wide capture sweep, and
-// every signature register is clocked lane by lane in cycle order —
-// serial compaction over wide simulation, so signatures are identical
-// at every width.  Each lane's output words come out contiguous, one
-// word per output, as clockStream takes them.
-func (p *Program) runFFR(ctx context.Context, gen *pattern.Generator, plan Plan, good *MISR, st *runState, progress faultsim.Progress) error {
-	w := max(plan.SimWidth, 1)
+// runFFR is the FFR self-test loop: chunks of w consecutive 64-cycle
+// blocks run through one wide capture sweep, and every signature
+// register is clocked lane by lane in cycle order — serial compaction
+// over wide simulation, so signatures are identical at every width.
+// Each lane's output words come out contiguous, one word per output,
+// as clockStream takes them.
+func (p *Program) runFFR(ctx context.Context, gen *pattern.Generator, plan Plan, w int, good *MISR, st *runState, progress faultsim.Progress) error {
 	engine := p.plan().AcquireWideEngine(w)
 	defer engine.Release()
 	nOut := len(p.c.Outputs)

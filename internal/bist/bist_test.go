@@ -71,7 +71,7 @@ func TestFoldWideOutputs(t *testing.T) {
 
 // run runs one self test on a fresh Program over (c, faults).
 func run(c *circuit.Circuit, faults []fault.Fault, gen *pattern.Generator, plan Plan) (*Result, error) {
-	return NewProgram(c, faults, nil).Run(context.Background(), gen, plan, nil)
+	return NewProgram(c, faults, nil).Run(context.Background(), gen, plan, faultsim.EngineFFR, 0, nil)
 }
 
 func TestRunC17FullCoverage(t *testing.T) {
@@ -172,7 +172,7 @@ func TestRunValidation(t *testing.T) {
 	if _, err := run(c, fault.Collapse(c), gen2, Plan{MISRWidth: 9}); err == nil {
 		t.Error("unsupported MISR width must fail")
 	}
-	if _, err := run(c, fault.Collapse(c), gen2, Plan{Engine: 9}); err == nil {
+	if _, err := NewProgram(c, fault.Collapse(c), nil).Run(context.Background(), gen2, Plan{}, 9, 0, nil); err == nil {
 		t.Error("unknown engine must fail")
 	}
 }
@@ -200,14 +200,13 @@ func TestEngineSignatureIdentity(t *testing.T) {
 		c := build()
 		prog := NewProgram(c, fault.Collapse(c), nil)
 		for _, cycles := range []int{64, 100, 257} {
-			plan := Plan{Cycles: cycles, MISRWidth: 16, MISRSeed: 5, Engine: faultsim.EngineNaive}
-			naive, err := prog.Run(context.Background(), pattern.NewUniform(len(c.Inputs), 9), plan, nil)
+			plan := Plan{Cycles: cycles, MISRWidth: 16, MISRSeed: 5}
+			naive, err := prog.Run(context.Background(), pattern.NewUniform(len(c.Inputs), 9), plan, faultsim.EngineNaive, 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, w := range []int{0, 1, 4, 8} {
-				plan := Plan{Cycles: cycles, MISRWidth: 16, MISRSeed: 5, SimWidth: w}
-				ffr, err := prog.Run(context.Background(), pattern.NewUniform(len(c.Inputs), 9), plan, nil)
+			for _, w := range []int{0, 1, 8} {
+				ffr, err := prog.Run(context.Background(), pattern.NewUniform(len(c.Inputs), 9), plan, faultsim.EngineFFR, w, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -222,22 +221,20 @@ func TestEngineSignatureIdentity(t *testing.T) {
 // TestWideSignatureIdentity pins the capture widths against each other
 // over the whole registry: the complete self-test result (good
 // signature, detected, aliased, output-detected counts) must be
-// identical at widths 1, 4 and 8 to the width-0 run, including cycle
+// identical at widths 1 and 8 to the width-0 run, including cycle
 // counts that end mid-lane and mid-word.
 func TestWideSignatureIdentity(t *testing.T) {
 	for _, name := range circuits.Names() {
 		c, _ := circuits.Lookup(name)
 		prog := NewProgram(c, fault.Collapse(c), nil)
 		for _, cycles := range []int{64, 100, 257, 1000} {
-			base := Plan{Cycles: cycles, MISRWidth: 16, MISRSeed: 5}
-			ref, err := prog.Run(context.Background(), pattern.NewUniform(len(c.Inputs), 9), base, nil)
+			plan := Plan{Cycles: cycles, MISRWidth: 16, MISRSeed: 5}
+			ref, err := prog.Run(context.Background(), pattern.NewUniform(len(c.Inputs), 9), plan, faultsim.EngineFFR, 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, w := range []int{1, 4, 8} {
-				plan := base
-				plan.SimWidth = w
-				wide, err := prog.Run(context.Background(), pattern.NewUniform(len(c.Inputs), 9), plan, nil)
+			for _, w := range []int{1, 8} {
+				wide, err := prog.Run(context.Background(), pattern.NewUniform(len(c.Inputs), 9), plan, faultsim.EngineFFR, w, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -249,11 +246,19 @@ func TestWideSignatureIdentity(t *testing.T) {
 	}
 }
 
+// TestWideWidthValidation: the FFR engine rejects capture widths other
+// than 0, 1 and 8, and the naive engine, which has no width, ignores
+// them.
 func TestWideWidthValidation(t *testing.T) {
 	c := circuits.C17()
-	faults := fault.Collapse(c)
-	plan := Plan{Cycles: 64, SimWidth: 3}
-	if _, err := run(c, faults, pattern.NewUniform(len(c.Inputs), 1), plan); err == nil {
-		t.Fatal("SimWidth 3 should be rejected")
+	prog := NewProgram(c, fault.Collapse(c), nil)
+	plan := Plan{Cycles: 64}
+	for _, w := range []int{3, 4} {
+		if _, err := prog.Run(context.Background(), pattern.NewUniform(len(c.Inputs), 1), plan, faultsim.EngineFFR, w, nil); err == nil {
+			t.Fatalf("width %d should be rejected", w)
+		}
+		if _, err := prog.Run(context.Background(), pattern.NewUniform(len(c.Inputs), 1), plan, faultsim.EngineNaive, w, nil); err != nil {
+			t.Fatalf("the naive engine rejected width %d: %v", w, err)
+		}
 	}
 }

@@ -73,7 +73,7 @@ func BenchmarkBlockEngines(b *testing.B) {
 		faults := fault.Collapse(c)
 		b.Run(c.Name+"/ffr", func(b *testing.B) { benchBlockFFR(b, c, faults) })
 		b.Run(c.Name+"/naive", func(b *testing.B) { benchBlockNaive(b, c, faults) })
-		for _, w := range []int{1, 4, 8} {
+		for _, w := range wideWidths {
 			b.Run(fmt.Sprintf("%s/wide-w%d", c.Name, w), func(b *testing.B) { benchBlockWide(b, c, w) })
 		}
 	}

@@ -20,7 +20,7 @@ type curveRun struct {
 // curveRuns lists the coverage-curve entry points that must agree on
 // (c, faults): the naive oracle, and the FFR engine at every width and
 // on workers goroutines.  Local curves run their whole block schedule
-// as one stretch, so at widths 4 and 8 chunks span checkpoints.
+// as one stretch, so at width 8 chunks span checkpoints.
 func curveRuns(c *circuit.Circuit, faults []fault.Fault, workers int) []curveRun {
 	ctx := context.Background()
 	plan := NewPlan(c, faults)
@@ -32,7 +32,7 @@ func curveRuns(c *circuit.Circuit, faults []fault.Fault, workers int) []curveRun
 			return plan.CoverageCurve(ctx, gen, cps, Options{Workers: workers}, progress)
 		}},
 	}
-	for _, w := range []int{0, 1, 4, 8} {
+	for _, w := range widthCases {
 		runs = append(runs, curveRun{fmt.Sprintf("ffr width=%d", w), func(gen *pattern.Generator, cps []int, progress Progress) ([]CoveragePoint, error) {
 			return plan.CoverageCurve(ctx, gen, cps, Options{Width: w}, progress)
 		}})

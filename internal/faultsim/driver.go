@@ -26,9 +26,7 @@ import (
 // chunk.  Width 0 picks the schedule: 8-block chunks while at least 8
 // blocks remain, then the ragged tail block by block at W=1, so no lane
 // is ever simulated empty.  Every chunk runs on the engine of its
-// width.  There is no W=4 step for tails of 4 to 7 blocks: each width
-// in use holds its own pooled engines, and a server's peak memory grew
-// with the third.
+// width.
 func chunkWidth(width, left int) int {
 	switch {
 	case width != 0:
@@ -43,7 +41,7 @@ func chunkWidth(width, left int) int {
 // and, in a counting run, the counts its chunks add to.
 type engineSet struct {
 	plan    *Plan
-	byWidth [3]boundWide // index widthSlot
+	byWidth [2]boundWide // index widthSlot
 	counts  []int
 }
 

@@ -194,7 +194,7 @@ func popcount(x uint64) int {
 }
 
 // TestEngineLiveGroups checks the fault-dropping contract of the FFR
-// engine at W = 1, 4 and 8: with every other FFR group dropped, the
+// engine at W = 1 and 8: with every other FFR group dropped, the
 // live groups' words equal a full chunk's lane for lane, and the
 // dropped groups' words still hold what the caller left in them.  Each
 // engine first runs a full chunk of other patterns, so scratch a

@@ -5,7 +5,7 @@
 //
 //   - the FFR engine (Plan, WideEngine), the default: the collapsed
 //     fault list is partitioned by fanout-free region, each chunk of W
-//     64-pattern blocks (W = 1, 4 or 8) runs one good simulation, one
+//     64-pattern blocks (W = 1 or 8) runs one good simulation, one
 //     backward critical-path trace per live region and one
 //     dominator-bounded stem propagation per live stem, collapsing
 //     per-fault work to one fused lane loop per fault.  Each
@@ -107,9 +107,9 @@ type Options struct {
 	// Width is the simulation width in 64-pattern lanes.  0, the
 	// default, lets the driver pick per chunk: W=8 while at least 8
 	// blocks remain and W=1 for the ragged tail of up to 7 blocks (see
-	// chunkWidth).  1, 4 or 8 forces that width for every chunk,
-	// padding a short final chunk.  Results are bit-identical at every
-	// width.
+	// chunkWidth).  1 or 8 forces that width for every chunk, padding a
+	// short final chunk; any other value is an error.  Results are
+	// bit-identical at every width.
 	Width int
 }
 

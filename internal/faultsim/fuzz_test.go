@@ -12,7 +12,7 @@ import (
 // FuzzEnginesAgree is the differential check of the FFR engine on
 // random circuits: for a circuits.Random topology, a fault model and a
 // pattern count drawn from the input, Plan.MeasureDetection must return
-// the naive oracle's detection counts at widths 0, 1, 4 and 8, and the
+// the naive oracle's detection counts at widths 0, 1 and 8, and the
 // capture at every width must reproduce the naive oracle's output
 // words.
 // Random circuits reach what the registry rarely has and what the

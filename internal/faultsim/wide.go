@@ -13,7 +13,7 @@ import (
 
 // WideEngine is the width-erased facade over the generic FFR engine:
 // one instance simulates chunks of W consecutive 64-pattern blocks
-// with all engine words widened to W lanes (W = 1, 4 or 8).  Chunk
+// with all engine words widened to W lanes (W = 1 or 8).  Chunk
 // inputs and detection words use the lane-major layout of
 // pattern.Generator.NextBlocks — inputWords[i*W+l], det[fi*W+l] — where
 // lane l is pattern block l of the chunk.
@@ -46,13 +46,12 @@ type WideEngine interface {
 }
 
 // widePools hold the wide engines of every plan, one pool per width
-// (W=1, 4, 8).  No plan owns them: an engine's node-indexed scratch is
+// (W=1 and W=8).  No plan owns them: an engine's node-indexed scratch is
 // sized for whichever plan acquires it, so a server holding many plans
 // keeps about one engine per width and concurrent caller, not one per
 // plan.
-var widePools = [3]sync.Pool{
+var widePools = [2]sync.Pool{
 	{New: func() any { return new(wideEngine[widesim.B1]) }},
-	{New: func() any { return new(wideEngine[widesim.B4]) }},
 	{New: func() any { return new(wideEngine[widesim.B8]) }},
 }
 
@@ -61,16 +60,14 @@ func widthSlot(width int) int {
 	switch width {
 	case 1:
 		return 0
-	case 4:
-		return 1
 	case 8:
-		return 2
+		return 1
 	}
 	panic(fmt.Sprintf("faultsim: unsupported simulation width %d", width))
 }
 
 // AcquireWideEngine returns a pooled wide engine of the given width
-// (1, 4 or 8) bound to this plan.  The caller owns it until Release;
+// (1 or 8) bound to this plan.  The caller owns it until Release;
 // wide engines must not be shared between goroutines.
 func (p *Plan) AcquireWideEngine(width int) WideEngine {
 	return p.acquireWide(width)

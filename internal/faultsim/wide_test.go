@@ -36,8 +36,8 @@ func TestMain(m *testing.M) {
 // wideWidths are the wide engine's lane counts; widthCases adds the
 // default schedule (Options.Width 0) for the measurement tables.
 var (
-	wideWidths = []int{1, 4, 8}
-	widthCases = []int{0, 1, 4, 8}
+	wideWidths = []int{1, 8}
+	widthCases = []int{0, 1, 8}
 )
 
 // raggedCounts are pattern budgets that end mid-block (1, 63, 65, 581),
@@ -147,15 +147,15 @@ func naiveCurve(t *testing.T, plan *Plan, seed uint64, cps []int) []CoveragePoin
 	return res
 }
 
-// TestWideChunkIdentity drives the wide engine chunk-by-chunk at
-// W = 4 and 8 against the naive oracle block-by-block on the same
-// pattern stream and requires lane-for-lane identical detection words,
-// including the ragged final chunk (11 blocks is 3 mod 8 and mod 4).
-// TestEngineBlockIdentity covers W = 1.
+// TestWideChunkIdentity drives the wide engine chunk-by-chunk at W = 8
+// against the naive oracle block-by-block on the same pattern stream
+// and requires lane-for-lane identical detection words, including the
+// ragged final chunk (11 blocks is 3 mod 8).  TestEngineBlockIdentity
+// covers W = 1.
 func TestWideChunkIdentity(t *testing.T) {
 	t.Parallel()
 	for _, c := range engineTestCircuits() {
-		checkChunkIdentity(t, c, fault.Collapse(c), 42, 11, []int{4, 8})
+		checkChunkIdentity(t, c, fault.Collapse(c), 42, 11, []int{8})
 	}
 }
 
@@ -295,7 +295,6 @@ func TestChunkWidthSchedule(t *testing.T) {
 		{0, 8, []int{8}},
 		{0, 17, []int{8, 8, 1}},
 		{0, 19, []int{8, 8, 1, 1, 1}},
-		{4, 7, []int{4, 4}},
 		{8, 3, []int{8}},
 		{1, 2, []int{1, 1}},
 	}
@@ -308,7 +307,7 @@ func TestChunkWidthSchedule(t *testing.T) {
 }
 
 // TestWideCaptureIdentity pins the capture path (BIST response
-// composition) at W = 4 and 8 against the naive oracle on c17, the
+// composition) at W = 8 against the naive oracle on c17, the
 // ALU, mult8, a random circuit and the truth-table circuit.  div16 and
 // comp24 are left out: the per-fault naive capture costs seconds
 // there.  TestEngineCaptureOutputs covers W = 1.
@@ -316,11 +315,11 @@ func TestWideCaptureIdentity(t *testing.T) {
 	for _, c := range []*circuit.Circuit{circuits.C17(), circuits.ALU74181(), circuits.Mult8(),
 		circuits.Random(circuits.RandomOptions{Inputs: 9, Gates: 70, Outputs: 4, Seed: 3}),
 		circuits.Tables()} {
-		checkCaptureIdentity(t, c, fault.Collapse(c), 5, []int{4, 8})
+		checkCaptureIdentity(t, c, fault.Collapse(c), 5, []int{8})
 	}
 }
 
-// checkCaptureIdentity runs 7 blocks (ragged at widths 4 and 8)
+// checkCaptureIdentity runs 7 blocks (a ragged chunk at width 8)
 // through the wide capture at each of widths and requires, lane for
 // lane, the naive oracle's detection, good output and faulty output
 // words (Simulator.SimulateFaultBlock).
@@ -388,13 +387,13 @@ func checkCaptureIdentity(t *testing.T, c *circuit.Circuit, faults []fault.Fault
 	}
 }
 
-// TestOptionsWidthValidation rejects unsupported widths with an error,
-// not a panic, on both measurement entry points.
+// TestOptionsWidthValidation rejects unsupported widths, 4 included,
+// with an error, not a panic, on both measurement entry points.
 func TestOptionsWidthValidation(t *testing.T) {
 	c := engineTestCircuits()[0]
 	faults := fault.Collapse(c)
 	plan := NewPlan(c, faults)
-	for _, bad := range []int{-1, 2, 3, 16} {
+	for _, bad := range []int{-1, 2, 3, 4, 16} {
 		if _, err := plan.MeasureDetection(context.Background(),
 			pattern.NewUniform(len(c.Inputs), 1), 128, Options{Width: bad}, nil); err == nil {
 			t.Fatalf("MeasureDetection accepted width %d", bad)

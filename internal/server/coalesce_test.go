@@ -253,7 +253,7 @@ func TestPipelineSpecKeyCanonical(t *testing.T) {
 		t.Errorf("defaulted and spelled-out specs got different keys:\n%s\n%s", zero, spelled)
 	}
 
-	strategy, err := pipelineSpecKey(protest.PipelineSpec{Workers: 7, SimEngine: protest.SimEngineNaive, SimWidth: 4})
+	strategy, err := pipelineSpecKey(protest.PipelineSpec{Workers: 7, SimEngine: protest.SimEngineNaive, SimWidth: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,22 +261,9 @@ func TestPipelineSpecKeyCanonical(t *testing.T) {
 		t.Errorf("execution-strategy fields leaked into the key:\n%s\n%s", strategy, zero)
 	}
 
-	// The BIST plan's engine and width are execution strategy too,
-	// cleared without touching the caller's plan.
 	bist, err := pipelineSpecKey(protest.PipelineSpec{BIST: &protest.BISTPlan{Cycles: 100}})
 	if err != nil {
 		t.Fatal(err)
-	}
-	plan := &protest.BISTPlan{Cycles: 100, Engine: protest.SimEngineNaive, SimWidth: 8}
-	bistStrategy, err := pipelineSpecKey(protest.PipelineSpec{BIST: plan, SimWidth: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bistStrategy != bist {
-		t.Errorf("BIST execution-strategy fields leaked into the key:\n%s\n%s", bistStrategy, bist)
-	}
-	if plan.Engine != protest.SimEngineNaive || plan.SimWidth != 8 {
-		t.Errorf("the key cleared the caller's BIST plan: %+v", plan)
 	}
 	if bist == zero {
 		t.Error("specs with and without a BIST plan share a key")

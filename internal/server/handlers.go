@@ -210,11 +210,10 @@ type pipelineKey struct {
 // pipelineSpecKey canonicalizes a spec for coalescing: Normalize
 // applies the documented zero-value defaults (so a spec relying on a
 // default and one spelling it out produce the same key), and the
-// fields documented not to change results — Workers, SimEngine,
-// SimWidth and the BIST plan's Engine and SimWidth produce
-// bit-identical reports for every value — are cleared so requests
-// differing only in execution strategy still share one computation.
-// The BIST plan is cleared on a copy: the caller's spec shares it.
+// fields documented not to change results — Workers, SimEngine and
+// SimWidth produce bit-identical reports for every value — are cleared
+// so requests differing only in execution strategy still share one
+// computation.
 func pipelineSpecKey(spec protest.PipelineSpec) (string, error) {
 	norm, err := spec.Normalize()
 	if err != nil {
@@ -223,11 +222,6 @@ func pipelineSpecKey(spec protest.PipelineSpec) (string, error) {
 	norm.Workers = 0
 	norm.SimEngine = protest.SimEngineFFR
 	norm.SimWidth = 0
-	if norm.BIST != nil {
-		b := *norm.BIST
-		b.Engine, b.SimWidth = protest.SimEngineFFR, 0
-		norm.BIST = &b
-	}
 	norm.Progress = nil
 	data, err := json.Marshal(norm)
 	if err != nil {

@@ -101,7 +101,7 @@ type Config struct {
 	// fault_model field of their spec.
 	FaultModel protest.FaultModel
 	// SimWidth forces the simulation width of every Session the server
-	// opens (WithSimWidth): 1, 4 or 8 pattern blocks per sweep, or 0 for
+	// opens (WithSimWidth): 1 or 8 pattern blocks per sweep, or 0 for
 	// the engine-chosen schedule.  Results are bit-identical at every
 	// width.
 	SimWidth int

@@ -441,47 +441,55 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
-// Bad BIST fields in a pipeline spec are a 400 before any phase runs,
-// on the synchronous and the async endpoint alike; they used to answer
-// 500 after the analysis and test-length phases.  A valid BIST spec
-// runs.
+// A bad MISR width in a pipeline spec's BIST plan is a 400 before any
+// phase runs, on the synchronous and the async endpoint alike; it used
+// to answer 500 after the analysis and test-length phases.  A valid
+// BIST plan runs, and so does one that still sends the Engine and
+// SimWidth fields BIST plans no longer have: the server ignores JSON
+// fields it does not know, so BIST runs at the run's engine and width
+// and the report is byte-identical to the plan without them.
 func TestBadBISTSpecIs400(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
+	bad := `{"circuit":"c17","spec":{"bist":{"Cycles":128,"MISRWidth":9}}}`
 	for _, path := range []string{"/v1/pipeline", "/v1/jobs"} {
-		for _, body := range []string{
-			`{"circuit":"c17","spec":{"bist":{"Cycles":128,"SimWidth":3}}}`,
-			`{"circuit":"c17","spec":{"bist":{"Cycles":128,"MISRWidth":9}}}`,
-		} {
-			resp, out := postJSON(t, ts.URL+path, json.RawMessage(body))
-			var er errorResponse
-			if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(out, &er) != nil || er.Error == "" {
-				t.Fatalf("%s %s: status %d, body %q; want 400 with the error envelope", path, body, resp.StatusCode, out)
-			}
+		resp, out := postJSON(t, ts.URL+path, json.RawMessage(bad))
+		var er errorResponse
+		if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(out, &er) != nil || er.Error == "" {
+			t.Fatalf("%s %s: status %d, body %q; want 400 with the error envelope", path, bad, resp.StatusCode, out)
 		}
 	}
-	body := `{"circuit":"c17","spec":{"bist":{"Cycles":128,"SimWidth":4,"MISRWidth":8}}}`
-	resp, out := postJSON(t, ts.URL+"/v1/pipeline", json.RawMessage(body))
-	var rep protest.Report
-	if resp.StatusCode != http.StatusOK || json.Unmarshal(out, &rep) != nil || rep.BIST == nil {
-		t.Fatalf("%s: status %d, body %q; want 200 with a BIST report", body, resp.StatusCode, out)
+	var reports []string
+	for _, body := range []string{
+		`{"circuit":"c17","spec":{"bist":{"Cycles":128,"MISRWidth":8}}}`,
+		`{"circuit":"c17","spec":{"bist":{"Cycles":128,"MISRWidth":8,"Engine":9,"SimWidth":4}}}`,
+	} {
+		resp, out := postJSON(t, ts.URL+"/v1/pipeline", json.RawMessage(body))
+		var rep protest.Report
+		if resp.StatusCode != http.StatusOK || json.Unmarshal(out, &rep) != nil || rep.BIST == nil {
+			t.Fatalf("%s: status %d, body %q; want 200 with a BIST report", body, resp.StatusCode, out)
+		}
+		reports = append(reports, string(out))
+	}
+	if reports[0] != reports[1] {
+		t.Fatalf("stale BIST fields changed the report:\n%s\n%s", reports[1], reports[0])
 	}
 }
 
-// An unknown engine, for a run or its BIST phase, and an unsupported
-// validate width are bad specs: 400 with the error envelope before any
-// phase runs, on every endpoint that takes them.  Unknown engines used
-// to run silently on the FFR engine (200, or 202 for a job), and a
-// validate width of 3 answered 500 after the analysis and the BDD
-// oracle.
+// An unknown engine and an unsupported width are bad specs: 400 with
+// the error envelope before any phase runs, on every endpoint that
+// takes them.  Unknown engines used to run silently on the FFR engine
+// (200, or 202 for a job), a validate width of 3 answered 500 after
+// the analysis and the BDD oracle, and width 4 was a supported width.
 func TestUnknownEngineAndValidateWidthAre400(t *testing.T) {
 	srv, ts := newTestServer(t, Config{})
 	for _, tc := range []struct{ path, body string }{
 		{"/v1/pipeline", `{"circuit":"c17","spec":{"sim_engine":7}}`},
 		{"/v1/jobs", `{"circuit":"c17","spec":{"sim_engine":7}}`},
-		{"/v1/pipeline", `{"circuit":"c17","spec":{"bist":{"Cycles":64,"Engine":9}}}`},
-		{"/v1/jobs", `{"circuit":"c17","spec":{"bist":{"Cycles":64,"Engine":9}}}`},
+		{"/v1/pipeline", `{"circuit":"c17","spec":{"sim_width":4}}`},
+		{"/v1/jobs", `{"circuit":"c17","spec":{"sim_width":4}}`},
 		{"/v1/validate", `{"circuit":"c17","spec":{"sim_engine":7}}`},
 		{"/v1/validate", `{"circuit":"c17","spec":{"sim_width":3}}`},
+		{"/v1/validate", `{"circuit":"c17","spec":{"sim_width":4}}`},
 	} {
 		resp, out := postJSON(t, ts.URL+tc.path, json.RawMessage(tc.body))
 		var er errorResponse

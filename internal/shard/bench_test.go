@@ -49,7 +49,7 @@ func BenchmarkShardedDetect(b *testing.B) {
 			defer p.Close()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := p.MeasureDetection(context.Background(), plan, fault.ModelStuckAt, 1, nil, patterns, 0, nil); err != nil {
+				if _, err := p.MeasureDetection(context.Background(), plan, fault.ModelStuckAt, 1, nil, patterns, faultsim.Options{}, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -38,26 +38,54 @@ func chaosPool(t *testing.T, addrs []string, policies map[string]Policy, mod fun
 	return p, tr
 }
 
-// TestChaosInjectedErrorsRetry: workers failing every other call must
-// cost retries, never correctness.
+// chaosBudget is the pattern budget of the chaos runs: 64 blocks, or 8
+// whole chunks, which two healthy workers cut into 8 shards, so the
+// injected failures land on shard calls and not only on the netlist
+// resend that follows a cold worker's first miss.
+const (
+	chaosBudget = 4096
+	chaosShards = 8
+)
+
+// checkShardCount fails unless the run was cut into chaosShards shards,
+// each completed once, remotely or by a local fallback.
+func checkShardCount(t *testing.T, st Stats) {
+	t.Helper()
+	if n := st.Shards + st.LocalFallbacks; n != chaosShards {
+		t.Fatalf("%d shards completed, want %d: %+v", n, chaosShards, st)
+	}
+}
+
+// TestChaosInjectedErrorsRetry: workers failing every other or every
+// third call must cost retries, never correctness.  Each worker gets
+// the first attempts of 4 shards, so both see injected failures.
 func TestChaosInjectedErrorsRetry(t *testing.T) {
 	run := newTestRun(t, "alu")
 	p, _ := chaosPool(t, []string{"w1", "w2"}, map[string]Policy{
 		"w1": {ErrEvery: 2},
 		"w2": {ErrEvery: 3},
 	}, nil)
-	got, err := run.detect(p, nil, 257, 0)
+	got, err := run.detect(p, nil, chaosBudget, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameDetect(t, "alu/errors", got, serialDetect(t, run, nil, 257))
-	if st := p.Stats(); st.Retries == 0 {
+	sameDetect(t, "alu/errors", got, serialDetect(t, run, nil, chaosBudget))
+	st := p.Stats()
+	checkShardCount(t, st)
+	if st.Retries == 0 {
 		t.Fatalf("no retries recorded under injected errors: %+v", st)
+	}
+	for _, w := range st.Workers {
+		if w.Failures == 0 {
+			t.Fatalf("no injected error reached worker %s: %+v", w.Addr, st)
+		}
 	}
 }
 
 // TestChaosDroppedCallsTimeOut: a black-holed request must be cut by
 // the per-attempt deadline and retried elsewhere, not hang the run.
+// w1 gets the first attempts of 4 shards, and at least two of its
+// calls are dropped.
 func TestChaosDroppedCallsTimeOut(t *testing.T) {
 	run := newTestRun(t, "c17")
 	p, _ := chaosPool(t, []string{"w1", "w2"}, map[string]Policy{
@@ -70,7 +98,7 @@ func TestChaosDroppedCallsTimeOut(t *testing.T) {
 	var runErr error
 	go func() {
 		defer close(done)
-		res, runErr = run.detect(p, nil, 257, 0)
+		res, runErr = run.detect(p, nil, chaosBudget, 0)
 	}()
 	select {
 	case <-done:
@@ -80,7 +108,12 @@ func TestChaosDroppedCallsTimeOut(t *testing.T) {
 	if runErr != nil {
 		t.Fatal(runErr)
 	}
-	sameDetect(t, "c17/drops", res, serialDetect(t, run, nil, 257))
+	sameDetect(t, "c17/drops", res, serialDetect(t, run, nil, chaosBudget))
+	st := p.Stats()
+	checkShardCount(t, st)
+	if st.Workers[0].Failures < 2 || st.Retries < 2 {
+		t.Fatalf("want at least 2 timed-out calls on w1, each retried: %+v", st)
+	}
 }
 
 // TestChaosCancelledRunIsNotAFailure: a caller that gives up on a run
@@ -96,7 +129,7 @@ func TestChaosCancelledRunIsNotAFailure(t *testing.T) {
 	ctx, cancel := context.WithCancel(t.Context())
 	time.AfterFunc(20*time.Millisecond, cancel)
 	start := time.Now()
-	_, err := p.MeasureDetection(ctx, run.plan, run.model, testSeed, nil, 257, 0, nil)
+	_, err := p.MeasureDetection(ctx, run.plan, run.model, testSeed, nil, 257, faultsim.Options{}, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -131,8 +164,10 @@ func TestChaosCurveUnderErrors(t *testing.T) {
 }
 
 // TestChaosCrashEjectionAndReadmission: a worker that dies mid-run is
-// ejected after consecutive failures; once its probes answer again it
-// is re-admitted.  Results stay exact throughout.
+// ejected after consecutive failures, and the rest of the run goes to
+// the survivor: w2 completes its own 4 shards and at least one shard
+// that failed on w1.  Once the dead worker's probes answer again it is
+// re-admitted.  Results stay exact throughout.
 func TestChaosCrashEjectionAndReadmission(t *testing.T) {
 	run := newTestRun(t, "alu")
 	p, _ := chaosPool(t, []string{"w1", "w2"}, map[string]Policy{
@@ -141,15 +176,19 @@ func TestChaosCrashEjectionAndReadmission(t *testing.T) {
 		cfg.ejectAfter = 1
 		cfg.probeInterval = 5 * time.Millisecond
 	})
-	got, err := run.detect(p, nil, 257, 0)
+	got, err := run.detect(p, nil, chaosBudget, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameDetect(t, "alu/crash", got, serialDetect(t, run, nil, 257))
+	sameDetect(t, "alu/crash", got, serialDetect(t, run, nil, chaosBudget))
 
 	st := p.Stats()
+	checkShardCount(t, st)
 	if st.Workers[0].Ejections == 0 {
 		t.Fatalf("crashed worker never ejected: %+v", st)
+	}
+	if st.Workers[1].Shards < chaosShards/2+1 {
+		t.Fatalf("the survivor completed %d shards, want at least %d: %+v", st.Workers[1].Shards, chaosShards/2+1, st)
 	}
 	// RecoverAfter failed probes revive the worker; the probe loop then
 	// re-admits it.

@@ -421,6 +421,33 @@ func (p *Pool) dispatch(ctx context.Context, plan *faultsim.Plan, src string, ba
 	return resps, nil
 }
 
+// measure runs req's measurement over its whole block schedule and
+// returns the responses to merge: one per shard, cut on the chunks of
+// opt.Width, or, with zero healthy workers or for a circuit without a
+// wire form, one from a local run with opt.  It fills req's circuit
+// fields and width.
+func (p *Pool) measure(ctx context.Context, plan *faultsim.Plan, req Request, opt faultsim.Options, progress faultsim.Progress) ([]*Response, error) {
+	if err := widesim.CheckWidth(opt.Width); err != nil {
+		return nil, fmt.Errorf("shard: %w", err)
+	}
+	c := plan.Circuit()
+	blocks := req.schedule()
+	w, healthy := p.start(c, blocks.Len())
+	if healthy == 0 {
+		gen, err := newGenerator(len(c.Inputs), req.Probs, req.Seed)
+		if err != nil {
+			return nil, err
+		}
+		resp, err := measureBody(ctx, plan, req.Kind, gen, blocks, opt, progress)
+		if err != nil {
+			return nil, err
+		}
+		return []*Response{resp}, nil
+	}
+	req.Name, req.Digest, req.SimWidth = c.Name, w.digest, opt.Width
+	return p.dispatch(ctx, plan, w.netlist, req, blocks, healthy, progress)
+}
+
 // MeasureDetection runs the P_SIM measurement (detection counts over
 // numPatterns patterns of the seed's stream, weighted by probs when
 // non-nil) of a plan over model's universe sharded across the pool's
@@ -428,40 +455,25 @@ func (p *Pool) dispatch(ctx context.Context, plan *faultsim.Plan, src string, ba
 // The plan must enumerate model's universe of its circuit (normalized,
 // as artifact.Store.SimPlanFor builds it): workers derive their plan
 // from the circuit and model, and the merge adds their counts by fault
-// index.  width is the run's simulation width
-// (faultsim.Options.Width), which the shards and any local execution
-// use.  With zero healthy workers, or for a circuit without a wire
-// form, it runs locally.
-func (p *Pool) MeasureDetection(ctx context.Context, plan *faultsim.Plan, model fault.Model, seed uint64, probs []float64, numPatterns, width int, progress faultsim.Progress) (*faultsim.Result, error) {
-	if err := widesim.CheckWidth(width); err != nil {
-		return nil, fmt.Errorf("shard: %w", err)
-	}
-	c := plan.Circuit()
-	blocks := faultsim.DetectBlocks(numPatterns)
-	w, healthy := p.start(c, blocks.Len())
-	if healthy == 0 {
-		gen, err := newGenerator(len(c.Inputs), probs, seed)
-		if err != nil {
-			return nil, err
-		}
-		return plan.MeasureDetection(ctx, gen, numPatterns, faultsim.Options{Width: width}, progress)
-	}
-
-	base := Request{
-		Name: c.Name, Digest: w.digest, FaultModel: string(model), Seed: seed, Probs: probs,
-		Kind: KindDetect, NumPatterns: numPatterns, SimWidth: width,
-	}
-	resps, err := p.dispatch(ctx, plan, w.netlist, base, blocks, healthy, progress)
+// index.  opt is the run's faultsim.Options: shards simulate at its
+// width, serially also when one falls back to local execution, since
+// shards already run concurrently.  With zero healthy workers, or for
+// a circuit without a wire form, the whole run executes locally with
+// opt.
+func (p *Pool) MeasureDetection(ctx context.Context, plan *faultsim.Plan, model fault.Model, seed uint64, probs []float64, numPatterns int, opt faultsim.Options, progress faultsim.Progress) (*faultsim.Result, error) {
+	resps, err := p.measure(ctx, plan, Request{
+		FaultModel: string(model), Seed: seed, Probs: probs, Kind: KindDetect, NumPatterns: numPatterns,
+	}, opt, progress)
 	if err != nil {
 		return nil, err
 	}
-	res := &faultsim.Result{Faults: plan.Faults(), Detected: make([]int, len(plan.Faults())), Applied: numPatterns}
-	for _, r := range resps {
+	counts := resps[0].Counts
+	for _, r := range resps[1:] {
 		for i, n := range r.Counts {
-			res.Detected[i] += n
+			counts[i] += n
 		}
 	}
-	return res, nil
+	return &faultsim.Result{Faults: plan.Faults(), Detected: counts, Applied: numPatterns}, nil
 }
 
 // CoverageCurve runs the fault-dropping coverage measurement sharded
@@ -469,26 +481,10 @@ func (p *Pool) MeasureDetection(ctx context.Context, plan *faultsim.Plan, model 
 // min-merged over shards, and faultsim.CurveOf turns the merged
 // positions into the curve, bit-identical to the in-process engine's.
 // The arguments and the local cases are those of MeasureDetection.
-func (p *Pool) CoverageCurve(ctx context.Context, plan *faultsim.Plan, model fault.Model, seed uint64, probs []float64, checkpoints []int, width int, progress faultsim.Progress) ([]faultsim.CoveragePoint, error) {
-	if err := widesim.CheckWidth(width); err != nil {
-		return nil, fmt.Errorf("shard: %w", err)
-	}
-	c := plan.Circuit()
-	blocks := faultsim.CurveBlocks(checkpoints)
-	w, healthy := p.start(c, blocks.Len())
-	if healthy == 0 {
-		gen, err := newGenerator(len(c.Inputs), probs, seed)
-		if err != nil {
-			return nil, err
-		}
-		return plan.CoverageCurve(ctx, gen, checkpoints, faultsim.Options{Width: width}, progress)
-	}
-
-	base := Request{
-		Name: c.Name, Digest: w.digest, FaultModel: string(model), Seed: seed, Probs: probs,
-		Kind: KindCurve, Checkpoints: checkpoints, SimWidth: width,
-	}
-	resps, err := p.dispatch(ctx, plan, w.netlist, base, blocks, healthy, progress)
+func (p *Pool) CoverageCurve(ctx context.Context, plan *faultsim.Plan, model fault.Model, seed uint64, probs []float64, checkpoints []int, opt faultsim.Options, progress faultsim.Progress) ([]faultsim.CoveragePoint, error) {
+	resps, err := p.measure(ctx, plan, Request{
+		FaultModel: string(model), Seed: seed, Probs: probs, Kind: KindCurve, Checkpoints: checkpoints,
+	}, opt, progress)
 	if err != nil {
 		return nil, err
 	}

@@ -138,8 +138,9 @@ type Request struct {
 	BlockHi int `json:"block_hi"`
 
 	// SimWidth is the run's simulation width (faultsim.Options.Width):
-	// 0 selects the default chunk schedule, 1, 4 or 8 force that many
-	// blocks per sweep.  Every width computes bit-identical counts; the
+	// 0 selects the default chunk schedule, 1 or 8 force that many
+	// blocks per sweep, and a worker refuses any other value as a bad
+	// request.  Every width computes bit-identical counts; the
 	// coordinator cuts block ranges on the width's chunk boundaries, so
 	// a shard simulates the same chunks a local run would.
 	SimWidth int `json:"sim_width,omitempty"`
@@ -322,13 +323,19 @@ func runShard(ctx context.Context, plan *faultsim.Plan, req *Request) (*Response
 		return nil, err
 	}
 	gen.SkipBlocks(req.BlockLo)
-	own := blocks.Range(req.BlockLo, req.BlockHi)
-	opt := faultsim.Options{Width: req.SimWidth}
+	return measureBody(ctx, plan, req.Kind, gen, blocks.Range(req.BlockLo, req.BlockHi), faultsim.Options{Width: req.SimWidth}, nil)
+}
+
+// measureBody runs the faultsim body of a measurement kind over a
+// stretch of its block schedule, drawn from gen, which stands at the
+// stretch's first block.
+func measureBody(ctx context.Context, plan *faultsim.Plan, kind Kind, gen *pattern.Generator, blocks faultsim.Schedule, opt faultsim.Options, progress faultsim.Progress) (*Response, error) {
 	resp := &Response{Faults: len(plan.Faults())}
-	if req.Kind == KindCurve {
-		resp.First, err = plan.FirstDetections(ctx, gen, own, opt, nil)
+	var err error
+	if kind == KindCurve {
+		resp.First, err = plan.FirstDetections(ctx, gen, blocks, opt, progress)
 	} else {
-		resp.Counts, err = plan.DetectionCounts(ctx, gen, own, opt, nil)
+		resp.Counts, err = plan.DetectionCounts(ctx, gen, blocks, opt, progress)
 	}
 	if err != nil {
 		return nil, err

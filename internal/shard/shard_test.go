@@ -50,14 +50,14 @@ func newModelRun(t *testing.T, name string, model fault.Model) (run testRun, ok 
 	return testRun{faultsim.NewPlan(c, faults), model}, len(faults) > 0
 }
 
-// detect runs the sharded detection measurement on p.
+// detect runs the sharded detection measurement on p at a width.
 func (r testRun) detect(p *Pool, probs []float64, n, width int) (*faultsim.Result, error) {
-	return p.MeasureDetection(context.Background(), r.plan, r.model, testSeed, probs, n, width, nil)
+	return p.MeasureDetection(context.Background(), r.plan, r.model, testSeed, probs, n, faultsim.Options{Width: width}, nil)
 }
 
-// curve runs the sharded coverage curve on p.
+// curve runs the sharded coverage curve on p at a width.
 func (r testRun) curve(p *Pool, probs []float64, cps []int, width int) ([]faultsim.CoveragePoint, error) {
-	return p.CoverageCurve(context.Background(), r.plan, r.model, testSeed, probs, cps, width, nil)
+	return p.CoverageCurve(context.Background(), r.plan, r.model, testSeed, probs, cps, faultsim.Options{Width: width}, nil)
 }
 
 // netlist returns the run circuit's wire form: its netlist and digest.
@@ -417,7 +417,7 @@ func TestSkipBlocksPositionsStream(t *testing.T) {
 
 // TestShardedWideMatchesSerial pins every width of the shard path,
 // including the default schedule: runs whose shards simulate at width
-// 0, 1, 4 or 8 merge to exactly the serial result for both measurement
+// 0, 1 or 8 merge to exactly the serial result for both measurement
 // kinds, on every registry circuit.  With one worker a run aims at 4
 // shards, so at width 0 the budgets give one shard for a run shorter
 // than a chunk (257: 5 blocks), block cuts on chunk boundaries with a
@@ -431,7 +431,7 @@ func TestShardedWideMatchesSerial(t *testing.T) {
 			wantCurve := serialCurve(t, run, nil, cps)
 			for _, n := range []int{257, 1088, 2048} {
 				wantDet := serialDetect(t, run, nil, n)
-				for _, w := range []int{0, 1, 4, 8} {
+				for _, w := range []int{0, 1, 8} {
 					got, err := run.detect(p, nil, n, w)
 					if err != nil {
 						t.Fatal(err)
@@ -477,7 +477,7 @@ func TestRunShardScheduleMatchesNaive(t *testing.T) {
 				t.Fatal(err)
 			}
 			curveBlocks := faultsim.CurveBlocks(cps).Len()
-			for _, w := range []int{0, 1, 4, 8} {
+			for _, w := range []int{0, 1, 8} {
 				counts := make([]int, len(faults))
 				first := make([]int, len(faults))
 				for i := range first {
@@ -538,26 +538,28 @@ func TestDegradedWideMatchesSerial(t *testing.T) {
 	sameDetect(t, "alu/degraded-wide", got, serialDetect(t, run, nil, 300))
 }
 
-// TestShardWidthValidation checks unsupported widths are rejected at
-// the request boundary rather than computed wrong, and by the pool
-// before any shard is sent: a worker rejecting them would count as
-// failing and could be ejected.
+// TestShardWidthValidation checks unsupported widths, 4 included, are
+// rejected at the request boundary rather than computed wrong, and by
+// the pool before any shard is sent: a worker rejecting them would
+// count as failing and could be ejected.
 func TestShardWidthValidation(t *testing.T) {
 	run := newTestRun(t, "c17")
-	req := &Request{
-		Seed: testSeed, Kind: KindDetect, NumPatterns: 128,
-		BlockLo: 0, BlockHi: 2,
-		SimWidth: 3,
-	}
-	if _, err := runShard(context.Background(), run.plan, req); err == nil {
-		t.Fatal("SimWidth 3 should be rejected")
-	}
 	p := localPool(t, 1, nil)
-	if _, err := run.detect(p, nil, 128, 3); err == nil {
-		t.Fatal("the pool accepted width 3 for detection")
-	}
-	if _, err := run.curve(p, nil, []int{128}, 3); err == nil {
-		t.Fatal("the pool accepted width 3 for a curve")
+	for _, w := range []int{3, 4} {
+		req := &Request{
+			Seed: testSeed, Kind: KindDetect, NumPatterns: 128,
+			BlockLo: 0, BlockHi: 2,
+			SimWidth: w,
+		}
+		if _, err := runShard(context.Background(), run.plan, req); err == nil {
+			t.Fatalf("SimWidth %d should be rejected", w)
+		}
+		if _, err := run.detect(p, nil, 128, w); err == nil {
+			t.Fatalf("the pool accepted width %d for detection", w)
+		}
+		if _, err := run.curve(p, nil, []int{128}, w); err == nil {
+			t.Fatalf("the pool accepted width %d for a curve", w)
+		}
 	}
 	if st := p.Stats(); st.Runs != 0 || st.Workers[0].Failures != 0 {
 		t.Fatalf("a rejected width reached the workers: %+v", st)

@@ -85,8 +85,8 @@ func (s *Sim[B]) Propagate(r *Regions, i int) {
 
 // exec runs code, whose n-ary and table gates refer to st, over the
 // value array, writing each result in place.  W = 8 runs execAVX2
-// where the CPU has AVX2 and exec8 elsewhere; the other widths run the
-// generic loop below.  Every slot code names is below st.slots, so the
+// where the CPU has AVX2 and exec8 elsewhere; W = 1 runs the generic
+// loop below.  Every slot code names is below st.slots, so the
 // one check here stands for a bounds check on every access, which the
 // assembly loop does not make.
 func (s *Sim[B]) exec(code []instr, st *stream) {

@@ -1,5 +1,5 @@
 // Package widesim implements wide-block bit-parallel logic simulation:
-// W consecutive 64-pattern blocks (W ∈ {1, 4, 8}) evaluated together as
+// W consecutive 64-pattern blocks (W ∈ {1, 8}) evaluated together as
 // [W]uint64 lane vectors, driven by a compiled, levelized program.
 //
 // Two ideas separate it from bitsim, the narrow (W = 1) oracle:
@@ -22,7 +22,7 @@
 // propagation (Sim.Propagate) runs the same evaluation loop as the good
 // simulation (Sim.Run) and never restores anything.
 //
-// The lane vector types B1/B4/B8 are plain uint64 arrays, and the lane
+// The lane vector types B1 and B8 are plain uint64 arrays, and the lane
 // kernels (And, Or, ..., Store) are generic functions over the Block
 // constraint, not methods: the compiler stencils one instantiation per
 // array length (each is its own gcshape), where the lane count is a
@@ -32,8 +32,8 @@
 //
 // Three evaluation loops run the compiled streams, chosen once per Run
 // or Propagate from the simulator's width and, at W = 8, the CPU.
-// W = 1 and W = 4 run the generic loop, whose pointer forms of the
-// kernels write each gate's result in place.  W = 8 carries every full
+// W = 1 runs the generic loop, whose pointer forms of the kernels
+// write each gate's result in place.  W = 8 carries every full
 // chunk of the fault simulator's default schedule, so it runs nearly
 // all good simulations and stem propagations, and a B8 is exactly two
 // 256-bit registers.  On amd64 CPUs with AVX2 it runs exec8AVX2, an
@@ -67,30 +67,22 @@ package widesim
 
 import "fmt"
 
-// ValidWidth reports whether w is a supported simulation width.
-// Width 0 is accepted everywhere a width option appears; it selects the
-// fault simulator's default schedule (see faultsim.Options.Width).
-func ValidWidth(w int) bool {
-	switch w {
-	case 0, 1, 4, 8:
-		return true
-	}
-	return false
-}
-
-// CheckWidth returns a descriptive error for unsupported widths.
+// CheckWidth returns a descriptive error unless w is a supported
+// width setting: 1 or 8 lanes, or 0, which every width option accepts
+// and which selects the fault simulator's default schedule (see
+// faultsim.Options.Width).
 func CheckWidth(w int) error {
-	if !ValidWidth(w) {
-		return fmt.Errorf("widesim: unsupported width %d (want 1, 4 or 8)", w)
+	switch w {
+	case 0, 1, 8:
+		return nil
 	}
-	return nil
+	return fmt.Errorf("widesim: unsupported width %d (want 0, 1 or 8)", w)
 }
 
-// B1, B4 and B8 are the lane vectors: W consecutive 64-pattern blocks,
-// one block per array element.
+// B1 and B8 are the lane vectors: W consecutive 64-pattern blocks, one
+// block per array element.
 type (
 	B1 [1]uint64
-	B4 [4]uint64
 	B8 [8]uint64
 )
 
@@ -98,7 +90,7 @@ type (
 // vector.  The kernels below loop over len(x), a constant in each
 // instantiation, so they compile to straight word operations.
 type Block interface {
-	~[1]uint64 | ~[4]uint64 | ~[8]uint64
+	~[1]uint64 | ~[8]uint64
 }
 
 // Lanes returns the width W of B.

@@ -80,10 +80,9 @@ func checkWidth[B widesim.Block](t *testing.T, c *circuit.Circuit, seed uint64, 
 func TestWideMatchesNarrow(t *testing.T) {
 	check := func(name string, c *circuit.Circuit) {
 		t.Run(name, func(t *testing.T) {
-			const seed, blocks = 12345, 11 // 11 ≡ 3 mod 8: ragged at both widths
+			const seed, blocks = 12345, 11 // 11 ≡ 3 mod 8: ragged at W = 8
 			want := runNarrow(t, c, seed, blocks)
 			checkWidth[widesim.B1](t, c, seed, want)
-			checkWidth[widesim.B4](t, c, seed, want)
 			checkWidth[widesim.B8](t, c, seed, want)
 		})
 	}
@@ -176,7 +175,6 @@ func TestStreamSlotsChecked(t *testing.T) {
 	r := widesim.Compile(big).CompileRegions([]circuit.NodeID{stem}, [][]circuit.NodeID{big.FanoutCone(stem)})
 	p := widesim.Compile(small)
 	checkSlotPanic(t, widesim.NewSim[widesim.B1](p), r)
-	checkSlotPanic(t, widesim.NewSim[widesim.B4](p), r)
 	checkSlotPanic(t, widesim.NewSim[widesim.B8](p), r)
 }
 
@@ -195,24 +193,25 @@ func checkSlotPanic[B widesim.Block](t *testing.T, s *widesim.Sim[B], r *widesim
 
 func TestSetInputsLengthError(t *testing.T) {
 	c, _ := circuits.Lookup("c17")
-	sim := widesim.NewSim[widesim.B4](widesim.Compile(c))
+	sim := widesim.NewSim[widesim.B8](widesim.Compile(c))
 	if err := sim.SetInputs(make([]uint64, 3)); err == nil {
 		t.Fatal("want error for short input slice")
 	}
 }
 
+// TestWidthHelpers pins the width settings: 0 (the fault simulator's
+// schedule), 1 and 8 pass, and every other value, 4 included, fails
+// with an error that lists what passes.
 func TestWidthHelpers(t *testing.T) {
-	for _, w := range []int{0, 1, 4, 8} {
-		if !widesim.ValidWidth(w) {
-			t.Fatalf("width %d should be valid", w)
+	for _, w := range []int{0, 1, 8} {
+		if err := widesim.CheckWidth(w); err != nil {
+			t.Fatalf("CheckWidth(%d) = %v, want nil", w, err)
 		}
 	}
-	for _, w := range []int{-1, 2, 3, 5, 16} {
-		if widesim.ValidWidth(w) {
-			t.Fatalf("width %d should be invalid", w)
-		}
-		if err := widesim.CheckWidth(w); err == nil {
-			t.Fatalf("CheckWidth(%d) should fail", w)
+	for _, w := range []int{-1, 2, 3, 4, 5, 16} {
+		want := fmt.Sprintf("widesim: unsupported width %d (want 0, 1 or 8)", w)
+		if err := widesim.CheckWidth(w); err == nil || err.Error() != want {
+			t.Fatalf("CheckWidth(%d) = %v, want %q", w, err, want)
 		}
 	}
 }

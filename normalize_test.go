@@ -73,20 +73,13 @@ func TestPipelineSpecNormalize(t *testing.T) {
 }
 
 // A pipeline's BIST fields are checked with the rest of the spec, so a
-// bad width or engine is rejected before any phase runs, as ErrBadSpec.
+// bad MISR width is rejected before any phase runs, as ErrBadSpec.
 func TestPipelineSpecValidateBIST(t *testing.T) {
-	for _, bad := range []BISTPlan{
-		{Cycles: 128, SimWidth: 3},
-		{Cycles: 128, SimWidth: -1},
-		{Cycles: 128, MISRWidth: 9},
-		{Cycles: 64, Engine: 9},
-	} {
-		spec := PipelineSpec{BIST: &bad}
-		if err := spec.Validate(); !errors.Is(err, ErrBadSpec) {
-			t.Errorf("Validate(BIST %+v) = %v, want ErrBadSpec", bad, err)
-		}
+	bad := BISTPlan{Cycles: 128, MISRWidth: 9}
+	if err := (PipelineSpec{BIST: &bad}).Validate(); !errors.Is(err, ErrBadSpec) {
+		t.Errorf("Validate(BIST %+v) = %v, want ErrBadSpec", bad, err)
 	}
-	for _, ok := range []BISTPlan{{}, {Cycles: 128, SimWidth: 8, MISRWidth: 32}, {SimWidth: 1, MISRWidth: 4}, {Engine: SimEngineNaive}} {
+	for _, ok := range []BISTPlan{{}, {Cycles: 128, MISRWidth: 32}, {MISRWidth: 4}} {
 		if err := (PipelineSpec{BIST: &ok}).Validate(); err != nil {
 			t.Errorf("Validate(BIST %+v) rejected a valid plan: %v", ok, err)
 		}

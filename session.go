@@ -174,16 +174,16 @@ func WithSimEngine(e SimEngine) Option {
 }
 
 // WithSimWidth forces the fault-simulation width: w pattern blocks
-// (w×64 patterns) per sweep, w in {1, 4, 8}.  The default, 0, lets the
+// (w×64 patterns) per sweep, w in {1, 8}.  The default, 0, lets the
 // FFR engine pick per chunk: 8-block sweeps while at least 8 blocks
 // remain, and single-block sweeps for the ragged tail.  Wider sweeps
 // amortize the engine's per-node bookkeeping over more pattern lanes;
 // every result — detection counts, coverage curves, BIST signatures —
 // is bit-identical at every width.  BIST capture has no schedule: it
-// runs at width 1 when the width is 0 (see BISTPlan.SimWidth).  The
-// naive oracle engine ignores the width.  Open fails on unsupported
-// widths.  Sharded runs (WithShardPool) simulate their shards at this
-// width too.
+// runs at the width, or at width 1 when the width is 0.  The naive
+// oracle engine ignores the width.  Open fails on any other width.
+// Sharded runs (WithShardPool) simulate their shards at this width
+// too.
 func WithSimWidth(w int) Option {
 	return func(s *Session) { s.simWidth = w }
 }
@@ -204,10 +204,10 @@ func WithFaultModel(m FaultModel) Option {
 // the pool's workers.  Workers rebuild the
 // Session's circuit node for node from its netlist and merge by the
 // Session's own fault order, so results stay bit-identical to local
-// execution.  The pool degrades to local in-process execution when no
-// worker is healthy, so correctness never depends on worker
-// availability, and a circuit the netlist cannot carry exactly (truth-
-// table gates) always runs locally.  The pool is shared, not owned:
+// execution.  The pool degrades to local in-process execution, on the
+// run's workers, when no worker is healthy, so correctness never
+// depends on worker availability, and a circuit the netlist cannot
+// carry exactly (truth-table gates) always runs locally.  The pool is shared, not owned:
 // many Sessions may use one Pool, and closing it is the caller's job.
 // The naive oracle engine (SimEngineNaive) always runs locally so it
 // stays an independent cross-check.
@@ -569,7 +569,7 @@ func (s *Session) simulate(ctx context.Context, probs []float64, numPatterns int
 	} else if cfg.pool != nil {
 		// Sharded across the pool's workers; probs were validated by the
 		// generator above, and the merge is bit-identical to local.
-		res, err = cfg.pool.MeasureDetection(ctx, s.ensureSimPlan(cfg.model), cfg.model, s.seed, probs, numPatterns, cfg.width, progress)
+		res, err = cfg.pool.MeasureDetection(ctx, s.ensureSimPlan(cfg.model), cfg.model, s.seed, probs, numPatterns, cfg.simOptions(), progress)
 	} else {
 		res, err = s.ensureSimPlan(cfg.model).MeasureDetection(ctx, gen, numPatterns, cfg.simOptions(), progress)
 	}
@@ -597,7 +597,7 @@ func (s *Session) CoverageCurve(ctx context.Context, probs []float64, checkpoint
 	if cfg.engine == SimEngineNaive {
 		points, err = faultsim.CoverageCurveNaive(ctx, s.c, s.modelFaults(cfg.model), gen, checkpoints, progress)
 	} else if cfg.pool != nil {
-		points, err = cfg.pool.CoverageCurve(ctx, s.ensureSimPlan(cfg.model), cfg.model, s.seed, probs, checkpoints, cfg.width, progress)
+		points, err = cfg.pool.CoverageCurve(ctx, s.ensureSimPlan(cfg.model), cfg.model, s.seed, probs, checkpoints, cfg.simOptions(), progress)
 	} else {
 		points, err = s.ensureSimPlan(cfg.model).CoverageCurve(ctx, gen, checkpoints, cfg.simOptions(), progress)
 	}
@@ -621,21 +621,8 @@ func (s *Session) runBIST(ctx context.Context, probs []float64, plan BISTPlan, c
 	if err != nil {
 		return nil, err
 	}
-	// The Session's engine choice is the default.  SimEngineFFR is the
-	// zero value, so an explicit BISTPlan{Engine: SimEngineFFR} is
-	// indistinguishable from "unset" and likewise yields the Session
-	// default (results are bit-identical either way; only speed
-	// differs).
-	if plan.Engine == SimEngineFFR {
-		plan.Engine = cfg.engine
-	}
-	// Same adoption rule for the wide kernel: an unset (zero) plan width
-	// takes the Session's, an explicit width wins.
-	if plan.SimWidth == 0 {
-		plan.SimWidth = cfg.width
-	}
 	cfg.emit(PhaseBIST, 0)
-	res, err := s.ensureBIST(cfg.model).Run(ctx, gen, plan, func(done, total int) {
+	res, err := s.ensureBIST(cfg.model).Run(ctx, gen, plan, cfg.engine, cfg.width, func(done, total int) {
 		cfg.emit(PhaseBIST, float64(done)/float64(total))
 	})
 	return res, wrapCanceled(err)

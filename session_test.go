@@ -232,13 +232,17 @@ func TestBadSpecMessageNamesItsPhase(t *testing.T) {
 	_, simErr := s.Simulate(ctx, 0)
 	_, curveErr := s.CoverageCurve(ctx, nil, []int{-5})
 	_, valErr := s.Validate(ctx, ValidateSpec{SimWidth: 3})
+	_, valErr4 := s.Validate(ctx, ValidateSpec{SimWidth: 4})
+	_, runErr4 := s.Run(ctx, PipelineSpec{SimWidth: 4})
 	for _, tc := range []struct {
 		err  error
 		want string
 	}{
 		{simErr, "simulate: bad spec: 0 patterns, want at least 1"},
 		{curveErr, "coverage curve: bad spec: checkpoint -5 is negative"},
-		{valErr, "validate: bad spec: widesim: unsupported width 3 (want 1, 4 or 8)"},
+		{valErr, "validate: bad spec: widesim: unsupported width 3 (want 0, 1 or 8)"},
+		{valErr4, "validate: bad spec: widesim: unsupported width 4 (want 0, 1 or 8)"},
+		{runErr4, "pipeline: bad spec: widesim: unsupported width 4 (want 0, 1 or 8)"},
 	} {
 		if !errors.Is(tc.err, ErrBadSpec) || tc.err.Error() != tc.want {
 			t.Errorf("error %v, want ErrBadSpec reading %q", tc.err, tc.want)

@@ -66,9 +66,10 @@ type ValidateSpec struct {
 	// Workers, SimEngine and SimWidth override the Session's execution
 	// strategy for this run's Monte-Carlo measurement, with the same
 	// semantics as the PipelineSpec fields of the same names; results
-	// are bit-identical for every setting.  An unknown engine or an
-	// unsupported width fails with ErrBadSpec.  A Session opened
-	// WithShardPool shards the measurement across the pool's workers.
+	// are bit-identical for every setting.  An unknown engine, or a
+	// width other than 0, 1 or 8, fails with ErrBadSpec.  A Session
+	// opened WithShardPool shards the measurement across the pool's
+	// workers.
 	Workers   int       `json:"workers,omitempty"`
 	SimEngine SimEngine `json:"sim_engine,omitempty"`
 	SimWidth  int       `json:"sim_width,omitempty"`

@@ -12,7 +12,7 @@ import (
 // TestSimWidthIdenticalResults pins the public width contract: every
 // Session-level measurement — detection counts, coverage curves, BIST
 // signatures — is bit-identical to the naive oracle's at width 0 (the
-// default schedule) and at widths 1, 4 and 8, on pattern budgets that
+// default schedule) and at widths 1 and 8, on pattern budgets that
 // end mid-block, fill whole 8-block chunks, or leave a W=1 tail.
 func TestSimWidthIdenticalResults(t *testing.T) {
 	counts := []int{1, 63, 65, 512, 581, 1088}
@@ -38,7 +38,7 @@ func TestSimWidthIdenticalResults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, w := range []int{0, 1, 4, 8} {
+		for _, w := range []int{0, 1, 8} {
 			s, err := Open(c, WithSeed(11), WithSimWidth(w))
 			if err != nil {
 				t.Fatal(err)
@@ -77,11 +77,14 @@ func TestSimWidthIdenticalResults(t *testing.T) {
 	}
 }
 
-// TestOpenRejectsBadWidth checks unsupported widths fail at Open.
+// TestOpenRejectsBadWidth checks unsupported widths, 4 included, fail
+// at Open.
 func TestOpenRejectsBadWidth(t *testing.T) {
 	c, _ := Benchmark("c17")
-	if _, err := Open(c, WithSimWidth(3)); err == nil {
-		t.Fatal("width 3 should be rejected at Open")
+	for _, w := range []int{3, 4} {
+		if _, err := Open(c, WithSimWidth(w)); err == nil {
+			t.Fatalf("width %d should be rejected at Open", w)
+		}
 	}
 }
 
@@ -109,7 +112,7 @@ func TestPipelineSimWidthOverride(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, w := range []int{1, 4, 8} {
+	for _, w := range []int{1, 8} {
 		rep, err := s.Run(context.Background(), PipelineSpec{SimPatterns: 500, SimWidth: w})
 		if err != nil {
 			t.Fatal(err)
@@ -119,8 +122,10 @@ func TestPipelineSimWidthOverride(t *testing.T) {
 			t.Fatalf("width %d: simulated report diverged from the default run", w)
 		}
 	}
-	if _, err := s.Run(context.Background(), PipelineSpec{SimWidth: 5}); !errors.Is(err, ErrBadSpec) {
-		t.Fatalf("SimWidth 5: %v, want ErrBadSpec", err)
+	for _, w := range []int{4, 5} {
+		if _, err := s.Run(context.Background(), PipelineSpec{SimWidth: w}); !errors.Is(err, ErrBadSpec) {
+			t.Fatalf("SimWidth %d: %v, want ErrBadSpec", w, err)
+		}
 	}
 }
 
@@ -144,7 +149,7 @@ func (r *widthRecorder) Do(ctx context.Context, addr string, req *shard.Request)
 // counts and coverage curves alike.
 func TestShardedRunsUseRunWidth(t *testing.T) {
 	c, _ := Benchmark("alu")
-	for _, tc := range []struct{ session, spec, want int }{{0, 0, 0}, {4, 0, 4}, {4, 8, 8}, {0, 1, 1}} {
+	for _, tc := range []struct{ session, spec, want int }{{0, 0, 0}, {8, 0, 8}, {8, 1, 1}, {0, 1, 1}} {
 		rec := &widthRecorder{LocalTransport: shard.LocalTransport{Exec: shard.NewExecutor()}, widths: map[int]int{}}
 		pool := NewShardPool(ShardPoolConfig{Workers: []string{"w"}, Transport: rec})
 		defer pool.Close()
@@ -173,7 +178,7 @@ func TestShardedRunsUseRunWidth(t *testing.T) {
 func TestValidateSweepAtWidths(t *testing.T) {
 	for _, name := range []string{"c17", "alu", "sn7485"} {
 		c, _ := Benchmark(name)
-		for _, w := range []int{0, 1, 4, 8} {
+		for _, w := range []int{0, 1, 8} {
 			s, err := Open(c, WithSeed(2), WithSimWidth(w))
 			if err != nil {
 				t.Fatal(err)
