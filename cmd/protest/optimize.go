@@ -126,8 +126,6 @@ func runPipeline(ctx context.Context, args []string) error {
 		QuantizeGrid:    *grid,
 		SimPatterns:     *sim,
 		MaxSimPatterns:  *maxSim,
-		Workers:         *workers,
-		SimEngine:       eng,
 		SimWidth:        *width,
 		FaultModel:      model,
 	}
@@ -137,12 +135,12 @@ func runPipeline(ctx context.Context, args []string) error {
 	if err := spec.Validate(); err != nil {
 		return err
 	}
+	opts := []protest.Option{protest.WithSeed(*seed), protest.WithWorkers(*workers), protest.WithSimEngine(eng)}
 
 	if *fanout != "" {
-		return runPipelineFanout(ctx, cf, *fanout, spec, *seed, *asJSON, *quiet)
+		return runPipelineFanout(ctx, cf, *fanout, spec, opts, *asJSON, *quiet)
 	}
 
-	opts := []protest.Option{protest.WithSeed(*seed)}
 	if !*quiet && !*asJSON {
 		opts = append(opts, stderrProgress())
 	}
@@ -170,7 +168,7 @@ func runPipeline(ctx context.Context, args []string) error {
 // were named, regardless of completion order.  The single-line \r
 // ticker cannot multiplex concurrent Sessions, so progress here is one
 // stderr line per completed circuit (suppressed by -q / -json).
-func runPipelineFanout(ctx context.Context, cf *circuitFlags, list string, spec protest.PipelineSpec, seed uint64, asJSON, quiet bool) error {
+func runPipelineFanout(ctx context.Context, cf *circuitFlags, list string, spec protest.PipelineSpec, opts []protest.Option, asJSON, quiet bool) error {
 	if cf.file != "" || cf.builtin != "" {
 		return fmt.Errorf("pipeline: -circuits is exclusive with -f/-circuit")
 	}
@@ -183,7 +181,7 @@ func runPipelineFanout(ctx context.Context, cf *circuitFlags, list string, spec 
 		if !ok {
 			return fmt.Errorf("unknown built-in circuit %q (have: %s)", name, strings.Join(protest.BenchmarkNames(), ", "))
 		}
-		s, err := protest.Open(c, protest.WithSeed(seed))
+		s, err := protest.Open(c, opts...)
 		if err != nil {
 			return err
 		}

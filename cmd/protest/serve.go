@@ -25,9 +25,7 @@ func runServe(ctx context.Context, args []string) error {
 	sessions := fs.Int("sessions", 0, "max distinct circuits holding a live session (0 = 64)")
 	workers := fs.Int("workers", 0, "worker goroutines per analysis (0 = serial, <0 = GOMAXPROCS)")
 	seed := fs.Uint64("seed", 1, "session seed for every deterministic pattern stream")
-	engineName := fs.String("engine", "", "fault-simulation engine: ffr (default) or naive")
 	modelName := addFaultModelFlag(fs)
-	width := fs.Int("width", 0, "simulation width: 1 or 8 pattern blocks per sweep (0 = 8-block sweeps, then the tail one block at a time)")
 	drain := fs.Duration("drain", 15*time.Second, "graceful-shutdown drain `timeout`")
 	jobWorkers := fs.Int("job-workers", 0, "worker pool executing async /v1/jobs (0 = 2)")
 	jobStore := fs.Int("job-store", 0, "max jobs held by the job store before 429 (0 = 256)")
@@ -41,10 +39,6 @@ func runServe(ctx context.Context, args []string) error {
 	idleTimeout := fs.Duration("idle-timeout", 2*time.Minute, "max keep-alive idle time between requests")
 	sseKeepAlive := fs.Duration("sse-keepalive", 0, "idle interval between SSE ping comments (0 = 15s, <0 disables)")
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	engine, err := protest.ParseSimEngine(*engineName)
-	if err != nil {
 		return err
 	}
 	model, err := protest.ParseFaultModel(*modelName)
@@ -62,9 +56,7 @@ func runServe(ctx context.Context, args []string) error {
 		MaxSessions:  *sessions,
 		Workers:      *workers,
 		Seed:         *seed,
-		Engine:       engine,
 		FaultModel:   model,
-		SimWidth:     *width,
 		JobWorkers:   *jobWorkers,
 		JobStoreCap:  *jobStore,
 		JobTTL:       *jobTTL,

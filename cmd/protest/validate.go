@@ -48,7 +48,6 @@ func runValidate(ctx context.Context, args []string) error {
 		MaxPatterns: *maxPat,
 		BDDBudget:   *budget,
 		GrossTol:    *grossTol,
-		Workers:     *workers,
 		SimWidth:    *width,
 		FaultModel:  model,
 	}
@@ -63,7 +62,7 @@ func runValidate(ctx context.Context, args []string) error {
 		names = splitComma(*sweep)
 	}
 
-	opts := []protest.Option{protest.WithSeed(*seed)}
+	opts := []protest.Option{protest.WithSeed(*seed), protest.WithWorkers(*workers)}
 	if *workerAddrs != "" {
 		pool := protest.NewShardPool(protest.ShardPoolConfig{Workers: splitComma(*workerAddrs), Seed: *seed})
 		defer pool.Close()

@@ -38,14 +38,13 @@ var (
 	ErrNodeBudget = bdd.ErrNodeBudget
 
 	// ErrBadSpec flags a ValidateSpec whose explicitly-set values are
-	// out of range, a PipelineSpec or ValidateSpec naming an unknown
-	// simulation engine or a SimWidth other than 0, 1 or 8, an
-	// unsupported BIST MISRWidth of a PipelineSpec, a transition-model
-	// run of either spec whose effective pattern budget is below the 2
-	// patterns of one launch/capture pair, a Simulate or
-	// SimulateWeighted pattern count below 1, and a negative
-	// CoverageCurve checkpoint (re-exported from the internal validate
-	// package).
+	// out of range, a PipelineSpec or ValidateSpec SimWidth other than
+	// 0, 1 or 8, an unsupported BIST MISRWidth of a PipelineSpec, a
+	// transition-model run of either spec whose effective pattern
+	// budget is below the 2 patterns of one launch/capture pair, a
+	// Simulate or SimulateWeighted pattern count below 1, and a
+	// negative CoverageCurve checkpoint (re-exported from the internal
+	// validate package).
 	ErrBadSpec = validate.ErrBadSpec
 )
 

@@ -35,6 +35,29 @@ func TestMISRBasics(t *testing.T) {
 	}
 }
 
+// The taps of pattern.Taps are primitive: an MISR clocked with zero
+// input is the maximal-length LFSR, so from seed 1 it returns to 1
+// after exactly 2^w - 1 clocks and no earlier.
+func TestMISRZeroInputPeriod(t *testing.T) {
+	for _, w := range []uint{4, 8, 16} {
+		m, err := NewMISR(w, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := uint64(1)<<w - 1
+		var n uint64
+		for n = 1; n <= want; n++ {
+			m.Clock(0)
+			if m.Signature() == 1 {
+				break
+			}
+		}
+		if n != want {
+			t.Errorf("width %d: seed 1 recurs after %d clocks, want %d", w, n, want)
+		}
+	}
+}
+
 func TestMISRDeterministic(t *testing.T) {
 	a, _ := NewMISR(16, 1)
 	b, _ := NewMISR(16, 1)

@@ -310,69 +310,3 @@ func repairClasses(c *circuit.Circuit, kept []Fault, drop map[Fault]bool) []Faul
 	}
 	return kept
 }
-
-// CollapseDominance applies dominance collapsing on top of equivalence
-// collapsing: for a gate with a controlling value, the output fault
-// caused by the *non-controlled* case dominates each input fault of the
-// opposite polarity (any test for the input fault also tests the output
-// fault), so the dominated output fault can be dropped for test
-// generation purposes.
-//
-//   - AND:  out s-a-1 dominated by any input s-a-1   -> drop out/sa1
-//   - NAND: out s-a-0 dominated by any input s-a-1   -> drop out/sa0
-//   - OR:   out s-a-0 dominated by any input s-a-0   -> drop out/sa0
-//   - NOR:  out s-a-1 dominated by any input s-a-0   -> drop out/sa1
-//
-// The output fault is kept when the gate drives a primary output with
-// fanout or when every dominating input fault was itself collapsed
-// away, so the returned list still covers every detectable fault class
-// for test generation (dominance does NOT preserve per-fault detection
-// probabilities — use Collapse for testability analysis).
-func CollapseDominance(c *circuit.Circuit) []Fault {
-	base := Collapse(c)
-	have := make(map[Fault]bool, len(base))
-	for _, f := range base {
-		have[f] = true
-	}
-	var out []Fault
-	for _, f := range base {
-		if !f.IsStem() {
-			out = append(out, f)
-			continue
-		}
-		n := c.Node(f.Gate)
-		var dominatorVal bool
-		dominated := false
-		switch n.Op {
-		case logic.And:
-			dominated, dominatorVal = f.StuckAt, true
-		case logic.Nand:
-			dominated, dominatorVal = !f.StuckAt, true
-		case logic.Or:
-			dominated, dominatorVal = !f.StuckAt, false
-		case logic.Nor:
-			dominated, dominatorVal = f.StuckAt, false
-		}
-		if !dominated || n.IsOutput {
-			out = append(out, f)
-			continue
-		}
-		// Only drop when a dominating input-fault representative
-		// survives in the collapsed list.
-		found := false
-		for pin, src := range n.Fanin {
-			if have[Fault{Gate: f.Gate, Pin: pin, StuckAt: dominatorVal}] {
-				found = true
-				break
-			}
-			if len(c.Node(src).Fanout) == 1 && have[Fault{Gate: src, Pin: StemPin, StuckAt: dominatorVal}] {
-				found = true
-				break
-			}
-		}
-		if !found {
-			out = append(out, f)
-		}
-	}
-	return out
-}

@@ -66,7 +66,7 @@ type Options struct {
 	// concurrently on that many goroutines (each owning a cloned
 	// analyzer).  The zero value is a sentinel: it evaluates serially
 	// here, and when the climb runs through a Session it adopts the
-	// Session's WithWorkers / per-call Workers default instead.  1
+	// Session's WithWorkers count instead.  1
 	// always forces serial scoring; negative selects GOMAXPROCS, and
 	// any request beyond GOMAXPROCS is clamped to it — oversubscribing
 	// the scheduler only adds contention (a 1-CPU host ran the

@@ -1,17 +1,8 @@
 package pattern
 
-import "fmt"
-
-// LFSR models the pseudo-random source of a self-test configuration
-// (BILBO-style feedback shift register, section 8 of the paper).  It is
-// a Fibonacci LFSR over GF(2) with a caller-supplied tap mask.
-type LFSR struct {
-	state uint64
-	taps  uint64
-	width uint
-}
-
-// Primitive tap masks for common widths (maximal-length sequences).
+// Primitive tap masks for the linear feedback shift registers of self
+// tests (the MISR of package bist), for common widths: each gives a
+// maximal-length sequence.
 // For the recurrence a_{t+n} = XOR of a_{t+k} over tap exponents k, the
 // mask has bit k set for every exponent k < n of the primitive
 // polynomial (bit 0 comes from the +1 term), so the feedback always
@@ -28,63 +19,4 @@ var primitiveTaps = map[uint]uint64{
 func Taps(width uint) (uint64, bool) {
 	t, ok := primitiveTaps[width]
 	return t, ok
-}
-
-// NewLFSR creates a maximal-length LFSR of the given width with a
-// non-zero seed.  Supported widths: 4, 8, 16, 24, 32.
-func NewLFSR(width uint, seed uint64) (*LFSR, error) {
-	taps, ok := primitiveTaps[width]
-	if !ok {
-		return nil, fmt.Errorf("pattern: no primitive polynomial table entry for width %d", width)
-	}
-	seed &= (1 << width) - 1
-	if seed == 0 {
-		seed = 1
-	}
-	return &LFSR{state: seed, taps: taps, width: width}, nil
-}
-
-// Step advances the register one clock and returns the shifted-out bit.
-func (l *LFSR) Step() uint64 {
-	out := l.state & 1
-	fb := popcountParity(l.state & l.taps)
-	l.state = (l.state >> 1) | (fb << (l.width - 1))
-	return out
-}
-
-// State returns the current register contents.
-func (l *LFSR) State() uint64 { return l.state }
-
-// Pattern clocks the register width times and returns the produced
-// pattern, bit i being the i-th shifted-out bit.
-func (l *LFSR) Pattern() uint64 {
-	var p uint64
-	for i := uint(0); i < l.width; i++ {
-		p |= l.Step() << i
-	}
-	return p
-}
-
-// Period walks the register until the initial state recurs and returns
-// the sequence length.  Only sensible for small widths in tests.
-func (l *LFSR) Period() uint64 {
-	start := l.state
-	var n uint64
-	for {
-		l.Step()
-		n++
-		if l.state == start {
-			return n
-		}
-	}
-}
-
-func popcountParity(x uint64) uint64 {
-	x ^= x >> 32
-	x ^= x >> 16
-	x ^= x >> 8
-	x ^= x >> 4
-	x ^= x >> 2
-	x ^= x >> 1
-	return x & 1
 }

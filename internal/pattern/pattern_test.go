@@ -188,51 +188,3 @@ func TestQuantizeGridProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestLFSRPeriod(t *testing.T) {
-	l, err := NewLFSR(4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p := l.Period(); p != 15 {
-		t.Errorf("4-bit LFSR period = %d, want 15", p)
-	}
-	l8, err := NewLFSR(8, 0xAB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p := l8.Period(); p != 255 {
-		t.Errorf("8-bit LFSR period = %d, want 255", p)
-	}
-	l16, err := NewLFSR(16, 0x1234)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p := l16.Period(); p != 65535 {
-		t.Errorf("16-bit LFSR period = %d, want 65535", p)
-	}
-}
-
-func TestLFSRZeroSeed(t *testing.T) {
-	l, err := NewLFSR(8, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l.State() == 0 {
-		t.Error("zero state would lock the LFSR")
-	}
-}
-
-func TestLFSRUnsupportedWidth(t *testing.T) {
-	if _, err := NewLFSR(7, 1); err == nil {
-		t.Error("width 7 should be rejected")
-	}
-}
-
-func TestLFSRPatternBits(t *testing.T) {
-	l, _ := NewLFSR(8, 0x5A)
-	p := l.Pattern()
-	if p > 0xFF {
-		t.Errorf("8-bit pattern has high bits: %x", p)
-	}
-}

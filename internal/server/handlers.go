@@ -151,12 +151,16 @@ func (s *Server) reject429(w http.ResponseWriter, err error) {
 	s.error(w, http.StatusTooManyRequests, err)
 }
 
-// decode reads a bounded JSON body into v.  A body over the limit is a
+// decode reads a bounded JSON body into v.  A field v does not have is
+// refused, so a misspelled or retired field answers 400 with its name
+// instead of silently taking its default.  A body over the limit is a
 // distinct client mistake and gets the distinct answer: 413 with the
 // limit spelled out, not a generic 400.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			s.error(w, http.StatusRequestEntityTooLarge,
@@ -208,21 +212,16 @@ type pipelineKey struct {
 }
 
 // pipelineSpecKey canonicalizes a spec for coalescing: Normalize
-// applies the documented zero-value defaults (so a spec relying on a
-// default and one spelling it out produce the same key), and the
-// fields documented not to change results — Workers, SimEngine and
-// SimWidth produce bit-identical reports for every value — are cleared
-// so requests differing only in execution strategy still share one
-// computation.
+// applies the documented zero-value defaults, so a spec relying on a
+// default and one spelling it out produce the same key.  Every wire
+// field is part of the key, SimWidth included: a request never joins
+// a computation that runs at another width, which could take several
+// times as long as its own.
 func pipelineSpecKey(spec protest.PipelineSpec) (string, error) {
 	norm, err := spec.Normalize()
 	if err != nil {
 		return "", err
 	}
-	norm.Workers = 0
-	norm.SimEngine = protest.SimEngineFFR
-	norm.SimWidth = 0
-	norm.Progress = nil
 	data, err := json.Marshal(norm)
 	if err != nil {
 		return "", err

@@ -13,15 +13,21 @@
 //
 // On top of admission the service deduplicates and batches the work
 // itself (internal/coalesce): identical concurrent pipeline requests —
-// same circuit identity, same canonicalized spec — join one in-flight
-// computation and share its Report (each joiner keeps its own progress
-// stream; the computation is canceled only when every joiner has
-// disconnected), and concurrent /v1/analyze requests against one
-// circuit are micro-batched into a single evaluator pass.  Long
-// computations can be detached from the HTTP connection entirely
+// same circuit identity, same canonicalized spec, sim_width included —
+// join one in-flight computation and share its Report (each joiner
+// keeps its own progress stream; the computation is canceled only when
+// every joiner has disconnected), and concurrent /v1/analyze requests
+// against one circuit are micro-batched into a single evaluator pass.
+// Long computations can be detached from the HTTP connection entirely
 // through the asynchronous job API (internal/jobs): POST /v1/jobs
 // returns an id immediately, a bounded worker pool executes the
 // pipeline, and clients poll or stream resumable SSE events.
+//
+// A request says what to compute; the server's Config says how.  Every
+// Session runs the FFR engine on Config.Workers goroutines, and a
+// request body holding a field its endpoint does not know — a
+// misspelling, or a field such as "workers" that no request carries —
+// answers 400 with the field named, before any work starts.
 //
 // Endpoints:
 //
@@ -86,25 +92,18 @@ type Config struct {
 	// (default 8 MiB).
 	MaxBodyBytes int64
 	// Workers configures every Session the server opens (WithWorkers):
-	// 0 analyzes serially per request, negative selects GOMAXPROCS.
+	// 0 analyzes serially per request, negative selects GOMAXPROCS.  It
+	// is the deployment's parallelism: requests cannot change it.
 	Workers int
 	// Seed seeds every Session's deterministic pattern streams
 	// (WithSeed); 0 selects the Session default of 1, so equal
 	// requests return bit-identical reports across server restarts.
 	Seed uint64
-	// Engine selects the fault-simulation engine (WithSimEngine); the
-	// zero value is the FFR engine.
-	Engine protest.SimEngine
 	// FaultModel selects the default fault universe of every Session
 	// the server opens (WithFaultModel); the zero value is stuck-at.
 	// Individual requests still override it per run through the
 	// fault_model field of their spec.
 	FaultModel protest.FaultModel
-	// SimWidth forces the simulation width of every Session the server
-	// opens (WithSimWidth): 1 or 8 pattern blocks per sweep, or 0 for
-	// the engine-chosen schedule.  Results are bit-identical at every
-	// width.
-	SimWidth int
 	// JobWorkers is the size of the worker pool executing async jobs
 	// (default 2).
 	JobWorkers int
@@ -261,8 +260,6 @@ func New(cfg Config) *Server {
 	opts := []protest.Option{
 		protest.WithSeed(cfg.Seed),
 		protest.WithWorkers(cfg.Workers),
-		protest.WithSimEngine(cfg.Engine),
-		protest.WithSimWidth(cfg.SimWidth),
 		protest.WithFaultModel(cfg.FaultModel),
 	}
 	var pool *shard.Pool

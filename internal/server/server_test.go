@@ -443,62 +443,72 @@ func TestBadRequests(t *testing.T) {
 
 // A bad MISR width in a pipeline spec's BIST plan is a 400 before any
 // phase runs, on the synchronous and the async endpoint alike; it used
-// to answer 500 after the analysis and test-length phases.  A valid
-// BIST plan runs, and so does one that still sends the Engine and
-// SimWidth fields BIST plans no longer have: the server ignores JSON
-// fields it does not know, so BIST runs at the run's engine and width
-// and the report is byte-identical to the plan without them.
+// to answer 500 after the analysis and test-length phases.  So is a
+// plan that still sends the Engine and SimWidth fields BIST plans no
+// longer have, which the server used to ignore.  A valid BIST plan
+// runs.
 func TestBadBISTSpecIs400(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	bad := `{"circuit":"c17","spec":{"bist":{"Cycles":128,"MISRWidth":9}}}`
-	for _, path := range []string{"/v1/pipeline", "/v1/jobs"} {
-		resp, out := postJSON(t, ts.URL+path, json.RawMessage(bad))
-		var er errorResponse
-		if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(out, &er) != nil || er.Error == "" {
-			t.Fatalf("%s %s: status %d, body %q; want 400 with the error envelope", path, bad, resp.StatusCode, out)
-		}
-	}
-	var reports []string
-	for _, body := range []string{
-		`{"circuit":"c17","spec":{"bist":{"Cycles":128,"MISRWidth":8}}}`,
+	for _, bad := range []string{
+		`{"circuit":"c17","spec":{"bist":{"Cycles":128,"MISRWidth":9}}}`,
 		`{"circuit":"c17","spec":{"bist":{"Cycles":128,"MISRWidth":8,"Engine":9,"SimWidth":4}}}`,
 	} {
-		resp, out := postJSON(t, ts.URL+"/v1/pipeline", json.RawMessage(body))
-		var rep protest.Report
-		if resp.StatusCode != http.StatusOK || json.Unmarshal(out, &rep) != nil || rep.BIST == nil {
-			t.Fatalf("%s: status %d, body %q; want 200 with a BIST report", body, resp.StatusCode, out)
+		for _, path := range []string{"/v1/pipeline", "/v1/jobs"} {
+			resp, out := postJSON(t, ts.URL+path, json.RawMessage(bad))
+			var er errorResponse
+			if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(out, &er) != nil || er.Error == "" {
+				t.Fatalf("%s %s: status %d, body %q; want 400 with the error envelope", path, bad, resp.StatusCode, out)
+			}
 		}
-		reports = append(reports, string(out))
 	}
-	if reports[0] != reports[1] {
-		t.Fatalf("stale BIST fields changed the report:\n%s\n%s", reports[1], reports[0])
+	body := `{"circuit":"c17","spec":{"bist":{"Cycles":128,"MISRWidth":8}}}`
+	resp, out := postJSON(t, ts.URL+"/v1/pipeline", json.RawMessage(body))
+	var rep protest.Report
+	if resp.StatusCode != http.StatusOK || json.Unmarshal(out, &rep) != nil || rep.BIST == nil {
+		t.Fatalf("%s: status %d, body %q; want 200 with a BIST report", body, resp.StatusCode, out)
 	}
 }
 
-// An unknown engine and an unsupported width are bad specs: 400 with
-// the error envelope before any phase runs, on every endpoint that
-// takes them.  Unknown engines used to run silently on the FFR engine
-// (200, or 202 for a job), a validate width of 3 answered 500 after
-// the analysis and the BDD oracle, and width 4 was a supported width.
+// An unsupported width and a field the endpoint does not know are bad
+// requests: 400 with the error envelope before any phase runs.  An
+// unknown field's message names it, whether it is misspelled or one no
+// request carries any more (the engine and the worker count are the
+// server's).  Unknown fields used to be ignored (sim_engine 7 ran on
+// the FFR engine, and sim_paterns simulated the derived budget), a
+// validate width of 3 answered 500 after the analysis and the BDD
+// oracle, and width 4 was a supported width.
 func TestUnknownEngineAndValidateWidthAre400(t *testing.T) {
-	srv, ts := newTestServer(t, Config{})
-	for _, tc := range []struct{ path, body string }{
-		{"/v1/pipeline", `{"circuit":"c17","spec":{"sim_engine":7}}`},
-		{"/v1/jobs", `{"circuit":"c17","spec":{"sim_engine":7}}`},
-		{"/v1/pipeline", `{"circuit":"c17","spec":{"sim_width":4}}`},
-		{"/v1/jobs", `{"circuit":"c17","spec":{"sim_width":4}}`},
-		{"/v1/validate", `{"circuit":"c17","spec":{"sim_engine":7}}`},
-		{"/v1/validate", `{"circuit":"c17","spec":{"sim_width":3}}`},
-		{"/v1/validate", `{"circuit":"c17","spec":{"sim_width":4}}`},
+	srv, ts := newTestServer(t, Config{Worker: true})
+	for _, tc := range []struct{ path, body, field string }{
+		{"/v1/pipeline", `{"circuit":"c17","spec":{"sim_engine":7}}`, "sim_engine"},
+		{"/v1/jobs", `{"circuit":"c17","spec":{"sim_engine":7}}`, "sim_engine"},
+		{"/v1/validate", `{"circuit":"c17","spec":{"sim_engine":7}}`, "sim_engine"},
+		{"/v1/pipeline", `{"circuit":"c17","spec":{"workers":2}}`, "workers"},
+		{"/v1/jobs", `{"circuit":"c17","spec":{"workers":2}}`, "workers"},
+		{"/v1/validate", `{"circuit":"c17","spec":{"workers":2}}`, "workers"},
+		{"/v1/analyze", `{"circuit":"c17","workers":2}`, "workers"},
+		{"/v1/shard", `{"name":"c17","workers":2}`, "workers"},
+		{"/v1/pipeline", `{"circuit":"c17","spec":{"sim_paterns":100}}`, "sim_paterns"},
+		{"/v1/jobs", `{"circuit":"c17","spec":{"sim_paterns":100}}`, "sim_paterns"},
+		{"/v1/validate", `{"circuit":"c17","spec":{"max_paterns":100}}`, "max_paterns"},
+		{"/v1/analyze", `{"circuit":"c17","input_prob":[0.5]}`, "input_prob"},
+		{"/v1/shard", `{"name":"c17","sim_widht":8}`, "sim_widht"},
+		{"/v1/pipeline", `{"circuit":"c17","spec":{"sim_width":4}}`, ""},
+		{"/v1/jobs", `{"circuit":"c17","spec":{"sim_width":4}}`, ""},
+		{"/v1/validate", `{"circuit":"c17","spec":{"sim_width":3}}`, ""},
+		{"/v1/validate", `{"circuit":"c17","spec":{"sim_width":4}}`, ""},
 	} {
 		resp, out := postJSON(t, ts.URL+tc.path, json.RawMessage(tc.body))
 		var er errorResponse
 		if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(out, &er) != nil || er.Error == "" {
 			t.Fatalf("%s %s: status %d, body %q; want 400 with the error envelope", tc.path, tc.body, resp.StatusCode, out)
 		}
+		if tc.field != "" && !strings.Contains(er.Error, `unknown field "`+tc.field+`"`) {
+			t.Errorf("%s %s: error %q does not name the unknown field", tc.path, tc.body, er.Error)
+		}
 	}
-	if st := srv.Stats(); st.Validate.Runs != 0 {
-		t.Errorf("a rejected spec must not count as a validate run: %+v", st.Validate)
+	if st := srv.Stats(); st.Validate.Runs != 0 || st.AnalyzePasses != 0 || st.Coalesce.Leads != 0 || st.Jobs.Submitted != 0 {
+		t.Errorf("a rejected request must not run: %+v", st)
 	}
 }
 
@@ -702,16 +712,14 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
-// A width-8 server must serve reports byte-identical to a direct run
-// at the default width — width is a speed knob, never a result knob.
+// A width-8 request must answer a report byte-identical to a direct
+// run at the default width — width is a speed knob, never a result
+// knob.
 func TestPipelineSimWidthIdentical(t *testing.T) {
-	_, wide := newTestServer(t, Config{SimWidth: 8})
+	_, ts := newTestServer(t, Config{})
 	spec := protest.PipelineSpec{SimPatterns: 256}
 
-	resp, body := postJSON(t, wide.URL+"/v1/pipeline", PipelineRequest{
-		CircuitRef: CircuitRef{Circuit: "alu"},
-		Spec:       spec,
-	})
+	resp, body := postJSON(t, ts.URL+"/v1/pipeline", json.RawMessage(`{"circuit":"alu","spec":{"sim_patterns":256,"sim_width":8}}`))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
@@ -721,6 +729,6 @@ func TestPipelineSimWidthIdentical(t *testing.T) {
 	}
 	want := directReport(t, "alu", spec)
 	if g, w := reportJSON(t, &got), reportJSON(t, want); g != w {
-		t.Fatalf("width-8 server report differs from default-width run:\n got %s\nwant %s", g, w)
+		t.Fatalf("width-8 request's report differs from default-width run:\n got %s\nwant %s", g, w)
 	}
 }

@@ -217,22 +217,6 @@ func Scatter(x, y []float64, width, height int, xLabel, yLabel string) string {
 	return sb.String()
 }
 
-// Histogram counts values into n equal-width buckets over [0,1].
-func Histogram(v []float64, n int) []int {
-	h := make([]int, n)
-	for _, x := range v {
-		b := int(x * float64(n))
-		if b < 0 {
-			b = 0
-		}
-		if b >= n {
-			b = n - 1
-		}
-		h[b]++
-	}
-	return h
-}
-
 // Summary bundles the Table 1 measures for one circuit.  The JSON tags
 // keep the serialized pipeline Report stable across refactors.
 type Summary struct {

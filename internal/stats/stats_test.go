@@ -93,19 +93,6 @@ func TestScatter(t *testing.T) {
 	_ = Scatter(x, y, 1, 1, "x", "y")
 }
 
-func TestHistogram(t *testing.T) {
-	h := Histogram([]float64{0, 0.05, 0.5, 0.99, 1.0}, 10)
-	if h[0] != 2 {
-		t.Errorf("bucket 0 = %d, want 2", h[0])
-	}
-	if h[5] != 1 {
-		t.Errorf("bucket 5 = %d", h[5])
-	}
-	if h[9] != 2 { // 0.99 and the clamped 1.0
-		t.Errorf("bucket 9 = %d, want 2", h[9])
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	est := []float64{0.2, 0.4, 0.6}
 	sim := []float64{0.3, 0.5, 0.7}

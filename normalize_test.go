@@ -57,8 +57,6 @@ func TestPipelineSpecNormalize(t *testing.T) {
 		{Fraction: -0.1},
 		{Confidence: 1},
 		{Confidence: -0.5},
-		{SimEngine: 7},
-		{SimEngine: -1},
 	} {
 		if _, err := bad.Normalize(); err == nil {
 			t.Errorf("Normalize(%+v) accepted an out-of-range spec", bad)

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"protest/internal/bist"
-	"protest/internal/faultsim"
 	"protest/internal/pattern"
 	"protest/internal/stats"
 	"protest/internal/widesim"
@@ -17,9 +16,11 @@ import (
 // analyzes under uniform patterns, derives the test length for full
 // coverage at 95% confidence, and validates by fault simulation.
 // Non-zero Fraction/Confidence values outside their ranges make Run
-// fail rather than being silently replaced.  A Session opened
-// WithShardPool shards the run's fault simulation across the pool;
-// the report is the same either way.
+// fail rather than being silently replaced.  The spec says what to
+// compute and the Session says how: every phase runs on the Session's
+// engine and worker count (WithSimEngine, WithWorkers), and a Session
+// opened WithShardPool shards the run's fault simulation across the
+// pool.  The report is the same either way.
 type PipelineSpec struct {
 	// Fraction is the paper's d: the fraction of easiest faults the
 	// test must cover, in (0,1] (default 1.0).
@@ -50,20 +51,9 @@ type PipelineSpec struct {
 	MaxSimPatterns int `json:"max_sim_patterns"`
 	// BIST, when non-nil, additionally runs a MISR self-test session
 	// driven by the final pattern source (optimized weights when the
-	// optimize phase ran, uniform otherwise), on the run's engine and
-	// width.
+	// optimize phase ran, uniform otherwise), on the Session's engine
+	// at the run's width.
 	BIST *BISTPlan `json:"bist,omitempty"`
-	// Workers overrides the Session's WithWorkers setting for this run:
-	// > 1 scores optimizer candidates and fault-simulates on that many
-	// goroutines (the naive engine stays serial), < 0 selects
-	// GOMAXPROCS, 0 keeps the Session default; counts beyond GOMAXPROCS
-	// are clamped to it.  Results are identical for every worker count.
-	Workers int `json:"workers,omitempty"`
-	// SimEngine overrides the Session's fault-simulation engine for
-	// this run, the BIST phase's included; the zero value keeps the
-	// Session default.  Every engine produces bit-identical results
-	// (see WithSimEngine); any other value fails with ErrBadSpec.
-	SimEngine SimEngine `json:"sim_engine,omitempty"`
 	// SimWidth overrides the Session's WithSimWidth setting for this
 	// run, the BIST phase's capture width included: 1 or 8 forces that
 	// many pattern blocks per sweep; 0 keeps the Session's setting,
@@ -104,9 +94,6 @@ func (spec *PipelineSpec) fill() error {
 		spec.MaxSimPatterns = 4096
 	}
 	if err := widesim.CheckWidth(spec.SimWidth); err != nil {
-		return fmt.Errorf("pipeline: %w: %v", ErrBadSpec, err)
-	}
-	if err := faultsim.CheckEngine(spec.SimEngine); err != nil {
 		return fmt.Errorf("pipeline: %w: %v", ErrBadSpec, err)
 	}
 	if !spec.FaultModel.Valid() {
@@ -253,7 +240,7 @@ func (s *Session) Run(ctx context.Context, spec PipelineSpec) (*Report, error) {
 	// The overrides apply to every phase of this run only; they travel
 	// in the per-call configuration, so concurrent runs with different
 	// overrides never observe each other.
-	cfg := s.cfg().with(spec.Workers, spec.SimEngine, spec.SimWidth, spec.FaultModel, spec.Progress)
+	cfg := s.cfg().with(spec.SimWidth, spec.FaultModel, spec.Progress)
 	faults := s.modelFaults(cfg.model)
 	if len(faults) == 0 {
 		return nil, fmt.Errorf("pipeline: %s model: %w", cfg.model, ErrNoFaults)

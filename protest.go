@@ -139,9 +139,9 @@ const (
 	ObsOr = core.ObsOr
 )
 
-// Fault-simulation engines for WithSimEngine and the SimEngine field
-// of PipelineSpec and ValidateSpec.  A self test (RunBIST, or a
-// pipeline's BIST phase) runs on its run's engine.
+// Fault-simulation engines for WithSimEngine.  Every measurement of a
+// Session, self tests (RunBIST, or a pipeline's BIST phase) included,
+// runs on the Session's engine.
 const (
 	// SimEngineFFR partitions the fault list by fanout-free region:
 	// critical path tracing to each stem plus one dominator-bounded

@@ -156,8 +156,9 @@ func WithSeed(seed uint64) Option {
 // negative n selects GOMAXPROCS, and n beyond GOMAXPROCS is clamped to
 // it (oversubscription only adds scheduler contention, never speed).
 // The naive oracle engine (SimEngineNaive) always runs serially.
-// Individual OptimizeOptions.Workers values override the Session
-// default per call.
+// Run and Validate use the Session's count for every phase; their
+// specs carry none.  A library caller's OptimizeOptions.Workers
+// overrides it for that climb only.
 func WithWorkers(n int) Option {
 	return func(s *Session) { s.workers = n }
 }
@@ -168,7 +169,8 @@ func WithWorkers(n int) Option {
 // list by fanout-free region and is typically several times faster;
 // SimEngineNaive re-simulates every fault cone individually, serially,
 // and is kept as the independent oracle.  Results are bit-identical.
-// Open fails on any other value.
+// Open fails on any other value.  Run and Validate use the Session's
+// engine; their specs carry none.
 func WithSimEngine(e SimEngine) Option {
 	return func(s *Session) { s.simEngine = e }
 }
@@ -183,7 +185,8 @@ func WithSimEngine(e SimEngine) Option {
 // runs at the width, or at width 1 when the width is 0.  The naive
 // oracle engine ignores the width.  Open fails on any other width.
 // Sharded runs (WithShardPool) simulate their shards at this width
-// too.
+// too.  PipelineSpec.SimWidth and ValidateSpec.SimWidth override it
+// for one run.
 func WithSimWidth(w int) Option {
 	return func(s *Session) { s.simWidth = w }
 }
@@ -320,13 +323,7 @@ func (s *Session) cfg() runCfg {
 // with applies one run's overrides (the PipelineSpec or ValidateSpec
 // fields of the same names): each non-zero value replaces the Session
 // default for this run only.
-func (cfg runCfg) with(workers int, engine SimEngine, width int, model FaultModel, progress func(Phase, float64)) runCfg {
-	if workers != 0 {
-		cfg.workers = workers
-	}
-	if engine != SimEngineFFR {
-		cfg.engine = engine
-	}
+func (cfg runCfg) with(width int, model FaultModel, progress func(Phase, float64)) runCfg {
 	if width != 0 {
 		cfg.width = width
 	}

@@ -63,16 +63,13 @@ type ValidateSpec struct {
 	// InputProbs are the per-input signal probabilities all three
 	// oracles run under; nil means the conventional uniform tuple.
 	InputProbs []float64 `json:"input_probs,omitempty"`
-	// Workers, SimEngine and SimWidth override the Session's execution
-	// strategy for this run's Monte-Carlo measurement, with the same
-	// semantics as the PipelineSpec fields of the same names; results
-	// are bit-identical for every setting.  An unknown engine, or a
-	// width other than 0, 1 or 8, fails with ErrBadSpec.  A Session
-	// opened WithShardPool shards the measurement across the pool's
-	// workers.
-	Workers   int       `json:"workers,omitempty"`
-	SimEngine SimEngine `json:"sim_engine,omitempty"`
-	SimWidth  int       `json:"sim_width,omitempty"`
+	// SimWidth overrides the Session's WithSimWidth setting for this
+	// run's Monte-Carlo measurement, with PipelineSpec.SimWidth
+	// semantics: results are bit-identical at every width, and a width
+	// other than 0, 1 or 8 fails with ErrBadSpec.  The measurement runs
+	// on the Session's engine and worker count, and a Session opened
+	// WithShardPool shards it across the pool's workers.
+	SimWidth int `json:"sim_width,omitempty"`
 	// FaultModel overrides the Session's fault model for this run, with
 	// PipelineSpec.FaultModel semantics: all three oracles validate the
 	// selected universe.  The empty value keeps the Session default.
@@ -106,19 +103,16 @@ type ValidateSpec struct {
 // the whole report deterministic.  Oracle disagreement is reported in
 // the Flags of the report, not as an error; the error return is for
 // infrastructure failure (bad spec, cancellation, simulator error)
-// only.  An unknown SimEngine or unsupported SimWidth fails with
-// ErrBadSpec before any phase runs.
+// only.  An unsupported SimWidth fails with ErrBadSpec before any
+// phase runs.
 func (s *Session) Validate(ctx context.Context, spec ValidateSpec) (*ValidateReport, error) {
 	if err := widesim.CheckWidth(spec.SimWidth); err != nil {
-		return nil, fmt.Errorf("validate: %w: %v", ErrBadSpec, err)
-	}
-	if err := faultsim.CheckEngine(spec.SimEngine); err != nil {
 		return nil, fmt.Errorf("validate: %w: %v", ErrBadSpec, err)
 	}
 	if !spec.FaultModel.Valid() {
 		return nil, fmt.Errorf("validate: %w: %q", ErrBadFaultModel, string(spec.FaultModel))
 	}
-	cfg := s.cfg().with(spec.Workers, spec.SimEngine, spec.SimWidth, spec.FaultModel, spec.Progress)
+	cfg := s.cfg().with(spec.SimWidth, spec.FaultModel, spec.Progress)
 	faults := s.modelFaults(cfg.model)
 	if len(faults) == 0 {
 		return nil, fmt.Errorf("validate: %s model: %w", cfg.model, ErrNoFaults)

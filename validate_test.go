@@ -151,10 +151,9 @@ func TestValidateBadSpec(t *testing.T) {
 	}
 }
 
-// An unsupported width or an unknown engine is a bad spec, rejected
-// before any phase runs: the progress callback sees nothing.  A width
-// of 3 used to fail only after the analysis and the BDD oracle, and an
-// unknown engine ran on the FFR engine.
+// An unsupported width is a bad spec, rejected before any phase runs:
+// the progress callback sees nothing.  A width of 3 used to fail only
+// after the analysis and the BDD oracle.
 func TestValidateBadExecutionSpec(t *testing.T) {
 	c, _ := Benchmark("c1355")
 	var phases []Phase
@@ -162,7 +161,7 @@ func TestValidateBadExecutionSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, spec := range []ValidateSpec{{SimWidth: 3}, {SimWidth: -1}, {SimEngine: 7}} {
+	for _, spec := range []ValidateSpec{{SimWidth: 3}, {SimWidth: -1}} {
 		if _, err := s.Validate(context.Background(), spec); !errors.Is(err, ErrBadSpec) {
 			t.Errorf("Validate(%+v) = %v, want ErrBadSpec", spec, err)
 		}
