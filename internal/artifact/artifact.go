@@ -1,34 +1,33 @@
-// Package artifact is the shared store of compiled per-circuit
-// artifacts: analysis programs (core.Program, including the compiled
-// conditioning programs and incremental regions), collapsed fault
-// lists, FFR fault-simulation plans (faultsim.Plan, carrying the
-// FFR/dominator index) and self-test programs (bist.Program).
+// Package artifact caches per-circuit state.  Cache is a generic
+// singleflight LRU map, and the module's LRU-bounded per-circuit
+// caches are instances of it: the Store's artifacts, the server's
+// Sessions and a shard worker's circuits by digest, each with its own
+// capacity.
 //
-// Every artifact is a pure function of the circuit structure (plus,
-// for analysis programs, the parameter set), immutable once built, and
-// expensive enough to derive that rebuilding it per Session or per
-// call would dominate the workload.  The store therefore
+// The Store holds the compiled per-circuit artifacts: analysis
+// programs (core.Program, including the compiled conditioning programs
+// and incremental regions), collapsed fault lists, FFR
+// fault-simulation plans (faultsim.Plan, carrying the FFR/dominator
+// index) and self-test programs (bist.Program).  Every artifact is a
+// pure function of the circuit structure (plus, for analysis programs,
+// the parameter set), immutable once built, and expensive enough to
+// derive that rebuilding it per Session or per call would dominate the
+// workload.  The store therefore
 //
 //   - interns circuits by structural fingerprint, so independently
 //     built copies of the same design (e.g. two registry lookups, or
 //     N servers opening Sessions on the same netlist) share one
 //     canonical *Circuit and hence one set of artifacts;
-//   - deduplicates concurrent builds singleflight-style: the first
-//     caller of a key builds, every concurrent caller blocks on the
-//     same sync.Once and receives the shared result;
-//   - bounds memory with an LRU policy over the cache entries and a
-//     partial trim over the intern table (see Intern).  Eviction
-//     only drops the store's reference — users holding an artifact
-//     keep it alive; a later request simply rebuilds.
+//   - keeps the artifacts in a Cache, so concurrent builds of one
+//     artifact share one build and its entries are LRU-bounded;
+//   - trims the intern table partially when it grows (see Intern).
 //
 // All methods are safe for concurrent use.  The package-level Default
 // store is shared by every Session.
 package artifact
 
 import (
-	"container/list"
 	"sync"
-	"sync/atomic"
 
 	"protest/internal/bist"
 	"protest/internal/circuit"
@@ -39,7 +38,9 @@ import (
 
 // DefaultCapacity is the entry bound of the Default store: generous
 // for realistic fleets (a handful of artifacts per hot circuit) while
-// bounding a pathological many-circuits workload.
+// bounding a pathological many-circuits workload.  A shard worker
+// holds as many circuits, and caches created with a capacity <= 0 get
+// it too.
 const DefaultCapacity = 256
 
 // Default is the process-wide store shared by all Sessions.
@@ -65,78 +66,24 @@ type key struct {
 	params core.Params // zero for kinds not parameterized
 }
 
-// entry is one cache slot.  once gives singleflight semantics: the
-// creating goroutine builds inside once.Do while concurrent readers of
-// the same key block on it.
-type entry struct {
-	key  key
-	elem *list.Element
-	once sync.Once
-	val  any
-	err  error
-}
-
-// Store is a singleflight + LRU artifact cache.  The zero value is not
-// usable; create stores with NewStore.
+// Store is the artifact cache plus the intern table.  The zero value
+// is not usable; create stores with NewStore.
 type Store struct {
-	mu      sync.Mutex
-	cap     int
-	entries map[key]*entry
-	lru     *list.List // of *entry; front = most recently used
+	cache *Cache[key, any]
 
 	internMu    sync.Mutex
 	interned    map[uint64][]*circuit.Circuit
 	internCount int
-
-	// Effectiveness counters (see Stats).  They are monotonic over the
-	// store's lifetime, so callers can diff snapshots across
-	// operations.
-	builds    atomic.Int64
-	hits      atomic.Int64
-	buildErrs atomic.Int64
-	evictions atomic.Int64
 }
 
-// Stats is a snapshot of a store's effectiveness counters.  The
-// headline signal is Builds: it advances only when an artifact is
-// actually constructed, so "a second request for the same circuit did
-// not recompile" is exactly "Builds did not change".
-type Stats struct {
-	// Builds counts artifact constructions (cache misses that ran a
-	// build function, including ones that later failed).
-	Builds int64 `json:"builds"`
-	// Hits counts lookups served by a live entry, including callers
-	// that blocked on a concurrent build of the same key.
-	Hits int64 `json:"hits"`
-	// BuildErrors counts failed builds; failures are never cached, so
-	// a later lookup retries (and counts another build).
-	BuildErrors int64 `json:"build_errors"`
-	// Evictions counts entries dropped by the LRU bound.
-	Evictions int64 `json:"evictions"`
-}
-
-// Stats returns a snapshot of the store's counters.  Counters are
-// read individually (not under one lock), so a snapshot taken during
-// concurrent traffic is approximate; quiesce first for exact deltas.
-func (s *Store) Stats() Stats {
-	return Stats{
-		Builds:      s.builds.Load(),
-		Hits:        s.hits.Load(),
-		BuildErrors: s.buildErrs.Load(),
-		Evictions:   s.evictions.Load(),
-	}
-}
+// Stats returns a snapshot of the store's cache counters.
+func (s *Store) Stats() Stats { return s.cache.Stats() }
 
 // NewStore creates a store bounded to capacity entries (values <= 0
 // select DefaultCapacity).
 func NewStore(capacity int) *Store {
-	if capacity <= 0 {
-		capacity = DefaultCapacity
-	}
 	return &Store{
-		cap:      capacity,
-		entries:  make(map[key]*entry),
-		lru:      list.New(),
+		cache:    NewCache[key, any](capacity),
 		interned: make(map[uint64][]*circuit.Circuit),
 	}
 }
@@ -163,7 +110,7 @@ func (s *Store) Intern(c *circuit.Circuit) *circuit.Circuit {
 			return o
 		}
 	}
-	if s.internCount >= 4*s.cap {
+	if s.internCount >= 4*s.cache.cap {
 		// Shed roughly half the identities instead of flushing the
 		// table wholesale: with untrusted inputs (an HTTP server
 		// interning client netlists) a stream of unique designs then
@@ -171,7 +118,7 @@ func (s *Store) Intern(c *circuit.Circuit) *circuit.Circuit {
 		// trim — rather than invalidating every canonical pointer at
 		// once and triggering a recompile storm for all of them.
 		// Which buckets go is pseudo-random (map iteration order).
-		target := 2 * s.cap
+		target := 2 * s.cache.cap
 		for fp, list := range s.interned {
 			s.internCount -= len(list)
 			delete(s.interned, fp)
@@ -185,52 +132,11 @@ func (s *Store) Intern(c *circuit.Circuit) *circuit.Circuit {
 	return c
 }
 
-// get returns the artifact under k, building it at most once per
-// concurrent burst.  Build errors are not cached: the failed entry is
-// removed so a later call can retry.
-func (s *Store) get(k key, build func() (any, error)) (any, error) {
-	s.mu.Lock()
-	e, ok := s.entries[k]
-	if ok {
-		s.lru.MoveToFront(e.elem)
-		s.hits.Add(1)
-	} else {
-		e = &entry{key: k}
-		e.elem = s.lru.PushFront(e)
-		s.entries[k] = e
-		s.builds.Add(1)
-		for s.lru.Len() > s.cap {
-			back := s.lru.Back()
-			old := back.Value.(*entry)
-			s.lru.Remove(back)
-			delete(s.entries, old.key)
-			s.evictions.Add(1)
-		}
-	}
-	s.mu.Unlock()
-
-	e.once.Do(func() { e.val, e.err = build() })
-	if e.err != nil {
-		s.mu.Lock()
-		if cur, ok := s.entries[k]; ok && cur == e {
-			// First observer of the failure removes the entry (and
-			// counts the failed build exactly once); concurrent
-			// waiters on the same build just return the error.
-			s.buildErrs.Add(1)
-			s.lru.Remove(e.elem)
-			delete(s.entries, k)
-		}
-		s.mu.Unlock()
-		return nil, e.err
-	}
-	return e.val, nil
-}
-
 // Program returns the shared compiled analysis program of (c, params),
 // building it on first use.
 func (s *Store) Program(c *circuit.Circuit, params core.Params) (*core.Program, error) {
 	c = s.Intern(c)
-	v, err := s.get(key{kind: kindProgram, c: c, params: params}, func() (any, error) {
+	v, err := s.cache.Get(key{kind: kindProgram, c: c, params: params}, func() (any, error) {
 		return core.NewProgram(c, params)
 	})
 	if err != nil {
@@ -244,7 +150,7 @@ func (s *Store) Program(c *circuit.Circuit, params core.Params) (*core.Program, 
 func (s *Store) FaultsFor(c *circuit.Circuit, m fault.Model) []fault.Fault {
 	c = s.Intern(c)
 	m = m.Normalize()
-	v, _ := s.get(key{kind: kindFaults, c: c, model: m}, func() (any, error) {
+	v, _ := s.cache.Get(key{kind: kindFaults, c: c, model: m}, func() (any, error) {
 		return m.Faults(c), nil
 	})
 	return v.([]fault.Fault)
@@ -255,7 +161,7 @@ func (s *Store) FaultsFor(c *circuit.Circuit, m fault.Model) []fault.Fault {
 func (s *Store) SimPlanFor(c *circuit.Circuit, m fault.Model) *faultsim.Plan {
 	c = s.Intern(c)
 	m = m.Normalize()
-	v, _ := s.get(key{kind: kindSimPlan, c: c, model: m}, func() (any, error) {
+	v, _ := s.cache.Get(key{kind: kindSimPlan, c: c, model: m}, func() (any, error) {
 		return faultsim.NewPlan(c, s.FaultsFor(c, m)), nil
 	})
 	return v.(*faultsim.Plan)
@@ -267,7 +173,7 @@ func (s *Store) SimPlanFor(c *circuit.Circuit, m fault.Model) *faultsim.Plan {
 func (s *Store) BISTFor(c *circuit.Circuit, m fault.Model) *bist.Program {
 	ci := s.Intern(c)
 	m = m.Normalize()
-	v, _ := s.get(key{kind: kindBIST, c: ci, model: m}, func() (any, error) {
+	v, _ := s.cache.Get(key{kind: kindBIST, c: ci, model: m}, func() (any, error) {
 		return bist.NewProgram(ci, s.FaultsFor(ci, m), func() *faultsim.Plan {
 			return s.SimPlanFor(ci, m)
 		}), nil
@@ -276,8 +182,4 @@ func (s *Store) BISTFor(c *circuit.Circuit, m fault.Model) *bist.Program {
 }
 
 // Len returns the current number of cached entries.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lru.Len()
-}
+func (s *Store) Len() int { return s.cache.Len() }

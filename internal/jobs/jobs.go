@@ -15,6 +15,11 @@
 // ErrStoreFull so overload surfaces as fast rejection, not unbounded
 // memory.
 //
+// The store is its own queue: a free worker starts the oldest job still
+// queued, in submission order, so jobs start in the order they were
+// submitted and at most Workers run at once.  A job canceled while
+// queued holds no room once it is evicted or expires.
+//
 // All methods are safe for concurrent use.
 package jobs
 
@@ -129,17 +134,17 @@ func (c *Config) fill() {
 // Store owns the jobs, their worker pool and their event logs.  Create
 // one with NewStore and release it with Close.
 type Store struct {
-	cfg    Config
-	now    func() time.Time
-	queue  chan *job
-	stop   chan struct{}
-	wg     sync.WaitGroup
-	closed atomic.Bool
-	seq    atomic.Uint64
+	cfg  Config
+	now  func() time.Time
+	stop chan struct{}
+	wg   sync.WaitGroup
+	seq  atomic.Uint64
 
-	mu    sync.Mutex
-	jobs  map[string]*job
-	order *list.List // of *job; front = oldest
+	mu     sync.Mutex
+	ready  sync.Cond // on mu: a job was queued, or the store closed
+	closed bool
+	jobs   map[string]*job
+	order  *list.List // of *job, in submission order; front = oldest
 
 	submitted atomic.Int64
 	finished  atomic.Int64
@@ -153,10 +158,9 @@ type job struct {
 	id     string
 	ctx    context.Context
 	cancel context.CancelFunc
-	elem   *list.Element
 
 	mu        sync.Mutex
-	run       Func // cleared once the worker takes it
+	run       Func // cleared once a worker starts the job
 	state     State
 	phase     string
 	frac      float64
@@ -181,11 +185,11 @@ func NewStore(cfg Config) *Store {
 	s := &Store{
 		cfg:   cfg,
 		now:   cfg.Now,
-		queue: make(chan *job, cfg.Cap),
 		stop:  make(chan struct{}),
 		jobs:  make(map[string]*job),
 		order: list.New(),
 	}
+	s.ready.L = &s.mu
 	if s.now == nil {
 		s.now = time.Now
 	}
@@ -204,29 +208,28 @@ func NewStore(cfg Config) *Store {
 // janitor, and waits for them.  The store rejects Submits afterwards;
 // snapshots of held jobs stay readable.
 func (s *Store) Close() {
-	if s.closed.Swap(true) {
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
 		return
 	}
-	close(s.stop)
-	s.mu.Lock()
+	s.closed = true
+	s.ready.Broadcast()
 	held := make([]*job, 0, len(s.jobs))
 	for _, j := range s.jobs {
 		held = append(held, j)
 	}
 	s.mu.Unlock()
+	close(s.stop)
 	for _, j := range held {
 		j.cancel()
 	}
 	s.wg.Wait()
 	// Workers are gone; jobs still queued will never run.  Mark them
-	// canceled so pollers are not stuck on "queued" forever.
-	for {
-		select {
-		case j := <-s.queue:
-			s.finish(j, StateCanceled, nil, context.Canceled)
-		default:
-			return
-		}
+	// canceled so pollers are not stuck on "queued" forever (finish
+	// leaves finished jobs as they are).
+	for _, j := range held {
+		s.finish(j, StateCanceled, nil, context.Canceled)
 	}
 }
 
@@ -274,9 +277,6 @@ func (s *Store) Stats() Stats {
 // with ErrStoreFull when the store holds Cap jobs and none is finished
 // (evictable), and with ErrClosed after Close.
 func (s *Store) Submit(fn Func) (string, error) {
-	if s.closed.Load() {
-		return "", ErrClosed
-	}
 	now := s.now()
 	ctx, cancel := context.WithCancel(context.Background())
 	j := &job{
@@ -291,25 +291,19 @@ func (s *Store) Submit(fn Func) (string, error) {
 	j.appendEvent("state", StateQueued)
 
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		cancel()
+		return "", ErrClosed
+	}
 	s.expireLocked(now)
 	if len(s.jobs) >= s.cfg.Cap && !s.evictOldestFinishedLocked() {
-		s.mu.Unlock()
 		cancel()
 		return "", ErrStoreFull
 	}
 	s.jobs[j.id] = j
-	j.elem = s.order.PushBack(j)
-	s.mu.Unlock()
-
-	select {
-	case s.queue <- j:
-	default:
-		// Queue capacity tracks the store capacity, so a held slot
-		// implies queue room; this is unreachable, but fail closed.
-		s.remove(j)
-		cancel()
-		return "", ErrStoreFull
-	}
+	s.order.PushBack(j)
+	s.ready.Signal()
 	s.submitted.Add(1)
 	return j.id, nil
 }
@@ -318,35 +312,43 @@ func (s *Store) Submit(fn Func) (string, error) {
 func (s *Store) worker() {
 	defer s.wg.Done()
 	for {
-		select {
-		case <-s.stop:
+		j, fn := s.next()
+		if j == nil {
 			return
-		case j := <-s.queue:
-			s.execute(j)
 		}
+		s.execute(j, fn)
 	}
 }
 
-// execute runs one job to a terminal state.
-func (s *Store) execute(j *job) {
-	j.mu.Lock()
-	if j.state != StateQueued {
-		// Canceled (or swept) while queued; nothing to run.
-		j.mu.Unlock()
-		return
+// next waits for a queued job, starts the oldest one and returns it
+// with its function; it returns nil once the store is closed.  A job
+// whose context is canceled while it is still queued is skipped: its
+// canceler (Cancel or Close) finishes it.
+func (s *Store) next() (*job, Func) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for !s.closed {
+		for e := s.order.Front(); e != nil; e = e.Next() {
+			j := e.Value.(*job)
+			j.mu.Lock()
+			if j.state == StateQueued && j.ctx.Err() == nil {
+				j.state = StateRunning
+				j.started = s.now()
+				fn := j.run
+				j.run = nil
+				j.appendEvent("state", StateRunning)
+				j.mu.Unlock()
+				return j, fn
+			}
+			j.mu.Unlock()
+		}
+		s.ready.Wait()
 	}
-	if err := j.ctx.Err(); err != nil {
-		j.mu.Unlock()
-		s.finish(j, StateCanceled, nil, err)
-		return
-	}
-	j.state = StateRunning
-	j.started = s.now()
-	fn := j.run
-	j.run = nil
-	j.appendEvent("state", StateRunning)
-	j.mu.Unlock()
+	return nil, nil
+}
 
+// execute runs one started job to a terminal state.
+func (s *Store) execute(j *job, fn Func) {
 	// A panicking job function fails the job instead of killing the
 	// worker goroutine (and with it the process): the panic becomes the
 	// job's error, surfaced like any other failure through the snapshot
@@ -568,16 +570,6 @@ func (s *Store) evictOldestFinishedLocked() bool {
 		}
 	}
 	return false
-}
-
-// remove drops a job outright (Submit failure path).
-func (s *Store) remove(j *job) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.jobs[j.id]; ok {
-		delete(s.jobs, j.id)
-		s.order.Remove(j.elem)
-	}
 }
 
 // janitor sweeps expired jobs periodically until Close.

@@ -407,3 +407,76 @@ func TestJobPanicRecovered(t *testing.T) {
 	}
 	waitState(t, s, ok, StateDone)
 }
+
+// park submits a job that runs until the returned release is called,
+// and returns once it has started.  The test's cleanup releases it
+// before Close, which waits for running jobs: a job that ignores its
+// context would otherwise never return.
+func park(t *testing.T, s *Store) (id string, release func()) {
+	t.Helper()
+	ch := make(chan struct{})
+	release = sync.OnceFunc(func() { close(ch) })
+	t.Cleanup(s.Close)
+	t.Cleanup(release)
+	started := make(chan struct{})
+	id, err := s.Submit(func(ctx context.Context, progress func(string, float64)) (any, error) {
+		close(started)
+		<-ch
+		return nil, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	return id, release
+}
+
+// A job canceled while queued holds no room once it is evicted: with
+// the only worker busy, every submit-then-cancel round succeeds.
+func TestJobCanceledWhileQueuedFreesItsSlot(t *testing.T) {
+	s := NewStore(Config{Workers: 1, Cap: 2, Now: newFakeClock().now})
+	parked, release := park(t, s)
+	for i := 0; i < 4; i++ {
+		id, err := s.Submit(func(ctx context.Context, progress func(string, float64)) (any, error) {
+			return nil, nil
+		})
+		if err != nil {
+			t.Fatalf("submit %d with a canceled job to evict: %v (%+v)", i, err, s.Stats())
+		}
+		if err := s.Cancel(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	release()
+	waitState(t, s, parked, StateDone)
+}
+
+// A parked single worker, once released, runs the queued jobs in
+// submission order.
+func TestJobsStartInSubmissionOrder(t *testing.T) {
+	s := NewStore(Config{Workers: 1, Now: newFakeClock().now})
+	_, release := park(t, s)
+	var mu sync.Mutex
+	var ran, ids []string
+	for _, name := range []string{"A", "B", "C"} {
+		id, err := s.Submit(func(ctx context.Context, progress func(string, float64)) (any, error) {
+			mu.Lock()
+			ran = append(ran, name)
+			mu.Unlock()
+			return nil, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	release()
+	for _, id := range ids {
+		waitState(t, s, id, StateDone)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if got := strings.Join(ran, ""); got != "ABC" {
+		t.Fatalf("jobs ran in order %q, want ABC", got)
+	}
+}

@@ -32,7 +32,7 @@ type CircuitRef struct {
 
 // resolveCircuit builds the referenced circuit and interns it, so the
 // returned pointer is the canonical identity every cache in the
-// service keys on (registry Sessions, coalescing keys, batch keys).
+// service keys on (Sessions, coalescing keys, batch keys).
 // Registered benchmark names additionally cache their canonical
 // instance, so warm named requests skip the registry rebuild and the
 // structural fingerprint walk entirely.
@@ -54,6 +54,13 @@ func (s *Server) resolveCircuit(ref *CircuitRef) (*protest.Circuit, error) {
 		return nil, err
 	}
 	return artifact.Default.Intern(c), nil
+}
+
+// session returns the shared Session of c, a circuit resolveCircuit
+// returned, opening it on first use.  Concurrent first requests for c
+// share one Open.
+func (s *Server) session(c *protest.Circuit) (*protest.Session, error) {
+	return s.sessions.Get(c, func() (*protest.Session, error) { return protest.Open(c, s.opts...) })
 }
 
 // resolve builds the referenced circuit.
@@ -252,7 +259,7 @@ func (s *Server) runPipeline(ctx context.Context, c *protest.Circuit, spec prote
 			}
 			defer s.adm.release()
 		}
-		sess, err := s.reg.session(c)
+		sess, err := s.session(c)
 		if err != nil {
 			return nil, err
 		}
@@ -383,7 +390,7 @@ func (s *Server) flushAnalyze(c *protest.Circuit, reqs [][]float64) ([]analyzeRe
 		return nil, err
 	}
 	defer s.adm.release()
-	sess, err := s.reg.session(c)
+	sess, err := s.session(c)
 	if err != nil {
 		return nil, err
 	}
@@ -489,7 +496,7 @@ func (s *Server) analyzeDirect(ctx context.Context, c *protest.Circuit, probs []
 		return analyzeResult{}, err
 	}
 	defer s.adm.release()
-	sess, err := s.reg.session(c)
+	sess, err := s.session(c)
 	if err != nil {
 		return analyzeResult{}, err
 	}

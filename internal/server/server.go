@@ -6,10 +6,16 @@
 // structurally equal netlists — share one Session and therefore one
 // set of compiled artifacts (the artifact store interns circuits by
 // structural fingerprint), so only the first request for a design pays
-// the compilation cost.  Admission control bounds the work the process
-// accepts: MaxInFlight analyses execute concurrently, MaxQueue more
-// wait for a slot, and everything beyond that is answered 429 so
-// overload degrades into fast rejections instead of latency collapse.
+// the compilation cost.  The Sessions live in an artifact.Cache of
+// Config.MaxSessions entries: concurrent first requests for a circuit
+// share one Open, and the least recently used Session is dropped
+// beyond the bound.  The cache is the server's own, not the artifact
+// store's, because its Sessions carry this server's options.
+//
+// Admission control bounds the work the process accepts: MaxInFlight
+// analyses execute concurrently, MaxQueue more wait for a slot, and
+// everything beyond that is answered 429 so overload degrades into
+// fast rejections instead of latency collapse.
 //
 // On top of admission the service deduplicates and batches the work
 // itself (internal/coalesce): identical concurrent pipeline requests —
@@ -84,9 +90,10 @@ type Config struct {
 	// MaxInFlight (default 4×MaxInFlight); requests beyond that are
 	// answered 429 immediately.
 	MaxQueue int
-	// MaxSessions bounds the distinct circuits holding a live Session
-	// (default 64); least-recently-used Sessions are dropped, their
-	// compiled artifacts staying in the artifact store.
+	// MaxSessions bounds the distinct circuits holding a live Session,
+	// Sessions being opened included (default 64); least-recently-used
+	// Sessions are dropped, their compiled artifacts staying in the
+	// artifact store.
 	MaxSessions int
 	// MaxBodyBytes bounds request bodies, netlists included
 	// (default 8 MiB).
@@ -188,9 +195,16 @@ func (c *Config) fill() {
 type Server struct {
 	cfg   Config
 	adm   *admission
-	reg   *registry
 	mux   *http.ServeMux
 	start time.Time
+
+	// sessions holds one Session per canonical circuit, opened with
+	// opts; at most Config.MaxSessions, Sessions being opened
+	// included, in LRU order.  Evicting one is cheap: requests running
+	// on it keep it alive, and its compiled artifacts stay in the
+	// artifact store, so a returning circuit re-opens in microseconds.
+	sessions *artifact.Cache[*protest.Circuit, *protest.Session]
+	opts     []protest.Option
 
 	// pipelines coalesces identical concurrent pipeline computations
 	// (sync requests and async jobs share one keyspace), analyzeBatch
@@ -270,7 +284,8 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:       cfg,
 		adm:       newAdmission(cfg.MaxInFlight, cfg.MaxQueue),
-		reg:       newRegistry(cfg.MaxSessions, opts),
+		sessions:  artifact.NewCache[*protest.Circuit, *protest.Session](cfg.MaxSessions),
+		opts:      opts,
 		mux:       http.NewServeMux(),
 		start:     time.Now(),
 		pipelines: coalesce.NewGroup[pipelineKey, *protest.Report, progressUpdate](),
@@ -390,7 +405,7 @@ func (s *Server) Stats() Stats {
 		Failed:        s.failed.Load(),
 		InFlight:      s.adm.inFlight(),
 		Queued:        s.adm.waiting(),
-		Sessions:      s.reg.len(),
+		Sessions:      s.sessions.Len(),
 		Coalesce:      s.pipelines.Stats(),
 		Batch:         s.analyzeBatch.Stats(),
 		AnalyzePasses: s.analyzePasses.Load(),

@@ -312,6 +312,47 @@ OUTPUT(ry)
 	}
 }
 
+// MaxSessions bounds the live Sessions.  A circuit whose Session was
+// dropped opens a new one on its next request, from the artifacts the
+// store still holds, and answers the same bytes.
+func TestMaxSessionsBoundsSessions(t *testing.T) {
+	srv, ts := newTestServer(t, Config{MaxSessions: 2})
+	req := func(i int) PipelineRequest {
+		netlist := fmt.Sprintf("INPUT(a)\nINPUT(b)\nINPUT(c)\nx = AND(a, b)\ny = OR(x, c)\nOUTPUT(y)\nz = XOR(a, c)\nOUTPUT(z)\n# %d\n", i)
+		return PipelineRequest{
+			CircuitRef: CircuitRef{Netlist: netlist, Name: fmt.Sprintf("sessions-bound-%d", i)},
+			Spec:       protest.PipelineSpec{SimPatterns: 64},
+		}
+	}
+	var first []byte
+	for i := 0; i < 3; i++ {
+		resp, body := postJSON(t, ts.URL+"/v1/pipeline", req(i))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("circuit %d: %d %s", i, resp.StatusCode, body)
+		}
+		if i == 0 {
+			first = body
+		}
+	}
+	if got := srv.Stats().Sessions; got != 2 {
+		t.Fatalf("sessions = %d after three circuits, want MaxSessions = 2", got)
+	}
+	before := artifact.Default.Stats()
+	resp, again := postJSON(t, ts.URL+"/v1/pipeline", req(0))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("returning circuit: %d %s", resp.StatusCode, again)
+	}
+	if !bytes.Equal(first, again) {
+		t.Errorf("returning circuit answered other bytes:\n%s\n%s", first, again)
+	}
+	if after := artifact.Default.Stats(); after.Builds != before.Builds {
+		t.Errorf("re-opening a dropped Session built artifacts: builds %d -> %d", before.Builds, after.Builds)
+	}
+	if got := srv.Stats().Sessions; got != 2 {
+		t.Errorf("sessions = %d after the returning circuit, want 2", got)
+	}
+}
+
 // The SSE form must stream monotonic progress and finish with a report
 // identical to the plain JSON one.
 func TestPipelineSSE(t *testing.T) {

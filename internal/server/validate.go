@@ -45,7 +45,7 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.adm.release()
-	sess, err := s.reg.session(c)
+	sess, err := s.session(c)
 	if err != nil {
 		s.failed.Add(1)
 		s.error(w, statusFor(err), err)

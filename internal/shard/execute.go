@@ -1,17 +1,13 @@
 package shard
 
 import (
-	"container/list"
 	"context"
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"protest/internal/artifact"
 	"protest/internal/circuit"
-	"protest/internal/coalesce"
 	"protest/internal/fault"
 	"protest/internal/netlist"
 )
@@ -27,28 +23,17 @@ var ErrUnknownCircuit = errors.New("shard: unknown circuit digest")
 // store (so repeated shards of one run partition the circuit once),
 // and runs the measurement's body over the shard's block range.
 //
-// Circuits are resolved by digest.  A netlist the Executor receives
-// is checked against the digest sent with it and decoded
-// (netlist.Decode, so its circuit is the coordinator's, node for node)
-// only when the Executor does not hold that digest yet; requests that
-// carry one new digest at once share one decode.  The interned circuit
-// stays under its digest for later requests, with or without the
-// netlist, and the Executor holds at most artifact.DefaultCapacity
-// circuits in LRU order.
+// Circuits are resolved by digest, in an artifact.Cache of
+// artifact.DefaultCapacity circuits, the Executor's own.  A netlist
+// the Executor receives is checked against the digest sent with it and
+// decoded (netlist.Decode, so its circuit is the coordinator's, node
+// for node) only when the Executor does not hold that digest yet;
+// requests that carry one new digest at once share one decode, and
+// wait for it.  The interned circuit stays under its digest for later
+// requests, with or without the netlist, in LRU order.
 type Executor struct {
-	store   *artifact.Store
-	decodes *coalesce.Group[string, *circuit.Circuit, struct{}]
-	decoded atomic.Int64 // netlists decoded
-
-	mu       sync.Mutex
-	circuits map[string]*list.Element // digest → element of lru
-	lru      *list.List               // of *cached; front = most recently used
-}
-
-// cached is one circuit the Executor holds, under its digest.
-type cached struct {
-	digest string
-	c      *circuit.Circuit
+	store    *artifact.Store
+	circuits *artifact.Cache[string, *circuit.Circuit] // by digest
 }
 
 // NewExecutor creates an Executor over the process-wide artifact
@@ -56,9 +41,7 @@ type cached struct {
 func NewExecutor() *Executor {
 	return &Executor{
 		store:    artifact.Default,
-		decodes:  coalesce.NewGroup[string, *circuit.Circuit, struct{}](),
-		circuits: make(map[string]*list.Element),
-		lru:      list.New(),
+		circuits: artifact.NewCache[string, *circuit.Circuit](artifact.DefaultCapacity),
 	}
 }
 
@@ -70,7 +53,7 @@ func (e *Executor) Run(ctx context.Context, req *Request) (*Response, error) {
 	if err != nil {
 		return nil, fmt.Errorf("shard: %w", err)
 	}
-	c, err := e.resolve(ctx, req)
+	c, err := e.resolve(req)
 	if err != nil {
 		return nil, err
 	}
@@ -81,12 +64,12 @@ func (e *Executor) Run(ctx context.Context, req *Request) (*Response, error) {
 // digest of this wire version (see Digest): a coordinator of another
 // version numbers its shards another way, and failing its attempt
 // makes it run the shard locally instead.
-func (e *Executor) resolve(ctx context.Context, req *Request) (*circuit.Circuit, error) {
+func (e *Executor) resolve(req *Request) (*circuit.Circuit, error) {
 	if !strings.HasPrefix(req.Digest, wireVersion) {
 		return nil, fmt.Errorf("shard: digest %q is not a %s digest", req.Digest, wireVersion)
 	}
 	if req.Netlist == "" {
-		if c := e.lookup(req.Digest); c != nil {
+		if c, ok := e.circuits.Peek(req.Digest); ok {
 			return c, nil
 		}
 		return nil, ErrUnknownCircuit
@@ -96,48 +79,11 @@ func (e *Executor) resolve(ctx context.Context, req *Request) (*circuit.Circuit,
 	if req.Digest != Digest(req.Name, req.Netlist) {
 		return nil, fmt.Errorf("shard: digest %q does not match the netlist", req.Digest)
 	}
-	// Requests that carry one digest at once share this call, and a
-	// digest already held needs no decode.
-	c, err, _ := e.decodes.Do(ctx, req.Digest, nil, func(context.Context, func(struct{})) (*circuit.Circuit, error) {
-		if c := e.lookup(req.Digest); c != nil {
-			return c, nil
-		}
-		e.decoded.Add(1)
+	return e.circuits.Get(req.Digest, func() (*circuit.Circuit, error) {
 		c, err := netlist.Decode(req.Netlist, req.Name)
 		if err != nil {
 			return nil, fmt.Errorf("shard: bad netlist: %w", err)
 		}
-		c = e.store.Intern(c)
-		e.remember(req.Digest, c)
-		return c, nil
+		return e.store.Intern(c), nil
 	})
-	return c, err
-}
-
-// lookup returns the circuit held under digest d, or nil.
-func (e *Executor) lookup(d string) *circuit.Circuit {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	el, ok := e.circuits[d]
-	if !ok {
-		return nil
-	}
-	e.lru.MoveToFront(el)
-	return el.Value.(*cached).c
-}
-
-// remember holds c under digest d, evicting the least recently used
-// circuit beyond artifact.DefaultCapacity.
-func (e *Executor) remember(d string, c *circuit.Circuit) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if el, ok := e.circuits[d]; ok {
-		e.lru.MoveToFront(el)
-		return
-	}
-	e.circuits[d] = e.lru.PushFront(&cached{digest: d, c: c})
-	if e.lru.Len() > artifact.DefaultCapacity {
-		old := e.lru.Remove(e.lru.Back()).(*cached)
-		delete(e.circuits, old.digest)
-	}
 }

@@ -646,7 +646,7 @@ func TestExecutorDigests(t *testing.T) {
 				case st.err == errRejected && (err == nil || errors.Is(err, ErrUnknownCircuit)):
 					t.Fatalf("step %d: error %v, want a rejection", i, err)
 				}
-				if n := e.decoded.Load(); n != st.decoded {
+				if n := e.circuits.Stats().Builds; n != st.decoded {
 					t.Fatalf("step %d: %d netlists decoded, want %d", i, n, st.decoded)
 				}
 			}
@@ -688,7 +688,7 @@ func TestExecutorDigests(t *testing.T) {
 				t.Fatalf("request %d: %v", i, err)
 			}
 		}
-		if got := e.decoded.Load(); got != 1 {
+		if got := e.circuits.Stats().Builds; got != 1 {
 			t.Fatalf("%d netlists decoded for one digest, want 1", got)
 		}
 	})
@@ -710,8 +710,8 @@ func TestExecutorBoundsCircuits(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := e.lru.Len(); n != artifact.DefaultCapacity || len(e.circuits) != n {
-		t.Fatalf("executor holds %d circuits (%d digests), want %d", n, len(e.circuits), artifact.DefaultCapacity)
+	if n := e.circuits.Len(); n != artifact.DefaultCapacity {
+		t.Fatalf("executor holds %d circuits, want %d", n, artifact.DefaultCapacity)
 	}
 	if _, err := e.Run(context.Background(), req(0, "")); !errors.Is(err, ErrUnknownCircuit) {
 		t.Fatalf("least recently used circuit still held: %v", err)
