@@ -92,7 +92,7 @@ func runPipeline(ctx context.Context, args []string) error {
 	grid := fs.Int("grid", 16, "weight quantization lattice denominator")
 	sim := fs.Int("sim", 0, "fault-simulation budget per plan (0 = derive from test length)")
 	maxSim := fs.Int("maxsim", 4096, "cap on the derived simulation budget")
-	bistCycles := fs.Int("bist", 0, "also run a MISR self-test with this many cycles (0 = off)")
+	bistCycles := fs.Int("bist", 0, "also run a MISR self-test with this many cycles (0 = off, negative is an error)")
 	misr := fs.Uint("misr", 16, "MISR width for -bist")
 	seed := fs.Uint64("seed", 1, "pattern generator seed")
 	workers := fs.Int("workers", 1, "run optimizer scoring and fault simulation on this many goroutines (-1 = all cores; identical results)")
@@ -129,7 +129,7 @@ func runPipeline(ctx context.Context, args []string) error {
 		SimWidth:        *width,
 		FaultModel:      model,
 	}
-	if *bistCycles > 0 {
+	if *bistCycles != 0 {
 		spec.BIST = &protest.BISTPlan{Cycles: *bistCycles, MISRWidth: *misr}
 	}
 	if err := spec.Validate(); err != nil {

@@ -79,7 +79,8 @@ func parity(x uint64) uint64 {
 
 // Plan describes one self-test session.
 type Plan struct {
-	// Cycles is the number of test patterns applied.
+	// Cycles is the number of test patterns applied: 0 means 1024,
+	// and a negative count is an error.
 	Cycles int
 	// MISRWidth selects the signature register width (default 16).
 	MISRWidth uint
@@ -196,7 +197,10 @@ func (p *Program) Run(ctx context.Context, gen *pattern.Generator, plan Plan, en
 	if err := faultsim.CheckEngine(engine); err != nil {
 		return nil, err
 	}
-	if plan.Cycles <= 0 {
+	switch {
+	case plan.Cycles < 0:
+		return nil, fmt.Errorf("bist: %d cycles, want at least 0 (0 = 1024)", plan.Cycles)
+	case plan.Cycles == 0:
 		plan.Cycles = 1024
 	}
 	if plan.MISRWidth == 0 {

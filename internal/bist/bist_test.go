@@ -200,6 +200,20 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
+// TestRunNegativeCycles: a negative cycle count is an error, for both
+// engines, and runs no self test.  It used to run the 1024-cycle
+// default, as 0 does.
+func TestRunNegativeCycles(t *testing.T) {
+	c := circuits.C17()
+	prog := NewProgram(c, fault.Collapse(c), nil)
+	for _, eng := range []faultsim.EngineKind{faultsim.EngineFFR, faultsim.EngineNaive} {
+		res, err := prog.Run(context.Background(), pattern.NewUniform(len(c.Inputs), 1), Plan{Cycles: -5}, eng, 0, nil)
+		if err == nil || res != nil {
+			t.Errorf("%v: Run with -5 cycles = %+v, %v; want an error", eng, res, err)
+		}
+	}
+}
+
 func TestRunDefaults(t *testing.T) {
 	c := circuits.C17()
 	gen := pattern.NewUniform(len(c.Inputs), 1)

@@ -8,7 +8,12 @@
 //     64-pattern blocks (W = 1 or 8) runs one good simulation, one
 //     backward critical-path trace per live region and one
 //     dominator-bounded stem propagation per live stem, collapsing
-//     per-fault work to one fused lane loop per fault.  Each
+//     per-fault work to one fused lane loop per fault.  The trace and
+//     the propagation, with the composition of each stem's
+//     observability, are compiled once per circuit into per-stem
+//     instruction streams (widesim.Stems) that widesim's evaluation
+//     loops run, and at W = 8 on AVX2 CPUs the counting pass runs an
+//     assembly kernel (count8AVX2).  Each
 //     measurement has one body over a stretch of its block schedule
 //     (Schedule): DetectionCounts counts inside that loop, masked to
 //     each block's valid patterns, and stores no detection words;
@@ -195,7 +200,7 @@ func (s *Simulator) simulateFault(goodVals []uint64, f fault.Fault) uint64 {
 	}
 	// Activation: patterns where the fault changes the site value,
 	// intersected with the kind's condition word (every kind is a
-	// conditional stuck-at; wideEngine.detect applies the same ones).
+	// conditional stuck-at; detectWords applies the same ones).
 	act := goodVals[site] ^ stuck
 	switch f.Kind {
 	case fault.KindBridgeAND, fault.KindBridgeOR:

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"protest/internal/circuit"
 	"protest/internal/circuits"
 	"protest/internal/fault"
 	"protest/internal/pattern"
@@ -131,10 +130,11 @@ func TestMeasureDetectionParallelCtx(t *testing.T) {
 	}
 }
 
-// TestSharedRegionsConcurrent races the per-circuit stem regions: the
-// plans of all three fault models over one fresh circuit are built and
-// run on the W=8 engine by several goroutines at once, so the regions,
-// their compiled form and the compiled full cones are each first
+// TestSharedRegionsConcurrent races the per-circuit compiled code and
+// the per-plan fault records: the plans of all three fault models over
+// one fresh circuit are run on the W=8 engine by several goroutines at
+// once, two per plan, so the compiled program and per-stem streams,
+// each plan's records and the compiled full cones are each first
 // requested concurrently.  Every detection count and capture word must
 // equal a serial run on a separate instance of the circuit.
 func TestSharedRegionsConcurrent(t *testing.T) {
@@ -143,8 +143,8 @@ func TestSharedRegionsConcurrent(t *testing.T) {
 		detected []int
 		capture  []uint64
 	}
-	simulate := func(c *circuit.Circuit, m fault.Model) run {
-		plan := NewPlan(c, m.Faults(c))
+	simulate := func(plan *Plan) run {
+		c := plan.Circuit()
 		res, err := plan.MeasureDetection(context.Background(),
 			pattern.NewUniform(len(c.Inputs), 9), n, Options{Width: 8}, nil)
 		if err != nil {
@@ -163,10 +163,14 @@ func TestSharedRegionsConcurrent(t *testing.T) {
 	ref := circuits.Mult8()
 	want := make([]run, len(models))
 	for i, m := range models {
-		want[i] = simulate(ref, m)
+		want[i] = simulate(NewPlan(ref, m.Faults(ref)))
 	}
 
 	c := circuits.Mult8()
+	plans := make([]*Plan, len(models))
+	for i, m := range models {
+		plans[i] = NewPlan(c, m.Faults(c))
+	}
 	const goroutines = 6
 	got := make([]run, goroutines)
 	start := make(chan struct{})
@@ -176,7 +180,7 @@ func TestSharedRegionsConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			got[g] = simulate(c, models[g%len(models)])
+			got[g] = simulate(plans[g%len(models)])
 		}()
 	}
 	close(start)

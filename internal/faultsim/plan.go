@@ -1,82 +1,89 @@
 package faultsim
 
 import (
+	"sync"
+
 	"protest/internal/circuit"
 	"protest/internal/fault"
 )
 
 // Plan is the immutable, shareable part of the FFR fault-simulation
-// engine: the fault list partitioned by fanout-free region, per-fault
-// injection metadata, and the per-stem propagation regions bounded by
-// the stem's immediate dominator (shared with the circuit's other
-// plans).  Build it once per (circuit, fault list) and bind any number
-// of wide engines to it (AcquireWideEngine) — each engine owns only
-// per-chunk scratch, so parallel workers share one Plan the same way
-// concurrent evaluators share one core.Program.
+// engine: the fault list partitioned by fanout-free region, and per
+// fault the value slots its detection reads in the circuit's compiled
+// streams (shared with the circuit's other plans), resolved on first
+// simulation.  Build it once per (circuit, fault list) and bind any
+// number of wide engines to it (AcquireWideEngine) — each engine owns
+// only per-chunk scratch, so parallel workers share one Plan the same
+// way concurrent evaluators share one core.Program.
 type Plan struct {
 	c      *circuit.Circuit
 	ffr    *circuit.FFR
 	part   *fault.FFRPartition
 	faults []fault.Fault
-	info   []faultInfo
+	code   *circuitCode
 
-	maxFanin int // largest gate fanin (at least 1): engine scratch size
-
-	// regs holds the circuit's stem regions, shared by every plan of
-	// the circuit; regs.pinOff lays out the engines' line tables.
-	regs *stemRegions
+	recsOnce sync.Once
+	recs     []faultRec // per fault, see records
 }
 
-// faultInfo is the per-fault injection recipe resolved at plan time.
-type faultInfo struct {
-	site  circuit.NodeID // node whose value activates the fault
-	gate  circuit.NodeID // gate owning the faulty pin (== site for stems)
-	aggr  circuit.NodeID // bridge aggressor node (kind.IsBridge() only)
-	pin   int32          // fault.StemPin for stem faults
-	line  int32          // line-table slot: site, or the faulty gate pin
-	group int32          // FFR index (position in ffr.Stems)
-	kind  fault.Kind     // activation condition selector
-	stuck uint64         // faulty capture value replicated across the word
+// faultRec is a fault's detection recipe, resolved against the
+// circuit's compiled streams (Plan.records).  The W = 8 counting kernel
+// reads it (count_amd64.s), so its layout is fixed: three int32 slots,
+// the activation class as an int32, then the stuck word, 24 bytes in
+// all.
+type faultRec struct {
+	site  int32  // value slot of the node whose value activates the fault
+	line  int32  // value slot of the fault's line (widesim.Stems.Line): the site, or the faulty gate pin
+	aggr  int32  // value slot of the bridge aggressor (actBridge only)
+	act   int32  // activation condition: actPlain, actBridge or actTransition
+	stuck uint64 // faulty capture value replicated across the word
 }
 
-// NewPlan partitions the fault list by FFR and resolves each fault's
-// injection recipe.  The stem regions come from the circuit
-// (circuitRegions), built by the first plan of the circuit.
+// The activation conditions of the fault kinds: every kind is a
+// conditional stuck-at (see detectWords).
+const (
+	actPlain      = iota // stuck-at
+	actBridge            // KindBridgeAND, KindBridgeOR
+	actTransition        // KindSlowRise, KindSlowFall
+)
+
+// NewPlan partitions the fault list by FFR.  The circuit's compiled
+// streams, which every plan of the circuit shares, and the plan's
+// fault records are built on first simulation.
 func NewPlan(c *circuit.Circuit, faults []fault.Fault) *Plan {
-	ffr := c.FFR()
-	p := &Plan{
-		c:        c,
-		ffr:      ffr,
-		part:     fault.GroupByFFR(c, faults),
-		faults:   faults,
-		info:     make([]faultInfo, len(faults)),
-		maxFanin: 1,
-		regs:     circuitRegions(c),
+	return &Plan{
+		c:      c,
+		ffr:    c.FFR(),
+		part:   fault.GroupByFFR(c, faults),
+		faults: faults,
+		code:   compiled(c),
 	}
-	for i := range c.Nodes {
-		p.maxFanin = max(p.maxFanin, len(c.Nodes[i].Fanin))
-	}
-	for i, f := range faults {
-		in := faultInfo{
-			site:  f.Site(c),
-			gate:  f.Gate,
-			pin:   int32(f.Pin),
-			group: p.part.GroupOf[i],
-			kind:  f.Kind,
+}
+
+// records returns the detection recipe of every fault, resolving them
+// against the circuit's compiled streams on first use.
+func (p *Plan) records() []faultRec {
+	p.recsOnce.Do(func() {
+		_, stems := p.code.streams()
+		p.recs = make([]faultRec, len(p.faults))
+		for i, f := range p.faults {
+			r := faultRec{
+				site: int32(f.Site(p.c)),
+				line: stems.Line(f.Gate, f.Pin),
+			}
+			if f.StuckAt {
+				r.stuck = ^uint64(0)
+			}
+			switch {
+			case f.Kind.IsBridge():
+				r.act, r.aggr = actBridge, int32(f.Aggressor)
+			case f.Kind.IsTransition():
+				r.act = actTransition
+			}
+			p.recs[i] = r
 		}
-		in.line = int32(in.site)
-		if !f.IsStem() {
-			in.line = p.regs.pinOff[f.Gate] + int32(f.Pin)
-		}
-		if f.StuckAt {
-			in.stuck = ^uint64(0)
-		}
-		if f.Kind.IsBridge() {
-			in.aggr = f.Aggressor
-		}
-		p.info[i] = in
-	}
-	return p
+	})
+	return p.recs
 }
 
 // Circuit returns the planned circuit.

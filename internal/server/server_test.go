@@ -486,13 +486,15 @@ func TestBadRequests(t *testing.T) {
 // phase runs, on the synchronous and the async endpoint alike; it used
 // to answer 500 after the analysis and test-length phases.  So is a
 // plan that still sends the Engine and SimWidth fields BIST plans no
-// longer have, which the server used to ignore.  A valid BIST plan
+// longer have, which the server used to ignore, and a negative cycle
+// count, which used to run the 1024-cycle default.  A valid BIST plan
 // runs.
 func TestBadBISTSpecIs400(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	for _, bad := range []string{
 		`{"circuit":"c17","spec":{"bist":{"Cycles":128,"MISRWidth":9}}}`,
 		`{"circuit":"c17","spec":{"bist":{"Cycles":128,"MISRWidth":8,"Engine":9,"SimWidth":4}}}`,
+		`{"circuit":"c17","spec":{"bist":{"cycles":-5}}}`,
 	} {
 		for _, path := range []string{"/v1/pipeline", "/v1/jobs"} {
 			resp, out := postJSON(t, ts.URL+path, json.RawMessage(bad))

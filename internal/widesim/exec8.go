@@ -1,8 +1,9 @@
 package widesim
 
 // execAVX2 runs code over the value array of s with the assembly loop
-// exec8AVX2 (see the package comment), which stops at each table gate:
-// Go evaluates the gate with evalSlow and the loop resumes after it.
+// exec8AVX2 (see the package comment), which stops at each table gate
+// and each opTablePin: Go evaluates the instruction with evalSlow and
+// the loop resumes after it.
 func execAVX2(s *Sim[B8], code []instr, st *stream) {
 	for {
 		i := exec8AVX2(s.values, code, st.args)
@@ -18,8 +19,8 @@ func execAVX2(s *Sim[B8], code []instr, st *stream) {
 // exec8 is the Go evaluation loop of Sim[B8] where the CPU lacks AVX2
 // (see the package comment): it runs the same instruction stream over
 // the same value array as the generic loop, but writes each gate's
-// eight lanes as straight-line code.  Table gates take the generic
-// evalSlow.
+// eight lanes as straight-line code.  Table gates and opTablePin take
+// the generic evalSlow.
 func exec8(s *Sim[B8], code []instr, st *stream) {
 	v := s.values
 	for i := range code {
@@ -98,12 +99,24 @@ func exec8(s *Sim[B8], code []instr, st *stream) {
 			d[5] = ^(x[5] ^ y[5])
 			d[6] = ^(x[6] ^ y[6])
 			d[7] = ^(x[7] ^ y[7])
+		case opAndNot2:
+			x, y := &v[ins.a], &v[ins.b]
+			d[0] = ^x[0] & y[0]
+			d[1] = ^x[1] & y[1]
+			d[2] = ^x[2] & y[2]
+			d[3] = ^x[3] & y[3]
+			d[4] = ^x[4] & y[4]
+			d[5] = ^x[5] & y[5]
+			d[6] = ^x[6] & y[6]
+			d[7] = ^x[7] & y[7]
 		case opConst0:
 			*d = B8{}
 		case opConst1:
 			*d = Ones[B8]()
 		case opAndN, opNandN, opOrN, opNorN, opXorN, opXnorN:
 			nary8(v, st.args[ins.a:ins.a+ins.b], ins.op(), d)
+		case opOrXorN:
+			orXor8(v, st.args[ins.a:ins.a+ins.b], d)
 		default:
 			s.evalSlow(ins, st, d)
 		}
@@ -166,4 +179,30 @@ func nary8(v []B8, pins []int32, op opcode, d *B8) {
 	d[5] = a5 ^ inv
 	d[6] = a6 ^ inv
 	d[7] = a7 ^ inv
+}
+
+// orXor8 evaluates opOrXorN at W = 8: the OR, over the pairs of pins,
+// of their XOR.  The eight lanes accumulate in locals and *d is written
+// once.
+func orXor8(v []B8, pins []int32, d *B8) {
+	var a0, a1, a2, a3, a4, a5, a6, a7 uint64
+	for i := 0; i+1 < len(pins); i += 2 {
+		x, y := &v[pins[i]], &v[pins[i+1]]
+		a0 |= x[0] ^ y[0]
+		a1 |= x[1] ^ y[1]
+		a2 |= x[2] ^ y[2]
+		a3 |= x[3] ^ y[3]
+		a4 |= x[4] ^ y[4]
+		a5 |= x[5] ^ y[5]
+		a6 |= x[6] ^ y[6]
+		a7 |= x[7] ^ y[7]
+	}
+	d[0] = a0
+	d[1] = a1
+	d[2] = a2
+	d[3] = a3
+	d[4] = a4
+	d[5] = a5
+	d[6] = a6
+	d[7] = a7
 }

@@ -1,8 +1,9 @@
 package widesim
 
-// hasAVX2 reports whether the CPU has AVX2 and the OS saves its YMM
-// registers across context switches, so that Sim[B8] may run the
-// assembly loop exec8AVX2.  It is read once, at package init.
+// hasAVX2 reports whether the CPU has AVX2 and POPCNT and the OS saves
+// its YMM registers across context switches, so that Sim[B8] may run
+// the assembly loop exec8AVX2 and the fault simulator its counting
+// kernel.  It is read once, at package init.
 var hasAVX2 = detectAVX2()
 
 func detectAVX2() bool {
@@ -11,8 +12,8 @@ func detectAVX2() bool {
 		return false
 	}
 	_, _, ecx1, _ := cpuid(1, 0)
-	const osxsave, avx = 1 << 27, 1 << 28
-	if ecx1&osxsave == 0 || ecx1&avx == 0 {
+	const popcnt, osxsave, avx = 1 << 23, 1 << 27, 1 << 28
+	if ecx1&popcnt == 0 || ecx1&osxsave == 0 || ecx1&avx == 0 {
 		return false
 	}
 	// XCR0 bits 1 and 2: the OS saves the XMM and YMM state.

@@ -4,10 +4,11 @@
 //
 // A B8 is 64 bytes, so value slot s starts at byte s<<6, and its lanes
 // 0-3 and 4-7 are one YMM register each: Y0 and Y1 accumulate the
-// result.  Every odd opcode below opTable (Const1, Not, Nand2, Nor2,
+// result.  Every odd opcode below opAndNot2 (Const1, Not, Nand2, Nor2,
 // Xnor2, NandN, NorN and XnorN) is the inverse of the even one before
 // it, so one test of bit 0 and an XOR with the all-ones register Y9
-// cover all of them.
+// cover all of them.  opAndNot2 and opOrXorN store their result
+// directly, and opTable and opTablePin return to Go.
 //
 // Registers: DI values, SI the current instr, BX its index, CX the
 // stream length, R8 args, AX the opcode, DX the output's byte offset,
@@ -83,8 +84,8 @@ next:
 	// n-ary gate: R9 is its pin list's offset in args and R10 its pin
 	// count, always at least 3.  R11 walks the pins, R9 ends them.
 nary:
-	CMPL    AX, $15      // opXnorN: above it, a table gate for Go
-	JA      done
+	CMPL    AX, $15      // opXnorN
+	JA      more
 	MOVL    8(SI), R10
 	LEAQ    (R8)(R9*4), R11
 	LEAQ    (R11)(R10*4), R9
@@ -127,6 +128,47 @@ andn:
 	CMPQ  R11, R9
 	JB    andn
 	JMP   invert
+
+more:
+	CMPL    AX, $17      // opOrXorN
+	JE      orxorn
+	JA      done         // opTable and opTablePin, for Go
+
+	// opAndNot2: ^a & b, with R9 the slot of a.
+	SHLQ    $6, R9
+	MOVL    8(SI), R10
+	SHLQ    $6, R10
+	VMOVDQU (DI)(R9*1), Y0
+	VMOVDQU 32(DI)(R9*1), Y1
+	VPANDN  (DI)(R10*1), Y0, Y0
+	VPANDN  32(DI)(R10*1), Y1, Y1
+	JMP     store
+
+	// opOrXorN: R9 is its pin list's offset in args and R10 its pin
+	// count, even and at least 4.  R11 walks the pairs, R9 ends them,
+	// and Y2 and Y3 hold each pair's XOR.
+orxorn:
+	MOVL  8(SI), R10
+	LEAQ  (R8)(R9*4), R11
+	LEAQ  (R11)(R10*4), R9
+	VPXOR Y0, Y0, Y0
+	VPXOR Y1, Y1, Y1
+
+orxor:
+	MOVL    (R11), R10
+	SHLQ    $6, R10
+	VMOVDQU (DI)(R10*1), Y2
+	VMOVDQU 32(DI)(R10*1), Y3
+	MOVL    4(R11), R10
+	SHLQ    $6, R10
+	VPXOR   (DI)(R10*1), Y2, Y2
+	VPXOR   32(DI)(R10*1), Y3, Y3
+	VPOR    Y2, Y0, Y0
+	VPOR    Y3, Y1, Y1
+	ADDQ    $8, R11
+	CMPQ    R11, R9
+	JB      orxor
+	JMP     store
 
 done:
 	VZEROUPPER

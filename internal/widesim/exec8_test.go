@@ -10,14 +10,17 @@ import (
 
 // TestAVX2MatchesExec8 runs the assembly loop (with its Go resumption
 // at table gates) and the Go loop exec8 on copies of one value array,
-// over the good program and every stem's fanout-cone stream, and
-// requires identical words in both banks after every stream.  The
-// random circuits carry every n-ary form at 3 to 9 pins (see
-// TestWideMatchesNarrow); circuits.Tables adds table gates and
-// constants.  Its program starts with the constants and then two table
-// gates in a row, and ends with a table gate, so it covers every place
-// where the assembly loop stops and resumes around a table gate.
-// Every slot starts random, so each lane of each operand is exercised.
+// over the good program, every stem's fanout-cone stream and every
+// stream of the circuit's compiled Stems (each stem's trace and its
+// observation: region and composition), and requires identical words
+// in every slot after every stream.  The random circuits carry every
+// n-ary form at 3 to 9 pins (see TestWideMatchesNarrow) and every
+// per-stem form but opTablePin; circuits.Tables adds table gates,
+// their pin differences and constants.  Its program starts with the
+// constants and then two table gates in a row, and ends with a table
+// gate, so it covers every place where the assembly loop stops and
+// resumes around a table gate.  Every slot but the two constants starts
+// random, so each lane of each operand is exercised.
 func TestAVX2MatchesExec8(t *testing.T) {
 	if !hasAVX2 {
 		t.Skip("no AVX2 (or the OS does not save YMM state): Sim[B8] runs exec8 only, so there is nothing to compare")
@@ -26,11 +29,18 @@ func TestAVX2MatchesExec8(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		cs = append(cs, circuits.Random(circuits.RandomOptions{Inputs: 16, Gates: 200, Seed: seed, MaxArity: 9}))
 	}
+	seen := map[opcode]bool{}
 	for _, c := range cs {
 		p := Compile(c)
+		stems := p.CompileStems()
 		asm, ref := NewSim[B8](p), NewSim[B8](p)
+		asm.Reset(p, stems.Slots())
+		ref.Reset(p, stems.Slots())
 		rng := pattern.NewRNG(7)
 		for i := range asm.values {
+			if i == int(p.ones()) || i == int(p.zero()) {
+				continue
+			}
 			for l := range asm.values[i] {
 				asm.values[i][l] = rng.Uint64()
 			}
@@ -38,6 +48,9 @@ func TestAVX2MatchesExec8(t *testing.T) {
 		copy(ref.values, asm.values)
 		check := func(what string, code []instr, st *stream) {
 			t.Helper()
+			for i := range code {
+				seen[code[i].op()] = true
+			}
 			execAVX2(asm, code, st)
 			exec8(ref, code, st)
 			for slot := range asm.values {
@@ -48,17 +61,27 @@ func TestAVX2MatchesExec8(t *testing.T) {
 			}
 		}
 		check("good program", p.code, &p.stream)
-		var stems []circuit.NodeID
+		var roots []circuit.NodeID
 		var cones [][]circuit.NodeID
 		for id := range c.Nodes {
 			if len(c.Nodes[id].Fanout) > 0 {
-				stems = append(stems, circuit.NodeID(id))
+				roots = append(roots, circuit.NodeID(id))
 				cones = append(cones, c.FanoutCone(circuit.NodeID(id)))
 			}
 		}
-		r := p.CompileRegions(stems, cones)
-		for i, s := range stems {
-			check("stem "+c.Node(s).Name, r.code[r.off[i]:r.off[i+1]], &r.stream)
+		r := p.compileRegions(roots, cones)
+		for i, s := range roots {
+			check("cone of "+c.Node(s).Name, r.code[r.off[i]:r.off[i+1]], &r.stream)
+		}
+		for i := len(c.FFR().Stems) - 1; i >= 0; i-- {
+			name := c.Node(c.FFR().Stems[i]).Name
+			check("trace of "+name, stems.code[stems.off[2*i]:stems.off[2*i+1]], &stems.stream)
+			check("observation of "+name, stems.code[stems.off[2*i+1]:stems.off[2*i+2]], &stems.stream)
+		}
+	}
+	for _, op := range []opcode{opAndN, opNorN, opAndNot2, opOrXorN, opTable, opTablePin} {
+		if !seen[op] {
+			t.Errorf("no stream ran opcode %d", op)
 		}
 	}
 }

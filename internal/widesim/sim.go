@@ -12,34 +12,40 @@ import (
 // arrays (lanes of one node contiguous), evaluated by a loop over the
 // instruction stream (see exec).
 //
-// Its value array holds the two banks: the good values, written by Run,
-// and the faulty values of one stem flip, written by Propagate.
+// Its value array holds the two banks, the good values written by Run
+// and the faulty values of one stem flip written by Propagate and
+// Observe, then the constant slots and the slots of compiled Stems (see
+// Program).
 //
 // A Sim holds only per-call scratch; the Program is immutable and
 // shared.  Sim is not safe for concurrent use — pool instances instead.
 type Sim[B Block] struct {
 	p      *Program
-	values []B      // good bank, then faulty bank
+	values []B      // good bank, faulty bank, constant slots, Stems slots
 	inbuf  []uint64 // per-lane pin scratch for table gates
 }
 
 // NewSim creates a simulator of width B over the compiled program.
 func NewSim[B Block](p *Program) *Sim[B] {
 	s := &Sim[B]{}
-	s.Reset(p)
+	s.Reset(p, 0)
 	return s
 }
 
-// Reset rebinds the simulator to another program, reusing its value
-// array when large enough; nil detaches it.  Values are undefined until
-// the next SetInputs and Run.
-func (s *Sim[B]) Reset(p *Program) {
+// Reset rebinds the simulator to another program with a value array of
+// the program's banks and constant slots, or of slots vectors when that
+// is more (Stems.Slots), reusing its array when large enough; nil
+// detaches it.  It fills the constant slots; the banks are undefined
+// until the next SetInputs and Run.
+func (s *Sim[B]) Reset(p *Program, slots int) {
 	s.p = p
 	if p == nil {
 		return
 	}
-	n := 2 * p.c.NumNodes()
+	n := max(int(p.fixed()), slots)
 	s.values = slices.Grow(s.values[:0], n)[:n]
+	var zero B
+	s.values[p.ones()], s.values[p.zero()] = Ones[B](), zero
 	s.inbuf = slices.Grow(s.inbuf[:0], p.maxArity)[:p.maxArity]
 }
 
@@ -83,6 +89,21 @@ func (s *Sim[B]) Propagate(r *Regions, i int) {
 	s.exec(r.code[r.off[i]:r.off[i+1]], &r.stream)
 }
 
+// Trace runs the trace of stem i of st, which must have been compiled
+// against the simulator's program, over the good values of the last
+// Run: it writes the lines of the stem's FFR.
+func (s *Sim[B]) Trace(st *Stems, i int) {
+	s.exec(st.code[st.off[2*i]:st.off[2*i+1]], &st.stream)
+}
+
+// Observe runs the trace and the observation of stem i of st (see
+// Stems): it writes the lines of the stem's FFR, faulty values of its
+// region and its observability.  The observations of the stems further
+// down its dominator chain must have run since the last Run.
+func (s *Sim[B]) Observe(st *Stems, i int) {
+	s.exec(st.code[st.off[2*i]:st.off[2*i+2]], &st.stream)
+}
+
 // exec runs code, whose n-ary and table gates refer to st, over the
 // value array, writing each result in place.  W = 8 runs execAVX2
 // where the CPU has AVX2 and exec8 elsewhere; W = 1 runs the generic
@@ -122,6 +143,8 @@ func (s *Sim[B]) exec(code []instr, st *stream) {
 			xor(d, &v[ins.a], &v[ins.b])
 		case opXnor2:
 			xnor(d, &v[ins.a], &v[ins.b])
+		case opAndNot2:
+			andNot(d, &v[ins.a], &v[ins.b])
 		case opConst0:
 			var z B
 			*d = z
@@ -133,8 +156,9 @@ func (s *Sim[B]) exec(code []instr, st *stream) {
 	}
 }
 
-// evalSlow handles n-ary and table gates, kept out of exec so the hot
-// loop stays small enough to stay in the instruction cache.
+// evalSlow handles n-ary and table gates and opTablePin, kept out of
+// exec so the hot loop stays small enough to stay in the instruction
+// cache.
 func (s *Sim[B]) evalSlow(ins *instr, st *stream, d *B) {
 	v := s.values
 	pins := st.args[ins.a : ins.a+ins.b]
@@ -167,6 +191,14 @@ func (s *Sim[B]) evalSlow(ins *instr, st *stream, d *B) {
 			not(d, d)
 		}
 		return
+	case opOrXorN:
+		var acc, x B
+		for i := 0; i < len(pins); i += 2 {
+			xor(&x, &v[pins[i]], &v[pins[i+1]])
+			or(&acc, &acc, &x)
+		}
+		*d = acc
+		return
 	case opTable:
 		tbl := st.tables[st.args[ins.a]]
 		pins = st.args[ins.a+1 : ins.a+1+ins.b]
@@ -175,6 +207,18 @@ func (s *Sim[B]) evalSlow(ins *instr, st *stream, d *B) {
 				s.inbuf[i] = v[f][l]
 			}
 			(*d)[l] = tbl.EvalWord(s.inbuf[:len(pins)])
+		}
+		return
+	case opTablePin:
+		a := st.args[ins.a : ins.a+4]
+		tbl, pin, gate, line := st.tables[a[0]], a[1], &v[a[2]], &v[a[3]]
+		pins = st.args[ins.a+4 : ins.a+4+ins.b]
+		for l := 0; l < len(*d); l++ {
+			for i, f := range pins {
+				s.inbuf[i] = v[f][l]
+			}
+			s.inbuf[pin] = ^s.inbuf[pin]
+			(*d)[l] = (tbl.EvalWord(s.inbuf[:len(pins)]) ^ (*gate)[l]) & (*line)[l]
 		}
 		return
 	}
@@ -192,5 +236,13 @@ func (s *Sim[B]) Values() []B {
 }
 
 // Faulty returns the faulty bank (one lane vector per node), valid
-// where the last Propagate wrote it.
-func (s *Sim[B]) Faulty() []B { return s.values[s.p.c.NumNodes():] }
+// where the last Propagate or Observe wrote it.
+func (s *Sim[B]) Faulty() []B {
+	n := s.p.c.NumNodes()
+	return s.values[n : 2*n : 2*n]
+}
+
+// Slots returns the whole value array: the two banks, the constant
+// slots and the slots of compiled Stems, which Stems.Line and Stems.Obs
+// index.
+func (s *Sim[B]) Slots() []B { return s.values }

@@ -15,12 +15,21 @@
 //     constant-length loop over W machine words and the per-gate
 //     dispatch and index arithmetic amortize over W×64 patterns.
 //
-// The value array has two banks: the good values, and the faulty values
-// of one stem flip.  Program.CompileRegions compiles a stem's region
-// into a stream that writes only the faulty bank and whose operands
-// were bound at compile time to the bank they must read, so fault
-// propagation (Sim.Propagate) runs the same evaluation loop as the good
-// simulation (Sim.Run) and never restores anything.
+// The value array holds several banks: the good values, the faulty
+// values of one stem flip, an all-ones and an all-zero slot, and the
+// line and observability slots of the fault simulator's per-stem
+// streams (see Program).  Program.CompileCones and
+// Program.CompileStems compile a stem's region into a stream that
+// writes only the faulty bank and whose operands were bound at compile
+// time to the bank they must read, so fault propagation (Sim.Propagate,
+// Sim.Observe) runs the same evaluation loop as the good simulation
+// (Sim.Run) and never restores anything.  The per-stem streams of
+// Stems also carry the critical-path trace of the stem's fanout-free
+// region and the composition of its observability, so all per-stem
+// work of the fault simulator runs in the evaluation loop.  Two
+// opcodes serve them: opAndNot2 (^a & b) for the lines of Or and Nor
+// pins, and opOrXorN, the OR of the XORs of pairs of slots, for the
+// observability of a stem that only the virtual sink dominates.
 //
 // The lane vector types B1 and B8 are plain uint64 arrays, and the lane
 // kernels (And, Or, ..., Store) are generic functions over the Block
@@ -30,8 +39,8 @@
 // parameter would instead go through the instantiation's dictionary as
 // indirect calls, one per lane-vector operation.
 //
-// Three evaluation loops run the compiled streams, chosen once per Run
-// or Propagate from the simulator's width and, at W = 8, the CPU.
+// Three evaluation loops run the compiled streams, chosen once per
+// call from the simulator's width and, at W = 8, the CPU.
 // W = 1 runs the generic loop, whose pointer forms of the kernels
 // write each gate's result in place.  W = 8 carries every full
 // chunk of the fault simulator's default schedule, so it runs nearly
@@ -39,23 +48,27 @@
 // 256-bit registers.  On amd64 CPUs with AVX2 it runs exec8AVX2, an
 // assembly loop that holds each B8 in two YMM registers, accumulates an
 // n-ary gate's pins in registers, and inverts the result of Nand, Nor,
-// Xnor, Not and Const1 with an all-ones register.  It stops
-// at each table gate, which Go evaluates before the loop resumes.
+// Xnor, Not and Const1 with an all-ones register.  It stops at each
+// table gate and at each opTablePin (a table gate's pin difference in a
+// trace), which Go evaluates before the loop resumes.
 // Everywhere else W = 8 runs exec8, a non-generic Go loop: the compiler
 // does not unroll the kernels' constant-trip loops, and at eight lanes
 // that loop overhead costs as much as the gate arithmetic, so exec8
 // writes the eight lanes of every 0-, 1- and 2-input gate as
 // straight-line code and accumulates an n-ary gate's lanes in locals.
-// Table gates take the generic evalSlow at every width.  Every loop
-// gives the same words (TestAVX2MatchesExec8 and TestWideMatchesNarrow
-// pin them to each other and to bitsim).
+// Table gates and opTablePin take the generic evalSlow at every width.
+// Every loop gives the same words (TestAVX2MatchesExec8 and
+// TestWideMatchesNarrow pin them to each other and to bitsim).  The
+// CPU check that selects the assembly loop, HasAVX2, also selects the
+// fault simulator's counting kernel.
 //
 // The assembly loop checks no index.  Instead every compiled stream
 // records a bound that each value slot it names lies below
 // (stream.slots: the circuit's node count for a Program, twice that for
-// Regions, whose streams also name the faulty bank), and each Run or
-// Propagate checks that bound against the value array once, panicking
-// before any gate runs on a stream compiled for a larger circuit.  The
+// Regions, whose streams also name the faulty bank, and the whole value
+// array for Stems), and each call checks that bound against the value
+// array once, panicking before any gate runs on a stream compiled for
+// a larger circuit or a value array sized without the Stems' slots.  The
 // n-ary pin ranges it reads are built by emit and lie inside the
 // stream's args.
 //
@@ -78,6 +91,11 @@ func CheckWidth(w int) error {
 	}
 	return fmt.Errorf("widesim: unsupported width %d (want 0, 1 or 8)", w)
 }
+
+// HasAVX2 reports whether W = 8 runs on AVX2 kernels here: the CPU has
+// AVX2 and POPCNT and the OS saves YMM state (see the package comment).
+// It is read once, at start-up.
+func HasAVX2() bool { return hasAVX2 }
 
 // B1 and B8 are the lane vectors: W consecutive 64-pattern blocks, one
 // block per array element.
@@ -149,10 +167,10 @@ func Store[B Block](x B, dst []uint64) {
 	}
 }
 
-// and, or, xor, nand, nor, xnor and not are the pointer forms of the
-// lane kernels that the evaluation loop runs: each writes its result in
-// place into *d, which may alias an operand, instead of returning it
-// through a 64-byte temporary.
+// and, or, xor, nand, nor, xnor, andNot and not are the pointer forms
+// of the lane kernels that the evaluation loop runs: each writes its
+// result in place into *d, which may alias an operand, instead of
+// returning it through a 64-byte temporary.
 func and[B Block](d, x, y *B) {
 	for i := 0; i < len(*d); i++ {
 		(*d)[i] = (*x)[i] & (*y)[i]
@@ -186,6 +204,12 @@ func nor[B Block](d, x, y *B) {
 func xnor[B Block](d, x, y *B) {
 	for i := 0; i < len(*d); i++ {
 		(*d)[i] = ^((*x)[i] ^ (*y)[i])
+	}
+}
+
+func andNot[B Block](d, x, y *B) {
+	for i := 0; i < len(*d); i++ {
+		(*d)[i] = ^(*x)[i] & (*y)[i]
 	}
 }
 

@@ -165,20 +165,27 @@ func TestNextBlocksStream(t *testing.T) {
 
 // TestStreamSlotsChecked: the W = 8 assembly loop makes no bounds
 // checks, so every width checks a stream's largest value slot against
-// the simulator's value array once per call.  A stem stream compiled
-// against mult, run on a simulator of c17, must panic there at every
-// width rather than read or write past the array.
+// the simulator's value array once per call.  A fanout-cone stream and
+// a stem observation compiled against mult, run on a simulator of c17,
+// must panic there at every width rather than read or write past the
+// array, and so must the first stem observation of c17's own Stems on
+// a simulator sized for c17's program alone, whose value array ends
+// before the line and observability slots.
 func TestStreamSlotsChecked(t *testing.T) {
 	big, _ := circuits.Lookup("mult")
 	small, _ := circuits.Lookup("c17")
-	stem := big.Inputs[0]
-	r := widesim.Compile(big).CompileRegions([]circuit.NodeID{stem}, [][]circuit.NodeID{big.FanoutCone(stem)})
-	p := widesim.Compile(small)
-	checkSlotPanic(t, widesim.NewSim[widesim.B1](p), r)
-	checkSlotPanic(t, widesim.NewSim[widesim.B8](p), r)
+	bigProg, p := widesim.Compile(big), widesim.Compile(small)
+	cones, bigStems, stems := bigProg.CompileCones(), bigProg.CompileStems(), p.CompileStems()
+	checkSlotPanic(t, widesim.NewSim[widesim.B1](p), func(s *widesim.Sim[widesim.B1]) { s.Propagate(cones, 0) })
+	checkSlotPanic(t, widesim.NewSim[widesim.B8](p), func(s *widesim.Sim[widesim.B8]) { s.Propagate(cones, 0) })
+	last := len(big.FFR().Stems) - 1
+	checkSlotPanic(t, widesim.NewSim[widesim.B1](p), func(s *widesim.Sim[widesim.B1]) { s.Observe(bigStems, last) })
+	checkSlotPanic(t, widesim.NewSim[widesim.B8](p), func(s *widesim.Sim[widesim.B8]) { s.Observe(bigStems, last) })
+	checkSlotPanic(t, widesim.NewSim[widesim.B1](p), func(s *widesim.Sim[widesim.B1]) { s.Observe(stems, 0) })
+	checkSlotPanic(t, widesim.NewSim[widesim.B8](p), func(s *widesim.Sim[widesim.B8]) { s.Observe(stems, 0) })
 }
 
-func checkSlotPanic[B widesim.Block](t *testing.T, s *widesim.Sim[B], r *widesim.Regions) {
+func checkSlotPanic[B widesim.Block](t *testing.T, s *widesim.Sim[B], run func(*widesim.Sim[B])) {
 	t.Helper()
 	defer func() {
 		t.Helper()
@@ -188,7 +195,7 @@ func checkSlotPanic[B widesim.Block](t *testing.T, s *widesim.Sim[B], r *widesim
 			t.Errorf("width %d: panic %q is not the slot check's", s.Width(), msg)
 		}
 	}()
-	s.Propagate(r, 0)
+	run(s)
 }
 
 func TestSetInputsLengthError(t *testing.T) {

@@ -73,9 +73,10 @@ func TestPipelineSpecNormalize(t *testing.T) {
 // A pipeline's BIST fields are checked with the rest of the spec, so a
 // bad MISR width is rejected before any phase runs, as ErrBadSpec.
 func TestPipelineSpecValidateBIST(t *testing.T) {
-	bad := BISTPlan{Cycles: 128, MISRWidth: 9}
-	if err := (PipelineSpec{BIST: &bad}).Validate(); !errors.Is(err, ErrBadSpec) {
-		t.Errorf("Validate(BIST %+v) = %v, want ErrBadSpec", bad, err)
+	for _, bad := range []BISTPlan{{Cycles: 128, MISRWidth: 9}, {Cycles: -5}, {Cycles: -1, MISRWidth: 16}} {
+		if err := (PipelineSpec{BIST: &bad}).Validate(); !errors.Is(err, ErrBadSpec) {
+			t.Errorf("Validate(BIST %+v) = %v, want ErrBadSpec", bad, err)
+		}
 	}
 	for _, ok := range []BISTPlan{{}, {Cycles: 128, MISRWidth: 32}, {MISRWidth: 4}} {
 		if err := (PipelineSpec{BIST: &ok}).Validate(); err != nil {

@@ -99,9 +99,14 @@ func (spec *PipelineSpec) fill() error {
 	if !spec.FaultModel.Valid() {
 		return fmt.Errorf("pipeline: %w: %q", ErrBadFaultModel, string(spec.FaultModel))
 	}
-	if b := spec.BIST; b != nil && b.MISRWidth != 0 {
-		if _, err := bist.NewMISR(b.MISRWidth, 0); err != nil {
-			return fmt.Errorf("pipeline: %w: %v", ErrBadSpec, err)
+	if b := spec.BIST; b != nil {
+		if b.Cycles < 0 {
+			return fmt.Errorf("pipeline: %w: %d BIST cycles, want at least 0 (0 = 1024)", ErrBadSpec, b.Cycles)
+		}
+		if b.MISRWidth != 0 {
+			if _, err := bist.NewMISR(b.MISRWidth, 0); err != nil {
+				return fmt.Errorf("pipeline: %w: %v", ErrBadSpec, err)
+			}
 		}
 	}
 	return nil
