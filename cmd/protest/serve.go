@@ -9,7 +9,6 @@ import (
 	"os"
 	"time"
 
-	"protest"
 	"protest/internal/server"
 )
 
@@ -25,24 +24,16 @@ func runServe(ctx context.Context, args []string) error {
 	sessions := fs.Int("sessions", 0, "max distinct circuits holding a live session (0 = 64)")
 	workers := fs.Int("workers", 0, "worker goroutines per analysis (0 = serial, <0 = GOMAXPROCS)")
 	seed := fs.Uint64("seed", 1, "session seed for every deterministic pattern stream")
-	modelName := addFaultModelFlag(fs)
 	drain := fs.Duration("drain", 15*time.Second, "graceful-shutdown drain `timeout`")
 	jobWorkers := fs.Int("job-workers", 0, "worker pool executing async /v1/jobs (0 = 2)")
 	jobStore := fs.Int("job-store", 0, "max jobs held by the job store before 429 (0 = 256)")
 	jobTTL := fs.Duration("job-ttl", 0, "retention of finished jobs and their reports (0 = 15m)")
-	batchSize := fs.Int("batch-size", 0, "flush an analyze micro-batch at this many requests (0 = 16)")
-	batchWait := fs.Duration("batch-wait", 0, "max wait before a partial analyze batch flushes (0 = 2ms)")
-	noCoalesce := fs.Bool("no-coalesce", false, "disable request coalescing and micro-batching (A/B testing)")
 	worker := fs.Bool("worker", false, "serve POST /v1/shard so a coordinator can dispatch fault-simulation shards here")
 	workerAddrs := fs.String("workers-addrs", "", "comma-separated worker addresses to shard fault simulation across")
 	readTimeout := fs.Duration("read-timeout", 30*time.Second, "max time to read a full request, body included")
 	idleTimeout := fs.Duration("idle-timeout", 2*time.Minute, "max keep-alive idle time between requests")
 	sseKeepAlive := fs.Duration("sse-keepalive", 0, "idle interval between SSE ping comments (0 = 15s, <0 disables)")
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	model, err := protest.ParseFaultModel(*modelName)
-	if err != nil {
 		return err
 	}
 	var shardAddrs []string
@@ -56,13 +47,9 @@ func runServe(ctx context.Context, args []string) error {
 		MaxSessions:  *sessions,
 		Workers:      *workers,
 		Seed:         *seed,
-		FaultModel:   model,
 		JobWorkers:   *jobWorkers,
 		JobStoreCap:  *jobStore,
 		JobTTL:       *jobTTL,
-		BatchSize:    *batchSize,
-		BatchWait:    *batchWait,
-		NoCoalesce:   *noCoalesce,
 		Worker:       *worker,
 		WorkerAddrs:  shardAddrs,
 		SSEKeepAlive: *sseKeepAlive,

@@ -28,7 +28,7 @@ func runValidate(ctx context.Context, args []string) error {
 	pSpec := fs.String("p", "", "input signal probabilities: one value or a comma list (default uniform)")
 	seed := fs.Uint64("seed", 1, "Monte-Carlo generator seed (reports are deterministic per seed)")
 	workers := fs.Int("workers", 1, "run the FFR Monte-Carlo simulation on this many goroutines (-1 = all cores; identical results)")
-	width := fs.Int("width", 0, "simulation width for the Monte-Carlo run: 1 or 8 blocks per sweep (0 = 8-block sweeps, then the tail one block at a time; identical results)")
+	width := fs.Int("width", 0, "simulation width for the Monte-Carlo run: 1 or 8 blocks per sweep (0 = 8; identical results)")
 	workerAddrs := fs.String("workers-addrs", "", "comma-separated `protest serve -worker` addresses to shard the Monte-Carlo run across (identical results)")
 	asJSON := fs.Bool("json", false, "emit the report as JSON (an array with -circuits)")
 	quiet := fs.Bool("q", false, "suppress per-circuit progress on stderr")

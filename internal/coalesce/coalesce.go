@@ -1,21 +1,16 @@
-// Package coalesce deduplicates and batches concurrent identical work.
+// Package coalesce deduplicates concurrent identical work.
 //
-// Two shapes live here, both building blocks of the HTTP service layer
-// but independent of it:
+// Group is request-level singleflight with shared progress and a
+// refcounted context merge: concurrent callers presenting the same key
+// join one in-flight computation, each attaching its own progress
+// callback and its own context.  The computation runs on its own
+// goroutine under a merged context that is canceled only when every
+// joiner has detached — one impatient caller walking away never aborts
+// work other callers still wait for.  The HTTP service runs its
+// pipeline computations and its /v1/analyze passes through Groups, but
+// the package is independent of it.
 //
-//   - Group is request-level singleflight with shared progress and a
-//     refcounted context merge: concurrent callers presenting the same
-//     key join one in-flight computation, each attaching its own
-//     progress callback and its own context.  The computation runs on
-//     its own goroutine under a merged context that is canceled only
-//     when every joiner has detached — one impatient caller walking
-//     away never aborts work other callers still wait for.
-//   - Batcher accumulates concurrent requests per key and flushes each
-//     batch through one callback when it reaches a size bound or a
-//     max-wait deadline, fanning the per-request results back out over
-//     per-caller channels.
-//
-// All types are safe for concurrent use.
+// Group is safe for concurrent use.
 package coalesce
 
 import (

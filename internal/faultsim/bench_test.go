@@ -1,6 +1,7 @@
 package faultsim
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -11,8 +12,8 @@ import (
 )
 
 // benchBlockFFR times one 64-pattern block over the fault list on the
-// FFR engine at W=1, the width the default schedule's ragged tail runs
-// at — the unit of work the FFR engine and the naive oracle share.
+// FFR engine at W=1, the width BIST capture runs at — the unit of work
+// the FFR engine and the naive oracle share.
 // The FFR engine's per-block cost is O(gates + Σ stem regions) while
 // the naive oracle pays O(faults × cone), so the ratio widens with
 // circuit size and fanout density.
@@ -111,5 +112,33 @@ func BenchmarkBlockFanoutHeavy(b *testing.B) {
 		faults := fault.Collapse(c)
 		b.Run(fmt.Sprintf("gates=%d/ffr", gates), func(b *testing.B) { benchBlockFFR(b, c, faults) })
 		b.Run(fmt.Sprintf("gates=%d/naive", gates), func(b *testing.B) { benchBlockNaive(b, c, faults) })
+	}
+}
+
+// BenchmarkMeasureDetection times a whole stuck-at measurement on the
+// default schedule at budgets that end in a partial chunk: 300
+// patterns are 5 blocks, 960 are 15, and a 64-pattern run is one
+// block in a chunk of eight lanes.
+func BenchmarkMeasureDetection(b *testing.B) {
+	c880, _ := circuits.Lookup("c880")
+	c1355, _ := circuits.Lookup("c1355")
+	for _, tc := range []struct {
+		c        *circuit.Circuit
+		patterns int
+	}{
+		{circuits.Mult8(), 300}, {circuits.Mult8(), 960},
+		{c1355, 300}, {c1355, 960},
+		{c880, 64},
+	} {
+		plan := NewPlan(tc.c, fault.Collapse(tc.c))
+		b.Run(fmt.Sprintf("%s/%d", tc.c.Name, tc.patterns), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				gen := pattern.NewUniform(len(tc.c.Inputs), 1)
+				if _, err := plan.MeasureDetection(context.Background(), gen, tc.patterns, Options{}, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

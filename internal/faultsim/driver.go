@@ -21,49 +21,10 @@ import (
 // FirstDetections visits every block's detection words, because fault
 // dropping needs to know which faults a block detected.
 
-// chunkWidth returns the lane count of the next chunk when left blocks
-// remain.  An explicit width is used as is, padding a short final
-// chunk.  Width 0 picks the schedule: 8-block chunks while at least 8
-// blocks remain, then the ragged tail block by block at W=1, so no lane
-// is ever simulated empty.  Every chunk runs on the engine of its
-// width.
-func chunkWidth(width, left int) int {
-	switch {
-	case width != 0:
-		return width
-	case left >= 8:
-		return 8
-	}
-	return 1
-}
-
-// engineSet holds one wide engine per width, acquired on first use,
-// and, in a counting run, the counts its chunks add to.
-type engineSet struct {
-	plan    *Plan
-	byWidth [2]boundWide // index widthSlot
-	counts  []int
-}
-
-func (s *engineSet) get(width int) boundWide {
-	i := widthSlot(width)
-	if s.byWidth[i] == nil {
-		s.byWidth[i] = s.plan.acquireWide(width)
-	}
-	return s.byWidth[i]
-}
-
-func (s *engineSet) release() {
-	for _, e := range s.byWidth {
-		if e != nil {
-			e.Release()
-		}
-	}
-}
-
-// chunk is one scheduled chunk of a wave: its engine, whose buffers
-// hold its input and detection words, the k <= Width blocks it
-// carries, and, in a counting run, its counts and lane masks.
+// chunk is one worker's chunk of a wave: the worker's engine, whose
+// buffers hold the chunk's input and detection words, the k <= Width
+// blocks it carries, and, in a counting run, its lane masks and the
+// counts the worker's chunks add to.
 type chunk struct {
 	e      boundWide
 	k      int
@@ -156,10 +117,11 @@ func (p *Plan) FirstDetections(ctx context.Context, gen *pattern.Generator, bloc
 type blockVisitor func(j int, det []uint64, stride, lane int) bool
 
 // runBlocks is the FFR measurement driver.  It simulates the blocks of
-// a schedule stretch, drawn from gen, in chunks of opt.Width lanes (0
-// selects the default schedule of chunkWidth), runs up to opt.Workers
-// chunks per wave concurrently, and hands every block to visit, when
-// non-nil, in block order.  FFR groups whose liveGroups entry is false
+// a schedule stretch, drawn from gen, in chunks of
+// ChunkBlocks(opt.Width) lanes, padding the last chunk with empty
+// lanes, runs up to opt.Workers chunks per wave concurrently, one
+// engine per worker, and hands every block to visit, when non-nil, in
+// block order.  FFR groups whose liveGroups entry is false
 // are skipped (nil = all live); the set is read while a wave runs and
 // visit is called only between waves, so visit may clear entries to
 // drop groups from later waves.  The detection words do not depend on
@@ -168,7 +130,7 @@ type blockVisitor func(j int, det []uint64, stride, lane int) bool
 // With counts non-nil the run counts instead of handing out words:
 // each chunk's engine gets its blocks' masks as lane masks (zero for
 // padding lanes) and adds the masked words' set bits to counts as it
-// computes them, storing none.  With several workers every engine set
+// computes them, storing none.  With several workers every worker
 // counts into its own slice, and the slices are added to counts after
 // the run.
 //
@@ -185,23 +147,24 @@ func (p *Plan) runBlocks(ctx context.Context, gen *pattern.Generator, blocks Sch
 		return nil
 	}
 	total := blocks.Block(n - 1).End
-	workers := parallelWorkers(opt.Workers, len(p.faults))
-	sets := make([]engineSet, workers)
-	for i := range sets {
-		sets[i].plan = p
+	width := ChunkBlocks(opt.Width)
+	// More workers than chunks would hold idle engines.
+	workers := min(parallelWorkers(opt.Workers, len(p.faults)), (n+width-1)/width)
+	wave := make([]chunk, workers)
+	for i := range wave {
+		wave[i].e = p.acquireWide(width)
 	}
 	defer func() {
-		for i := range sets {
-			sets[i].release()
+		for _, ch := range wave {
+			ch.e.Release()
 		}
 	}()
 	if counts != nil {
-		sets[0].counts = counts
+		wave[0].counts = counts
 		for i := 1; i < workers; i++ {
-			sets[i].counts = make([]int, len(p.faults))
+			wave[i].counts = make([]int, len(p.faults))
 		}
 	}
-	wave := make([]chunk, workers)
 	var wg sync.WaitGroup
 run:
 	for j := 0; j < n; {
@@ -210,31 +173,29 @@ run:
 		}
 		m := 0
 		for b := j; m < workers && b < n; m++ {
-			e := sets[m].get(chunkWidth(opt.Width, n-b))
-			k := min(e.Width(), n-b)
-			words, _ := e.buffers()
-			gen.NextBlocks(words, e.Width(), k)
 			ch := &wave[m]
-			ch.e, ch.k, ch.counts = e, k, sets[m].counts
+			ch.k = min(width, n-b)
+			words, _ := ch.e.buffers()
+			gen.NextBlocks(words, width, ch.k)
 			if counts != nil {
 				ch.lanes = [8]uint64{}
-				for l := range k {
+				for l := range ch.k {
 					ch.lanes[l] = blocks.Block(b + l).Mask
 				}
 			}
-			b += k
+			b += ch.k
 		}
 		if m == 1 {
 			ch := &wave[0]
 			words, det := ch.e.buffers()
-			ch.e.simulate(words, det, ch.lanes[:ch.e.Width()], ch.counts, liveGroups)
+			ch.e.simulate(words, det, ch.lanes[:width], ch.counts, liveGroups)
 		} else {
 			for i := range wave[:m] {
 				wg.Add(1)
 				go func(ch *chunk) {
 					defer wg.Done()
 					words, det := ch.e.buffers()
-					ch.e.simulate(words, det, ch.lanes[:ch.e.Width()], ch.counts, liveGroups)
+					ch.e.simulate(words, det, ch.lanes[:width], ch.counts, liveGroups)
 				}(&wave[i])
 			}
 			wg.Wait()
@@ -245,7 +206,7 @@ run:
 				if progress != nil {
 					progress(blocks.Block(j).End, total)
 				}
-				if visit != nil && !visit(j, det, ch.e.Width(), l) {
+				if visit != nil && !visit(j, det, width, l) {
 					if progress != nil && j+1 < n {
 						progress(total, total)
 					}
@@ -255,8 +216,8 @@ run:
 			}
 		}
 	}
-	for _, s := range sets[1:] {
-		for fi, c := range s.counts {
+	for _, ch := range wave[1:] {
+		for fi, c := range ch.counts {
 			counts[fi] += c
 		}
 	}

@@ -44,7 +44,7 @@ func widthTestCircuits() []*circuit.Circuit {
 }
 
 // TestEngineBlockIdentity drives the FFR engine one block at a time
-// (W = 1, the width the default schedule runs for tail blocks) and the
+// (W = 1, the width BIST capture runs at) and the
 // naive oracle with the same pattern blocks and requires word-for-word
 // identical detection words for every fault.
 func TestEngineBlockIdentity(t *testing.T) {

@@ -110,11 +110,10 @@ type Options struct {
 	// count.
 	Workers int
 	// Width is the simulation width in 64-pattern lanes.  0, the
-	// default, lets the driver pick per chunk: W=8 while at least 8
-	// blocks remain and W=1 for the ragged tail of up to 7 blocks (see
-	// chunkWidth).  1 or 8 forces that width for every chunk, padding a
-	// short final chunk; any other value is an error.  Results are
-	// bit-identical at every width.
+	// default, runs every chunk at W=8.  1 or 8 forces that width;
+	// any other value is an error.  Either way the last chunk of a
+	// run is padded with empty lanes.  Results are bit-identical at
+	// every width.
 	Width int
 }
 

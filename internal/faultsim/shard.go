@@ -87,9 +87,13 @@ func (s Schedule) Block(j int) BlockSpan {
 	return BlockSpan{Mask: blockMask(s.ends[i] - applied), End: min(applied+64, s.ends[i])}
 }
 
-// ChunkBlocks returns the number of blocks a full chunk of the
-// schedule at width carries: the width itself, or 8 for the default
-// schedule (chunkWidth).  A block range that starts at a multiple of
-// it, and ends at one or at the run's end, simulates the same chunks
-// as that stretch of the whole run.
-func ChunkBlocks(width int) int { return chunkWidth(width, 8) }
+// ChunkBlocks returns the number of blocks a chunk of a run at width
+// carries: the width itself, or 8 at width 0.  A block range that
+// starts at a multiple of it, and ends at one or at the run's end,
+// simulates the same chunks as that stretch of the whole run.
+func ChunkBlocks(width int) int {
+	if width == 0 {
+		return 8
+	}
+	return width
+}

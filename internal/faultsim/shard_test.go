@@ -68,3 +68,14 @@ func TestScheduleBlocks(t *testing.T) {
 		t.Fatalf("huge schedule: last block %+v", b)
 	}
 }
+
+// TestChunkBlocks pins the chunk of each width, the unit shard cuts
+// align to: an explicit width is used as is, and width 0 runs 8-block
+// chunks, the last one padded.
+func TestChunkBlocks(t *testing.T) {
+	for width, want := range map[int]int{0: 8, 1: 1, 8: 8} {
+		if got := ChunkBlocks(width); got != want {
+			t.Errorf("ChunkBlocks(%d) = %d, want %d", width, got, want)
+		}
+	}
+}

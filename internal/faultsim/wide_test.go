@@ -2,7 +2,6 @@ package faultsim
 
 import (
 	"context"
-	"fmt"
 	"math/bits"
 	"os"
 	"runtime"
@@ -42,8 +41,8 @@ var (
 
 // raggedCounts are pattern budgets that end mid-block (1, 63, 65, 581),
 // fill whole 8-block chunks (512), or leave a 1-block tail after whole
-// chunks (1088 = 17 blocks), so the default schedule runs both its
-// widths: 8-block chunks and single-block W=1 chunks.
+// chunks (1088 = 17 blocks), so every width runs full chunks, padded
+// last chunks, or both.
 var raggedCounts = []int{1, 63, 65, 512, 581, 1088}
 
 // naiveRef is the naive oracle's reference for one pattern stream: the
@@ -268,40 +267,6 @@ func TestWideCoverageCurveIdentity(t *testing.T) {
 					}
 				}
 			}
-		}
-	}
-}
-
-// TestChunkWidthSchedule pins the default schedule: 8-block chunks while
-// at least 8 blocks remain, then single blocks, never padding a lane;
-// an explicit width is used as is.
-func TestChunkWidthSchedule(t *testing.T) {
-	schedule := func(width, n int) []int {
-		var out []int
-		for left := n; left > 0; {
-			w := chunkWidth(width, left)
-			out = append(out, w)
-			left -= min(w, left)
-		}
-		return out
-	}
-	cases := []struct {
-		width, blocks int
-		want          []int
-	}{
-		{0, 1, []int{1}},
-		{0, 3, []int{1, 1, 1}},
-		{0, 7, []int{1, 1, 1, 1, 1, 1, 1}},
-		{0, 8, []int{8}},
-		{0, 17, []int{8, 8, 1}},
-		{0, 19, []int{8, 8, 1, 1, 1}},
-		{8, 3, []int{8}},
-		{1, 2, []int{1, 1}},
-	}
-	for _, tc := range cases {
-		got := schedule(tc.width, tc.blocks)
-		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
-			t.Errorf("width %d, %d blocks: chunks %v, want %v", tc.width, tc.blocks, got, tc.want)
 		}
 	}
 }

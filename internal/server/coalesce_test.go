@@ -162,58 +162,102 @@ func TestPipelineWidthSplitsCoalescing(t *testing.T) {
 	}
 }
 
-// Concurrent identical /v1/analyze requests must collapse into one
-// micro-batch and one evaluator pass.
-func TestAnalyzeMicroBatch(t *testing.T) {
-	// BatchWait is effectively infinite, so the flush happens exactly
-	// when the 8th request completes the batch — deterministic.
-	srv, ts := newTestServer(t, Config{BatchSize: 8, BatchWait: time.Hour})
+// postAsync posts body to url on its own goroutine, storing the
+// response status and body in *status and *out.
+func postAsync(t *testing.T, wg *sync.WaitGroup, url string, body any, status *int, out *[]byte) {
+	t.Helper()
+	data, err := json.Marshal(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		resp, err := http.Post(url, "application/json", bytes.NewReader(data))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		*out, _ = io.ReadAll(resp.Body)
+		resp.Body.Close()
+		*status = resp.StatusCode
+	}()
+}
 
-	data, _ := json.Marshal(AnalyzeRequest{CircuitRef: CircuitRef{Circuit: "c17"}})
+// parkAdmitted makes up to n admitted computations park in the admit
+// hook, each announcing itself on entered, until release is called.  A
+// test that fails first releases them on cleanup, before its server
+// closes.
+func parkAdmitted(t *testing.T, srv *Server, n int) (entered chan struct{}, release func()) {
+	entered, gate := make(chan struct{}, n), make(chan struct{})
+	srv.testHookAdmitted = func() {
+		entered <- struct{}{}
+		<-gate
+	}
+	release = sync.OnceFunc(func() { close(gate) })
+	t.Cleanup(release)
+	return entered, release
+}
+
+func awaitEntered(t *testing.T, entered chan struct{}, what string) {
+	t.Helper()
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%s never reached the admit hook", what)
+	}
+}
+
+// Identical concurrent /v1/analyze requests join one analysis pass.
+// The leader parks in the admit hook until every other request has
+// joined it; then all of them answer the same bytes from one pass and
+// one admission slot, on a server with room for one request only.
+func TestAnalyzeMicroBatch(t *testing.T) {
+	srv, ts := newTestServer(t, Config{MaxInFlight: 1, MaxQueue: 1})
+	entered, release := parkAdmitted(t, srv, 1)
+
 	const callers = 8
 	var wg sync.WaitGroup
+	status := make([]int, callers)
 	bodies := make([][]byte, callers)
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, err := http.Post(ts.URL+"/v1/analyze", "application/json", bytes.NewReader(data))
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			body, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				t.Errorf("caller %d: status %d (%s)", i, resp.StatusCode, body)
-				return
-			}
-			bodies[i] = body
-		}(i)
+	req := AnalyzeRequest{CircuitRef: CircuitRef{Circuit: "c17"}}
+	for i := range callers {
+		postAsync(t, &wg, ts.URL+"/v1/analyze", req, &status[i], &bodies[i])
 	}
+	awaitEntered(t, entered, "the leader")
+	waitFor(t, "the other requests to join", func() bool { return srv.analyses.Stats().Joins == callers-1 })
+	release()
 	wg.Wait()
 
-	for i := 1; i < callers; i++ {
+	for i := range callers {
+		if status[i] != http.StatusOK {
+			t.Fatalf("caller %d: status %d (%s)", i, status[i], bodies[i])
+		}
 		if !bytes.Equal(bodies[0], bodies[i]) {
-			t.Fatalf("batched responses diverged:\n%s\n%s", bodies[0], bodies[i])
+			t.Fatalf("joined responses diverged:\n%s\n%s", bodies[0], bodies[i])
 		}
 	}
 	st := srv.Stats()
-	if st.Batch.Flushes != 1 || st.Batch.Requests != callers {
-		t.Errorf("batch stats = %+v, want one flush of %d", st.Batch, callers)
+	if st.Batch.Flushes != 1 || st.Batch.Requests != callers || st.Batch.MeanSize != callers {
+		t.Errorf("batch stats = %+v, want one pass led for %d requests", st.Batch, callers)
 	}
 	if st.AnalyzePasses != 1 {
 		t.Errorf("analyze passes = %d, want 1 (identical tuples share one pass)", st.AnalyzePasses)
 	}
+	if st.Completed != callers {
+		t.Errorf("completed = %d, want %d", st.Completed, callers)
+	}
 }
 
-// A batch mixing distinct input tuples runs one pass per distinct
-// tuple — not per request — and routes each response correctly.
+// Distinct input tuples run distinct passes, while a request that
+// differs from another only in its fault model joins that one's pass,
+// which does not depend on the model.  Each response carries its own
+// request's answer: the same bytes a server with no concurrent traffic
+// gives.
 func TestAnalyzeMixedTupleBatch(t *testing.T) {
-	srv, ts := newTestServer(t, Config{BatchSize: 2, BatchWait: time.Hour})
+	srv, ts := newTestServer(t, Config{MaxInFlight: 2})
+	entered, release := parkAdmitted(t, srv, 2)
 
-	// A biased tuple of the circuit's input count, next to the uniform
-	// default — two distinct tuples in one batch.
 	c, ok := protest.Benchmark("c17")
 	if !ok {
 		t.Fatal("benchmark c17 missing")
@@ -222,80 +266,90 @@ func TestAnalyzeMixedTupleBatch(t *testing.T) {
 	for i := range biased {
 		biased[i] = 0.9
 	}
-
 	reqs := []AnalyzeRequest{
 		{CircuitRef: CircuitRef{Circuit: "c17"}},
 		{CircuitRef: CircuitRef{Circuit: "c17"}, InputProbs: biased},
+		{CircuitRef: CircuitRef{Circuit: "c17"}, FaultModel: "transition"},
 	}
-	passesBefore := srv.Stats().AnalyzePasses
 	var wg sync.WaitGroup
+	status := make([]int, len(reqs))
 	bodies := make([][]byte, len(reqs))
-	for i, req := range reqs {
-		wg.Add(1)
-		go func(i int, req AnalyzeRequest) {
-			defer wg.Done()
-			data, _ := json.Marshal(req)
-			resp, err := http.Post(ts.URL+"/v1/analyze", "application/json", bytes.NewReader(data))
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			b, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				t.Errorf("req %d: status %d (%s)", i, resp.StatusCode, b)
-				return
-			}
-			bodies[i] = b
-		}(i, req)
-	}
+	postAsync(t, &wg, ts.URL+"/v1/analyze", reqs[0], &status[0], &bodies[0])
+	postAsync(t, &wg, ts.URL+"/v1/analyze", reqs[1], &status[1], &bodies[1])
+	awaitEntered(t, entered, "the first leader")
+	awaitEntered(t, entered, "the second leader")
+	postAsync(t, &wg, ts.URL+"/v1/analyze", reqs[2], &status[2], &bodies[2])
+	waitFor(t, "the transition request to join", func() bool { return srv.analyses.Stats().Joins == 1 })
+	release()
 	wg.Wait()
 
-	if got := srv.Stats().AnalyzePasses - passesBefore; got != 2 {
-		t.Errorf("mixed batch ran %d passes, want 2 (one per distinct tuple)", got)
+	if st := srv.Stats(); st.AnalyzePasses != 2 || st.Batch.Flushes != 2 || st.Batch.Requests != 3 {
+		t.Errorf("passes %d, batch stats %+v: want 2 passes for 3 requests", st.AnalyzePasses, st.Batch)
 	}
-	var uniform, skewed AnalyzeResponse
-	if err := json.Unmarshal(bodies[0], &uniform); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(bodies[1], &skewed); err != nil {
-		t.Fatal(err)
-	}
-	if uniform.HardestProb == skewed.HardestProb && bytes.Equal(bodies[0], bodies[1]) {
-		t.Errorf("distinct tuples returned identical analyses — responses misrouted?")
+	_, quiet := newTestServer(t, Config{})
+	for i, req := range reqs {
+		resp, want := postJSON(t, quiet.URL+"/v1/analyze", req)
+		if resp.StatusCode != http.StatusOK || status[i] != http.StatusOK {
+			t.Fatalf("request %d: status %d, alone %d (%s)", i, status[i], resp.StatusCode, want)
+		}
+		if !bytes.Equal(bodies[i], want) {
+			t.Errorf("request %d answered another request's analysis:\n got %s\nwant %s", i, bodies[i], want)
+		}
 	}
 }
 
-// NoCoalesce restores the pre-coalescing behavior: every request is an
-// independent computation, and results are still correct.
-func TestNoCoalesce(t *testing.T) {
-	srv, ts := newTestServer(t, Config{NoCoalesce: true})
-	spec := protest.PipelineSpec{SimPatterns: 64}
-	want := reportJSON(t, directReport(t, "c17", spec))
-	for i := 0; i < 2; i++ {
-		resp, body := postJSON(t, ts.URL+"/v1/pipeline", PipelineRequest{CircuitRef: CircuitRef{Circuit: "c17"}, Spec: spec})
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("status %d: %s", resp.StatusCode, body)
-		}
-		var rep protest.Report
-		if err := json.Unmarshal(body, &rep); err != nil {
-			t.Fatal(err)
-		}
-		if got := reportJSON(t, &rep); got != want {
-			t.Fatalf("uncoalesced report differs from direct run:\n got %s\nwant %s", got, want)
-		}
-	}
-	st := srv.Stats()
-	if st.Coalesce.Leads != 0 || st.Coalesce.Joins != 0 {
-		t.Errorf("coalesce stats moved under NoCoalesce: %+v", st.Coalesce)
-	}
+// A client that gives up on an analysis while it waits for a slot
+// cancels it: the request is counted canceled and leaves the admission
+// queue while the slot it waited for is still busy.
+func TestAnalyzeDisconnectCancels(t *testing.T) {
+	srv, ts := newTestServer(t, Config{MaxInFlight: 1, MaxQueue: 1})
+	entered, release := parkAdmitted(t, srv, 1)
 
-	resp, body := postJSON(t, ts.URL+"/v1/analyze", AnalyzeRequest{CircuitRef: CircuitRef{Circuit: "c17"}})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("analyze status %d: %s", resp.StatusCode, body)
+	var wg sync.WaitGroup
+	var pipeStatus int
+	var pipeBody []byte
+	pipe := PipelineRequest{CircuitRef: CircuitRef{Circuit: "c17"}, Spec: protest.PipelineSpec{SimPatterns: 16}}
+	postAsync(t, &wg, ts.URL+"/v1/pipeline", pipe, &pipeStatus, &pipeBody)
+	awaitEntered(t, entered, "the pipeline")
+
+	// The analyze client gives up, as a timeout does, once its request
+	// waits for the busy slot.
+	data, _ := json.Marshal(AnalyzeRequest{CircuitRef: CircuitRef{Circuit: "c17"}})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/analyze", bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st := srv.Stats(); st.Batch.Flushes != 0 || st.AnalyzePasses != 1 {
-		t.Errorf("direct analyze: batch %+v passes %d, want no batching and 1 pass", st.Batch, st.AnalyzePasses)
+	answered := make(chan int, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(hreq)
+		if err != nil {
+			answered <- 0
+			return
+		}
+		resp.Body.Close()
+		answered <- resp.StatusCode
+	}()
+	waitFor(t, "the analysis to queue for the busy slot", func() bool { return srv.Stats().Queued == 1 })
+	cancel()
+	if code := <-answered; code != 0 {
+		t.Fatalf("analyze answered %d while the only slot was busy", code)
+	}
+	waitFor(t, "the analysis to be canceled and leave the queue", func() bool {
+		st := srv.Stats()
+		return st.Canceled == 1 && st.Queued == 0
+	})
+	if st := srv.analyses.Stats(); st.Abandoned != 1 {
+		t.Errorf("analyze group stats = %+v, want the pass abandoned", st)
+	}
+	release()
+	wg.Wait()
+	if pipeStatus != http.StatusOK {
+		t.Fatalf("parked pipeline: status %d (%s)", pipeStatus, pipeBody)
+	}
+	if st := srv.Stats(); st.AnalyzePasses != 0 || st.InFlight != 0 {
+		t.Errorf("passes %d, in flight %d after the release: want 0 and 0", st.AnalyzePasses, st.InFlight)
 	}
 }
 

@@ -32,7 +32,7 @@ type CircuitRef struct {
 
 // resolveCircuit builds the referenced circuit and interns it, so the
 // returned pointer is the canonical identity every cache in the
-// service keys on (Sessions, coalescing keys, batch keys).
+// service keys on (Sessions and coalescing keys).
 // Registered benchmark names additionally cache their canonical
 // instance, so warm named requests skip the registry rebuild and the
 // structural fingerprint walk entirely.
@@ -193,6 +193,25 @@ func wantSSE(r *http.Request) bool {
 	return false
 }
 
+// fail answers a computation's error and reports whether there was
+// one.  A request whose client went away is counted canceled and gets
+// no body, an admission overflow gets the 429, and any other error its
+// statusFor status.
+func (s *Server) fail(w http.ResponseWriter, ctx context.Context, err error) bool {
+	switch {
+	case err == nil:
+		return false
+	case ctx.Err() != nil || errors.Is(err, protest.ErrCanceled):
+		s.canceled.Add(1)
+	case errors.Is(err, errBusy):
+		s.reject429(w, err)
+	default:
+		s.failed.Add(1)
+		s.error(w, statusFor(err), err)
+	}
+	return true
+}
+
 // statusFor maps an analysis error to an HTTP status: caller mistakes
 // (bad probabilities, empty fault lists, spec validation) are 400s,
 // anything else is a 500.
@@ -277,32 +296,34 @@ func (s *Server) runPipeline(ctx context.Context, c *protest.Circuit, spec prote
 		}
 		return rep, err
 	}
-	if s.cfg.NoCoalesce {
-		emit := func(p progressUpdate) {
-			if onProgress != nil {
-				onProgress(p)
-			}
-		}
-		rep, err := run(ctx, emit)
-		return rep, err, false
-	}
 	return s.pipelines.Do(ctx, pipelineKey{c: c, spec: specKey}, onProgress, run)
+}
+
+// decodePipeline reads a /v1/pipeline or /v1/jobs body and checks it
+// before any work starts: it resolves the circuit and canonicalizes
+// the spec into its coalescing key.  When a step fails, the request
+// has been answered (400, or 413 for a body over the limit) and ok is
+// false.
+func (s *Server) decodePipeline(w http.ResponseWriter, r *http.Request) (c *protest.Circuit, spec protest.PipelineSpec, specKey string, ok bool) {
+	var req PipelineRequest
+	if !s.decode(w, r, &req) {
+		return nil, spec, "", false
+	}
+	c, err := s.resolveCircuit(&req.CircuitRef)
+	if err == nil {
+		specKey, err = pipelineSpecKey(req.Spec)
+	}
+	if err != nil {
+		s.error(w, http.StatusBadRequest, err)
+		return nil, spec, "", false
+	}
+	return c, req.Spec, specKey, true
 }
 
 func (s *Server) handlePipeline(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
-	var req PipelineRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	c, err := s.resolveCircuit(&req.CircuitRef)
-	if err != nil {
-		s.error(w, http.StatusBadRequest, err)
-		return
-	}
-	specKey, err := pipelineSpecKey(req.Spec)
-	if err != nil {
-		s.error(w, http.StatusBadRequest, err)
+	c, spec, specKey, ok := s.decodePipeline(w, r)
+	if !ok {
 		return
 	}
 
@@ -316,7 +337,7 @@ func (s *Server) handlePipeline(w http.ResponseWriter, r *http.Request) {
 		}
 		stopPing := stream.keepAlive(s.cfg.SSEKeepAlive)
 		defer stopPing()
-		rep, err, _ := s.runPipeline(ctx, c, req.Spec, specKey, true, func(p progressUpdate) {
+		rep, err, _ := s.runPipeline(ctx, c, spec, specKey, true, func(p progressUpdate) {
 			stream.progress(p.Phase, p.Frac)
 		})
 		switch {
@@ -337,33 +358,25 @@ func (s *Server) handlePipeline(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	rep, err, _ := s.runPipeline(ctx, c, req.Spec, specKey, true, nil)
-	switch {
-	case err != nil && (ctx.Err() != nil || errors.Is(err, protest.ErrCanceled)):
-		s.canceled.Add(1)
-	case errors.Is(err, errBusy):
-		s.reject429(w, err)
-	case err != nil:
-		s.failed.Add(1)
-		s.error(w, statusFor(err), err)
-	default:
-		s.completed.Add(1)
-		s.respond(w, http.StatusOK, rep)
+	rep, err, _ := s.runPipeline(ctx, c, spec, specKey, true, nil)
+	if s.fail(w, ctx, err) {
+		return
 	}
+	s.completed.Add(1)
+	s.respond(w, http.StatusOK, rep)
 }
 
-// analyzeResult is one batched analyze outcome: the shared Session,
-// the (possibly shared) analysis, and the per-tuple error.  res is
-// strictly read-only — identical tuples in one batch share it.
-type analyzeResult struct {
-	sess *protest.Session
-	res  *protest.Analysis
-	err  error
+// analyzeKey identifies one coalescable analysis pass: the canonical
+// interned circuit and the input tuple's bits.  The fault model is not
+// part of it, because the pass does not depend on it.
+type analyzeKey struct {
+	c     *protest.Circuit
+	tuple string
 }
 
-// tupleKey renders a probability tuple for intra-batch deduplication.
-// strconv's shortest form round-trips float64 exactly, so two tuples
-// share a key iff they are bit-equal element-wise.
+// tupleKey renders a probability tuple for the analyze key.  strconv's
+// shortest form round-trips float64 exactly, so two tuples share a key
+// iff they are bit-equal element-wise.
 func tupleKey(probs []float64) string {
 	if probs == nil {
 		return "uniform"
@@ -376,40 +389,39 @@ func tupleKey(probs []float64) string {
 	return b.String()
 }
 
-// flushAnalyze runs one analyze batch: a single admission slot, a
-// single Session resolution, and one evaluator pass per *distinct*
-// input tuple in the batch — identical concurrent requests collapse
-// into one pass whose Analysis they share read-only.  It runs on the
-// goroutine of the request that filled the batch or on the max-wait
-// timer goroutine.
-func (s *Server) flushAnalyze(c *protest.Circuit, reqs [][]float64) ([]analyzeResult, error) {
-	// The batch is one unit of work: it occupies one admission slot no
-	// matter how many requests it carries.  Admission overflow fails
-	// the whole batch with errBusy, which every member reports as 429.
-	if err := s.adm.admit(context.Background()); err != nil {
-		return nil, err
-	}
-	defer s.adm.release()
-	sess, err := s.session(c)
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	shared := make(map[string]analyzeResult, len(reqs))
-	out := make([]analyzeResult, len(reqs))
-	for i, probs := range reqs {
-		k := tupleKey(probs)
-		r, ok := shared[k]
-		if !ok {
-			res, err := sess.Analyze(context.Background(), probs)
+// analyze runs one analysis pass of c under probs (nil = uniform),
+// joining an identical in-flight pass when one exists.  The leader
+// passes admission, resolves the Session and runs the pass under the
+// group's merged context, which is canceled only when every attached
+// request has gone away; joiners consume no admission slot, and share
+// the leader's Analysis read-only.  err is ctx.Err() when this
+// caller's own context ended first.
+func (s *Server) analyze(ctx context.Context, c *protest.Circuit, probs []float64) (*protest.Analysis, error) {
+	res, err, _ := s.analyses.Do(ctx, analyzeKey{c: c, tuple: tupleKey(probs)}, nil,
+		func(runCtx context.Context, _ func(struct{})) (res *protest.Analysis, err error) {
+			// Like a coalesced pipeline, the pass runs on the group's
+			// goroutine, out of reach of the HTTP middleware's recover.
+			defer s.recoverToError(&err)
+			if err := s.adm.admit(runCtx); err != nil {
+				return nil, err
+			}
+			defer s.adm.release()
+			sess, err := s.session(c)
+			if err != nil {
+				return nil, err
+			}
+			if s.testHookAdmitted != nil {
+				s.testHookAdmitted()
+			}
+			start := time.Now()
+			res, err = sess.Analyze(runCtx, probs)
 			s.analyzePasses.Add(1)
-			r = analyzeResult{sess: sess, res: res, err: err}
-			shared[k] = r
-		}
-		out[i] = r
-	}
-	s.observeService(time.Since(start))
-	return out, nil
+			if err == nil {
+				s.observeService(time.Since(start))
+			}
+			return res, err
+		})
+	return res, err
 }
 
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
@@ -433,37 +445,15 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		probs = req.InputProbs
 	}
 
-	var out analyzeResult
-	if s.cfg.NoCoalesce {
-		out, err = s.analyzeDirect(r.Context(), c, probs)
-	} else {
-		out, err = s.analyzeBatch.Submit(r.Context(), c, probs)
-	}
-	switch {
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		s.canceled.Add(1)
-		return
-	case errors.Is(err, errBusy):
-		s.reject429(w, err)
-		return
-	case err != nil:
-		s.failed.Add(1)
-		s.error(w, statusFor(err), err)
-		return
-	}
-	if out.err != nil {
-		if errors.Is(out.err, protest.ErrCanceled) {
-			s.canceled.Add(1)
-			return
-		}
-		s.failed.Add(1)
-		s.error(w, statusFor(out.err), out.err)
+	ctx := r.Context()
+	res, err := s.analyze(ctx, c, probs)
+	if s.fail(w, ctx, err) {
 		return
 	}
 
-	sc := out.sess.Circuit()
+	sc := res.C // the Session's circuit
 	faults := artifact.Default.FaultsFor(sc, model)
-	detect := out.res.DetectProbs(faults)
+	detect := res.DetectProbs(faults)
 	resp := AnalyzeResponse{
 		Circuit: c.Name,
 		Gates:   sc.NumGates(),
@@ -487,20 +477,4 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 	s.completed.Add(1)
 	s.respond(w, http.StatusOK, resp)
-}
-
-// analyzeDirect is the uncoalesced analyze path: per-request admission
-// and a dedicated evaluator pass, the pre-batching behavior.
-func (s *Server) analyzeDirect(ctx context.Context, c *protest.Circuit, probs []float64) (analyzeResult, error) {
-	if err := s.adm.admit(ctx); err != nil {
-		return analyzeResult{}, err
-	}
-	defer s.adm.release()
-	sess, err := s.session(c)
-	if err != nil {
-		return analyzeResult{}, err
-	}
-	res, err := sess.Analyze(ctx, probs)
-	s.analyzePasses.Add(1)
-	return analyzeResult{sess: sess, res: res, err: err}, nil
 }

@@ -25,22 +25,10 @@ type jobSubmitResponse struct {
 // streamed via GET /v1/jobs/{id}/events.
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
-	var req PipelineRequest
-	if !s.decode(w, r, &req) {
+	c, spec, specKey, ok := s.decodePipeline(w, r)
+	if !ok {
 		return
 	}
-	c, err := s.resolveCircuit(&req.CircuitRef)
-	if err != nil {
-		s.error(w, http.StatusBadRequest, err)
-		return
-	}
-	specKey, err := pipelineSpecKey(req.Spec)
-	if err != nil {
-		s.error(w, http.StatusBadRequest, err)
-		return
-	}
-
-	spec := req.Spec
 	id, err := s.jobStore.Submit(func(ctx context.Context, progress func(phase string, frac float64)) (any, error) {
 		if s.testHookJobRun != nil {
 			s.testHookJobRun()

@@ -60,12 +60,7 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ctx := r.Context()
-	if err := s.adm.admit(ctx); err != nil {
-		if ctx.Err() != nil {
-			s.canceled.Add(1)
-			return
-		}
-		s.reject429(w, err)
+	if err := s.adm.admit(ctx); s.fail(w, ctx, err) {
 		return
 	}
 	defer s.adm.release()

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"errors"
 	"net/http"
 	"time"
 
@@ -36,31 +35,18 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 	}
 
 	ctx := r.Context()
-	if err := s.adm.admit(ctx); err != nil {
-		if ctx.Err() != nil {
-			s.canceled.Add(1)
-			return
-		}
-		s.reject429(w, err)
+	if err := s.adm.admit(ctx); s.fail(w, ctx, err) {
 		return
 	}
 	defer s.adm.release()
 	sess, err := s.session(c)
-	if err != nil {
-		s.failed.Add(1)
-		s.error(w, statusFor(err), err)
+	if s.fail(w, ctx, err) {
 		return
 	}
 
 	start := time.Now()
 	rep, err := sess.Validate(ctx, req.Spec)
-	switch {
-	case err != nil && (ctx.Err() != nil || errors.Is(err, protest.ErrCanceled)):
-		s.canceled.Add(1)
-		return
-	case err != nil:
-		s.failed.Add(1)
-		s.error(w, statusFor(err), err)
+	if s.fail(w, ctx, err) {
 		return
 	}
 	s.observeService(time.Since(start))

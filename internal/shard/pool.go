@@ -264,8 +264,8 @@ type span struct{ lo, hi int }
 // maxShards, and only at multiples of chunk, the blocks of one full
 // chunk of the run's width, so the shards simulate exactly the chunks
 // a local run would.  A cut inside a chunk would instead simulate its
-// blocks in narrower chunks, and a W=1 block costs about three times
-// a block of a W=8 chunk.  The spans partition the blocks in order.
+// blocks in two padded chunks, each costing about as much as a full
+// one.  The spans partition the blocks in order.
 func planShards(numBlocks, chunk, target, maxShards int) []span {
 	chunks := (numBlocks + chunk - 1) / chunk
 	n := min(chunks, max(target, 1), maxShards)

@@ -57,7 +57,7 @@ type PipelineSpec struct {
 	// SimWidth overrides the Session's WithSimWidth setting for this
 	// run, the BIST phase's capture width included: 1 or 8 forces that
 	// many pattern blocks per sweep; 0 keeps the Session's setting,
-	// whose own default is the engine-chosen schedule.  Results are
+	// whose own default is 8-block sweeps.  Results are
 	// bit-identical at every width; any other value fails with
 	// ErrBadSpec.
 	SimWidth int `json:"sim_width,omitempty"`

@@ -6,8 +6,8 @@
 #
 # The suite spans every layer, including the server-level
 # BenchmarkServerAnalyzeCoalesce (internal/server): N identical
-# concurrent /v1/analyze requests with request coalescing on vs off,
-# whose passes/req metric records the micro-batcher's dedup win in the
+# concurrent /v1/analyze requests, which join one another's in-flight
+# passes, and whose passes/req metric records the dedup win in the
 # trail.  Run that one alone with:
 #   scripts/bench.sh 'BenchmarkServerAnalyzeCoalesce' 1
 #

@@ -176,10 +176,10 @@ func WithSimEngine(e SimEngine) Option {
 }
 
 // WithSimWidth forces the fault-simulation width: w pattern blocks
-// (w×64 patterns) per sweep, w in {1, 8}.  The default, 0, lets the
-// FFR engine pick per chunk: 8-block sweeps while at least 8 blocks
-// remain, and single-block sweeps for the ragged tail.  Wider sweeps
-// amortize the engine's per-node bookkeeping over more pattern lanes;
+// (w×64 patterns) per sweep, w in {1, 8}.  The default, 0, runs the
+// FFR engine in 8-block sweeps.  At every width the last sweep of a
+// run is padded with empty lanes.  Wider sweeps amortize the engine's
+// per-node bookkeeping over more pattern lanes;
 // every result — detection counts, coverage curves, BIST signatures —
 // is bit-identical at every width.  BIST capture has no schedule: it
 // runs at the width, or at width 1 when the width is 0.  The naive
