@@ -15,7 +15,6 @@ func runBist(ctx context.Context, args []string) error {
 	pFile := fs.String("pfile", "", "read per-input probabilities from `file`")
 	cycles := fs.Int("cycles", 1024, "self-test cycles")
 	misr := fs.Uint("misr", 16, "MISR width (4, 8, 16, 24, 32)")
-	width := fs.Int("width", 0, "capture width: 1 or 8 pattern blocks per sweep (0 = 1; identical signatures)")
 	seed := fs.Uint64("seed", 1, "PRPG seed")
 	engine := fs.String("engine", "ffr", "fault-simulation engine: ffr or naive (identical signatures)")
 	if err := fs.Parse(args); err != nil {
@@ -25,7 +24,7 @@ func runBist(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	s, err := cf.openSession(protest.WithSeed(*seed), protest.WithSimEngine(eng), protest.WithSimWidth(*width))
+	s, err := cf.openSession(protest.WithSeed(*seed), protest.WithSimEngine(eng))
 	if err != nil {
 		return err
 	}

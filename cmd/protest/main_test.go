@@ -16,12 +16,10 @@ func TestErrorLineOnePrefix(t *testing.T) {
 		err  error
 		want string
 	}{
-		{"fsim width", runFsim(ctx, []string{"-circuit", "c17", "-width", "3"}),
-			"protest: Open: widesim: unsupported width 3 (want 0, 1 or 8)"},
-		{"fsim width 4", runFsim(ctx, []string{"-circuit", "c17", "-width", "4"}),
-			"protest: Open: widesim: unsupported width 4 (want 0, 1 or 8)"},
-		{"pipeline width", runPipeline(ctx, []string{"-circuit", "c17", "-q", "-width", "3"}),
-			"protest: pipeline: bad spec: widesim: unsupported width 3 (want 0, 1 or 8)"},
+		{"fsim probabilities", runFsim(ctx, []string{"-circuit", "c17", "-p", "0.5,0.5,0.5,0.5,1.5"}),
+			"protest: bad input probabilities: pattern: input 4 probability 1.5 out of [0,1]"},
+		{"pipeline bist", runPipeline(ctx, []string{"-circuit", "c17", "-q", "-bist", "-1"}),
+			"protest: pipeline: bad spec: -1 BIST cycles, want at least 0 (0 = 1024)"},
 		{"unprefixed", errors.New("unknown built-in circuit"), "protest: unknown built-in circuit"},
 	} {
 		if tc.err == nil {

@@ -97,7 +97,6 @@ func runPipeline(ctx context.Context, args []string) error {
 	seed := fs.Uint64("seed", 1, "pattern generator seed")
 	workers := fs.Int("workers", 1, "run optimizer scoring and fault simulation on this many goroutines (-1 = all cores; identical results)")
 	engine := fs.String("engine", "ffr", "fault-simulation engine: ffr or naive (identical results)")
-	width := fs.Int("width", 0, "simulation width, and BIST capture width: 1 or 8 pattern blocks per sweep (0 = 8, and BIST captures at 1; identical results)")
 	asJSON := fs.Bool("json", false, "emit the report as JSON (an array with -circuits)")
 	quiet := fs.Bool("q", false, "suppress the progress ticker")
 	modelName := addFaultModelFlag(fs)
@@ -126,7 +125,6 @@ func runPipeline(ctx context.Context, args []string) error {
 		QuantizeGrid:    *grid,
 		SimPatterns:     *sim,
 		MaxSimPatterns:  *maxSim,
-		SimWidth:        *width,
 		FaultModel:      model,
 	}
 	if *bistCycles != 0 {

@@ -77,7 +77,6 @@ func runFsim(ctx context.Context, args []string) error {
 	curve := fs.String("curve", "", "comma list of checkpoints for a coverage curve (e.g. 10,100,1000)")
 	psim := fs.Bool("psim", false, "report per-fault measured detection probabilities")
 	workerAddrs := fs.String("workers-addrs", "", "comma-separated `protest serve -worker` addresses to shard the simulation across (identical results)")
-	width := fs.Int("width", 0, "simulation width: 1 or 8 pattern blocks per sweep (0 = 8; identical results)")
 	modelName := addFaultModelFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -90,7 +89,7 @@ func runFsim(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	opts := []protest.Option{protest.WithSeed(*seed), protest.WithWorkers(*workers), protest.WithSimEngine(eng), protest.WithSimWidth(*width), protest.WithFaultModel(model)}
+	opts := []protest.Option{protest.WithSeed(*seed), protest.WithWorkers(*workers), protest.WithSimEngine(eng), protest.WithFaultModel(model)}
 	if *workerAddrs != "" {
 		pool := protest.NewShardPool(protest.ShardPoolConfig{Workers: splitComma(*workerAddrs), Seed: *seed})
 		defer pool.Close()

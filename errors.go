@@ -38,9 +38,9 @@ var (
 	ErrNodeBudget = bdd.ErrNodeBudget
 
 	// ErrBadSpec flags a ValidateSpec whose explicitly-set values are
-	// out of range, a PipelineSpec or ValidateSpec SimWidth other than
-	// 0, 1 or 8, a negative BIST Cycles (0 means 1024) or an
-	// unsupported BIST MISRWidth of a PipelineSpec, a
+	// out of range, the deprecated ValidateSpec.SimWidth set to
+	// anything but 0, 1 or 8, a negative BIST Cycles (0 means 1024) or
+	// an unsupported BIST MISRWidth of a PipelineSpec, a
 	// transition-model run of either spec whose effective pattern
 	// budget is below the 2 patterns of one launch/capture pair, a
 	// Simulate or SimulateWeighted pattern count below 1, and a

@@ -17,7 +17,6 @@ import (
 	"protest/internal/fault"
 	"protest/internal/faultsim"
 	"protest/internal/pattern"
-	"protest/internal/widesim"
 )
 
 // MISR is a multiple-input signature register over GF(2) with a
@@ -136,13 +135,10 @@ type Program struct {
 type runState struct {
 	faultSigs      []uint64
 	outputDetected []bool
-	faultyOut      []uint64 // one block's faulty output words
 
-	// inWords, det and goodOut are sized per run for a chunk of W
-	// blocks (W = 1 for the naive engine, which uses no det):
-	// numInputs×W input words, numFaults×W detection words, and the
-	// good output words of each block, block after block.
-	inWords, det, goodOut []uint64
+	// One 64-cycle block: the input words, the good and one fault's
+	// output words, and the FFR engine's detection word per fault.
+	inWords, goodOut, faultyOut, det []uint64
 
 	sim *faultsim.Simulator // naive engine, built on first use
 }
@@ -158,7 +154,10 @@ func NewProgram(c *circuit.Circuit, faults []fault.Fault, planFn func() *faultsi
 		return &runState{
 			faultSigs:      make([]uint64, len(faults)),
 			outputDetected: make([]bool, len(faults)),
+			inWords:        make([]uint64, len(c.Inputs)),
+			goodOut:        make([]uint64, len(c.Outputs)),
 			faultyOut:      make([]uint64, len(c.Outputs)),
+			det:            make([]uint64, len(faults)),
 		}
 	}
 	return p
@@ -182,14 +181,14 @@ func (p *Program) plan() *faultsim.Plan {
 // stream is compacted into its own signature and compared against the
 // good one.  The generator supplies the stimulus (uniform for a
 // classic BILBO, weighted for the optimized NLFSR scheme).  engine
-// produces the faulty responses, and width is the FFR engine's capture
-// width in 64-cycle lanes, 1 or 8; 0 means 1, because MISR clocking,
-// not capture simulation, dominates a self test.  Signatures are
-// bit-identical for every engine and width.  Between 64-cycle blocks
-// Run checks ctx and, on cancellation, returns ctx.Err() and a nil
-// result.  Safe for concurrent use: concurrent runs share only the
-// immutable plan and the scratch pool.
-func (p *Program) Run(ctx context.Context, gen *pattern.Generator, plan Plan, engine faultsim.EngineKind, width int, progress faultsim.Progress) (*Result, error) {
+// produces the faulty responses.  The FFR engine captures one 64-cycle
+// block per sweep (W = 1), because MISR clocking, not capture
+// simulation, dominates a self test.  Signatures are bit-identical for
+// both engines.  Between 64-cycle blocks Run checks ctx and, on
+// cancellation, returns ctx.Err() and a nil result.  Safe for
+// concurrent use: concurrent runs share only the immutable plan and
+// the scratch pool.
+func (p *Program) Run(ctx context.Context, gen *pattern.Generator, plan Plan, engine faultsim.EngineKind, progress faultsim.Progress) (*Result, error) {
 	c := p.c
 	if gen.NumInputs() != len(c.Inputs) {
 		return nil, fmt.Errorf("bist: generator has %d inputs, circuit %d", gen.NumInputs(), len(c.Inputs))
@@ -210,11 +209,6 @@ func (p *Program) Run(ctx context.Context, gen *pattern.Generator, plan Plan, en
 	if err != nil {
 		return nil, err
 	}
-	if engine != faultsim.EngineNaive {
-		if err := widesim.CheckWidth(width); err != nil {
-			return nil, err
-		}
-	}
 	st := p.pool.Get().(*runState)
 	defer p.pool.Put(st)
 	// Per-fault signature registers.
@@ -223,7 +217,7 @@ func (p *Program) Run(ctx context.Context, gen *pattern.Generator, plan Plan, en
 	}
 	clear(st.outputDetected)
 
-	// Engine selection: the FFR engine captures, per chunk, every
+	// Engine selection: the FFR engine captures, per block, every
 	// stem's output-flip words once and composes each fault's faulty
 	// responses from them; the naive oracle re-simulates every fault's
 	// cone.  Both yield the same response words, hence identical
@@ -231,7 +225,7 @@ func (p *Program) Run(ctx context.Context, gen *pattern.Generator, plan Plan, en
 	if engine == faultsim.EngineNaive {
 		err = p.runNaive(ctx, gen, plan, good, st, progress)
 	} else {
-		err = p.runFFR(ctx, gen, plan, max(width, 1), good, st, progress)
+		err = p.runFFR(ctx, gen, plan, good, st, progress)
 	}
 	if err != nil {
 		return nil, err
@@ -254,57 +248,42 @@ func (p *Program) Run(ctx context.Context, gen *pattern.Generator, plan Plan, en
 	return res, nil
 }
 
-// runFFR is the FFR self-test loop: chunks of w consecutive 64-cycle
-// blocks run through one wide capture sweep, and every signature
-// register is clocked lane by lane in cycle order — serial compaction
-// over wide simulation, so signatures are identical at every width.
-// Each lane's output words come out contiguous, one word per output,
-// as clockStream takes them.
-func (p *Program) runFFR(ctx context.Context, gen *pattern.Generator, plan Plan, w int, good *MISR, st *runState, progress faultsim.Progress) error {
-	engine := p.plan().AcquireWideEngine(w)
+// runFFR is the FFR self-test loop: every 64-cycle block runs through
+// one capture sweep of the W = 1 engine, and every signature register
+// is clocked in cycle order.
+func (p *Program) runFFR(ctx context.Context, gen *pattern.Generator, plan Plan, good *MISR, st *runState, progress faultsim.Progress) error {
+	engine := p.plan().AcquireWideEngine(1)
 	defer engine.Release()
-	nOut := len(p.c.Outputs)
-	st.inWords = grow(st.inWords, len(p.c.Inputs)*w)
-	st.det = grow(st.det, len(p.faults)*w)
-	st.goodOut = grow(st.goodOut, nOut*w)
-	sigs, outDet, det, out := st.faultSigs, st.outputDetected, st.det, st.faultyOut
+	sigs, outDet, det, goodOut, out := st.faultSigs, st.outputDetected, st.det, st.goodOut, st.faultyOut
 	scratch := &MISR{width: good.width, taps: good.taps}
-	valid, mask := make([]int, w), make([]uint64, w) // per lane of a chunk
-
 	nBlocks := (plan.Cycles + 63) / 64
-	for b := 0; b < nBlocks; b += w {
+	for b := 0; b < nBlocks; b++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		k := min(w, nBlocks-b)
-		gen.NextBlocks(st.inWords, w, k)
+		gen.NextBlock(st.inWords)
 		engine.SimulateChunkOutputs(st.inWords, det)
-		for l := 0; l < k; l++ {
-			valid[l] = validCycles(plan.Cycles, b+l)
-			mask[l] = validMask(valid[l])
-			goodOut := st.goodOut[l*nOut : (l+1)*nOut]
-			engine.GoodOutputWords(l, goodOut)
-			clockStream(good, goodOut, valid[l])
-		}
-		for fi := range sigs {
-			scratch.state = sigs[fi]
-			for l := 0; l < k; l++ {
-				// A fault that flips no output in this lane responds
-				// with the good outputs.
-				resp := st.goodOut[l*nOut : (l+1)*nOut]
-				if d := det[fi*w+l]; d != 0 {
-					if d&mask[l] != 0 {
-						outDet[fi] = true
-					}
-					engine.FaultOutputs(fi, l, out)
-					resp = out
+		valid := validCycles(plan.Cycles, b)
+		mask := validMask(valid)
+		engine.GoodOutputWords(0, goodOut)
+		clockStream(good, goodOut, valid)
+		for fi, d := range det {
+			// A fault that flips no output in this block responds with
+			// the good outputs.
+			resp := goodOut
+			if d != 0 {
+				if d&mask != 0 {
+					outDet[fi] = true
 				}
-				clockStream(scratch, resp, valid[l])
+				engine.FaultOutputs(fi, 0, out)
+				resp = out
 			}
+			scratch.state = sigs[fi]
+			clockStream(scratch, resp, valid)
 			sigs[fi] = scratch.state
 		}
 		if progress != nil {
-			progress(min((b+k)*64, plan.Cycles), plan.Cycles)
+			progress(min((b+1)*64, plan.Cycles), plan.Cycles)
 		}
 	}
 	return nil
@@ -317,8 +296,6 @@ func (p *Program) runNaive(ctx context.Context, gen *pattern.Generator, plan Pla
 		st.sim = faultsim.New(p.c)
 	}
 	sim := st.sim
-	st.inWords = grow(st.inWords, len(p.c.Inputs))
-	st.goodOut = grow(st.goodOut, len(p.c.Outputs))
 	scratch := &MISR{width: good.width, taps: good.taps}
 	nBlocks := (plan.Cycles + 63) / 64
 	for b := 0; b < nBlocks; b++ {
@@ -357,15 +334,6 @@ func validMask(valid int) uint64 {
 		return 1<<valid - 1
 	}
 	return ^uint64(0)
-}
-
-// grow returns s resized to n elements, reallocating only when its
-// capacity is too small.  Contents are unspecified.
-func grow(s []uint64, n int) []uint64 {
-	if cap(s) < n {
-		return make([]uint64, n)
-	}
-	return s[:n]
 }
 
 // clockStream feeds `valid` cycles of output words into the MISR:

@@ -94,7 +94,7 @@ func TestFoldWideOutputs(t *testing.T) {
 
 // run runs one self test on a fresh Program over (c, faults).
 func run(c *circuit.Circuit, faults []fault.Fault, gen *pattern.Generator, plan Plan) (*Result, error) {
-	return NewProgram(c, faults, nil).Run(context.Background(), gen, plan, faultsim.EngineFFR, 0, nil)
+	return NewProgram(c, faults, nil).Run(context.Background(), gen, plan, faultsim.EngineFFR, nil)
 }
 
 func TestRunC17FullCoverage(t *testing.T) {
@@ -195,7 +195,7 @@ func TestRunValidation(t *testing.T) {
 	if _, err := run(c, fault.Collapse(c), gen2, Plan{MISRWidth: 9}); err == nil {
 		t.Error("unsupported MISR width must fail")
 	}
-	if _, err := NewProgram(c, fault.Collapse(c), nil).Run(context.Background(), gen2, Plan{}, 9, 0, nil); err == nil {
+	if _, err := NewProgram(c, fault.Collapse(c), nil).Run(context.Background(), gen2, Plan{}, 9, nil); err == nil {
 		t.Error("unknown engine must fail")
 	}
 }
@@ -207,7 +207,7 @@ func TestRunNegativeCycles(t *testing.T) {
 	c := circuits.C17()
 	prog := NewProgram(c, fault.Collapse(c), nil)
 	for _, eng := range []faultsim.EngineKind{faultsim.EngineFFR, faultsim.EngineNaive} {
-		res, err := prog.Run(context.Background(), pattern.NewUniform(len(c.Inputs), 1), Plan{Cycles: -5}, eng, 0, nil)
+		res, err := prog.Run(context.Background(), pattern.NewUniform(len(c.Inputs), 1), Plan{Cycles: -5}, eng, nil)
 		if err == nil || res != nil {
 			t.Errorf("%v: Run with -5 cycles = %+v, %v; want an error", eng, res, err)
 		}
@@ -226,76 +226,45 @@ func TestRunDefaults(t *testing.T) {
 	}
 }
 
-// TestEngineSignatureIdentity runs the same self-test session on the
-// FFR engine at every width and on the naive oracle and requires
-// identical results down to the signature: same good signature, same
-// per-category counts.
+// checkSignatureIdentity runs the same self-test session on the FFR
+// engine and on the naive oracle and requires identical results down
+// to the signature: same good signature, same per-category counts.
+func checkSignatureIdentity(t *testing.T, c *circuit.Circuit, cycles []int) {
+	t.Helper()
+	prog := NewProgram(c, fault.Collapse(c), nil)
+	for _, n := range cycles {
+		plan := Plan{Cycles: n, MISRWidth: 16, MISRSeed: 5}
+		naive, err := prog.Run(context.Background(), pattern.NewUniform(len(c.Inputs), 9), plan, faultsim.EngineNaive, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ffr, err := prog.Run(context.Background(), pattern.NewUniform(len(c.Inputs), 9), plan, faultsim.EngineFFR, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if *ffr != *naive {
+			t.Fatalf("%s cycles=%d: FFR result %+v != naive %+v", c.Name, n, ffr, naive)
+		}
+	}
+}
+
+// TestEngineSignatureIdentity pins the FFR engine's self test to the
+// naive oracle's on c17, the ALU and a random circuit.
 func TestEngineSignatureIdentity(t *testing.T) {
 	for _, build := range []func() *circuit.Circuit{circuits.C17, circuits.ALU74181, func() *circuit.Circuit {
 		return circuits.Random(circuits.RandomOptions{Inputs: 10, Gates: 90, Outputs: 5, Seed: 17})
 	}} {
-		c := build()
-		prog := NewProgram(c, fault.Collapse(c), nil)
-		for _, cycles := range []int{64, 100, 257} {
-			plan := Plan{Cycles: cycles, MISRWidth: 16, MISRSeed: 5}
-			naive, err := prog.Run(context.Background(), pattern.NewUniform(len(c.Inputs), 9), plan, faultsim.EngineNaive, 0, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, w := range []int{0, 1, 8} {
-				ffr, err := prog.Run(context.Background(), pattern.NewUniform(len(c.Inputs), 9), plan, faultsim.EngineFFR, w, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if *ffr != *naive {
-					t.Fatalf("%s cycles=%d width=%d: FFR result %+v != naive %+v", c.Name, cycles, w, ffr, naive)
-				}
-			}
-		}
+		checkSignatureIdentity(t, build(), []int{64, 100, 257})
 	}
 }
 
-// TestWideSignatureIdentity pins the capture widths against each other
-// over the whole registry: the complete self-test result (good
-// signature, detected, aliased, output-detected counts) must be
-// identical at widths 1 and 8 to the width-0 run, including cycle
-// counts that end mid-lane and mid-word.
+// TestWideSignatureIdentity pins the capture of the FFR engine's wide
+// engine (at W = 1) to the naive oracle over the whole registry: the
+// complete self-test result must be identical, including cycle counts
+// that end mid-word.
 func TestWideSignatureIdentity(t *testing.T) {
 	for _, name := range circuits.Names() {
 		c, _ := circuits.Lookup(name)
-		prog := NewProgram(c, fault.Collapse(c), nil)
-		for _, cycles := range []int{64, 100, 257, 1000} {
-			plan := Plan{Cycles: cycles, MISRWidth: 16, MISRSeed: 5}
-			ref, err := prog.Run(context.Background(), pattern.NewUniform(len(c.Inputs), 9), plan, faultsim.EngineFFR, 0, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, w := range []int{1, 8} {
-				wide, err := prog.Run(context.Background(), pattern.NewUniform(len(c.Inputs), 9), plan, faultsim.EngineFFR, w, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if *wide != *ref {
-					t.Fatalf("%s cycles=%d width=%d: %+v != width 0 %+v", c.Name, cycles, w, wide, ref)
-				}
-			}
-		}
-	}
-}
-
-// TestWideWidthValidation: the FFR engine rejects capture widths other
-// than 0, 1 and 8, and the naive engine, which has no width, ignores
-// them.
-func TestWideWidthValidation(t *testing.T) {
-	c := circuits.C17()
-	prog := NewProgram(c, fault.Collapse(c), nil)
-	plan := Plan{Cycles: 64}
-	for _, w := range []int{3, 4} {
-		if _, err := prog.Run(context.Background(), pattern.NewUniform(len(c.Inputs), 1), plan, faultsim.EngineFFR, w, nil); err == nil {
-			t.Fatalf("width %d should be rejected", w)
-		}
-		if _, err := prog.Run(context.Background(), pattern.NewUniform(len(c.Inputs), 1), plan, faultsim.EngineNaive, w, nil); err != nil {
-			t.Fatalf("the naive engine rejected width %d: %v", w, err)
-		}
+		checkSignatureIdentity(t, c, []int{100, 257})
 	}
 }

@@ -115,8 +115,8 @@ func BenchmarkBlockFanoutHeavy(b *testing.B) {
 	}
 }
 
-// BenchmarkMeasureDetection times a whole stuck-at measurement on the
-// default schedule at budgets that end in a partial chunk: 300
+// BenchmarkMeasureDetection times a whole stuck-at measurement at
+// budgets that end in a partial chunk: 300
 // patterns are 5 blocks, 960 are 15, and a 64-pattern run is one
 // block in a chunk of eight lanes.
 func BenchmarkMeasureDetection(b *testing.B) {

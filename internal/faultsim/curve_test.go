@@ -18,30 +18,27 @@ type curveRun struct {
 }
 
 // curveRuns lists the coverage-curve entry points that must agree on
-// (c, faults): the naive oracle, and the FFR engine at every width and
-// on workers goroutines.  Local curves run their whole block schedule
-// as one stretch, so at width 8 chunks span checkpoints.
+// (c, faults): the naive oracle, and the FFR engine serially and on
+// workers goroutines.  Local curves run their whole block schedule as
+// one stretch, so 8-block chunks span checkpoints.
 func curveRuns(c *circuit.Circuit, faults []fault.Fault, workers int) []curveRun {
 	ctx := context.Background()
 	plan := NewPlan(c, faults)
-	runs := []curveRun{
+	return []curveRun{
 		{"naive", func(gen *pattern.Generator, cps []int, progress Progress) ([]CoveragePoint, error) {
 			return CoverageCurveNaive(ctx, c, faults, gen, cps, progress)
+		}},
+		{"ffr", func(gen *pattern.Generator, cps []int, progress Progress) ([]CoveragePoint, error) {
+			return plan.CoverageCurve(ctx, gen, cps, Options{}, progress)
 		}},
 		{fmt.Sprintf("ffr workers=%d", workers), func(gen *pattern.Generator, cps []int, progress Progress) ([]CoveragePoint, error) {
 			return plan.CoverageCurve(ctx, gen, cps, Options{Workers: workers}, progress)
 		}},
 	}
-	for _, w := range widthCases {
-		runs = append(runs, curveRun{fmt.Sprintf("ffr width=%d", w), func(gen *pattern.Generator, cps []int, progress Progress) ([]CoveragePoint, error) {
-			return plan.CoverageCurve(ctx, gen, cps, Options{Width: w}, progress)
-		}})
-	}
-	return runs
 }
 
-// curveEngines runs a coverage-curve scenario against every engine,
-// width and worker combination and requires the naive oracle's points.
+// curveEngines runs a coverage-curve scenario against every engine and
+// worker combination and requires the naive oracle's points.
 func curveEngines(t *testing.T, cps []int, seed uint64) []CoveragePoint {
 	t.Helper()
 	c := circuits.C17()

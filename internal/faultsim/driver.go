@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"protest/internal/pattern"
-	"protest/internal/widesim"
 )
 
 // This file is the one measurement driver of the FFR engine and the
@@ -22,14 +21,14 @@ import (
 // dropping needs to know which faults a block detected.
 
 // chunk is one worker's chunk of a wave: the worker's engine, whose
-// buffers hold the chunk's input and detection words, the k <= Width
-// blocks it carries, and, in a counting run, its lane masks and the
-// counts the worker's chunks add to.
+// buffers hold the chunk's input and detection words, the k <=
+// ChunkBlocks blocks it carries, and, in a counting run, its lane
+// masks and the counts the worker's chunks add to.
 type chunk struct {
 	e      boundWide
 	k      int
 	counts []int
-	lanes  [8]uint64
+	lanes  [ChunkBlocks]uint64
 }
 
 // parallelWorkers resolves an Options.Workers value: <= 1 is serial
@@ -117,15 +116,14 @@ func (p *Plan) FirstDetections(ctx context.Context, gen *pattern.Generator, bloc
 type blockVisitor func(j int, det []uint64, stride, lane int) bool
 
 // runBlocks is the FFR measurement driver.  It simulates the blocks of
-// a schedule stretch, drawn from gen, in chunks of
-// ChunkBlocks(opt.Width) lanes, padding the last chunk with empty
-// lanes, runs up to opt.Workers chunks per wave concurrently, one
-// engine per worker, and hands every block to visit, when non-nil, in
-// block order.  FFR groups whose liveGroups entry is false
-// are skipped (nil = all live); the set is read while a wave runs and
-// visit is called only between waves, so visit may clear entries to
-// drop groups from later waves.  The detection words do not depend on
-// width, workers or schedule, so neither does anything visit computes.
+// a schedule stretch, drawn from gen, in chunks of ChunkBlocks lanes,
+// padding the last chunk with empty lanes, runs up to opt.Workers
+// chunks per wave concurrently, one engine per worker, and hands every
+// block to visit, when non-nil, in block order.  FFR groups whose
+// liveGroups entry is false are skipped (nil = all live); the set is
+// read while a wave runs and visit is called only between waves, so
+// visit may clear entries to drop groups from later waves.  The detection words do not depend on
+// workers or schedule, so neither does anything visit computes.
 //
 // With counts non-nil the run counts instead of handing out words:
 // each chunk's engine gets its blocks' masks as lane masks (zero for
@@ -139,20 +137,16 @@ type blockVisitor func(j int, det []uint64, stride, lane int) bool
 // current wave: it may end up to workers×8-1 blocks further advanced
 // than the visited blocks account for.
 func (p *Plan) runBlocks(ctx context.Context, gen *pattern.Generator, blocks Schedule, opt Options, progress Progress, liveGroups []bool, counts []int, visit blockVisitor) error {
-	if err := widesim.CheckWidth(opt.Width); err != nil {
-		return err
-	}
 	n := blocks.Len()
 	if n == 0 {
 		return nil
 	}
 	total := blocks.Block(n - 1).End
-	width := ChunkBlocks(opt.Width)
 	// More workers than chunks would hold idle engines.
-	workers := min(parallelWorkers(opt.Workers, len(p.faults)), (n+width-1)/width)
+	workers := min(parallelWorkers(opt.Workers, len(p.faults)), (n+ChunkBlocks-1)/ChunkBlocks)
 	wave := make([]chunk, workers)
 	for i := range wave {
-		wave[i].e = p.acquireWide(width)
+		wave[i].e = p.acquireWide(ChunkBlocks)
 	}
 	defer func() {
 		for _, ch := range wave {
@@ -174,11 +168,11 @@ run:
 		m := 0
 		for b := j; m < workers && b < n; m++ {
 			ch := &wave[m]
-			ch.k = min(width, n-b)
+			ch.k = min(ChunkBlocks, n-b)
 			words, _ := ch.e.buffers()
-			gen.NextBlocks(words, width, ch.k)
+			gen.NextBlocks(words, ChunkBlocks, ch.k)
 			if counts != nil {
-				ch.lanes = [8]uint64{}
+				ch.lanes = [ChunkBlocks]uint64{}
 				for l := range ch.k {
 					ch.lanes[l] = blocks.Block(b + l).Mask
 				}
@@ -188,14 +182,14 @@ run:
 		if m == 1 {
 			ch := &wave[0]
 			words, det := ch.e.buffers()
-			ch.e.simulate(words, det, ch.lanes[:width], ch.counts, liveGroups)
+			ch.e.simulate(words, det, ch.lanes[:], ch.counts, liveGroups)
 		} else {
 			for i := range wave[:m] {
 				wg.Add(1)
 				go func(ch *chunk) {
 					defer wg.Done()
 					words, det := ch.e.buffers()
-					ch.e.simulate(words, det, ch.lanes[:width], ch.counts, liveGroups)
+					ch.e.simulate(words, det, ch.lanes[:], ch.counts, liveGroups)
 				}(&wave[i])
 			}
 			wg.Wait()
@@ -206,7 +200,7 @@ run:
 				if progress != nil {
 					progress(blocks.Block(j).End, total)
 				}
-				if visit != nil && !visit(j, det, width, l) {
+				if visit != nil && !visit(j, det, ChunkBlocks, l) {
 					if progress != nil && j+1 < n {
 						progress(total, total)
 					}

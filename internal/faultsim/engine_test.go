@@ -240,8 +240,8 @@ func TestEngineLiveGroups(t *testing.T) {
 	}
 }
 
-// TestEngineCaptureOutputs pins the single-block capture BIST runs at
-// widths 0 and 1: detection, good output and faulty output words of
+// TestEngineCaptureOutputs pins the single-block capture BIST runs:
+// detection, good output and faulty output words of
 // the FFR engine at W = 1 must equal the naive oracle's
 // (Simulator.SimulateFaultBlock) for every fault.
 func TestEngineCaptureOutputs(t *testing.T) {

@@ -4,16 +4,16 @@
 // with fault dropping (section 6, Table 6):
 //
 //   - the FFR engine (Plan, WideEngine), the default: the collapsed
-//     fault list is partitioned by fanout-free region, each chunk of W
-//     64-pattern blocks (W = 1 or 8) runs one good simulation, one
-//     backward critical-path trace per live region and one
-//     dominator-bounded stem propagation per live stem, collapsing
+//     fault list is partitioned by fanout-free region, each chunk of
+//     ChunkBlocks = 8 64-pattern blocks (W = 8) runs one good
+//     simulation, one backward critical-path trace per live region and
+//     one dominator-bounded stem propagation per live stem, collapsing
 //     per-fault work to one fused lane loop per fault.  The trace and
 //     the propagation, with the composition of each stem's
 //     observability, are compiled once per circuit into per-stem
 //     instruction streams (widesim.Stems) that widesim's evaluation
-//     loops run, and at W = 8 on AVX2 CPUs the counting pass runs an
-//     assembly kernel (count8AVX2).  Each
+//     loops run, and on AVX2 CPUs the counting pass runs an assembly
+//     kernel (count8AVX2).  Each
 //     measurement has one body over a stretch of its block schedule
 //     (Schedule): DetectionCounts counts inside that loop, masked to
 //     each block's valid patterns, and stores no detection words;
@@ -22,7 +22,7 @@
 //     positions into a coverage curve.  MeasureDetection and
 //     CoverageCurve run the bodies over the whole schedule, a shard
 //     over its block range.  BIST capture (package bist) drives the
-//     engine's capture mode itself;
+//     engine's capture mode itself, at W = 1;
 //   - the naive engine (Simulator), kept as the independent oracle:
 //     every fault is re-simulated individually inside its output cone,
 //     serially, by MeasureDetectionNaive and CoverageCurveNaive.
@@ -97,9 +97,8 @@ func CheckEngine(k EngineKind) error {
 }
 
 // Options tunes an FFR measurement run (Plan.MeasureDetection and
-// Plan.CoverageCurve).  The zero value runs serially on the default
-// width schedule.  The naive oracle takes no options: it is serial and
-// has no wide path.
+// Plan.CoverageCurve).  The zero value runs serially.  The naive
+// oracle takes no options: it is serial and has no wide path.
 type Options struct {
 	// Workers spreads the per-block work over goroutines; <= 1 is
 	// serial, < 0 selects GOMAXPROCS.  Values above GOMAXPROCS are
@@ -109,12 +108,6 @@ type Options struct {
 	// identical either way.  Results are identical for every worker
 	// count.
 	Workers int
-	// Width is the simulation width in 64-pattern lanes.  0, the
-	// default, runs every chunk at W=8.  1 or 8 forces that width;
-	// any other value is an error.  Either way the last chunk of a
-	// run is padded with empty lanes.  Results are bit-identical at
-	// every width.
-	Width int
 }
 
 // Simulator is the naive fault simulator: one cone re-simulation per
@@ -448,8 +441,8 @@ type CoveragePoint struct {
 // cumulative fault coverage at each checkpoint (pattern counts, sorted
 // ascending) — the experiment behind Table 6.  It runs FirstDetections
 // over the whole CurveBlocks schedule and turns the positions into the
-// curve with CurveOf, so the curve is identical for every width and
-// worker count.  When dropping exhausts the fault list mid-wave, the
+// curve with CurveOf, so the curve is identical for every worker
+// count.  When dropping exhausts the fault list mid-wave, the
 // generator may end up further advanced than after a
 // one-block-at-a-time run; the curve itself is unaffected.
 // Cancellation and progress work as in DetectionCounts.

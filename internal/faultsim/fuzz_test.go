@@ -12,9 +12,8 @@ import (
 // FuzzEnginesAgree is the differential check of the FFR engine on
 // random circuits: for a circuits.Random topology, a fault model and a
 // pattern count drawn from the input, Plan.MeasureDetection must return
-// the naive oracle's detection counts at widths 0, 1 and 8, and the
-// capture at every width must reproduce the naive oracle's output
-// words.
+// the naive oracle's detection counts, and the capture at both engine
+// widths must reproduce the naive oracle's output words.
 // Random circuits reach what the registry rarely has and what the
 // compiled two-bank regions must bind correctly: n-ary gates (MaxArity
 // up to 9), gates fed twice by one node, and outputs that also fan out.
@@ -39,18 +38,15 @@ func FuzzEnginesAgree(f *testing.F) {
 		}
 		n := 1 + int(patterns)%1100
 		want := newNaive(c, faults, seed).counts([]int{n})[n]
-		plan := NewPlan(c, faults)
-		for _, w := range widthCases {
-			got, err := plan.MeasureDetection(context.Background(),
-				pattern.NewUniform(len(c.Inputs), seed), n, Options{Width: w}, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range faults {
-				if got.Detected[i] != want[i] {
-					t.Fatalf("%s %s n=%d width %d fault %v: detected %d, naive %d",
-						c.Name, m, n, w, faults[i], got.Detected[i], want[i])
-				}
+		got, err := NewPlan(c, faults).MeasureDetection(context.Background(),
+			pattern.NewUniform(len(c.Inputs), seed), n, Options{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range faults {
+			if got.Detected[i] != want[i] {
+				t.Fatalf("%s %s n=%d fault %v: detected %d, naive %d",
+					c.Name, m, n, faults[i], got.Detected[i], want[i])
 			}
 		}
 		checkCaptureIdentity(t, c, faults, seed, wideWidths)

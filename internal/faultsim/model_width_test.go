@@ -13,7 +13,7 @@ import (
 
 // This file mirrors wide_test.go and engine_test.go for the non-stuck-at
 // universes: every equivalence the stuck-at properties pin — FFR vs
-// naive detection words at every width, every width schedule and
+// naive detection words at both engine widths, measurements at every
 // worker count, coverage curves — must hold bit-for-bit for bridging
 // and transition faults too, because every engine shares one
 // conditional-activation kernel across kinds.
@@ -62,8 +62,7 @@ func TestModelWideChunkIdentity(t *testing.T) {
 // TestModelMeasureDetectionIdentity compares whole measurements over
 // the bridging and transition universes: on every ragged pattern
 // budget, detection counts and per-fault trial counts must match the
-// naive oracle exactly for every width (including the default
-// schedule); parallel runs take the longest budget.
+// naive oracle exactly; parallel runs take the longest budget.
 func TestModelMeasureDetectionIdentity(t *testing.T) {
 	t.Parallel()
 	for _, c := range widthTestCircuits() {
@@ -71,25 +70,23 @@ func TestModelMeasureDetectionIdentity(t *testing.T) {
 			plan := NewPlan(c, faults)
 			want := sharedNaive(c, faults, 3).counts(raggedCounts)
 			for _, n := range raggedCounts {
-				for _, w := range widthCases {
-					for _, workers := range []int{1, 3, -1} {
-						if workers != 1 && n != slices.Max(raggedCounts) {
-							continue
-						}
-						opts := Options{Width: w, Workers: workers}
-						got, err := plan.MeasureDetection(context.Background(),
-							pattern.NewUniform(len(c.Inputs), 3), n, opts, nil)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if got.Applied != n {
-							t.Fatalf("%s %s n=%d %+v: applied %d", c.Name, model, n, opts, got.Applied)
-						}
-						for i := range faults {
-							if got.Detected[i] != want[n][i] {
-								t.Fatalf("%s %s n=%d %+v fault %v: detected %d != %d",
-									c.Name, model, n, opts, faults[i], got.Detected[i], want[n][i])
-							}
+				for _, workers := range []int{1, 3, -1} {
+					if workers != 1 && n != slices.Max(raggedCounts) {
+						continue
+					}
+					opts := Options{Workers: workers}
+					got, err := plan.MeasureDetection(context.Background(),
+						pattern.NewUniform(len(c.Inputs), 3), n, opts, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got.Applied != n {
+						t.Fatalf("%s %s n=%d %+v: applied %d", c.Name, model, n, opts, got.Applied)
+					}
+					for i := range faults {
+						if got.Detected[i] != want[n][i] {
+							t.Fatalf("%s %s n=%d %+v fault %v: detected %d != %d",
+								c.Name, model, n, opts, faults[i], got.Detected[i], want[n][i])
 						}
 					}
 				}
@@ -99,9 +96,8 @@ func TestModelMeasureDetectionIdentity(t *testing.T) {
 }
 
 // TestModelCoverageCurveIdentity compares fault-dropping coverage
-// curves over the bridging and transition universes across widths
-// (including the default schedule) and worker counts against the naive
-// oracle, on the ragged checkpoints.
+// curves over the bridging and transition universes across worker
+// counts against the naive oracle, on the ragged checkpoints.
 func TestModelCoverageCurveIdentity(t *testing.T) {
 	t.Parallel()
 	cps := raggedCounts
@@ -111,21 +107,19 @@ func TestModelCoverageCurveIdentity(t *testing.T) {
 		for model, faults := range modelCases(c) {
 			plan := NewPlan(c, faults)
 			ref := naiveCurve(t, plan, 11, cps)
-			for _, w := range widthCases {
-				for _, workers := range []int{1, 3} {
-					got, err := plan.CoverageCurve(context.Background(),
-						pattern.NewUniform(len(c.Inputs), 11), cps, Options{Width: w, Workers: workers}, nil)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if len(got) != len(ref) {
-						t.Fatalf("%s %s width %d: %d points != %d", c.Name, model, w, len(got), len(ref))
-					}
-					for i := range ref {
-						if got[i] != ref[i] {
-							t.Fatalf("%s %s width %d workers %d: point %d %+v != %+v",
-								c.Name, model, w, workers, i, got[i], ref[i])
-						}
+			for _, workers := range []int{1, 3} {
+				got, err := plan.CoverageCurve(context.Background(),
+					pattern.NewUniform(len(c.Inputs), 11), cps, Options{Workers: workers}, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != len(ref) {
+					t.Fatalf("%s %s workers %d: %d points != %d", c.Name, model, workers, len(got), len(ref))
+				}
+				for i := range ref {
+					if got[i] != ref[i] {
+						t.Fatalf("%s %s workers %d: point %d %+v != %+v",
+							c.Name, model, workers, i, got[i], ref[i])
 					}
 				}
 			}

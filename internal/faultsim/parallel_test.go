@@ -146,7 +146,7 @@ func TestSharedRegionsConcurrent(t *testing.T) {
 	simulate := func(plan *Plan) run {
 		c := plan.Circuit()
 		res, err := plan.MeasureDetection(context.Background(),
-			pattern.NewUniform(len(c.Inputs), 9), n, Options{Width: 8}, nil)
+			pattern.NewUniform(len(c.Inputs), 9), n, Options{}, nil)
 		if err != nil {
 			t.Error(err)
 			return run{}

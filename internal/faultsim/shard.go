@@ -87,13 +87,8 @@ func (s Schedule) Block(j int) BlockSpan {
 	return BlockSpan{Mask: blockMask(s.ends[i] - applied), End: min(applied+64, s.ends[i])}
 }
 
-// ChunkBlocks returns the number of blocks a chunk of a run at width
-// carries: the width itself, or 8 at width 0.  A block range that
-// starts at a multiple of it, and ends at one or at the run's end,
-// simulates the same chunks as that stretch of the whole run.
-func ChunkBlocks(width int) int {
-	if width == 0 {
-		return 8
-	}
-	return width
-}
+// ChunkBlocks is the number of blocks one measurement chunk carries,
+// the W = 8 lanes of the engine.  A block range that starts at a
+// multiple of it, and ends at one or at the run's end, simulates the
+// same chunks as that stretch of the whole run.
+const ChunkBlocks = 8

@@ -3,6 +3,9 @@ package faultsim
 import (
 	"slices"
 	"testing"
+
+	"protest/internal/circuits"
+	"protest/internal/fault"
 )
 
 // appliedBlocks lists the blocks the serial oracle loops apply for
@@ -69,13 +72,14 @@ func TestScheduleBlocks(t *testing.T) {
 	}
 }
 
-// TestChunkBlocks pins the chunk of each width, the unit shard cuts
-// align to: an explicit width is used as is, and width 0 runs 8-block
-// chunks, the last one padded.
+// TestChunkBlocks pins the measurement chunk, the unit shard cuts
+// align to: 8 blocks, the lanes of the engine every measurement
+// acquires.
 func TestChunkBlocks(t *testing.T) {
-	for width, want := range map[int]int{0: 8, 1: 1, 8: 8} {
-		if got := ChunkBlocks(width); got != want {
-			t.Errorf("ChunkBlocks(%d) = %d, want %d", width, got, want)
-		}
+	c := circuits.C17()
+	e := NewPlan(c, fault.Collapse(c)).AcquireWideEngine(ChunkBlocks)
+	defer e.Release()
+	if ChunkBlocks != 8 || e.Width() != ChunkBlocks {
+		t.Fatalf("ChunkBlocks = %d, engine width %d, want 8", ChunkBlocks, e.Width())
 	}
 }

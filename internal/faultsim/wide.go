@@ -282,9 +282,8 @@ func detectWords[B widesim.Block](v []B, recs []faultRec, grp []int32, mask *B, 
 // countWords is detectWords for a counting run: it adds the set bits
 // of every fault's detection words to counts[fi] and stores no words.
 // Its cases are detectWords', term for term; it is a loop of its own
-// so that the word-writing loop carries no counting.  It counts at
-// W = 1 and on CPUs without AVX2, and it is count8AVX2's test
-// reference.
+// so that the word-writing loop carries no counting.  It counts on
+// CPUs without AVX2, and it is count8AVX2's test reference.
 func countWords[B widesim.Block](v []B, recs []faultRec, grp []int32, mask *B, counts []int) {
 	for _, fi := range grp {
 		r := &recs[fi]

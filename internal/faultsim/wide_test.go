@@ -2,6 +2,7 @@ package faultsim
 
 import (
 	"context"
+	"fmt"
 	"math/bits"
 	"os"
 	"runtime"
@@ -21,8 +22,8 @@ import (
 // serial on one core.  GOMAXPROCS may legally exceed the physical CPU
 // count; correctness tests only need the goroutines to exist.
 //
-// The identity tables that compare engines, widths and worker counts
-// against the naive oracle call t.Parallel: they share nothing mutable
+// The identity tables that compare engines, engine widths and worker
+// counts against the naive oracle call t.Parallel: they share nothing mutable
 // but the naive references (sharedNaive), and under the race detector
 // they take most of the package's time.
 func TestMain(m *testing.M) {
@@ -32,17 +33,14 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// wideWidths are the wide engine's lane counts; widthCases adds the
-// default schedule (Options.Width 0) for the measurement tables.
-var (
-	wideWidths = []int{1, 8}
-	widthCases = []int{0, 1, 8}
-)
+// wideWidths are the wide engine's lane counts: 8 for measurements, 1
+// for BIST capture.
+var wideWidths = []int{1, 8}
 
 // raggedCounts are pattern budgets that end mid-block (1, 63, 65, 581),
 // fill whole 8-block chunks (512), or leave a 1-block tail after whole
-// chunks (1088 = 17 blocks), so every width runs full chunks, padded
-// last chunks, or both.
+// chunks (1088 = 17 blocks), so a run has full chunks, a padded last
+// chunk, or both.
 var raggedCounts = []int{1, 63, 65, 512, 581, 1088}
 
 // naiveRef is the naive oracle's reference for one pattern stream: the
@@ -201,9 +199,9 @@ func checkChunkIdentity(t *testing.T, c *circuit.Circuit, faults []fault.Fault, 
 }
 
 // TestWideMeasureDetectionIdentity compares whole measurements across
-// widths, including the default schedule, and worker counts: on every
-// ragged pattern budget, detection counts must match the naive oracle
-// exactly.  Parallel runs take the longest budget.
+// worker counts: on every ragged pattern budget, detection counts must
+// match the naive oracle exactly.  Parallel runs take the longest
+// budget.
 func TestWideMeasureDetectionIdentity(t *testing.T) {
 	t.Parallel()
 	for _, c := range widthTestCircuits() {
@@ -211,25 +209,22 @@ func TestWideMeasureDetectionIdentity(t *testing.T) {
 		plan := NewPlan(c, faults)
 		want := sharedNaive(c, faults, 3).counts(raggedCounts)
 		for _, n := range raggedCounts {
-			for _, w := range widthCases {
-				for _, workers := range []int{1, 3} {
-					if workers > 1 && n != slices.Max(raggedCounts) {
-						continue
-					}
-					got, err := plan.MeasureDetection(context.Background(),
-						pattern.NewUniform(len(c.Inputs), 3), n,
-						Options{Width: w, Workers: workers}, nil)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got.Applied != n {
-						t.Fatalf("%s n=%d width %d workers %d: applied %d", c.Name, n, w, workers, got.Applied)
-					}
-					for i := range faults {
-						if got.Detected[i] != want[n][i] {
-							t.Fatalf("%s n=%d width %d workers %d fault %v: detected %d != %d",
-								c.Name, n, w, workers, faults[i], got.Detected[i], want[n][i])
-						}
+			for _, workers := range []int{1, 3} {
+				if workers > 1 && n != slices.Max(raggedCounts) {
+					continue
+				}
+				got, err := plan.MeasureDetection(context.Background(),
+					pattern.NewUniform(len(c.Inputs), 3), n, Options{Workers: workers}, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Applied != n {
+					t.Fatalf("%s n=%d workers %d: applied %d", c.Name, n, workers, got.Applied)
+				}
+				for i := range faults {
+					if got.Detected[i] != want[n][i] {
+						t.Fatalf("%s n=%d workers %d fault %v: detected %d != %d",
+							c.Name, n, workers, faults[i], got.Detected[i], want[n][i])
 					}
 				}
 			}
@@ -238,10 +233,10 @@ func TestWideMeasureDetectionIdentity(t *testing.T) {
 }
 
 // TestWideCoverageCurveIdentity compares fault-dropping coverage curves
-// across widths, including the default schedule, and worker counts
-// against the naive oracle's curve.  The checkpoints are the ragged
-// budgets, so the segments between them (1, 62, 2, 447, 69 and 507
-// patterns) end mid-block and run as W=1 tails or 8-block chunks.
+// across worker counts against the naive oracle's curve.  The
+// checkpoints are the ragged budgets, so the segments between them (1,
+// 62, 2, 447, 69 and 507 patterns) end mid-block, and 8-block chunks
+// span them.
 func TestWideCoverageCurveIdentity(t *testing.T) {
 	t.Parallel()
 	cps := raggedCounts
@@ -249,22 +244,19 @@ func TestWideCoverageCurveIdentity(t *testing.T) {
 		faults := fault.Collapse(c)
 		plan := NewPlan(c, faults)
 		ref := naiveCurve(t, plan, 11, cps)
-		for _, w := range widthCases {
-			for _, workers := range []int{1, 3} {
-				got, err := plan.CoverageCurve(context.Background(),
-					pattern.NewUniform(len(c.Inputs), 11), cps,
-					Options{Width: w, Workers: workers}, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(got) != len(ref) {
-					t.Fatalf("%s width %d: %d points != %d", c.Name, w, len(got), len(ref))
-				}
-				for i := range ref {
-					if got[i] != ref[i] {
-						t.Fatalf("%s width %d workers %d: point %d %+v != %+v",
-							c.Name, w, workers, i, got[i], ref[i])
-					}
+		for _, workers := range []int{1, 3} {
+			got, err := plan.CoverageCurve(context.Background(),
+				pattern.NewUniform(len(c.Inputs), 11), cps, Options{Workers: workers}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(ref) {
+				t.Fatalf("%s: %d points != %d", c.Name, len(got), len(ref))
+			}
+			for i := range ref {
+				if got[i] != ref[i] {
+					t.Fatalf("%s workers %d: point %d %+v != %+v",
+						c.Name, workers, i, got[i], ref[i])
 				}
 			}
 		}
@@ -352,21 +344,30 @@ func checkCaptureIdentity(t *testing.T, c *circuit.Circuit, faults []fault.Fault
 	}
 }
 
-// TestOptionsWidthValidation rejects unsupported widths, 4 included,
-// with an error, not a panic, on both measurement entry points.
+// TestOptionsWidthValidation: no measurement option picks a width, and
+// the one call that takes a width, AcquireWideEngine, has exactly the
+// two engine instantiations.  Any other width, 0 and 4 included, is a
+// caller bug and panics with the width named.
 func TestOptionsWidthValidation(t *testing.T) {
 	c := engineTestCircuits()[0]
-	faults := fault.Collapse(c)
-	plan := NewPlan(c, faults)
-	for _, bad := range []int{-1, 2, 3, 4, 16} {
-		if _, err := plan.MeasureDetection(context.Background(),
-			pattern.NewUniform(len(c.Inputs), 1), 128, Options{Width: bad}, nil); err == nil {
-			t.Fatalf("MeasureDetection accepted width %d", bad)
+	plan := NewPlan(c, fault.Collapse(c))
+	for _, w := range wideWidths {
+		e := plan.AcquireWideEngine(w)
+		if e.Width() != w {
+			t.Fatalf("AcquireWideEngine(%d).Width() = %d", w, e.Width())
 		}
-		if _, err := plan.CoverageCurve(context.Background(),
-			pattern.NewUniform(len(c.Inputs), 1), []int{128}, Options{Width: bad}, nil); err == nil {
-			t.Fatalf("CoverageCurve accepted width %d", bad)
-		}
+		e.Release()
+	}
+	for _, bad := range []int{-1, 0, 2, 3, 4, 16} {
+		func() {
+			defer func() {
+				want := fmt.Sprintf("faultsim: unsupported simulation width %d", bad)
+				if r := recover(); r != want {
+					t.Errorf("AcquireWideEngine(%d) panicked with %v, want %q", bad, r, want)
+				}
+			}()
+			plan.AcquireWideEngine(bad)
+		}()
 	}
 }
 

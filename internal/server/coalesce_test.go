@@ -94,74 +94,6 @@ func TestPipelineCoalesce64(t *testing.T) {
 	}
 }
 
-// Width is part of a computation's identity: a request never joins a
-// computation at another width, which may take several times as long
-// as its own, while an identical request still joins.  A width-1
-// request leads, a default-width one arriving while it runs leads its
-// own computation, and a second width-1 request joins the first: two
-// leads and one join, every report the same bytes.
-func TestPipelineWidthSplitsCoalescing(t *testing.T) {
-	srv, ts := newTestServer(t, Config{MaxInFlight: 4})
-	// One slot per request, so no leader blocks before the release.
-	entered := make(chan struct{}, 3)
-	release := make(chan struct{})
-	srv.testHookAdmitted = func() {
-		entered <- struct{}{}
-		<-release
-	}
-
-	narrow := protest.PipelineSpec{SimPatterns: 64, SimWidth: 1}
-	plain := protest.PipelineSpec{SimPatterns: 64}
-	var wg sync.WaitGroup
-	bodies := make([][]byte, 3)
-	post := func(i int, spec protest.PipelineSpec, attached int64) {
-		data, _ := json.Marshal(PipelineRequest{CircuitRef: CircuitRef{Circuit: "c17"}, Spec: spec})
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resp, err := http.Post(ts.URL+"/v1/pipeline", "application/json", bytes.NewReader(data))
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			body, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				t.Errorf("request %d: status %d (%s)", i, resp.StatusCode, body)
-			}
-			bodies[i] = body
-		}()
-		waitFor(t, "the request to attach", func() bool {
-			st := srv.pipelines.Stats()
-			return st.Leads+st.Joins == attached
-		})
-	}
-	post(0, narrow, 1)
-	select {
-	case <-entered:
-	case <-time.After(10 * time.Second):
-		t.Fatal("the width-1 leader never reached the run hook")
-	}
-	post(1, plain, 2)
-	post(2, narrow, 3)
-	close(release)
-	wg.Wait()
-
-	if st := srv.Stats().Coalesce; st.Leads != 2 || st.Joins != 1 {
-		t.Errorf("coalesce stats = %+v, want 2 leads (one per width) and 1 join", st)
-	}
-	want := reportJSON(t, directReport(t, "c17", plain))
-	for i, body := range bodies {
-		var rep protest.Report
-		if err := json.Unmarshal(body, &rep); err != nil {
-			t.Fatalf("request %d: %v", i, err)
-		}
-		if got := reportJSON(t, &rep); got != want {
-			t.Errorf("request %d diverged from the direct run:\n got %s\nwant %s", i, got, want)
-		}
-	}
-}
-
 // postAsync posts body to url on its own goroutine, storing the
 // response status and body in *status and *out.
 func postAsync(t *testing.T, wg *sync.WaitGroup, url string, body any, status *int, out *[]byte) {
@@ -355,8 +287,7 @@ func TestAnalyzeDisconnectCancels(t *testing.T) {
 
 // The coalescing key must canonicalize specs: a spec relying on the
 // documented defaults and one spelling them out map to one key; a spec
-// that changes the result, or only the width it runs at, maps to
-// another.
+// that changes the result maps to another.
 func TestPipelineSpecKeyCanonical(t *testing.T) {
 	zero, err := pipelineSpecKey(protest.PipelineSpec{})
 	if err != nil {
@@ -373,14 +304,6 @@ func TestPipelineSpecKeyCanonical(t *testing.T) {
 	}
 	if zero != spelled {
 		t.Errorf("defaulted and spelled-out specs got different keys:\n%s\n%s", zero, spelled)
-	}
-
-	width, err := pipelineSpecKey(protest.PipelineSpec{SimWidth: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if width == zero {
-		t.Error("specs at width 8 and at the default width share a key")
 	}
 
 	bist, err := pipelineSpecKey(protest.PipelineSpec{BIST: &protest.BISTPlan{Cycles: 100}})

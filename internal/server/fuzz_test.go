@@ -86,7 +86,7 @@ func FuzzPipelineSpec(f *testing.F) {
 			PipelineRequest{CircuitRef: ref, Spec: protest.PipelineSpec{FaultModel: model}},
 			PipelineRequest{CircuitRef: ref, Spec: protest.PipelineSpec{
 				FaultModel: model, Fraction: 0.9, Confidence: 0.99, Optimize: true, QuantizeGrid: -1,
-				SimPatterns: 300, SimWidth: 1, BIST: &protest.BISTPlan{Cycles: 100, MISRWidth: 16},
+				SimPatterns: 300, BIST: &protest.BISTPlan{Cycles: 100, MISRWidth: 16},
 			}},
 		}
 	}) {
@@ -122,6 +122,61 @@ func FuzzPipelineSpec(f *testing.F) {
 		}
 		if normKey != key {
 			t.Fatalf("%s: key %s, but its normal form's key is %s", body, key, normKey)
+		}
+	})
+}
+
+// FuzzValidateSpec runs any body through /v1/validate's checks only:
+// decoding, ValidateSpec.Validate and circuit resolution, not a run.
+// A body that fails them must be answered 400 (413 when over the
+// limit) before admission and without a Session, and every spec they
+// accept must still pass Validate after a JSON round trip, so a
+// client that echoes an accepted spec is accepted again.
+func FuzzValidateSpec(f *testing.F) {
+	for _, body := range fuzzSeeds(f, func(ref CircuitRef, model protest.FaultModel, _ int) []any {
+		reqs := []any{ValidateRequest{CircuitRef: ref, Spec: protest.ValidateSpec{
+			FaultModel: model, MinPatterns: 4096, MaxPatterns: 1024,
+		}}}
+		for _, w := range []int{0, 1, 3, 4, 8} {
+			reqs = append(reqs, ValidateRequest{CircuitRef: ref, Spec: protest.ValidateSpec{FaultModel: model, SimWidth: w}})
+		}
+		for _, eps := range []float64{1, 2, -1} {
+			reqs = append(reqs, ValidateRequest{CircuitRef: ref, Spec: protest.ValidateSpec{FaultModel: model, Epsilon: eps}})
+		}
+		return reqs
+	}) {
+		f.Add(body)
+	}
+	f.Add([]byte(`{"circuit":"c17","spec":{"max_paterns":100}}`))
+	f.Add([]byte(`{"circuit":"c17","spec":{"sim_width":8,"workers":2}}`))
+	f.Add([]byte(`{"circuit":"c17","spec":{"epsilon":0.01,"pmin_floor":0.5,"gross_tol":0,"bdd_budget":-3}}`))
+	srv := New(Config{Seed: testSeed, MaxBodyBytes: 1 << 16})
+	defer srv.Close()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		_, spec, ok := srv.decodeValidate(rec, httptest.NewRequest(http.MethodPost, "/v1/validate", bytes.NewReader(body)))
+		if st := srv.Stats(); st.InFlight != 0 || st.Queued != 0 || st.Sessions != 0 {
+			t.Fatalf("%s: the checks took an admission slot or built a Session: %+v", body, st)
+		}
+		if !ok {
+			if rec.Code != http.StatusBadRequest && rec.Code != http.StatusRequestEntityTooLarge {
+				t.Fatalf("%s: refused with status %d (%s)", body, rec.Code, rec.Body)
+			}
+			return
+		}
+		if rec.Body.Len() != 0 {
+			t.Fatalf("%s: accepted, but answered %d (%s)", body, rec.Code, rec.Body)
+		}
+		data, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatalf("%s: the accepted spec does not encode: %v", body, err)
+		}
+		var again protest.ValidateSpec
+		if err := json.Unmarshal(data, &again); err != nil {
+			t.Fatalf("%s: the accepted spec does not decode from %s: %v", body, data, err)
+		}
+		if err := again.Validate(); err != nil {
+			t.Fatalf("%s: accepted, but its round trip %s is refused: %v", body, data, err)
 		}
 	})
 }

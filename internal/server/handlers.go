@@ -240,9 +240,7 @@ type pipelineKey struct {
 // pipelineSpecKey canonicalizes a spec for coalescing: Normalize
 // applies the documented zero-value defaults, so a spec relying on a
 // default and one spelling it out produce the same key.  Every wire
-// field is part of the key, SimWidth included: a request never joins
-// a computation that runs at another width, which could take several
-// times as long as its own.
+// field is part of the key.
 func pipelineSpecKey(spec protest.PipelineSpec) (string, error) {
 	norm, err := spec.Normalize()
 	if err != nil {

@@ -23,9 +23,9 @@ import (
 // TestShardEndpoint: a worker-mode server executes shard requests,
 // answers a digest it does not hold with 404 until the netlist was sent
 // once and then byte-identically to the netlist request, and rejects
-// malformed requests, requests without a digest and requests at a
-// width it does not simulate, such as an older coordinator's width 4;
-// every error is a clean JSON envelope.
+// malformed requests, requests without a digest and requests for
+// blocks their run does not have; every error is a clean JSON
+// envelope.
 func TestShardEndpoint(t *testing.T) {
 	srv, ts := newTestServer(t, Config{Worker: true})
 
@@ -49,8 +49,8 @@ func TestShardEndpoint(t *testing.T) {
 	wrongDigest.Digest = shard.Digest("c17-other", src)
 	noDigest := full
 	noDigest.Digest = ""
-	width4 := byDigest
-	width4.SimWidth = 4
+	reversed := byDigest
+	reversed.BlockLo, reversed.BlockHi = 2, 1
 
 	var okBody []byte
 	for _, step := range []struct {
@@ -65,7 +65,7 @@ func TestShardEndpoint(t *testing.T) {
 		{"netlist with a wrong digest", wrongDigest, http.StatusBadRequest, 1},
 		{"netlist without a digest", noDigest, http.StatusBadRequest, 2},
 		{"neither netlist nor digest", shard.Request{Kind: shard.KindDetect}, http.StatusBadRequest, 3},
-		{"digest at width 4", width4, http.StatusBadRequest, 4},
+		{"digest over a reversed block range", reversed, http.StatusBadRequest, 4},
 	} {
 		resp, body := postJSON(t, ts.URL+"/v1/shard", step.req)
 		if resp.StatusCode != step.status {

@@ -19,9 +19,9 @@
 //
 // On top of admission the service deduplicates the work itself
 // (internal/coalesce): identical concurrent pipeline requests — same
-// circuit identity, same canonicalized spec, sim_width included — join
-// one in-flight computation and share its Report (each joiner keeps
-// its own progress stream), and identical concurrent /v1/analyze
+// circuit identity, same canonicalized spec — join one in-flight
+// computation and share its Report (each joiner keeps its own
+// progress stream), and identical concurrent /v1/analyze
 // requests — same circuit identity, same input tuple bits — join one
 // analysis pass.  A computation holds one admission slot however many
 // requests joined it, and is canceled only when every joiner has

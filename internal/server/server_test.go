@@ -512,14 +512,15 @@ func TestBadBISTSpecIs400(t *testing.T) {
 	}
 }
 
-// An unsupported width and a field the endpoint does not know are bad
-// requests: 400 with the error envelope before any phase runs.  An
-// unknown field's message names it, whether it is misspelled or one no
-// request carries any more (the engine and the worker count are the
-// server's).  Unknown fields used to be ignored (sim_engine 7 ran on
-// the FFR engine, and sim_paterns simulated the derived budget), a
-// validate width of 3 answered 500 after the analysis and the BDD
-// oracle, and width 4 was a supported width.
+// An unsupported validate width and a field the endpoint does not know
+// are bad requests: 400 with the error envelope before any phase runs.
+// An unknown field's message names it, whether it is misspelled or one
+// no request carries any more (the engine, the worker count and the
+// simulation width are the server's).  Unknown fields used to be
+// ignored (sim_engine 7 ran on the FFR engine, and sim_paterns
+// simulated the derived budget), a validate width of 3 answered 500
+// after the analysis and the BDD oracle, and width 4 was a supported
+// width.
 func TestUnknownEngineAndValidateWidthAre400(t *testing.T) {
 	srv, ts := newTestServer(t, Config{Worker: true})
 	for _, tc := range []struct{ path, body, field string }{
@@ -536,8 +537,9 @@ func TestUnknownEngineAndValidateWidthAre400(t *testing.T) {
 		{"/v1/validate", `{"circuit":"c17","spec":{"max_paterns":100}}`, "max_paterns"},
 		{"/v1/analyze", `{"circuit":"c17","input_prob":[0.5]}`, "input_prob"},
 		{"/v1/shard", `{"name":"c17","sim_widht":8}`, "sim_widht"},
-		{"/v1/pipeline", `{"circuit":"c17","spec":{"sim_width":4}}`, ""},
-		{"/v1/jobs", `{"circuit":"c17","spec":{"sim_width":4}}`, ""},
+		{"/v1/shard", `{"name":"c17","sim_width":8}`, "sim_width"},
+		{"/v1/pipeline", `{"circuit":"c17","spec":{"sim_width":8}}`, "sim_width"},
+		{"/v1/jobs", `{"circuit":"c17","spec":{"sim_width":1}}`, "sim_width"},
 		{"/v1/validate", `{"circuit":"c17","spec":{"sim_width":3}}`, ""},
 		{"/v1/validate", `{"circuit":"c17","spec":{"sim_width":4}}`, ""},
 	} {
@@ -755,23 +757,19 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
-// A width-8 request must answer a report byte-identical to a direct
-// run at the default width — width is a speed knob, never a result
-// knob.
-func TestPipelineSimWidthIdentical(t *testing.T) {
+// ValidateSpec.SimWidth is deprecated and inert: /v1/validate answers
+// sim_width 0, 1 and 8 with the bytes of a body that leaves it out.
+func TestValidateSimWidthIdentical(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	spec := protest.PipelineSpec{SimPatterns: 256}
-
-	resp, body := postJSON(t, ts.URL+"/v1/pipeline", json.RawMessage(`{"circuit":"alu","spec":{"sim_patterns":256,"sim_width":8}}`))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
-	var got protest.Report
-	if err := json.Unmarshal(body, &got); err != nil {
-		t.Fatalf("bad report JSON: %v\n%s", err, body)
-	}
-	want := directReport(t, "alu", spec)
-	if g, w := reportJSON(t, &got), reportJSON(t, want); g != w {
-		t.Fatalf("width-8 request's report differs from default-width run:\n got %s\nwant %s", g, w)
+	_, want := postJSON(t, ts.URL+"/v1/validate", json.RawMessage(`{"circuit":"alu"}`))
+	for _, w := range []int{0, 1, 8} {
+		body := fmt.Sprintf(`{"circuit":"alu","spec":{"sim_width":%d}}`, w)
+		resp, got := postJSON(t, ts.URL+"/v1/validate", json.RawMessage(body))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", body, resp.StatusCode, got)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: answer differs from the body without sim_width:\n got %s\nwant %s", body, got, want)
+		}
 	}
 }

@@ -16,6 +16,27 @@ type ValidateRequest struct {
 	Spec protest.ValidateSpec `json:"spec"`
 }
 
+// decodeValidate reads a /v1/validate body and checks it before any
+// work starts: the spec first, which costs nothing, then the circuit,
+// whose inline netlist may need compiling.  When a step fails, the
+// request has been answered (400, or 413 for a body over the limit)
+// and ok is false.
+func (s *Server) decodeValidate(w http.ResponseWriter, r *http.Request) (c *protest.Circuit, spec protest.ValidateSpec, ok bool) {
+	var req ValidateRequest
+	if !s.decode(w, r, &req) {
+		return nil, spec, false
+	}
+	err := req.Spec.Validate()
+	if err == nil {
+		c, err = s.resolveCircuit(&req.CircuitRef)
+	}
+	if err != nil {
+		s.error(w, http.StatusBadRequest, err)
+		return nil, spec, false
+	}
+	return c, req.Spec, true
+}
+
 // handleValidate runs the statistical self-validation harness on the
 // referenced circuit: analytic estimator vs BDD-exact probabilities vs
 // a ProbTest-sized Monte-Carlo run.  The full ValidateReport — flags,
@@ -24,13 +45,8 @@ type ValidateRequest struct {
 // aggregate pass/flag/skip outcomes for monitoring).
 func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
-	var req ValidateRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	c, err := s.resolveCircuit(&req.CircuitRef)
-	if err != nil {
-		s.error(w, http.StatusBadRequest, err)
+	c, spec, ok := s.decodeValidate(w, r)
+	if !ok {
 		return
 	}
 
@@ -45,7 +61,7 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 	}
 
 	start := time.Now()
-	rep, err := sess.Validate(ctx, req.Spec)
+	rep, err := sess.Validate(ctx, spec)
 	if s.fail(w, ctx, err) {
 		return
 	}

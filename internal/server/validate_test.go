@@ -4,7 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"protest"
 )
@@ -84,8 +87,8 @@ func TestValidateBudgetSkipCounted(t *testing.T) {
 	}
 }
 
-// Spec mistakes are the client's fault: 400, not 500, and the failure
-// counters — not the validate outcome counters — advance.
+// Spec mistakes are the client's fault: 400, not 500, and no validate
+// run is counted.
 func TestValidateBadSpecIs400(t *testing.T) {
 	srv, ts := newTestServer(t, Config{})
 	resp, body := postJSON(t, ts.URL+"/v1/validate", ValidateRequest{
@@ -104,6 +107,54 @@ func TestValidateBadSpecIs400(t *testing.T) {
 	})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown circuit: status %d (want 400): %s", resp.StatusCode, body)
+	}
+}
+
+// A bad spec is refused before admission: while a parked pipeline
+// holds the only slot, {"epsilon":2} answers 400 at once, for a named
+// circuit and for an inline netlist alike, without queueing and
+// without a Session or a compiled netlist.  It used to queue for the
+// slot and run the analytic oracle before the 400.
+func TestValidateBadSpecRefusedBeforeAdmission(t *testing.T) {
+	srv, ts := newTestServer(t, Config{MaxInFlight: 1, MaxQueue: 1})
+	entered, release := parkAdmitted(t, srv, 1)
+
+	var wg sync.WaitGroup
+	var pipeStatus int
+	var pipeBody []byte
+	pipe := PipelineRequest{CircuitRef: CircuitRef{Circuit: "c17"}, Spec: protest.PipelineSpec{SimPatterns: 16}}
+	postAsync(t, &wg, ts.URL+"/v1/pipeline", pipe, &pipeStatus, &pipeBody)
+	awaitEntered(t, entered, "the pipeline")
+
+	for _, body := range []string{
+		`{"circuit":"c17","spec":{"epsilon":2}}`,
+		`{"netlist":"INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = NAND(a, b)\n","spec":{"epsilon":2}}`,
+	} {
+		var status int
+		var out []byte
+		var answered sync.WaitGroup
+		postAsync(t, &answered, ts.URL+"/v1/validate", json.RawMessage(body), &status, &out)
+		done := make(chan struct{})
+		go func() { answered.Wait(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			release()
+			<-done
+			t.Fatalf("%s: no answer while the only slot was busy (then %d: %s)", body, status, out)
+		}
+		if status != http.StatusBadRequest || !strings.Contains(string(out), "epsilon 2 out of (0,1)") {
+			t.Fatalf("%s: status %d, body %s; want 400 naming epsilon", body, status, out)
+		}
+	}
+	if st := srv.Stats(); st.Queued != 0 || st.Sessions != 1 || st.Validate.Runs != 0 {
+		t.Errorf("queued %d, sessions %d, validate runs %d: want 0, 1 (the pipeline's) and 0",
+			st.Queued, st.Sessions, st.Validate.Runs)
+	}
+	release()
+	wg.Wait()
+	if pipeStatus != http.StatusOK {
+		t.Fatalf("parked pipeline: status %d (%s)", pipeStatus, pipeBody)
 	}
 }
 

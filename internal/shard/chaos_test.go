@@ -65,7 +65,7 @@ func TestChaosInjectedErrorsRetry(t *testing.T) {
 		"w1": {ErrEvery: 2},
 		"w2": {ErrEvery: 3},
 	}, nil)
-	got, err := run.detect(p, nil, chaosBudget, 0)
+	got, err := run.detect(p, nil, chaosBudget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestChaosDroppedCallsTimeOut(t *testing.T) {
 	var runErr error
 	go func() {
 		defer close(done)
-		res, runErr = run.detect(p, nil, chaosBudget, 0)
+		res, runErr = run.detect(p, nil, chaosBudget)
 	}()
 	select {
 	case <-done:
@@ -156,7 +156,7 @@ func TestChaosCurveUnderErrors(t *testing.T) {
 		"w3": {ErrEvery: 2},
 	}, nil)
 	cps := []int{10, 100, 300}
-	got, err := run.curve(p, nil, cps, 0)
+	got, err := run.curve(p, nil, cps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestChaosCrashEjectionAndReadmission(t *testing.T) {
 		cfg.ejectAfter = 1
 		cfg.probeInterval = 5 * time.Millisecond
 	})
-	got, err := run.detect(p, nil, chaosBudget, 0)
+	got, err := run.detect(p, nil, chaosBudget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestChaosAllWorkersDownDegrades(t *testing.T) {
 		cfg.ejectAfter = 1
 		cfg.maxAttempts = 2
 	})
-	got, err := run.detect(p, nil, 257, 0)
+	got, err := run.detect(p, nil, 257)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestChaosAllWorkersDownDegrades(t *testing.T) {
 	}
 
 	// The next run skips dispatch entirely: fully local, still exact.
-	got, err = run.detect(p, nil, 257, 0)
+	got, err = run.detect(p, nil, 257)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +383,7 @@ func TestHTTPWorkerKilledMidRun(t *testing.T) {
 	})
 	defer p.Close()
 
-	got, err := run.detect(p, nil, 4096, 0)
+	got, err := run.detect(p, nil, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +409,7 @@ func TestHTTPWorkerRestartedMidRun(t *testing.T) {
 	defer p.Close()
 
 	want := serialDetect(t, run, nil, 513)
-	got, err := run.detect(p, nil, 513, 0)
+	got, err := run.detect(p, nil, 513)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +422,7 @@ func TestHTTPWorkerRestartedMidRun(t *testing.T) {
 	// Restart before the next run's second call: the shards reaching
 	// the fresh Executor miss once each.
 	w.restartAt.Store(w.calls.Load() + 2)
-	got, err = run.detect(p, nil, 513, 0)
+	got, err = run.detect(p, nil, 513)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,13 +454,13 @@ func TestArrayWorkerFallsBack(t *testing.T) {
 	})
 	defer p.Close()
 
-	got, err := run.detect(p, nil, 513, 0)
+	got, err := run.detect(p, nil, 513)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameDetect(t, "alu/arrays", got, serialDetect(t, run, nil, 513))
 	cps := []int{10, 100, 513}
-	curve, err := run.curve(p, nil, cps, 0)
+	curve, err := run.curve(p, nil, cps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -491,7 +491,7 @@ func TestPoolKeepsWorkerConnectionsAlive(t *testing.T) {
 
 	measure := func() {
 		t.Helper()
-		if _, err := run.detect(p, nil, 2048, 0); err != nil {
+		if _, err := run.detect(p, nil, 2048); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -101,7 +101,8 @@ func FuzzRequest(f *testing.F) {
 
 // requestSeeds returns FuzzRequest's seed bodies: detect and curve
 // requests for c17 and alu with and without the netlist, under each
-// fault model, at widths 0, 1 and 8, with weighted probabilities, a
+// fault model over the whole run, a chunk-aligned tail and a range
+// that starts and ends inside a chunk, with weighted probabilities, a
 // mismatched digest and an empty and a reversed block range.  It runs
 // one request per circuit on exec first, so that requests without the
 // netlist find their digest.
@@ -128,9 +129,9 @@ func requestSeeds(f *testing.F, exec *Executor) [][]byte {
 		curve := detect
 		curve.Kind, curve.NumPatterns, curve.Checkpoints = KindCurve, 0, []int{64, 300, 1000}
 		for _, model := range []string{"", "bridging", "transition"} {
-			for _, w := range []int{0, 1, 8} {
+			for _, r := range [][2]int{{0, 16}, {8, 16}, {3, 13}} {
 				for _, req := range []Request{detect, curve} {
-					req.FaultModel, req.SimWidth = model, w
+					req.FaultModel, req.BlockLo, req.BlockHi = model, r[0], r[1]
 					add(req)
 				}
 			}

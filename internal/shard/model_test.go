@@ -17,7 +17,7 @@ import (
 // a pattern count that is not a multiple of the 64-pattern block size
 // (which for transition faults is also a ragged launch/capture
 // schedule) and one whose one-worker shards hold whole 8-block chunks
-// of the default width schedule (2048).
+// (2048).
 func TestShardedModelMatchesSerial(t *testing.T) {
 	for _, model := range []fault.Model{fault.ModelBridging, fault.ModelTransition} {
 		for _, name := range circuits.Names() {
@@ -32,7 +32,7 @@ func TestShardedModelMatchesSerial(t *testing.T) {
 						if workers > 1 && n == 2048 {
 							continue // one pool covers the whole-chunk shards
 						}
-						got, err := run.detect(localPool(t, workers, nil), nil, n, 0)
+						got, err := run.detect(localPool(t, workers, nil), nil, n)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -54,7 +54,7 @@ func TestShardedModelCurveMatchesSerial(t *testing.T) {
 			t.Fatalf("alu must have %s faults", model)
 		}
 		p := localPool(t, 3, nil)
-		got, err := run.curve(p, nil, cps, 0)
+		got, err := run.curve(p, nil, cps)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,7 +77,7 @@ func TestModelWireFormat(t *testing.T) {
 			}}
 		})
 		run, _ := newModelRun(t, "c17", model)
-		if _, err := run.detect(p, nil, 128, 0); err != nil {
+		if _, err := run.detect(p, nil, 128); err != nil {
 			t.Fatal(err)
 		}
 		if len(seen) != 1 || seen[string(model)] == 0 {

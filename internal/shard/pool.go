@@ -14,7 +14,6 @@ import (
 	"protest/internal/faultsim"
 	"protest/internal/netlist"
 	"protest/internal/pattern"
-	"protest/internal/widesim"
 )
 
 // Config configures a Pool.  Config{Workers: addrs} is a working
@@ -261,12 +260,13 @@ func sleep(ctx context.Context, d time.Duration) error {
 type span struct{ lo, hi int }
 
 // planShards cuts numBlocks blocks into about target ranges, at most
-// maxShards, and only at multiples of chunk, the blocks of one full
-// chunk of the run's width, so the shards simulate exactly the chunks
+// maxShards, and only at multiples of faultsim.ChunkBlocks, the blocks
+// of one measurement chunk, so the shards simulate exactly the chunks
 // a local run would.  A cut inside a chunk would instead simulate its
 // blocks in two padded chunks, each costing about as much as a full
 // one.  The spans partition the blocks in order.
-func planShards(numBlocks, chunk, target, maxShards int) []span {
+func planShards(numBlocks, target, maxShards int) []span {
+	const chunk = faultsim.ChunkBlocks
 	chunks := (numBlocks + chunk - 1) / chunk
 	n := min(chunks, max(target, 1), maxShards)
 	out := make([]span, n)
@@ -395,7 +395,7 @@ func (p *Pool) start(c *circuit.Circuit, numBlocks int) (*wire, int) {
 // netlist sent to workers that miss the circuit's digest; progress
 // receives (completed shards, total shards).
 func (p *Pool) dispatch(ctx context.Context, plan *faultsim.Plan, src string, base Request, blocks faultsim.Schedule, healthy int, progress faultsim.Progress) ([]*Response, error) {
-	shards := planShards(blocks.Len(), faultsim.ChunkBlocks(base.SimWidth), healthy*shardsPerWorker, maxShards)
+	shards := planShards(blocks.Len(), healthy*shardsPerWorker, maxShards)
 	resps := make([]*Response, len(shards))
 	errs := make([]error, len(shards))
 	var done atomic.Int64
@@ -422,14 +422,10 @@ func (p *Pool) dispatch(ctx context.Context, plan *faultsim.Plan, src string, ba
 }
 
 // measure runs req's measurement over its whole block schedule and
-// returns the responses to merge: one per shard, cut on the chunks of
-// opt.Width, or, with zero healthy workers or for a circuit without a
-// wire form, one from a local run with opt.  It fills req's circuit
-// fields and width.
+// returns the responses to merge: one per shard, or, with zero healthy
+// workers or for a circuit without a wire form, one from a local run
+// with opt.  It fills req's circuit fields.
 func (p *Pool) measure(ctx context.Context, plan *faultsim.Plan, req Request, opt faultsim.Options, progress faultsim.Progress) ([]*Response, error) {
-	if err := widesim.CheckWidth(opt.Width); err != nil {
-		return nil, fmt.Errorf("shard: %w", err)
-	}
 	c := plan.Circuit()
 	blocks := req.schedule()
 	w, healthy := p.start(c, blocks.Len())
@@ -444,7 +440,7 @@ func (p *Pool) measure(ctx context.Context, plan *faultsim.Plan, req Request, op
 		}
 		return []*Response{resp}, nil
 	}
-	req.Name, req.Digest, req.SimWidth = c.Name, w.digest, opt.Width
+	req.Name, req.Digest = c.Name, w.digest
 	return p.dispatch(ctx, plan, w.netlist, req, blocks, healthy, progress)
 }
 
@@ -455,10 +451,10 @@ func (p *Pool) measure(ctx context.Context, plan *faultsim.Plan, req Request, op
 // The plan must enumerate model's universe of its circuit (normalized,
 // as artifact.Store.SimPlanFor builds it): workers derive their plan
 // from the circuit and model, and the merge adds their counts by fault
-// index.  opt is the run's faultsim.Options: shards simulate at its
-// width, serially also when one falls back to local execution, since
-// shards already run concurrently.  With zero healthy workers, or for
-// a circuit without a wire form, the whole run executes locally with
+// index.  opt is the run's faultsim.Options: shards simulate
+// serially, also when one falls back to local execution, since shards
+// already run concurrently.  With zero healthy workers, or for a
+// circuit without a wire form, the whole run executes locally with
 // opt.
 func (p *Pool) MeasureDetection(ctx context.Context, plan *faultsim.Plan, model fault.Model, seed uint64, probs []float64, numPatterns int, opt faultsim.Options, progress faultsim.Progress) (*faultsim.Result, error) {
 	resps, err := p.measure(ctx, plan, Request{

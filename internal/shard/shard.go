@@ -38,8 +38,8 @@
 // # Cost
 //
 // A shard should cost what its simulation costs.  Block ranges are cut
-// only at multiples of the run's chunk (faultsim.ChunkBlocks), so
-// shards simulate exactly the chunks a local run would.  Two
+// only at multiples of the measurement chunk (faultsim.ChunkBlocks),
+// so shards simulate exactly the chunks a local run would.  Two
 // consequences are accepted: a run of at most one chunk is one shard,
 // so a short run does not spread over several workers; and a curve
 // shard after the first re-detects faults that an earlier range
@@ -136,14 +136,6 @@ type Request struct {
 
 	BlockLo int `json:"block_lo"`
 	BlockHi int `json:"block_hi"`
-
-	// SimWidth is the run's simulation width (faultsim.Options.Width):
-	// 0 selects the default chunk schedule, 1 or 8 force that many
-	// blocks per sweep, and a worker refuses any other value as a bad
-	// request.  Every width computes bit-identical counts; the
-	// coordinator cuts block ranges on the width's chunk boundaries, so
-	// a shard simulates the same chunks a local run would.
-	SimWidth int `json:"sim_width,omitempty"`
 }
 
 // Response is one shard's partial result.  Faults is the number of
@@ -256,9 +248,11 @@ func (resp *Response) check(req *Request, want int, blocks faultsim.Schedule) er
 
 // wireVersion starts every digest.  It names the wire's circuit
 // encoding, nodes in node-ID order (netlist.Decode), on which the
-// merge by fault index rests, and the shard geometry, block ranges
-// with one vector entry per plan fault.
-const wireVersion = "v3:"
+// merge by fault index rests, and the shard geometry, block ranges cut
+// on faultsim.ChunkBlocks with one vector entry per plan fault.  v4
+// requests carry no simulation width: every shard runs the one
+// measurement schedule.
+const wireVersion = "v4:"
 
 // Digest is the content address of a circuit on the wire: the wire
 // version followed by the hex SHA-256 of its name and netlist, each
@@ -310,9 +304,9 @@ func newGenerator(nInputs int, probs []float64, seed uint64) (*pattern.Generator
 }
 
 // runShard executes one shard request against a resolved plan: the
-// measurement's faultsim body over the shard's block range, serially
-// at the run's width.  Workers and the coordinator's local fallback
-// both run it, so a shard computes the same bits wherever it runs.
+// measurement's faultsim body over the shard's block range, serially.
+// Workers and the coordinator's local fallback both run it, so a shard
+// computes the same bits wherever it runs.
 func runShard(ctx context.Context, plan *faultsim.Plan, req *Request) (*Response, error) {
 	blocks := req.schedule()
 	if err := req.validate(blocks); err != nil {
@@ -323,7 +317,7 @@ func runShard(ctx context.Context, plan *faultsim.Plan, req *Request) (*Response
 		return nil, err
 	}
 	gen.SkipBlocks(req.BlockLo)
-	return measureBody(ctx, plan, req.Kind, gen, blocks.Range(req.BlockLo, req.BlockHi), faultsim.Options{Width: req.SimWidth}, nil)
+	return measureBody(ctx, plan, req.Kind, gen, blocks.Range(req.BlockLo, req.BlockHi), faultsim.Options{}, nil)
 }
 
 // measureBody runs the faultsim body of a measurement kind over a

@@ -50,14 +50,14 @@ func newModelRun(t *testing.T, name string, model fault.Model) (run testRun, ok 
 	return testRun{faultsim.NewPlan(c, faults), model}, len(faults) > 0
 }
 
-// detect runs the sharded detection measurement on p at a width.
-func (r testRun) detect(p *Pool, probs []float64, n, width int) (*faultsim.Result, error) {
-	return p.MeasureDetection(context.Background(), r.plan, r.model, testSeed, probs, n, faultsim.Options{Width: width}, nil)
+// detect runs the sharded detection measurement on p.
+func (r testRun) detect(p *Pool, probs []float64, n int) (*faultsim.Result, error) {
+	return p.MeasureDetection(context.Background(), r.plan, r.model, testSeed, probs, n, faultsim.Options{}, nil)
 }
 
-// curve runs the sharded coverage curve on p at a width.
-func (r testRun) curve(p *Pool, probs []float64, cps []int, width int) ([]faultsim.CoveragePoint, error) {
-	return p.CoverageCurve(context.Background(), r.plan, r.model, testSeed, probs, cps, faultsim.Options{Width: width}, nil)
+// curve runs the sharded coverage curve on p.
+func (r testRun) curve(p *Pool, probs []float64, cps []int) ([]faultsim.CoveragePoint, error) {
+	return p.CoverageCurve(context.Background(), r.plan, r.model, testSeed, probs, cps, faultsim.Options{}, nil)
 }
 
 // netlist returns the run circuit's wire form: its netlist and digest.
@@ -90,15 +90,15 @@ func localPool(t *testing.T, n int, mod func(*Config)) *Pool {
 	return p
 }
 
-// serialDetect runs the serial in-process engine at width 1, one block
-// at a time: the reference faultsim's own tests pin to the naive oracle.
+// serialDetect runs the serial in-process engine: the reference
+// faultsim's own tests pin to the naive oracle.
 func serialDetect(t *testing.T, run testRun, probs []float64, n int) *faultsim.Result {
 	t.Helper()
 	gen, err := newGenerator(len(run.plan.Circuit().Inputs), probs, testSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := run.plan.MeasureDetection(context.Background(), gen, n, faultsim.Options{Width: 1}, nil)
+	res, err := run.plan.MeasureDetection(context.Background(), gen, n, faultsim.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func serialCurve(t *testing.T, run testRun, probs []float64, cps []int) []faults
 	if err != nil {
 		t.Fatal(err)
 	}
-	points, err := run.plan.CoverageCurve(context.Background(), gen, cps, faultsim.Options{Width: 1}, nil)
+	points, err := run.plan.CoverageCurve(context.Background(), gen, cps, faultsim.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestShardedDetectMatchesSerial(t *testing.T) {
 			run := newTestRun(t, name)
 			p := localPool(t, 3, nil)
 			for _, n := range []int{257, 64} {
-				got, err := run.detect(p, nil, n, 0)
+				got, err := run.detect(p, nil, n)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -177,7 +177,7 @@ func TestShardedDetectWeighted(t *testing.T) {
 		probs[i] = float64(i%15+1) / 16 // a quantized non-uniform tuple
 	}
 	p := localPool(t, 3, nil)
-	got, err := run.detect(p, probs, 320, 0)
+	got, err := run.detect(p, probs, 320)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestShardedCurveMatchesSerial(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			run := newTestRun(t, name)
 			p := localPool(t, 3, nil)
-			got, err := run.curve(p, nil, cps, 0)
+			got, err := run.curve(p, nil, cps)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -205,19 +205,18 @@ func TestShardedCurveMatchesSerial(t *testing.T) {
 // TestPlanShardsPartition checks the shard planner always produces an
 // exact, ordered partition of the block axis into at most the target
 // and the cap of ranges, cut only on chunk boundaries: every range
-// starts at a multiple of the chunk and ends at one or at the run's
-// end.  A run spreads over as many ranges as it has chunks, up to the
-// target.
+// starts at a multiple of faultsim.ChunkBlocks and ends at one or at
+// the run's end.  A run spreads over as many ranges as it has chunks,
+// up to the target.
 func TestPlanShardsPartition(t *testing.T) {
-	for _, tc := range []struct{ blocks, chunk, target, max int }{
-		{1, 8, 8, 64}, {5, 1, 12, 64}, {5, 4, 12, 64}, {5, 8, 4, 64},
-		{17, 1, 12, 64}, {17, 4, 12, 64}, {17, 8, 12, 64},
-		{3, 1, 12, 8}, {3, 8, 12, 8}, {40, 4, 64, 8},
-		{100, 1, 200, 64}, {100, 4, 200, 64}, {100, 8, 200, 64},
-		{5, 1, 1, 64}, {16, 8, 4, 64}, {22, 8, 4, 64}, {22, 4, 4, 64}, {22, 1, 0, 64},
+	const chunk = faultsim.ChunkBlocks
+	for _, tc := range []struct{ blocks, target, max int }{
+		{1, 8, 64}, {5, 4, 64}, {8, 12, 64}, {9, 12, 64}, {17, 12, 64},
+		{3, 12, 8}, {40, 64, 8}, {100, 200, 64}, {1000, 64, 8},
+		{5, 1, 64}, {16, 4, 64}, {22, 4, 64}, {22, 0, 64}, {200, 3, 64},
 	} {
-		spans := planShards(tc.blocks, tc.chunk, tc.target, tc.max)
-		chunks := (tc.blocks + tc.chunk - 1) / tc.chunk
+		spans := planShards(tc.blocks, tc.target, tc.max)
+		chunks := (tc.blocks + chunk - 1) / chunk
 		if want := min(chunks, max(tc.target, 1), tc.max); len(spans) != want {
 			t.Fatalf("planShards(%v): %d shards, want %d", tc, len(spans), want)
 		}
@@ -226,7 +225,7 @@ func TestPlanShardsPartition(t *testing.T) {
 			if sp.lo != next || sp.lo >= sp.hi {
 				t.Fatalf("planShards(%v): span %+v after block %d", tc, sp, next)
 			}
-			if sp.lo%tc.chunk != 0 || sp.hi%tc.chunk != 0 && sp.hi != tc.blocks {
+			if sp.lo%chunk != 0 || sp.hi%chunk != 0 && sp.hi != tc.blocks {
 				t.Fatalf("planShards(%v): span %+v cuts blocks off chunk boundaries", tc, sp)
 			}
 			next = sp.hi
@@ -255,13 +254,13 @@ func TestShortRunIsOneShard(t *testing.T) {
 	})
 	cps := []int{10, 100, 300} // 1 + 2 + 4 blocks
 	for _, n := range []int{257, 512} {
-		got, err := run.detect(p, nil, n, 0)
+		got, err := run.detect(p, nil, n)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sameDetect(t, "alu", got, serialDetect(t, run, nil, n))
 	}
-	curve, err := run.curve(p, nil, cps, 0)
+	curve, err := run.curve(p, nil, cps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +287,7 @@ func TestEmptyPoolIsPermanentlyDegraded(t *testing.T) {
 	if !p.Degraded() {
 		t.Fatal("empty pool not degraded")
 	}
-	got, err := run.detect(p, nil, 200, 0)
+	got, err := run.detect(p, nil, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,11 +322,11 @@ func (c *corruptTransport) Probe(ctx context.Context, addr string) error { retur
 // TestCorruptResponseRejected: a response with the wrong fault count,
 // a vector of the wrong length, or a value no shard can produce must
 // never be merged.  The pool treats it as a failure, and the local
-// fallback still produces the exact result.  The curve case runs at
-// width 1, so every shard has blocks outside it.
+// fallback still produces the exact result.  The curve case runs 18
+// blocks, three shards, so every shard has blocks outside it.
 func TestCorruptResponseRejected(t *testing.T) {
 	const n = 200
-	cps := []int{100, n}
+	cps := []int{100, 1100}
 	for _, tc := range []struct {
 		name   string
 		curve  bool
@@ -363,13 +362,13 @@ func TestCorruptResponseRejected(t *testing.T) {
 				cfg.backoffMax = 2 * time.Millisecond
 			})
 			if tc.curve {
-				got, err := run.curve(p, nil, cps, 1)
+				got, err := run.curve(p, nil, cps)
 				if err != nil {
 					t.Fatal(err)
 				}
 				sameCurve(t, "c17/corrupt", got, serialCurve(t, run, nil, cps))
 			} else {
-				got, err := run.detect(p, nil, n, 0)
+				got, err := run.detect(p, nil, n)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -415,38 +414,30 @@ func TestSkipBlocksPositionsStream(t *testing.T) {
 	}
 }
 
-// TestShardedWideMatchesSerial pins every width of the shard path,
-// including the default schedule: runs whose shards simulate at width
-// 0, 1 or 8 merge to exactly the serial result for both measurement
-// kinds, on every registry circuit.  With one worker a run aims at 4
-// shards, so at width 0 the budgets give one shard for a run shorter
-// than a chunk (257: 5 blocks), block cuts on chunk boundaries with a
-// ragged last range (1088: 17 blocks) and whole 8-block chunks (2048).
+// TestShardedWideMatchesSerial pins the shard path's cuts: sharded
+// runs merge to exactly the serial result for both measurement kinds,
+// on every registry circuit.  With one worker a run aims at 4 shards,
+// so the budgets give one shard for a run shorter than a chunk (257: 5
+// blocks), block cuts on chunk boundaries with a ragged last range
+// (1088: 17 blocks) and whole 8-block chunks (2048).
 func TestShardedWideMatchesSerial(t *testing.T) {
 	cps := []int{10, 100, 257, 1088}
 	for _, name := range circuits.Names() {
 		t.Run(name, func(t *testing.T) {
 			run := newTestRun(t, name)
 			p := localPool(t, 1, nil)
-			wantCurve := serialCurve(t, run, nil, cps)
 			for _, n := range []int{257, 1088, 2048} {
-				wantDet := serialDetect(t, run, nil, n)
-				for _, w := range []int{0, 1, 8} {
-					got, err := run.detect(p, nil, n, w)
-					if err != nil {
-						t.Fatal(err)
-					}
-					sameDetect(t, name, got, wantDet)
-					if n != 257 {
-						continue
-					}
-					curve, err := run.curve(p, nil, cps, w)
-					if err != nil {
-						t.Fatal(err)
-					}
-					sameCurve(t, name, curve, wantCurve)
+				got, err := run.detect(p, nil, n)
+				if err != nil {
+					t.Fatal(err)
 				}
+				sameDetect(t, name, got, serialDetect(t, run, nil, n))
 			}
+			curve, err := run.curve(p, nil, cps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameCurve(t, name, curve, serialCurve(t, run, nil, cps))
 		})
 	}
 }
@@ -456,7 +447,7 @@ func TestShardedWideMatchesSerial(t *testing.T) {
 // truth-table circuit, under all three fault models.  Per-shard counts
 // over a split block axis must add up, and first-detection positions
 // must min-merge, through faultsim.CurveOf, to the naive oracle's
-// counts and curve at every width.
+// counts and curve, also where a range starts or ends inside a chunk.
 func TestRunShardScheduleMatchesNaive(t *testing.T) {
 	c1355, _ := circuits.Lookup("c1355")
 	const n = 1408           // 22 blocks: ranges [0,5) and [5,22)
@@ -477,93 +468,64 @@ func TestRunShardScheduleMatchesNaive(t *testing.T) {
 				t.Fatal(err)
 			}
 			curveBlocks := faultsim.CurveBlocks(cps).Len()
-			for _, w := range []int{0, 1, 8} {
-				counts := make([]int, len(faults))
-				first := make([]int, len(faults))
-				for i := range first {
-					first[i] = -1
+			counts := make([]int, len(faults))
+			first := make([]int, len(faults))
+			for i := range first {
+				first[i] = -1
+			}
+			for _, r := range [][2]int{{0, 5}, {5, 22}} {
+				req := &Request{Seed: testSeed, Kind: KindDetect, NumPatterns: n,
+					BlockLo: r[0], BlockHi: r[1]}
+				resp, err := runShard(context.Background(), plan, req)
+				if err != nil {
+					t.Fatal(err)
 				}
-				for _, r := range [][2]int{{0, 5}, {5, 22}} {
-					req := &Request{Seed: testSeed, Kind: KindDetect, NumPatterns: n,
-						BlockLo: r[0], BlockHi: r[1], SimWidth: w}
-					resp, err := runShard(context.Background(), plan, req)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for i, k := range resp.Counts {
-						counts[i] += k
-					}
-					req.Kind, req.NumPatterns, req.Checkpoints = KindCurve, 0, cps
-					if r[1] == 22 {
-						req.BlockHi = curveBlocks
-					}
-					resp, err = runShard(context.Background(), plan, req)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for i, f := range resp.First {
-						if f >= 0 && (first[i] < 0 || f < first[i]) {
-							first[i] = f
-						}
+				for i, k := range resp.Counts {
+					counts[i] += k
+				}
+				req.Kind, req.NumPatterns, req.Checkpoints = KindCurve, 0, cps
+				if r[1] == 22 {
+					req.BlockHi = curveBlocks
+				}
+				resp, err = runShard(context.Background(), plan, req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, f := range resp.First {
+					if f >= 0 && (first[i] < 0 || f < first[i]) {
+						first[i] = f
 					}
 				}
-				for i := range faults {
-					if counts[i] != wantDet.Detected[i] {
-						t.Fatalf("%s %s width %d fault %d: shard counts %d, naive %d",
-							c.Name, model, w, i, counts[i], wantDet.Detected[i])
-					}
+			}
+			for i := range faults {
+				if counts[i] != wantDet.Detected[i] {
+					t.Fatalf("%s %s fault %d: shard counts %d, naive %d",
+						c.Name, model, i, counts[i], wantDet.Detected[i])
 				}
-				for k, p := range faultsim.CurveOf(first, cps) {
-					if p != wantCurve[k] {
-						t.Fatalf("%s %s width %d: point %+v, naive %+v", c.Name, model, w, p, wantCurve[k])
-					}
+			}
+			for k, p := range faultsim.CurveOf(first, cps) {
+				if p != wantCurve[k] {
+					t.Fatalf("%s %s: point %+v, naive %+v", c.Name, model, p, wantCurve[k])
 				}
 			}
 		}
 	}
 }
 
-// TestDegradedWideMatchesSerial checks the zero-worker fallback honours
-// the run's width and still reproduces the serial result exactly.
+// TestDegradedWideMatchesSerial checks the zero-worker fallback runs
+// the local wide engine over a padded chunk and still reproduces the
+// serial result exactly.
 func TestDegradedWideMatchesSerial(t *testing.T) {
 	run := newTestRun(t, "alu")
 	p := localPool(t, 0, nil)
 	if !p.Degraded() {
 		t.Fatal("empty pool should be degraded")
 	}
-	got, err := run.detect(p, nil, 300, 8)
+	got, err := run.detect(p, nil, 300)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameDetect(t, "alu/degraded-wide", got, serialDetect(t, run, nil, 300))
-}
-
-// TestShardWidthValidation checks unsupported widths, 4 included, are
-// rejected at the request boundary rather than computed wrong, and by
-// the pool before any shard is sent: a worker rejecting them would
-// count as failing and could be ejected.
-func TestShardWidthValidation(t *testing.T) {
-	run := newTestRun(t, "c17")
-	p := localPool(t, 1, nil)
-	for _, w := range []int{3, 4} {
-		req := &Request{
-			Seed: testSeed, Kind: KindDetect, NumPatterns: 128,
-			BlockLo: 0, BlockHi: 2,
-			SimWidth: w,
-		}
-		if _, err := runShard(context.Background(), run.plan, req); err == nil {
-			t.Fatalf("SimWidth %d should be rejected", w)
-		}
-		if _, err := run.detect(p, nil, 128, w); err == nil {
-			t.Fatalf("the pool accepted width %d for detection", w)
-		}
-		if _, err := run.curve(p, nil, []int{128}, w); err == nil {
-			t.Fatalf("the pool accepted width %d for a curve", w)
-		}
-	}
-	if st := p.Stats(); st.Runs != 0 || st.Workers[0].Failures != 0 {
-		t.Fatalf("a rejected width reached the workers: %+v", st)
-	}
 }
 
 // errRejected stands for any error but ErrUnknownCircuit in
@@ -752,7 +714,7 @@ func TestOtherWireVersionRunsLocally(t *testing.T) {
 			cfg.backoffBase = time.Millisecond
 			cfg.backoffMax = 2 * time.Millisecond
 		})
-		got, err := run.detect(p, nil, 513, 0)
+		got, err := run.detect(p, nil, 513)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -782,12 +744,12 @@ func TestNoWireFormRunsLocally(t *testing.T) {
 		}
 		run := testRun{faultsim.NewPlan(c, fault.Collapse(c)), fault.ModelStuckAt}
 		p := localPool(t, 2, nil)
-		got, err := run.detect(p, nil, 300, 0)
+		got, err := run.detect(p, nil, 300)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sameDetect(t, c.Name, got, serialDetect(t, run, nil, 300))
-		curve, err := run.curve(p, nil, cps, 0)
+		curve, err := run.curve(p, nil, cps)
 		if err != nil {
 			t.Fatal(err)
 		}

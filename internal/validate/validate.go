@@ -93,6 +93,11 @@ type Spec struct {
 // package's included, adds its own context.
 var ErrBadSpec = errors.New("bad spec")
 
+// Validate reports whether the spec's explicitly set fields are inside
+// their documented ranges, without modifying the spec.  Run performs
+// the same checks itself.
+func (s Spec) Validate() error { return s.fill() }
+
 func (s *Spec) fill() error {
 	switch {
 	case s.Epsilon == 0:

@@ -1,6 +1,8 @@
 // Package widesim implements wide-block bit-parallel logic simulation:
-// W consecutive 64-pattern blocks (W ∈ {1, 8}) evaluated together as
-// [W]uint64 lane vectors, driven by a compiled, levelized program.
+// W consecutive 64-pattern blocks evaluated together as [W]uint64 lane
+// vectors, driven by a compiled, levelized program.  There are two
+// widths: W = 8 for every fault-simulation measurement and W = 1 for
+// BIST capture.
 //
 // Two ideas separate it from bitsim, the narrow (W = 1) oracle:
 //
@@ -42,10 +44,10 @@
 // Three evaluation loops run the compiled streams, chosen once per
 // call from the simulator's width and, at W = 8, the CPU.
 // W = 1 runs the generic loop, whose pointer forms of the kernels
-// write each gate's result in place.  W = 8 carries every full
-// chunk of the fault simulator's default schedule, so it runs nearly
-// all good simulations and stem propagations, and a B8 is exactly two
-// 256-bit registers.  On amd64 CPUs with AVX2 it runs exec8AVX2, an
+// write each gate's result in place.  W = 8 carries every chunk of
+// the fault simulator's measurements, so it runs nearly all good
+// simulations and stem propagations, and a B8 is exactly two 256-bit
+// registers.  On amd64 CPUs with AVX2 it runs exec8AVX2, an
 // assembly loop that holds each B8 in two YMM registers, accumulates an
 // n-ary gate's pins in registers, and inverts the result of Nand, Nor,
 // Xnor, Not and Const1 with an all-ones register.  It stops at each
@@ -77,20 +79,6 @@
 // exactly the patterns of W consecutive narrow blocks, which is what
 // keeps wide results bit-identical to W narrow runs.
 package widesim
-
-import "fmt"
-
-// CheckWidth returns a descriptive error unless w is a supported
-// width setting: 1 or 8 lanes, or 0, which every width option accepts
-// and which selects the fault simulator's default schedule (see
-// faultsim.Options.Width).
-func CheckWidth(w int) error {
-	switch w {
-	case 0, 1, 8:
-		return nil
-	}
-	return fmt.Errorf("widesim: unsupported width %d (want 0, 1 or 8)", w)
-}
 
 // HasAVX2 reports whether W = 8 runs on AVX2 kernels here: the CPU has
 // AVX2 and POPCNT and the OS saves YMM state (see the package comment).

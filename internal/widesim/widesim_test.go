@@ -2,6 +2,7 @@ package widesim_test
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -206,19 +207,27 @@ func TestSetInputsLengthError(t *testing.T) {
 	}
 }
 
-// TestWidthHelpers pins the width settings: 0 (the fault simulator's
-// schedule), 1 and 8 pass, and every other value, 4 included, fails
-// with an error that lists what passes.
+// TestWidthHelpers pins the lane-vector helpers at both widths: Lanes
+// is the vector's length, Ones sets every bit of every lane, and Load
+// and Store move exactly Lanes words.
 func TestWidthHelpers(t *testing.T) {
-	for _, w := range []int{0, 1, 8} {
-		if err := widesim.CheckWidth(w); err != nil {
-			t.Fatalf("CheckWidth(%d) = %v, want nil", w, err)
-		}
+	checkWidthHelpers[widesim.B1](t, 1)
+	checkWidthHelpers[widesim.B8](t, 8)
+}
+
+func checkWidthHelpers[B widesim.Block](t *testing.T, w int) {
+	t.Helper()
+	if got := widesim.Lanes[B](); got != w {
+		t.Fatalf("Lanes = %d, want %d", got, w)
 	}
-	for _, w := range []int{-1, 2, 3, 4, 5, 16} {
-		want := fmt.Sprintf("widesim: unsupported width %d (want 0, 1 or 8)", w)
-		if err := widesim.CheckWidth(w); err == nil || err.Error() != want {
-			t.Fatalf("CheckWidth(%d) = %v, want %q", w, err, want)
-		}
+	ones := widesim.Ones[B]()
+	src := make([]uint64, w+1)
+	for i := range src {
+		src[i] = uint64(i+1) * 0x9e3779b97f4a7c15
+	}
+	dst := make([]uint64, w+1)
+	widesim.Store(widesim.And(widesim.Load[B](src), ones), dst)
+	if !slices.Equal(dst[:w], src[:w]) || dst[w] != 0 {
+		t.Fatalf("width %d: Store(Load(src) & Ones) = %x, want %x then 0", w, dst, src[:w])
 	}
 }

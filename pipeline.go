@@ -8,7 +8,6 @@ import (
 	"protest/internal/bist"
 	"protest/internal/pattern"
 	"protest/internal/stats"
-	"protest/internal/widesim"
 )
 
 // PipelineSpec configures one Session.Run call — the full PROTEST
@@ -51,16 +50,8 @@ type PipelineSpec struct {
 	MaxSimPatterns int `json:"max_sim_patterns"`
 	// BIST, when non-nil, additionally runs a MISR self-test session
 	// driven by the final pattern source (optimized weights when the
-	// optimize phase ran, uniform otherwise), on the Session's engine
-	// at the run's width.
+	// optimize phase ran, uniform otherwise), on the Session's engine.
 	BIST *BISTPlan `json:"bist,omitempty"`
-	// SimWidth overrides the Session's WithSimWidth setting for this
-	// run, the BIST phase's capture width included: 1 or 8 forces that
-	// many pattern blocks per sweep; 0 keeps the Session's setting,
-	// whose own default is 8-block sweeps.  Results are
-	// bit-identical at every width; any other value fails with
-	// ErrBadSpec.
-	SimWidth int `json:"sim_width,omitempty"`
 	// FaultModel overrides the Session's WithFaultModel setting for
 	// this run: FaultModelStuckAt, FaultModelBridging or
 	// FaultModelTransition.  The empty value keeps the Session default.
@@ -92,9 +83,6 @@ func (spec *PipelineSpec) fill() error {
 	}
 	if spec.MaxSimPatterns <= 0 {
 		spec.MaxSimPatterns = 4096
-	}
-	if err := widesim.CheckWidth(spec.SimWidth); err != nil {
-		return fmt.Errorf("pipeline: %w: %v", ErrBadSpec, err)
 	}
 	if !spec.FaultModel.Valid() {
 		return fmt.Errorf("pipeline: %w: %q", ErrBadFaultModel, string(spec.FaultModel))
@@ -245,7 +233,7 @@ func (s *Session) Run(ctx context.Context, spec PipelineSpec) (*Report, error) {
 	// The overrides apply to every phase of this run only; they travel
 	// in the per-call configuration, so concurrent runs with different
 	// overrides never observe each other.
-	cfg := s.cfg().with(spec.SimWidth, spec.FaultModel, spec.Progress)
+	cfg := s.cfg().with(spec.FaultModel, spec.Progress)
 	faults := s.modelFaults(cfg.model)
 	if len(faults) == 0 {
 		return nil, fmt.Errorf("pipeline: %s model: %w", cfg.model, ErrNoFaults)

@@ -11,10 +11,11 @@
 # trail.  Run that one alone with:
 #   scripts/bench.sh 'BenchmarkServerAnalyzeCoalesce' 1
 #
-# The wide-kernel family (BenchmarkBlockEngines/*/wide-w{1,4,8} in
-# internal/faultsim and BenchmarkFaultSimFFRMULT512PatternsWide at the
-# root) runs equal work — 512 patterns per op — at every width, so the
-# w1→w8 ratio in the trail is the structure-of-arrays speedup itself:
+# The wide-kernel family (BenchmarkBlockEngines/*/wide-w{1,8} in
+# internal/faultsim and BenchmarkFaultSimFFRMULT512PatternsWide/w{1,8}
+# at the root) runs equal work — 512 patterns per op — at both engine
+# widths, so the w1→w8 ratio in the trail is the structure-of-arrays
+# speedup itself:
 #   scripts/bench.sh 'BenchmarkBlockEngines|FFRMULT512PatternsWide' 1
 #
 # Usage: scripts/bench.sh [bench-regex] [count] [benchtime] [cpus]

@@ -14,7 +14,6 @@ import (
 	"protest/internal/pattern"
 	"protest/internal/shard"
 	"protest/internal/testlen"
-	"protest/internal/widesim"
 )
 
 // Phase identifies one stage of a Session's work, as reported to the
@@ -61,7 +60,6 @@ type Session struct {
 	fast      Params
 	seed      uint64
 	workers   int
-	simWidth  int
 	simEngine SimEngine
 	model     FaultModel // normalized default fault model
 	progress  func(Phase, float64)
@@ -175,22 +173,6 @@ func WithSimEngine(e SimEngine) Option {
 	return func(s *Session) { s.simEngine = e }
 }
 
-// WithSimWidth forces the fault-simulation width: w pattern blocks
-// (w×64 patterns) per sweep, w in {1, 8}.  The default, 0, runs the
-// FFR engine in 8-block sweeps.  At every width the last sweep of a
-// run is padded with empty lanes.  Wider sweeps amortize the engine's
-// per-node bookkeeping over more pattern lanes;
-// every result — detection counts, coverage curves, BIST signatures —
-// is bit-identical at every width.  BIST capture has no schedule: it
-// runs at the width, or at width 1 when the width is 0.  The naive
-// oracle engine ignores the width.  Open fails on any other width.
-// Sharded runs (WithShardPool) simulate their shards at this width
-// too.  PipelineSpec.SimWidth and ValidateSpec.SimWidth override it
-// for one run.
-func WithSimWidth(w int) Option {
-	return func(s *Session) { s.simWidth = w }
-}
-
 // WithFaultModel selects the fault universe the Session analyzes,
 // simulates and validates: FaultModelStuckAt (the default),
 // FaultModelBridging or FaultModelTransition.  All engines, oracles
@@ -246,9 +228,6 @@ func Open(c *Circuit, opts ...Option) (*Session, error) {
 	}
 	for _, opt := range opts {
 		opt(s)
-	}
-	if err := widesim.CheckWidth(s.simWidth); err != nil {
-		return nil, fmt.Errorf("protest: Open: %w", err)
 	}
 	if err := faultsim.CheckEngine(s.simEngine); err != nil {
 		return nil, fmt.Errorf("protest: Open: %w", err)
@@ -309,7 +288,6 @@ func (s *Session) modelFaults(m FaultModel) []Fault { return s.arts(m).faults }
 // calls isolated.
 type runCfg struct {
 	workers  int
-	width    int
 	engine   SimEngine
 	model    FaultModel // normalized
 	progress func(Phase, float64)
@@ -317,16 +295,13 @@ type runCfg struct {
 }
 
 func (s *Session) cfg() runCfg {
-	return runCfg{workers: s.workers, width: s.simWidth, engine: s.simEngine, model: s.model, progress: s.progress, pool: s.pool}
+	return runCfg{workers: s.workers, engine: s.simEngine, model: s.model, progress: s.progress, pool: s.pool}
 }
 
 // with applies one run's overrides (the PipelineSpec or ValidateSpec
 // fields of the same names): each non-zero value replaces the Session
 // default for this run only.
-func (cfg runCfg) with(width int, model FaultModel, progress func(Phase, float64)) runCfg {
-	if width != 0 {
-		cfg.width = width
-	}
+func (cfg runCfg) with(model FaultModel, progress func(Phase, float64)) runCfg {
 	if model != "" {
 		cfg.model = model.Normalize()
 	}
@@ -424,9 +399,9 @@ func (s *Session) uniformEstimate(ctx context.Context, cfg runCfg) (*estimate, e
 	return est, nil
 }
 
-// simOptions bundles the effective FFR worker and width configuration.
+// simOptions bundles the effective FFR worker configuration.
 func (cfg runCfg) simOptions() faultsim.Options {
-	return faultsim.Options{Workers: cfg.workers, Width: cfg.width}
+	return faultsim.Options{Workers: cfg.workers}
 }
 
 // ensureSimPlan returns the pinned FFR fault-simulation plan of the
@@ -619,7 +594,7 @@ func (s *Session) runBIST(ctx context.Context, probs []float64, plan BISTPlan, c
 		return nil, err
 	}
 	cfg.emit(PhaseBIST, 0)
-	res, err := s.ensureBIST(cfg.model).Run(ctx, gen, plan, cfg.engine, cfg.width, func(done, total int) {
+	res, err := s.ensureBIST(cfg.model).Run(ctx, gen, plan, cfg.engine, func(done, total int) {
 		cfg.emit(PhaseBIST, float64(done)/float64(total))
 	})
 	return res, wrapCanceled(err)

@@ -191,9 +191,7 @@ func TestSessionConcurrentBitIdentical(t *testing.T) {
 }
 
 // TestSessionConcurrentPipelines runs whole pipelines concurrently on
-// one Session — including per-call width overrides, which must stay
-// call-local — and requires every report to equal the serial
-// reference.
+// one Session and requires every report to equal the serial reference.
 func TestSessionConcurrentPipelines(t *testing.T) {
 	c, ok := protest.Benchmark("c17")
 	if !ok {
@@ -215,10 +213,6 @@ func TestSessionConcurrentPipelines(t *testing.T) {
 		stressSpec(),
 		stressSpec(),
 	}
-	// Per-call overrides: different widths must not leak between
-	// concurrent runs, and results stay bit-identical.
-	specs[1].SimWidth = 1
-	specs[2].SimWidth = 8
 	var wg sync.WaitGroup
 	for i, spec := range specs {
 		wg.Add(1)

@@ -233,7 +233,7 @@ func TestBadSpecMessageNamesItsPhase(t *testing.T) {
 	_, curveErr := s.CoverageCurve(ctx, nil, []int{-5})
 	_, valErr := s.Validate(ctx, ValidateSpec{SimWidth: 3})
 	_, valErr4 := s.Validate(ctx, ValidateSpec{SimWidth: 4})
-	_, runErr4 := s.Run(ctx, PipelineSpec{SimWidth: 4})
+	_, runErr := s.Run(ctx, PipelineSpec{BIST: &BISTPlan{Cycles: -1}})
 	for _, tc := range []struct {
 		err  error
 		want string
@@ -242,7 +242,7 @@ func TestBadSpecMessageNamesItsPhase(t *testing.T) {
 		{curveErr, "coverage curve: bad spec: checkpoint -5 is negative"},
 		{valErr, "validate: bad spec: widesim: unsupported width 3 (want 0, 1 or 8)"},
 		{valErr4, "validate: bad spec: widesim: unsupported width 4 (want 0, 1 or 8)"},
-		{runErr4, "pipeline: bad spec: widesim: unsupported width 4 (want 0, 1 or 8)"},
+		{runErr, "pipeline: bad spec: -1 BIST cycles, want at least 0 (0 = 1024)"},
 	} {
 		if !errors.Is(tc.err, ErrBadSpec) || tc.err.Error() != tc.want {
 			t.Errorf("error %v, want ErrBadSpec reading %q", tc.err, tc.want)

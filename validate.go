@@ -7,7 +7,6 @@ import (
 	"protest/internal/core"
 	"protest/internal/faultsim"
 	"protest/internal/validate"
-	"protest/internal/widesim"
 )
 
 // PhaseValidate is the phase reported around a Session.Validate run;
@@ -63,12 +62,16 @@ type ValidateSpec struct {
 	// InputProbs are the per-input signal probabilities all three
 	// oracles run under; nil means the conventional uniform tuple.
 	InputProbs []float64 `json:"input_probs,omitempty"`
-	// SimWidth overrides the Session's WithSimWidth setting for this
-	// run's Monte-Carlo measurement, with PipelineSpec.SimWidth
-	// semantics: results are bit-identical at every width, and a width
-	// other than 0, 1 or 8 fails with ErrBadSpec.  The measurement runs
-	// on the Session's engine and worker count, and a Session opened
-	// WithShardPool shards it across the pool's workers.
+	// SimWidth has no effect.  The Monte-Carlo measurement runs on the
+	// Session's engine and worker count at the one measurement width,
+	// and a Session opened WithShardPool shards it across the pool's
+	// workers.
+	//
+	// Deprecated: SimWidth once forced the measurement's simulation
+	// width, which never changed a result.  It remains on the struct
+	// and on the wire so that clients that still send it get the
+	// answers they always got: 0, 1 and 8 are accepted and ignored,
+	// and any other value fails Validate with ErrBadSpec.
 	SimWidth int `json:"sim_width,omitempty"`
 	// FaultModel overrides the Session's fault model for this run, with
 	// PipelineSpec.FaultModel semantics: all three oracles validate the
@@ -87,6 +90,40 @@ type ValidateSpec struct {
 	perturb func([]float64)
 }
 
+// Validate reports whether the spec's explicitly set fields are inside
+// their documented ranges — the deprecated SimWidth, the fault model
+// and the harness settings — without running anything.
+// Session.Validate performs the same checks before any phase runs, so
+// Validate is only needed to reject a bad spec early, e.g. at a
+// service boundary before the request is admitted and queued.  A
+// transition run whose pattern budget holds no launch/capture pair is
+// refused by Session.Validate only, because the Session may supply the
+// fault model.
+func (spec ValidateSpec) Validate() error {
+	switch spec.SimWidth {
+	case 0, 1, 8:
+	default:
+		return fmt.Errorf("validate: %w: widesim: unsupported width %d (want 0, 1 or 8)", ErrBadSpec, spec.SimWidth)
+	}
+	if !spec.FaultModel.Valid() {
+		return fmt.Errorf("validate: %w: %q", ErrBadFaultModel, string(spec.FaultModel))
+	}
+	return spec.harness().Validate()
+}
+
+// harness returns the settings of the harness run.
+func (spec ValidateSpec) harness() validate.Spec {
+	return validate.Spec{
+		Epsilon:     spec.Epsilon,
+		PMinFloor:   spec.PMinFloor,
+		MinPatterns: spec.MinPatterns,
+		MaxPatterns: spec.MaxPatterns,
+		BDDBudget:   spec.BDDBudget,
+		GrossTol:    spec.GrossTol,
+		Envelope:    spec.Envelope,
+	}
+}
+
 // Validate cross-checks the Session's three detection-probability
 // oracles against each other — the analytic estimator, exact BDD
 // probabilities, and a ProbTest-sized Monte-Carlo measurement — and
@@ -103,16 +140,13 @@ type ValidateSpec struct {
 // the whole report deterministic.  Oracle disagreement is reported in
 // the Flags of the report, not as an error; the error return is for
 // infrastructure failure (bad spec, cancellation, simulator error)
-// only.  An unsupported SimWidth fails with ErrBadSpec before any
+// only.  A spec that fails ValidateSpec.Validate is refused before any
 // phase runs.
 func (s *Session) Validate(ctx context.Context, spec ValidateSpec) (*ValidateReport, error) {
-	if err := widesim.CheckWidth(spec.SimWidth); err != nil {
-		return nil, fmt.Errorf("validate: %w: %v", ErrBadSpec, err)
+	if err := spec.Validate(); err != nil {
+		return nil, err
 	}
-	if !spec.FaultModel.Valid() {
-		return nil, fmt.Errorf("validate: %w: %q", ErrBadFaultModel, string(spec.FaultModel))
-	}
-	cfg := s.cfg().with(spec.SimWidth, spec.FaultModel, spec.Progress)
+	cfg := s.cfg().with(spec.FaultModel, spec.Progress)
 	faults := s.modelFaults(cfg.model)
 	if len(faults) == 0 {
 		return nil, fmt.Errorf("validate: %s model: %w", cfg.model, ErrNoFaults)
@@ -138,18 +172,7 @@ func (s *Session) Validate(ctx context.Context, spec ValidateSpec) (*ValidateRep
 		analytic = res.DetectProbs(faults)
 	}
 
-	vcfg := validate.Config{
-		Spec: validate.Spec{
-			Epsilon:     spec.Epsilon,
-			PMinFloor:   spec.PMinFloor,
-			MinPatterns: spec.MinPatterns,
-			MaxPatterns: spec.MaxPatterns,
-			BDDBudget:   spec.BDDBudget,
-			GrossTol:    spec.GrossTol,
-			Envelope:    spec.Envelope,
-		},
-		Perturb: spec.perturb,
-	}
+	vcfg := validate.Config{Spec: spec.harness(), Perturb: spec.perturb}
 	sim := func(ctx context.Context, numPatterns int) (*faultsim.Result, error) {
 		return s.simulate(ctx, spec.InputProbs, numPatterns, cfg)
 	}

@@ -171,6 +171,45 @@ func TestValidateBadExecutionSpec(t *testing.T) {
 	}
 }
 
+// A bad spec is refused before any phase runs, whichever field is out
+// of range: a cold Session reports no progress, so it analyzed
+// nothing, and ValidateSpec.Validate gives the same error.  The harness
+// settings used to be checked only after the analytic oracle had run,
+// a weighted analysis included.
+func TestValidateBadSpecRunsNothing(t *testing.T) {
+	c, _ := Benchmark("c1355")
+	probs := UniformProbs(c)
+	for i := range probs {
+		probs[i] = 0.3
+	}
+	for _, spec := range []ValidateSpec{
+		{Epsilon: 2},
+		{Epsilon: -1, InputProbs: probs},
+		{PMinFloor: 1},
+		{MinPatterns: 200, MaxPatterns: 100},
+		{GrossTol: -1},
+		{SimWidth: 4},
+		{FaultModel: "nope"},
+	} {
+		var phases []Phase
+		s, err := Open(c, WithProgress(func(ph Phase, _ float64) { phases = append(phases, ph) }))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = s.Validate(context.Background(), spec)
+		if !errors.Is(err, ErrBadSpec) && !errors.Is(err, ErrBadFaultModel) {
+			t.Errorf("Validate(%+v) = %v, want ErrBadSpec or ErrBadFaultModel", spec, err)
+			continue
+		}
+		if early := spec.Validate(); early == nil || early.Error() != err.Error() {
+			t.Errorf("ValidateSpec.Validate(%+v) = %v, want %v", spec, early, err)
+		}
+		if len(phases) != 0 {
+			t.Errorf("Validate(%+v) reported progress before refusing: %v", spec, phases)
+		}
+	}
+}
+
 // TestValidateWeightedInputs runs the three oracles under a non-uniform
 // tuple: the weighted Monte-Carlo generator and the weighted BDD
 // probabilities must stay statistically consistent (the hard
