@@ -230,46 +230,34 @@ func BenchmarkFaultSimMULT64Patterns(b *testing.B) {
 }
 
 // BenchmarkFaultSimFFRMULT64Patterns is the same block on the FFR
-// engine at W=1: critical path tracing + dominator-cut stem
-// propagation (bit-identical detection words; see internal/faultsim).
+// engine: critical path tracing + dominator-cut stem propagation
+// (bit-identical detection words; see internal/faultsim), timed the way
+// a 64-pattern measurement runs it, as one chunk with one valid lane.
 func BenchmarkFaultSimFFRMULT64Patterns(b *testing.B) {
-	c := circuits.Mult8()
-	faults := fault.Collapse(c)
-	engine := faultsim.NewPlan(c, faults).AcquireWideEngine(1)
-	defer engine.Release()
-	gen := pattern.NewUniform(len(c.Inputs), 1)
-	words := make([]uint64, len(c.Inputs))
-	det := make([]uint64, len(faults))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		gen.NextBlock(words)
-		engine.SimulateChunk(words, det, nil)
-	}
+	benchFFRChunk(b, 1)
 }
 
-// BenchmarkFaultSimFFRMULT512PatternsWide sweeps the wide-kernel width
-// on the mult8 FFR engine at equal work — 512 patterns (eight
-// 64-pattern blocks) per op at every width — so the per-op ratio
-// between w1 and w8 is the wide kernel's speedup directly.
+// BenchmarkFaultSimFFRMULT512PatternsWide times one full chunk of the
+// mult8 FFR engine: 512 patterns (eight 64-pattern blocks) per op.
 func BenchmarkFaultSimFFRMULT512PatternsWide(b *testing.B) {
+	b.Run("w8", func(b *testing.B) { benchFFRChunk(b, faultsim.ChunkBlocks) })
+}
+
+// benchFFRChunk times one chunk of k valid blocks per op on the mult8
+// FFR engine.
+func benchFFRChunk(b *testing.B, k int) {
+	const w = faultsim.ChunkBlocks
 	c := circuits.Mult8()
 	faults := fault.Collapse(c)
-	plan := faultsim.NewPlan(c, faults)
-	for _, w := range []int{1, 8} {
-		b.Run(fmt.Sprintf("w%d", w), func(b *testing.B) {
-			e := plan.AcquireWideEngine(w)
-			defer e.Release()
-			gen := pattern.NewUniform(len(c.Inputs), 1)
-			words := make([]uint64, len(c.Inputs)*w)
-			det := make([]uint64, len(faults)*w)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for blk := 0; blk < 8; blk += w {
-					gen.NextBlocks(words, w, w)
-					e.SimulateChunk(words, det, nil)
-				}
-			}
-		})
+	engine := faultsim.NewPlan(c, faults).AcquireEngine()
+	defer engine.Release()
+	gen := pattern.NewUniform(len(c.Inputs), 1)
+	words := make([]uint64, len(c.Inputs)*w)
+	det := make([]uint64, len(faults)*w)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		gen.NextBlocks(words, w, k)
+		engine.SimulateChunk(words, det, nil)
 	}
 }
 

@@ -121,8 +121,8 @@ subcommands:
             ProbTest-sized Monte-Carlo on one circuit or -circuits all;
             exits 1 if any cross-check flags
   serve     HTTP/JSON analysis service (POST /v1/pipeline, /v1/analyze;
-            async /v1/jobs with resumable SSE; request coalescing and
-            micro-batching; admission control, graceful drain)
+            async /v1/jobs with resumable SSE; request coalescing;
+            admission control, graceful drain)
 
 run 'protest <subcommand> -h' for flags.
 `)

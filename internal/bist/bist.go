@@ -136,8 +136,10 @@ type runState struct {
 	faultSigs      []uint64
 	outputDetected []bool
 
-	// One 64-cycle block: the input words, the good and one fault's
-	// output words, and the FFR engine's detection word per fault.
+	// The input words of one capture chunk (faultsim.ChunkBlocks
+	// 64-cycle blocks; the naive engine uses the first block's), the
+	// good and one fault's output words of one block, and the FFR
+	// engine's detection words of the chunk, ChunkBlocks per fault.
 	inWords, goodOut, faultyOut, det []uint64
 
 	sim *faultsim.Simulator // naive engine, built on first use
@@ -154,10 +156,10 @@ func NewProgram(c *circuit.Circuit, faults []fault.Fault, planFn func() *faultsi
 		return &runState{
 			faultSigs:      make([]uint64, len(faults)),
 			outputDetected: make([]bool, len(faults)),
-			inWords:        make([]uint64, len(c.Inputs)),
+			inWords:        make([]uint64, len(c.Inputs)*faultsim.ChunkBlocks),
 			goodOut:        make([]uint64, len(c.Outputs)),
 			faultyOut:      make([]uint64, len(c.Outputs)),
-			det:            make([]uint64, len(faults)),
+			det:            make([]uint64, len(faults)*faultsim.ChunkBlocks),
 		}
 	}
 	return p
@@ -181,13 +183,14 @@ func (p *Program) plan() *faultsim.Plan {
 // stream is compacted into its own signature and compared against the
 // good one.  The generator supplies the stimulus (uniform for a
 // classic BILBO, weighted for the optimized NLFSR scheme).  engine
-// produces the faulty responses.  The FFR engine captures one 64-cycle
-// block per sweep (W = 1), because MISR clocking, not capture
-// simulation, dominates a self test.  Signatures are bit-identical for
-// both engines.  Between 64-cycle blocks Run checks ctx and, on
-// cancellation, returns ctx.Err() and a nil result.  Safe for
-// concurrent use: concurrent runs share only the immutable plan and
-// the scratch pool.
+// produces the faulty responses.  The FFR engine captures
+// faultsim.ChunkBlocks 64-cycle blocks per sweep, the chunk every
+// measurement runs, and the registers are clocked block by block in
+// cycle order.  Signatures are bit-identical for both engines.  Before
+// every 64-cycle block Run checks ctx and, on cancellation, returns
+// ctx.Err() and a nil result; progress, when non-nil, is called after
+// every block.  Safe for concurrent use: concurrent runs share only
+// the immutable plan and the scratch pool.
 func (p *Program) Run(ctx context.Context, gen *pattern.Generator, plan Plan, engine faultsim.EngineKind, progress faultsim.Progress) (*Result, error) {
 	c := p.c
 	if gen.NumInputs() != len(c.Inputs) {
@@ -248,11 +251,18 @@ func (p *Program) Run(ctx context.Context, gen *pattern.Generator, plan Plan, en
 	return res, nil
 }
 
-// runFFR is the FFR self-test loop: every 64-cycle block runs through
-// one capture sweep of the W = 1 engine, and every signature register
-// is clocked in cycle order.
+// runFFR is the FFR self-test loop.  Every chunk of up to
+// faultsim.ChunkBlocks 64-cycle blocks runs through one capture sweep
+// (a short last chunk pads its spare lanes with empty blocks, which
+// are never clocked).  Then, block by block in cycle order, the good
+// register and then every fault's register, in fault order, clock that
+// block's responses, the order a one-block capture clocks them.  Each
+// register sees its cycles in order, so signatures do not depend on
+// the chunk.  MISR clocking, not capture, is most of a self test's
+// time.
 func (p *Program) runFFR(ctx context.Context, gen *pattern.Generator, plan Plan, good *MISR, st *runState, progress faultsim.Progress) error {
-	engine := p.plan().AcquireWideEngine(1)
+	const w = faultsim.ChunkBlocks
+	engine := p.plan().AcquireEngine()
 	defer engine.Release()
 	sigs, outDet, det, goodOut, out := st.faultSigs, st.outputDetected, st.det, st.goodOut, st.faultyOut
 	scratch := &MISR{width: good.width, taps: good.taps}
@@ -261,21 +271,24 @@ func (p *Program) runFFR(ctx context.Context, gen *pattern.Generator, plan Plan,
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		gen.NextBlock(st.inWords)
-		engine.SimulateChunkOutputs(st.inWords, det)
+		l := b % w
+		if l == 0 {
+			gen.NextBlocks(st.inWords, w, min(w, nBlocks-b))
+			engine.SimulateChunkOutputs(st.inWords, det)
+		}
 		valid := validCycles(plan.Cycles, b)
 		mask := validMask(valid)
-		engine.GoodOutputWords(0, goodOut)
+		engine.GoodOutputWords(l, goodOut)
 		clockStream(good, goodOut, valid)
-		for fi, d := range det {
+		for fi := range sigs {
 			// A fault that flips no output in this block responds with
 			// the good outputs.
 			resp := goodOut
-			if d != 0 {
+			if d := det[fi*w+l]; d != 0 {
 				if d&mask != 0 {
 					outDet[fi] = true
 				}
-				engine.FaultOutputs(fi, 0, out)
+				engine.FaultOutputs(fi, l, out)
 				resp = out
 			}
 			scratch.state = sigs[fi]
@@ -295,20 +308,20 @@ func (p *Program) runNaive(ctx context.Context, gen *pattern.Generator, plan Pla
 	if st.sim == nil {
 		st.sim = faultsim.New(p.c)
 	}
-	sim := st.sim
+	sim, in := st.sim, st.inWords[:len(p.c.Inputs)]
 	scratch := &MISR{width: good.width, taps: good.taps}
 	nBlocks := (plan.Cycles + 63) / 64
 	for b := 0; b < nBlocks; b++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		gen.NextBlock(st.inWords)
+		gen.NextBlock(in)
 		valid := validCycles(plan.Cycles, b)
-		sim.SimulateBlock(st.inWords, nil, nil)
+		sim.SimulateBlock(in, nil, nil)
 		sim.GoodOutputWords(st.goodOut)
 		clockStream(good, st.goodOut, valid)
 		for fi, f := range p.faults {
-			if sim.SimulateFaultBlock(st.inWords, f, st.faultyOut)&validMask(valid) != 0 {
+			if sim.SimulateFaultBlock(in, f, st.faultyOut)&validMask(valid) != 0 {
 				st.outputDetected[fi] = true
 			}
 			scratch.state = st.faultSigs[fi]

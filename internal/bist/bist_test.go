@@ -2,6 +2,7 @@ package bist
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"protest/internal/circuit"
@@ -229,9 +230,9 @@ func TestRunDefaults(t *testing.T) {
 // checkSignatureIdentity runs the same self-test session on the FFR
 // engine and on the naive oracle and requires identical results down
 // to the signature: same good signature, same per-category counts.
-func checkSignatureIdentity(t *testing.T, c *circuit.Circuit, cycles []int) {
+func checkSignatureIdentity(t *testing.T, c *circuit.Circuit, faults []fault.Fault, cycles []int) {
 	t.Helper()
-	prog := NewProgram(c, fault.Collapse(c), nil)
+	prog := NewProgram(c, faults, nil)
 	for _, n := range cycles {
 		plan := Plan{Cycles: n, MISRWidth: 16, MISRSeed: 5}
 		naive, err := prog.Run(context.Background(), pattern.NewUniform(len(c.Inputs), 9), plan, faultsim.EngineNaive, nil)
@@ -249,22 +250,85 @@ func checkSignatureIdentity(t *testing.T, c *circuit.Circuit, cycles []int) {
 }
 
 // TestEngineSignatureIdentity pins the FFR engine's self test to the
-// naive oracle's on c17, the ALU and a random circuit.
+// naive oracle's on c17, the ALU and a random circuit.  The cycle
+// counts fill part of one capture chunk (64, 100, 257), exactly one
+// (512), one and one cycle of the next (513), or end mid-block in the
+// second chunk (1000).
 func TestEngineSignatureIdentity(t *testing.T) {
 	for _, build := range []func() *circuit.Circuit{circuits.C17, circuits.ALU74181, func() *circuit.Circuit {
 		return circuits.Random(circuits.RandomOptions{Inputs: 10, Gates: 90, Outputs: 5, Seed: 17})
 	}} {
-		checkSignatureIdentity(t, build(), []int{64, 100, 257})
+		c := build()
+		checkSignatureIdentity(t, c, fault.Collapse(c), []int{64, 100, 257, 512, 513, 1000})
 	}
 }
 
-// TestWideSignatureIdentity pins the capture of the FFR engine's wide
-// engine (at W = 1) to the naive oracle over the whole registry: the
-// complete self-test result must be identical, including cycle counts
-// that end mid-word.
+// TestWideSignatureIdentity pins the chunked capture to the naive
+// oracle over the whole registry: the complete self-test result must
+// be identical, including cycle counts that end mid-word (100, 257)
+// and one full chunk followed by a padded one (600: a 2-block chunk
+// whose last block keeps 24 cycles).
 func TestWideSignatureIdentity(t *testing.T) {
 	for _, name := range circuits.Names() {
 		c, _ := circuits.Lookup(name)
-		checkSignatureIdentity(t, c, []int{100, 257})
+		checkSignatureIdentity(t, c, fault.Collapse(c), []int{100, 257, 600})
+	}
+}
+
+// FuzzSignatures is the differential check of the chunked capture
+// loop on random circuits: for a circuits.Random topology (up to 30
+// inputs, n-ary gates up to 9 pins, and outputs that also fan out), a
+// fault model and a cycle count from 1 to 1,100 drawn from the input,
+// the FFR engine's self-test result must equal the naive oracle's.
+// The seeds run 1, 64, 65, 511, 512, 513 and 1000 cycles, so plain go
+// test covers a single cycle, padded chunks, a chunk whose last block
+// is masked, a full chunk and a chunk boundary; run the fuzzer with
+//
+//	go test -fuzz FuzzSignatures -run '^$' ./internal/bist
+func FuzzSignatures(f *testing.F) {
+	for i, n := range []uint16{1, 64, 65, 511, 512, 513, 1000} {
+		j := uint8(i)
+		f.Add(uint64(i+1), 4+3*j, 30+25*j, 7-j, 2+j, 4*j, j, n-1)
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, inputs, gates, maxArity, outputs, locality, model uint8, cycles uint16) {
+		c := circuits.Random(circuits.RandomOptions{
+			Inputs:   2 + int(inputs%29),
+			Gates:    1 + int(gates),
+			MaxArity: 2 + int(maxArity%8),
+			Outputs:  int(outputs % 16),
+			Seed:     seed,
+			Locality: 1 + int(locality%64),
+		})
+		m := fault.Models()[int(model)%len(fault.Models())]
+		checkSignatureIdentity(t, c, m.Faults(c), []int{1 + int(cycles)%1100})
+	})
+}
+
+// BenchmarkRunBIST times one self test per op, Program.Run from a fresh
+// uniform generator on the FFR engine, over the circuits, fault models
+// and cycle counts of the optimize-bist benchmark workload.  MISR
+// clocking is most of each op.
+func BenchmarkRunBIST(b *testing.B) {
+	for _, name := range []string{"alu", "cla16", "sn7485", "c432", "c499", "add8"} {
+		c, _ := circuits.Lookup(name)
+		for _, m := range []fault.Model{fault.ModelStuckAt, fault.ModelTransition} {
+			prog := NewProgram(c, m.Faults(c), nil)
+			for _, cycles := range []int{1024, 4096} {
+				b.Run(fmt.Sprintf("%s/%s/%d", name, m, cycles), func(b *testing.B) {
+					run := func() {
+						gen := pattern.NewUniform(len(c.Inputs), 1)
+						if _, err := prog.Run(context.Background(), gen, Plan{Cycles: cycles}, faultsim.EngineFFR, nil); err != nil {
+							b.Fatal(err)
+						}
+					}
+					run() // builds the plan and compiles the circuit
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						run()
+					}
+				})
+			}
+		}
 	}
 }

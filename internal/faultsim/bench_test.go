@@ -12,43 +12,33 @@ import (
 )
 
 // benchBlockFFR times one 64-pattern block over the fault list on the
-// FFR engine at W=1, the width BIST capture runs at — the unit of work
-// the FFR engine and the naive oracle share.
-// The FFR engine's per-block cost is O(gates + Σ stem regions) while
-// the naive oracle pays O(faults × cone), so the ratio widens with
-// circuit size and fanout density.
+// FFR engine, the unit of work the FFR engine and the naive oracle
+// share, the way a 64-pattern measurement runs it: one chunk with one
+// valid lane.  The FFR engine's per-block cost is O(gates + Σ stem
+// regions) while the naive oracle pays O(faults × cone), so the ratio
+// widens with circuit size and fanout density.
 func benchBlockFFR(b *testing.B, c *circuit.Circuit, faults []fault.Fault) {
-	e := NewPlan(c, faults).AcquireWideEngine(1)
-	defer e.Release()
-	gen := pattern.NewUniform(len(c.Inputs), 1)
-	words := make([]uint64, len(c.Inputs))
-	det := make([]uint64, len(faults))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		gen.NextBlock(words)
-		e.SimulateChunk(words, det, nil)
-	}
+	benchChunks(b, c, faults, 1)
 }
 
-// benchBlockWide times 512 patterns per op through the FFR engine at
-// width w — equal work at every width, so per-op times compare
-// directly across widths (the plain "ffr" runs time one block).
-func benchBlockWide(b *testing.B, c *circuit.Circuit, w int) {
-	faults := fault.Collapse(c)
-	plan := NewPlan(c, faults)
-	e := plan.AcquireWideEngine(w)
+// benchBlockWide times 512 patterns per op, one full chunk (the plain
+// "ffr" runs time one block).
+func benchBlockWide(b *testing.B, c *circuit.Circuit) {
+	benchChunks(b, c, fault.Collapse(c), ChunkBlocks)
+}
+
+// benchChunks times one chunk of k valid blocks per op.
+func benchChunks(b *testing.B, c *circuit.Circuit, faults []fault.Fault, k int) {
+	e := NewPlan(c, faults).AcquireEngine()
 	defer e.Release()
 	gen := pattern.NewUniform(len(c.Inputs), 1)
-	words := make([]uint64, len(c.Inputs)*w)
-	det := make([]uint64, len(faults)*w)
+	words := make([]uint64, len(c.Inputs)*ChunkBlocks)
+	det := make([]uint64, len(faults)*ChunkBlocks)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for blk := 0; blk < 8; blk += w {
-			gen.NextBlocks(words, w, w)
-			e.SimulateChunk(words, det, nil)
-		}
+		gen.NextBlocks(words, ChunkBlocks, k)
+		e.SimulateChunk(words, det, nil)
 	}
 }
 
@@ -74,9 +64,7 @@ func BenchmarkBlockEngines(b *testing.B) {
 		faults := fault.Collapse(c)
 		b.Run(c.Name+"/ffr", func(b *testing.B) { benchBlockFFR(b, c, faults) })
 		b.Run(c.Name+"/naive", func(b *testing.B) { benchBlockNaive(b, c, faults) })
-		for _, w := range wideWidths {
-			b.Run(fmt.Sprintf("%s/wide-w%d", c.Name, w), func(b *testing.B) { benchBlockWide(b, c, w) })
-		}
+		b.Run(c.Name+"/wide-w8", func(b *testing.B) { benchBlockWide(b, c) })
 	}
 }
 

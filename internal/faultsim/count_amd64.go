@@ -2,7 +2,7 @@ package faultsim
 
 import "protest/internal/widesim"
 
-// count8AVX2 is countWords at W = 8 in assembly, for CPUs with AVX2
+// count8AVX2 is countWords in assembly, for CPUs with AVX2
 // and POPCNT (widesim.HasAVX2): for every fault fi of grp it computes
 // the activation of recs[fi] as countWords does, ANDs it with the
 // fault's line and with mask, and adds the eight lanes' POPCNTQ to
@@ -11,4 +11,4 @@ import "protest/internal/widesim"
 // (see count8).
 //
 //go:noescape
-func count8AVX2(v []widesim.B8, recs []faultRec, grp []int32, mask *widesim.B8, counts []int)
+func count8AVX2(v []widesim.Vec, recs []faultRec, grp []int32, mask *widesim.Vec, counts []int)

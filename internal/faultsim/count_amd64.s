@@ -1,9 +1,9 @@
 #include "textflag.h"
 
-// func count8AVX2(v []widesim.B8, recs []faultRec, grp []int32, mask *widesim.B8, counts []int)
+// func count8AVX2(v []widesim.Vec, recs []faultRec, grp []int32, mask *widesim.Vec, counts []int)
 //
-// A B8 is 64 bytes, so value slot s starts at byte s<<6, and its lanes
-// 0-3 and 4-7 are one YMM register each.  A faultRec is 24 bytes: site,
+// A widesim.Vec is 64 bytes, so value slot s starts at byte s<<6, and
+// its lanes 0-3 and 4-7 are one YMM register each.  A faultRec is 24 bytes: site,
 // line and aggr slots at 0, 4 and 8, the activation class at 12 and
 // the stuck word at 16.
 //

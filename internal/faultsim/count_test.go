@@ -14,13 +14,13 @@ import (
 
 // TestCountKernelMatchesGo pins the assembly counting kernel to its Go
 // reference: on random circuits under every fault model, after each
-// W = 8 chunk, count8AVX2 and countWords must add the same count for
+// chunk, count8AVX2 and countWords must add the same count for
 // every fault of every group.  The lane masks are ragged as a run's
 // last chunk makes them: full lanes, a short last block, and zero for
 // the padding lanes.  The record layout the kernel reads is pinned too.
 func TestCountKernelMatchesGo(t *testing.T) {
 	if !widesim.HasAVX2() {
-		t.Skip("no AVX2 and POPCNT (or the OS does not save YMM state): W=8 counts with countWords only, so there is no kernel to compare")
+		t.Skip("no AVX2 and POPCNT (or the OS does not save YMM state): the engine counts with countWords only, so there is no kernel to compare")
 	}
 	var r faultRec
 	if unsafe.Sizeof(r) != 24 || unsafe.Offsetof(r.line) != 4 || unsafe.Offsetof(r.aggr) != 8 ||
@@ -34,7 +34,7 @@ func TestCountKernelMatchesGo(t *testing.T) {
 	for _, c := range cs {
 		for _, m := range fault.Models() {
 			plan := NewPlan(c, m.Faults(c))
-			e := plan.acquireWide(8).(*wideEngine[widesim.B8])
+			e := plan.AcquireEngine()
 			gen := pattern.NewUniform(len(c.Inputs), 5)
 			kernel, ref := make([]int, len(plan.faults)), make([]int, len(plan.faults))
 			for _, k := range []int{8, 5} {
@@ -43,9 +43,8 @@ func TestCountKernelMatchesGo(t *testing.T) {
 					lanes[l] = ^uint64(0)
 				}
 				lanes[k-1] = blockMask(37)
-				words, det := e.buffers()
-				gen.NextBlocks(words, 8, k)
-				e.simulate(words, det, lanes[:], make([]int, len(plan.faults)), nil)
+				gen.NextBlocks(e.words, 8, k)
+				e.simulate(e.words, e.det, lanes[:], make([]int, len(plan.faults)), nil)
 				v := e.sim.Slots()
 				for si, grp := range plan.part.Groups {
 					mask := v[e.stems.Obs(si)]

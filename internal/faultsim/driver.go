@@ -25,7 +25,7 @@ import (
 // ChunkBlocks blocks it carries, and, in a counting run, its lane
 // masks and the counts the worker's chunks add to.
 type chunk struct {
-	e      boundWide
+	e      *Engine
 	k      int
 	counts []int
 	lanes  [ChunkBlocks]uint64
@@ -146,7 +146,7 @@ func (p *Plan) runBlocks(ctx context.Context, gen *pattern.Generator, blocks Sch
 	workers := min(parallelWorkers(opt.Workers, len(p.faults)), (n+ChunkBlocks-1)/ChunkBlocks)
 	wave := make([]chunk, workers)
 	for i := range wave {
-		wave[i].e = p.acquireWide(ChunkBlocks)
+		wave[i].e = p.AcquireEngine()
 	}
 	defer func() {
 		for _, ch := range wave {
@@ -169,8 +169,7 @@ run:
 		for b := j; m < workers && b < n; m++ {
 			ch := &wave[m]
 			ch.k = min(ChunkBlocks, n-b)
-			words, _ := ch.e.buffers()
-			gen.NextBlocks(words, ChunkBlocks, ch.k)
+			gen.NextBlocks(ch.e.words, ChunkBlocks, ch.k)
 			if counts != nil {
 				ch.lanes = [ChunkBlocks]uint64{}
 				for l := range ch.k {
@@ -181,26 +180,23 @@ run:
 		}
 		if m == 1 {
 			ch := &wave[0]
-			words, det := ch.e.buffers()
-			ch.e.simulate(words, det, ch.lanes[:], ch.counts, liveGroups)
+			ch.e.simulate(ch.e.words, ch.e.det, ch.lanes[:], ch.counts, liveGroups)
 		} else {
 			for i := range wave[:m] {
 				wg.Add(1)
 				go func(ch *chunk) {
 					defer wg.Done()
-					words, det := ch.e.buffers()
-					ch.e.simulate(words, det, ch.lanes[:], ch.counts, liveGroups)
+					ch.e.simulate(ch.e.words, ch.e.det, ch.lanes[:], ch.counts, liveGroups)
 				}(&wave[i])
 			}
 			wg.Wait()
 		}
 		for _, ch := range wave[:m] {
-			_, det := ch.e.buffers()
 			for l := 0; l < ch.k; l++ {
 				if progress != nil {
 					progress(blocks.Block(j).End, total)
 				}
-				if visit != nil && !visit(j, det, ChunkBlocks, l) {
+				if visit != nil && !visit(j, ch.e.det, ChunkBlocks, l) {
 					if progress != nil && j+1 < n {
 						progress(total, total)
 					}

@@ -43,14 +43,14 @@ func widthTestCircuits() []*circuit.Circuit {
 	return append(engineTestCircuits(), c1355)
 }
 
-// TestEngineBlockIdentity drives the FFR engine one block at a time
-// (W = 1, the width BIST capture runs at) and the
-// naive oracle with the same pattern blocks and requires word-for-word
+// TestEngineBlockIdentity drives the FFR engine over exactly one full
+// chunk (8 blocks of seed 7, the shape of a 512-pattern measurement)
+// and the naive oracle one block at a time, and requires word-for-word
 // identical detection words for every fault.
 func TestEngineBlockIdentity(t *testing.T) {
 	t.Parallel()
 	for _, c := range engineTestCircuits() {
-		checkChunkIdentity(t, c, fault.Collapse(c), 7, 8, []int{1})
+		checkChunkIdentity(t, c, fault.Collapse(c), 7, 8)
 	}
 }
 
@@ -60,7 +60,7 @@ func TestEngineBlockIdentity(t *testing.T) {
 func TestEngineUncollapsedUniverse(t *testing.T) {
 	t.Parallel()
 	for _, c := range engineTestCircuits()[:6] {
-		checkChunkIdentity(t, c, fault.Universe(c), 99, 4, wideWidths)
+		checkChunkIdentity(t, c, fault.Universe(c), 99, 4)
 	}
 }
 
@@ -160,16 +160,21 @@ func TestEngineExhaustiveIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Feed the engine the same enumeration layout: at W=1 a chunk's
-		// input words are one block's, one word per input.
-		e := NewPlan(c, faults).AcquireWideEngine(1)
+		// Feed each enumeration block into lane 0 of a chunk whose
+		// other lanes stay empty.
+		const w = ChunkBlocks
+		e := NewPlan(c, faults).AcquireEngine()
 		got := make([]int, len(faults))
-		det := make([]uint64, len(faults))
+		in := make([]uint64, len(c.Inputs)*w)
+		det := make([]uint64, len(faults)*w)
 		err = bitsim.Exhaustive(len(c.Inputs), func(words []uint64, _ uint64, valid int) {
-			e.SimulateChunk(words, det, nil)
+			for i, word := range words {
+				in[i*w] = word
+			}
+			e.SimulateChunk(in, det, nil)
 			mask := blockMask(valid)
-			for i, d := range det {
-				got[i] += popcount(d & mask)
+			for i := range faults {
+				got[i] += popcount(det[i*w] & mask)
 			}
 		})
 		e.Release()
@@ -194,13 +199,13 @@ func popcount(x uint64) int {
 }
 
 // TestEngineLiveGroups checks the fault-dropping contract of the FFR
-// engine at W = 1 and 8: with every other FFR group dropped, the
-// live groups' words equal a full chunk's lane for lane, and the
-// dropped groups' words still hold what the caller left in them.  Each
-// engine first runs a full chunk of other patterns, so scratch a
-// partial chunk failed to recompute would hold wrong values.
+// engine: with every other FFR group dropped, the live groups' words
+// equal a full chunk's lane for lane, and the dropped groups' words
+// still hold what the caller left in them.  The engine first runs a
+// full chunk of other patterns, so scratch a partial chunk failed to
+// recompute would hold wrong values.
 func TestEngineLiveGroups(t *testing.T) {
-	const sentinel = 0xdeadbeefcafef00d
+	const sentinel, w = 0xdeadbeefcafef00d, ChunkBlocks
 	c1355, _ := circuits.Lookup("c1355")
 	for _, c := range []*circuit.Circuit{circuits.Mult8(), c1355} {
 		for _, m := range fault.Models() {
@@ -210,43 +215,42 @@ func TestEngineLiveGroups(t *testing.T) {
 			for si := 0; si < len(live); si += 2 {
 				live[si] = true
 			}
-			for _, w := range wideWidths {
-				e := plan.AcquireWideEngine(w)
-				other := make([]uint64, len(c.Inputs)*w)
-				pattern.NewUniform(len(c.Inputs), 99).NextBlocks(other, w, w)
-				in := make([]uint64, len(c.Inputs)*w)
-				pattern.NewUniform(len(c.Inputs), 21).NextBlocks(in, w, w)
-				full := make([]uint64, len(faults)*w)
-				e.SimulateChunk(other, full, nil)
-				partial := make([]uint64, len(faults)*w)
-				for i := range partial {
-					partial[i] = sentinel
+			e := plan.AcquireEngine()
+			other := make([]uint64, len(c.Inputs)*w)
+			pattern.NewUniform(len(c.Inputs), 99).NextBlocks(other, w, w)
+			in := make([]uint64, len(c.Inputs)*w)
+			pattern.NewUniform(len(c.Inputs), 21).NextBlocks(in, w, w)
+			full := make([]uint64, len(faults)*w)
+			e.SimulateChunk(other, full, nil)
+			partial := make([]uint64, len(faults)*w)
+			for i := range partial {
+				partial[i] = sentinel
+			}
+			e.SimulateChunk(in, partial, live)
+			e.SimulateChunk(in, full, nil)
+			e.Release()
+			for fi := range faults {
+				want := full[fi*w : (fi+1)*w]
+				if !live[plan.part.GroupOf[fi]] {
+					want = slices.Repeat([]uint64{sentinel}, w)
 				}
-				e.SimulateChunk(in, partial, live)
-				e.SimulateChunk(in, full, nil)
-				e.Release()
-				for fi := range faults {
-					want := full[fi*w : (fi+1)*w]
-					if !live[plan.part.GroupOf[fi]] {
-						want = slices.Repeat([]uint64{sentinel}, w)
-					}
-					if got := partial[fi*w : (fi+1)*w]; !slices.Equal(got, want) {
-						t.Fatalf("%s %s W=%d fault %v (group live %v): words %016x, want %016x",
-							c.Name, m, w, faults[fi], live[plan.part.GroupOf[fi]], got, want)
-					}
+				if got := partial[fi*w : (fi+1)*w]; !slices.Equal(got, want) {
+					t.Fatalf("%s %s fault %v (group live %v): words %016x, want %016x",
+						c.Name, m, faults[fi], live[plan.part.GroupOf[fi]], got, want)
 				}
 			}
 		}
 	}
 }
 
-// TestEngineCaptureOutputs pins the single-block capture BIST runs:
-// detection, good output and faulty output words of
-// the FFR engine at W = 1 must equal the naive oracle's
-// (Simulator.SimulateFaultBlock) for every fault.
+// TestEngineCaptureOutputs pins the capture of the shortest self test:
+// a single block, so the chunk has one valid lane and seven padded
+// ones.  Detection, good output and faulty output words of lane 0 must
+// equal the naive oracle's (Simulator.SimulateFaultBlock) for every
+// fault.
 func TestEngineCaptureOutputs(t *testing.T) {
 	for _, c := range []*circuit.Circuit{circuits.C17(), circuits.ALU74181(),
 		circuits.Random(circuits.RandomOptions{Inputs: 9, Gates: 70, Outputs: 4, Seed: 3})} {
-		checkCaptureIdentity(t, c, fault.Collapse(c), 5, []int{1})
+		checkCaptureIdentity(t, c, fault.Collapse(c), 5, 1)
 	}
 }

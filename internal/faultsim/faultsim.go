@@ -3,11 +3,11 @@
 // (section 4, Table 1) and fault-coverage-versus-pattern-count curves
 // with fault dropping (section 6, Table 6):
 //
-//   - the FFR engine (Plan, WideEngine), the default: the collapsed
-//     fault list is partitioned by fanout-free region, each chunk of
-//     ChunkBlocks = 8 64-pattern blocks (W = 8) runs one good
-//     simulation, one backward critical-path trace per live region and
-//     one dominator-bounded stem propagation per live stem, collapsing
+//   - the FFR engine (Plan, Engine), the default: the collapsed fault
+//     list is partitioned by fanout-free region, each chunk of
+//     ChunkBlocks = 8 64-pattern blocks runs one good simulation, one
+//     backward critical-path trace per live region and one
+//     dominator-bounded stem propagation per live stem, collapsing
 //     per-fault work to one fused lane loop per fault.  The trace and
 //     the propagation, with the composition of each stem's
 //     observability, are compiled once per circuit into per-stem
@@ -22,7 +22,7 @@
 //     positions into a coverage curve.  MeasureDetection and
 //     CoverageCurve run the bodies over the whole schedule, a shard
 //     over its block range.  BIST capture (package bist) drives the
-//     engine's capture mode itself, at W = 1;
+//     engine's capture mode itself, in the same chunks;
 //   - the naive engine (Simulator), kept as the independent oracle:
 //     every fault is re-simulated individually inside its output cone,
 //     serially, by MeasureDetectionNaive and CoverageCurveNaive.

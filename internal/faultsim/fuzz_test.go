@@ -12,8 +12,8 @@ import (
 // FuzzEnginesAgree is the differential check of the FFR engine on
 // random circuits: for a circuits.Random topology, a fault model and a
 // pattern count drawn from the input, Plan.MeasureDetection must return
-// the naive oracle's detection counts, and the capture at both engine
-// widths must reproduce the naive oracle's output words.
+// the naive oracle's detection counts, and the capture must reproduce
+// the naive oracle's output words.
 // Random circuits reach what the registry rarely has and what the
 // compiled two-bank regions must bind correctly: n-ary gates (MaxArity
 // up to 9), gates fed twice by one node, and outputs that also fan out.
@@ -49,6 +49,6 @@ func FuzzEnginesAgree(f *testing.F) {
 					c.Name, m, n, faults[i], got.Detected[i], want[i])
 			}
 		}
-		checkCaptureIdentity(t, c, faults, seed, wideWidths)
+		checkCaptureIdentity(t, c, faults, seed, 11)
 	})
 }

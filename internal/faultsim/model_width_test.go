@@ -13,10 +13,10 @@ import (
 
 // This file mirrors wide_test.go and engine_test.go for the non-stuck-at
 // universes: every equivalence the stuck-at properties pin — FFR vs
-// naive detection words at both engine widths, measurements at every
-// worker count, coverage curves — must hold bit-for-bit for bridging
-// and transition faults too, because every engine shares one
-// conditional-activation kernel across kinds.
+// naive detection words, measurements at every worker count, coverage
+// curves — must hold bit-for-bit for bridging and transition faults
+// too, because every engine shares one conditional-activation kernel
+// across kinds.
 
 // modelCases returns the non-stuck-at universes of c that are
 // non-empty (tiny or fanout-free circuits can have no bridging pairs).
@@ -30,23 +30,23 @@ func modelCases(c *circuit.Circuit) map[fault.Model][]fault.Fault {
 	return out
 }
 
-// TestModelEngineBlockIdentity drives the FFR engine one block at a
-// time (W = 1) and the naive oracle with the same pattern blocks over
-// the bridging and transition universes and requires word-for-word
-// identical detection words.
+// TestModelEngineBlockIdentity drives the FFR engine over exactly one
+// full chunk (8 blocks of seed 7) and the naive oracle one block at a
+// time over the bridging and transition universes, and requires
+// word-for-word identical detection words.
 func TestModelEngineBlockIdentity(t *testing.T) {
 	t.Parallel()
 	for _, c := range engineTestCircuits() {
 		for _, faults := range modelCases(c) {
-			checkChunkIdentity(t, c, faults, 7, 8, []int{1})
+			checkChunkIdentity(t, c, faults, 7, 8)
 		}
 	}
 }
 
-// TestModelWideChunkIdentity drives the wide engine chunk-by-chunk at
-// W = 8 against the naive oracle block-by-block on the bridging
-// and transition universes and requires lane-for-lane identical
-// detection words, including the ragged final chunk.  Transition
+// TestModelWideChunkIdentity drives the engine chunk by chunk against
+// the naive oracle block by block on the bridging and transition
+// universes and requires lane-for-lane identical detection words over
+// 11 blocks of seed 42: a full chunk, then a padded one.  Transition
 // detection words are the sharpest case: the launch/capture pairing is
 // block-local, so a lane split that shifted block boundaries would
 // corrupt bit 0 of every block.
@@ -54,7 +54,7 @@ func TestModelWideChunkIdentity(t *testing.T) {
 	t.Parallel()
 	for _, c := range engineTestCircuits() {
 		for _, faults := range modelCases(c) {
-			checkChunkIdentity(t, c, faults, 42, 11, []int{8})
+			checkChunkIdentity(t, c, faults, 42, 11)
 		}
 	}
 }

@@ -132,7 +132,7 @@ func TestMeasureDetectionParallelCtx(t *testing.T) {
 
 // TestSharedRegionsConcurrent races the per-circuit compiled code and
 // the per-plan fault records: the plans of all three fault models over
-// one fresh circuit are run on the W=8 engine by several goroutines at
+// one fresh circuit are run on the engine by several goroutines at
 // once, two per plan, so the compiled program and per-stem streams,
 // each plan's records and the compiled full cones are each first
 // requested concurrently.  Every detection count and capture word must
@@ -151,7 +151,7 @@ func TestSharedRegionsConcurrent(t *testing.T) {
 			t.Error(err)
 			return run{}
 		}
-		e := plan.AcquireWideEngine(8)
+		e := plan.AcquireEngine()
 		defer e.Release()
 		words := make([]uint64, len(c.Inputs)*8)
 		det := make([]uint64, len(plan.Faults())*8)

@@ -12,9 +12,9 @@ import (
 // fault the value slots its detection reads in the circuit's compiled
 // streams (shared with the circuit's other plans), resolved on first
 // simulation.  Build it once per (circuit, fault list) and bind any
-// number of wide engines to it (AcquireWideEngine) — each engine owns
-// only per-chunk scratch, so parallel workers share one Plan the same
-// way concurrent evaluators share one core.Program.
+// number of engines to it (AcquireEngine) — each engine owns only
+// per-chunk scratch, so parallel workers share one Plan the same way
+// concurrent evaluators share one core.Program.
 type Plan struct {
 	c      *circuit.Circuit
 	ffr    *circuit.FFR
@@ -27,8 +27,8 @@ type Plan struct {
 }
 
 // faultRec is a fault's detection recipe, resolved against the
-// circuit's compiled streams (Plan.records).  The W = 8 counting kernel
-// reads it (count_amd64.s), so its layout is fixed: three int32 slots,
+// circuit's compiled streams (Plan.records).  The assembly counting
+// kernel reads it (count_amd64.s), so its layout is fixed: three int32 slots,
 // the activation class as an int32, then the stuck word, 24 bytes in
 // all.
 type faultRec struct {

@@ -3,6 +3,8 @@ package faultsim
 import (
 	"slices"
 	"sort"
+
+	"protest/internal/widesim"
 )
 
 // This file holds the block schedules of the two measurements.  A
@@ -87,8 +89,8 @@ func (s Schedule) Block(j int) BlockSpan {
 	return BlockSpan{Mask: blockMask(s.ends[i] - applied), End: min(applied+64, s.ends[i])}
 }
 
-// ChunkBlocks is the number of blocks one measurement chunk carries,
-// the W = 8 lanes of the engine.  A block range that starts at a
-// multiple of it, and ends at one or at the run's end, simulates the
-// same chunks as that stretch of the whole run.
-const ChunkBlocks = 8
+// ChunkBlocks is the number of blocks one engine chunk carries, the
+// lanes of widesim's vectors.  A block range that starts at a multiple
+// of it, and ends at one or at the run's end, simulates the same chunks
+// as that stretch of the whole run.
+const ChunkBlocks = widesim.Lanes

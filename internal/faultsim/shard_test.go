@@ -72,14 +72,16 @@ func TestScheduleBlocks(t *testing.T) {
 	}
 }
 
-// TestChunkBlocks pins the measurement chunk, the unit shard cuts
-// align to: 8 blocks, the lanes of the engine every measurement
-// acquires.
+// TestChunkBlocks pins the engine chunk, the unit shard cuts align to:
+// 8 blocks, the lanes of widesim's vectors, which size the engine's
+// input and detection buffers.
 func TestChunkBlocks(t *testing.T) {
 	c := circuits.C17()
-	e := NewPlan(c, fault.Collapse(c)).AcquireWideEngine(ChunkBlocks)
+	faults := fault.Collapse(c)
+	e := NewPlan(c, faults).AcquireEngine()
 	defer e.Release()
-	if ChunkBlocks != 8 || e.Width() != ChunkBlocks {
-		t.Fatalf("ChunkBlocks = %d, engine width %d, want 8", ChunkBlocks, e.Width())
+	if ChunkBlocks != 8 || len(e.words) != len(c.Inputs)*8 || len(e.det) != len(faults)*8 {
+		t.Fatalf("ChunkBlocks = %d, engine buffers %d and %d words, want 8 per input and per fault",
+			ChunkBlocks, len(e.words), len(e.det))
 	}
 }

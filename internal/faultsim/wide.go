@@ -8,90 +8,22 @@ import (
 	"protest/internal/widesim"
 )
 
-// WideEngine is the width-erased facade over the generic FFR engine:
-// one instance simulates chunks of W consecutive 64-pattern blocks
-// with all engine words widened to W lanes (W = 1 or 8).  Chunk
-// inputs and detection words use the lane-major layout of
-// pattern.Generator.NextBlocks — inputWords[i*W+l], det[fi*W+l] — where
-// lane l is pattern block l of the chunk.
+// Engine is the FFR engine.  One instance simulates chunks of
+// ChunkBlocks consecutive 64-pattern blocks, one block per lane of the
+// widesim lane vectors.  Chunk inputs and detection words use the
+// lane-major layout of pattern.Generator.NextBlocks —
+// inputWords[i*ChunkBlocks+l], det[fi*ChunkBlocks+l] — where lane l is
+// pattern block l of the chunk.
 //
-// A chunk always carries W lanes; callers packing fewer than W blocks
-// zero-fill the spare lanes (NextBlocks does) and mask the
+// A chunk always carries ChunkBlocks lanes; callers packing fewer
+// blocks zero-fill the spare lanes (NextBlocks does) and mask the
 // corresponding det lanes out, as they mask the ragged final block.
 // Every lane's words are exactly what the naive oracle
-// (Simulator.SimulateBlock) computes for that block, at every width.
-type WideEngine interface {
-	// Width returns W, the number of 64-pattern lanes per chunk.
-	Width() int
-	// SimulateChunk writes into det[fi*W+l] the detecting-pattern word
-	// of fault fi in lane l.  Groups dropped via liveGroups are
-	// skipped, leaving their det lanes untouched.
-	SimulateChunk(inputWords []uint64, det []uint64, liveGroups []bool)
-	// SimulateChunkOutputs is SimulateChunk in capture mode (BIST
-	// response compaction): every stem flip runs through its full cone
-	// and the per-output flip words are kept, so the accessors below
-	// can compose any fault's faulty outputs.  All groups are live.
-	SimulateChunkOutputs(inputWords []uint64, det []uint64)
-	// FaultOutputs writes fault fi's faulty output words in lane l of
-	// the last capture chunk into out, one word per primary output.
-	FaultOutputs(fi, lane int, out []uint64)
-	// GoodOutputWords writes the good output words of lane l of the
-	// last capture chunk into dst, one word per primary output.
-	GoodOutputWords(lane int, dst []uint64)
-	// Release returns the engine to its width's pool.
-	Release()
-}
-
-// widePools hold the wide engines of every plan, one pool per width
-// (W=1 and W=8).  No plan owns them: an engine's node-indexed scratch is
-// sized for whichever plan acquires it, so a server holding many plans
-// keeps about one engine per width and concurrent caller, not one per
-// plan.
-var widePools = [2]sync.Pool{
-	{New: func() any { return new(wideEngine[widesim.B1]) }},
-	{New: func() any { return new(wideEngine[widesim.B8]) }},
-}
-
-// widthSlot maps a supported width to its pool index.
-func widthSlot(width int) int {
-	switch width {
-	case 1:
-		return 0
-	case 8:
-		return 1
-	}
-	panic(fmt.Sprintf("faultsim: unsupported simulation width %d", width))
-}
-
-// AcquireWideEngine returns a pooled wide engine of the given width
-// (1 or 8) bound to this plan.  The caller owns it until Release;
-// wide engines must not be shared between goroutines.
-func (p *Plan) AcquireWideEngine(width int) WideEngine {
-	return p.acquireWide(width)
-}
-
-// boundWide is the package's view of a pooled wide engine.
-type boundWide interface {
-	WideEngine
-	bind(*Plan)
-	buffers() (words, det []uint64)
-	// simulate is SimulateChunk when counts is nil.  Otherwise it
-	// counts instead of storing: for every fault fi of a live group it
-	// adds to counts[fi] the set bits of its detection words under the
-	// lane masks lanes (one word per lane), and writes no detection
-	// words.
-	simulate(inputWords, det, lanes []uint64, counts []int, liveGroups []bool)
-}
-
-func (p *Plan) acquireWide(width int) boundWide {
-	e := widePools[widthSlot(width)].Get().(boundWide)
-	e.bind(p)
-	return e
-}
-
-// wideEngine is the FFR engine over B lane vectors.  Per chunk it runs
-// the good simulation once, then per needed fanout-free region, in
-// descending stem order, the stem's compiled streams (widesim.Stems):
+// (Simulator.SimulateBlock) computes for that block.
+//
+// Per chunk it runs the good simulation once, then per needed
+// fanout-free region, in descending stem order, the stem's compiled
+// streams (widesim.Stems):
 //
 //  1. the critical-path trace *backwards* from the region stem, which
 //     writes for every member line the exact vector of patterns on
@@ -114,38 +46,51 @@ func (p *Plan) acquireWide(width int) boundWide {
 // the naive single-fault propagation engine.
 //
 // Every step but the per-fault pass runs in widesim's evaluation loops,
-// and at W = 8 on CPUs with AVX2 the counting pass runs the assembly
-// kernel count8AVX2.
-type wideEngine[B widesim.Block] struct {
+// and on CPUs with AVX2 the counting pass runs the assembly kernel
+// count8AVX2.  An Engine must not be shared between goroutines.
+type Engine struct {
 	plan  *Plan
-	sim   widesim.Sim[B]
+	sim   widesim.Sim
 	stems *widesim.Stems // the circuit's compiled per-stem streams
 	recs  []faultRec     // the plan's fault records
 	need  []bool         // per stem index: required this chunk
 
-	// Per-call buffers of the measurement loops: numInputs×W input
-	// words and numFaults×W detection words.
+	// Per-call buffers of the measurement loops: numInputs×ChunkBlocks
+	// input words and numFaults×ChunkBlocks detection words.
 	words, det []uint64
 
 	// Capture (BIST) state, sized on each SimulateChunkOutputs.
-	local   []uint64 // numFaults×W detect-at-stem words of the last capture chunk
-	poDiff  []B      // per stem index × output: flip vectors (stem-major)
-	goodOut []B      // good output vectors of the last capture chunk
+	local   []uint64      // numFaults×ChunkBlocks detect-at-stem words of the last capture chunk
+	poDiff  []widesim.Vec // per stem index × output: flip vectors (stem-major)
+	goodOut []widesim.Vec // good output vectors of the last capture chunk
+}
+
+// enginePool holds the engines of every plan.  No plan owns them: an
+// engine's node-indexed scratch is sized for whichever plan acquires
+// it, so a server holding many plans keeps about one engine per
+// concurrent caller, not one per plan.
+var enginePool = sync.Pool{New: func() any { return new(Engine) }}
+
+// AcquireEngine returns a pooled engine bound to this plan.  The
+// caller owns it until Release.
+func (p *Plan) AcquireEngine() *Engine {
+	e := enginePool.Get().(*Engine)
+	e.bind(p)
+	return e
 }
 
 // bind sizes the engine's scratch for plan p, reusing its capacity.
 // Stale contents are never read: every entry is written before use in
 // each chunk.
-func (e *wideEngine[B]) bind(p *Plan) {
+func (e *Engine) bind(p *Plan) {
 	c := p.c
-	w := e.Width()
 	e.plan = p
 	prog, stems := p.code.streams()
 	e.stems, e.recs = stems, p.records()
 	e.sim.Reset(prog, stems.Slots())
 	e.need = grow(e.need, len(p.ffr.Stems))
-	e.words = grow(e.words, len(c.Inputs)*w)
-	e.det = grow(e.det, len(p.faults)*w)
+	e.words = grow(e.words, len(c.Inputs)*ChunkBlocks)
+	e.det = grow(e.det, len(p.faults)*ChunkBlocks)
 }
 
 // grow returns s resized to n elements, reallocating only when its
@@ -157,25 +102,16 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// Width returns the engine's lane count.
-func (e *wideEngine[B]) Width() int { return widesim.Lanes[B]() }
-
-// Release returns the engine to its width's pool, dropping its plan.
-func (e *wideEngine[B]) Release() {
+// Release returns the engine to the pool, dropping its plan.
+func (e *Engine) Release() {
 	e.plan, e.stems, e.recs = nil, nil, nil
 	e.sim.Reset(nil, 0)
-	widePools[widthSlot(e.Width())].Put(e)
-}
-
-// buffers returns the engine's input and detection word buffers, sized
-// numInputs×W and numFaults×W for the bound plan.
-func (e *wideEngine[B]) buffers() (words, det []uint64) {
-	return e.words, e.det
+	enginePool.Put(e)
 }
 
 // simulateGood runs the good simulation of one chunk and returns the
 // whole value array.
-func (e *wideEngine[B]) simulateGood(inputWords []uint64) []B {
+func (e *Engine) simulateGood(inputWords []uint64) []widesim.Vec {
 	if err := e.sim.SetInputs(inputWords); err != nil {
 		panic(err) // callers size the chunk from the plan's circuit
 	}
@@ -183,15 +119,20 @@ func (e *wideEngine[B]) simulateGood(inputWords []uint64) []B {
 	return e.sim.Slots()
 }
 
-// SimulateChunk implements WideEngine.
-func (e *wideEngine[B]) SimulateChunk(inputWords []uint64, det []uint64, liveGroups []bool) {
+// SimulateChunk writes into det[fi*ChunkBlocks+l] the detecting-pattern
+// word of fault fi in lane l.  Groups dropped via liveGroups are
+// skipped, leaving their det lanes untouched.
+func (e *Engine) SimulateChunk(inputWords []uint64, det []uint64, liveGroups []bool) {
 	e.simulate(inputWords, det, nil, nil, liveGroups)
 }
 
-// simulate implements boundWide.  In a counting chunk a lane mask
-// joins each stem observability, so every fault's words carry only the
-// patterns it counts.
-func (e *wideEngine[B]) simulate(inputWords, det, lanes []uint64, counts []int, liveGroups []bool) {
+// simulate is SimulateChunk when counts is nil.  Otherwise it counts
+// instead of storing: for every fault fi of a live group it adds to
+// counts[fi] the set bits of its detection words under the lane masks
+// lanes (one word per lane), and writes no detection words.  In a
+// counting chunk the lane mask joins each stem observability, so every
+// fault's words carry only the patterns it counts.
+func (e *Engine) simulate(inputWords, det, lanes []uint64, counts []int, liveGroups []bool) {
 	v := e.simulateGood(inputWords)
 	e.markNeeds(liveGroups)
 	// Descending stem order: each composition reads an already
@@ -221,10 +162,10 @@ func (e *wideEngine[B]) simulate(inputWords, det, lanes []uint64, counts []int, 
 
 // count adds, for every fault fi of grp, the set bits of its detection
 // words under mask to counts[fi]: with the assembly kernel count8AVX2
-// at W = 8 where the CPU has AVX2, and with countWords elsewhere.
-func (e *wideEngine[B]) count(v []B, grp []int32, mask *B, counts []int) {
-	if e8, ok := any(e).(*wideEngine[widesim.B8]); ok && widesim.HasAVX2() {
-		count8(e8.sim.Slots(), e.recs, grp, any(mask).(*widesim.B8), counts)
+// where the CPU has AVX2, and with countWords elsewhere.
+func (e *Engine) count(v []widesim.Vec, grp []int32, mask *widesim.Vec, counts []int) {
+	if widesim.HasAVX2() {
+		count8(v, e.recs, grp, mask, counts)
 		return
 	}
 	countWords(v, e.recs, grp, mask, counts)
@@ -234,7 +175,7 @@ func (e *wideEngine[B]) count(v []B, grp []int32, mask *B, counts []int) {
 // accesses: every fault index of grp is below len(recs) by
 // construction (fault.GroupByFFR), and every slot of recs below the
 // compiled streams' slot count, which bind sized v to.
-func count8(v []widesim.B8, recs []faultRec, grp []int32, mask *widesim.B8, counts []int) {
+func count8(v []widesim.Vec, recs []faultRec, grp []int32, mask *widesim.Vec, counts []int) {
 	if len(counts) < len(recs) {
 		panic(fmt.Sprintf("faultsim: %d counts for %d faults", len(counts), len(recs)))
 	}
@@ -250,11 +191,10 @@ func count8(v []widesim.B8, recs []faultRec, grp []int32, mask *widesim.B8, coun
 // untouched.  The transition launch shift runs per lane, never across
 // lanes: launch/capture pairing is block-local, so every lane computes
 // exactly what a single-block simulation of that block would.
-func detectWords[B widesim.Block](v []B, recs []faultRec, grp []int32, mask *B, det []uint64) {
-	w := widesim.Lanes[B]()
+func detectWords(v []widesim.Vec, recs []faultRec, grp []int32, mask *widesim.Vec, det []uint64) {
 	for _, fi := range grp {
 		r := &recs[fi]
-		d := det[int(fi)*w : int(fi)*w+w]
+		d := (*widesim.Vec)(det[int(fi)*ChunkBlocks:])
 		site, l, stuck := &v[r.site], &v[r.line], r.stuck
 		switch r.act {
 		case actBridge:
@@ -262,18 +202,18 @@ func detectWords[B widesim.Block](v []B, recs []faultRec, grp []int32, mask *B, 
 			// holds the faulty capture value.
 			aggr := &v[r.aggr]
 			for i := range d {
-				d[i] = ((*site)[i] ^ stuck) &^ ((*aggr)[i] ^ stuck) & (*l)[i] & (*mask)[i]
+				d[i] = (site[i] ^ stuck) &^ (aggr[i] ^ stuck) & l[i] & mask[i]
 			}
 		case actTransition:
 			// The site held the faulty value on the previous pattern;
 			// bit 0 of each lane has no launch pattern.
 			for i := range d {
-				s := (*site)[i]
-				d[i] = (s ^ stuck) &^ ((s << 1) ^ stuck) &^ 1 & (*l)[i] & (*mask)[i]
+				s := site[i]
+				d[i] = (s ^ stuck) &^ ((s << 1) ^ stuck) &^ 1 & l[i] & mask[i]
 			}
 		default:
 			for i := range d {
-				d[i] = ((*site)[i] ^ stuck) & (*l)[i] & (*mask)[i]
+				d[i] = (site[i] ^ stuck) & l[i] & mask[i]
 			}
 		}
 	}
@@ -284,7 +224,7 @@ func detectWords[B widesim.Block](v []B, recs []faultRec, grp []int32, mask *B, 
 // Its cases are detectWords', term for term; it is a loop of its own
 // so that the word-writing loop carries no counting.  It counts on
 // CPUs without AVX2, and it is count8AVX2's test reference.
-func countWords[B widesim.Block](v []B, recs []faultRec, grp []int32, mask *B, counts []int) {
+func countWords(v []widesim.Vec, recs []faultRec, grp []int32, mask *widesim.Vec, counts []int) {
 	for _, fi := range grp {
 		r := &recs[fi]
 		site, l, stuck := &v[r.site], &v[r.line], r.stuck
@@ -292,17 +232,17 @@ func countWords[B widesim.Block](v []B, recs []faultRec, grp []int32, mask *B, c
 		switch r.act {
 		case actBridge:
 			aggr := &v[r.aggr]
-			for i := 0; i < len(*mask); i++ {
-				n += bits.OnesCount64(((*site)[i] ^ stuck) &^ ((*aggr)[i] ^ stuck) & (*l)[i] & (*mask)[i])
+			for i := range mask {
+				n += bits.OnesCount64((site[i] ^ stuck) &^ (aggr[i] ^ stuck) & l[i] & mask[i])
 			}
 		case actTransition:
-			for i := 0; i < len(*mask); i++ {
-				s := (*site)[i]
-				n += bits.OnesCount64((s ^ stuck) &^ ((s << 1) ^ stuck) &^ 1 & (*l)[i] & (*mask)[i])
+			for i := range mask {
+				s := site[i]
+				n += bits.OnesCount64((s ^ stuck) &^ ((s << 1) ^ stuck) &^ 1 & l[i] & mask[i])
 			}
 		default:
-			for i := 0; i < len(*mask); i++ {
-				n += bits.OnesCount64(((*site)[i] ^ stuck) & (*l)[i] & (*mask)[i])
+			for i := range mask {
+				n += bits.OnesCount64((site[i] ^ stuck) & l[i] & mask[i])
 			}
 		}
 		counts[fi] += n
@@ -315,7 +255,7 @@ func countWords[B widesim.Block](v []B, recs []faultRec, grp []int32, mask *B, c
 // the dominator's line and the observability of its stem).  The chain
 // always points to higher stem indices, so one ascending sweep closes
 // it.
-func (e *wideEngine[B]) markNeeds(liveGroups []bool) {
+func (e *Engine) markNeeds(liveGroups []bool) {
 	ffr := e.plan.ffr
 	for si := range ffr.Stems {
 		if liveGroups != nil {
@@ -337,24 +277,26 @@ func (e *wideEngine[B]) markNeeds(liveGroups []bool) {
 // ---------------------------------------------------------------------
 // Capture mode: faulty output words for response compaction (BIST).
 
-// SimulateChunkOutputs implements WideEngine.  Capture propagates
+// SimulateChunkOutputs is SimulateChunk in capture mode (BIST response
+// compaction): every stem flip runs through its full cone and the
+// per-output flip words are kept, so FaultOutputs can compose any
+// fault's faulty outputs.  All groups are live.  Capture propagates
 // every faulty stem through its full cone after its trace, so no
 // dominator chains are needed, and the per-fault detect-at-stem words
 // come from the detection writer with an all-ones mask.
-func (e *wideEngine[B]) SimulateChunkOutputs(inputWords []uint64, det []uint64) {
+func (e *Engine) SimulateChunkOutputs(inputWords []uint64, det []uint64) {
 	c := e.plan.c
 	v := e.simulateGood(inputWords)
 	nOut := len(c.Outputs)
-	w := e.Width()
 	e.poDiff = grow(e.poDiff, len(e.plan.ffr.Stems)*nOut)
-	e.local = grow(e.local, len(e.plan.faults)*w)
+	e.local = grow(e.local, len(e.plan.faults)*ChunkBlocks)
 	e.goodOut = grow(e.goodOut, nOut)
 	for i, id := range c.Outputs {
 		e.goodOut[i] = v[id]
 	}
 
 	full := e.plan.code.fullCones()
-	ones := widesim.Ones[B]()
+	ones := widesim.Ones()
 	for si, grp := range e.plan.part.Groups {
 		if len(grp) == 0 {
 			continue
@@ -362,46 +304,54 @@ func (e *wideEngine[B]) SimulateChunkOutputs(inputWords []uint64, det []uint64) 
 		e.sim.Trace(e.stems, si)
 		po := e.poDiff[si*nOut : (si+1)*nOut]
 		e.captureStem(v, full, si, po)
-		var acc B
+		var acc widesim.Vec
 		for _, x := range po {
-			acc = widesim.Or(acc, x)
+			for l := range acc {
+				acc[l] |= x[l]
+			}
 		}
 		detectWords(v, e.recs, grp, &ones, e.local)
 		for _, fi := range grp {
-			k := int(fi) * w
-			widesim.Store(widesim.And(widesim.Load[B](e.local[k:]), acc), det[k:k+w])
+			k := int(fi) * ChunkBlocks
+			for l, a := range acc {
+				det[k+l] = e.local[k+l] & a
+			}
 		}
 	}
 }
 
 // captureStem propagates a flip of stem si through its compiled full
 // cone and records every output's flip vector in po.
-func (e *wideEngine[B]) captureStem(g []B, full *widesim.Regions, si int, po []B) {
+func (e *Engine) captureStem(g []widesim.Vec, full *widesim.Regions, si int, po []widesim.Vec) {
 	clear(po)
 	e.sim.Propagate(full, si)
 	f := e.sim.Faulty()
 	outs := e.plan.c.Outputs
 	for _, oi := range full.Outputs(si) {
 		o := outs[oi]
-		po[oi] = widesim.Xor(f[o], g[o])
+		for l := range po[oi] {
+			po[oi][l] = f[o][l] ^ g[o][l]
+		}
 	}
 }
 
-// FaultOutputs implements WideEngine: on the patterns where the fault
-// effect reaches the stem, each output flips exactly where the stem
-// flip reached it.
-func (e *wideEngine[B]) FaultOutputs(fi, lane int, out []uint64) {
+// FaultOutputs writes fault fi's faulty output words in lane l of the
+// last capture chunk into out, one word per primary output: on the
+// patterns where the fault effect reaches the stem, each output flips
+// exactly where the stem flip reached it.
+func (e *Engine) FaultOutputs(fi, lane int, out []uint64) {
 	si := int(e.plan.part.GroupOf[fi])
 	nOut := len(e.goodOut)
-	l := e.local[fi*e.Width()+lane]
+	l := e.local[fi*ChunkBlocks+lane]
 	po := e.poDiff[si*nOut : (si+1)*nOut]
 	for i := range e.goodOut {
 		out[i] = e.goodOut[i][lane] ^ (l & po[i][lane])
 	}
 }
 
-// GoodOutputWords implements WideEngine.
-func (e *wideEngine[B]) GoodOutputWords(lane int, dst []uint64) {
+// GoodOutputWords writes the good output words of lane l of the last
+// capture chunk into dst, one word per primary output.
+func (e *Engine) GoodOutputWords(lane int, dst []uint64) {
 	for i := range e.goodOut {
 		dst[i] = e.goodOut[i][lane]
 	}

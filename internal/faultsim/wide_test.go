@@ -2,7 +2,6 @@ package faultsim
 
 import (
 	"context"
-	"fmt"
 	"math/bits"
 	"os"
 	"runtime"
@@ -22,8 +21,8 @@ import (
 // serial on one core.  GOMAXPROCS may legally exceed the physical CPU
 // count; correctness tests only need the goroutines to exist.
 //
-// The identity tables that compare engines, engine widths and worker
-// counts against the naive oracle call t.Parallel: they share nothing mutable
+// The identity tables that compare engines and worker counts against
+// the naive oracle call t.Parallel: they share nothing mutable
 // but the naive references (sharedNaive), and under the race detector
 // they take most of the package's time.
 func TestMain(m *testing.M) {
@@ -32,10 +31,6 @@ func TestMain(m *testing.M) {
 	}
 	os.Exit(m.Run())
 }
-
-// wideWidths are the wide engine's lane counts: 8 for measurements, 1
-// for BIST capture.
-var wideWidths = []int{1, 8}
 
 // raggedCounts are pattern budgets that end mid-block (1, 63, 65, 581),
 // fill whole 8-block chunks (512), or leave a 1-block tail after whole
@@ -144,57 +139,51 @@ func naiveCurve(t *testing.T, plan *Plan, seed uint64, cps []int) []CoveragePoin
 	return res
 }
 
-// TestWideChunkIdentity drives the wide engine chunk-by-chunk at W = 8
-// against the naive oracle block-by-block on the same pattern stream
-// and requires lane-for-lane identical detection words, including the
-// ragged final chunk (11 blocks is 3 mod 8).  TestEngineBlockIdentity
-// covers W = 1.
+// TestWideChunkIdentity drives the engine chunk by chunk against the
+// naive oracle block by block on the same pattern stream and requires
+// lane-for-lane identical detection words over 11 blocks of seed 42: a
+// full chunk, then a padded one.
 func TestWideChunkIdentity(t *testing.T) {
 	t.Parallel()
 	for _, c := range engineTestCircuits() {
-		checkChunkIdentity(t, c, fault.Collapse(c), 42, 11, []int{8})
+		checkChunkIdentity(t, c, fault.Collapse(c), 42, 11)
 	}
 }
 
 // checkChunkIdentity takes nBlocks blocks of the uniform stream of seed
 // from the shared naive reference, then runs the same stream through the
-// wide engine at each of widths and requires every lane's detection
-// words to equal its block's.  A block count that is not a multiple of
-// the width covers a short final chunk.
-func checkChunkIdentity(t *testing.T, c *circuit.Circuit, faults []fault.Fault, seed uint64, nBlocks int, widths []int) {
+// engine and requires every lane's detection words to equal its
+// block's.  A block count that is not a multiple of ChunkBlocks covers
+// a padded final chunk.
+func checkChunkIdentity(t *testing.T, c *circuit.Circuit, faults []fault.Fault, seed uint64, nBlocks int) {
 	t.Helper()
+	const w = ChunkBlocks
 	refWords, refDet := sharedNaive(c, faults, seed).blocks(nBlocks)
 
-	plan := NewPlan(c, faults)
-	for _, w := range widths {
-		e := plan.AcquireWideEngine(w)
-		if e.Width() != w {
-			t.Fatalf("%s: AcquireWideEngine(%d).Width() = %d", c.Name, w, e.Width())
-		}
-		gen := pattern.NewUniform(len(c.Inputs), seed)
-		in := make([]uint64, len(c.Inputs)*w)
-		det := make([]uint64, len(faults)*w)
-		for base := 0; base < nBlocks; base += w {
-			k := min(w, nBlocks-base)
-			gen.NextBlocks(in, w, k)
-			for i := range c.Inputs {
-				for l := 0; l < k; l++ {
-					if in[i*w+l] != refWords[base+l][i] {
-						t.Fatalf("%s width %d: input stream diverges at block %d", c.Name, w, base+l)
-					}
-				}
-			}
-			e.SimulateChunk(in, det, nil)
-			for fi := range faults {
-				for l := 0; l < k; l++ {
-					if got, exp := det[fi*w+l], refDet[base+l][fi]; got != exp {
-						t.Fatalf("%s width %d block %d fault %v: FFR %016x != naive %016x",
-							c.Name, w, base+l, faults[fi], got, exp)
-					}
+	e := NewPlan(c, faults).AcquireEngine()
+	defer e.Release()
+	gen := pattern.NewUniform(len(c.Inputs), seed)
+	in := make([]uint64, len(c.Inputs)*w)
+	det := make([]uint64, len(faults)*w)
+	for base := 0; base < nBlocks; base += w {
+		k := min(w, nBlocks-base)
+		gen.NextBlocks(in, w, k)
+		for i := range c.Inputs {
+			for l := 0; l < k; l++ {
+				if in[i*w+l] != refWords[base+l][i] {
+					t.Fatalf("%s: input stream diverges at block %d", c.Name, base+l)
 				}
 			}
 		}
-		e.Release()
+		e.SimulateChunk(in, det, nil)
+		for fi := range faults {
+			for l := 0; l < k; l++ {
+				if got, exp := det[fi*w+l], refDet[base+l][fi]; got != exp {
+					t.Fatalf("%s seed %d block %d fault %v: FFR %016x != naive %016x",
+						c.Name, seed, base+l, faults[fi], got, exp)
+				}
+			}
+		}
 	}
 }
 
@@ -264,26 +253,26 @@ func TestWideCoverageCurveIdentity(t *testing.T) {
 }
 
 // TestWideCaptureIdentity pins the capture path (BIST response
-// composition) at W = 8 against the naive oracle on c17, the
-// ALU, mult8, a random circuit and the truth-table circuit.  div16 and
-// comp24 are left out: the per-fault naive capture costs seconds
-// there.  TestEngineCaptureOutputs covers W = 1.
+// composition) against the naive oracle on c17, the ALU, mult8, a
+// random circuit and the truth-table circuit.  div16 and comp24 are
+// left out: the per-fault naive capture costs seconds there.
 func TestWideCaptureIdentity(t *testing.T) {
 	for _, c := range []*circuit.Circuit{circuits.C17(), circuits.ALU74181(), circuits.Mult8(),
 		circuits.Random(circuits.RandomOptions{Inputs: 9, Gates: 70, Outputs: 4, Seed: 3}),
 		circuits.Tables()} {
-		checkCaptureIdentity(t, c, fault.Collapse(c), 5, []int{8})
+		checkCaptureIdentity(t, c, fault.Collapse(c), 5, 11)
 	}
 }
 
-// checkCaptureIdentity runs 7 blocks (a ragged chunk at width 8)
-// through the wide capture at each of widths and requires, lane for
-// lane, the naive oracle's detection, good output and faulty output
-// words (Simulator.SimulateFaultBlock).
-func checkCaptureIdentity(t *testing.T, c *circuit.Circuit, faults []fault.Fault, seed uint64, widths []int) {
+// checkCaptureIdentity runs nBlocks blocks of seed's stream through the
+// capture and requires, lane for lane, the naive oracle's detection,
+// good output and faulty output words (Simulator.SimulateFaultBlock).
+// TestWideCaptureIdentity runs 11 blocks, a full chunk then a padded
+// one; TestEngineCaptureOutputs runs one.
+func checkCaptureIdentity(t *testing.T, c *circuit.Circuit, faults []fault.Fault, seed uint64, nBlocks int) {
 	t.Helper()
+	const w = ChunkBlocks
 	nOut := len(c.Outputs)
-	const nBlocks = 7
 	type blockRef struct {
 		det     []uint64
 		goodOut []uint64
@@ -309,65 +298,35 @@ func checkCaptureIdentity(t *testing.T, c *circuit.Circuit, faults []fault.Fault
 		refs[b] = r
 	}
 
-	plan := NewPlan(c, faults)
 	out := make([]uint64, nOut)
-	for _, w := range widths {
-		e := plan.AcquireWideEngine(w)
-		gen := pattern.NewUniform(len(c.Inputs), seed)
-		in := make([]uint64, len(c.Inputs)*w)
-		det := make([]uint64, len(faults)*w)
-		for base := 0; base < nBlocks; base += w {
-			k := min(w, nBlocks-base)
-			gen.NextBlocks(in, w, k)
-			e.SimulateChunkOutputs(in, det)
-			for l := 0; l < k; l++ {
-				r := &refs[base+l]
-				e.GoodOutputWords(l, out)
-				if !slices.Equal(out, r.goodOut) {
-					t.Fatalf("%s width %d block %d: good outputs %016x != naive %016x",
-						c.Name, w, base+l, out, r.goodOut)
+	e := NewPlan(c, faults).AcquireEngine()
+	defer e.Release()
+	gen = pattern.NewUniform(len(c.Inputs), seed)
+	in := make([]uint64, len(c.Inputs)*w)
+	det := make([]uint64, len(faults)*w)
+	for base := 0; base < nBlocks; base += w {
+		k := min(w, nBlocks-base)
+		gen.NextBlocks(in, w, k)
+		e.SimulateChunkOutputs(in, det)
+		for l := 0; l < k; l++ {
+			r := &refs[base+l]
+			e.GoodOutputWords(l, out)
+			if !slices.Equal(out, r.goodOut) {
+				t.Fatalf("%s block %d: good outputs %016x != naive %016x",
+					c.Name, base+l, out, r.goodOut)
+			}
+			for fi := range faults {
+				if det[fi*w+l] != r.det[fi] {
+					t.Fatalf("%s block %d fault %v: capture det %016x != naive %016x",
+						c.Name, base+l, faults[fi], det[fi*w+l], r.det[fi])
 				}
-				for fi := range faults {
-					if det[fi*w+l] != r.det[fi] {
-						t.Fatalf("%s width %d block %d fault %v: capture det %016x != naive %016x",
-							c.Name, w, base+l, faults[fi], det[fi*w+l], r.det[fi])
-					}
-					e.FaultOutputs(fi, l, out)
-					if !slices.Equal(out, r.fOut[fi]) {
-						t.Fatalf("%s width %d block %d fault %v: faulty outputs %016x != naive %016x",
-							c.Name, w, base+l, faults[fi], out, r.fOut[fi])
-					}
+				e.FaultOutputs(fi, l, out)
+				if !slices.Equal(out, r.fOut[fi]) {
+					t.Fatalf("%s block %d fault %v: faulty outputs %016x != naive %016x",
+						c.Name, base+l, faults[fi], out, r.fOut[fi])
 				}
 			}
 		}
-		e.Release()
-	}
-}
-
-// TestOptionsWidthValidation: no measurement option picks a width, and
-// the one call that takes a width, AcquireWideEngine, has exactly the
-// two engine instantiations.  Any other width, 0 and 4 included, is a
-// caller bug and panics with the width named.
-func TestOptionsWidthValidation(t *testing.T) {
-	c := engineTestCircuits()[0]
-	plan := NewPlan(c, fault.Collapse(c))
-	for _, w := range wideWidths {
-		e := plan.AcquireWideEngine(w)
-		if e.Width() != w {
-			t.Fatalf("AcquireWideEngine(%d).Width() = %d", w, e.Width())
-		}
-		e.Release()
-	}
-	for _, bad := range []int{-1, 0, 2, 3, 4, 16} {
-		func() {
-			defer func() {
-				want := fmt.Sprintf("faultsim: unsupported simulation width %d", bad)
-				if r := recover(); r != want {
-					t.Errorf("AcquireWideEngine(%d) panicked with %v, want %q", bad, r, want)
-				}
-			}()
-			plan.AcquireWideEngine(bad)
-		}()
 	}
 }
 

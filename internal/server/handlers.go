@@ -298,18 +298,19 @@ func (s *Server) runPipeline(ctx context.Context, c *protest.Circuit, spec prote
 }
 
 // decodePipeline reads a /v1/pipeline or /v1/jobs body and checks it
-// before any work starts: it resolves the circuit and canonicalizes
-// the spec into its coalescing key.  When a step fails, the request
-// has been answered (400, or 413 for a body over the limit) and ok is
-// false.
+// before any work starts: it canonicalizes the spec into its
+// coalescing key first, which costs nothing, then resolves the
+// circuit, whose inline netlist may need compiling.  When a step
+// fails, the request has been answered (400, or 413 for a body over
+// the limit) and ok is false.
 func (s *Server) decodePipeline(w http.ResponseWriter, r *http.Request) (c *protest.Circuit, spec protest.PipelineSpec, specKey string, ok bool) {
 	var req PipelineRequest
 	if !s.decode(w, r, &req) {
 		return nil, spec, "", false
 	}
-	c, err := s.resolveCircuit(&req.CircuitRef)
+	specKey, err := pipelineSpecKey(req.Spec)
 	if err == nil {
-		specKey, err = pipelineSpecKey(req.Spec)
+		c, err = s.resolveCircuit(&req.CircuitRef)
 	}
 	if err != nil {
 		s.error(w, http.StatusBadRequest, err)

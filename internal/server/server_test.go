@@ -557,6 +557,31 @@ func TestUnknownEngineAndValidateWidthAre400(t *testing.T) {
 	}
 }
 
+// A bad pipeline spec is refused before its circuit is resolved, as
+// on /v1/validate: with an unknown circuit or a malformed inline
+// netlist, /v1/pipeline and /v1/jobs answer 400 naming the fraction,
+// so an inline netlist is never parsed for a spec that cannot run.
+// The circuit used to be resolved first, and the 400 named the unknown
+// circuit or the netlist's parse error.
+func TestBadPipelineSpecCheckedBeforeCircuit(t *testing.T) {
+	srv, ts := newTestServer(t, Config{})
+	for _, path := range []string{"/v1/pipeline", "/v1/jobs"} {
+		for _, body := range []string{
+			`{"circuit":"nope","spec":{"fraction":2}}`,
+			`{"netlist":"INPUT(a)\nOUTPUT(z)\nz = AND(a,","spec":{"fraction":2}}`,
+		} {
+			resp, out := postJSON(t, ts.URL+path, json.RawMessage(body))
+			var er errorResponse
+			if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(out, &er) != nil || !strings.Contains(er.Error, "fraction") {
+				t.Errorf("%s %s: status %d, body %q; want 400 naming the fraction", path, body, resp.StatusCode, out)
+			}
+		}
+	}
+	if st := srv.Stats(); st.Coalesce.Leads != 0 || st.Jobs.Submitted != 0 {
+		t.Errorf("a rejected request must not run: %+v", st)
+	}
+}
+
 // A transition run needs one launch/capture pair, so a budget of one
 // pattern is a bad spec: 400 with the envelope, where it used to answer
 // 200 with an empty body (P_SIM was 0/0).  Two and 65 patterns run.

@@ -4,7 +4,7 @@ package widesim
 // exec8AVX2 (see the package comment), which stops at each table gate
 // and each opTablePin: Go evaluates the instruction with evalSlow and
 // the loop resumes after it.
-func execAVX2(s *Sim[B8], code []instr, st *stream) {
+func execAVX2(s *Sim, code []instr, st *stream) {
 	for {
 		i := exec8AVX2(s.values, code, st.args)
 		if i == len(code) {
@@ -16,12 +16,11 @@ func execAVX2(s *Sim[B8], code []instr, st *stream) {
 	}
 }
 
-// exec8 is the Go evaluation loop of Sim[B8] where the CPU lacks AVX2
-// (see the package comment): it runs the same instruction stream over
-// the same value array as the generic loop, but writes each gate's
-// eight lanes as straight-line code.  Table gates and opTablePin take
-// the generic evalSlow.
-func exec8(s *Sim[B8], code []instr, st *stream) {
+// exec8 is the Go evaluation loop where the CPU lacks AVX2 (see the
+// package comment), and the assembly loop's reference: it writes each
+// gate's eight lanes as straight-line code.  Table gates and
+// opTablePin take evalSlow.
+func exec8(s *Sim, code []instr, st *stream) {
 	v := s.values
 	for i := range code {
 		ins := &code[i]
@@ -110,9 +109,9 @@ func exec8(s *Sim[B8], code []instr, st *stream) {
 			d[6] = ^x[6] & y[6]
 			d[7] = ^x[7] & y[7]
 		case opConst0:
-			*d = B8{}
+			*d = Vec{}
 		case opConst1:
-			*d = Ones[B8]()
+			*d = Ones()
 		case opAndN, opNandN, opOrN, opNorN, opXorN, opXnorN:
 			nary8(v, st.args[ins.a:ins.a+ins.b], ins.op(), d)
 		case opOrXorN:
@@ -124,9 +123,9 @@ func exec8(s *Sim[B8], code []instr, st *stream) {
 }
 
 // nary8 evaluates an n-ary And, Or or Xor gate over pins, complemented
-// for Nand, Nor and Xnor, at W = 8.  The eight lanes accumulate in
+// for Nand, Nor and Xnor.  The eight lanes accumulate in
 // locals and *d is written once, not once per pin.
-func nary8(v []B8, pins []int32, op opcode, d *B8) {
+func nary8(v []Vec, pins []int32, op opcode, d *Vec) {
 	x := &v[pins[0]]
 	a0, a1, a2, a3, a4, a5, a6, a7 := x[0], x[1], x[2], x[3], x[4], x[5], x[6], x[7]
 	switch op {
@@ -181,10 +180,10 @@ func nary8(v []B8, pins []int32, op opcode, d *B8) {
 	d[7] = a7 ^ inv
 }
 
-// orXor8 evaluates opOrXorN at W = 8: the OR, over the pairs of pins,
+// orXor8 evaluates opOrXorN: the OR, over the pairs of pins,
 // of their XOR.  The eight lanes accumulate in locals and *d is written
 // once.
-func orXor8(v []B8, pins []int32, d *B8) {
+func orXor8(v []Vec, pins []int32, d *Vec) {
 	var a0, a1, a2, a3, a4, a5, a6, a7 uint64
 	for i := 0; i+1 < len(pins); i += 2 {
 		x, y := &v[pins[i]], &v[pins[i+1]]

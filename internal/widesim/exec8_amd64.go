@@ -1,8 +1,8 @@
 package widesim
 
 // hasAVX2 reports whether the CPU has AVX2 and POPCNT and the OS saves
-// its YMM registers across context switches, so that Sim[B8] may run
-// the assembly loop exec8AVX2 and the fault simulator its counting
+// its YMM registers across context switches, so that Sim may run the
+// assembly loop exec8AVX2 and the fault simulator its counting
 // kernel.  It is read once, at package init.
 var hasAVX2 = detectAVX2()
 
@@ -34,7 +34,7 @@ func detectAVX2() bool {
 // args.
 //
 //go:noescape
-func exec8AVX2(v []B8, code []instr, args []int32) int
+func exec8AVX2(v []Vec, code []instr, args []int32) int
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 

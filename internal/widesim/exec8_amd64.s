@@ -1,8 +1,8 @@
 #include "textflag.h"
 
-// func exec8AVX2(v []B8, code []instr, args []int32) int
+// func exec8AVX2(v []Vec, code []instr, args []int32) int
 //
-// A B8 is 64 bytes, so value slot s starts at byte s<<6, and its lanes
+// A Vec is 64 bytes, so value slot s starts at byte s<<6, and its lanes
 // 0-3 and 4-7 are one YMM register each: Y0 and Y1 accumulate the
 // result.  Every odd opcode below opAndNot2 (Const1, Not, Nand2, Nor2,
 // Xnor2, NandN, NorN and XnorN) is the inverse of the even one before

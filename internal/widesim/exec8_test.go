@@ -23,7 +23,7 @@ import (
 // random, so each lane of each operand is exercised.
 func TestAVX2MatchesExec8(t *testing.T) {
 	if !hasAVX2 {
-		t.Skip("no AVX2 (or the OS does not save YMM state): Sim[B8] runs exec8 only, so there is nothing to compare")
+		t.Skip("no AVX2 (or the OS does not save YMM state): Sim runs exec8 only, so there is nothing to compare")
 	}
 	cs := []*circuit.Circuit{circuits.Tables()}
 	for seed := uint64(1); seed <= 3; seed++ {
@@ -33,7 +33,7 @@ func TestAVX2MatchesExec8(t *testing.T) {
 	for _, c := range cs {
 		p := Compile(c)
 		stems := p.CompileStems()
-		asm, ref := NewSim[B8](p), NewSim[B8](p)
+		asm, ref := NewSim(p), NewSim(p)
 		asm.Reset(p, stems.Slots())
 		ref.Reset(p, stems.Slots())
 		rng := pattern.NewRNG(7)

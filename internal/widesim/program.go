@@ -147,7 +147,7 @@ func pack(ins instr, op opcode, out int32) instr {
 // Program is an immutable compiled form of a circuit: gates flattened
 // into a single instruction stream in level order (the constant gates
 // of level 0, then all level-1 gates, then level-2, ...).  One Program
-// is shared by any number of Sim instances of any width.
+// is shared by any number of Sim instances.
 //
 // A Sim's value array starts with two banks of one slot per node: the
 // good bank (slot id) that the program writes, and the faulty bank
@@ -207,7 +207,7 @@ func (p *Program) fixed() int32 { return p.ones() + 2 }
 // faulty slot it has not written, and needs no reset between stems.
 //
 // Regions are immutable and, like the Program they were compiled
-// against, shared by any number of Sims of any width.
+// against, shared by any number of Sims.
 type Regions struct {
 	stream
 	off    []int32 // stream i is code[off[i]:off[i+1]]

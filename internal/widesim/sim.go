@@ -7,8 +7,8 @@ import (
 	"protest/internal/circuit"
 )
 
-// Sim evaluates a compiled Program over W-lane blocks.  It is the wide
-// counterpart of bitsim.Simulator: one B value per node, structure of
+// Sim evaluates a compiled Program over Lanes-block chunks.  It is the
+// wide counterpart of bitsim.Simulator: one Vec per node, structure of
 // arrays (lanes of one node contiguous), evaluated by a loop over the
 // instruction stream (see exec).
 //
@@ -19,15 +19,15 @@ import (
 //
 // A Sim holds only per-call scratch; the Program is immutable and
 // shared.  Sim is not safe for concurrent use — pool instances instead.
-type Sim[B Block] struct {
+type Sim struct {
 	p      *Program
-	values []B      // good bank, faulty bank, constant slots, Stems slots
+	values []Vec    // good bank, faulty bank, constant slots, Stems slots
 	inbuf  []uint64 // per-lane pin scratch for table gates
 }
 
-// NewSim creates a simulator of width B over the compiled program.
-func NewSim[B Block](p *Program) *Sim[B] {
-	s := &Sim[B]{}
+// NewSim creates a simulator over the compiled program.
+func NewSim(p *Program) *Sim {
+	s := &Sim{}
 	s.Reset(p, 0)
 	return s
 }
@@ -37,46 +37,36 @@ func NewSim[B Block](p *Program) *Sim[B] {
 // is more (Stems.Slots), reusing its array when large enough; nil
 // detaches it.  It fills the constant slots; the banks are undefined
 // until the next SetInputs and Run.
-func (s *Sim[B]) Reset(p *Program, slots int) {
+func (s *Sim) Reset(p *Program, slots int) {
 	s.p = p
 	if p == nil {
 		return
 	}
 	n := max(int(p.fixed()), slots)
 	s.values = slices.Grow(s.values[:0], n)[:n]
-	var zero B
-	s.values[p.ones()], s.values[p.zero()] = Ones[B](), zero
+	s.values[p.ones()], s.values[p.zero()] = Ones(), Vec{}
 	s.inbuf = slices.Grow(s.inbuf[:0], p.maxArity)[:p.maxArity]
 }
 
 // Program returns the compiled program the simulator runs.
-func (s *Sim[B]) Program() *Program { return s.p }
-
-// Width returns the simulation width W in 64-pattern lanes.
-func (s *Sim[B]) Width() int { return Lanes[B]() }
-
-// SetInput assigns the lane vector of primary input index i.
-func (s *Sim[B]) SetInput(i int, v B) {
-	s.values[s.p.c.Inputs[i]] = v
-}
+func (s *Sim) Program() *Program { return s.p }
 
 // SetInputs assigns all inputs from a lane-major flat layout:
-// words[i*W+l] is lane l (pattern block l) of input i, the layout
+// words[i*Lanes+l] is lane l (pattern block l) of input i, the layout
 // produced by pattern.Generator.NextBlocks.  It returns a typed error
-// when the slice length does not match numInputs×W.
-func (s *Sim[B]) SetInputs(words []uint64) error {
-	w := Lanes[B]()
-	if len(words) != len(s.p.c.Inputs)*w {
-		return fmt.Errorf("widesim: %d input words for %d inputs at width %d", len(words), len(s.p.c.Inputs), w)
+// when the slice length does not match numInputs×Lanes.
+func (s *Sim) SetInputs(words []uint64) error {
+	if len(words) != len(s.p.c.Inputs)*Lanes {
+		return fmt.Errorf("widesim: %d input words for %d inputs at %d lanes", len(words), len(s.p.c.Inputs), Lanes)
 	}
 	for i, id := range s.p.c.Inputs {
-		s.values[id] = Load[B](words[i*w:])
+		s.values[id] = Vec(words[i*Lanes:])
 	}
 	return nil
 }
 
 // Run evaluates every gate in level order into the good bank.
-func (s *Sim[B]) Run() {
+func (s *Sim) Run() {
 	s.exec(s.p.code, &s.p.stream)
 }
 
@@ -85,14 +75,14 @@ func (s *Sim[B]) Run() {
 // last Run and writes the faulty values of the stem and its region into
 // the faulty bank.  Faulty slots outside the region keep stale values;
 // r.Outputs(i) names the outputs the stream writes.
-func (s *Sim[B]) Propagate(r *Regions, i int) {
+func (s *Sim) Propagate(r *Regions, i int) {
 	s.exec(r.code[r.off[i]:r.off[i+1]], &r.stream)
 }
 
 // Trace runs the trace of stem i of st, which must have been compiled
 // against the simulator's program, over the good values of the last
 // Run: it writes the lines of the stem's FFR.
-func (s *Sim[B]) Trace(st *Stems, i int) {
+func (s *Sim) Trace(st *Stems, i int) {
 	s.exec(st.code[st.off[2*i]:st.off[2*i+1]], &st.stream)
 }
 
@@ -100,144 +90,70 @@ func (s *Sim[B]) Trace(st *Stems, i int) {
 // Stems): it writes the lines of the stem's FFR, faulty values of its
 // region and its observability.  The observations of the stems further
 // down its dominator chain must have run since the last Run.
-func (s *Sim[B]) Observe(st *Stems, i int) {
+func (s *Sim) Observe(st *Stems, i int) {
 	s.exec(st.code[st.off[2*i]:st.off[2*i+2]], &st.stream)
 }
 
 // exec runs code, whose n-ary and table gates refer to st, over the
-// value array, writing each result in place.  W = 8 runs execAVX2
-// where the CPU has AVX2 and exec8 elsewhere; W = 1 runs the generic
-// loop below.  Every slot code names is below st.slots, so the
-// one check here stands for a bounds check on every access, which the
-// assembly loop does not make.
-func (s *Sim[B]) exec(code []instr, st *stream) {
+// value array, writing each result in place: with execAVX2 where the
+// CPU has AVX2 and exec8 elsewhere.  Every slot code names is below
+// st.slots, so the one check here stands for a bounds check on every
+// access, which the assembly loop does not make.
+func (s *Sim) exec(code []instr, st *stream) {
 	if int(st.slots) > len(s.values) {
 		panic(fmt.Sprintf("widesim: stream reads %d value slots, simulator has %d", st.slots, len(s.values)))
 	}
-	if s8, ok := any(s).(*Sim[B8]); ok {
-		if hasAVX2 {
-			execAVX2(s8, code, st)
-		} else {
-			exec8(s8, code, st)
-		}
-		return
-	}
-	v := s.values
-	for i := range code {
-		ins := &code[i]
-		d := &v[ins.out()]
-		switch ins.op() {
-		case opBuf:
-			*d = v[ins.a]
-		case opNot:
-			not(d, &v[ins.a])
-		case opAnd2:
-			and(d, &v[ins.a], &v[ins.b])
-		case opNand2:
-			nand(d, &v[ins.a], &v[ins.b])
-		case opOr2:
-			or(d, &v[ins.a], &v[ins.b])
-		case opNor2:
-			nor(d, &v[ins.a], &v[ins.b])
-		case opXor2:
-			xor(d, &v[ins.a], &v[ins.b])
-		case opXnor2:
-			xnor(d, &v[ins.a], &v[ins.b])
-		case opAndNot2:
-			andNot(d, &v[ins.a], &v[ins.b])
-		case opConst0:
-			var z B
-			*d = z
-		case opConst1:
-			*d = Ones[B]()
-		default:
-			s.evalSlow(ins, st, d)
-		}
+	if hasAVX2 {
+		execAVX2(s, code, st)
+	} else {
+		exec8(s, code, st)
 	}
 }
 
-// evalSlow handles n-ary and table gates and opTablePin, kept out of
-// exec so the hot loop stays small enough to stay in the instruction
-// cache.
-func (s *Sim[B]) evalSlow(ins *instr, st *stream, d *B) {
+// evalSlow evaluates a table gate or an opTablePin, the instructions
+// both evaluation loops leave to Go one lane at a time, so the loops
+// stay small enough to stay in the instruction cache.
+func (s *Sim) evalSlow(ins *instr, st *stream, d *Vec) {
 	v := s.values
-	pins := st.args[ins.a : ins.a+ins.b]
-	op := ins.op()
-	switch op {
-	case opAndN, opNandN:
-		*d = v[pins[0]]
-		for _, f := range pins[1:] {
-			and(d, d, &v[f])
-		}
-		if op == opNandN {
-			not(d, d)
-		}
-		return
-	case opOrN, opNorN:
-		*d = v[pins[0]]
-		for _, f := range pins[1:] {
-			or(d, d, &v[f])
-		}
-		if op == opNorN {
-			not(d, d)
-		}
-		return
-	case opXorN, opXnorN:
-		*d = v[pins[0]]
-		for _, f := range pins[1:] {
-			xor(d, d, &v[f])
-		}
-		if op == opXnorN {
-			not(d, d)
-		}
-		return
-	case opOrXorN:
-		var acc, x B
-		for i := 0; i < len(pins); i += 2 {
-			xor(&x, &v[pins[i]], &v[pins[i+1]])
-			or(&acc, &acc, &x)
-		}
-		*d = acc
-		return
+	switch op := ins.op(); op {
 	case opTable:
 		tbl := st.tables[st.args[ins.a]]
-		pins = st.args[ins.a+1 : ins.a+1+ins.b]
-		for l := 0; l < len(*d); l++ {
+		pins := st.args[ins.a+1 : ins.a+1+ins.b]
+		for l := range d {
 			for i, f := range pins {
 				s.inbuf[i] = v[f][l]
 			}
-			(*d)[l] = tbl.EvalWord(s.inbuf[:len(pins)])
+			d[l] = tbl.EvalWord(s.inbuf[:len(pins)])
 		}
-		return
 	case opTablePin:
 		a := st.args[ins.a : ins.a+4]
 		tbl, pin, gate, line := st.tables[a[0]], a[1], &v[a[2]], &v[a[3]]
-		pins = st.args[ins.a+4 : ins.a+4+ins.b]
-		for l := 0; l < len(*d); l++ {
+		pins := st.args[ins.a+4 : ins.a+4+ins.b]
+		for l := range d {
 			for i, f := range pins {
 				s.inbuf[i] = v[f][l]
 			}
 			s.inbuf[pin] = ^s.inbuf[pin]
-			(*d)[l] = (tbl.EvalWord(s.inbuf[:len(pins)]) ^ (*gate)[l]) & (*line)[l]
+			d[l] = (tbl.EvalWord(s.inbuf[:len(pins)]) ^ gate[l]) & line[l]
 		}
-		return
+	default:
+		panic(fmt.Sprintf("widesim: bad opcode %d", op))
 	}
-	panic(fmt.Sprintf("widesim: bad opcode %d", op))
 }
 
 // Value returns the simulated lane vector of a node.
-func (s *Sim[B]) Value(id circuit.NodeID) B { return s.values[id] }
+func (s *Sim) Value(id circuit.NodeID) Vec { return s.values[id] }
 
 // Values returns the good bank (one lane vector per node).  It is
 // invalidated by the next Run.
-func (s *Sim[B]) Values() []B {
+func (s *Sim) Values() []Vec {
 	n := s.p.c.NumNodes()
 	return s.values[:n:n]
 }
 
 // Faulty returns the faulty bank (one lane vector per node), valid
 // where the last Propagate or Observe wrote it.
-func (s *Sim[B]) Faulty() []B {
+func (s *Sim) Faulty() []Vec {
 	n := s.p.c.NumNodes()
 	return s.values[n : 2*n : 2*n]
 }
@@ -245,4 +161,4 @@ func (s *Sim[B]) Faulty() []B {
 // Slots returns the whole value array: the two banks, the constant
 // slots and the slots of compiled Stems, which Stems.Line and Stems.Obs
 // index.
-func (s *Sim[B]) Slots() []B { return s.values }
+func (s *Sim) Slots() []Vec { return s.values }

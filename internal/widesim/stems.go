@@ -44,7 +44,7 @@ import (
 // runs the stems it needs in descending order.
 //
 // Stems are immutable and, like their Program, shared by any number of
-// Sims of any width.
+// Sims.
 type Stems struct {
 	stream
 	off    []int32 // stem i's trace is code[off[2i]:off[2i+1]], its observation code[off[2i+1]:off[2i+2]]

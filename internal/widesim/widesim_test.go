@@ -2,7 +2,6 @@ package widesim_test
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 	"testing"
 
@@ -33,18 +32,14 @@ func runNarrow(t *testing.T, c *circuit.Circuit, seed uint64, blocks int) [][]ui
 	return out
 }
 
-func checkWidth[B widesim.Block](t *testing.T, c *circuit.Circuit, seed uint64, want [][]uint64) {
+func checkWide(t *testing.T, c *circuit.Circuit, seed uint64, want [][]uint64) {
 	t.Helper()
-	prog := widesim.Compile(c)
-	sim := widesim.NewSim[B](prog)
-	w := sim.Width()
+	const w = widesim.Lanes
+	sim := widesim.NewSim(widesim.Compile(c))
 	gen := pattern.NewUniform(len(c.Inputs), seed)
 	in := make([]uint64, len(c.Inputs)*w)
 	for base := 0; base < len(want); base += w {
-		k := len(want) - base
-		if k > w {
-			k = w
-		}
+		k := min(w, len(want)-base)
 		gen.NextBlocks(in, w, k)
 		if err := sim.SetInputs(in); err != nil {
 			t.Fatalf("SetInputs: %v", err)
@@ -54,8 +49,8 @@ func checkWidth[B widesim.Block](t *testing.T, c *circuit.Circuit, seed uint64, 
 			v := sim.Value(circuit.NodeID(id))
 			for l := 0; l < k; l++ {
 				if got, exp := v[l], want[base+l][id]; got != exp {
-					t.Fatalf("width %d block %d node %d (%s): got %016x want %016x",
-						w, base+l, id, c.Node(circuit.NodeID(id)).Name, got, exp)
+					t.Fatalf("block %d node %d (%s): got %016x want %016x",
+						base+l, id, c.Node(circuit.NodeID(id)).Name, got, exp)
 				}
 			}
 			for l := k; l < w; l++ {
@@ -63,28 +58,26 @@ func checkWidth[B widesim.Block](t *testing.T, c *circuit.Circuit, seed uint64, 
 				// particular value is required, only determinism —
 				// but inputs must be zero by the NextBlocks contract.
 				if c.Node(circuit.NodeID(id)).IsInput && v[l] != 0 {
-					t.Fatalf("width %d: spare input lane %d not zeroed", w, l)
+					t.Fatalf("spare input lane %d not zeroed", l)
 				}
 			}
 		}
 	}
 }
 
-// TestWideMatchesNarrow pins every width's node values bit-identical to
-// the bitsim oracle on every registry circuit, including the ragged
-// final chunk (blocks not a multiple of W).  No registry circuit has an
+// TestWideMatchesNarrow pins the wide node values bit-identical to the
+// bitsim oracle on every registry circuit, including the ragged final
+// chunk (blocks not a multiple of Lanes).  No registry circuit has an
 // n-ary Nand, Xor or Xnor gate, so random circuits with up to 9 pins
 // per gate cover every n-ary opcode at every pin count from 3 to 9.
 // No registry circuit has a table gate or a constant either, so
-// circuits.Tables pins the W = 8 assembly loop's stop and resume at
-// table gates, and the constants, to the oracle.
+// circuits.Tables pins the assembly loop's stop and resume at table
+// gates, and the constants, to the oracle.
 func TestWideMatchesNarrow(t *testing.T) {
 	check := func(name string, c *circuit.Circuit) {
 		t.Run(name, func(t *testing.T) {
-			const seed, blocks = 12345, 11 // 11 ≡ 3 mod 8: ragged at W = 8
-			want := runNarrow(t, c, seed, blocks)
-			checkWidth[widesim.B1](t, c, seed, want)
-			checkWidth[widesim.B8](t, c, seed, want)
+			const seed, blocks = 12345, 11 // 11 ≡ 3 mod 8: a ragged last chunk
+			checkWide(t, c, seed, runNarrow(t, c, seed, blocks))
 		})
 	}
 	for _, name := range circuits.Names() {
@@ -164,36 +157,37 @@ func TestNextBlocksStream(t *testing.T) {
 	}
 }
 
-// TestStreamSlotsChecked: the W = 8 assembly loop makes no bounds
-// checks, so every width checks a stream's largest value slot against
-// the simulator's value array once per call.  A fanout-cone stream and
-// a stem observation compiled against mult, run on a simulator of c17,
-// must panic there at every width rather than read or write past the
-// array, and so must the first stem observation of c17's own Stems on
-// a simulator sized for c17's program alone, whose value array ends
-// before the line and observability slots.
+// TestStreamSlotsChecked: the assembly loop makes no bounds checks, so
+// every evaluation checks a stream's largest value slot against the
+// simulator's value array once per call.  A fanout-cone stream and a
+// stem observation compiled against mult, run on a simulator of c17,
+// must panic there rather than read or write past the array, and so
+// must the first stem observation of c17's own Stems on a simulator
+// sized for c17's program alone, whose value array ends before the
+// line and observability slots.
 func TestStreamSlotsChecked(t *testing.T) {
 	big, _ := circuits.Lookup("mult")
 	small, _ := circuits.Lookup("c17")
 	bigProg, p := widesim.Compile(big), widesim.Compile(small)
 	cones, bigStems, stems := bigProg.CompileCones(), bigProg.CompileStems(), p.CompileStems()
-	checkSlotPanic(t, widesim.NewSim[widesim.B1](p), func(s *widesim.Sim[widesim.B1]) { s.Propagate(cones, 0) })
-	checkSlotPanic(t, widesim.NewSim[widesim.B8](p), func(s *widesim.Sim[widesim.B8]) { s.Propagate(cones, 0) })
 	last := len(big.FFR().Stems) - 1
-	checkSlotPanic(t, widesim.NewSim[widesim.B1](p), func(s *widesim.Sim[widesim.B1]) { s.Observe(bigStems, last) })
-	checkSlotPanic(t, widesim.NewSim[widesim.B8](p), func(s *widesim.Sim[widesim.B8]) { s.Observe(bigStems, last) })
-	checkSlotPanic(t, widesim.NewSim[widesim.B1](p), func(s *widesim.Sim[widesim.B1]) { s.Observe(stems, 0) })
-	checkSlotPanic(t, widesim.NewSim[widesim.B8](p), func(s *widesim.Sim[widesim.B8]) { s.Observe(stems, 0) })
+	for name, run := range map[string]func(*widesim.Sim){
+		"mult cone on c17":             func(s *widesim.Sim) { s.Propagate(cones, 0) },
+		"mult stem on c17":             func(s *widesim.Sim) { s.Observe(bigStems, last) },
+		"c17 stem without Stems slots": func(s *widesim.Sim) { s.Observe(stems, 0) },
+	} {
+		checkSlotPanic(t, name, widesim.NewSim(p), run)
+	}
 }
 
-func checkSlotPanic[B widesim.Block](t *testing.T, s *widesim.Sim[B], run func(*widesim.Sim[B])) {
+func checkSlotPanic(t *testing.T, name string, s *widesim.Sim, run func(*widesim.Sim)) {
 	t.Helper()
 	defer func() {
 		t.Helper()
 		if e := recover(); e == nil {
-			t.Errorf("width %d: a stream past the value array did not panic", s.Width())
+			t.Errorf("%s: a stream past the value array did not panic", name)
 		} else if msg := fmt.Sprint(e); !strings.Contains(msg, "value slots") {
-			t.Errorf("width %d: panic %q is not the slot check's", s.Width(), msg)
+			t.Errorf("%s: panic %q is not the slot check's", name, msg)
 		}
 	}()
 	run(s)
@@ -201,33 +195,8 @@ func checkSlotPanic[B widesim.Block](t *testing.T, s *widesim.Sim[B], run func(*
 
 func TestSetInputsLengthError(t *testing.T) {
 	c, _ := circuits.Lookup("c17")
-	sim := widesim.NewSim[widesim.B8](widesim.Compile(c))
+	sim := widesim.NewSim(widesim.Compile(c))
 	if err := sim.SetInputs(make([]uint64, 3)); err == nil {
 		t.Fatal("want error for short input slice")
-	}
-}
-
-// TestWidthHelpers pins the lane-vector helpers at both widths: Lanes
-// is the vector's length, Ones sets every bit of every lane, and Load
-// and Store move exactly Lanes words.
-func TestWidthHelpers(t *testing.T) {
-	checkWidthHelpers[widesim.B1](t, 1)
-	checkWidthHelpers[widesim.B8](t, 8)
-}
-
-func checkWidthHelpers[B widesim.Block](t *testing.T, w int) {
-	t.Helper()
-	if got := widesim.Lanes[B](); got != w {
-		t.Fatalf("Lanes = %d, want %d", got, w)
-	}
-	ones := widesim.Ones[B]()
-	src := make([]uint64, w+1)
-	for i := range src {
-		src[i] = uint64(i+1) * 0x9e3779b97f4a7c15
-	}
-	dst := make([]uint64, w+1)
-	widesim.Store(widesim.And(widesim.Load[B](src), ones), dst)
-	if !slices.Equal(dst[:w], src[:w]) || dst[w] != 0 {
-		t.Fatalf("width %d: Store(Load(src) & Ones) = %x, want %x then 0", w, dst, src[:w])
 	}
 }

@@ -11,11 +11,11 @@
 # trail.  Run that one alone with:
 #   scripts/bench.sh 'BenchmarkServerAnalyzeCoalesce' 1
 #
-# The wide-kernel family (BenchmarkBlockEngines/*/wide-w{1,8} in
-# internal/faultsim and BenchmarkFaultSimFFRMULT512PatternsWide/w{1,8}
-# at the root) runs equal work — 512 patterns per op — at both engine
-# widths, so the w1→w8 ratio in the trail is the structure-of-arrays
-# speedup itself:
+# The wide-kernel family (BenchmarkBlockEngines/*/wide-w8 in
+# internal/faultsim and BenchmarkFaultSimFFRMULT512PatternsWide/w8 at
+# the root) times one full 8-block chunk, 512 patterns per op; the
+# plain ffr rows time a chunk with one valid block, as a 64-pattern
+# measurement runs it:
 #   scripts/bench.sh 'BenchmarkBlockEngines|FFRMULT512PatternsWide' 1
 #
 # Usage: scripts/bench.sh [bench-regex] [count] [benchtime] [cpus]
