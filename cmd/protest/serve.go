@@ -21,7 +21,6 @@ func runServe(ctx context.Context, args []string) error {
 	addr := fs.String("addr", ":8080", "listen `address`")
 	inflight := fs.Int("inflight", 0, "max concurrently executing analyses (0 = 2×GOMAXPROCS)")
 	queue := fs.Int("queue", 0, "max requests queued beyond -inflight before 429 (0 = 4×inflight)")
-	sessions := fs.Int("sessions", 0, "max distinct circuits holding a live session (0 = 64)")
 	workers := fs.Int("workers", 0, "worker goroutines per analysis (0 = serial, <0 = GOMAXPROCS)")
 	seed := fs.Uint64("seed", 1, "session seed for every deterministic pattern stream")
 	drain := fs.Duration("drain", 15*time.Second, "graceful-shutdown drain `timeout`")
@@ -44,7 +43,6 @@ func runServe(ctx context.Context, args []string) error {
 	srv := server.New(server.Config{
 		MaxInFlight:  *inflight,
 		MaxQueue:     *queue,
-		MaxSessions:  *sessions,
 		Workers:      *workers,
 		Seed:         *seed,
 		JobWorkers:   *jobWorkers,

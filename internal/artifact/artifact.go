@@ -1,18 +1,24 @@
 // Package artifact caches per-circuit state.  Cache is a generic
-// singleflight LRU map, and the module's LRU-bounded per-circuit
-// caches are instances of it: the Store's artifacts, the server's
-// Sessions and a shard worker's circuits by digest, each with its own
-// capacity.
+// singleflight LRU map; the Store's artifacts live in one, and so do a
+// shard worker's circuits by digest, each with its own capacity.
 //
-// The Store holds the compiled per-circuit artifacts: analysis
-// programs (core.Program, including the compiled conditioning programs
-// and incremental regions), collapsed fault lists, FFR
-// fault-simulation plans (faultsim.Plan, carrying the FFR/dominator
-// index) and self-test programs (bist.Program).  Every artifact is a
-// pure function of the circuit structure (plus, for analysis programs,
-// the parameter set), immutable once built, and expensive enough to
-// derive that rebuilding it per Session or per call would dominate the
-// workload.  The store therefore
+// The Store is the one cache of per-circuit results: analysis programs
+// (core.Program, including the compiled conditioning programs and
+// incremental regions), collapsed fault lists, FFR fault-simulation
+// plans (faultsim.Plan, carrying the FFR/dominator index), self-test
+// programs (bist.Program), the uniform analysis (every input at
+// p = 0.5) and, per fault model, the uniform plan's prepared
+// test-length set (TestLen).  Every artifact is a pure function of the
+// circuit structure (plus the parameter set for programs, uniform
+// analyses and test-length sets, and the fault model for fault-derived
+// kinds), immutable once built, and expensive enough to derive that
+// rebuilding it per Session or per call would dominate the workload.
+// A Session keeps only its configuration and reads every artifact
+// here on each call.  A circuit fully warm under the three fault
+// models holds 11 entries: one program, one uniform analysis, and
+// three each of fault lists, simulation plans and test-length sets
+// (self-test programs and further parameter sets add more).  The store
+// therefore
 //
 //   - interns circuits by structural fingerprint, so independently
 //     built copies of the same design (e.g. two registry lookups, or
@@ -27,6 +33,7 @@
 package artifact
 
 import (
+	"context"
 	"sync"
 
 	"protest/internal/bist"
@@ -34,10 +41,11 @@ import (
 	"protest/internal/core"
 	"protest/internal/fault"
 	"protest/internal/faultsim"
+	"protest/internal/testlen"
 )
 
 // DefaultCapacity is the entry bound of the Default store: generous
-// for realistic fleets (a handful of artifacts per hot circuit) while
+// for realistic fleets (about a dozen artifacts per hot circuit) while
 // bounding a pathological many-circuits workload.  A shard worker
 // holds as many circuits, and caches created with a capacity <= 0 get
 // it too.
@@ -53,12 +61,14 @@ const (
 	kindFaults
 	kindSimPlan
 	kindBIST
+	kindUniform
+	kindTestLen
 )
 
 // key identifies one artifact: the artifact kind, the interned circuit
 // identity, the fault model (for fault-derived kinds), and (for
-// analysis programs) the parameter set, which includes the
-// observability model.
+// programs, uniform analyses and test-length sets) the parameter set,
+// which includes the observability model.
 type key struct {
 	kind   kind
 	c      *circuit.Circuit
@@ -70,6 +80,10 @@ type key struct {
 // is not usable; create stores with NewStore.
 type Store struct {
 	cache *Cache[key, any]
+
+	// testHookUniform, when non-nil, runs at the start of every uniform
+	// build; tests use it to act while the build is in flight.
+	testHookUniform func()
 
 	internMu    sync.Mutex
 	interned    map[uint64][]*circuit.Circuit
@@ -179,6 +193,95 @@ func (s *Store) BISTFor(c *circuit.Circuit, m fault.Model) *bist.Program {
 		}), nil
 	})
 	return v.(*bist.Program)
+}
+
+// Uniform returns the shared uniform analysis of (c, params): every
+// input at p = 0.5.  The pass runs once per key under no caller's
+// context, so a caller whose context is canceled never fails a
+// concurrent caller whose context is live; each caller checks its own
+// ctx before and after the lookup and gets ctx.Err() when it is done.
+// progress, when non-nil, receives 0 before and 1 after a lookup that
+// runs the pass or waits for it; a finished entry answers without it.
+// The Analysis is shared: callers must not modify it.
+func (s *Store) Uniform(ctx context.Context, c *circuit.Circuit, params core.Params, progress func(frac float64)) (*core.Analysis, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	c = s.Intern(c)
+	k := key{kind: kindUniform, c: c, params: params}
+	if v, ok := s.cache.Peek(k); ok {
+		return v.(*core.Analysis), nil
+	}
+	if progress != nil {
+		progress(0)
+	}
+	v, err := s.cache.Get(k, func() (any, error) {
+		if s.testHookUniform != nil {
+			s.testHookUniform()
+		}
+		prog, err := s.Program(c, params)
+		if err != nil {
+			return nil, err
+		}
+		return prog.Run(context.Background(), core.UniformProbs(c))
+	})
+	if err == nil {
+		err = ctx.Err()
+	}
+	if err != nil {
+		return nil, err
+	}
+	if progress != nil {
+		progress(1)
+	}
+	return v.(*core.Analysis), nil
+}
+
+// TestLen is one plan's test-length inputs under one fault model: its
+// detection probabilities prepared for testlen's questions, and its
+// hardest fault.
+type TestLen struct {
+	Set     *testlen.Set
+	Hardest int // index of the first fault of smallest probability
+}
+
+// NewTestLen prepares detection probabilities, in fault order, for
+// test-length questions.  It keeps detect; the caller must not modify
+// it afterwards.
+func NewTestLen(detect []float64) *TestLen {
+	hardest := 0
+	for i, p := range detect {
+		if p < detect[hardest] {
+			hardest = i
+		}
+	}
+	return &TestLen{Set: testlen.Prepare(detect), Hardest: hardest}
+}
+
+// TestLenFor returns the shared test-length set of the uniform plan of
+// (c, params) over a fault model's universe, derived from Uniform.
+// Like Uniform it builds under no caller's context and checks ctx
+// before and after the lookup.
+func (s *Store) TestLenFor(ctx context.Context, c *circuit.Circuit, params core.Params, m fault.Model) (*TestLen, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	c = s.Intern(c)
+	m = m.Normalize()
+	v, err := s.cache.Get(key{kind: kindTestLen, c: c, model: m, params: params}, func() (any, error) {
+		res, err := s.Uniform(context.Background(), c, params, nil)
+		if err != nil {
+			return nil, err
+		}
+		return NewTestLen(res.DetectProbs(s.FaultsFor(c, m))), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return v.(*TestLen), nil
 }
 
 // Len returns the current number of cached entries.

@@ -11,9 +11,8 @@ import (
 // build panics; the panic itself goes to the caller that ran it.
 var errBuildPanicked = errors.New("artifact: build panicked")
 
-// Cache is a singleflight LRU map.  The Store's artifacts, the
-// server's Sessions and a shard worker's circuits by digest each live
-// in one.
+// Cache is a singleflight LRU map.  The Store's artifacts and a shard
+// worker's circuits by digest each live in one.
 //
 //   - Get builds a missing key once per concurrent burst: the first
 //     caller runs the build, every concurrent caller of the key blocks

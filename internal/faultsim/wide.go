@@ -59,7 +59,8 @@ type Engine struct {
 	// input words and numFaults×ChunkBlocks detection words.
 	words, det []uint64
 
-	// Capture (BIST) state, sized on each SimulateChunkOutputs.
+	// Capture (BIST) state, sized on each SimulateChunkOutputs and
+	// dropped by Release, so a pooled engine holds none of it.
 	local   []uint64      // numFaults×ChunkBlocks detect-at-stem words of the last capture chunk
 	poDiff  []widesim.Vec // per stem index × output: flip vectors (stem-major)
 	goodOut []widesim.Vec // good output vectors of the last capture chunk
@@ -102,9 +103,12 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// Release returns the engine to the pool, dropping its plan.
+// Release returns the engine to the pool, dropping its plan and its
+// capture buffers: a self test allocates those once per run, and the
+// measurements that share the pool never use them.
 func (e *Engine) Release() {
 	e.plan, e.stems, e.recs = nil, nil, nil
+	e.local, e.poDiff, e.goodOut = nil, nil, nil
 	e.sim.Reset(nil, 0)
 	enginePool.Put(e)
 }

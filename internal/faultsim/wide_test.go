@@ -330,6 +330,23 @@ func checkCaptureIdentity(t *testing.T, c *circuit.Circuit, faults []fault.Fault
 	}
 }
 
+// TestReleaseDropsCaptureBuffers: an engine goes back to the shared
+// pool without the capture buffers of its last self-test chunk, whose
+// per-stem output flips dwarf a measurement's scratch.
+func TestReleaseDropsCaptureBuffers(t *testing.T) {
+	c := circuits.C17()
+	e := NewPlan(c, fault.Collapse(c)).AcquireEngine()
+	e.SimulateChunkOutputs(make([]uint64, len(c.Inputs)*ChunkBlocks), make([]uint64, len(e.plan.faults)*ChunkBlocks))
+	if e.poDiff == nil || e.local == nil || e.goodOut == nil {
+		t.Fatal("capture left no buffers to drop")
+	}
+	e.Release()
+	if e.poDiff != nil || e.local != nil || e.goodOut != nil {
+		t.Fatalf("released engine holds capture buffers: poDiff %d, local %d, goodOut %d",
+			cap(e.poDiff), cap(e.local), cap(e.goodOut))
+	}
+}
+
 // TestParallelWorkersClamp pins the Workers contract: negative selects
 // GOMAXPROCS, values above GOMAXPROCS clamp to it, small values pass
 // through.

@@ -572,10 +572,11 @@ func (s *Store) evictOldestFinishedLocked() bool {
 	return false
 }
 
-// janitor sweeps expired jobs periodically until Close.
+// janitor sweeps expired jobs periodically until Close: every quarter
+// TTL, but at most once a millisecond, so every positive TTL works.
 func (s *Store) janitor() {
 	defer s.wg.Done()
-	tick := time.NewTicker(s.cfg.TTL / 4)
+	tick := time.NewTicker(max(s.cfg.TTL/4, time.Millisecond))
 	defer tick.Stop()
 	for {
 		select {

@@ -279,6 +279,38 @@ func TestJobTTLExpiry(t *testing.T) {
 	}
 }
 
+// A TTL under four nanoseconds once gave the janitor a zero sweep
+// interval, which time.NewTicker refuses with a panic.  A store with a
+// 1 ns TTL and the real clock (a test clock disables the janitor) must
+// start, run a job and expire it.
+func TestJobTinyTTLExpires(t *testing.T) {
+	s := NewStore(Config{Workers: 1, TTL: time.Nanosecond})
+	defer s.Close()
+
+	ran := make(chan struct{})
+	id, err := s.Submit(func(ctx context.Context, progress func(string, float64)) (any, error) {
+		close(ran)
+		return "ok", nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-ran
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if _, err := s.Get(id); errors.Is(err, ErrNotFound) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s never expired", id)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if st := s.Stats(); st.Expired != 1 || st.Finished != 1 {
+		t.Errorf("stats = %+v, want 1 finished and 1 expired", st)
+	}
+}
+
 // At capacity the store evicts the oldest finished job; full of
 // unfinished work it rejects with ErrStoreFull.
 func TestJobStoreFull(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"protest"
+	"protest/internal/artifact"
 	"protest/internal/circuit"
 	"protest/internal/circuits"
 	"protest/internal/netlist"
@@ -129,7 +130,8 @@ func FuzzPipelineSpec(f *testing.F) {
 // FuzzValidateSpec runs any body through /v1/validate's checks only:
 // decoding, ValidateSpec.Validate and circuit resolution, not a run.
 // A body that fails them must be answered 400 (413 when over the
-// limit) before admission and without a Session, and every spec they
+// limit) before admission and without building an artifact, and every
+// spec they
 // accept must still pass Validate after a JSON round trip, so a
 // client that echoes an accepted spec is accepted again.
 func FuzzValidateSpec(f *testing.F) {
@@ -154,9 +156,13 @@ func FuzzValidateSpec(f *testing.F) {
 	defer srv.Close()
 	f.Fuzz(func(t *testing.T, body []byte) {
 		rec := httptest.NewRecorder()
+		before := artifact.Default.Stats()
 		_, spec, ok := srv.decodeValidate(rec, httptest.NewRequest(http.MethodPost, "/v1/validate", bytes.NewReader(body)))
-		if st := srv.Stats(); st.InFlight != 0 || st.Queued != 0 || st.Sessions != 0 {
-			t.Fatalf("%s: the checks took an admission slot or built a Session: %+v", body, st)
+		if st := srv.Stats(); st.InFlight != 0 || st.Queued != 0 {
+			t.Fatalf("%s: the checks took an admission slot: %+v", body, st)
+		}
+		if after := artifact.Default.Stats(); after.Builds != before.Builds {
+			t.Fatalf("%s: the checks built artifacts: builds %d -> %d", body, before.Builds, after.Builds)
 		}
 		if !ok {
 			if rec.Code != http.StatusBadRequest && rec.Code != http.StatusRequestEntityTooLarge {

@@ -21,8 +21,8 @@ type CircuitRef struct {
 	// them).
 	Circuit string `json:"circuit,omitempty"`
 	// Netlist is inline .bench source.  Structurally equal netlists —
-	// across requests and clients — resolve to one shared Session and
-	// one set of compiled artifacts.
+	// across requests and clients — resolve to one canonical circuit
+	// and one set of compiled artifacts.
 	Netlist string `json:"netlist,omitempty"`
 	// Name names an inline netlist's design (default "netlist").  The
 	// name is part of the circuit identity, so reusing one name for
@@ -31,8 +31,8 @@ type CircuitRef struct {
 }
 
 // resolveCircuit builds the referenced circuit and interns it, so the
-// returned pointer is the canonical identity every cache in the
-// service keys on (Sessions and coalescing keys).
+// returned pointer is the canonical identity the artifact store and
+// the coalescing keys use.
 // Registered benchmark names additionally cache their canonical
 // instance, so warm named requests skip the registry rebuild and the
 // structural fingerprint walk entirely.
@@ -54,13 +54,6 @@ func (s *Server) resolveCircuit(ref *CircuitRef) (*protest.Circuit, error) {
 		return nil, err
 	}
 	return artifact.Default.Intern(c), nil
-}
-
-// session returns the shared Session of c, a circuit resolveCircuit
-// returned, opening it on first use.  Concurrent first requests for c
-// share one Open.
-func (s *Server) session(c *protest.Circuit) (*protest.Session, error) {
-	return s.sessions.Get(c, func() (*protest.Session, error) { return protest.Open(c, s.opts...) })
 }
 
 // resolve builds the referenced circuit.
@@ -276,7 +269,7 @@ func (s *Server) runPipeline(ctx context.Context, c *protest.Circuit, spec prote
 			}
 			defer s.adm.release()
 		}
-		sess, err := s.session(c)
+		sess, err := protest.Open(c, s.opts...)
 		if err != nil {
 			return nil, err
 		}
@@ -390,7 +383,7 @@ func tupleKey(probs []float64) string {
 
 // analyze runs one analysis pass of c under probs (nil = uniform),
 // joining an identical in-flight pass when one exists.  The leader
-// passes admission, resolves the Session and runs the pass under the
+// passes admission, opens a Session and runs the pass under the
 // group's merged context, which is canceled only when every attached
 // request has gone away; joiners consume no admission slot, and share
 // the leader's Analysis read-only.  err is ctx.Err() when this
@@ -405,7 +398,7 @@ func (s *Server) analyze(ctx context.Context, c *protest.Circuit, probs []float6
 				return nil, err
 			}
 			defer s.adm.release()
-			sess, err := s.session(c)
+			sess, err := protest.Open(c, s.opts...)
 			if err != nil {
 				return nil, err
 			}

@@ -1,16 +1,16 @@
 // Package server exposes the PROTEST analysis pipeline as a
 // long-running HTTP/JSON service on top of the lock-free Session core.
 //
-// The server keeps one concurrent Session per circuit identity:
-// requests naming the same registered benchmark — or carrying
-// structurally equal netlists — share one Session and therefore one
-// set of compiled artifacts (the artifact store interns circuits by
-// structural fingerprint), so only the first request for a design pays
-// the compilation cost.  The Sessions live in an artifact.Cache of
-// Config.MaxSessions entries: concurrent first requests for a circuit
-// share one Open, and the least recently used Session is dropped
-// beyond the bound.  The cache is the server's own, not the artifact
-// store's, because its Sessions carry this server's options.
+// Every computation opens its own Session on the request's circuit
+// with the server's options.  A Session keeps only configuration: the
+// per-circuit results — compiled programs, fault lists, simulation
+// plans, the uniform analysis and its test-length sets — live in the
+// process-wide artifact store, which interns circuits by structural
+// fingerprint.  Requests naming the same registered benchmark, or
+// carrying structurally equal netlists, therefore share one set of
+// artifacts, only the first request for a design pays for building
+// them, and opening a Session on a warm circuit costs a few store
+// lookups.  /healthz reports the store's builds, hits and evictions.
 //
 // Admission control bounds the work the process accepts: MaxInFlight
 // analyses execute concurrently, MaxQueue more wait for a slot, and
@@ -92,11 +92,6 @@ type Config struct {
 	// MaxInFlight (default 4×MaxInFlight); requests beyond that are
 	// answered 429 immediately.
 	MaxQueue int
-	// MaxSessions bounds the distinct circuits holding a live Session,
-	// Sessions being opened included (default 64); least-recently-used
-	// Sessions are dropped, their compiled artifacts staying in the
-	// artifact store.
-	MaxSessions int
 	// MaxBodyBytes bounds request bodies, netlists included
 	// (default 8 MiB).
 	MaxBodyBytes int64
@@ -146,9 +141,6 @@ func (c *Config) fill() {
 	if c.MaxQueue <= 0 {
 		c.MaxQueue = 4 * c.MaxInFlight
 	}
-	if c.MaxSessions <= 0 {
-		c.MaxSessions = 64
-	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 8 << 20
 	}
@@ -179,13 +171,8 @@ type Server struct {
 	mux   *http.ServeMux
 	start time.Time
 
-	// sessions holds one Session per canonical circuit, opened with
-	// opts; at most Config.MaxSessions, Sessions being opened
-	// included, in LRU order.  Evicting one is cheap: requests running
-	// on it keep it alive, and its compiled artifacts stay in the
-	// artifact store, so a returning circuit re-opens in microseconds.
-	sessions *artifact.Cache[*protest.Circuit, *protest.Session]
-	opts     []protest.Option
+	// opts configures the Session every computation opens.
+	opts []protest.Option
 
 	// pipelines coalesces identical concurrent pipeline computations
 	// (sync requests and async jobs share one keyspace), analyses
@@ -241,7 +228,7 @@ type Server struct {
 	closeOnce sync.Once
 
 	// testHookAdmitted, when non-nil, runs after a pipeline computation
-	// or an analysis pass is admitted and has resolved its Session,
+	// or an analysis pass is admitted and has opened its Session,
 	// immediately before the run; tests use it to hold execution slots
 	// busy deterministically.
 	testHookAdmitted func()
@@ -265,7 +252,6 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:       cfg,
 		adm:       newAdmission(cfg.MaxInFlight, cfg.MaxQueue),
-		sessions:  artifact.NewCache[*protest.Circuit, *protest.Session](cfg.MaxSessions),
 		opts:      opts,
 		mux:       http.NewServeMux(),
 		start:     time.Now(),
@@ -331,8 +317,6 @@ type Stats struct {
 	// InFlight and Queued are the admission gauges right now.
 	InFlight int `json:"in_flight"`
 	Queued   int `json:"queued"`
-	// Sessions is the number of distinct circuits with a live Session.
-	Sessions int `json:"sessions"`
 	// Coalesce reports pipeline singleflight effectiveness: Leads are
 	// computations actually run, Joins are requests that shared one.
 	Coalesce coalesce.GroupStats `json:"coalesce"`
@@ -398,7 +382,6 @@ func (s *Server) Stats() Stats {
 		Failed:        s.failed.Load(),
 		InFlight:      s.adm.inFlight(),
 		Queued:        s.adm.waiting(),
-		Sessions:      s.sessions.Len(),
 		Coalesce:      s.pipelines.Stats(),
 		Batch:         batchStats(s.analyses.Stats()),
 		AnalyzePasses: s.analyzePasses.Load(),

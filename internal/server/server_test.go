@@ -106,8 +106,9 @@ func TestPipelineRoundTrip(t *testing.T) {
 }
 
 // Concurrent requests — same circuit and different circuits mixed —
-// must all succeed on the shared Sessions and return the same reports
-// a serial client would see.
+// must all succeed on the shared artifacts and return the same reports
+// a serial client would see.  The direct runs warm the store, so the
+// burst builds nothing.
 func TestPipelineConcurrent(t *testing.T) {
 	srv, ts := newTestServer(t, Config{MaxInFlight: 8, MaxQueue: 32})
 	spec := protest.PipelineSpec{SimPatterns: 64}
@@ -115,6 +116,7 @@ func TestPipelineConcurrent(t *testing.T) {
 		"c17":  reportJSON(t, directReport(t, "c17", spec)),
 		"add8": reportJSON(t, directReport(t, "add8", spec)),
 	}
+	before := artifact.Default.Stats()
 
 	const perCircuit = 6
 	var wg sync.WaitGroup
@@ -157,8 +159,11 @@ func TestPipelineConcurrent(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if got := srv.Stats().Sessions; got != 2 {
-		t.Errorf("sessions = %d, want 2 (one per distinct circuit)", got)
+	if after := artifact.Default.Stats(); after.Builds != before.Builds {
+		t.Errorf("the burst built artifacts: builds %d -> %d", before.Builds, after.Builds)
+	}
+	if st := srv.Stats(); st.InFlight != 0 || st.Queued != 0 {
+		t.Errorf("in flight %d, queued %d after the burst, want 0 and 0", st.InFlight, st.Queued)
 	}
 }
 
@@ -273,10 +278,12 @@ func TestClientDisconnectCancels(t *testing.T) {
 }
 
 // A second request for the same circuit — arriving as an independently
-// parsed netlist — must reuse the interned Session and recompile
-// nothing: the artifact store's build counter must not move.
+// parsed netlist — must reuse the interned circuit's artifacts and
+// recompute nothing: the artifact store's build counter must not move.
+// The cold request builds the circuit's program, fault list, uniform
+// analysis, test-length set and simulation plan.
 func TestArtifactReuseAcrossRequests(t *testing.T) {
-	srv, ts := newTestServer(t, Config{})
+	_, ts := newTestServer(t, Config{})
 	netlist := `# tiny unique design for the reuse test
 INPUT(ra)
 INPUT(rb)
@@ -289,11 +296,15 @@ OUTPUT(ry)
 		CircuitRef: CircuitRef{Netlist: netlist, Name: "server-reuse-test"},
 		Spec:       protest.PipelineSpec{SimPatterns: 64},
 	}
+	before := artifact.Default.Stats()
 	resp, first := postJSON(t, ts.URL+"/v1/pipeline", req)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("cold request failed: %d %s", resp.StatusCode, first)
 	}
 	cold := artifact.Default.Stats()
+	if n := cold.Builds - before.Builds; n < 5 {
+		t.Errorf("cold request built %d artifacts, want at least 5", n)
+	}
 
 	resp, second := postJSON(t, ts.URL+"/v1/pipeline", req)
 	if resp.StatusCode != http.StatusOK {
@@ -307,20 +318,18 @@ OUTPUT(ry)
 	if !bytes.Equal(first, second) {
 		t.Errorf("same request, different reports:\n%s\n%s", first, second)
 	}
-	if got := srv.Stats().Sessions; got != 1 {
-		t.Errorf("sessions = %d, want 1 (equal netlists must share)", got)
-	}
 }
 
-// MaxSessions bounds the live Sessions.  A circuit whose Session was
-// dropped opens a new one on its next request, from the artifacts the
-// store still holds, and answers the same bytes.
-func TestMaxSessionsBoundsSessions(t *testing.T) {
-	srv, ts := newTestServer(t, Config{MaxSessions: 2})
+// A circuit that returns after requests for other circuits opens a new
+// Session on the artifacts the store still holds: it answers the same
+// bytes and builds nothing, the uniform analysis and its test-length
+// set included.
+func TestReturningCircuitBuildsNothing(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
 	req := func(i int) PipelineRequest {
 		netlist := fmt.Sprintf("INPUT(a)\nINPUT(b)\nINPUT(c)\nx = AND(a, b)\ny = OR(x, c)\nOUTPUT(y)\nz = XOR(a, c)\nOUTPUT(z)\n# %d\n", i)
 		return PipelineRequest{
-			CircuitRef: CircuitRef{Netlist: netlist, Name: fmt.Sprintf("sessions-bound-%d", i)},
+			CircuitRef: CircuitRef{Netlist: netlist, Name: fmt.Sprintf("returning-circuit-%d", i)},
 			Spec:       protest.PipelineSpec{SimPatterns: 64},
 		}
 	}
@@ -334,9 +343,6 @@ func TestMaxSessionsBoundsSessions(t *testing.T) {
 			first = body
 		}
 	}
-	if got := srv.Stats().Sessions; got != 2 {
-		t.Fatalf("sessions = %d after three circuits, want MaxSessions = 2", got)
-	}
 	before := artifact.Default.Stats()
 	resp, again := postJSON(t, ts.URL+"/v1/pipeline", req(0))
 	if resp.StatusCode != http.StatusOK {
@@ -346,10 +352,7 @@ func TestMaxSessionsBoundsSessions(t *testing.T) {
 		t.Errorf("returning circuit answered other bytes:\n%s\n%s", first, again)
 	}
 	if after := artifact.Default.Stats(); after.Builds != before.Builds {
-		t.Errorf("re-opening a dropped Session built artifacts: builds %d -> %d", before.Builds, after.Builds)
-	}
-	if got := srv.Stats().Sessions; got != 2 {
-		t.Errorf("sessions = %d after the returning circuit, want 2", got)
+		t.Errorf("the returning circuit built artifacts: builds %d -> %d", before.Builds, after.Builds)
 	}
 }
 

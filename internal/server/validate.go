@@ -55,7 +55,7 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.adm.release()
-	sess, err := s.session(c)
+	sess, err := protest.Open(c, s.opts...)
 	if s.fail(w, ctx, err) {
 		return
 	}

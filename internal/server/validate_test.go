@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"protest"
+	"protest/internal/artifact"
 )
 
 // The served validation run must match the equivalent direct Session
@@ -113,8 +114,9 @@ func TestValidateBadSpecIs400(t *testing.T) {
 // A bad spec is refused before admission: while a parked pipeline
 // holds the only slot, {"epsilon":2} answers 400 at once, for a named
 // circuit and for an inline netlist alike, without queueing and
-// without a Session or a compiled netlist.  It used to queue for the
-// slot and run the analytic oracle before the 400.
+// without building an artifact (opening a Session on the inline
+// netlist would build its fault list and program).  It used to queue
+// for the slot and run the analytic oracle before the 400.
 func TestValidateBadSpecRefusedBeforeAdmission(t *testing.T) {
 	srv, ts := newTestServer(t, Config{MaxInFlight: 1, MaxQueue: 1})
 	entered, release := parkAdmitted(t, srv, 1)
@@ -125,6 +127,7 @@ func TestValidateBadSpecRefusedBeforeAdmission(t *testing.T) {
 	pipe := PipelineRequest{CircuitRef: CircuitRef{Circuit: "c17"}, Spec: protest.PipelineSpec{SimPatterns: 16}}
 	postAsync(t, &wg, ts.URL+"/v1/pipeline", pipe, &pipeStatus, &pipeBody)
 	awaitEntered(t, entered, "the pipeline")
+	before := artifact.Default.Stats()
 
 	for _, body := range []string{
 		`{"circuit":"c17","spec":{"epsilon":2}}`,
@@ -147,9 +150,12 @@ func TestValidateBadSpecRefusedBeforeAdmission(t *testing.T) {
 			t.Fatalf("%s: status %d, body %s; want 400 naming epsilon", body, status, out)
 		}
 	}
-	if st := srv.Stats(); st.Queued != 0 || st.Sessions != 1 || st.Validate.Runs != 0 {
-		t.Errorf("queued %d, sessions %d, validate runs %d: want 0, 1 (the pipeline's) and 0",
-			st.Queued, st.Sessions, st.Validate.Runs)
+	if st := srv.Stats(); st.Queued != 0 || st.InFlight != 1 || st.Validate.Runs != 0 {
+		t.Errorf("queued %d, in flight %d, validate runs %d: want 0, 1 (the pipeline) and 0",
+			st.Queued, st.InFlight, st.Validate.Runs)
+	}
+	if after := artifact.Default.Stats(); after.Builds != before.Builds {
+		t.Errorf("the refused requests built artifacts: builds %d -> %d", before.Builds, after.Builds)
 	}
 	release()
 	wg.Wait()

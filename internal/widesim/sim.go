@@ -48,9 +48,6 @@ func (s *Sim) Reset(p *Program, slots int) {
 	s.inbuf = slices.Grow(s.inbuf[:0], p.maxArity)[:p.maxArity]
 }
 
-// Program returns the compiled program the simulator runs.
-func (s *Sim) Program() *Program { return s.p }
-
 // SetInputs assigns all inputs from a lane-major flat layout:
 // words[i*Lanes+l] is lane l (pattern block l) of input i, the layout
 // produced by pattern.Generator.NextBlocks.  It returns a typed error
@@ -143,13 +140,6 @@ func (s *Sim) evalSlow(ins *instr, st *stream, d *Vec) {
 
 // Value returns the simulated lane vector of a node.
 func (s *Sim) Value(id circuit.NodeID) Vec { return s.values[id] }
-
-// Values returns the good bank (one lane vector per node).  It is
-// invalidated by the next Run.
-func (s *Sim) Values() []Vec {
-	n := s.p.c.NumNodes()
-	return s.values[:n:n]
-}
 
 // Faulty returns the faulty bank (one lane vector per node), valid
 // where the last Propagate or Observe wrote it.

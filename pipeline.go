@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 
+	"protest/internal/artifact"
 	"protest/internal/bist"
 	"protest/internal/pattern"
 	"protest/internal/stats"
@@ -253,7 +254,7 @@ func (s *Session) Run(ctx context.Context, spec PipelineSpec) (*Report, error) {
 	}
 
 	// Phase 1+2: uniform analysis and test length.
-	uniform, err := s.planReport(ctx, spec, nil, cfg)
+	uniform, err := s.planReport(ctx, spec, faults, nil, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -272,7 +273,7 @@ func (s *Session) Run(ctx context.Context, spec PipelineSpec) (*Report, error) {
 			cfg.emit(PhaseQuantize, 1)
 			weights = pattern.QuantizeGrid(weights, spec.QuantizeGrid)
 		}
-		optimized, err := s.planReport(ctx, spec, weights, cfg)
+		optimized, err := s.planReport(ctx, spec, faults, weights, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -300,14 +301,15 @@ func (s *Session) Run(ctx context.Context, spec PipelineSpec) (*Report, error) {
 }
 
 // planReport builds the PlanReport for one pattern source (nil probs =
-// uniform): analysis, test length, fault-simulation validation, and
-// the estimated-vs-simulated summary.  The uniform plan reads the
-// Session's cached estimate; a weighted one prepares its own.
-func (s *Session) planReport(ctx context.Context, spec PipelineSpec, probs []float64, cfg runCfg) (*PlanReport, error) {
-	var est *estimate
+// uniform) over the run's faults: analysis, test length,
+// fault-simulation validation, and the estimated-vs-simulated summary.
+// The uniform plan reads the store's test-length set; a weighted one
+// prepares its own.
+func (s *Session) planReport(ctx context.Context, spec PipelineSpec, faults []Fault, probs []float64, cfg runCfg) (*PlanReport, error) {
+	var tl *artifact.TestLen
 	if probs == nil {
 		var err error
-		if est, err = s.uniformEstimate(ctx, cfg); err != nil {
+		if tl, err = s.uniformTestLen(ctx, cfg); err != nil {
 			return nil, err
 		}
 	} else {
@@ -315,20 +317,19 @@ func (s *Session) planReport(ctx context.Context, spec PipelineSpec, probs []flo
 		if err != nil {
 			return nil, err
 		}
-		faults := s.modelFaults(cfg.model)
-		est = newEstimate(s.c, faults, res.DetectProbs(faults))
+		tl = artifact.NewTestLen(res.DetectProbs(faults))
 	}
-	detect := est.set.Probs()
+	detect := tl.Set.Probs()
 
 	plan := &PlanReport{
-		HardestFault: est.name,
-		HardestProb:  detect[est.hardest],
+		HardestFault: faults[tl.Hardest].Name(s.c),
+		HardestProb:  detect[tl.Hardest],
 	}
 	if probs != nil {
 		plan.InputProbs = append([]float64(nil), probs...)
 	}
 
-	n, err := est.set.RequiredFraction(spec.Fraction, spec.Confidence)
+	n, err := tl.Set.RequiredFraction(spec.Fraction, spec.Confidence)
 	if err != nil {
 		plan.TestLength = -1
 		plan.Unreachable = err.Error()
@@ -349,7 +350,7 @@ func (s *Session) planReport(ctx context.Context, spec PipelineSpec, probs []flo
 		// One pattern holds no launch/capture pair: P_SIM would be 0/0.
 		return nil, fmt.Errorf("pipeline: %w: a transition run needs at least 2 simulation patterns, got %d", ErrBadSpec, budget)
 	}
-	plan.ExpectedCoverage = est.set.ExpectedCoverage(int64(budget))
+	plan.ExpectedCoverage = tl.Set.ExpectedCoverage(int64(budget))
 	cfg.emit(PhaseTestLength, 1)
 
 	sim, err := s.simulate(ctx, probs, budget, cfg)

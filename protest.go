@@ -17,8 +17,9 @@
 //
 // The package is organized around a per-circuit Session: Open resolves
 // the collapsed fault list and the compiled analysis plan through a
-// process-wide artifact store (so Sessions on the same circuit share
-// them), and every method reuses them.  Sessions are lock-free: all
+// process-wide artifact store, which also caches the uniform analysis
+// and every other per-circuit result, so Sessions on the same circuit
+// share them and every method reuses them.  Sessions are lock-free: all
 // methods are safe for concurrent use and run genuinely in parallel,
 // with results bit-identical to a serial execution.
 //

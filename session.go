@@ -3,17 +3,13 @@ package protest
 import (
 	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"protest/internal/artifact"
-	"protest/internal/bist"
 	"protest/internal/core"
 	"protest/internal/faultsim"
 	"protest/internal/optimize"
 	"protest/internal/pattern"
 	"protest/internal/shard"
-	"protest/internal/testlen"
 )
 
 // Phase identifies one stage of a Session's work, as reported to the
@@ -31,12 +27,15 @@ const (
 	PhaseSummarize  Phase = "summarize"
 )
 
-// Session is a per-circuit analysis handle.  Open resolves the
-// circuit's compiled artifacts — the collapsed fault list and the
-// analysis program (conditioning cones, joining points, compiled
-// propagation programs) — through the shared artifact store, so any
-// number of Sessions on the same circuit share one set of artifacts,
-// and every method reuses them instead of re-deriving circuit state.
+// Session is a per-circuit analysis handle.  It keeps only its
+// configuration, its canonical circuit and its compiled analysis
+// program (conditioning cones, joining points, compiled propagation
+// programs); every other per-circuit result — fault lists, simulation
+// plans, self-test programs, the uniform analysis and the uniform
+// plan's test-length sets — is cached in the shared artifact store and
+// read from it on each call.  Any number of Sessions on the same
+// circuit therefore share one set of artifacts, and opening another
+// Session on a warm circuit costs a few store lookups.
 //
 // # Concurrency model
 //
@@ -67,52 +66,6 @@ type Session struct {
 	pool      *shard.Pool
 
 	prog *core.Program // compiled analysis program under params
-
-	// models holds one artifact bundle per fault model, fault.Model ->
-	// *modelArtifacts, behind the same lookup for every model.  Open
-	// stores the default model's; the others are added on first use.
-	models sync.Map
-
-	// baseline caches the uniform (p = 0.5) analysis for TestLength and
-	// repeated Analyze(ctx, nil) calls.  Once published it is treated as
-	// strictly read-only; Analyze hands callers clones.
-	baseline atomic.Pointer[Analysis]
-}
-
-// modelArtifacts is one fault model's artifact bundle: its fault list,
-// the store's shared slice (hand out copies only), and the artifacts
-// pinned on first use.  est is the uniform plan's estimate (see
-// estimate), derived from the Session's baseline and published the
-// same way.  simPlan and bistProg come from the artifact store (so
-// concurrent cold Sessions share one build), but once pinned the hot
-// paths read them lock-free and LRU eviction in the store cannot force
-// a rebuild for this Session.
-type modelArtifacts struct {
-	faults   []Fault
-	est      atomic.Pointer[estimate]
-	simPlan  atomic.Pointer[faultsim.Plan]
-	bistProg atomic.Pointer[bist.Program]
-}
-
-// estimate is one plan's test-length inputs under one fault model: its
-// detection probabilities prepared for testlen's questions, and its
-// hardest fault.  A Session derives the uniform plan's estimate once
-// per model from the cached uniform analysis and treats it as
-// read-only from then on; weighted plans build theirs per call.
-type estimate struct {
-	set     *testlen.Set
-	hardest int    // index of the first fault of smallest probability
-	name    string // the hardest fault's name
-}
-
-func newEstimate(c *Circuit, faults []Fault, detect []float64) *estimate {
-	hardest := 0
-	for i, p := range detect {
-		if p < detect[hardest] {
-			hardest = i
-		}
-	}
-	return &estimate{set: testlen.Prepare(detect), hardest: hardest, name: faults[hardest].Name(c)}
 }
 
 // Option configures a Session at Open time.  Options are applied in
@@ -245,7 +198,6 @@ func Open(c *Circuit, opts ...Option) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.models.Store(s.model, &modelArtifacts{faults: faults})
 	s.prog = prog
 	return s, nil
 }
@@ -269,18 +221,9 @@ func (s *Session) Faults() []Fault {
 	return append([]Fault(nil), s.modelFaults(s.model)...)
 }
 
-// arts returns the artifact bundle of fault model m.
-func (s *Session) arts(m FaultModel) *modelArtifacts {
-	m = m.Normalize()
-	if v, ok := s.models.Load(m); ok {
-		return v.(*modelArtifacts)
-	}
-	v, _ := s.models.LoadOrStore(m, &modelArtifacts{faults: s.store.FaultsFor(s.c, m)})
-	return v.(*modelArtifacts)
-}
-
-// modelFaults returns the shared fault list of the effective model.
-func (s *Session) modelFaults(m FaultModel) []Fault { return s.arts(m).faults }
+// modelFaults returns the store's shared fault list of model m (hand
+// out copies only).
+func (s *Session) modelFaults(m FaultModel) []Fault { return s.store.FaultsFor(s.c, m) }
 
 // runCfg is the effective per-call configuration: the Session defaults
 // with any per-call overrides (runCfg.with) applied.  Threading it
@@ -320,112 +263,67 @@ func (cfg runCfg) emit(ph Phase, frac float64) {
 // Analyze estimates signal probabilities, observabilities and (through
 // Analysis.DetectProbs) fault detection probabilities for one input
 // tuple.  A nil inputProbs means the conventional uniform tuple
-// p_i = 0.5.
+// p_i = 0.5, whose analysis is cached in the artifact store; callers
+// get a copy, so mutating the result cannot corrupt TestLength and Run.
 func (s *Session) Analyze(ctx context.Context, inputProbs []float64) (*Analysis, error) {
-	res, err := s.analyze(ctx, inputProbs, s.cfg())
-	if err != nil {
-		return nil, err
+	if inputProbs == nil {
+		res, err := s.uniform(ctx, s.cfg())
+		if err != nil {
+			return nil, err
+		}
+		return res.Clone(), nil
 	}
-	if res == s.baseline.Load() {
-		// The uniform analysis is cached for the Session's lifetime;
-		// hand callers a copy so mutating the result cannot corrupt
-		// TestLength and Run.
-		res = res.Clone()
-	}
-	return res, nil
+	return s.analyze(ctx, inputProbs, s.cfg())
 }
 
-// analyze is Analyze without the defensive copy, for use inside the
-// pipeline.  It caches the uniform analysis, which TestLength reuses;
-// the cached Analysis is shared and must be treated as read-only.
+// analyze runs one analysis pass for a weighted tuple.
 func (s *Session) analyze(ctx context.Context, inputProbs []float64, cfg runCfg) (*Analysis, error) {
-	uniform := inputProbs == nil
-	if uniform {
-		if res := s.baseline.Load(); res != nil {
-			return res, nil
-		}
-		inputProbs = core.UniformProbs(s.c)
-	}
 	cfg.emit(PhaseAnalyze, 0)
 	res, err := s.prog.Run(ctx, inputProbs)
 	if err != nil {
 		return nil, wrapCanceled(err)
 	}
 	cfg.emit(PhaseAnalyze, 1)
-	if uniform {
-		// Concurrent cold calls may race to publish; every candidate is
-		// bit-identical (same program, same tuple), so first-in wins and
-		// the others adopt it.
-		if !s.baseline.CompareAndSwap(nil, res) {
-			res = s.baseline.Load()
-		}
-	}
 	return res, nil
+}
+
+// uniform returns the store's shared uniform analysis, which must be
+// treated as read-only.  A call that runs the pass or waits for it
+// reports PhaseAnalyze 0 and 1.
+func (s *Session) uniform(ctx context.Context, cfg runCfg) (*Analysis, error) {
+	res, err := s.store.Uniform(ctx, s.c, s.params, func(frac float64) { cfg.emit(PhaseAnalyze, frac) })
+	return res, wrapCanceled(err)
 }
 
 // TestLength returns the number of uniform random patterns needed to
 // detect the d·100% easiest faults with confidence e — the paper's
-// N(F_d, e).  The underlying uniform analysis and its test-length
-// estimate are computed once and cached; the first call on a cold
-// Session therefore runs a full (uncancellable) analysis pass.  To
-// keep that pass under a context, prime the cache with
-// Analyze(ctx, nil) first.
+// N(F_d, e).  The underlying uniform analysis and its test-length set
+// are cached in the artifact store; the first call on a cold circuit
+// therefore runs a full (uncancellable) analysis pass.  To keep that
+// pass under a context, prime the store with Analyze(ctx, nil) first.
 func (s *Session) TestLength(d, e float64) (int64, error) {
-	est, err := s.uniformEstimate(context.Background(), s.cfg())
+	tl, err := s.uniformTestLen(context.Background(), s.cfg())
 	if err != nil {
 		return 0, err
 	}
-	return est.set.RequiredFraction(d, e)
+	return tl.Set.RequiredFraction(d, e)
 }
 
-// uniformEstimate returns the uniform plan's estimate under the
-// effective model, deriving it from the cached uniform analysis on
-// first use.  Concurrent cold calls may race to publish; every
-// candidate is bit-identical, so first-in wins and the others adopt it.
-func (s *Session) uniformEstimate(ctx context.Context, cfg runCfg) (*estimate, error) {
-	slot := &s.arts(cfg.model).est
-	if est := slot.Load(); est != nil {
-		return est, nil
-	}
-	res, err := s.analyze(ctx, nil, cfg)
-	if err != nil {
+// uniformTestLen returns the store's test-length set of the uniform
+// plan under the effective model.  It resolves the uniform analysis
+// first, so the call reports PhaseAnalyze exactly when it runs that
+// pass or waits for it.
+func (s *Session) uniformTestLen(ctx context.Context, cfg runCfg) (*artifact.TestLen, error) {
+	if _, err := s.uniform(ctx, cfg); err != nil {
 		return nil, err
 	}
-	faults := s.modelFaults(cfg.model)
-	est := newEstimate(s.c, faults, res.DetectProbs(faults))
-	if !slot.CompareAndSwap(nil, est) {
-		est = slot.Load()
-	}
-	return est, nil
+	tl, err := s.store.TestLenFor(ctx, s.c, s.params, cfg.model)
+	return tl, wrapCanceled(err)
 }
 
 // simOptions bundles the effective FFR worker configuration.
 func (cfg runCfg) simOptions() faultsim.Options {
 	return faultsim.Options{Workers: cfg.workers}
-}
-
-// ensureSimPlan returns the pinned FFR fault-simulation plan of the
-// effective model, resolving it through the artifact store on first
-// use.  Concurrent cold calls may race to the store, which
-// singleflights the build; they all pin the same plan.
-func (s *Session) ensureSimPlan(m FaultModel) *faultsim.Plan {
-	slot := &s.arts(m).simPlan
-	if p := slot.Load(); p != nil {
-		return p
-	}
-	slot.CompareAndSwap(nil, s.store.SimPlanFor(s.c, m.Normalize()))
-	return slot.Load()
-}
-
-// ensureBIST returns the pinned self-test program of the effective
-// model, resolving it through the artifact store on first use.
-func (s *Session) ensureBIST(m FaultModel) *bist.Program {
-	slot := &s.arts(m).bistProg
-	if p := slot.Load(); p != nil {
-		return p
-	}
-	slot.CompareAndSwap(nil, s.store.BISTFor(s.c, m.Normalize()))
-	return slot.Load()
 }
 
 // Optimize hill-climbs the per-input signal probabilities to maximize
@@ -541,9 +439,9 @@ func (s *Session) simulate(ctx context.Context, probs []float64, numPatterns int
 	} else if cfg.pool != nil {
 		// Sharded across the pool's workers; probs were validated by the
 		// generator above, and the merge is bit-identical to local.
-		res, err = cfg.pool.MeasureDetection(ctx, s.ensureSimPlan(cfg.model), cfg.model, s.seed, probs, numPatterns, cfg.simOptions(), progress)
+		res, err = cfg.pool.MeasureDetection(ctx, s.store.SimPlanFor(s.c, cfg.model), cfg.model, s.seed, probs, numPatterns, cfg.simOptions(), progress)
 	} else {
-		res, err = s.ensureSimPlan(cfg.model).MeasureDetection(ctx, gen, numPatterns, cfg.simOptions(), progress)
+		res, err = s.store.SimPlanFor(s.c, cfg.model).MeasureDetection(ctx, gen, numPatterns, cfg.simOptions(), progress)
 	}
 	return res, wrapCanceled(err)
 }
@@ -569,9 +467,9 @@ func (s *Session) CoverageCurve(ctx context.Context, probs []float64, checkpoint
 	if cfg.engine == SimEngineNaive {
 		points, err = faultsim.CoverageCurveNaive(ctx, s.c, s.modelFaults(cfg.model), gen, checkpoints, progress)
 	} else if cfg.pool != nil {
-		points, err = cfg.pool.CoverageCurve(ctx, s.ensureSimPlan(cfg.model), cfg.model, s.seed, probs, checkpoints, cfg.simOptions(), progress)
+		points, err = cfg.pool.CoverageCurve(ctx, s.store.SimPlanFor(s.c, cfg.model), cfg.model, s.seed, probs, checkpoints, cfg.simOptions(), progress)
 	} else {
-		points, err = s.ensureSimPlan(cfg.model).CoverageCurve(ctx, gen, checkpoints, cfg.simOptions(), progress)
+		points, err = s.store.SimPlanFor(s.c, cfg.model).CoverageCurve(ctx, gen, checkpoints, cfg.simOptions(), progress)
 	}
 	return points, wrapCanceled(err)
 }
@@ -594,7 +492,7 @@ func (s *Session) runBIST(ctx context.Context, probs []float64, plan BISTPlan, c
 		return nil, err
 	}
 	cfg.emit(PhaseBIST, 0)
-	res, err := s.ensureBIST(cfg.model).Run(ctx, gen, plan, cfg.engine, func(done, total int) {
+	res, err := s.store.BISTFor(s.c, cfg.model).Run(ctx, gen, plan, cfg.engine, func(done, total int) {
 		cfg.emit(PhaseBIST, float64(done)/float64(total))
 	})
 	return res, wrapCanceled(err)

@@ -2,8 +2,10 @@ package protest_test
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"protest"
@@ -129,8 +131,8 @@ func TestSessionConcurrentBitIdentical(t *testing.T) {
 						return
 					}
 					checkAnalysis(t, "Analyze(uniform)", res, refs.analysisU)
-					// The cached baseline must be cloned per caller: writing
-					// into the result must not poison later calls.
+					// The store's uniform analysis must be cloned per caller:
+					// writing into the result must not poison later calls.
 					res.Prob[0] = -1
 				case 1:
 					res, err := s.Analyze(ctx, tuple)
@@ -273,15 +275,25 @@ func TestSessionsShareArtifacts(t *testing.T) {
 	checkAnalysis(t, "shared-artifact analyze", results[1], results[0])
 }
 
-// TestColdSessionConcurrentRuns starts eight pipelines at once on a
-// fresh Session, across the three fault models and mixed (d, e,
-// budget), so they race to publish the uniform analysis and each
-// model's test-length estimate.  Every report must equal the one a
-// fresh Session gives when it runs the specs one after another.
+// coldSeq numbers the fresh circuit names of TestColdSessionConcurrentRuns,
+// so that every run of it, -count included, starts on a cold store.
+var coldSeq atomic.Int64
+
+// TestColdSessionConcurrentRuns starts eight pipelines at once on one
+// Session whose circuit identity no earlier call has interned — alu's
+// netlist under a fresh name — across the three fault models and mixed
+// (d, e, budget), so they race the artifact store's cold builds of the
+// uniform analysis and each model's test-length set.  Every report must
+// equal the one the specs give run one after another on another fresh
+// identity of the same netlist.
 func TestColdSessionConcurrentRuns(t *testing.T) {
 	c, ok := protest.Benchmark("alu")
 	if !ok {
 		t.Fatal("alu benchmark missing")
+	}
+	src, err := protest.NetlistString(c)
+	if err != nil {
+		t.Fatal(err)
 	}
 	specs := []protest.PipelineSpec{
 		{Fraction: 1, Confidence: 0.95, MaxSimPatterns: 300},
@@ -294,7 +306,11 @@ func TestColdSessionConcurrentRuns(t *testing.T) {
 		{Fraction: 0.9, Confidence: 0.99, MaxSimPatterns: 300, FaultModel: protest.FaultModelBridging},
 	}
 	open := func() *protest.Session {
-		s, err := protest.Open(c)
+		fresh, err := protest.ParseNetlistString(src, fmt.Sprintf("alu-cold-%d", coldSeq.Add(1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := protest.Open(fresh)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -329,6 +345,7 @@ func TestColdSessionConcurrentRuns(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("spec %d: %v", i, errs[i])
 		}
+		got[i].Circuit = want[i].Circuit // the two identities differ by name only
 		if !reflect.DeepEqual(got[i], want[i]) {
 			t.Errorf("spec %d: concurrent report on a cold Session differs from the serial one", i)
 		}

@@ -4,7 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"reflect"
 	"testing"
+	"time"
 
 	"protest/internal/core"
 )
@@ -333,7 +336,7 @@ func TestSessionRunWithBIST(t *testing.T) {
 }
 
 // Mutating an Analysis returned for the uniform tuple must not
-// corrupt the Session's cached baseline.
+// corrupt the uniform analysis cached in the artifact store.
 func TestSessionAnalyzeCacheIsolation(t *testing.T) {
 	c, _ := Benchmark("c17")
 	s, err := Open(c)
@@ -384,6 +387,43 @@ func TestSessionTestLength(t *testing.T) {
 	}
 	if n != want {
 		t.Errorf("Session.TestLength %d, direct analysis %d", n, want)
+	}
+}
+
+// The uniform analysis lives in the artifact store, not in a Session:
+// the first Session on a circuit reports PhaseAnalyze 0 and 1 while it
+// computes the analysis, and a second Session on the same circuit
+// finds it warm and reports none.
+func TestWarmStoreSkipsAnalyzePhase(t *testing.T) {
+	c17, _ := Benchmark("c17")
+	src, err := NetlistString(c17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := ParseNetlistString(src, fmt.Sprintf("c17-warm-%d", time.Now().UnixNano()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	analyzeEvents := func() []float64 {
+		var fracs []float64
+		s, err := Open(c, WithProgress(func(ph Phase, frac float64) {
+			if ph == PhaseAnalyze {
+				fracs = append(fracs, frac)
+			}
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Run(context.Background(), PipelineSpec{SimPatterns: 64}); err != nil {
+			t.Fatal(err)
+		}
+		return fracs
+	}
+	if got := analyzeEvents(); !reflect.DeepEqual(got, []float64{0, 1}) {
+		t.Fatalf("first Session on a cold circuit reported PhaseAnalyze %v, want [0 1]", got)
+	}
+	if got := analyzeEvents(); got != nil {
+		t.Fatalf("second Session on a warm circuit reported PhaseAnalyze %v, want none", got)
 	}
 }
 

@@ -154,15 +154,15 @@ func (s *Session) Validate(ctx context.Context, spec ValidateSpec) (*ValidateRep
 
 	cfg.emit(PhaseValidate, 0)
 	// Oracle 1: the analytic estimator.  The uniform vector is the
-	// Session's cached estimate, shared: validate.Run perturbs a copy.
+	// store's test-length set, shared: validate.Run perturbs a copy.
 	var analytic []float64
 	inputProbs := spec.InputProbs
 	if inputProbs == nil {
-		est, err := s.uniformEstimate(ctx, cfg)
+		tl, err := s.uniformTestLen(ctx, cfg)
 		if err != nil {
 			return nil, err
 		}
-		analytic = est.set.Probs()
+		analytic = tl.Set.Probs()
 		inputProbs = core.UniformProbs(s.c)
 	} else {
 		res, err := s.analyze(ctx, inputProbs, cfg)
